@@ -4,10 +4,12 @@
 // per-vehicle workload deliberately small (one ECU, two periodic RTE tasks,
 // a 100 ms CAM beacon on the shared V2V medium) and scales the vehicle
 // count instead — the axis the arena/pool memory layout is built for. In
-// steady state every hot structure (event-queue buckets, periodic slots,
-// interned metrics, V2V delivery fan-out) is recycled, so the sweep shows
+// steady state the kernel's hot structures (event-queue buckets, periodic
+// slots, interned metrics) are recycled, and a transmit posts one fan-out
+// event per home domain carrying a pooled payload, so the sweep shows
 // whether throughput stays linear in fleet size or the kernel drowns in
-// allocator traffic.
+// allocator traffic. Each beacon runs on its own vehicle's domain, so
+// under sharding the transmits spread over every domain worker.
 //
 // Timing is manual (UseManualTime): assembly of N vehicles is excluded,
 // run() wall time only. Counters report the executed-event totals so the
@@ -78,9 +80,10 @@ void BM_FleetSweep(benchmark::State& state) {
         // Staggered 100 ms CAM beacons: every vehicle announces itself to
         // the whole fleet, so one transmit fans out to N-1 deliveries.
         for (int i = 0; i < vehicles; ++i) {
-            scenario->simulator().schedule_periodic(
+            const std::string name = vehicle_name(i);
+            scenario->vehicle(name).simulator().schedule_periodic(
                 Duration::ms(100),
-                [&v2v = scenario->v2v(), name = vehicle_name(i)] {
+                [&v2v = scenario->v2v(), name] {
                     v2v.transmit(v2v::Medium::cam(name, 0.0, 22.0));
                 },
                 Duration::us(500 * (i + 1)));

@@ -14,6 +14,19 @@
 // under sharding, the only simulator otherwise); delivery is via sim::post,
 // so a sharded run stays deterministic.
 //
+// Fan-out. One transmit() posts one event per home domain that has
+// receivers, carrying a pooled payload: the frame once, plus a (slot,
+// generation, RSSI) list in endpoint-name order. The event captures
+// {medium, payload, range}, which fits the queue's inline action buffer.
+// Endpoints are dense slots whose generation detach() bumps, so delivery
+// does no name lookup and a receiver detached in flight misses the frame.
+// Each sending context (every domain worker, plus the quiescent context)
+// owns its payload pool and recycles a payload once its delivery time lies
+// before the kernel's settled() time (the single queue's now()), so
+// steady-state delivery takes no lock and no heap allocation. docs/MESH.md
+// lists the resulting contract (a receiver's stop() takes effect after the
+// whole fan-out; executed_events() counts fan-outs, not deliveries).
+//
 // Sharding. The Medium is the canonical cross-domain link: its latency is
 // declared as every domain's lookahead bound (the window the domains may
 // race ahead). transmit() may run concurrently on several domain workers;
@@ -38,6 +51,8 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
+#include "util/stable_vector.hpp"
 
 namespace sa::v2v {
 
@@ -152,25 +167,74 @@ public:
     }
 
 private:
+    /// An attached endpoint in its dense slot. Slots are recycled after
+    /// detach(); the generation, bumped by every detach(), tells a fan-out
+    /// in flight whether the slot still holds the receiver it was sent to.
     struct Endpoint {
-        sim::Simulator* home;
+        const std::string* name = nullptr; ///< its key in slots_
         Receiver receiver;
-        double position_m;
+        double position_m = 0.0;
+        std::uint64_t name_hash = 0; ///< FNV-1a of the name (loss draws)
+        std::size_t home = 0;        ///< index into homes_
+        std::uint32_t generation = 0;
+    };
+    /// A home simulator and its receivers: slots in endpoint-name order.
+    struct Home {
+        sim::Simulator* simulator = nullptr;
+        std::vector<std::uint32_t> receivers;
+    };
+    struct Delivery {
+        std::uint32_t slot;
+        std::uint32_t generation; ///< the slot's generation at transmit
+        double rssi_dbm;
+    };
+    /// One transmit in flight: the frame once, and its deliveries grouped
+    /// by home (endpoint-name order within a home). Each home's fan-out
+    /// event delivers its own contiguous range of `deliveries`.
+    struct Payload {
+        Frame frame;
+        Time deliver_at;
+        std::vector<Delivery> deliveries;
+        Payload* next = nullptr; ///< the sender's next-younger payload
+    };
+    /// A sending context's payloads: a pool plus the in-flight FIFO, which
+    /// is in delivery-time order because the context's clock is monotonic.
+    /// Only the owning context touches it. Cache-line aligned so domain
+    /// workers transmitting concurrently do not share a line.
+    struct alignas(64) Sender {
+        util::Pool<Payload> pool;
+        Payload* oldest = nullptr;
+        Payload* newest = nullptr;
     };
 
     /// Loud ContractViolation when called from inside a sharded window —
-    /// transmit() on other workers reads members_ and positions lock-free.
+    /// transmit() on other workers reads membership and positions lock-free.
     void require_quiescent(const char* operation) const;
     /// Stateless loss draw in [0, 1): a hash of the pair, the send instant
     /// and the frame identity. Identical across domain counts by design.
-    [[nodiscard]] double loss_draw(const Frame& frame,
-                                   const std::string& receiver) const noexcept;
+    [[nodiscard]] double loss_draw(const Frame& frame, std::uint64_t transmitter_hash,
+                                   std::uint64_t receiver_hash,
+                                   std::uint64_t origin_hash) const noexcept;
+    /// Recycle the sender's delivered payloads, then hand out an empty one.
+    [[nodiscard]] Payload& acquire(Sender& sender);
+    /// The fan-out event: serve deliveries [first, last) of `payload`.
+    void deliver(const Payload& payload, std::uint32_t first, std::uint32_t last);
 
     sim::Simulator& simulator_;
     MediumConfig config_;
-    std::map<std::string, Endpoint> endpoints_;
+    /// Name -> slot: membership in name order, and the once-per-transmit
+    /// resolution of the transmitter and the addressed next hop.
+    std::map<std::string, std::uint32_t> slots_;
+    /// Stable addresses: on a single queue a receiver may attach endpoints
+    /// while its own callback is running.
+    util::StableVector<Endpoint> endpoints_;
+    std::vector<std::uint32_t> free_slots_;
+    /// One per domain on a sharded kernel, otherwise just the simulator.
+    std::vector<Home> homes_;
+    /// One per domain worker, plus the quiescent context (the last entry).
+    std::vector<Sender> senders_;
     // Relaxed atomics: transmissions may run concurrently on several domain
-    // workers; the counts are order-free sums.
+    // workers; the counts are order-free sums, updated once per transmit.
     std::atomic<std::uint64_t> transmissions_{0};
     std::atomic<std::uint64_t> deliveries_{0};
     std::atomic<std::uint64_t> losses_{0};

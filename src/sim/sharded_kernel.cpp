@@ -213,6 +213,13 @@ void ShardedKernel::flush_outboxes() {
     }
 }
 
+void ShardedKernel::settle() noexcept {
+    settled_ = Time::max();
+    for (const auto& domain : domains_) {
+        settled_ = std::min(settled_, domain->simulator_.now());
+    }
+}
+
 void ShardedKernel::post_from(std::size_t from, std::size_t to, Time at,
                               EventQueue::Action action) {
     SA_REQUIRE(at >= horizon_,
@@ -232,6 +239,7 @@ std::size_t ShardedKernel::run_until(Time until) {
     stop_.store(false, std::memory_order_relaxed);
     bool stopped = false;
     for (;;) {
+        settle();
         if (stop_.exchange(false, std::memory_order_relaxed)) {
             stopped = true;
             break;
@@ -305,6 +313,7 @@ std::size_t ShardedKernel::run_until(Time until) {
             domain->simulator_.advance_to(until);
         }
         now_ = until;
+        settle();
     }
     return static_cast<std::size_t>(executed_events() - executed_before);
 }

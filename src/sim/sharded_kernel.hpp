@@ -152,6 +152,12 @@ public:
     /// caught window exception, or inside a script): the workers' clock
     /// writes happened-before the barrier handshake completed.
     [[nodiscard]] Time progress() const noexcept;
+    /// Every event timestamped before settled() has executed on every
+    /// domain: the earliest domain clock at the last barrier (below now()
+    /// only when a domain's own Simulator::stop() cut its window short).
+    /// It changes only between windows, so a domain worker may read it
+    /// mid-window — the V2V medium recycles delivered payloads against it.
+    [[nodiscard]] Time settled() const noexcept { return settled_; }
     /// Events executed across all domains since construction.
     [[nodiscard]] std::uint64_t executed_events() const noexcept;
     /// Parallel windows executed (diagnostic: work per barrier).
@@ -175,12 +181,15 @@ private:
     void run_window(Time window_end);
     /// Merge all outboxes into their target queues, deterministically.
     void flush_outboxes();
+    /// Recompute settled_ from the domain clocks (coordinator, quiescent).
+    void settle() noexcept;
     /// Called from a worker thread (via post()) for a cross-domain send.
     void post_from(std::size_t from, std::size_t to, Time at,
                    EventQueue::Action action);
 
     std::vector<std::unique_ptr<DomainKernel>> domains_;
     Time now_ = Time::zero();
+    Time settled_ = Time::zero();
     std::atomic<bool> stop_{false};
     std::uint64_t windows_ = 0;
     std::uint64_t cross_posts_ = 0;

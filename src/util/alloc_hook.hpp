@@ -5,9 +5,13 @@
 // Linking semantics ARE the hook. The replacing operator new/delete live in
 // alloc_hook.cpp together with every accessor declared here; sa is a static
 // library, so that object file — interposition included — is linked into a
-// binary only when the binary references one of these symbols. Test suites
-// and benches that use the harness get counted allocation; every other
-// consumer of libsa links the stock allocator, untouched.
+// binary whenever the link needs a symbol it defines: one of the accessors
+// below, or operator new/delete themselves when the linker reaches libsa.a
+// with operator new still undefined. The compiler driver appends the C++
+// runtime after the user's libraries, so most binaries that link libsa get
+// the interposed operators (they count only while counting is enabled). A
+// binary that must keep the stock allocator names the C++ runtime before sa
+// on its link line, as perfbench_driver does.
 //
 // The replacements forward to std::malloc/std::free, which is exactly what
 // the defaults do — so ASan/TSan (which intercept malloc) keep their full

@@ -1,9 +1,9 @@
 // Allocation-count harness tests plus the steady-state zero-allocation pins
-// for the kernel hot paths (ISSUE: arena/pool memory layout). Linking this
+// for the kernel hot paths (the arena/pool memory layout). Linking this
 // suite pulls the interposing operator new/delete from alloc_hook.cpp into
 // the binary (static-library pull-in IS the hook); the pins then assert that
-// a warmed simulation schedules/pops events, completes CAN round trips and
-// ingests metrics without touching the heap.
+// a warmed simulation schedules/pops events, completes CAN round trips,
+// ingests metrics and fans V2V frames out without touching the heap.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "can/bus.hpp"
 #include "can/controller.hpp"
 #include "can/virtual_controller.hpp"
+#include "mesh/mesh_stack.hpp"
 #include "monitor/manager.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -416,6 +417,59 @@ TEST(ZeroAllocPins, MonitorIngestSteadyState) {
     EXPECT_DOUBLE_EQ(manager.last_value("drive.speed"), 25.0);
     ASSERT_NE(manager.stats("drive.gap"), nullptr);
     EXPECT_EQ(manager.stats("drive.gap")->count(), 1'001u);
+}
+
+TEST(ZeroAllocPins, V2vBroadcastFanOutSteadyState) {
+    // Eight endpoints, each beaconing a CAM every 100 ms: every transmit
+    // fans out to seven receivers through one pooled payload.
+    Simulator sim;
+    v2v::Medium medium(sim, {.latency = Duration::ms(20)});
+    std::uint64_t heard = 0;
+    const char* const names[] = {"v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"};
+    for (int i = 0; i < 8; ++i) {
+        medium.attach(names[i], sim, [&heard](const v2v::Frame&, double) { ++heard; },
+                      10.0 * i);
+        sim.schedule_periodic(
+            Duration::ms(100),
+            [&medium, name = names[i], position = 10.0 * i] {
+                medium.transmit(v2v::Medium::cam(name, position, 22.0));
+            },
+            Duration::us(500 * (i + 1)));
+    }
+    sim.run_for(Duration::sec(1)); // warm: payload pool, queue buckets
+    const std::uint64_t before = heard;
+    alloc_hook::CountScope scope;
+    sim.run_for(Duration::sec(2));
+    EXPECT_EQ(scope.allocations(), 0u) << "V2V fan-out allocated in steady state";
+    EXPECT_EQ(heard - before, 20u * 8u * 7u);
+}
+
+TEST(ZeroAllocPins, MeshChainRelaySteadyState) {
+    // A lossless 4-stack chain (120 m apart, 150 m radio): announcements
+    // flood with relays, and the head's unicast CAMs cross two relays.
+    Simulator sim;
+    v2v::Medium medium(sim, {.latency = Duration::ms(5), .range_m = 150.0});
+    std::vector<std::unique_ptr<mesh::MeshStack>> stacks;
+    const char* const names[] = {"a", "b", "c", "d"};
+    for (int i = 0; i < 4; ++i) {
+        stacks.push_back(std::make_unique<mesh::MeshStack>(
+            names[i], medium, sim,
+            mesh::MeshConfig{.beacon_phase = Duration::us(913 * i + 11)}, 120.0 * i));
+    }
+    std::uint64_t arrived = 0;
+    stacks.back()->on_cam([&arrived](const v2v::Frame&) { ++arrived; });
+    sim.schedule_periodic(Duration::ms(50),
+                          [&head = *stacks.front()] { (void)head.send_cam("d"); },
+                          Duration::ms(500));
+    sim.run_for(Duration::sec(2)); // warm: tables, routes, payload pool
+    const std::uint64_t relayed_before = stacks[1]->cams_relayed();
+    const std::uint64_t arrived_before = arrived;
+    alloc_hook::CountScope scope;
+    sim.run_for(Duration::sec(4));
+    EXPECT_EQ(scope.allocations(), 0u) << "mesh relay allocated in steady state";
+    EXPECT_EQ(arrived - arrived_before, 80u);
+    EXPECT_EQ(stacks[1]->cams_relayed() - relayed_before, 80u);
+    EXPECT_GT(stacks[2]->announces_relayed(), 0u);
 }
 
 } // namespace

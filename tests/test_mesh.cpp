@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,6 +72,69 @@ TEST(Medium, AddressedRelayReachesOnlyTheNamedHop) {
     sim.run_until(Time(Duration::ms(10).count_ns()));
     EXPECT_EQ(b_rx, 1);
     EXPECT_EQ(c_rx, 0); // addressed to b only, even though c is in range
+}
+
+TEST(Medium, EndpointDetachedInFlightMissesTheFrameEvenWhenItsSlotIsReused) {
+    // A script barrier between a transmit (1 ms) and its delivery (21 ms)
+    // detaches two receivers and attaches two endpoints that reuse their
+    // slots — one under a new name, one under the detached name. None of
+    // the four may receive the frame; the untouched receiver still does.
+    for (const std::size_t domains : {1u, 2u}) {
+        sim::ShardedKernel kernel(domains, 5);
+        v2v::Medium medium(kernel.domain(0), {.latency = Duration::ms(20)});
+        sim::Simulator& far = kernel.domain(domains - 1);
+        int kept = 0;
+        int gone = 0;
+        int renamed = 0;
+        int fresh = 0;
+        int gone_again = 0;
+        const auto count = [](int& counter) {
+            return [&counter](const v2v::Frame&, double) { ++counter; };
+        };
+        medium.attach("tx", kernel.domain(0), [](const v2v::Frame&, double) {});
+        medium.attach("gone", far, count(gone));
+        medium.attach("kept", far, count(kept));
+        medium.attach("renamed", far, count(renamed));
+        kernel.domain(0).schedule(Duration::ms(1), [&] {
+            medium.transmit(v2v::Medium::cam("tx", 0.0, 20.0));
+        });
+        kernel.schedule_script(Time(Duration::ms(10).count_ns()), [&] {
+            medium.detach("gone");
+            medium.detach("renamed");
+            medium.attach("fresh", far, count(fresh));      // renamed's slot
+            medium.attach("gone", far, count(gone_again));  // gone's slot
+        });
+        kernel.run_until(Time(Duration::ms(50).count_ns()));
+        EXPECT_EQ(kept, 1) << "domains=" << domains;
+        EXPECT_EQ(gone, 0) << "domains=" << domains;
+        EXPECT_EQ(renamed, 0) << "domains=" << domains;
+        EXPECT_EQ(fresh, 0) << "domains=" << domains;
+        EXPECT_EQ(gone_again, 0) << "domains=" << domains;
+        EXPECT_EQ(medium.deliveries(), 3u); // counted when drawn, at transmit
+    }
+}
+
+TEST(Medium, ReceiverStopTakesEffectAfterTheWholeFanOut) {
+    // One fan-out event serves every receiver of a home: a receiver's
+    // stop() ends the drain after the event, not between its receivers.
+    sim::Simulator sim;
+    v2v::Medium medium(sim, {.latency = Duration::ms(1)});
+    std::vector<std::string> heard;
+    medium.attach("tx", sim, [](const v2v::Frame&, double) {});
+    for (const char* name : {"a", "b", "c"}) {
+        medium.attach(name, sim, [&heard, &sim, name](const v2v::Frame&, double) {
+            heard.emplace_back(name);
+            if (heard.size() == 1) {
+                sim.stop();
+            }
+        });
+    }
+    sim.schedule(Duration::ms(5), [] {}); // would run after the fan-out
+    medium.transmit(v2v::Medium::cam("tx", 0.0, 20.0));
+    const std::size_t executed = sim.run_until(Time(Duration::ms(10).count_ns()));
+    EXPECT_EQ(executed, 1u);
+    EXPECT_EQ(heard, (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 // --- seeded loss reproducibility ----------------------------------------------------
@@ -293,6 +358,135 @@ TEST(MeshDeterminism, DomainCountDoesNotChangeTablesRoutesOrTraffic) {
     // The fingerprint is not vacuous: routes formed and CAMs crossed hops.
     EXPECT_NE(one.find("route d via b"), std::string::npos) << one;
     EXPECT_NE(one.find("nbr"), std::string::npos) << one;
+}
+
+// --- delivery trace pinned across the fan-out redesign ------------------------------
+
+/// FNV-1a-style fold of one 64-bit word (or a string's bytes) into `h`.
+void fold(std::uint64_t& h, std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+        h = (h ^ ((word >> (8 * byte)) & 0xFF)) * 0x100000001B3ULL;
+    }
+}
+void fold(std::uint64_t& h, const std::string& text) {
+    for (const char c : text) {
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+    }
+    fold(h, text.size());
+}
+
+/// 14 endpoints 25 m apart on a lossy medium (10% base loss, 400 m range,
+/// linear fading), homed round-robin on the kernel's domains. Each beacons
+/// a CAM every 100 ms at its own phase; every 200 ms e00 sends a CAM
+/// addressed to e12 that e04 and e08 relay by next_hop. Every receiver
+/// folds its ordered (time, transmitter, origin, seq, RSSI bits) trace into
+/// a digest; the result folds those in name order with the medium counters.
+/// No two transmissions share an instant, so the traces are the same at
+/// every domain count.
+struct TraceDigest {
+    std::uint64_t digest = 0;
+    std::uint64_t relayed_arrivals = 0; ///< addressed CAMs that reached e12
+    std::uint64_t losses = 0;
+};
+
+TraceDigest run_delivery_trace(std::size_t num_domains) {
+    constexpr int kEndpoints = 14;
+    sim::ShardedKernel kernel(num_domains, 4242);
+    v2v::Medium medium(kernel.domain(0), {.loss_probability = 0.1,
+                                          .latency = Duration::ms(20),
+                                          .range_m = 400.0,
+                                          .fading = v2v::Fading::Linear,
+                                          .seed = 4242});
+    struct Receiver {
+        std::string name;
+        sim::Simulator* home = nullptr;
+        std::uint64_t digest = 0xCBF29CE484222325ULL;
+        std::uint64_t frames = 0;
+        std::uint64_t relayed_arrivals = 0;
+        std::uint32_t seq = 0;
+    };
+    std::vector<Receiver> rx(kEndpoints);
+    for (int i = 0; i < kEndpoints; ++i) {
+        Receiver& self = rx[static_cast<std::size_t>(i)];
+        self.name = (i < 10 ? "e0" : "e1") + std::to_string(i % 10);
+        self.home = &kernel.domain(static_cast<std::size_t>(i) % num_domains);
+    }
+    for (int i = 0; i < kEndpoints; ++i) {
+        Receiver& self = rx[static_cast<std::size_t>(i)];
+        medium.attach(
+            self.name, *self.home,
+            [&medium, &self](const v2v::Frame& frame, double rssi_dbm) {
+                fold(self.digest, static_cast<std::uint64_t>(self.home->now().ns()));
+                fold(self.digest, frame.transmitter);
+                fold(self.digest, frame.origin);
+                fold(self.digest, frame.seq);
+                fold(self.digest, std::bit_cast<std::uint64_t>(rssi_dbm));
+                ++self.frames;
+                if (frame.destination.empty() || frame.next_hop != self.name) {
+                    return;
+                }
+                if (frame.destination == self.name) {
+                    ++self.relayed_arrivals;
+                    return;
+                }
+                v2v::Frame relay = frame;
+                relay.transmitter = self.name;
+                relay.next_hop = self.name == "e04" ? "e08" : "e12";
+                relay.ttl = frame.ttl - 1;
+                relay.hops = frame.hops + 1;
+                medium.transmit(std::move(relay));
+            },
+            25.0 * i);
+        self.home->schedule_periodic(
+            Duration::ms(100),
+            [&medium, &self, i] {
+                v2v::Frame cam = v2v::Medium::cam(self.name, 25.0 * i, 20.0);
+                cam.seq = ++self.seq;
+                medium.transmit(std::move(cam));
+            },
+            Duration::us(1000 + 37 * i));
+    }
+    Receiver& head = rx.front();
+    head.home->schedule_periodic(
+        Duration::ms(200),
+        [&medium, &head] {
+            v2v::Frame cam = v2v::Medium::cam(head.name, 0.0, 20.0);
+            cam.destination = "e12";
+            cam.next_hop = "e04";
+            cam.ttl = 3;
+            cam.seq = 1'000'000 + ++head.seq;
+            medium.transmit(std::move(cam));
+        },
+        Duration::us(50'003));
+    kernel.run_until(Time(Duration::sec(4).count_ns()));
+
+    TraceDigest out;
+    out.digest = 0xCBF29CE484222325ULL;
+    for (const Receiver& r : rx) {
+        fold(out.digest, r.name);
+        fold(out.digest, r.digest);
+        fold(out.digest, r.frames);
+        out.relayed_arrivals += r.relayed_arrivals;
+    }
+    fold(out.digest, medium.transmissions());
+    fold(out.digest, medium.deliveries());
+    fold(out.digest, medium.losses());
+    out.losses = medium.losses();
+    return out;
+}
+
+TEST(MeshDeterminism, DeliveryTraceMatchesThePerReceiverEventDesign) {
+    // Recorded with the previous delivery path, which posted one event per
+    // receiver: batching deliveries per home domain must not change what
+    // any receiver hears, when, or in which order.
+    constexpr std::uint64_t kRecorded = 0x142DA8EADE502E2AULL;
+    for (const std::size_t domains : {1u, 2u, 4u}) {
+        const TraceDigest trace = run_delivery_trace(domains);
+        EXPECT_EQ(trace.digest, kRecorded)
+            << "domains=" << domains << " digest=0x" << std::hex << trace.digest;
+        EXPECT_GT(trace.relayed_arrivals, 0u); // the relay chain was exercised
+        EXPECT_GT(trace.losses, 0u);
+    }
 }
 
 // --- membership quiescence (regression: raced mutation is loud) ---------------------

@@ -33,15 +33,19 @@ using sim::Time;
 
 TEST(ShardedKernel, RunsIndependentDomainsToTheHorizon) {
     sim::ShardedKernel kernel(2, 42);
-    std::vector<int> fired;
-    kernel.domain(0).schedule(Duration::us(10), [&] { fired.push_back(0); });
-    kernel.domain(1).schedule(Duration::us(20), [&] { fired.push_back(1); });
+    // One slot per domain: both workers run in the same window, so a shared
+    // container would be a data race.
+    std::vector<int> fired[2];
+    kernel.domain(0).schedule(Duration::us(10), [&] { fired[0].push_back(0); });
+    kernel.domain(1).schedule(Duration::us(20), [&] { fired[1].push_back(1); });
 
     const std::size_t executed = kernel.run_until(Time(Duration::ms(1).count_ns()));
 
     EXPECT_EQ(executed, 2u);
     EXPECT_EQ(kernel.executed_events(), 2u);
-    EXPECT_EQ(fired.size(), 2u); // order across domains is unspecified
+    EXPECT_EQ(fired[0].size() + fired[1].size(), 2u);
+    EXPECT_EQ(fired[0], std::vector<int>{0});
+    EXPECT_EQ(fired[1], std::vector<int>{1});
     EXPECT_EQ(kernel.now(), Time(Duration::ms(1).count_ns()));
     EXPECT_EQ(kernel.domain(0).now(), Time(Duration::ms(1).count_ns()));
     EXPECT_EQ(kernel.domain(1).now(), Time(Duration::ms(1).count_ns()));
@@ -162,22 +166,50 @@ TEST(ShardedKernel, ScriptsAtEqualTimesRunInRegistrationOrder) {
 
 TEST(ShardedKernel, RunToTimeMaxDrainsAndReturns) {
     sim::ShardedKernel kernel(2, 42);
-    std::uint64_t fired = 0;
-    kernel.domain(0).schedule(Duration::us(10), [&] { ++fired; });
-    kernel.domain(1).schedule(Duration::ms(3), [&] { ++fired; });
+    // One counter per domain: both workers may run in the same window.
+    std::uint64_t fired[2] = {};
+    kernel.domain(0).schedule(Duration::us(10), [&] { ++fired[0]; });
+    kernel.domain(1).schedule(Duration::ms(3), [&] { ++fired[1]; });
 
     const std::size_t executed = kernel.run_until(Time::max());
 
     EXPECT_EQ(executed, 2u);
-    EXPECT_EQ(fired, 2u);
+    EXPECT_EQ(fired[0] + fired[1], 2u);
     // Clocks stay at the last executed events — NOT at the numeric limit —
     // so the kernel remains usable for further relative scheduling.
     EXPECT_EQ(kernel.domain(0).now(), Time(Duration::us(10).count_ns()));
     EXPECT_EQ(kernel.domain(1).now(), Time(Duration::ms(3).count_ns()));
     EXPECT_EQ(kernel.now(), Time(Duration::ms(3).count_ns()));
-    kernel.domain(0).schedule(Duration::ms(1), [&] { ++fired; });
+    kernel.domain(0).schedule(Duration::ms(1), [&] { ++fired[0]; });
     kernel.run_for(Duration::ms(10));
-    EXPECT_EQ(fired, 3u);
+    EXPECT_EQ(fired[0] + fired[1], 3u);
+}
+
+TEST(ShardedKernel, SettledTrailsADomainThatStoppedMidWindow) {
+    // Domain 1 stops its own window at 2 ms with a 3 ms event still queued,
+    // so the barrier time (now()) overstates global progress; settled()
+    // must not, or state recycled against it (V2V payloads) would be reused
+    // before domain 1 reads it.
+    sim::ShardedKernel kernel(2, 42);
+    kernel.declare_lookahead(0, Duration::ms(10));
+    kernel.declare_lookahead(1, Duration::ms(10));
+    Time seen_settled = Time::max();
+    Time seen_now = Time::zero();
+    bool late_fired = false;
+    kernel.domain(0).schedule(Duration::ms(1), [] {});
+    kernel.domain(0).schedule(Duration::ms(12), [&] {
+        seen_settled = kernel.settled(); // second window: read mid-window
+        seen_now = kernel.now();
+    });
+    kernel.domain(1).schedule(Duration::ms(2), [&] { kernel.domain(1).stop(); });
+    kernel.domain(1).schedule(Duration::ms(3), [&] { late_fired = true; });
+
+    kernel.run_until(Time(Duration::ms(20).count_ns()));
+
+    EXPECT_TRUE(late_fired);
+    EXPECT_EQ(seen_settled, Time(Duration::ms(2).count_ns()));
+    EXPECT_GT(seen_now, seen_settled);
+    EXPECT_EQ(kernel.settled(), Time(Duration::ms(20).count_ns()));
 }
 
 TEST(ShardedKernel, PostToAnUnshardedSimulatorFromAWindowIsRejected) {
