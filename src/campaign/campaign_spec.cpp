@@ -1,15 +1,14 @@
 #include "campaign/campaign_spec.hpp"
 
 #include <algorithm>
+#include <limits>
 
-#include "campaign/lexer.hpp"
 #include "util/assert.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::campaign {
 
-CampaignParseError::CampaignParseError(int line, const std::string& message)
-    : std::runtime_error(message), line_(line) {}
+using util::Lexer;
 
 // --- axis names --------------------------------------------------------------------
 
@@ -118,40 +117,6 @@ std::string duration_str(sim::Duration duration) {
     return format("%lldns", static_cast<long long>(ns));
 }
 
-namespace detail {
-
-sim::Duration take_duration(Lexer& lexer) {
-    const Token number = lexer.take();
-    if (number.kind != TokKind::Number) {
-        throw CampaignParseError(number.line,
-                                 "expected a duration like '400ms', got '" +
-                                     number.text + "'");
-    }
-    const std::int64_t value = std::stoll(number.text);
-    const Token unit = lexer.take();
-    if (unit.kind != TokKind::Ident) {
-        throw CampaignParseError(unit.line,
-                                 "expected a duration unit (ns/us/ms/s) after '" +
-                                     number.text + "'");
-    }
-    if (unit.text == "ns") {
-        return sim::Duration::ns(value);
-    }
-    if (unit.text == "us") {
-        return sim::Duration::us(value);
-    }
-    if (unit.text == "ms") {
-        return sim::Duration::ms(value);
-    }
-    if (unit.text == "s") {
-        return sim::Duration::sec(value);
-    }
-    throw CampaignParseError(unit.line,
-                             "unknown duration unit '" + unit.text + "'");
-}
-
-} // namespace detail
-
 // --- CellConfig --------------------------------------------------------------------
 
 std::string CellConfig::id() const {
@@ -213,128 +178,138 @@ std::string CellConfig::str() const {
 
 namespace {
 
-void check_vehicles(std::size_t count, int line) {
-    if (count < 2 || count > 8) {
-        throw CampaignParseError(line, "vehicles must be in [2, 8], got " +
-                                           std::to_string(count));
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/// A count in [lo, hi] (platoon sizes, domain counts).
+std::size_t take_count(Lexer& lex, const char* axis, const char* what, std::uint64_t lo,
+                       std::uint64_t hi) {
+    const int line = lex.peek().line;
+    const std::uint64_t count = lex.take_uint(what, kMaxU64);
+    if (count < lo || count > hi) {
+        throw util::ParseError(line, std::string(axis) + " must be in [" +
+                                         std::to_string(lo) + ", " + std::to_string(hi) +
+                                         "], got " + std::to_string(count));
     }
+    return static_cast<std::size_t>(count);
 }
 
-void check_domains(std::size_t count, int line) {
-    if (count < 1 || count > 8) {
-        throw CampaignParseError(line, "domains must be in [1, 8], got " +
-                                           std::to_string(count));
-    }
+std::size_t take_vehicles(Lexer& lex) {
+    return take_count(lex, "vehicles", "a vehicle count", 2, 8);
 }
 
-void check_duration(sim::Duration duration, int line) {
-    if (duration.count_ns() < sim::Duration::ms(1).count_ns()) {
-        throw CampaignParseError(line, "duration must be at least 1ms");
-    }
+std::size_t take_domains(Lexer& lex) {
+    return take_count(lex, "domains", "a domain count", 1, 8);
 }
 
-/// Parse the tail of a `learned <dur> [none];` statement (after the keyword;
-/// the caller consumes the terminating ';').
-void parse_learned(detail::Lexer& lexer, int line, sim::Duration& warmup,
-                   bool& no_metrics) {
-    warmup = detail::take_duration(lexer);
-    if (warmup.count_ns() <= 0) {
-        throw CampaignParseError(line, "learned warm-up must be positive");
+template <typename Enum>
+Enum take_enum(Lexer& lex, const char* axis, const char* what,
+               bool (*from_string)(const std::string&, Enum&)) {
+    const int line = lex.peek().line;
+    const std::string value = lex.take_ident(what);
+    Enum out{};
+    if (!from_string(value, out)) {
+        throw util::ParseError(line, "unknown " + std::string(axis) + " '" + value + "'");
     }
-    no_metrics = false;
-    if (lexer.peek().kind == detail::TokKind::Ident) {
-        const std::string flag = lexer.take_ident("'none'");
-        if (flag != "none") {
-            throw CampaignParseError(line,
-                                     "unknown learned flag '" + flag + "'");
-        }
-        no_metrics = true;
-    }
+    return out;
+}
+
+Weather take_weather(Lexer& lex) {
+    return take_enum(lex, "weather", "a weather value", weather_from_string);
+}
+Fault take_fault(Lexer& lex) {
+    return take_enum(lex, "fault", "a fault value", fault_from_string);
+}
+PolicyKind take_policy(Lexer& lex) {
+    return take_enum(lex, "policy", "a policy value", policy_from_string);
+}
+Topology take_topology(Lexer& lex) {
+    return take_enum(lex, "topology", "a topology value", topology_from_string);
+}
+
+/// `<value> [<value> ...];` — the values of a multi-valued axis statement.
+template <typename Take>
+auto take_list(Lexer& lex, Take take_one) {
+    std::vector<decltype(take_one(lex))> values;
+    do {
+        values.push_back(take_one(lex));
+    } while (!lex.accept(";"));
+    return values;
 }
 
 /// Parse one cell statement into `cell`. Returns false when `keyword` is not
-/// a cell statement (so CampaignSpec::parse can report axis keywords with a
-/// campaign-specific message).
-bool parse_cell_statement(detail::Lexer& lexer, const std::string& keyword, int line,
+/// a cell statement (CampaignSpec::parse reads its scalar statements, which
+/// are the cell's, through here too).
+bool parse_cell_statement(Lexer& lex, const std::string& keyword, int line,
                           CellConfig& cell) {
-    using detail::TokKind;
     if (keyword == "campaign") {
-        cell.campaign = lexer.take_ident("a campaign name");
+        cell.campaign = lex.take_ident("a campaign name");
     } else if (keyword == "template") {
-        cell.scenario_template = lexer.take_ident("a template name");
+        cell.scenario_template = lex.take_ident("a template name");
     } else if (keyword == "vehicles") {
-        cell.vehicles =
-            static_cast<std::size_t>(lexer.take_number("a vehicle count"));
-        check_vehicles(cell.vehicles, line);
+        cell.vehicles = take_vehicles(lex);
     } else if (keyword == "duration") {
-        cell.duration = detail::take_duration(lexer);
-        check_duration(cell.duration, line);
+        cell.duration = sim::Duration(lex.take_duration_ns("a duration"));
+        if (cell.duration < sim::Duration::ms(1)) {
+            throw util::ParseError(line, "duration must be at least 1ms");
+        }
     } else if (keyword == "spec") {
-        const detail::Token token = lexer.take();
-        if (token.kind != TokKind::String) {
-            throw CampaignParseError(token.line,
-                                     "expected a quoted spec file path");
-        }
-        cell.spec_file = token.text;
+        cell.spec_file = lex.take_string("a quoted spec file path");
     } else if (keyword == "weather") {
-        const std::string value = lexer.take_ident("a weather value");
-        if (!weather_from_string(value, cell.weather)) {
-            throw CampaignParseError(line, "unknown weather '" + value + "'");
-        }
+        cell.weather = take_weather(lex);
     } else if (keyword == "fault") {
-        const std::string value = lexer.take_ident("a fault value");
-        if (!fault_from_string(value, cell.fault)) {
-            throw CampaignParseError(line, "unknown fault '" + value + "'");
-        }
+        cell.fault = take_fault(lex);
     } else if (keyword == "policy") {
-        const std::string value = lexer.take_ident("a policy value");
-        if (!policy_from_string(value, cell.policy)) {
-            throw CampaignParseError(line, "unknown policy '" + value + "'");
-        }
+        cell.policy = take_policy(lex);
     } else if (keyword == "topology") {
-        const std::string value = lexer.take_ident("a topology value");
-        if (!topology_from_string(value, cell.topology)) {
-            throw CampaignParseError(line, "unknown topology '" + value + "'");
-        }
+        cell.topology = take_topology(lex);
     } else if (keyword == "domains") {
-        cell.domains = static_cast<std::size_t>(lexer.take_number("a domain count"));
-        check_domains(cell.domains, line);
+        cell.domains = take_domains(lex);
     } else if (keyword == "seed") {
-        cell.seed = lexer.take_number("a seed");
+        cell.seed = lex.take_uint("a seed", kMaxU64);
     } else if (keyword == "learned") {
-        parse_learned(lexer, line, cell.learned_warmup, cell.learned_no_metrics);
+        cell.learned_warmup = sim::Duration(lex.take_duration_ns("a warm-up duration"));
+        if (cell.learned_warmup.count_ns() <= 0) {
+            throw util::ParseError(line, "learned warm-up must be positive");
+        }
+        cell.learned_no_metrics = lex.accept("none");
     } else if (keyword == "mesh_range") {
-        cell.mesh_range_m = lexer.take_number("a radio range in meters");
+        cell.mesh_range_m = lex.take_uint("a radio range in meters", kMaxU64);
     } else if (keyword == "mesh_ttl") {
-        cell.mesh_ttl = lexer.take_number("a beacon TTL");
+        cell.mesh_ttl = lex.take_uint("a beacon TTL", kMaxU64);
     } else {
         return false;
     }
-    lexer.expect_punct(";");
+    lex.expect(";");
     return true;
+}
+
+void expect_end(const Lexer& lex, const char* block) {
+    if (!lex.at_end()) {
+        lex.fail("trailing input after the " + std::string(block) + " block: '" +
+                 std::string(lex.peek().text) + "'");
+    }
 }
 
 } // namespace
 
-CellConfig CellConfig::parse(const std::string& text) {
-    detail::Lexer lexer(text);
-    lexer.expect_ident("cell");
-    lexer.expect_punct("{");
+CellConfig CellConfig::parse(util::Lexer& lex) {
+    lex.expect("cell");
+    lex.expect("{");
     CellConfig cell;
-    for (;;) {
-        const detail::Token token = lexer.take();
-        if (token.kind == detail::TokKind::Punct && token.text == "}") {
-            break;
-        }
-        if (token.kind != detail::TokKind::Ident) {
-            throw CampaignParseError(token.line, "expected a cell statement, got '" +
-                                                     token.text + "'");
-        }
-        if (!parse_cell_statement(lexer, token.text, token.line, cell)) {
-            throw CampaignParseError(token.line,
-                                     "unknown cell statement '" + token.text + "'");
+    while (!lex.accept("}")) {
+        const int line = lex.peek().line;
+        const std::string keyword = lex.take_ident("a cell statement");
+        if (!parse_cell_statement(lex, keyword, line, cell)) {
+            throw util::ParseError(line, "unknown cell statement '" + keyword + "'");
         }
     }
+    return cell;
+}
+
+CellConfig CellConfig::parse(const std::string& text) {
+    Lexer lex(text);
+    CellConfig cell = parse(lex);
+    expect_end(lex, "cell");
     return cell;
 }
 
@@ -522,163 +497,45 @@ std::string CampaignSpec::str() const {
     return out;
 }
 
-namespace {
-
-/// Values of a multi-valued axis statement: one or more tokens before ';',
-/// each converted by `convert` (which throws on an unknown value).
-template <typename Value, typename Convert>
-std::vector<Value> parse_axis_values(detail::Lexer& lexer, Convert convert) {
-    std::vector<Value> values;
-    while (lexer.peek().kind == detail::TokKind::Ident ||
-           lexer.peek().kind == detail::TokKind::Number) {
-        values.push_back(convert(lexer.take()));
-    }
-    if (values.empty()) {
-        throw CampaignParseError(lexer.peek().line,
-                                 "axis statement needs at least one value");
-    }
-    lexer.expect_punct(";");
-    return values;
-}
-
-} // namespace
-
 CampaignSpec CampaignSpec::parse(const std::string& text) {
-    using detail::Token;
-    using detail::TokKind;
-    detail::Lexer lexer(text);
-    lexer.expect_ident("campaign");
-    CampaignSpec spec(lexer.take_ident("a campaign name"));
-    lexer.expect_punct("{");
-
-    auto ident_value = [](const Token& token) {
-        if (token.kind != TokKind::Ident) {
-            throw CampaignParseError(token.line,
-                                     "expected an axis value, got '" + token.text +
-                                         "'");
-        }
-        return token;
-    };
-    auto count_value = [](const Token& token) {
-        if (token.kind != TokKind::Number) {
-            throw CampaignParseError(token.line, "expected a count, got '" +
-                                                     token.text + "'");
-        }
-        return token;
-    };
-
-    for (;;) {
-        const Token token = lexer.take();
-        if (token.kind == TokKind::Punct && token.text == "}") {
-            break;
-        }
-        if (token.kind != TokKind::Ident) {
-            throw CampaignParseError(token.line,
-                                     "expected a campaign statement, got '" +
-                                         token.text + "'");
-        }
-        const std::string& keyword = token.text;
-        if (keyword == "template") {
-            spec.template_ = lexer.take_ident("a template name");
-            lexer.expect_punct(";");
-        } else if (keyword == "vehicles") {
-            spec.vehicles_ = parse_axis_values<std::size_t>(
-                lexer, [&](const Token& t) {
-                    const Token checked = count_value(t);
-                    const auto count =
-                        static_cast<std::size_t>(std::stoull(checked.text));
-                    check_vehicles(count, checked.line);
-                    return count;
-                });
-        } else if (keyword == "duration") {
-            spec.duration_ = detail::take_duration(lexer);
-            check_duration(spec.duration_, token.line);
-            lexer.expect_punct(";");
-        } else if (keyword == "spec") {
-            const Token path = lexer.take();
-            if (path.kind != TokKind::String) {
-                throw CampaignParseError(path.line,
-                                         "expected a quoted spec file path");
-            }
-            spec.spec_file_ = path.text;
-            lexer.expect_punct(";");
+    Lexer lex(text);
+    lex.expect("campaign");
+    CampaignSpec spec(lex.take_ident("a campaign name"));
+    lex.expect("{");
+    CellConfig scalars; // template, duration, spec, learned, mesh_range, mesh_ttl
+    while (!lex.accept("}")) {
+        const int line = lex.peek().line;
+        const std::string keyword = lex.take_ident("a campaign statement");
+        if (keyword == "vehicles") {
+            spec.vehicles_ = take_list(lex, take_vehicles);
         } else if (keyword == "weather") {
-            spec.weathers_ = parse_axis_values<Weather>(lexer, [&](const Token& t) {
-                Weather value{};
-                const Token checked = ident_value(t);
-                if (!weather_from_string(checked.text, value)) {
-                    throw CampaignParseError(checked.line, "unknown weather '" +
-                                                               checked.text + "'");
-                }
-                return value;
-            });
+            spec.weathers_ = take_list(lex, take_weather);
         } else if (keyword == "fault") {
-            spec.faults_ = parse_axis_values<Fault>(lexer, [&](const Token& t) {
-                Fault value{};
-                const Token checked = ident_value(t);
-                if (!fault_from_string(checked.text, value)) {
-                    throw CampaignParseError(checked.line, "unknown fault '" +
-                                                               checked.text + "'");
-                }
-                return value;
-            });
+            spec.faults_ = take_list(lex, take_fault);
         } else if (keyword == "policy") {
-            spec.policies_ =
-                parse_axis_values<PolicyKind>(lexer, [&](const Token& t) {
-                    PolicyKind value{};
-                    const Token checked = ident_value(t);
-                    if (!policy_from_string(checked.text, value)) {
-                        throw CampaignParseError(
-                            checked.line, "unknown policy '" + checked.text + "'");
-                    }
-                    return value;
-                });
+            spec.policies_ = take_list(lex, take_policy);
         } else if (keyword == "topology") {
-            spec.topologies_ =
-                parse_axis_values<Topology>(lexer, [&](const Token& t) {
-                    Topology value{};
-                    const Token checked = ident_value(t);
-                    if (!topology_from_string(checked.text, value)) {
-                        throw CampaignParseError(
-                            checked.line, "unknown topology '" + checked.text + "'");
-                    }
-                    return value;
-                });
+            spec.topologies_ = take_list(lex, take_topology);
         } else if (keyword == "domains") {
-            spec.domains_ = parse_axis_values<std::size_t>(
-                lexer, [&](const Token& t) {
-                    const Token checked = count_value(t);
-                    const auto count =
-                        static_cast<std::size_t>(std::stoull(checked.text));
-                    check_domains(count, checked.line);
-                    return count;
-                });
+            spec.domains_ = take_list(lex, take_domains);
         } else if (keyword == "seeds") {
-            spec.seeds_.lo = lexer.take_number("a seed range low bound");
-            lexer.expect_punct("..");
-            spec.seeds_.hi = lexer.take_number("a seed range high bound");
-            lexer.expect_punct(";");
-        } else if (keyword == "learned") {
-            parse_learned(lexer, token.line, spec.learned_warmup_,
-                          spec.learned_no_metrics_);
-            lexer.expect_punct(";");
-        } else if (keyword == "mesh_range") {
-            spec.mesh_range_m_ = lexer.take_number("a radio range in meters");
-            lexer.expect_punct(";");
-        } else if (keyword == "mesh_ttl") {
-            spec.mesh_ttl_ = lexer.take_number("a beacon TTL");
-            lexer.expect_punct(";");
-        } else {
-            throw CampaignParseError(token.line, "unknown campaign axis '" +
-                                                     keyword + "'");
+            spec.seeds_.lo = lex.take_uint("a seed range low bound", kMaxU64);
+            lex.expect("..");
+            spec.seeds_.hi = lex.take_uint("a seed range high bound", kMaxU64);
+            lex.expect(";");
+        } else if (keyword == "campaign" || keyword == "seed" ||
+                   !parse_cell_statement(lex, keyword, line, scalars)) {
+            throw util::ParseError(line, "unknown campaign axis '" + keyword + "'");
         }
     }
-    const Token tail = lexer.take();
-    if (tail.kind != TokKind::End) {
-        throw CampaignParseError(tail.line, "trailing input after the campaign "
-                                            "block: '" +
-                                                tail.text + "'");
-    }
+    expect_end(lex, "campaign");
+    spec.template_ = scalars.scenario_template;
+    spec.duration_ = scalars.duration;
+    spec.spec_file_ = scalars.spec_file;
+    spec.learned_warmup_ = scalars.learned_warmup;
+    spec.learned_no_metrics_ = scalars.learned_no_metrics;
+    spec.mesh_range_m_ = scalars.mesh_range_m;
+    spec.mesh_ttl_ = scalars.mesh_ttl;
     return spec;
 }
 

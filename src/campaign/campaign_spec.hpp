@@ -2,19 +2,21 @@
 // sa::campaign — deterministic scenario-campaign descriptions. A campaign is
 // a parameterized matrix over the canonical platoon scenario template:
 // weather and fault injections × maneuver policies × topologies × domain
-// counts × platoon sizes × a seed range, declared in a compact text form
-// (parsed like skills::SkillGraphSpec) so campaigns are data, not
-// recompiles. expand() enumerates the matrix into CellConfigs in a fixed
-// nested-loop order; every cell is fully described by its own text block
-// (CellConfig::str()/parse() round-trip), which is what the worker protocol
-// and the failing-seed corpus exchange.
+// counts × platoon sizes × a seed range, declared in a compact text form so
+// campaigns are data, not recompiles. expand() enumerates the matrix into
+// CellConfigs in a fixed nested-loop order; every cell is fully described by
+// its own text block (CellConfig::str()/parse() round-trip), which is what
+// the worker protocol and the failing-seed corpus exchange.
 //
-// Campaign grammar (comments: // to end of line; statements ';'-terminated):
+// Campaign grammar (tokens follow the shared lexical rules in
+// util/lexer.hpp; statements are ';'-terminated; malformed text throws
+// util::ParseError with its line):
 //
 //   campaign <name> {
 //     template platoon;             // scenario template (only "platoon")
 //     vehicles <n> [<n> ...];       // axis: platoon sizes, each in [2, 8]
-//     duration <n><unit>;           // simulated time per cell (ns/us/ms/s)
+//     duration <n><unit>;           // simulated time per cell, one token
+//                                   // (400ms, 2.5ms; units ns/us/ms/s)
 //     spec "<path>";                // optional skill-graph spec file
 //     weather <w> [<w> ...];        // axis: clear fog rain winter
 //     fault <f> [<f> ...];          // axis: none fog_blind v2v_blackout
@@ -23,7 +25,7 @@
 //     policy <p> [<p> ...];         // axis: steady cautious eager
 //     topology <t> [<t> ...];       // axis: dual_bus bridged mesh lossy_mesh
 //     domains <n> [<n> ...];        // axis: ECU domain counts, each in [1, 8]
-//     seeds <lo>..<hi>;             // inclusive seed range
+//     seeds <lo>..<hi>;             // inclusive seed range (64-bit)
 //     learned <n><unit> [none];     // optional: learned monitor on every
 //                                   // vehicle, with this warm-up; "none"
 //                                   // disables metric auto-resolution
@@ -41,23 +43,17 @@
 //          domains 2; seed 7; }
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/lexer.hpp"
 
 namespace sa::campaign {
 
-/// Thrown by CampaignSpec/CellConfig/corpus parsing on malformed text.
-class CampaignParseError : public std::runtime_error {
-public:
-    CampaignParseError(int line, const std::string& message);
-    [[nodiscard]] int line() const noexcept { return line_; }
-
-private:
-    int line_;
-};
+/// The campaign-specific name of util::ParseError, kept for callers that
+/// catch it under this name (the perfbench worker).
+using CampaignParseError = util::ParseError;
 
 /// Weather axis: applied to *every* vehicle as capability-quality downgrades
 /// (radar / v2v_link source levels) at duration/4 — the preset vehicles have
@@ -139,8 +135,10 @@ struct CellConfig {
     [[nodiscard]] std::string id() const;
     /// Canonical multi-line `cell { ... }` block; parse(str()) round-trips.
     [[nodiscard]] std::string str() const;
-    /// Parse exactly one `cell { ... }` block.
+    /// Parse exactly one `cell { ... }` block and nothing after it.
     [[nodiscard]] static CellConfig parse(const std::string& text);
+    /// Parse one `cell { ... }` block from `lex`, leaving what follows it.
+    [[nodiscard]] static CellConfig parse(util::Lexer& lex);
 };
 
 /// Inclusive seed range of a campaign ("seeds 1..16;").

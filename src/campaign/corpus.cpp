@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
-#include "campaign/lexer.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::campaign {
@@ -67,69 +67,47 @@ std::string CorpusEntry::str() const {
         out += format("expect signal %d;\n", signal);
     }
     if (!fingerprint.empty()) {
-        // Quoted: a hex16 that starts with a digit ("1cc9...") would lex as
-        // Number + Ident as a bare token.
         out += "expect fingerprint " + quoted(fingerprint) + ";\n";
     }
     return out;
 }
 
 CorpusEntry CorpusEntry::parse(const std::string& text) {
-    // Split at the first `expect`: the cell block re-uses CellConfig::parse
-    // (which checks for trailing input), the rest is the expectation list.
-    const std::size_t split = text.find("expect");
-    if (split == std::string::npos) {
-        throw CampaignParseError(0, "corpus entry has no expect statements");
-    }
+    util::Lexer lex(text);
     CorpusEntry entry;
-    entry.cell = CellConfig::parse(text.substr(0, split));
+    entry.cell = CellConfig::parse(lex);
     entry.status.clear();
-
-    const std::string expects = text.substr(split);
-    detail::Lexer lexer(expects);
-    while (lexer.peek().kind != detail::TokKind::End) {
-        lexer.expect_ident("expect");
-        const detail::Token what = lexer.take();
-        if (what.kind != detail::TokKind::Ident) {
-            throw CampaignParseError(what.line, "expected an expectation kind" +
-                                                    std::string(", got '") +
-                                                    what.text + "'");
-        }
-        if (what.text == "status") {
-            const std::string value = lexer.take_ident("a status");
-            if (value != "ok" && value != "violation" && value != "crash") {
-                throw CampaignParseError(what.line,
-                                         "unknown status '" + value + "'");
+    while (!lex.at_end()) {
+        lex.expect("expect");
+        const int line = lex.peek().line;
+        const std::string what = lex.take_ident("an expectation kind");
+        if (what == "status") {
+            entry.status = lex.take_ident("a status");
+            if (entry.status != "ok" && entry.status != "violation" &&
+                entry.status != "crash") {
+                throw util::ParseError(line, "unknown status '" + entry.status + "'");
             }
-            entry.status = value;
-        } else if (what.text == "reason") {
-            const detail::Token value = lexer.take();
-            if (value.kind != detail::TokKind::String) {
-                throw CampaignParseError(value.line, "expected a quoted reason");
+        } else if (what == "reason") {
+            entry.reason = lex.take_string("a quoted reason");
+        } else if (what == "signal") {
+            entry.signal = static_cast<int>(
+                lex.take_uint("a signal number", std::numeric_limits<int>::max()));
+        } else if (what == "fingerprint") {
+            // Written quoted (see str()); a bare hex16 is one Ident or
+            // Number token, so hand-written entries may leave the quotes off.
+            if (lex.peek().kind != util::TokKind::String &&
+                lex.peek().kind != util::TokKind::Ident &&
+                lex.peek().kind != util::TokKind::Number) {
+                lex.fail("expected a fingerprint");
             }
-            entry.reason = value.text;
-        } else if (what.text == "signal") {
-            entry.signal =
-                static_cast<int>(lexer.take_number("a signal number"));
-        } else if (what.text == "fingerprint") {
-            // Canonically quoted (see str()); bare Ident/Number tokens are
-            // accepted too for hand-written entries whose hex16 happens to
-            // lex as a single token.
-            const detail::Token value = lexer.take();
-            if (value.kind != detail::TokKind::String &&
-                value.kind != detail::TokKind::Ident &&
-                value.kind != detail::TokKind::Number) {
-                throw CampaignParseError(value.line, "expected a fingerprint");
-            }
-            entry.fingerprint = value.text;
+            entry.fingerprint = std::string(lex.take().text);
         } else {
-            throw CampaignParseError(what.line, "unknown expectation '" +
-                                                    what.text + "'");
+            throw util::ParseError(line, "unknown expectation '" + what + "'");
         }
-        lexer.expect_punct(";");
+        lex.expect(";");
     }
     if (entry.status.empty()) {
-        throw CampaignParseError(0, "corpus entry lacks 'expect status'");
+        throw util::ParseError(0, "corpus entry lacks 'expect status'");
     }
     return entry;
 }
@@ -162,6 +140,21 @@ CorpusEntry::mismatches(const std::string& verdict_json) const {
     return out;
 }
 
+CorpusEntry load_corpus_entry(const std::string& path) {
+    std::ifstream in(path);
+    if (!in) {
+        throw util::ParseError(0, "cannot read " + path);
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+        return CorpusEntry::parse(text.str());
+    } catch (const util::ParseError& error) {
+        throw util::ParseError(error.line(), format("%s:%d: %s", path.c_str(),
+                                                    error.line(), error.what()));
+    }
+}
+
 std::vector<std::pair<std::string, CorpusEntry>>
 load_corpus(const std::string& directory) {
     namespace fs = std::filesystem;
@@ -178,15 +171,7 @@ load_corpus(const std::string& directory) {
     }
     std::sort(paths.begin(), paths.end());
     for (const fs::path& path : paths) {
-        std::ifstream in(path);
-        std::ostringstream text;
-        text << in.rdbuf();
-        try {
-            out.emplace_back(path.string(), CorpusEntry::parse(text.str()));
-        } catch (const CampaignParseError& error) {
-            throw CampaignParseError(error.line(), path.string() + ": " +
-                                                       error.what());
-        }
+        out.emplace_back(path.string(), load_corpus_entry(path.string()));
     }
     return out;
 }

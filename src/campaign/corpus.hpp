@@ -6,7 +6,8 @@
 // turns yesterday's failures into today's regression-fuzz suite
 // (fixtures/corpus/ is replayed by CI on every PR).
 //
-// Entry grammar (one cell block, then one or more expect statements):
+// Entry grammar (one token stream in the shared lexical rules of
+// util/lexer.hpp: a cell block, then one or more expect statements):
 //
 //   cell { campaign smoke; template platoon; vehicles 2; duration 800ms;
 //          weather clear; fault misuse; policy steady; topology dual_bus;
@@ -62,10 +63,14 @@ struct CorpusEntry {
     mismatches(const std::string& verdict_json) const;
 };
 
+/// Read and parse one entry file. An unparseable entry throws
+/// util::ParseError whose message starts with `<file>:<line>: `, so it reads
+/// whole without line(); an unreadable file throws it with line 0.
+[[nodiscard]] CorpusEntry load_corpus_entry(const std::string& path);
+
 /// Load every *.repro entry under `directory` (sorted by filename so replay
-/// order is stable). Returns (path, entry) pairs; a missing directory is an
-/// empty corpus, an unparseable entry throws CampaignParseError with the
-/// filename in the message.
+/// order is stable) through load_corpus_entry(). Returns (path, entry) pairs;
+/// a missing directory is an empty corpus.
 [[nodiscard]] std::vector<std::pair<std::string, CorpusEntry>>
 load_corpus(const std::string& directory);
 

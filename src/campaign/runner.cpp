@@ -107,15 +107,17 @@ void apply_fault(scenario::Scenario& scenario,
 skills::SkillGraphSpec load_spec_file(const std::string& path) {
     std::ifstream in(path);
     if (!in) {
-        throw CampaignParseError(0, "cannot read spec file '" + path + "'");
+        throw util::ParseError(0, "cannot read spec file '" + path + "'");
     }
     std::ostringstream text;
     text << in.rdbuf();
     try {
         return skills::SkillGraphSpec::parse(text.str());
-    } catch (const std::exception& error) {
-        throw CampaignParseError(0, "spec file '" + path +
-                                        "': " + std::string(error.what()));
+    } catch (const util::ParseError& error) {
+        // Line 0: the error is about the cell; the spec file's line stays
+        // in the message.
+        throw util::ParseError(0, format("spec file '%s': line %d: %s", path.c_str(),
+                                         error.line(), error.what()));
     }
 }
 

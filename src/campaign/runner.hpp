@@ -29,8 +29,8 @@ namespace sa::campaign {
 /// Declare the cell's full scenario on `builder` (vehicles, trust,
 /// candidates, maneuver engine, weather/fault scripts, bridge topology).
 /// `builder` must have been constructed with the cell's seed. Throws
-/// CampaignParseError when the cell names a spec file that cannot be read
-/// or parsed.
+/// util::ParseError (line 0) when the cell names a spec file that cannot be
+/// read or parsed.
 void declare_cell_scenario(scenario::ScenarioBuilder& builder,
                            const CellConfig& cell);
 

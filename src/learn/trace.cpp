@@ -1,9 +1,11 @@
 #include "learn/trace.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/string_util.hpp"
 
@@ -80,8 +82,7 @@ Trace Trace::parse(const std::string& text) {
         }
         if (!saw_header) {
             if (line != kHeader) {
-                throw TraceError(format("line %d: expected '%s'", line_no,
-                                        std::string(kHeader).c_str()));
+                throw util::ParseError(line_no, "expected '" + std::string(kHeader) + "'");
             }
             saw_header = true;
             continue;
@@ -90,7 +91,7 @@ Trace Trace::parse(const std::string& text) {
             const std::string entry = line.substr(kMetaPrefix.size());
             const std::size_t eq = entry.find('=');
             if (eq == std::string::npos) {
-                throw TraceError(format("line %d: malformed meta entry", line_no));
+                throw util::ParseError(line_no, "malformed meta entry");
             }
             trace.meta.emplace_back(entry.substr(0, eq), entry.substr(eq + 1));
             continue;
@@ -101,9 +102,10 @@ Trace Trace::parse(const std::string& text) {
         TraceSample sample;
         const char* cursor = line.c_str();
         char* end = nullptr;
+        errno = 0;
         sample.at_ns = std::strtoll(cursor, &end, 10);
-        if (end == cursor || *end != ' ') {
-            throw TraceError(format("line %d: malformed timestamp", line_no));
+        if (end == cursor || *end != ' ' || errno == ERANGE) {
+            throw util::ParseError(line_no, "malformed timestamp");
         }
         cursor = end + 1;
         const char* name_end = cursor;
@@ -111,18 +113,18 @@ Trace Trace::parse(const std::string& text) {
             ++name_end;
         }
         if (name_end == cursor || *name_end != ' ') {
-            throw TraceError(format("line %d: malformed metric name", line_no));
+            throw util::ParseError(line_no, "malformed metric name");
         }
         sample.name.assign(cursor, name_end);
         cursor = name_end + 1;
         sample.value = std::strtod(cursor, &end); // strtod accepts %a hexfloats
         if (end == cursor || *end != '\0') {
-            throw TraceError(format("line %d: malformed value", line_no));
+            throw util::ParseError(line_no, "malformed value");
         }
         trace.samples.push_back(std::move(sample));
     }
     if (!saw_header) {
-        throw TraceError("empty input: missing sa-trace header");
+        throw util::ParseError(0, "empty input: missing sa-trace header");
     }
     return trace;
 }
@@ -130,7 +132,7 @@ Trace Trace::parse(const std::string& text) {
 void Trace::save(const std::string& path) const {
     std::ofstream out(path, std::ios::binary);
     if (!out) {
-        throw TraceError("cannot write " + path);
+        throw std::runtime_error("cannot write " + path);
     }
     out << str();
 }
@@ -138,7 +140,7 @@ void Trace::save(const std::string& path) const {
 Trace Trace::load(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
-        throw TraceError("cannot read " + path);
+        throw std::runtime_error("cannot read " + path);
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();

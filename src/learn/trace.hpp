@@ -12,19 +12,14 @@
 //   <t_ns> <metric-name> <value-as-%a-hexfloat>
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "monitor/manager.hpp"
+#include "util/lexer.hpp"
 
 namespace sa::learn {
-
-class TraceError : public std::runtime_error {
-public:
-    using std::runtime_error::runtime_error;
-};
 
 struct TraceSample {
     std::int64_t at_ns = 0;
@@ -48,9 +43,12 @@ struct Trace {
 
     /// Byte-stable serialization (see the format comment above).
     [[nodiscard]] std::string str() const;
-    /// Inverse of str(); throws TraceError on malformed input.
+    /// Inverse of str(); throws util::ParseError with the line on malformed
+    /// input. A line-oriented reader, not util::Lexer: hexfloats and dotted
+    /// metric names are not tokens of the shared grammar.
     static Trace parse(const std::string& text);
 
+    /// Throw std::runtime_error when the file cannot be written or read.
     void save(const std::string& path) const;
     static Trace load(const std::string& path);
 };

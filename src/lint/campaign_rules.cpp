@@ -30,9 +30,10 @@ void check_spec_file(const campaign::CampaignSpec& spec, LintReport& report) {
     skills::SkillGraphSpec parsed;
     try {
         parsed = skills::SkillGraphSpec::parse(text.str());
-    } catch (const std::exception& error) {
+    } catch (const util::ParseError& error) {
         report.add("CMP004", subject,
-                   std::string("spec file does not parse: ") + error.what());
+                   format("spec file does not parse: line %d: %s", error.line(),
+                          error.what()));
         return;
     }
     const LintReport spec_report =

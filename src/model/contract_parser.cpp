@@ -1,357 +1,165 @@
 #include "model/contract_parser.hpp"
 
-#include <cctype>
+#include <limits>
 
+#include "can/frame.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::model {
 
-ParseError::ParseError(int line, const std::string& message)
-    : std::runtime_error(format("line %d: %s", line, message.c_str())), line_(line) {}
+using util::Lexer;
 
 namespace {
 
-enum class TokKind { Ident, Number, Punct, End };
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
 
-struct Token {
-    TokKind kind = TokKind::End;
-    std::string text;
-    int line = 0;
-};
+Duration duration(Lexer& lex) { return Duration(lex.take_duration_ns("a duration")); }
 
-class Lexer {
-public:
-    explicit Lexer(const std::string& text) : text_(text) { advance(); }
-
-    [[nodiscard]] const Token& peek() const noexcept { return current_; }
-
-    Token take() {
-        Token t = current_;
-        advance();
-        return t;
+/// `<rate>/s`
+double take_rate(Lexer& lex) {
+    const double value = lex.take_real("a rate");
+    lex.expect("/");
+    if (!lex.accept("s")) {
+        lex.fail("rates must be per second ('/s')");
     }
+    return value;
+}
 
-private:
-    void advance() {
-        skip_space_and_comments();
-        current_.line = line_;
-        if (pos_ >= text_.size()) {
-            current_ = Token{TokKind::End, "", line_};
-            return;
+TaskSpec parse_task(Lexer& lex) {
+    TaskSpec task;
+    task.name = lex.take_ident("task name");
+    lex.expect("{");
+    while (!lex.accept("}")) {
+        const int line = lex.peek().line;
+        const std::string key = lex.take_ident("task attribute");
+        if (key == "wcet") task.wcet = duration(lex);
+        else if (key == "bcet") task.bcet = duration(lex);
+        else if (key == "period") task.period = duration(lex);
+        else if (key == "deadline") task.deadline = duration(lex);
+        else throw util::ParseError(line, "unknown task attribute '" + key + "'");
+        lex.expect(";");
+    }
+    if (task.bcet.count_ns() == 0) {
+        task.bcet = task.wcet;
+    }
+    if (task.bcet > task.wcet) {
+        lex.fail("task " + task.name + ": bcet > wcet");
+    }
+    return task;
+}
+
+MessageSpec parse_message(Lexer& lex) {
+    MessageSpec msg;
+    msg.name = lex.take_ident("message name");
+    lex.expect("{");
+    while (!lex.accept("}")) {
+        const int line = lex.peek().line;
+        const std::string key = lex.take_ident("message attribute");
+        if (key == "id")
+            msg.can_id =
+                static_cast<std::uint32_t>(lex.take_uint("a CAN id", can::kMaxExtendedId));
+        else if (key == "payload")
+            msg.payload_bytes = static_cast<int>(lex.take_uint("a payload size", 8));
+        else if (key == "period") msg.period = duration(lex);
+        else if (key == "deadline") msg.deadline = duration(lex);
+        else if (key == "bus") msg.bus = lex.take_ident("bus name");
+        else throw util::ParseError(line, "unknown message attribute '" + key + "'");
+        lex.expect(";");
+    }
+    return msg;
+}
+
+ProvidedService parse_provided_service(Lexer& lex) {
+    ProvidedService svc;
+    svc.name = lex.take_ident("service name");
+    if (lex.accept(";")) {
+        return svc;
+    }
+    lex.expect("{");
+    while (!lex.accept("}")) {
+        const int line = lex.peek().line;
+        const std::string attr = lex.take_ident("service attribute");
+        if (attr == "max_rate") svc.max_client_rate_hz = take_rate(lex);
+        else if (attr == "min_client_level")
+            svc.min_client_level =
+                static_cast<int>(lex.take_uint("a security level", kMaxInt));
+        else throw util::ParseError(line, "unknown service attribute '" + attr + "'");
+        lex.expect(";");
+    }
+    return svc;
+}
+
+Contract parse_component(Lexer& lex) {
+    lex.expect("component");
+    Contract c;
+    c.component = lex.take_ident("component name");
+    lex.expect("{");
+    while (!lex.accept("}")) {
+        const int line = lex.peek().line;
+        const std::string key = lex.take_ident("contract clause");
+        if (key == "task") {
+            c.tasks.push_back(parse_task(lex));
+            continue;
         }
-        const char c = text_[pos_];
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            std::size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                    text_[pos_] == '_' || text_[pos_] == '.')) {
-                ++pos_;
+        if (key == "provides") {
+            lex.expect("service");
+            c.provides.push_back(parse_provided_service(lex));
+            continue;
+        }
+        if (key == "message") {
+            c.messages.push_back(parse_message(lex));
+            continue;
+        }
+        if (key == "asil") {
+            const int level_line = lex.peek().line;
+            const std::string level = lex.take_ident("ASIL level");
+            const auto asil = asil_from_string(level);
+            if (!asil.has_value()) {
+                throw util::ParseError(level_line, "unknown ASIL '" + level + "'");
             }
-            current_ = Token{TokKind::Ident, text_.substr(start, pos_ - start), line_};
-            return;
+            c.asil = *asil;
+        } else if (key == "security_level") {
+            c.security_level = static_cast<int>(lex.take_uint("a security level", 3));
+        } else if (key == "requires") {
+            lex.expect("service");
+            c.requires_.push_back(RequiredService{lex.take_ident("service name")});
+        } else if (key == "pin") {
+            lex.expect("ecu");
+            c.pinned_ecu = lex.take_ident("ECU name");
+        } else if (key == "redundant_with") {
+            c.redundant_with = lex.take_ident("component name");
+        } else if (key == "max_e2e_latency") {
+            c.max_e2e_latency = duration(lex);
+        } else if (key == "external") {
+            c.external_interface = true;
+        } else if (key == "gateway") {
+            c.gateway = true;
+        } else {
+            throw util::ParseError(line, "unknown contract clause '" + key + "'");
         }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            // number with optional 0x prefix, decimal point and unit suffix
-            std::size_t start = pos_;
-            if (c == '0' && pos_ + 1 < text_.size() &&
-                (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X')) {
-                pos_ += 2;
-                while (pos_ < text_.size() &&
-                       std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-                    ++pos_;
-                }
-            } else {
-                while (pos_ < text_.size() &&
-                       (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                        text_[pos_] == '.')) {
-                    ++pos_;
-                }
-                // unit suffix letters (us, ms, ns, s)
-                while (pos_ < text_.size() &&
-                       std::isalpha(static_cast<unsigned char>(text_[pos_]))) {
-                    ++pos_;
-                }
-            }
-            current_ = Token{TokKind::Number, text_.substr(start, pos_ - start), line_};
-            return;
-        }
-        current_ = Token{TokKind::Punct, std::string(1, c), line_};
-        ++pos_;
+        lex.expect(";");
     }
-
-    void skip_space_and_comments() {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '\n') {
-                ++line_;
-                ++pos_;
-            } else if (std::isspace(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-                while (pos_ < text_.size() && text_[pos_] != '\n') {
-                    ++pos_;
-                }
-            } else {
-                break;
-            }
-        }
+    if (c.tasks.empty()) {
+        lex.fail("component " + c.component + " declares no tasks");
     }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    int line_ = 1;
-    Token current_;
-};
-
-class Parser {
-public:
-    explicit Parser(const std::string& text) : lex_(text) {}
-
-    std::vector<Contract> parse_document() {
-        std::vector<Contract> out;
-        while (lex_.peek().kind != TokKind::End) {
-            out.push_back(parse_component());
-        }
-        return out;
-    }
-
-private:
-    [[noreturn]] void fail(const std::string& msg) { throw ParseError(lex_.peek().line, msg); }
-
-    Token expect_ident(const std::string& what) {
-        if (lex_.peek().kind != TokKind::Ident) {
-            fail("expected " + what + ", got '" + lex_.peek().text + "'");
-        }
-        return lex_.take();
-    }
-
-    void expect_punct(char c) {
-        if (lex_.peek().kind != TokKind::Punct || lex_.peek().text[0] != c) {
-            fail(std::string("expected '") + c + "', got '" + lex_.peek().text + "'");
-        }
-        lex_.take();
-    }
-
-    bool accept_keyword(const std::string& kw) {
-        if (lex_.peek().kind == TokKind::Ident && lex_.peek().text == kw) {
-            lex_.take();
-            return true;
-        }
-        return false;
-    }
-
-    Duration parse_duration() {
-        if (lex_.peek().kind != TokKind::Number) {
-            fail("expected a duration, got '" + lex_.peek().text + "'");
-        }
-        const Token t = lex_.take();
-        // Split numeric part and suffix.
-        std::size_t i = 0;
-        while (i < t.text.size() &&
-               (std::isdigit(static_cast<unsigned char>(t.text[i])) || t.text[i] == '.')) {
-            ++i;
-        }
-        const std::string num = t.text.substr(0, i);
-        const std::string unit = to_lower(t.text.substr(i));
-        double value = 0.0;
-        try {
-            value = std::stod(num);
-        } catch (const std::exception&) {
-            throw ParseError(t.line, "invalid number '" + t.text + "'");
-        }
-        double scale = 0.0;
-        if (unit == "ns") scale = 1.0;
-        else if (unit == "us") scale = 1e3;
-        else if (unit == "ms") scale = 1e6;
-        else if (unit == "s") scale = 1e9;
-        else throw ParseError(t.line, "duration needs a unit (ns/us/ms/s): '" + t.text + "'");
-        return Duration(static_cast<std::int64_t>(value * scale));
-    }
-
-    double parse_rate() {
-        if (lex_.peek().kind != TokKind::Number) {
-            fail("expected a rate, got '" + lex_.peek().text + "'");
-        }
-        const Token t = lex_.take();
-        double value = 0.0;
-        try {
-            value = std::stod(t.text);
-        } catch (const std::exception&) {
-            throw ParseError(t.line, "invalid number '" + t.text + "'");
-        }
-        expect_punct('/');
-        const Token unit = expect_ident("rate unit");
-        if (unit.text != "s") {
-            throw ParseError(unit.line, "rates must be per second ('/s')");
-        }
-        return value;
-    }
-
-    std::int64_t parse_int() {
-        if (lex_.peek().kind != TokKind::Number) {
-            fail("expected an integer, got '" + lex_.peek().text + "'");
-        }
-        const Token t = lex_.take();
-        try {
-            if (starts_with(t.text, "0x") || starts_with(t.text, "0X")) {
-                return std::stoll(t.text.substr(2), nullptr, 16);
-            }
-            return std::stoll(t.text);
-        } catch (const std::exception&) {
-            throw ParseError(t.line, "invalid integer '" + t.text + "'");
-        }
-    }
-
-    TaskSpec parse_task() {
-        TaskSpec task;
-        task.name = expect_ident("task name").text;
-        expect_punct('{');
-        while (!accept_punct_if('}')) {
-            const Token key = expect_ident("task attribute");
-            if (key.text == "wcet") task.wcet = parse_duration();
-            else if (key.text == "bcet") task.bcet = parse_duration();
-            else if (key.text == "period") task.period = parse_duration();
-            else if (key.text == "deadline") task.deadline = parse_duration();
-            else throw ParseError(key.line, "unknown task attribute '" + key.text + "'");
-            expect_punct(';');
-        }
-        if (task.bcet.count_ns() == 0) {
-            task.bcet = task.wcet;
-        }
-        if (task.bcet > task.wcet) {
-            throw ParseError(lex_.peek().line, "task " + task.name + ": bcet > wcet");
-        }
-        return task;
-    }
-
-    MessageSpec parse_message() {
-        MessageSpec msg;
-        msg.name = expect_ident("message name").text;
-        expect_punct('{');
-        while (!accept_punct_if('}')) {
-            const Token key = expect_ident("message attribute");
-            if (key.text == "id") msg.can_id = static_cast<std::uint32_t>(parse_int());
-            else if (key.text == "payload") msg.payload_bytes = static_cast<int>(parse_int());
-            else if (key.text == "period") msg.period = parse_duration();
-            else if (key.text == "deadline") msg.deadline = parse_duration();
-            else if (key.text == "bus") msg.bus = expect_ident("bus name").text;
-            else throw ParseError(key.line, "unknown message attribute '" + key.text + "'");
-            expect_punct(';');
-        }
-        if (msg.payload_bytes < 0 || msg.payload_bytes > 8) {
-            throw ParseError(lex_.peek().line,
-                             "message " + msg.name + ": payload must be 0..8 bytes");
-        }
-        return msg;
-    }
-
-    bool accept_punct_if(char c) {
-        if (lex_.peek().kind == TokKind::Punct && lex_.peek().text[0] == c) {
-            lex_.take();
-            return true;
-        }
-        return false;
-    }
-
-    Contract parse_component() {
-        if (!accept_keyword("component")) {
-            fail("expected 'component'");
-        }
-        Contract c;
-        c.component = expect_ident("component name").text;
-        expect_punct('{');
-        while (!accept_punct_if('}')) {
-            const Token key = expect_ident("contract clause");
-            if (key.text == "asil") {
-                const Token level = expect_ident("ASIL level");
-                const auto asil = asil_from_string(level.text);
-                if (!asil.has_value()) {
-                    throw ParseError(level.line, "unknown ASIL '" + level.text + "'");
-                }
-                c.asil = *asil;
-                expect_punct(';');
-            } else if (key.text == "security_level") {
-                c.security_level = static_cast<int>(parse_int());
-                if (c.security_level < 0 || c.security_level > 3) {
-                    throw ParseError(key.line, "security_level must be 0..3");
-                }
-                expect_punct(';');
-            } else if (key.text == "task") {
-                c.tasks.push_back(parse_task());
-            } else if (key.text == "provides") {
-                if (!accept_keyword("service")) {
-                    fail("expected 'service' after 'provides'");
-                }
-                ProvidedService svc;
-                svc.name = expect_ident("service name").text;
-                if (accept_punct_if('{')) {
-                    while (!accept_punct_if('}')) {
-                        const Token attr = expect_ident("service attribute");
-                        if (attr.text == "max_rate") svc.max_client_rate_hz = parse_rate();
-                        else if (attr.text == "min_client_level")
-                            svc.min_client_level = static_cast<int>(parse_int());
-                        else
-                            throw ParseError(attr.line,
-                                             "unknown service attribute '" + attr.text + "'");
-                        expect_punct(';');
-                    }
-                } else {
-                    expect_punct(';');
-                }
-                c.provides.push_back(std::move(svc));
-            } else if (key.text == "requires") {
-                if (!accept_keyword("service")) {
-                    fail("expected 'service' after 'requires'");
-                }
-                RequiredService req;
-                req.name = expect_ident("service name").text;
-                expect_punct(';');
-                c.requires_.push_back(std::move(req));
-            } else if (key.text == "message") {
-                c.messages.push_back(parse_message());
-            } else if (key.text == "pin") {
-                if (!accept_keyword("ecu")) {
-                    fail("expected 'ecu' after 'pin'");
-                }
-                c.pinned_ecu = expect_ident("ECU name").text;
-                expect_punct(';');
-            } else if (key.text == "redundant_with") {
-                c.redundant_with = expect_ident("component name").text;
-                expect_punct(';');
-            } else if (key.text == "max_e2e_latency") {
-                c.max_e2e_latency = parse_duration();
-                expect_punct(';');
-            } else if (key.text == "external") {
-                c.external_interface = true;
-                expect_punct(';');
-            } else if (key.text == "gateway") {
-                c.gateway = true;
-                expect_punct(';');
-            } else {
-                throw ParseError(key.line, "unknown contract clause '" + key.text + "'");
-            }
-        }
-        if (c.tasks.empty()) {
-            throw ParseError(lex_.peek().line,
-                             "component " + c.component + " declares no tasks");
-        }
-        return c;
-    }
-
-    Lexer lex_;
-};
+    return c;
+}
 
 } // namespace
 
 std::vector<Contract> ContractParser::parse(const std::string& text) const {
-    Parser parser(text);
-    return parser.parse_document();
+    Lexer lex(text);
+    std::vector<Contract> out;
+    while (!lex.at_end()) {
+        out.push_back(parse_component(lex));
+    }
+    return out;
 }
 
 Contract ContractParser::parse_one(const std::string& text) const {
     auto contracts = parse(text);
     if (contracts.size() != 1) {
-        throw ParseError(1, format("expected exactly one contract, found %zu",
+        throw util::ParseError(0, format("expected exactly one contract, found %zu",
                                    contracts.size()));
     }
     return contracts.front();

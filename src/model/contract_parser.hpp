@@ -15,25 +15,19 @@
 //     gateway;      // mediates between security zones
 //   }
 //
-// Durations accept ns/us/ms/s suffixes; rates accept "<n>/s"; ids accept
-// decimal or 0x hex. Comments: // to end of line.
+// Tokens follow the shared lexical rules in util/lexer.hpp, so names are
+// plain identifiers (no '.'). Durations are one token,
+// `<number><ns|us|ms|s>`; rates are `<number>/s`; ids are decimal or 0x hex
+// and at most can::kMaxExtendedId; payload is at most 8 bytes and
+// security_level at most 3. Malformed input throws util::ParseError.
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "model/contract.hpp"
+#include "util/lexer.hpp"
 
 namespace sa::model {
-
-class ParseError : public std::runtime_error {
-public:
-    ParseError(int line, const std::string& message);
-    [[nodiscard]] int line() const noexcept { return line_; }
-
-private:
-    int line_;
-};
 
 class ContractParser {
 public:

@@ -137,7 +137,7 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
                 report.merge(
                     lint::lint_system(functions, builder.platform_model()));
             }
-        } catch (const model::ParseError& error) {
+        } catch (const util::ParseError& error) {
             report.add("TXT001",
                        "vehicle " + builder.name() + " / contracts",
                        format("line %d: %s", error.line(), error.what()));

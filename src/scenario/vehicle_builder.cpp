@@ -396,7 +396,7 @@ void VehicleBuilder::describe(lint::VehicleShape& shape) const {
         for (const auto& contract : change_request().contracts) {
             shape.components.push_back(contract.component);
         }
-    } catch (const model::ParseError&) {
+    } catch (const util::ParseError&) {
         // Swallowed deliberately — see the comment above the try.
     }
 }

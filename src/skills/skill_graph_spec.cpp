@@ -1,15 +1,11 @@
 #include "skills/skill_graph_spec.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 
 #include "util/assert.hpp"
-#include "util/string_util.hpp"
 
 namespace sa::skills {
-
-SpecParseError::SpecParseError(int line, const std::string& message)
-    : std::runtime_error(format("line %d: %s", line, message.c_str())), line_(line) {}
 
 bool aggregation_from_string(const std::string& text, Aggregation& out) {
     if (text == "min") {
@@ -26,30 +22,14 @@ bool aggregation_from_string(const std::string& text, Aggregation& out) {
 
 // --- builder ----------------------------------------------------------------------
 
-namespace {
-
-/// Names must lex as single identifiers in the text form, or str() output
-/// would not parse back.
-bool is_identifier(const std::string& text) {
-    if (text.empty() || (!std::isalpha(static_cast<unsigned char>(text[0])) &&
-                         text[0] != '_')) {
-        return false;
-    }
-    return std::all_of(text.begin(), text.end(), [](char c) {
-        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-    });
-}
-
-} // namespace
-
 SkillGraphSpec::SkillGraphSpec(std::string name) : name_(std::move(name)) {
-    SA_REQUIRE(is_identifier(name_),
+    SA_REQUIRE(util::is_identifier(name_),
                "spec name must be an identifier ([A-Za-z_][A-Za-z0-9_]*): '" +
                    name_ + "'");
 }
 
 SkillGraphSpec& SkillGraphSpec::add_node(NodeDecl decl) {
-    SA_REQUIRE(is_identifier(decl.name),
+    SA_REQUIRE(util::is_identifier(decl.name),
                "spec node name must be an identifier ([A-Za-z_][A-Za-z0-9_]*): '" +
                    decl.name + "'");
     SA_REQUIRE(find_node(decl.name) == nullptr,
@@ -167,8 +147,14 @@ std::string SkillGraphSpec::str() const {
                std::string(to_string(agg.aggregation)) + ";\n";
     }
     for (const auto& w : weights_) {
+        // Shortest fixed notation that reads back to the same double: the
+        // grammar's numbers have no exponent.
+        char number[400]; // fixed notation of any double fits
+        char* end = std::to_chars(number, number + sizeof number, w.weight,
+                                  std::chars_format::fixed)
+                        .ptr;
         out += "  weight " + w.skill + " " + w.child + " " +
-               format("%g", w.weight) + ";\n";
+               std::string(number, end) + ";\n";
     }
     out += "}\n";
     return out;
@@ -210,225 +196,81 @@ AbilityGraph SkillGraphSpec::instantiate_abilities(AbilityThresholds thresholds)
 }
 
 // --- parser -----------------------------------------------------------------------
-// Hand-rolled recursive-descent over a tiny token stream, mirroring the
-// structure (and error style) of model/contract_parser.
 
 namespace {
 
-enum class TokKind { Ident, Number, String, Punct, End };
+std::string optional_description(util::Lexer& lex) {
+    return lex.peek().kind == util::TokKind::String ? lex.take_string("description")
+                                                    : std::string();
+}
 
-struct Token {
-    TokKind kind = TokKind::End;
-    std::string text;
-    int line = 0;
-};
-
-class Lexer {
-public:
-    explicit Lexer(const std::string& text) : text_(text) { advance(); }
-
-    [[nodiscard]] const Token& peek() const noexcept { return current_; }
-
-    Token take() {
-        Token t = current_;
-        advance();
-        return t;
+void parse_statement(util::Lexer& lex, SkillGraphSpec& spec) {
+    const int line = lex.peek().line;
+    const std::string head = lex.take_ident("statement");
+    auto take_node = [&](const char* what) {
+        std::string name = lex.take_ident(what);
+        if (spec.declares_node(name)) {
+            throw util::ParseError(line, "duplicate node '" + name + "'");
+        }
+        return name;
+    };
+    if (head == "root") {
+        spec.root(lex.take_ident("root skill name"));
+    } else if (head == "skill") {
+        std::string name = take_node("skill name");
+        spec.skill(std::move(name), optional_description(lex));
+    } else if (head == "source") {
+        std::string name = take_node("source name");
+        spec.source(std::move(name), optional_description(lex));
+    } else if (head == "sink") {
+        std::string name = take_node("sink name");
+        spec.sink(std::move(name), optional_description(lex));
+    } else if (head == "aggregate") {
+        std::string skill = lex.take_ident("skill name");
+        const int agg_line = lex.peek().line;
+        const std::string agg = lex.take_ident("aggregation name");
+        Aggregation aggregation{};
+        if (!aggregation_from_string(agg, aggregation)) {
+            throw util::ParseError(agg_line, "unknown aggregation '" + agg +
+                                                 "' (min, product, weighted_mean)");
+        }
+        spec.aggregate(std::move(skill), aggregation);
+    } else if (head == "weight") {
+        std::string skill = lex.take_ident("skill name");
+        std::string child = lex.take_ident("child name");
+        const int weight_line = lex.peek().line;
+        const double weight = lex.take_real("weight value");
+        if (weight <= 0.0) {
+            throw util::ParseError(weight_line, "weights must be positive");
+        }
+        spec.weight(std::move(skill), std::move(child), weight);
+    } else if (lex.accept("->")) {
+        // `<parent> -> <child> [<child> ...]`
+        std::vector<std::string> children{lex.take_ident("child name")};
+        while (lex.peek().kind == util::TokKind::Ident) {
+            children.push_back(lex.take_ident("child name"));
+        }
+        spec.depends(head, children);
+    } else {
+        throw util::ParseError(line, "unknown statement '" + head + "'");
     }
-
-private:
-    void advance() {
-        skip_space_and_comments();
-        current_.line = line_;
-        if (pos_ >= text_.size()) {
-            current_ = Token{TokKind::End, "", line_};
-            return;
-        }
-        const char c = text_[pos_];
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            std::size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                    text_[pos_] == '_')) {
-                ++pos_;
-            }
-            current_ = Token{TokKind::Ident, text_.substr(start, pos_ - start), line_};
-            return;
-        }
-        if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
-            std::size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                    text_[pos_] == '.')) {
-                ++pos_;
-            }
-            current_ = Token{TokKind::Number, text_.substr(start, pos_ - start), line_};
-            return;
-        }
-        if (c == '"') {
-            std::size_t start = ++pos_;
-            while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\n') {
-                ++pos_;
-            }
-            if (pos_ >= text_.size() || text_[pos_] != '"') {
-                throw SpecParseError(line_, "unterminated string literal");
-            }
-            current_ = Token{TokKind::String, text_.substr(start, pos_ - start), line_};
-            ++pos_;
-            return;
-        }
-        if (c == '-' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-            current_ = Token{TokKind::Punct, "->", line_};
-            pos_ += 2;
-            return;
-        }
-        current_ = Token{TokKind::Punct, std::string(1, c), line_};
-        ++pos_;
-    }
-
-    void skip_space_and_comments() {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '\n') {
-                ++line_;
-                ++pos_;
-            } else if (std::isspace(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-                while (pos_ < text_.size() && text_[pos_] != '\n') {
-                    ++pos_;
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    int line_ = 1;
-    Token current_;
-};
-
-class SpecParser {
-public:
-    explicit SpecParser(const std::string& text) : lex_(text) {}
-
-    SkillGraphSpec parse_one() {
-        expect_ident("graph");
-        SkillGraphSpec spec(expect(TokKind::Ident, "graph name").text);
-        expect_punct("{");
-        while (!peek_punct("}")) {
-            parse_statement(spec);
-        }
-        expect_punct("}");
-        if (lex_.peek().kind != TokKind::End) {
-            fail("expected exactly one graph block");
-        }
-        return spec;
-    }
-
-private:
-    [[noreturn]] void fail(const std::string& msg) {
-        throw SpecParseError(lex_.peek().line, msg);
-    }
-
-    Token expect(TokKind kind, const std::string& what) {
-        if (lex_.peek().kind != kind) {
-            fail("expected " + what + ", got '" + lex_.peek().text + "'");
-        }
-        return lex_.take();
-    }
-
-    void expect_ident(const std::string& word) {
-        const Token t = expect(TokKind::Ident, "'" + word + "'");
-        if (t.text != word) {
-            throw SpecParseError(t.line, "expected '" + word + "', got '" + t.text + "'");
-        }
-    }
-
-    void expect_punct(const std::string& punct) {
-        if (lex_.peek().kind != TokKind::Punct || lex_.peek().text != punct) {
-            fail("expected '" + punct + "', got '" + lex_.peek().text + "'");
-        }
-        lex_.take();
-    }
-
-    [[nodiscard]] bool peek_punct(const std::string& punct) {
-        return lex_.peek().kind == TokKind::Punct && lex_.peek().text == punct;
-    }
-
-    std::string optional_description() {
-        if (lex_.peek().kind == TokKind::String) {
-            return lex_.take().text;
-        }
-        return {};
-    }
-
-    void parse_statement(SkillGraphSpec& spec) {
-        const Token head = expect(TokKind::Ident, "statement");
-        if (head.text == "root") {
-            spec.root(expect(TokKind::Ident, "root skill name").text);
-        } else if (head.text == "skill") {
-            const std::string name = expect(TokKind::Ident, "skill name").text;
-            spec.skill(name, optional_description());
-        } else if (head.text == "source") {
-            const std::string name = expect(TokKind::Ident, "source name").text;
-            spec.source(name, optional_description());
-        } else if (head.text == "sink") {
-            const std::string name = expect(TokKind::Ident, "sink name").text;
-            spec.sink(name, optional_description());
-        } else if (head.text == "aggregate") {
-            const std::string skill = expect(TokKind::Ident, "skill name").text;
-            const Token agg = expect(TokKind::Ident, "aggregation name");
-            Aggregation aggregation{};
-            if (!aggregation_from_string(agg.text, aggregation)) {
-                throw SpecParseError(agg.line,
-                                     "unknown aggregation '" + agg.text +
-                                         "' (min, product, weighted_mean)");
-            }
-            spec.aggregate(skill, aggregation);
-        } else if (head.text == "weight") {
-            const std::string skill = expect(TokKind::Ident, "skill name").text;
-            const std::string child = expect(TokKind::Ident, "child name").text;
-            const Token value = expect(TokKind::Number, "weight value");
-            double weight = 0.0;
-            try {
-                std::size_t consumed = 0;
-                weight = std::stod(value.text, &consumed);
-                if (consumed != value.text.size()) {
-                    throw std::invalid_argument("trailing characters");
-                }
-            } catch (const std::exception&) {
-                throw SpecParseError(value.line,
-                                     "bad weight value '" + value.text + "'");
-            }
-            if (weight <= 0.0) {
-                throw SpecParseError(value.line, "weights must be positive");
-            }
-            spec.weight(skill, child, weight);
-        } else if (peek_punct("->")) {
-            // `<parent> -> <child> [<child> ...]`
-            lex_.take();
-            std::vector<std::string> children;
-            children.push_back(expect(TokKind::Ident, "child name").text);
-            while (lex_.peek().kind == TokKind::Ident) {
-                children.push_back(lex_.take().text);
-            }
-            spec.depends(head.text, children);
-        } else {
-            throw SpecParseError(head.line, "unknown statement '" + head.text + "'");
-        }
-        expect_punct(";");
-    }
-
-    Lexer lex_;
-};
+    lex.expect(";");
+}
 
 } // namespace
 
 SkillGraphSpec SkillGraphSpec::parse(const std::string& text) {
-    SpecParser parser(text);
-    return parser.parse_one();
+    util::Lexer lex(text);
+    lex.expect("graph");
+    SkillGraphSpec spec(lex.take_ident("graph name"));
+    lex.expect("{");
+    while (!lex.accept("}")) {
+        parse_statement(lex, spec);
+    }
+    if (!lex.at_end()) {
+        lex.fail("expected exactly one graph block");
+    }
+    return spec;
 }
 
 } // namespace sa::skills

@@ -12,7 +12,8 @@
 // the runtime AbilityGraph with aggregations/weights applied — the one
 // authoritative path from "scenario described as data" to "running graph".
 //
-// Text grammar (comments: // to end of line):
+// Text grammar (tokens follow the shared lexical rules in util/lexer.hpp;
+// malformed text throws util::ParseError with its line):
 //
 //   graph <name> {
 //     root <skill>;
@@ -21,27 +22,17 @@
 //     sink   <name> ["description"];
 //     <parent> -> <child> [<child> ...];        // dependency fan-out
 //     aggregate <skill> min|product|weighted_mean;
-//     weight <skill> <child> <number>;
+//     weight <skill> <child> <number>;          // digits with at most one '.'
 //   }
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "skills/ability_graph.hpp"
 #include "skills/skill_graph.hpp"
+#include "util/lexer.hpp"
 
 namespace sa::skills {
-
-/// Thrown by SkillGraphSpec::parse() on malformed spec text.
-class SpecParseError : public std::runtime_error {
-public:
-    SpecParseError(int line, const std::string& message);
-    [[nodiscard]] int line() const noexcept { return line_; }
-
-private:
-    int line_;
-};
 
 class SkillGraphSpec {
 public:
@@ -69,7 +60,8 @@ public:
     /// node name: anything else could not round-trip through the text form.
     explicit SkillGraphSpec(std::string name);
 
-    /// Parse exactly one `graph <name> { ... }` block.
+    /// Parse exactly one `graph <name> { ... }` block; throws
+    /// util::ParseError, also for a node declared twice.
     [[nodiscard]] static SkillGraphSpec parse(const std::string& text);
 
     // --- builder-style declaration (order is preserved) ---------------------

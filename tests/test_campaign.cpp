@@ -77,8 +77,8 @@ TEST(CampaignSpec, RejectsUnknownAxisWithLineNumber) {
                              "  terrain mars;\n  seeds 1..2;\n}\n";
     try {
         (void)CampaignSpec::parse(text);
-        FAIL() << "expected CampaignParseError";
-    } catch (const CampaignParseError& err) {
+        FAIL() << "expected util::ParseError";
+    } catch (const util::ParseError& err) {
         EXPECT_EQ(err.line(), 3);
         EXPECT_NE(std::string(err.what()).find("terrain"), std::string::npos);
     }
@@ -87,15 +87,53 @@ TEST(CampaignSpec, RejectsUnknownAxisWithLineNumber) {
 TEST(CampaignSpec, RejectsBadAxisValues) {
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { weather sunny; seeds 1..1; }"),
-                 CampaignParseError);
+                 util::ParseError);
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { vehicles 1; seeds 1..1; }"),
-                 CampaignParseError); // below the [2, 8] platoon floor
+                 util::ParseError); // below the [2, 8] platoon floor
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { domains 9; seeds 1..1; }"),
-                 CampaignParseError);
+                 util::ParseError);
     EXPECT_THROW((void)CampaignSpec::parse("campaign x { seeds 1..1; }\njunk"),
-                 CampaignParseError); // trailing tokens after the block
+                 util::ParseError); // trailing tokens after the block
+}
+
+/// The line `parse(text)` reports in its util::ParseError; -1 when it accepts.
+template <typename Parse>
+int error_line(Parse parse, const std::string& text) {
+    try {
+        (void)parse(text);
+    } catch (const util::ParseError& err) {
+        return err.line();
+    }
+    return -1;
+}
+
+TEST(CampaignSpec, ChecksEveryNumberWithItsLine) {
+    const auto campaign = [](const std::string& text) { return CampaignSpec::parse(text); };
+    const auto cell = [](const std::string& text) { return CellConfig::parse(text); };
+    const auto entry = [](const std::string& text) { return CorpusEntry::parse(text); };
+    // Each bad statement sits on line 2: overflowing integers, a duration
+    // past int64 nanoseconds, and one whose nanoseconds wrap negative.
+    for (const char* statement :
+         {"seeds 1..99999999999999999999999;", "vehicles 99999999999999999999;",
+          "duration 99999999999999ms;", "duration 18446744073709ms;",
+          "learned 99999999999999ms;", "mesh_ttl 99999999999999999999;"}) {
+        EXPECT_EQ(error_line(campaign, std::string("campaign x {\n  ") + statement + "\n}"),
+                  2)
+            << statement;
+    }
+    for (const char* statement : {"seed 99999999999999999999;", "duration 1.2.3ms;",
+                                  "domains 0x;", "mesh_range 12ms;"}) {
+        EXPECT_EQ(error_line(cell, std::string("cell {\n  ") + statement + "\n}"), 2)
+            << statement;
+    }
+    EXPECT_EQ(error_line(entry, "cell {\n}\nexpect status crash;\n"
+                                "expect signal 99999999999999999999;\n"),
+              4);
+    // Durations take a decimal fraction, as in contracts.
+    EXPECT_EQ(CampaignSpec::parse("campaign x { duration 2.5ms; seeds 1..1; }").duration(),
+              Duration::us(2500));
 }
 
 TEST(CampaignSpec, ExpandOrderIsStableWithSeedInnermost) {
@@ -133,6 +171,8 @@ TEST(CellConfig, StrParseRoundTrips) {
     EXPECT_EQ(reparsed, cell);
     EXPECT_NE(cell.id().find("fault=misuse"), std::string::npos);
     EXPECT_NE(cell.id().find("seed=7"), std::string::npos);
+    // Exactly one block: trailing input is rejected, as after a campaign.
+    EXPECT_THROW((void)CellConfig::parse("cell { seed 3; } garbage"), util::ParseError);
 }
 
 TEST(CellConfig, LearnedAxisRoundTripsAndStaysOutOfUnlearnedCells) {
@@ -183,7 +223,7 @@ TEST(CampaignSpec, LearnedStatementExpandsIntoEveryCell) {
 
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { seeds 1..1; learned 0ms; }"),
-                 CampaignParseError); // warm-up must be positive
+                 util::ParseError); // warm-up must be positive
 }
 
 TEST(CellConfig, MeshAxisRoundTripsAndStaysOutOfNonMeshCells) {
@@ -376,6 +416,14 @@ TEST(CorpusEntry, RoundTripsAndChecksReplays) {
     EXPECT_EQ(reparsed.status, entry.status);
     EXPECT_EQ(reparsed.reason, entry.reason);
     EXPECT_EQ(reparsed.fingerprint, entry.fingerprint);
+
+    // The entry is one token stream: "expect" inside a campaign name or a
+    // comment is not a statement.
+    CorpusEntry named = entry;
+    named.cell.campaign = "expect_storm";
+    EXPECT_EQ(CorpusEntry::parse(named.str()).str(), named.str());
+    EXPECT_EQ(CorpusEntry::parse("// we expect a violation\n" + named.str()).str(),
+              named.str());
 
     // A faithful replay has no mismatches; a doctored one is caught.
     EXPECT_TRUE(reparsed.mismatches(verdict.json()).empty());

@@ -190,6 +190,7 @@ TEST(Trace, ByteStableRoundTrip) {
     trace.samples.push_back({0, "drive.gap", 48.125});
     trace.samples.push_back({50'000'000, "sensor.radar", -0.30000000000000004});
     trace.samples.push_back({100'000'000, "skill.acc_driving", 1.0 / 3.0});
+    trace.samples.push_back({150'000'000, "drive.gap", HUGE_VAL});
 
     const std::string text = trace.str();
     const Trace parsed = Trace::parse(text);
@@ -214,9 +215,24 @@ TEST(Trace, MetaHelpers) {
 }
 
 TEST(Trace, ParseRejectsMalformedInput) {
-    EXPECT_THROW((void)Trace::parse("not a trace"), TraceError);
-    EXPECT_THROW((void)Trace::parse("# sa-trace v1\n12 name not_a_float\n"),
-                 TraceError);
+    // Each malformed record sits on line 3.
+    for (const char* record :
+         {"12 name not_a_float", "99999999999999999999999 name 0x1p+0", "12 0x1p+0",
+          "x12 name 0x1p+0"}) {
+        try {
+            (void)Trace::parse(std::string("# sa-trace v1\n# meta seed=1\n") + record +
+                               "\n");
+            ADD_FAILURE() << "accepted: " << record;
+        } catch (const util::ParseError& err) {
+            EXPECT_EQ(err.line(), 3) << record;
+        }
+    }
+    try {
+        (void)Trace::parse("not a trace");
+        ADD_FAILURE() << "accepted a headerless trace";
+    } catch (const util::ParseError& err) {
+        EXPECT_EQ(err.line(), 1);
+    }
 }
 
 TEST(TraceRecorder, RecordsIngestStreamThroughTheTap) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "learn/anomaly_model_monitor.hpp"
@@ -532,6 +533,18 @@ TEST(LintBuilder, TXT001ContractParseFailure) {
     const auto report = builder.lint();
     ASSERT_TRUE(report.has("TXT001"));
     EXPECT_FALSE(report.ok());
+
+    // The message carries the parser's line exactly once.
+    scenario::ScenarioBuilder two_lines;
+    two_lines.vehicle("ego")
+        .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+        .contracts("component broken {\n  bogus;\n}");
+    const auto findings = two_lines.lint().findings();
+    const auto txt = std::find_if(findings.begin(), findings.end(),
+                                  [](const Finding& f) { return f.rule == "TXT001"; });
+    ASSERT_NE(txt, findings.end());
+    EXPECT_TRUE(txt->message.starts_with("line 2: ")) << txt->message;
+    EXPECT_EQ(txt->message.find("line ", 1), std::string::npos) << txt->message;
 }
 
 TEST(LintBuilder, CleanVehicleLintsClean) {

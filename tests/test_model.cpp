@@ -76,8 +76,8 @@ TEST(ContractParser, ErrorsCarryLineNumbers) {
     ContractParser parser;
     try {
         (void)parser.parse("component x {\n  asil Z;\n}");
-        FAIL() << "expected ParseError";
-    } catch (const ParseError& e) {
+        FAIL() << "expected util::ParseError";
+    } catch (const util::ParseError& e) {
         EXPECT_EQ(e.line(), 2);
         EXPECT_NE(std::string(e.what()).find("unknown ASIL"), std::string::npos);
     }
@@ -85,21 +85,21 @@ TEST(ContractParser, ErrorsCarryLineNumbers) {
 
 TEST(ContractParser, RejectsTasklessComponent) {
     ContractParser parser;
-    EXPECT_THROW((void)parser.parse("component idle { asil A; }"), ParseError);
+    EXPECT_THROW((void)parser.parse("component idle { asil A; }"), util::ParseError);
 }
 
 TEST(ContractParser, RejectsBadDurations) {
     ContractParser parser;
     EXPECT_THROW(
         (void)parser.parse("component x { task t { wcet 10; period 10ms; } }"),
-        ParseError);
+        util::ParseError);
 }
 
 TEST(ContractParser, RejectsBcetAboveWcet) {
     ContractParser parser;
     EXPECT_THROW((void)parser.parse(
                      "component x { task t { wcet 1ms; bcet 2ms; period 10ms; } }"),
-                 ParseError);
+                 util::ParseError);
 }
 
 TEST(ContractParser, RejectsBadSecurityLevel) {
@@ -107,7 +107,7 @@ TEST(ContractParser, RejectsBadSecurityLevel) {
     EXPECT_THROW(
         (void)parser.parse(
             "component x { security_level 7; task t { wcet 1ms; period 10ms; } }"),
-        ParseError);
+        util::ParseError);
 }
 
 TEST(ContractParser, RejectsUnknownClause) {
@@ -115,7 +115,7 @@ TEST(ContractParser, RejectsUnknownClause) {
     EXPECT_THROW(
         (void)parser.parse(
             "component x { quantum_entangle; task t { wcet 1ms; period 10ms; } }"),
-        ParseError);
+        util::ParseError);
 }
 
 TEST(ContractParser, HexAndDecimalIds) {
@@ -129,13 +129,40 @@ TEST(ContractParser, HexAndDecimalIds) {
     EXPECT_EQ(c.messages[1].can_id, 256u);
 }
 
+TEST(ContractParser, ChecksEveryNumberWithItsLine) {
+    // Each clause sits on line 3. Every value is out of the model's range,
+    // not a whole token of the right form, or overflows.
+    ContractParser parser;
+    for (const char* clause :
+         {"message m { payload 4294967300; }", "security_level 4294967298;",
+          "message m { id 0x100000100; }", "message m { id 12ms; }",
+          "provides service s { max_rate 100ms/s; }", "task u { wcet 1.2.3ms; }",
+          "task u { wcet 99999999999999999999s; }", "task u { wcet 10; }"}) {
+        try {
+            (void)parser.parse(std::string("component x {\n  task t { wcet 1ms; }\n  ") +
+                               clause + "\n}");
+            ADD_FAILURE() << "accepted: " << clause;
+        } catch (const util::ParseError& e) {
+            EXPECT_EQ(e.line(), 3) << clause;
+        }
+    }
+    // The bounds themselves parse.
+    const auto c = parser.parse_one(
+        "component x { security_level 3; task t { wcet 1.5ms; }\n"
+        "  message m { id 0x1FFFFFFF; payload 8; } }");
+    EXPECT_EQ(c.security_level, 3);
+    EXPECT_EQ(c.tasks[0].wcet, Duration::us(1500));
+    EXPECT_EQ(c.messages[0].can_id, 0x1FFFFFFFu);
+    EXPECT_EQ(c.messages[0].payload_bytes, 8);
+}
+
 TEST(ContractParser, ParseOneRejectsMultiple) {
     ContractParser parser;
     EXPECT_THROW((void)parser.parse_one(R"(
         component a { task t { wcet 1ms; period 10ms; } }
         component b { task t { wcet 1ms; period 10ms; } }
     )"),
-                 ParseError);
+                 util::ParseError);
 }
 
 // --- Fixtures ----------------------------------------------------------------------

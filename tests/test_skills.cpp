@@ -435,29 +435,33 @@ TEST(SkillGraphSpec, BuilderFormEqualsParsedForm) {
 }
 
 TEST(SkillGraphSpec, ParseErrorsCarryLineNumbers) {
-    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { bogus x; }"), SpecParseError);
-    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { skill s "), SpecParseError);
+    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { bogus x; }"), util::ParseError);
+    EXPECT_THROW((void)SkillGraphSpec::parse("graph g { skill s "), util::ParseError);
     EXPECT_THROW((void)SkillGraphSpec::parse(
                      "graph g { skill s; aggregate s median; s -> s; }"),
-                 SpecParseError);
+                 util::ParseError);
     EXPECT_THROW((void)SkillGraphSpec::parse("graph g { skill s \"unterminated; }"),
-                 SpecParseError);
-    // Malformed weight numbers surface as SpecParseError, not raw std::stod
+                 util::ParseError);
+    // Malformed weight numbers surface as util::ParseError, not raw std::stod
     // exceptions; partially-consumed tokens ("1.2.3") and non-positive
     // weights are rejected the same way.
     const char* const kWeightPrefix =
         "graph g { skill a; sink b; a -> b; weight a b ";
-    for (const char* value : {".;", "1.2.3;", "0;"}) {
+    for (const char* value : {".;", "1.2.3;", "0;", "5.;"}) {
         EXPECT_THROW((void)SkillGraphSpec::parse(std::string(kWeightPrefix) + value +
                                                  " }"),
-                     SpecParseError)
+                     util::ParseError)
             << value;
     }
-    try {
-        (void)SkillGraphSpec::parse("graph g {\n  skill a;\n  bogus x;\n}");
-        FAIL() << "expected SpecParseError";
-    } catch (const SpecParseError& err) {
-        EXPECT_EQ(err.line(), 3);
+    // Unknown statements and duplicate nodes both report the line.
+    for (const char* third : {"bogus x;", "skill a;", "source a;"}) {
+        try {
+            (void)SkillGraphSpec::parse(std::string("graph g {\n  skill a;\n  ") + third +
+                                        "\n}");
+            ADD_FAILURE() << "accepted: " << third;
+        } catch (const util::ParseError& err) {
+            EXPECT_EQ(err.line(), 3) << third;
+        }
     }
 }
 

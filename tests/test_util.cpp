@@ -4,6 +4,7 @@
 
 #include "util/alloc_hook.hpp"
 #include "util/assert.hpp"
+#include "util/lexer.hpp"
 #include "util/random.hpp"
 #include "util/stable_vector.hpp"
 #include "util/stats.hpp"
@@ -248,6 +249,64 @@ TEST(StringUtil, StartsEndsWith) {
 TEST(StringUtil, Format) {
     EXPECT_EQ(format("%d-%s", 7, "x"), "7-x");
     EXPECT_EQ(format("%.2f", 1.5), "1.50");
+}
+
+// --- Lexer: the shared lexical rules of every text grammar -------------------------
+
+TEST(Lexer, OneRuleSetForEveryGrammar) {
+    util::Lexer lex("a_1 0x1A0 10ms 2.5ms .5 1..16 5. -> \"x // y\" // comment\n} ;");
+    std::vector<std::pair<util::TokKind, std::string>> tokens;
+    int last_line = 0;
+    while (!lex.at_end()) {
+        last_line = lex.peek().line;
+        const util::Token token = lex.take();
+        tokens.emplace_back(token.kind, std::string(token.text));
+    }
+    using K = util::TokKind;
+    const std::vector<std::pair<util::TokKind, std::string>> expected{
+        {K::Ident, "a_1"},  {K::Number, "0x1A0"}, {K::Number, "10ms"}, {K::Number, "2.5ms"},
+        {K::Number, ".5"},  {K::Number, "1"},     {K::Punct, ".."},    {K::Number, "16"},
+        {K::Number, "5"},   {K::Punct, "."},      {K::Punct, "->"},    {K::String, "x // y"},
+        {K::Punct, "}"},    {K::Punct, ";"}};
+    EXPECT_EQ(tokens, expected);
+    EXPECT_EQ(last_line, 2);
+    EXPECT_TRUE(util::is_identifier("_a9"));
+    EXPECT_FALSE(util::is_identifier("9a"));
+    EXPECT_FALSE(util::is_identifier("a.b"));
+}
+
+TEST(Lexer, CheckedTakersReadWholeTokensInRange) {
+    util::Lexer lex("42 0xff 2.5 1500us 1.5s");
+    EXPECT_EQ(lex.take_uint("n", 42), 42u);
+    EXPECT_EQ(lex.take_uint("n", 255), 255u);
+    EXPECT_DOUBLE_EQ(lex.take_real("x"), 2.5);
+    EXPECT_EQ(lex.take_duration_ns("d"), 1'500'000);
+    EXPECT_EQ(lex.take_duration_ns("d"), 1'500'000'000);
+    EXPECT_TRUE(lex.at_end());
+    // Each rejected token is on line 2 of its input.
+    const auto line_of = [](const std::string& text, auto take) {
+        try {
+            util::Lexer l(text);
+            take(l);
+        } catch (const util::ParseError& err) {
+            return err.line();
+        }
+        return -1;
+    };
+    const auto uint8 = [](util::Lexer& l) { (void)l.take_uint("n", 255); };
+    const auto real = [](util::Lexer& l) { (void)l.take_real("x"); };
+    const auto duration = [](util::Lexer& l) { (void)l.take_duration_ns("d"); };
+    for (const char* bad : {"256", "12ms", "0x", "0x1G", "18446744073709551616", "x", ""}) {
+        EXPECT_EQ(line_of(std::string("\n") + bad, uint8), 2) << bad;
+    }
+    for (const char* bad : {"1.2.3", "5ms", "0x1"}) {
+        EXPECT_EQ(line_of(std::string("\n") + bad, real), 2) << bad;
+    }
+    for (const char* bad : {"10", "10 ms", "10MS", "9223372036854775808ns", "9223372037s",
+                            "1.2.3ms", "0x10ms"}) {
+        EXPECT_EQ(line_of(std::string("\n") + bad, duration), 2) << bad;
+    }
+    EXPECT_EQ(line_of("\n\"open", [](util::Lexer&) {}), 2); // unterminated string
 }
 
 TEST(StringUtil, HumanDuration) {

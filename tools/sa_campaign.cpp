@@ -86,7 +86,7 @@ bool load_campaign(const std::string& path, sa::campaign::CampaignSpec& spec) {
     }
     try {
         spec = sa::campaign::CampaignSpec::parse(text);
-    } catch (const sa::campaign::CampaignParseError& error) {
+    } catch (const sa::util::ParseError& error) {
         std::cerr << "sa_campaign: " << path << ":" << error.line() << ": "
                   << error.what() << '\n';
         return false;
@@ -179,7 +179,7 @@ int cmd_cell(const std::vector<std::string>& args) {
         const auto cell = sa::campaign::CellConfig::parse(text);
         std::cout << sa::campaign::run_cell(cell).json() << '\n';
         return 0;
-    } catch (const sa::campaign::CampaignParseError& error) {
+    } catch (const sa::util::ParseError& error) {
         std::cerr << "sa_campaign: cell line " << error.line() << ": "
                   << error.what() << '\n';
         return 2;
@@ -228,17 +228,11 @@ int cmd_replay(const std::vector<std::string>& args) {
                     entries.push_back(std::move(entry));
                 }
             } else {
-                bool ok = false;
-                const std::string text = read_file(path, ok);
-                if (!ok) {
-                    std::cerr << "sa_campaign: cannot read " << path << '\n';
-                    return 2;
-                }
-                entries.emplace_back(path,
-                                     sa::campaign::CorpusEntry::parse(text));
+                entries.emplace_back(path, sa::campaign::load_corpus_entry(path));
             }
         }
-    } catch (const sa::campaign::CampaignParseError& error) {
+    } catch (const sa::util::ParseError& error) {
+        // load_corpus_entry() puts the file and line in the message.
         std::cerr << "sa_campaign: " << error.what() << '\n';
         return 2;
     }
@@ -319,7 +313,7 @@ int cmd_run(const std::vector<std::string>& args) {
             for (const auto& [path, entry] : sa::campaign::load_corpus(corpus_dir)) {
                 options.known_signatures.push_back(entry.signature());
             }
-        } catch (const sa::campaign::CampaignParseError& error) {
+        } catch (const sa::util::ParseError& error) {
             std::cerr << "sa_campaign: " << error.what() << '\n';
             return 2;
         }

@@ -250,6 +250,9 @@ int main(int argc, char** argv) {
         if (command == "replay") {
             return cmd_replay(args);
         }
+    } catch (const sa::util::ParseError& error) {
+        std::cerr << "sa_learn: line " << error.line() << ": " << error.what() << '\n';
+        return 2;
     } catch (const std::exception& error) {
         std::cerr << "sa_learn: " << error.what() << '\n';
         return 2;

@@ -15,11 +15,11 @@
 //                1 = at least one Error-severity finding
 //                2 = usage or I/O error
 
-#include <cctype>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/model_rules.hpp"
@@ -27,33 +27,10 @@
 #include "model/contract_parser.hpp"
 #include "skills/capability_registry.hpp"
 #include "skills/skill_graph_spec.hpp"
+#include "util/lexer.hpp"
 #include "util/string_util.hpp"
 
 namespace {
-
-/// First identifier in `text`, skipping whitespace and // comments — "graph"
-/// introduces a spec, "component" a contract file.
-std::string first_token(const std::string& text) {
-    std::size_t i = 0;
-    while (i < text.size()) {
-        if (std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-            ++i;
-        } else if (text[i] == '/' && i + 1 < text.size() && text[i + 1] == '/') {
-            while (i < text.size() && text[i] != '\n') {
-                ++i;
-            }
-        } else {
-            break;
-        }
-    }
-    std::size_t j = i;
-    while (j < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[j])) != 0 ||
-            text[j] == '_')) {
-        ++j;
-    }
-    return text.substr(i, j - i);
-}
 
 /// Re-add `from`'s findings into `into` with the file name prefixed to the
 /// subject, so a multi-file report stays attributable.
@@ -75,30 +52,27 @@ void lint_file(const std::string& path, bool use_catalogue,
     buffer << in.rdbuf();
     const std::string text = buffer.str();
 
-    const std::string token = first_token(text);
-    if (token == "graph") {
-        try {
+    // The first token names the grammar: "graph" introduces a spec,
+    // "component" a contract file.
+    try {
+        const std::string_view head = sa::util::Lexer(text).peek().text;
+        if (head == "graph") {
             const auto spec = sa::skills::SkillGraphSpec::parse(text);
             const auto* catalogue =
                 use_catalogue ? &sa::skills::CapabilityRegistry::builtin()
                               : nullptr;
             merge_with_file(report, sa::lint::lint_spec(spec, catalogue), path);
-        } catch (const sa::skills::SpecParseError& error) {
-            report.add("TXT001", path,
-                       sa::format("line %d: %s", error.line(), error.what()));
-        }
-    } else if (token == "component") {
-        try {
+        } else if (head == "component") {
             const auto contracts = sa::model::ContractParser{}.parse(text);
             merge_with_file(report, sa::lint::lint_contracts(contracts), path);
-        } catch (const sa::model::ParseError& error) {
+        } else {
             report.add("TXT001", path,
-                       sa::format("line %d: %s", error.line(), error.what()));
+                       "unrecognized input: expected a 'graph { ... }' spec or a "
+                       "'component { ... }' contract file");
         }
-    } else {
+    } catch (const sa::util::ParseError& error) {
         report.add("TXT001", path,
-                   "unrecognized input: expected a 'graph { ... }' spec or a "
-                   "'component { ... }' contract file");
+                   sa::format("line %d: %s", error.line(), error.what()));
     }
 }
 
