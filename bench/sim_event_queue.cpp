@@ -11,8 +11,7 @@
 //    pays O(log n) per event plus a pool scan. The `speedup_vs_heap` counter
 //    on the 10k run is the acceptance number for the batching rework (>= 2).
 //  - BM_HeapReferenceSameTimestampPops: that reference implementation.
-//  - BM_RunBatchDrain vs BM_RunUntilDrain: Simulator::run_batch() cohort
-//    drain against the per-event run_until() path on the same workload.
+//  - BM_RunUntilDrain: Simulator::run_until() draining dense cohorts.
 //  - BM_CancelHeavy: schedule/cancel churn (the rte scheduler's
 //    preempt-and-reschedule pattern); generation-counter cancel is O(1).
 //  - BM_BucketRecycleWaves: waves of distinct timestamps on one long-lived
@@ -93,6 +92,21 @@ private:
     std::uint64_t next_seq_ = 1;
 };
 
+/// Pop and run every pending event, in queue order.
+void drain(EventQueue& q) {
+    EventQueue::Popped popped;
+    while (q.pop_until(Time::max(), popped)) {
+        popped.action();
+    }
+}
+
+void drain(HeapReferenceQueue& q) {
+    while (!q.empty()) {
+        auto popped = q.pop();
+        popped.action();
+    }
+}
+
 template <typename Queue>
 double same_timestamp_ns_per_event(int n, int iters) {
     // Measured inline (not via state timing) so both series share one
@@ -104,10 +118,7 @@ double same_timestamp_ns_per_event(int n, int iters) {
         for (int i = 0; i < n; ++i) {
             q.push(Time(1'000), [&sink] { ++sink; });
         }
-        while (!q.empty()) {
-            auto popped = q.pop();
-            popped.action();
-        }
+        drain(q);
     }
     benchmark::DoNotOptimize(sink);
     const auto dt = std::chrono::steady_clock::now() - t0;
@@ -124,10 +135,7 @@ void BM_SameTimestampPops(benchmark::State& state) {
         for (int i = 0; i < n; ++i) {
             q.push(Time(1'000), [&sink] { ++sink; });
         }
-        while (!q.empty()) {
-            auto popped = q.pop();
-            popped.action();
-        }
+        drain(q);
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -151,36 +159,15 @@ void BM_HeapReferenceSameTimestampPops(benchmark::State& state) {
         for (int i = 0; i < n; ++i) {
             q.push(Time(1'000), [&sink] { ++sink; });
         }
-        while (!q.empty()) {
-            auto popped = q.pop();
-            popped.action();
-        }
+        drain(q);
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HeapReferenceSameTimestampPops)->Arg(100)->Arg(1'000)->Arg(10'000);
 
-/// Cohort drain through Simulator::run_batch(): 64 timestamps x `cohort`
+/// Cohort drain through Simulator::run_until(): 64 timestamps x `cohort`
 /// events each, the shape of a fleet of same-period monitors.
-void BM_RunBatchDrain(benchmark::State& state) {
-    const int cohort = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        Simulator sim;
-        std::uint64_t sink = 0;
-        for (int t = 1; t <= 64; ++t) {
-            for (int i = 0; i < cohort; ++i) {
-                sim.schedule_at(Time(t * 1'000), [&sink] { ++sink; });
-            }
-        }
-        while (sim.run_batch() > 0) {
-        }
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * cohort);
-}
-BENCHMARK(BM_RunBatchDrain)->Arg(16)->Arg(256);
-
 void BM_RunUntilDrain(benchmark::State& state) {
     const int cohort = static_cast<int>(state.range(0));
     for (auto _ : state) {
@@ -212,10 +199,7 @@ void BM_CancelHeavy(benchmark::State& state) {
         for (std::size_t i = 0; i < handles.size(); i += 2) {
             q.cancel(handles[i]);
         }
-        while (!q.empty()) {
-            auto popped = q.pop();
-            popped.action();
-        }
+        drain(q);
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * 1'000);
@@ -241,20 +225,14 @@ void BM_BucketRecycleWaves(benchmark::State& state) {
         for (int i = 0; i < 64; ++i) {
             q.push(Time(wave * 64 + i + 1), [&sink] { ++sink; });
         }
-        while (!q.empty()) {
-            auto popped = q.pop();
-            popped.action();
-        }
+        drain(q);
     }
     for (auto _ : state) {
         for (int wave = 0; wave < 16; ++wave) {
             for (int i = 0; i < 64; ++i) {
                 q.push(Time(wave * 64 + i + 1), [&sink] { ++sink; });
             }
-            while (!q.empty()) {
-                auto popped = q.pop();
-                popped.action();
-            }
+            drain(q);
         }
     }
     benchmark::DoNotOptimize(sink);
@@ -273,10 +251,7 @@ void BM_BucketRecycleWaves(benchmark::State& state) {
         for (int i = 0; i < 64; ++i) {
             q.push(Time(16 * 64 + i + 1), [&sink] { ++sink; });
         }
-        while (!q.empty()) {
-            auto popped = q.pop();
-            popped.action();
-        }
+        drain(q);
         state.counters["steady_allocs_per_wave"] =
             static_cast<double>(scope.allocations());
     }

@@ -18,17 +18,17 @@
 #include <cstdio>
 #include <string>
 
-#include "learn/drift_demo.hpp"
 #include "monitor/anomaly_kinds.hpp"
+#include "scenario/presets.hpp"
 #include "skills/acc_graph_factory.hpp"
 
 using namespace sa;
 using sim::Duration;
 
 int main() {
-    const learn::DriftDemoConfig config; // seed 7, 40 s, drift ramp at 32 s
+    const scenario::presets::DriftDemoConfig config; // seed 7, 40 s, drift ramp at 32 s
 
-    scenario::ScenarioBuilder builder = learn::make_drift_demo(config);
+    scenario::ScenarioBuilder builder = scenario::presets::make_drift_demo(config);
     auto scenario = builder.build();
     auto& ego = scenario->only_vehicle();
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "can/bus.hpp"
-#include "sim/process.hpp" // Signal
+#include "sim/signal.hpp"
 #include "util/stats.hpp"
 
 namespace sa::can {

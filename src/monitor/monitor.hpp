@@ -7,7 +7,7 @@
 #include <string>
 
 #include "monitor/metric.hpp"
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace sa::monitor {

@@ -13,7 +13,8 @@
 
 #include "platoon/consensus.hpp"
 #include "platoon/trust.hpp"
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
+#include "sim/time.hpp"
 #include "vehicle/sensor.hpp"
 #include "vehicle/weather.hpp"
 

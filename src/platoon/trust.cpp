@@ -1,5 +1,7 @@
 #include "platoon/trust.hpp"
 
+#include <cmath>
+
 namespace sa::platoon {
 
 void TrustManager::record(const std::string& peer, bool positive) {
@@ -31,6 +33,22 @@ std::vector<std::string> TrustManager::known_peers() const {
         out.push_back(peer);
     }
     return out;
+}
+
+bool PlausibilityChecker::check(const v2v::Frame& frame,
+                                double measured_position_m,
+                                double measured_speed_mps) {
+    ++checks_;
+    const bool position_ok =
+        std::abs(frame.position_m - measured_position_m) <= position_tolerance_m_;
+    const bool speed_ok =
+        std::abs(frame.speed_mps - measured_speed_mps) <= speed_tolerance_mps_;
+    const bool plausible = position_ok && speed_ok;
+    if (!plausible) {
+        ++implausible_;
+    }
+    trust_.record(frame.origin, plausible);
+    return plausible;
 }
 
 } // namespace sa::platoon

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace sa::rte {

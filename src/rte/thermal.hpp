@@ -11,7 +11,7 @@
 // and publishes the die temperature; the platform layer of the cross-layer
 // coordinator reacts with DVFS.
 
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace sa::rte {

@@ -29,7 +29,6 @@
 #include "monitor/rate_monitor.hpp"
 #include "monitor/sensor_quality_monitor.hpp"
 #include "platoon/platoon.hpp"
-#include "platoon/v2v.hpp"
 #include "rte/can_gateway.hpp"
 #include "rte/fault_injection.hpp"
 #include "rte/rte.hpp"

@@ -111,22 +111,6 @@ Time EventQueue::next_time() const {
     return Time(heap_.front()->at);
 }
 
-EventQueue::Popped EventQueue::pop() {
-    prune_front();
-    SA_REQUIRE(!heap_.empty(), "pop on empty queue");
-    Bucket* bucket = heap_.front();
-    Item& item = bucket->items[bucket->next];
-    Popped out{Time(bucket->at), std::move(item.action)};
-    item.action = nullptr;
-    release_slot(item.slot);
-    ++bucket->next;
-    --live_;
-    if (bucket->next == bucket->items.size()) {
-        retire_front_bucket();
-    }
-    return out;
-}
-
 bool EventQueue::pop_until(Time until, Popped& out) {
     prune_front();
     if (heap_.empty()) {
@@ -147,27 +131,6 @@ bool EventQueue::pop_until(Time until, Popped& out) {
         retire_front_bucket();
     }
     return true;
-}
-
-Time EventQueue::pop_batch(std::vector<Action>& out) {
-    prune_front();
-    SA_REQUIRE(!heap_.empty(), "pop_batch on empty queue");
-    Bucket* bucket = heap_.front();
-    const Time at(bucket->at);
-    // The whole cohort leaves the queue in one pass: live actions move to
-    // `out`, every slot is released, and the bucket is recycled. Events
-    // pushed at this timestamp by the caller afterwards open a new bucket.
-    for (std::size_t i = bucket->next; i < bucket->items.size(); ++i) {
-        Item& item = bucket->items[i];
-        if (slots_[item.slot].live) {
-            out.push_back(std::move(item.action));
-            --live_;
-        }
-        item.action = nullptr;
-        release_slot(item.slot);
-    }
-    retire_front_bucket();
-    return at;
 }
 
 void EventQueue::clear() noexcept {

@@ -6,8 +6,8 @@
 // order. Pushing into an existing bucket and popping within a bucket are
 // amortised O(1); the O(log n) heap work is paid once per distinct timestamp
 // instead of once per event. This is what makes dense same-time cohorts
-// (periodic monitors, batched CAN windows) cheap, and it is the foundation
-// of Simulator::run_batch().
+// (periodic monitors, batched CAN windows) cheap. pop_until() is the only
+// way an event leaves the queue; Simulator::run_until() drains through it.
 //
 // Memory layout (the steady-state hot path is allocation-free):
 //  - Actions are util::InlineCallable with 24 bytes of inline storage — an
@@ -97,30 +97,15 @@ public:
     /// Earliest pending event time. Requires !empty().
     [[nodiscard]] Time next_time() const;
 
-    /// Pop the earliest event. Requires !empty(). Amortised O(1) within a
-    /// timestamp cohort; heap maintenance happens only on cohort boundaries.
     struct Popped {
         Time at;
         Action action;
     };
-    Popped pop();
-
     /// Pop the earliest event into `out` if its time is <= `until`; returns
     /// false (leaving `out` untouched) when the queue is empty or the next
-    /// event is later. Equivalent to `!empty() && next_time() <= until` then
-    /// pop(), but with a single front-pruning pass — this is the simulator
-    /// run-loop fast path.
+    /// event is later. Amortised O(1) within a timestamp cohort; heap
+    /// maintenance happens only on cohort boundaries.
     bool pop_until(Time until, Popped& out);
-
-    /// Batched drain: move ALL live events at the earliest timestamp into
-    /// `out` (appended, in FIFO order) in one call and return that
-    /// timestamp. Requires !empty().
-    ///
-    /// Cancellation contract: the extracted events are no longer pending —
-    /// cancel() on their handles returns false from this point on, even if
-    /// the caller has not invoked them yet. Events pushed at the same
-    /// timestamp *after* this call form a new cohort and are not included.
-    Time pop_batch(std::vector<Action>& out);
 
     void clear() noexcept;
 

@@ -88,8 +88,8 @@ void ShardedKernel::declare_lookahead(const Simulator& from, Duration min_latenc
 void ShardedKernel::schedule_script(Time at, std::function<void()> action) {
     SA_REQUIRE(action != nullptr, "script needs an action");
     SA_REQUIRE(at >= now_, "cannot schedule a script into the past");
-    // Sorted insert after any equal-time entries, preserving the multimap's
-    // registration order for same-time scripts. Only the live tail
+    // Sorted insert into the flat vector after any equal-time entries, so
+    // same-time scripts keep their registration order. Only the live tail
     // [scripts_head_, end) is searched — entries before the cursor are
     // already executed.
     const auto it = std::upper_bound(

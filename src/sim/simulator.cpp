@@ -1,7 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace sa::sim {
@@ -154,9 +152,6 @@ std::size_t Simulator::run_until(Time until) {
         until != Time::max()) {
         now_ = until;
     }
-    // Consume the stop request: it was honored by this run and must not
-    // leak into a later run_batch() drain loop.
-    stop_requested_.store(false, std::memory_order_relaxed);
     return executed;
 }
 
@@ -165,47 +160,6 @@ void Simulator::advance_to(Time at) {
     SA_REQUIRE(queue_.empty() || queue_.next_time() >= at,
                "cannot advance the clock past pending events");
     now_ = at;
-}
-
-std::size_t Simulator::run_batch(Time until) {
-    if (stop_requested_.exchange(false, std::memory_order_relaxed)) {
-        // stop() was requested (typically from within the previous cohort):
-        // consume the request and end the caller's drain loop.
-        return 0;
-    }
-    if (queue_.empty()) {
-        return 0;
-    }
-    const Time next = queue_.next_time();
-    if (next > until) {
-        return 0;
-    }
-    SA_ASSERT(next >= now_, "event queue time went backwards");
-    // Drain into a local buffer (recycled through batch_) so that an action
-    // which re-enters run_batch() cannot invalidate the cohort being
-    // iterated; the innermost call simply grows its own buffer.
-    std::vector<EventQueue::Action> batch = std::move(batch_);
-    batch.clear();
-    now_ = queue_.pop_batch(batch);
-    for (auto& action : batch) {
-        action();
-        action = nullptr; // destroy captures promptly, like run_until()
-        ++executed_;
-    }
-    const std::size_t executed = batch.size();
-    batch_ = std::move(batch); // hand the (largest) buffer back for reuse
-    return executed;
-}
-
-bool Simulator::step(Time until) {
-    EventQueue::Popped popped;
-    if (!queue_.pop_until(until, popped)) {
-        return false;
-    }
-    now_ = popped.at;
-    popped.action();
-    ++executed_;
-    return true;
 }
 
 } // namespace sa::sim

@@ -7,10 +7,9 @@
 // Simulator per ECU domain and coordinates them with conservative lookahead;
 // each domain remains exactly this single-threaded kernel inside its window.
 //
-// Two drain paths exist: run_until()/step() execute one event at a time and
-// honour stop() between any two events; run_batch() drains one timestamp
-// cohort per call through EventQueue::pop_batch(), trading per-event control
-// for one queue round-trip per cohort (see the run_batch() contract below).
+// One drain path: run_until() (and run_for()) take events off the queue one
+// at a time through EventQueue::pop_until() and honour stop() between any
+// two events.
 
 #include <atomic>
 #include <cstdint>
@@ -93,33 +92,10 @@ public:
     /// Run for `span` from now.
     std::size_t run_for(Duration span) { return run_until(now_ + span); }
 
-    /// Drain ONE timestamp cohort: every event pending at the next timestamp
-    /// (if it is <= `until`) is popped in a single EventQueue::pop_batch()
-    /// call and executed in FIFO order. Returns the number of events
-    /// executed (0 if nothing is pending before `until`).
-    ///
-    /// Contract differences vs run_until():
-    ///  - The cohort is extracted from the queue before execution, so
-    ///    cancelling a same-timestamp event from within the cohort has no
-    ///    effect — it already left the queue (EventQueue::pop_batch()).
-    ///  - stop() does not interrupt a cohort; the next run_batch() call
-    ///    observes the request, returns 0 (leaving remaining events
-    ///    queued), and clears it — ending a `while (run_batch() > 0)` loop.
-    ///  - Unlike run_until(until), run_batch never advances now() to the
-    ///    horizon when nothing is due; time only moves to executed cohorts'
-    ///    timestamps.
-    /// Events scheduled *during* the cohort at the same timestamp form a new
-    /// cohort and are picked up by the next call, preserving the global
-    /// FIFO-within-timestamp order of run_until().
-    std::size_t run_batch(Time until = Time::max());
-
-    /// Execute exactly one event if one is pending before `until`.
-    bool step(Time until = Time::max());
-
     /// Request that run_until return after the current event completes.
     /// Thread-safe: the flag is atomic, so a monitor on another domain's
     /// worker thread (or any external thread) may request a stop without
-    /// racing the owning drain loop. Note the drain loops still consume the
+    /// racing the owning drain loop. Note run_until() still consumes the
     /// flag on entry, so a stop aimed at an idle simulator is discarded; to
     /// stop a whole sharded run use ShardedKernel::stop().
     void stop() noexcept { stop_requested_.store(true, std::memory_order_relaxed); }
@@ -202,7 +178,6 @@ private:
     // pinning the old map-based registry needed.
     std::vector<PeriodicSlot> periodics_;
     std::vector<std::uint32_t> free_periodics_;
-    std::vector<EventQueue::Action> batch_; ///< reused run_batch() buffer
 };
 
 } // namespace sa::sim

@@ -93,54 +93,4 @@ double SampleSet::percentile(double p) const {
     return samples_[std::min(rank, n) - 1];
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-    SA_REQUIRE(hi > lo, "histogram range must be non-empty");
-    SA_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) noexcept {
-    std::size_t i;
-    if (x <= lo_) {
-        i = 0;
-    } else if (x >= hi_) {
-        i = counts_.size() - 1;
-    } else {
-        i = static_cast<std::size_t>((x - lo_) / width_);
-        i = std::min(i, counts_.size() - 1);
-    }
-    ++counts_[i];
-    ++total_;
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-    SA_REQUIRE(i < counts_.size(), "bucket index out of range");
-    return counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-    SA_REQUIRE(i < counts_.size(), "bucket index out of range");
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i) + width_; }
-
-double Histogram::quantile(double q) const {
-    SA_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be within [0,1]");
-    SA_REQUIRE(total_ > 0, "quantile of empty histogram");
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total_));
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const std::uint64_t next = cum + counts_[i];
-        if (next >= target && counts_[i] > 0) {
-            const double frac =
-                counts_[i] ? static_cast<double>(target - cum) / static_cast<double>(counts_[i])
-                           : 0.0;
-            return bucket_lo(i) + frac * width_;
-        }
-        cum = next;
-    }
-    return hi_;
-}
-
 } // namespace sa

@@ -4,7 +4,6 @@
 // support through a retained-sample reservoir).
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -56,30 +55,6 @@ public:
 private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/// Fixed-bound histogram for monitoring streams where retaining samples is
-/// too expensive. Out-of-range observations clamp into the edge buckets.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x) noexcept;
-    [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-    [[nodiscard]] std::uint64_t bucket(std::size_t i) const;
-    [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-    [[nodiscard]] double bucket_lo(std::size_t i) const;
-    [[nodiscard]] double bucket_hi(std::size_t i) const;
-
-    /// Approximate quantile via linear interpolation within the bucket.
-    [[nodiscard]] double quantile(double q) const;
-
-private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace sa

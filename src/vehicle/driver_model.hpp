@@ -1,8 +1,8 @@
 #pragma once
-// Driver / HMI model: the data source behind the "estimate driver intent"
-// skill. Produces intent samples (set-speed requests, takeover readiness) at
-// a configurable period; an HMI fault silences the stream, which the
-// sensor-quality monitor converts into a degraded ability.
+// Driver / HMI model: produces intent samples (set-speed requests, takeover
+// readiness) at a configurable period; an HMI fault silences the stream.
+// Nothing in the library wires it to a monitor or to the ACC graph's
+// "estimate driver intent" skill, whose `hmi` source keeps its default level.
 
 #include <functional>
 

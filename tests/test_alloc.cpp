@@ -307,8 +307,8 @@ TEST(ZeroAllocPins, EventSchedulePopSteadyState) {
                 q.push(Time(t + 1), [&sink] { ++sink; });
             }
         }
-        while (!q.empty()) {
-            auto popped = q.pop();
+        EventQueue::Popped popped;
+        while (q.pop_until(Time::max(), popped)) {
             popped.action();
         }
     };
@@ -321,12 +321,12 @@ TEST(ZeroAllocPins, EventSchedulePopSteadyState) {
     EXPECT_EQ(sink, 32u * 8u * 11u);
 }
 
-TEST(ZeroAllocPins, RunBatchAndPeriodicsSteadyState) {
+TEST(ZeroAllocPins, RunUntilAndPeriodicsSteadyState) {
     Simulator sim;
     std::uint64_t ticks = 0;
     const std::uint64_t id =
         sim.schedule_periodic(Duration::us(100), [&ticks] { ++ticks; });
-    sim.run_for(Duration::ms(10)); // warm: queue, periodic slot, batch buffer
+    sim.run_for(Duration::ms(10)); // warm: queue buckets, periodic slot
     alloc_hook::CountScope scope;
     sim.run_for(Duration::ms(50));
     EXPECT_EQ(scope.allocations(), 0u)

@@ -9,7 +9,7 @@
 #include "mesh/medium.hpp"
 #include "model/contract_parser.hpp"
 #include "model/mcc.hpp"
-#include "platoon/v2v.hpp"
+#include "platoon/trust.hpp"
 
 namespace {
 

@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "learn/anomaly_model_monitor.hpp"
-#include "learn/drift_demo.hpp"
 #include "learn/metric_model.hpp"
 #include "learn/offline.hpp"
 #include "learn/state_model.hpp"
 #include "learn/trace.hpp"
 #include "monitor/anomaly_kinds.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/scenario.hpp"
 #include "skills/acc_graph_factory.hpp"
 
@@ -27,6 +27,7 @@ namespace {
 
 using namespace sa;
 using namespace sa::learn;
+using namespace sa::scenario::presets;
 using sim::Duration;
 using sim::Time;
 

@@ -1,10 +1,10 @@
 // Unit tests for the discrete-event kernel: time, queue, simulator,
-// processes, signals, trace.
+// signals, trace.
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hpp"
-#include "sim/process.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "util/assert.hpp"
@@ -42,15 +42,21 @@ TEST(Time, HumanReadable) {
 
 // --- EventQueue -----------------------------------------------------------------
 
+/// Pop and run every pending event, in queue order.
+void drain(EventQueue& q) {
+    EventQueue::Popped popped;
+    while (q.pop_until(Time::max(), popped)) {
+        popped.action();
+    }
+}
+
 TEST(EventQueue, OrdersByTime) {
     EventQueue q;
     std::vector<int> fired;
     q.push(Time(30), [&] { fired.push_back(3); });
     q.push(Time(10), [&] { fired.push_back(1); });
     q.push(Time(20), [&] { fired.push_back(2); });
-    while (!q.empty()) {
-        q.pop().action();
-    }
+    drain(q);
     EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -60,9 +66,7 @@ TEST(EventQueue, StableForEqualTimes) {
     for (int i = 0; i < 10; ++i) {
         q.push(Time(5), [&fired, i] { fired.push_back(i); });
     }
-    while (!q.empty()) {
-        q.pop().action();
-    }
+    drain(q);
     for (int i = 0; i < 10; ++i) {
         EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
     }
@@ -85,23 +89,30 @@ TEST(EventQueue, CancelMiddleKeepsOthers) {
     auto h = q.push(Time(2), [&] { fired.push_back(2); });
     q.push(Time(3), [&] { fired.push_back(3); });
     q.cancel(h);
-    while (!q.empty()) {
-        q.pop().action();
-    }
+    drain(q);
     EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueue, PopEmptyThrows) {
     EventQueue q;
-    EXPECT_THROW((void)q.pop(), ContractViolation);
     EXPECT_THROW((void)q.next_time(), ContractViolation);
+    // pop_until on an empty queue reports nothing and leaves `out` alone.
+    bool untouched = false;
+    EventQueue::Popped out{Time(7), [&] { untouched = true; }};
+    EXPECT_FALSE(q.pop_until(Time::max(), out));
+    EXPECT_EQ(out.at, Time(7));
+    ASSERT_TRUE(static_cast<bool>(out.action));
+    out.action();
+    EXPECT_TRUE(untouched);
 }
 
 TEST(EventQueue, CancelAfterPopIsRejected) {
     EventQueue q;
     int runs = 0;
     auto h = q.push(Time(10), [&] { ++runs; });
-    q.pop().action();
+    EventQueue::Popped popped;
+    ASSERT_TRUE(q.pop_until(Time::max(), popped));
+    popped.action();
     EXPECT_EQ(runs, 1);
     // The event already fired; its handle must be dead even though the
     // queue internally reuses the slot for the next push.
@@ -122,43 +133,6 @@ TEST(EventQueue, CancelAfterClearIsRejected) {
     q.push(Time(5), [] {}); // may reuse the cleared slot
     EXPECT_FALSE(q.cancel(h));
     EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, PopBatchDrainsWholeCohortInFifoOrder) {
-    EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 10; ++i) {
-        q.push(Time(5), [&fired, i] { fired.push_back(i); });
-    }
-    q.push(Time(7), [&fired] { fired.push_back(99); });
-    std::vector<EventQueue::Action> batch;
-    EXPECT_EQ(q.pop_batch(batch).ns(), 5);
-    EXPECT_EQ(batch.size(), 10u);
-    EXPECT_EQ(q.size(), 1u); // the Time(7) event stays queued
-    for (auto& a : batch) {
-        a();
-    }
-    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-}
-
-TEST(EventQueue, PopBatchSkipsCancelledAndReleasesHandles) {
-    EventQueue q;
-    std::vector<int> fired;
-    q.push(Time(5), [&] { fired.push_back(0); });
-    auto h = q.push(Time(5), [&] { fired.push_back(1); });
-    q.push(Time(5), [&] { fired.push_back(2); });
-    EXPECT_TRUE(q.cancel(h));
-    std::vector<EventQueue::Action> batch;
-    (void)q.pop_batch(batch);
-    ASSERT_EQ(batch.size(), 2u);
-    for (auto& a : batch) {
-        a();
-    }
-    EXPECT_EQ(fired, (std::vector<int>{0, 2}));
-    EXPECT_TRUE(q.empty());
-    // Extracted events left the queue: their handles are dead (documented
-    // pop_batch cancellation contract).
-    EXPECT_FALSE(q.cancel(h));
 }
 
 // --- Simulator -------------------------------------------------------------------
@@ -245,81 +219,26 @@ TEST(Simulator, StopBreaksRun) {
     EXPECT_EQ(count, 3);
 }
 
-TEST(Simulator, BatchDrainMatchesStepDrain) {
-    // The same workload executed through run_batch() cohorts and through
-    // per-event step() must produce the same order, times and event count:
-    // nested same-timestamp scheduling included.
-    const auto build = [](Simulator& sim, std::vector<std::pair<int, std::int64_t>>& log) {
-        for (int i = 0; i < 4; ++i) {
-            sim.schedule_at(Time(10), [&log, &sim, i] {
-                log.emplace_back(i, sim.now().ns());
-                if (i == 1) {
-                    // Same-timestamp event scheduled from within the cohort:
-                    // runs after the current cohort, still at t=10.
-                    sim.schedule_at(Time(10), [&log, &sim] {
-                        log.emplace_back(100, sim.now().ns());
-                    });
-                }
-            });
-        }
-        sim.schedule_at(Time(20), [&log, &sim] { log.emplace_back(200, sim.now().ns()); });
-    };
-
-    Simulator batch_sim;
-    std::vector<std::pair<int, std::int64_t>> batch_log;
-    build(batch_sim, batch_log);
-    std::size_t batch_total = 0;
-    for (std::size_t n = batch_sim.run_batch(); n > 0; n = batch_sim.run_batch()) {
-        batch_total += n;
-    }
-
-    Simulator step_sim;
-    std::vector<std::pair<int, std::int64_t>> step_log;
-    build(step_sim, step_log);
-    std::size_t step_total = 0;
-    while (step_sim.step()) {
-        ++step_total;
-    }
-
-    EXPECT_EQ(batch_total, 6u);
-    EXPECT_EQ(batch_total, step_total);
-    EXPECT_EQ(batch_log, step_log);
-    EXPECT_EQ(batch_sim.now(), step_sim.now());
-}
-
-TEST(Simulator, RunBatchHonorsHorizon) {
+TEST(Simulator, NestedSameTimeSchedulingRunsAfterItsCohort) {
+    // An event scheduled at the current timestamp from within a cohort runs
+    // after every event already pending at that timestamp, still at t=10.
     Simulator sim;
-    int runs = 0;
-    sim.schedule_at(Time(10), [&] { ++runs; });
-    sim.schedule_at(Time(10), [&] { ++runs; });
-    sim.schedule_at(Time(50), [&] { ++runs; });
-    EXPECT_EQ(sim.run_batch(Time(5)), 0u); // nothing due yet
-    EXPECT_EQ(sim.run_batch(Time(20)), 2u);
-    EXPECT_EQ(runs, 2);
-    EXPECT_EQ(sim.now().ns(), 10);
-    EXPECT_EQ(sim.run_batch(Time(20)), 0u); // Time(50) is past the horizon
-    EXPECT_EQ(sim.run_batch(), 1u);
-    EXPECT_EQ(runs, 3);
-}
-
-TEST(Simulator, StopEndsRunBatchLoopBetweenCohorts) {
-    Simulator sim;
-    int runs = 0;
-    sim.schedule_at(Time(10), [&] {
-        ++runs;
-        sim.stop(); // finishes this cohort, then the drain loop ends
-    });
-    sim.schedule_at(Time(10), [&] { ++runs; });
-    sim.schedule_at(Time(20), [&] { ++runs; });
-    std::size_t cohorts = 0;
-    while (sim.run_batch() > 0) {
-        ++cohorts;
+    std::vector<std::pair<int, std::int64_t>> log;
+    for (int i = 0; i < 4; ++i) {
+        sim.schedule_at(Time(10), [&log, &sim, i] {
+            log.emplace_back(i, sim.now().ns());
+            if (i == 1) {
+                sim.schedule_at(Time(10), [&log, &sim] {
+                    log.emplace_back(100, sim.now().ns());
+                });
+            }
+        });
     }
-    EXPECT_EQ(cohorts, 1u);
-    EXPECT_EQ(runs, 2);                  // the t=10 cohort completed
-    EXPECT_EQ(sim.pending_events(), 1u); // t=20 stays queued
-    EXPECT_EQ(sim.run_batch(), 1u);      // the request was consumed
-    EXPECT_EQ(runs, 3);
+    sim.schedule_at(Time(20), [&log, &sim] { log.emplace_back(200, sim.now().ns()); });
+    EXPECT_EQ(sim.run_until(Time::max()), 6u);
+    EXPECT_EQ(log, (std::vector<std::pair<int, std::int64_t>>{
+                       {0, 10}, {1, 10}, {2, 10}, {3, 10}, {100, 10}, {200, 20}}));
+    EXPECT_EQ(sim.now(), Time(20));
 }
 
 TEST(Simulator, StopDoesNotAdvanceTimePastPendingEvents) {
@@ -340,9 +259,9 @@ TEST(Simulator, StopDoesNotAdvanceTimePastPendingEvents) {
     EXPECT_EQ(sim.now().ns(), 100);
 }
 
-TEST(Simulator, StopConsumedByRunUntilDoesNotStarveLaterBatches) {
-    // A stop() honored by run_until() must not leak into a later
-    // run_batch() drain and no-op it.
+TEST(Simulator, StopConsumedByRunUntilDoesNotStarveLaterRuns) {
+    // A stop() honored by run_until() must not leak into a later run_until()
+    // and no-op it.
     Simulator sim;
     int runs = 0;
     sim.schedule_at(Time(10), [&] {
@@ -352,11 +271,7 @@ TEST(Simulator, StopConsumedByRunUntilDoesNotStarveLaterBatches) {
     sim.schedule_at(Time(20), [&] { ++runs; });
     sim.run_until(Time::max()); // returns after the stop; t=20 stays queued
     EXPECT_EQ(runs, 1);
-    std::size_t executed = 0;
-    while (sim.run_batch() > 0) {
-        ++executed;
-    }
-    EXPECT_EQ(executed, 1u); // the drain actually ran
+    EXPECT_EQ(sim.run_until(Time::max()), 1u); // the drain actually ran
     EXPECT_EQ(runs, 2);
 }
 
@@ -403,18 +318,6 @@ TEST(Simulator, PeriodicSelfCancelKeepsActionAlive) {
     EXPECT_TRUE(sim.idle());
 }
 
-TEST(Simulator, StepExecutesOneEvent) {
-    Simulator sim;
-    int count = 0;
-    sim.schedule(Duration::us(1), [&] { ++count; });
-    sim.schedule(Duration::us(2), [&] { ++count; });
-    EXPECT_TRUE(sim.step());
-    EXPECT_EQ(count, 1);
-    EXPECT_TRUE(sim.step());
-    EXPECT_EQ(count, 2);
-    EXPECT_FALSE(sim.step());
-}
-
 // --- Signal ----------------------------------------------------------------------
 
 TEST(Signal, DeliversToAllSubscribers) {
@@ -452,54 +355,45 @@ TEST(Signal, ReentrantSubscribeDuringEmitIsSafe) {
     EXPECT_GE(count, 3);
 }
 
-// --- Process ---------------------------------------------------------------------
-
-TEST(Process, RunsPeriodically) {
-    Simulator sim;
-    int runs = 0;
-    Process p(sim, "ticker", Duration::ms(10), [&](Process&) { ++runs; });
-    p.start();
-    sim.run_until(Time(Duration::ms(55).count_ns()));
-    EXPECT_EQ(runs, 6); // 0, 10, 20, 30, 40, 50
-    EXPECT_EQ(p.activations(), 6u);
-}
-
-TEST(Process, StopHaltsExecution) {
-    Simulator sim;
-    int runs = 0;
-    Process p(sim, "ticker", Duration::ms(10), [&](Process&) { ++runs; });
-    p.start();
-    sim.run_until(Time(Duration::ms(25).count_ns()));
-    p.stop();
-    sim.run_until(Time(Duration::ms(100).count_ns()));
-    EXPECT_EQ(runs, 3);
-}
-
-TEST(Process, SelfAdjustingPeriod) {
-    Simulator sim;
-    std::vector<std::int64_t> at;
-    Process p(sim, "adaptive", Duration::ms(10), [&](Process& self) {
-        at.push_back(sim.now().ns());
-        self.set_period(Duration::ms(20));
+TEST(Signal, SlotSubscribingDuringEmitKeepsItsCaptures) {
+    // The running slot reads a capture after its nested subscribe grows the
+    // slot storage; under ASan this fails if emit() relocates the slot.
+    Signal<> sig;
+    int count = 0;
+    sig.subscribe([&] {
+        if (count == 0) {
+            sig.subscribe([&] { ++count; });
+        }
+        ++count;
     });
-    p.start();
-    sim.run_until(Time(Duration::ms(55).count_ns()));
-    ASSERT_GE(at.size(), 3u);
-    EXPECT_EQ(at[0], 0);
-    EXPECT_EQ(at[1], Duration::ms(20).count_ns());
-    EXPECT_EQ(at[2], Duration::ms(40).count_ns());
+    sig.emit();
+    EXPECT_EQ(count, 2); // the slot added during emit() ran in that emission
+    sig.emit();
+    EXPECT_EQ(count, 4);
 }
 
-TEST(Process, StopCancelsInFlightActivation) {
-    Simulator sim;
-    int runs = 0;
-    Process p(sim, "ticker", Duration::ms(10), [&](Process&) { ++runs; });
-    p.start(Duration::ms(5));
-    EXPECT_EQ(sim.pending_events(), 1u);
-    p.stop();
-    EXPECT_EQ(sim.pending_events(), 0u); // armed event cancelled eagerly
-    sim.run_until(Time(Duration::ms(100).count_ns()));
-    EXPECT_EQ(runs, 0);
+TEST(Signal, SlotUnsubscribingDuringEmitKeepsItsCaptures) {
+    // The running slot unsubscribes itself and a later slot, then reads a
+    // capture; under ASan this fails if unsubscribe() destroys the running
+    // callable. Neither slot is called again.
+    Signal<> sig;
+    int first = 0;
+    int second = 0;
+    std::uint64_t first_id = 0;
+    std::uint64_t second_id = 0;
+    first_id = sig.subscribe([&] {
+        sig.unsubscribe(first_id);
+        sig.unsubscribe(second_id);
+        ++first;
+    });
+    second_id = sig.subscribe([&] { ++second; });
+    sig.emit();
+    EXPECT_EQ(first, 1);
+    EXPECT_EQ(second, 0);
+    EXPECT_EQ(sig.subscriber_count(), 0u);
+    sig.emit();
+    EXPECT_EQ(first, 1);
+    EXPECT_EQ(second, 0);
 }
 
 // --- Trace -----------------------------------------------------------------------

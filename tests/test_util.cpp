@@ -121,33 +121,6 @@ TEST(SampleSet, MeanMinMax) {
     EXPECT_DOUBLE_EQ(s.max(), 4.0);
 }
 
-// --- Histogram ---------------------------------------------------------------
-
-TEST(Histogram, BucketsAndClamping) {
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0);  // clamps to bucket 0
-    h.add(0.5);
-    h.add(9.99);
-    h.add(50.0);  // clamps to last bucket
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(9), 2u);
-}
-
-TEST(Histogram, QuantileApproximation) {
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i) {
-        h.add(static_cast<double>(i) + 0.5);
-    }
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-}
-
-TEST(Histogram, InvalidConstruction) {
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractViolation);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
 // --- RandomEngine --------------------------------------------------------------
 
 TEST(RandomEngine, DeterministicWithSeed) {

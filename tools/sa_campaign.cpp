@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "campaign/runner.hpp"
 #include "campaign/verdict.hpp"
 #include "lint/campaign_rules.hpp"
+#include "util/lexer.hpp"
 #include "util/string_util.hpp"
 
 namespace {
@@ -97,6 +99,19 @@ bool load_campaign(const std::string& path, sa::campaign::CampaignSpec& spec) {
     return true;
 }
 
+/// Numeric flag values are read whole through the checked takers of the
+/// text grammars: `12abc`, `-1` or `abc` is an error naming the flag, never
+/// a parsed prefix or a wrapped negative.
+std::uint64_t uint_flag(const std::string& flag, const std::string& text) {
+    sa::util::Lexer lexer(text);
+    const std::uint64_t value =
+        lexer.take_uint("a number for " + flag, std::numeric_limits<std::uint64_t>::max());
+    if (!lexer.at_end()) {
+        lexer.fail("expected one number for " + flag + ", got '" + text + "'");
+    }
+    return value;
+}
+
 int usage() {
     std::cerr << "usage: sa_campaign run|replay|expand|cell|lint ...\n"
                  "       (see the header of tools/sa_campaign.cpp)\n";
@@ -129,7 +144,7 @@ int cmd_expand(const std::vector<std::string>& args) {
         if (args[i] == "--count") {
             count_only = true;
         } else if (args[i] == "--require-at-least" && i + 1 < args.size()) {
-            require_at_least = std::stoull(args[++i]);
+            require_at_least = uint_flag("--require-at-least", args[++i]);
         } else if (!args[i].empty() && args[i].front() == '-') {
             return usage();
         } else {
@@ -272,7 +287,7 @@ int cmd_run(const std::vector<std::string>& args) {
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string& arg = args[i];
         if (arg == "--jobs" && i + 1 < args.size()) {
-            options.jobs = std::stoull(args[++i]);
+            options.jobs = uint_flag(arg, args[++i]);
         } else if (arg == "--corpus" && i + 1 < args.size()) {
             corpus_dir = args[++i];
         } else if (arg == "--corpus-out" && i + 1 < args.size()) {
@@ -280,7 +295,7 @@ int cmd_run(const std::vector<std::string>& args) {
         } else if (arg == "--out" && i + 1 < args.size()) {
             out_path = args[++i];
         } else if (arg == "--budget" && i + 1 < args.size()) {
-            options.budget_seconds = std::stoull(args[++i]);
+            options.budget_seconds = uint_flag(arg, args[++i]);
         } else if (arg == "--no-shrink") {
             options.shrink = false;
         } else if (arg == "--in-process") {

@@ -25,14 +25,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "learn/drift_demo.hpp"
 #include "learn/offline.hpp"
 #include "learn/trace.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/scenario.hpp"
+#include "util/lexer.hpp"
 #include "util/string_util.hpp"
 
 namespace {
@@ -43,10 +45,12 @@ int usage() {
     return 2;
 }
 
+namespace presets = sa::scenario::presets;
+
 /// Run the drift demo and record "ego"'s metric stream, stamping the
 /// scenario parameters into the trace metadata so replay can rebuild it.
-sa::learn::Trace record_drift(const sa::learn::DriftDemoConfig& config) {
-    sa::scenario::ScenarioBuilder builder = sa::learn::make_drift_demo(config);
+sa::learn::Trace record_drift(const presets::DriftDemoConfig& config) {
+    sa::scenario::ScenarioBuilder builder = presets::make_drift_demo(config);
     const std::unique_ptr<sa::scenario::Scenario> scenario = builder.build();
     sa::learn::TraceRecorder recorder(scenario->vehicle("ego").monitors());
     scenario->run(config.duration, config.domains);
@@ -59,7 +63,7 @@ sa::learn::Trace record_drift(const sa::learn::DriftDemoConfig& config) {
 }
 
 struct ParsedArgs {
-    sa::learn::DriftDemoConfig demo;
+    presets::DriftDemoConfig demo;
     sa::learn::LearnedMonitorConfig model;
     bool expect_anomaly = false;
     bool domains_overridden = false;
@@ -69,36 +73,70 @@ struct ParsedArgs {
     bool ok = true;
 };
 
+/// Numeric flag values are read whole through the checked takers of the
+/// text grammars: `12abc`, `-1` or `abc` is an error naming the flag, never
+/// a parsed prefix or a wrapped negative.
+std::uint64_t uint_flag(const std::string& flag, const std::string& text,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+    sa::util::Lexer lexer(text);
+    const std::uint64_t value = lexer.take_uint("a number for " + flag, max);
+    if (!lexer.at_end()) {
+        lexer.fail("expected one number for " + flag + ", got '" + text + "'");
+    }
+    return value;
+}
+
+double real_flag(const std::string& flag, const std::string& text) {
+    sa::util::Lexer lexer(text);
+    const double value = lexer.take_real("a number for " + flag);
+    if (!lexer.at_end()) {
+        lexer.fail("expected one number for " + flag + ", got '" + text + "'");
+    }
+    return value;
+}
+
+/// Milliseconds that still fit in a Duration's int64 nanoseconds.
+sa::sim::Duration ms_flag(const std::string& flag, const std::string& text) {
+    constexpr std::uint64_t kMaxMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
+    return sa::sim::Duration::ms(static_cast<std::int64_t>(uint_flag(flag, text, kMaxMs)));
+}
+
 ParsedArgs parse_args(const std::vector<std::string>& args) {
     ParsedArgs parsed;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        if (arg == "--seed" && i + 1 < args.size()) {
-            parsed.demo.seed = std::stoull(args[++i]);
-            parsed.model.seed = parsed.demo.seed;
-        } else if (arg == "--domains" && i + 1 < args.size()) {
-            parsed.demo.domains = std::stoull(args[++i]);
-            parsed.domains_overridden = true;
-        } else if (arg == "--duration-ms" && i + 1 < args.size()) {
-            parsed.demo.duration = sa::sim::Duration::ms(std::stoll(args[++i]));
-        } else if (arg == "--drift-step-m" && i + 1 < args.size()) {
-            parsed.demo.drift_step_m = std::stod(args[++i]);
-        } else if (arg == "--band-width" && i + 1 < args.size()) {
-            parsed.demo.band_width = std::stod(args[++i]);
-        } else if (arg == "--warmup-ms" && i + 1 < args.size()) {
-            parsed.model.warmup = sa::sim::Duration::ms(std::stoll(args[++i]));
-            parsed.warmup_overridden = true;
-        } else if (arg == "--threshold" && i + 1 < args.size()) {
-            parsed.model.score_threshold = std::stod(args[++i]);
-            parsed.demo.score_threshold = parsed.model.score_threshold;
-            parsed.threshold_overridden = true;
-        } else if (arg == "--expect-anomaly") {
-            parsed.expect_anomaly = true;
-        } else if (!arg.empty() && arg.front() == '-') {
-            parsed.ok = false;
-        } else {
-            parsed.file = arg;
+    try {
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string& arg = args[i];
+            if (arg == "--seed" && i + 1 < args.size()) {
+                parsed.demo.seed = uint_flag(arg, args[++i]);
+                parsed.model.seed = parsed.demo.seed;
+            } else if (arg == "--domains" && i + 1 < args.size()) {
+                parsed.demo.domains = uint_flag(arg, args[++i]);
+                parsed.domains_overridden = true;
+            } else if (arg == "--duration-ms" && i + 1 < args.size()) {
+                parsed.demo.duration = ms_flag(arg, args[++i]);
+            } else if (arg == "--drift-step-m" && i + 1 < args.size()) {
+                parsed.demo.drift_step_m = real_flag(arg, args[++i]);
+            } else if (arg == "--band-width" && i + 1 < args.size()) {
+                parsed.demo.band_width = real_flag(arg, args[++i]);
+            } else if (arg == "--warmup-ms" && i + 1 < args.size()) {
+                parsed.model.warmup = ms_flag(arg, args[++i]);
+                parsed.warmup_overridden = true;
+            } else if (arg == "--threshold" && i + 1 < args.size()) {
+                parsed.model.score_threshold = real_flag(arg, args[++i]);
+                parsed.demo.score_threshold = parsed.model.score_threshold;
+                parsed.threshold_overridden = true;
+            } else if (arg == "--expect-anomaly") {
+                parsed.expect_anomaly = true;
+            } else if (!arg.empty() && arg.front() == '-') {
+                parsed.ok = false;
+            } else {
+                parsed.file = arg;
+            }
         }
+    } catch (const sa::util::ParseError& error) {
+        // A flag has no line to report.
+        std::cerr << "sa_learn: " << error.what() << '\n';
+        parsed.ok = false;
     }
     if (parsed.file.empty()) {
         parsed.ok = false;
@@ -124,11 +162,11 @@ int cmd_record(const std::vector<std::string>& args) {
 sa::learn::LearnedMonitorConfig offline_config(const ParsedArgs& parsed) {
     // parsed.demo already carries --seed/--threshold; --warmup-ms lands in
     // the model config only (the demo's warm-up stays a scenario property).
-    sa::learn::DriftDemoConfig demo = parsed.demo;
+    presets::DriftDemoConfig demo = parsed.demo;
     if (parsed.warmup_overridden) {
         demo.warmup = parsed.model.warmup;
     }
-    return sa::learn::drift_demo_model(demo);
+    return presets::drift_demo_model(demo);
 }
 
 int cmd_fit(const std::vector<std::string>& args) {
@@ -190,7 +228,7 @@ int cmd_replay(const std::vector<std::string>& args) {
                   << " was not recorded from the drift demo\n";
         return 2;
     }
-    sa::learn::DriftDemoConfig config;
+    presets::DriftDemoConfig config;
     config.seed = static_cast<std::uint64_t>(
         recorded.meta_int("seed", static_cast<std::int64_t>(config.seed)));
     config.duration = sa::sim::Duration::ns(
