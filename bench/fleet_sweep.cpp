@@ -94,15 +94,9 @@ void BM_FleetSweep(benchmark::State& state) {
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
 
-        if (scenario->sharded()) {
-            events = scenario->kernel().executed_events();
-            windows = scenario->kernel().windows();
-            cross = scenario->kernel().cross_domain_events();
-        } else {
-            events = scenario->simulator().executed_events();
-            windows = 0;
-            cross = 0;
-        }
+        events = scenario->kernel().executed_events();
+        windows = scenario->kernel().windows();
+        cross = scenario->kernel().cross_domain_events();
         deliveries = scenario->v2v().deliveries();
     }
     state.counters["events"] = static_cast<double>(events);

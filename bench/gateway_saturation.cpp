@@ -4,7 +4,7 @@
 //
 // Two questions are measured:
 //   1. Saturation: how does wall time scale with vehicles x buses x gateways
-//      on the single-queue kernel (domains:1)?
+//      on one domain (domains:1)?
 //   2. Sharding: with the same workload partitioned across ECU domains
 //      (ScenarioBuilder::domains(n)), how does wall time scale with domain
 //      count? Cross-domain coupling is the 20 ms V2V beacon latency — the
@@ -123,15 +123,9 @@ void BM_GatewaySaturation(benchmark::State& state) {
                                 .frames_forwarded();
             }
         }
-        if (scenario->sharded()) {
-            events = scenario->kernel().executed_events();
-            windows = scenario->kernel().windows();
-            cross = scenario->kernel().cross_domain_events();
-        } else {
-            events = scenario->simulator().executed_events();
-            windows = 0;
-            cross = 0;
-        }
+        events = scenario->kernel().executed_events();
+        windows = scenario->kernel().windows();
+        cross = scenario->kernel().cross_domain_events();
     }
     state.counters["frames_forwarded"] = static_cast<double>(forwards);
     state.counters["events"] = static_cast<double>(events);
@@ -140,7 +134,7 @@ void BM_GatewaySaturation(benchmark::State& state) {
 }
 BENCHMARK(BM_GatewaySaturation)
     ->ArgNames({"vehicles", "buses", "domains"})
-    // Saturation scaling on the single-queue kernel.
+    // Saturation scaling on one domain.
     ->Args({4, 3, 1})
     ->Args({8, 3, 1})
     ->Args({16, 3, 1})
@@ -205,7 +199,7 @@ void BM_BridgedBackbone(benchmark::State& state) {
             forwards += scenario->bridge("bridge" + std::to_string(i))
                             .frames_forwarded();
         }
-        windows = scenario->sharded() ? scenario->kernel().windows() : 0;
+        windows = scenario->kernel().windows();
     }
     state.counters["frames_forwarded"] = static_cast<double>(forwards);
     state.counters["windows"] = static_cast<double>(windows);

@@ -1,11 +1,12 @@
 // SHARD — the sharded kernel on the flagship scenario: the dual-bus
 // three-vehicle platoon (examples/platoon_dual_bus.cpp) run at 1, 2 and 4
-// ECU domains. domains:1 is the single-queue kernel, bit-for-bit today's
-// behaviour; the sharded rows run the identical workload (identical
-// per-vehicle counters — locked in by tests/test_sharded.cpp) partitioned
-// across worker threads with the 20 ms V2V latency as conservative
-// lookahead. Wall-clock speedup tracks physical cores; on a single-core
-// host the sharded rows surface pure coordination overhead instead.
+// ECU domains. domains:1 is one domain on the calling thread; the sharded
+// rows run the identical workload (identical per-vehicle counters — locked
+// in by tests/test_sharded.cpp) with domains 1..n-1 on worker threads and
+// the 20 ms V2V latency as conservative lookahead. Every row reports the
+// kernel's windows, domains:1 included. Wall-clock speedup tracks physical
+// cores; on a single-core host the sharded rows surface pure coordination
+// overhead instead.
 //
 // Timing is manual (UseManualTime): assembly excluded, run() wall time only.
 
@@ -69,15 +70,9 @@ void BM_ShardedDualBusPlatoon(benchmark::State& state) {
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
 
-        if (scenario->sharded()) {
-            events = scenario->kernel().executed_events();
-            windows = scenario->kernel().windows();
-            cross = scenario->kernel().cross_domain_events();
-        } else {
-            events = scenario->simulator().executed_events();
-            windows = 0;
-            cross = 0;
-        }
+        events = scenario->kernel().executed_events();
+        windows = scenario->kernel().windows();
+        cross = scenario->kernel().cross_domain_events();
     }
     state.counters["events"] = static_cast<double>(events);
     state.counters["windows"] = static_cast<double>(windows);

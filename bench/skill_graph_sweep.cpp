@@ -99,8 +99,7 @@ void BM_ManeuverPlatoon(benchmark::State& state) {
         const auto end = std::chrono::steady_clock::now();
         state.SetIterationTime(std::chrono::duration<double>(end - start).count());
 
-        events = scenario->sharded() ? scenario->kernel().executed_events()
-                                     : scenario->simulator().executed_events();
+        events = scenario->kernel().executed_events();
         maneuvers = scenario->platoon().history().size();
         beta_follow = scenario->vehicle("beta").abilities().level(caps::kPlatoonFollow);
     }

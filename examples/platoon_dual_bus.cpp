@@ -12,9 +12,10 @@
 // 2 buses x gateway x layer stack x platoon substrate) was ~600 lines of
 // hand-wired assembly; it is the kind of composition the builder exists for.
 // Adding `.domains(n)` to the builder would shard the three vehicles across
-// n ECU-domain worker threads with identical results — tests/test_sharded.cpp
-// runs this scenario's shape (scenario::presets) at 1/2/4 domains and locks
-// the counters in. This example keeps the default single-queue kernel.
+// n ECU domains (domain 0 on the calling thread, n - 1 worker threads) with
+// identical results — tests/test_sharded.cpp runs this scenario's shape
+// (scenario::presets) at 1/2/4 domains and locks the counters in. This
+// example keeps the default single domain.
 //
 // Build & run:  ./build/examples/platoon_dual_bus
 

@@ -294,9 +294,8 @@ void declare_cell_scenario(scenario::ScenarioBuilder& builder,
                                            120.0 * static_cast<double>(i));
         }
     }
-    // Off-grid script offsets (+11/13/17 us): never collide with the
-    // preset's periodic tasks at shared timestamps, so script-vs-task
-    // ordering cannot diverge between domain counts.
+    // Off-grid script offsets (+11/13/17 us), kept because the committed
+    // corpus fingerprints were recorded with them.
     const std::int64_t total = cell.duration.count_ns();
     const auto form_at = sim::Duration::ns(total / 8 + 11'000);
     const auto weather_at = sim::Duration::ns(total / 4 + 13'000);

@@ -22,8 +22,8 @@ namespace sa::campaign {
 [[nodiscard]] std::vector<std::string> cell_vehicle_names(std::size_t vehicles);
 
 /// The ManeuverPolicy preset behind a PolicyKind axis value. Check periods
-/// are off-grid primes (247/103/251 ms) so policy evaluation never collides
-/// with the preset's periodic tasks at shared timestamps.
+/// are off-grid primes (247/103/251 ms); the corpus fingerprints were
+/// recorded with them.
 [[nodiscard]] platoon::ManeuverPolicy maneuver_policy_for(PolicyKind kind);
 
 /// Declare the cell's full scenario on `builder` (vehicles, trust,

@@ -20,9 +20,9 @@
 // {medium, payload, range}, which fits the queue's inline action buffer.
 // Endpoints are dense slots whose generation detach() bumps, so delivery
 // does no name lookup and a receiver detached in flight misses the frame.
-// Each sending context (every domain worker, plus the quiescent context)
-// owns its payload pool and recycles a payload once its delivery time lies
-// before the kernel's settled() time (the single queue's now()), so
+// Each sending context (every domain, plus the quiescent context) owns its
+// payload pool and recycles a payload once its delivery time lies before
+// the kernel's settled() time (a plain Simulator's now()), so
 // steady-state delivery takes no lock and no heap allocation. docs/MESH.md
 // lists the resulting contract (a receiver's stop() takes effect after the
 // whole fan-out; executed_events() counts fan-outs, not deliveries).
@@ -225,16 +225,17 @@ private:
     /// Name -> slot: membership in name order, and the once-per-transmit
     /// resolution of the transmitter and the addressed next hop.
     std::map<std::string, std::uint32_t> slots_;
-    /// Stable addresses: on a single queue a receiver may attach endpoints
-    /// while its own callback is running.
+    /// Stable addresses: on a plain Simulator a receiver may attach
+    /// endpoints while its own callback is running.
     util::StableVector<Endpoint> endpoints_;
     std::vector<std::uint32_t> free_slots_;
     /// One per domain on a sharded kernel, otherwise just the simulator.
     std::vector<Home> homes_;
-    /// One per domain worker, plus the quiescent context (the last entry).
+    /// One per domain, plus the quiescent context (the last entry).
     std::vector<Sender> senders_;
-    // Relaxed atomics: transmissions may run concurrently on several domain
-    // workers; the counts are order-free sums, updated once per transmit.
+    // Relaxed atomics: transmissions may run concurrently in several
+    // domains' windows; the counts are order-free sums, updated once per
+    // transmit.
     std::atomic<std::uint64_t> transmissions_{0};
     std::atomic<std::uint64_t> deliveries_{0};
     std::atomic<std::uint64_t> losses_{0};

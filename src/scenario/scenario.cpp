@@ -5,40 +5,13 @@
 namespace sa::scenario {
 
 Scenario::Scenario(std::uint64_t seed, std::size_t num_domains)
-    : simulator_(seed), rng_(seed) {
-    SA_REQUIRE(num_domains >= 1, "a scenario needs at least one domain");
-    if (num_domains > 1) {
-        kernel_ = std::make_unique<sim::ShardedKernel>(num_domains, seed);
-    }
-}
-
-sim::ShardedKernel& Scenario::kernel() {
-    SA_REQUIRE(kernel_ != nullptr,
-               "kernel() requires a sharded scenario (builder domains(n) > 1)");
-    return *kernel_;
-}
-
-sim::Simulator& Scenario::domain_simulator(std::size_t domain) {
-    if (kernel_ == nullptr) {
-        SA_REQUIRE(domain == 0, "domain index out of range (unsharded scenario)");
-        return simulator_;
-    }
-    return kernel_->domain(domain);
-}
-
-std::size_t Scenario::run_until(sim::Time until) {
-    return kernel_ ? kernel_->run_until(until) : simulator_.run_until(until);
-}
+    : kernel_(num_domains, seed), rng_(seed) {}
 
 std::size_t Scenario::run(sim::Duration until, std::size_t num_domains) {
     SA_REQUIRE(num_domains == 0 || num_domains == this->num_domains(),
                "num_domains disagrees with the partition declared at build "
                "time; declare domains(n) on the ScenarioBuilder");
-    return run_until(sim::Time(until.count_ns()));
-}
-
-std::size_t Scenario::run_for(sim::Duration span) {
-    return kernel_ ? kernel_->run_for(span) : simulator_.run_for(span);
+    return kernel_.run_until(sim::Time(until.count_ns()));
 }
 
 bool Scenario::has_vehicle(const std::string& name) const {
@@ -110,28 +83,22 @@ const platoon::PlatoonAgreement& Scenario::form_managed_platoon() {
     const platoon::PlatoonAgreement& agreement = platoon().form(candidates_, rng_);
     // Re-arm the engine if it parked itself on a dissolved platoon.
     if (!check_armed_) {
-        const sim::Time now = kernel_ ? kernel_->now() : simulator_.now();
-        schedule_maneuver_check(
-            sim::Time(now.ns() + maneuver_policy_.check_period.count_ns()));
+        schedule_maneuver_check(sim::Time(
+            kernel_.now().ns() + maneuver_policy_.check_period.count_ns()));
         check_armed_ = true;
     }
     return agreement;
 }
 
 void Scenario::schedule_maneuver_check(sim::Time at) {
-    if (kernel_) {
-        kernel_->schedule_script(at, [this] { run_maneuver_check(); });
-    } else {
-        (void)simulator_.schedule(sim::Duration(at.ns() - simulator_.now().ns()),
-                                  [this] { run_maneuver_check(); });
-    }
+    kernel_.schedule_script(at, [this] { run_maneuver_check(); });
 }
 
 void Scenario::run_maneuver_check() {
-    // Runs quiescent (script barrier under sharding, a plain event on the
-    // single queue): reading any vehicle's ability graph and mutating the
-    // platoon is race-free, and every decision draws from the scenario RNG —
-    // the whole evaluation reproduces bit-for-bit across domain counts.
+    // Runs quiescent at a script barrier: reading any vehicle's ability
+    // graph and mutating the platoon is race-free, and every decision draws
+    // from the scenario RNG — the whole evaluation reproduces bit-for-bit
+    // across domain counts.
     //
     // A dissolved platoon can never maneuver again (join requires a formed
     // platoon), so the engine parks instead of burning a global barrier per
@@ -140,8 +107,8 @@ void Scenario::run_maneuver_check() {
         check_armed_ = false;
         return;
     }
-    const sim::Time now = kernel_ ? kernel_->now() : simulator_.now();
-    schedule_maneuver_check(sim::Time(now.ns() + maneuver_policy_.check_period.count_ns()));
+    schedule_maneuver_check(
+        sim::Time(kernel_.now().ns() + maneuver_policy_.check_period.count_ns()));
     if (!platoon_->formed()) {
         return; // not formed yet: keep polling for a scripted formation
     }
@@ -216,10 +183,10 @@ void Scenario::set_weather(const vehicle::WeatherCondition& weather) {
 
 ScenarioReport Scenario::report() const {
     ScenarioReport report;
-    // progress(), not now(): after stop() or a window exception the sharded
-    // coordinator's barrier time lags the domain clocks, and a partial
-    // report must reflect how far the run actually got.
-    report.at = kernel_ ? kernel_->progress() : simulator_.now();
+    // progress(), not now(): after stop() or a window exception the
+    // barrier time lags the domain clocks, and a partial report must
+    // reflect how far the run actually got.
+    report.at = kernel_.progress();
     report.vehicles.reserve(order_.size());
     for (const auto& name : order_) {
         report.vehicles.push_back(vehicles_.at(name)->report());

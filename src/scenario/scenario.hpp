@@ -2,8 +2,8 @@
 // sa::scenario — the sanctioned composition root. A Vehicle owns one
 // composed self-aware stack (model domain, execution domain, monitors,
 // layer stack, skills, optional closed-loop driving); a Scenario owns the
-// simulator plus N vehicles and the cooperation substrate (trust, V2V,
-// platoon formation) and exposes a single run()/report() surface.
+// simulation kernel plus N vehicles and the cooperation substrate (trust,
+// V2V, platoon formation) and exposes a single run()/report() surface.
 //
 // Both are produced by the builders (vehicle_builder.hpp,
 // scenario_builder.hpp); examples, benches and tests compose systems there
@@ -193,28 +193,26 @@ private:
     std::unique_ptr<core::SelfModel> self_;
 };
 
-/// A composed scenario: the simulation kernel (single-queue, or sharded
-/// across ECU domains when the builder declared domains(n) > 1), its
-/// vehicles and the cooperation substrate, behind one run()/report()
-/// surface.
+/// A composed scenario: the sharded simulation kernel (one ECU domain
+/// unless the builder declared domains(n)), its vehicles and the
+/// cooperation substrate, behind one run()/report() surface.
 class Scenario {
 public:
     Scenario(const Scenario&) = delete;
     Scenario& operator=(const Scenario&) = delete;
 
-    /// The control simulator: the single queue of an unsharded scenario, or
-    /// domain 0 of the sharded kernel. Events scheduled here before run()
-    /// (beacon drivers, measurement probes) behave identically either way.
-    [[nodiscard]] sim::Simulator& simulator() {
-        return kernel_ ? kernel_->domain(0) : simulator_;
-    }
+    /// The control simulator: domain 0 of the kernel, which runs on the
+    /// thread that calls run(). Events scheduled here before run() (beacon
+    /// drivers, measurement probes) behave identically at every domain
+    /// count.
+    [[nodiscard]] sim::Simulator& simulator() { return kernel_.domain(0); }
     /// True when the builder partitioned the scenario into > 1 ECU domains.
-    [[nodiscard]] bool sharded() const noexcept { return kernel_ != nullptr; }
-    /// The sharded kernel. Requires sharded().
-    [[nodiscard]] sim::ShardedKernel& kernel();
-    /// Number of ECU domains (1 for the single-queue kernel).
+    [[nodiscard]] bool sharded() const noexcept { return num_domains() > 1; }
+    /// The kernel every vehicle runs on.
+    [[nodiscard]] sim::ShardedKernel& kernel() noexcept { return kernel_; }
+    /// Number of ECU domains (ScenarioBuilder::domains(), 1 by default).
     [[nodiscard]] std::size_t num_domains() const noexcept {
-        return kernel_ ? kernel_->num_domains() : 1;
+        return kernel_.num_domains();
     }
     /// Scenario-level RNG (platoon formation, ad-hoc noise); seeded with the
     /// builder seed, independent of the simulator's own engine.
@@ -273,20 +271,19 @@ public:
     void set_weather(const vehicle::WeatherCondition& weather);
 
     // --- run / report -------------------------------------------------------
-    std::size_t run_until(sim::Time until);
     /// Run until absolute simulation time `until` (from time zero).
     ///
     /// `num_domains` is a cross-check knob, not a re-partitioner: 0 (the
     /// default) runs whatever partition was declared at build time, and any
-    /// non-zero value is REQUIREd to equal it (1 for an unsharded scenario)
-    /// — the vehicle→domain binding is fixed when the vehicles are
-    /// composed, so call sites that state a count fail loudly when the
-    /// build disagrees.
+    /// non-zero value is REQUIREd to equal it — the vehicle→domain binding
+    /// is fixed when the vehicles are composed, so call sites that state a
+    /// count fail loudly when the build disagrees.
     std::size_t run(sim::Duration until, std::size_t num_domains = 0);
-    std::size_t run_for(sim::Duration span);
-    /// Thread-safe stop request: the single-queue drain (or the sharded
-    /// coordinator, at its next barrier) returns, leaving events queued.
-    void stop() noexcept { kernel_ ? kernel_->stop() : simulator_.stop(); }
+    std::size_t run_for(sim::Duration span) { return kernel_.run_for(span); }
+    /// Thread-safe stop request (sim::ShardedKernel::stop()): run() returns
+    /// at the next barrier, leaving events queued. From inside an event, the
+    /// event's own domain stops right after it.
+    void stop() noexcept { kernel_.stop(); }
 
     /// Aggregate counters at the current point of the run. Valid after a
     /// completed run(), after stop(), and after a run() that threw (a
@@ -299,20 +296,14 @@ private:
     friend class ScenarioBuilder;
     Scenario(std::uint64_t seed, std::size_t num_domains);
 
-    /// The simulator a domain index maps to (the single queue when
-    /// unsharded; domains beyond 0 REQUIRE a sharded build).
-    [[nodiscard]] sim::Simulator& domain_simulator(std::size_t domain);
-
-    /// Arm the maneuver engine: one policy evaluation at absolute time `at`,
-    /// rescheduling itself every check_period. Uses the script-barrier
-    /// mechanism under sharding (every domain quiescent), a plain event on
-    /// the single queue — the same dichotomy as ScenarioBuilder::at().
+    /// Arm the maneuver engine: one policy evaluation at absolute time `at`
+    /// as a script barrier (every domain quiescent, like
+    /// ScenarioBuilder::at()), rescheduling itself every check_period.
     void schedule_maneuver_check(sim::Time at);
     /// One policy evaluation (runs quiescent; may touch any vehicle).
     void run_maneuver_check();
 
-    sim::Simulator simulator_; ///< single-queue kernel (unsharded scenarios)
-    std::unique_ptr<sim::ShardedKernel> kernel_; ///< non-null when domains(n>1)
+    sim::ShardedKernel kernel_;
     RandomEngine rng_;
     platoon::TrustManager trust_;
     platoon::PlatoonConfig platoon_config_;

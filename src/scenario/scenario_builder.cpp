@@ -184,7 +184,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
         SA_REQUIRE(domain < num_domains_,
                    "vehicle '" + name + "' pinned to domain out of range");
         scenario->vehicles_.emplace(name,
-                                    it->build(scenario->domain_simulator(domain)));
+                                    it->build(scenario->kernel_.domain(domain)));
         scenario->order_.push_back(name);
     }
     for (const auto& spec : bridges_) {
@@ -246,19 +246,14 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
             sim::Time(maneuver_policy_->check_period.count_ns()));
         scenario->check_armed_ = true;
     }
+    // Scripts are global barriers: they run at exactly `when` with every
+    // domain quiescent, so they may touch any vehicle without racing a
+    // window.
     Scenario* raw = scenario.get();
     for (const auto& script : scripts_) {
-        if (scenario->kernel_) {
-            // Scripts are global barriers under sharding: they run at
-            // exactly `when` with every domain quiescent, so they may touch
-            // any vehicle without racing the workers.
-            scenario->kernel_->schedule_script(
-                sim::Time(script.when.count_ns()),
-                [raw, action = script.action] { action(*raw); });
-        } else {
-            (void)scenario->simulator_.schedule(
-                script.when, [raw, action = script.action] { action(*raw); });
-        }
+        scenario->kernel_.schedule_script(
+            sim::Time(script.when.count_ns()),
+            [raw, action = script.action] { action(*raw); });
     }
     return scenario;
 }

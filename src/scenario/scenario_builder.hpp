@@ -1,5 +1,5 @@
 #pragma once
-// ScenarioBuilder: N vehicles on one simulator plus the cooperation
+// ScenarioBuilder: N vehicles on one sharded kernel plus the cooperation
 // substrate (trust records, V2V channel, platoon candidates) and scripted
 // events, producing a Scenario with a single run()/report() surface.
 
@@ -36,7 +36,8 @@ struct BridgeSpec {
 
 class ScenarioBuilder {
 public:
-    /// `seed` seeds both the simulator and the scenario-level RNG.
+    /// `seed` seeds both the kernel (domain 0's stream) and the
+    /// scenario-level RNG.
     explicit ScenarioBuilder(std::uint64_t seed = 0x5AA5F00DULL);
 
     /// Declare (or retrieve, by name) a vehicle. Builders are stable: keep
@@ -45,8 +46,8 @@ public:
 
     /// Partition the scenario into `n` ECU domains (sim::ShardedKernel).
     /// Vehicles are assigned round-robin in declaration order unless pinned
-    /// via VehicleBuilder::domain(). 1 (the default) builds everything on
-    /// one single-queue Simulator — bit-for-bit today's behaviour.
+    /// via VehicleBuilder::domain(). 1 (the default) is one domain on the
+    /// thread that calls run(); n > 1 adds n - 1 worker threads.
     ScenarioBuilder& domains(std::size_t n);
 
     /// Declare a scenario-level bridge joining buses of different vehicles.

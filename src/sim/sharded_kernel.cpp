@@ -35,9 +35,9 @@ ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed) {
     domains_.reserve(num_domains);
     for (std::size_t d = 0; d < num_domains; ++d) {
         // Domain 0 keeps the raw seed: a standalone Simulator(seed) and
-        // domain 0 of any sharded run draw the same stream, so moving a
-        // workload between the single-queue and sharded kernels (or between
-        // domain counts) never changes what its noise sources produce.
+        // domain 0 at any domain count draw the same stream, so moving a
+        // workload between domain counts never changes what its domain-0
+        // noise sources produce.
         domains_.push_back(std::unique_ptr<DomainKernel>(new DomainKernel(
             d, d == 0 ? seed : mix_seed(seed, d), num_domains)));
         domains_.back()->simulator_.shard_ = this;
@@ -46,6 +46,9 @@ ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed) {
 }
 
 ShardedKernel::~ShardedKernel() {
+    if (!workers_started_) {
+        return;
+    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         shutdown_ = true;
@@ -56,9 +59,7 @@ ShardedKernel::~ShardedKernel() {
             domain->worker_.join();
         }
     }
-    if (workers_started_) {
-        detail::add_active_sharded_kernels(-1);
-    }
+    detail::add_active_sharded_kernels(-1);
 }
 
 Simulator& ShardedKernel::domain(std::size_t index) {
@@ -114,18 +115,39 @@ std::uint64_t ShardedKernel::executed_events() const noexcept {
     return total;
 }
 
+void ShardedKernel::stop() noexcept {
+    stop_.store(true, std::memory_order_relaxed);
+    if (Simulator* executing = detail::executing_domain();
+        executing != nullptr && owns(*executing)) {
+        executing->stop();
+    }
+}
+
 void ShardedKernel::ensure_workers() {
-    if (workers_started_) {
+    if (workers_started_ || domains_.size() == 1) {
         return;
     }
     workers_started_ = true;
-    // Flips the process-wide ownership guards from their single-queue fast
+    // Flips the process-wide ownership guards from their one-thread fast
     // path to the full thread-local check (see Simulator::owned_by_caller).
     detail::add_active_sharded_kernels(1);
-    for (auto& domain : domains_) {
-        DomainKernel* raw = domain.get();
-        domain->worker_ = std::thread([this, raw] { worker_main(*raw); });
+    for (std::size_t d = 1; d < domains_.size(); ++d) {
+        DomainKernel* raw = domains_[d].get();
+        raw->worker_ = std::thread([this, raw] { worker_main(*raw); });
     }
+}
+
+void ShardedKernel::run_domain_window(DomainKernel& domain, Time window_end) {
+    // The domain is the plain single-threaded kernel inside its window; the
+    // thread-local marks this thread as its (sole) owner so foreign
+    // mutations trip the Simulator's contracts instead of racing.
+    detail::set_executing_domain(&domain.simulator_);
+    try {
+        domain.simulator_.run_until(window_end);
+    } catch (...) {
+        domain.error_ = std::current_exception();
+    }
+    detail::set_executing_domain(nullptr);
 }
 
 void ShardedKernel::worker_main(DomainKernel& domain) {
@@ -142,19 +164,10 @@ void ShardedKernel::worker_main(DomainKernel& domain) {
             seen_round = round_;
             window_end = window_end_;
         }
-        // The domain is the plain single-threaded kernel inside its window;
-        // the thread-local marks this thread as its (sole) owner so foreign
-        // mutations trip the Simulator's contracts instead of racing.
-        detail::set_executing_domain(&domain.simulator_);
-        try {
-            domain.simulator_.run_until(window_end);
-        } catch (...) {
-            domain.error_ = std::current_exception();
-        }
-        detail::set_executing_domain(nullptr);
+        run_domain_window(domain, window_end);
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (++done_ == domains_.size()) {
+            if (++done_ == domains_.size() - 1) {
                 cv_done_.notify_one();
             }
         }
@@ -163,14 +176,18 @@ void ShardedKernel::worker_main(DomainKernel& domain) {
 
 void ShardedKernel::run_window(Time window_end) {
     {
-        std::unique_lock<std::mutex> lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         window_end_ = window_end;
         done_ = 0;
         ++round_;
-        cv_start_.notify_all();
-        cv_done_.wait(lock, [&] { return done_ == domains_.size(); });
-        ++windows_;
     }
+    cv_start_.notify_all();
+    run_domain_window(*domains_[0], window_end);
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_done_.wait(lock, [&] { return done_ == domains_.size() - 1; });
+    }
+    ++windows_;
     // Surface window failures on the calling thread, lowest domain first
     // (deterministic, if arbitrary relative to simulated time). A failed
     // window aborts the whole round: every domain's error and outbox is
@@ -241,6 +258,9 @@ std::size_t ShardedKernel::run_until(Time until) {
     for (;;) {
         settle();
         if (stop_.exchange(false, std::memory_order_relaxed)) {
+            // Resume from the earliest domain clock: a domain that stopped
+            // itself mid-window left its later events queued.
+            now_ = settled_;
             stopped = true;
             break;
         }
@@ -308,7 +328,7 @@ std::size_t ShardedKernel::run_until(Time until) {
     if (!stopped && until != Time::max()) {
         // Align every clock with the end of the observed span, mirroring
         // Simulator::run_until — relative scheduling after the run starts
-        // from the same "now" a single-queue run would report.
+        // from the same "now" at every domain count.
         for (auto& domain : domains_) {
             domain->simulator_.advance_to(until);
         }
@@ -321,19 +341,19 @@ std::size_t ShardedKernel::run_until(Time until) {
 void post(Simulator& target, Time at, EventQueue::Action action) {
     const Simulator* executing = detail::executing_domain();
     if (executing == nullptr || executing == &target) {
-        // Quiescent context (main thread, coordinator/script barrier) or a
+        // Quiescent context (between runs, a script barrier) or a
         // same-domain send: plain scheduling is already safe and keeps the
-        // legacy single-queue order bit-for-bit.
+        // domain's single-queue order.
         (void)target.schedule_at(at, std::move(action));
         return;
     }
     ShardedKernel* kernel = target.shard();
     // A foreign simulator with no kernel has no mailbox and no safe way to
-    // be mutated from a worker thread — fail loudly instead of racing.
+    // be mutated from inside a window — fail loudly instead of racing.
     SA_REQUIRE(kernel != nullptr,
                "post() to an unsharded foreign simulator from inside a "
                "domain window; foreign simulators cannot be mutated from "
-               "worker threads");
+               "inside a window");
     SA_REQUIRE(executing->shard() == kernel,
                "cross-kernel post: source and target belong to different "
                "sharded kernels");

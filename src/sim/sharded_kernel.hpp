@@ -1,14 +1,16 @@
 #pragma once
 // Sharded discrete-event kernel: one Simulator per ECU domain, coordinated
-// with conservative lookahead so domains advance in parallel on worker
-// threads while staying deterministic.
+// with conservative lookahead so domains advance in parallel while staying
+// deterministic. It is the one kernel every Scenario runs on; domains(1) is
+// a single domain.
 //
 // Partitioning model. A ShardedKernel owns N DomainKernels; each DomainKernel
 // owns a private Simulator (bucketed event queue, clock, RNG, periodic
-// registry) and a worker thread. Everything scheduled on a domain's
-// simulator executes on that domain's worker — a domain is exactly the
-// single-threaded kernel it always was, so no subsystem needs locks for its
-// own state.
+// registry). Domain 0's windows run on the thread that calls run_until();
+// domains 1..N-1 each get a worker thread, started by the first run, so a
+// one-domain kernel starts no thread at all. A domain's events execute only
+// on its own thread — a domain is exactly the single-threaded kernel it
+// always was, so no subsystem needs locks for its own state.
 //
 // Conservative lookahead. Cross-domain interactions (CAN gateway forwards,
 // V2V delivery) carry a minimum link latency, declared up front via
@@ -21,28 +23,27 @@
 // domain earlier than that — and every domain drains its queue up to (but
 // excluding) the horizon in parallel. Cross-domain sends made during the
 // window land in per-(source, target) outboxes (plain vectors, written only
-// by the owning worker) and are flushed into the target queues at the
-// barrier, ordered by (delivery time, source domain, send order): the merge
-// is deterministic, so the whole run is seed-stable regardless of thread
-// scheduling. post() rejects any send below the current horizon, which turns
-// a forgotten declare_lookahead() into a loud contract violation instead of
-// a silent causality leak.
+// by the owning domain's thread) and are flushed into the target queues at
+// the barrier, ordered by (delivery time, source domain, send order): the
+// merge is deterministic, so the whole run is seed-stable regardless of
+// thread scheduling. post() rejects any send below the current horizon,
+// which turns a forgotten declare_lookahead() into a loud contract violation
+// instead of a silent causality leak.
 //
 // Scripts. schedule_script() actions are global barriers: the coordinator
 // runs each one at exactly its timestamp with every domain quiescent and
-// every clock aligned (Simulator::advance_to), so a script may touch any
-// domain — inject faults, rewire routes, destroy a vehicle — without racing
-// the workers. This is how scenario-level interventions stay race-free
-// without carrying a lookahead of their own.
+// every clock aligned (Simulator::advance_to), before any event at that
+// timestamp, so a script may touch any domain — inject faults, rewire
+// routes, destroy a vehicle — without racing a window. This is how
+// scenario-level interventions stay race-free without carrying a lookahead
+// of their own.
 //
 // Determinism. Within a domain, execution order is the single-queue order of
-// that domain's events. Entities that do not share simulator-level state
-// (distinct vehicles) therefore observe event sequences identical to a
-// single-queue run, and per-entity counters reproduce bit-for-bit across
-// domain counts — the property the sharded determinism suite locks in. The
-// one documented reorder: a script whose time collides with the *first*
-// occurrence of a periodic armed before build finished runs before it here,
-// after it on the single queue.
+// that domain's events, and scripts run at barriers at every domain count,
+// one included. Entities that do not share simulator-level state (distinct
+// vehicles) therefore observe the same event sequence whatever the domain
+// count, and per-entity counters reproduce bit-for-bit across domain counts
+// — the property the sharded determinism suite locks in.
 
 #include <atomic>
 #include <condition_variable>
@@ -61,8 +62,9 @@ namespace sa::sim {
 /// Lookahead value meaning "this domain never emits cross-domain events".
 inline constexpr Duration kUnboundedLookahead = Duration(INT64_MAX);
 
-/// One shard of a sharded simulation: a private Simulator plus its worker
-/// thread and outboxes. Created and owned by ShardedKernel.
+/// One shard of a sharded simulation: a private Simulator plus its outboxes
+/// and (for domains 1..N-1) its worker thread. Created and owned by
+/// ShardedKernel.
 class DomainKernel {
 public:
     DomainKernel(const DomainKernel&) = delete;
@@ -87,15 +89,15 @@ private:
     Simulator simulator_;
     std::size_t index_;
     Duration lookahead_ = kUnboundedLookahead;
-    /// outbox_[target]: sends made by this domain's worker during the
-    /// current window. Written only by the owning worker, drained by the
-    /// coordinator at the barrier (synchronised through the round mutex).
+    /// outbox_[target]: sends made by this domain during the current window.
+    /// Written only by the domain's own thread, drained by the coordinator
+    /// at the barrier (synchronised through the round mutex).
     std::vector<std::vector<Envelope>> outbox_;
     /// An exception thrown inside this domain's window (e.g. a contract
-    /// violation); captured by the worker and rethrown by the coordinator
-    /// at the barrier so it surfaces on the calling thread.
+    /// violation); captured by run_domain_window() and rethrown by the
+    /// coordinator at the barrier so it surfaces on the calling thread.
     std::exception_ptr error_;
-    std::thread worker_;
+    std::thread worker_; ///< domains 1..N-1; domain 0 runs on the caller
 };
 
 /// Coordinator of N DomainKernels. See the header comment for the model.
@@ -107,8 +109,8 @@ public:
     /// domain-0 workloads are stream-identical across domain counts.
     explicit ShardedKernel(std::size_t num_domains,
                            std::uint64_t seed = 0x5AA5F00DULL);
-    /// Joins the worker threads. Pending events are dropped with their
-    /// queues, like a Simulator destroyed mid-run.
+    /// Joins the worker threads, if any. Pending events are dropped with
+    /// their queues, like a Simulator destroyed mid-run.
     ~ShardedKernel();
 
     ShardedKernel(const ShardedKernel&) = delete;
@@ -139,8 +141,12 @@ public:
     std::size_t run_for(Duration span) { return run_until(now_ + span); }
 
     /// Request that run_until() return at the next barrier, leaving
-    /// remaining events queued. Thread-safe; consumed like Simulator::stop().
-    void stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+    /// remaining events queued. Thread-safe. Called from inside one of this
+    /// kernel's windows it also stops that domain after the current event,
+    /// so the stopping domain halts where a one-domain run would; the other
+    /// domains finish their window. Consumed like Simulator::stop(); a
+    /// consumed stop leaves now() at settled().
+    void stop() noexcept;
 
     /// Barrier time: the coordinator's lower bound on global progress.
     [[nodiscard]] Time now() const noexcept { return now_; }
@@ -155,7 +161,7 @@ public:
     /// Every event timestamped before settled() has executed on every
     /// domain: the earliest domain clock at the last barrier (below now()
     /// only when a domain's own Simulator::stop() cut its window short).
-    /// It changes only between windows, so a domain worker may read it
+    /// It changes only between windows, so any domain may read it
     /// mid-window — the V2V medium recycles delivered payloads against it.
     [[nodiscard]] Time settled() const noexcept { return settled_; }
     /// Events executed across all domains since construction.
@@ -175,15 +181,20 @@ public:
 private:
     friend void post(Simulator& target, Time at, EventQueue::Action action);
 
+    /// Start the workers of domains 1..N-1 (none for one domain).
     void ensure_workers();
     void worker_main(DomainKernel& domain);
-    /// Run one parallel window: every domain drains to `window_end`.
+    /// Drain one domain to `window_end` on the calling thread, marked as
+    /// that domain's executing thread; an exception lands in error_.
+    static void run_domain_window(DomainKernel& domain, Time window_end);
+    /// Run one parallel window: every domain drains to `window_end`, domain
+    /// 0 on the calling thread and the others on their workers.
     void run_window(Time window_end);
     /// Merge all outboxes into their target queues, deterministically.
     void flush_outboxes();
     /// Recompute settled_ from the domain clocks (coordinator, quiescent).
     void settle() noexcept;
-    /// Called from a worker thread (via post()) for a cross-domain send.
+    /// Called from a domain's window (via post()) for a cross-domain send.
     void post_from(std::size_t from, std::size_t to, Time at,
                    EventQueue::Action action);
 
@@ -206,9 +217,10 @@ private:
     std::size_t scripts_head_ = 0;
 
     // Round coordination. The coordinator publishes {window_end_, horizon_,
-    // round_} under mutex_ and workers acknowledge through done_; outbox
-    // contents ride the same mutex, so every window is a full
-    // happens-before edge in both directions (ThreadSanitizer-clean).
+    // round_} under mutex_, runs domain 0 itself, and the workers
+    // acknowledge through done_; outbox contents ride the same mutex, so
+    // every window is a full happens-before edge in both directions
+    // (ThreadSanitizer-clean).
     std::mutex mutex_;
     std::condition_variable cv_start_;
     std::condition_variable cv_done_;
@@ -222,8 +234,8 @@ private:
 
 /// Schedule `action` at absolute time `at` on `target`, routing through the
 /// sharded mailboxes when (and only when) the caller is executing a window
-/// of a *different* domain. From quiescent contexts (main thread between
-/// runs, a script barrier) or for an unsharded simulator this is exactly
+/// of a *different* domain. From quiescent contexts (between runs, a script
+/// barrier) or from the target's own window this is exactly
 /// Simulator::schedule_at. Cross-domain sends must satisfy the conservative
 /// contract: `at` must lie at or beyond the current window's horizon, which
 /// holds by construction when `at` = sender-domain now + a declared link

@@ -1,11 +1,11 @@
 #pragma once
 // Discrete-event simulation kernel. Single-threaded and deterministic:
-// the same seed and setup always produce the same trace. All substrates
-// (CAN bus, ECU schedulers, vehicle dynamics, platoon messaging) run on one
-// Simulator instance so their interleavings are globally ordered. For
-// multi-domain scale-out, a ShardedKernel (sim/sharded_kernel.hpp) owns one
-// Simulator per ECU domain and coordinates them with conservative lookahead;
-// each domain remains exactly this single-threaded kernel inside its window.
+// the same seed and setup always produce the same trace. Substrates that
+// share a Simulator (CAN bus, ECU schedulers, vehicle dynamics, platoon
+// messaging) have their interleavings globally ordered. A ShardedKernel
+// (sim/sharded_kernel.hpp) owns one Simulator per ECU domain and coordinates
+// them with conservative lookahead; each domain remains exactly this
+// single-threaded kernel inside its window.
 //
 // One drain path: run_until() (and run_for()) take events off the queue one
 // at a time through EventQueue::pop_until() and honour stop() between any
@@ -27,15 +27,16 @@ class Simulator;
 
 namespace detail {
 /// The simulator whose sharded window is executing on the calling thread,
-/// or nullptr outside a window (main thread, coordinator thread, plain
-/// single-queue runs). Set by ShardedKernel around each domain window; the
-/// worker thread is the domain's sole owner for the window, hence mutable.
+/// or nullptr outside a window (between runs, inside a script barrier, a
+/// plain Simulator's run). Set by ShardedKernel around each domain window;
+/// the thread running the window (the caller of run_until() for domain 0, a
+/// worker for the others) is the domain's sole owner for it, hence mutable.
 [[nodiscard]] Simulator* executing_domain() noexcept;
 void set_executing_domain(Simulator* simulator) noexcept;
 /// Count of ShardedKernels with live worker threads in this process. While
-/// zero (every purely single-queue program), the ownership guards reduce to
-/// one relaxed global load — no thread-local access on the scheduling hot
-/// path.
+/// zero (no kernel with more than one domain has run), the ownership guards
+/// reduce to one relaxed global load — no thread-local access on the
+/// scheduling hot path.
 [[nodiscard]] int active_sharded_kernels() noexcept;
 void add_active_sharded_kernels(int delta) noexcept;
 } // namespace detail
@@ -60,7 +61,7 @@ public:
     ///
     /// Sharding contract: the periodic registry is single-threaded state.
     /// Under a ShardedKernel this must be called from the owning domain (its
-    /// worker during a window, or any quiescent context between windows);
+    /// thread during a window, or any quiescent context between windows);
     /// a foreign domain thread must post() the registration instead.
     std::uint64_t schedule_periodic(Duration period, EventQueue::Action action,
                                     Duration phase = Duration::zero());
@@ -93,8 +94,8 @@ public:
     std::size_t run_for(Duration span) { return run_until(now_ + span); }
 
     /// Request that run_until return after the current event completes.
-    /// Thread-safe: the flag is atomic, so a monitor on another domain's
-    /// worker thread (or any external thread) may request a stop without
+    /// Thread-safe: the flag is atomic, so a monitor in another domain's
+    /// window (or any external thread) may request a stop without
     /// racing the owning drain loop. Note run_until() still consumes the
     /// flag on entry, so a stop aimed at an idle simulator is discarded; to
     /// stop a whole sharded run use ShardedKernel::stop().
@@ -103,8 +104,8 @@ public:
     /// Advance the clock to `at` without executing anything. Requires that
     /// no event is pending before `at` and `at` >= now(). The sharded
     /// kernel uses this to align domain clocks on script barriers and at
-    /// the end of a run, so "schedule after delay from now" keeps meaning
-    /// the same thing it does on the single-queue kernel.
+    /// the end of a run, so "schedule after delay from now" means the same
+    /// thing at every domain count.
     void advance_to(Time at);
 
     /// Earliest pending event time, or Time::max() when idle.
@@ -151,7 +152,7 @@ private:
     void arm_periodic(PeriodicSlot& slot, std::uint64_t id, Duration delay);
     /// True when the calling thread may mutate single-threaded state: either
     /// no sharded window is executing on this thread, or the window is ours.
-    /// Applies to EVERY simulator, sharded or not — a domain worker holding
+    /// Applies to EVERY simulator, sharded or not — a domain window holding
     /// a reference to some foreign standalone simulator must not race its
     /// owner either.
     [[nodiscard]] bool owned_by_caller() const noexcept {

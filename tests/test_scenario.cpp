@@ -697,6 +697,41 @@ TEST(Scenario, ReportAfterStopReflectsPartialProgress) {
     EXPECT_GT(report.vehicle("ego").jobs_completed, 0u);
 }
 
+TEST(Scenario, StopFromAnEventHaltsAtTheSameJobAtEveryDomainCount) {
+    // One 10 ms task and a stop() from an event at 300 ms: the event's own
+    // domain halts right after it at every domain count, instead of
+    // draining to the next barrier (with nothing coupling the domains, the
+    // end of the run).
+    std::uint64_t jobs_at_one_domain = 0;
+    for (std::size_t domains : {1u, 2u, 4u}) {
+        scenario::ScenarioBuilder builder(23);
+        builder.domains(domains);
+        builder.vehicle("ego")
+            .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+            .contracts(R"(
+                component ctrl {
+                  asil D;
+                  security_level 2;
+                  task control { wcet 500us; period 10ms; deadline 8ms; }
+                }
+            )");
+        auto scenario = builder.build();
+        scenario::Scenario& s = *scenario;
+        (void)s.vehicle("ego").simulator().schedule_at(
+            Time(Duration::ms(300).count_ns()), [&s] { s.stop(); });
+        s.run(Duration::sec(2));
+
+        const auto report = s.report();
+        const std::uint64_t jobs = report.vehicle("ego").jobs_completed;
+        if (domains == 1) {
+            EXPECT_EQ(report.at, Time(Duration::ms(300).count_ns()));
+            jobs_at_one_domain = jobs;
+        }
+        EXPECT_EQ(jobs, jobs_at_one_domain) << "domains=" << domains;
+    }
+    EXPECT_EQ(jobs_at_one_domain, 30u); // releases at 0, 10, ..., 290 ms
+}
+
 TEST(Scenario, ReportAfterThrowingScriptReturnsPartialReport) {
     // Regression: a window exception used to leave report().at at the time
     // of the last COMPLETED window (zero if the first window threw), hiding

@@ -282,6 +282,41 @@ TEST(ShardedKernel, StopIsSafeFromAnExternalThread) {
     SUCCEED(); // termination (early or not) without a race is the assertion
 }
 
+TEST(ShardedKernel, DomainZeroRunsOnTheCallingThread) {
+    const std::thread::id caller = std::this_thread::get_id();
+    {
+        // One domain starts no thread: its events run on the caller, and the
+        // process-wide ownership guards stay on their fast path.
+        sim::ShardedKernel kernel(1, 42);
+        std::thread::id ran_on;
+        int active = -1;
+        kernel.domain(0).schedule(Duration::us(10), [&] {
+            ran_on = std::this_thread::get_id();
+            active = sim::detail::active_sharded_kernels();
+        });
+        kernel.run_until(Time(Duration::ms(1).count_ns()));
+        EXPECT_EQ(ran_on, caller);
+        EXPECT_EQ(active, 0);
+    }
+    // N domains: domain 0 stays on the caller, each other domain gets a
+    // worker of its own.
+    sim::ShardedKernel kernel(4, 42);
+    std::thread::id ran_on[4];
+    for (std::size_t d = 0; d < 4; ++d) {
+        kernel.domain(d).schedule(
+            Duration::us(10), [&ran_on, d] { ran_on[d] = std::this_thread::get_id(); });
+    }
+    kernel.run_until(Time(Duration::ms(1).count_ns()));
+    EXPECT_EQ(ran_on[0], caller);
+    for (std::size_t d = 1; d < 4; ++d) {
+        EXPECT_NE(ran_on[d], std::thread::id()) << "domain " << d << " never ran";
+        EXPECT_NE(ran_on[d], caller) << "domain " << d;
+        for (std::size_t e = 1; e < d; ++e) {
+            EXPECT_NE(ran_on[d], ran_on[e]) << "domains " << e << " and " << d;
+        }
+    }
+}
+
 // --- the periodic-registry audit (Simulator::stop / Vehicle teardown) -------------
 
 TEST(ShardedKernel, ForeignThreadCancelPeriodicIsRejected) {
@@ -574,28 +609,45 @@ TEST(ShardedDeterminism, DomainCountDoesNotChangeTheResults) {
 
 // --- determinism: degradation-triggered split across domain counts ------------------
 
+/// One seeded maneuver run: when the degrade script hits beta, and how often
+/// the maneuver engine evaluates the policy.
+struct ManeuverCase {
+    std::uint64_t seed;
+    Duration degrade_at;
+    Duration check_period;
+};
+
+/// The first case degrades beta between grid points. The others land the
+/// degrade script on build-time periodic occurrences — t = 0, where every
+/// periodic of the preset fires first, the 20 ms task grid and the 500 ms
+/// self-model grid — with maneuver checks on the same grids.
+const ManeuverCase kManeuverCases[] = {
+    {4242, Duration::ms(600), Duration::ms(247)},
+    {7, Duration::zero(), Duration::ms(250)},
+    {11, Duration::ms(40), Duration::ms(100)},
+    {13, Duration::ms(1000), Duration::ms(500)},
+};
+
 /// The platoon-maneuver workload: three dual-bus platoon_follow vehicles
 /// under the maneuver engine. A script degrades beta's radar+V2V
-/// capabilities mid-run; its follow skill collapses and the engine splits
-/// the platoon at beta — counters, CAN traces, platoon membership and the
-/// maneuver history must reproduce bit-for-bit across domain counts.
-RunFingerprint run_maneuver_platoon(std::size_t num_domains, std::uint64_t seed) {
-    scenario::ScenarioBuilder builder(seed);
+/// capabilities; its follow skill collapses and the engine splits the
+/// platoon at beta — counters, CAN traces, self-model snapshots, platoon
+/// membership and the maneuver history must reproduce bit-for-bit across
+/// domain counts.
+RunFingerprint run_maneuver_platoon(std::size_t num_domains, const ManeuverCase& run) {
+    scenario::ScenarioBuilder builder(run.seed);
     builder.domains(num_domains);
     for (const char* name : kPlatoonVehicles) {
         scenario::presets::declare_platoon_follow_vehicle(builder, name);
         builder.trust(name, 14).platoon_candidate({name, 0.9, 24.0, 10.0, false});
     }
     platoon::ManeuverPolicy policy;
-    // Off-grid check period: no collision with any periodic of the preset
-    // (20 ms tasks, 500 ms self-model), so script-barrier ordering vs.
-    // single-queue ordering cannot diverge at shared timestamps.
-    policy.check_period = Duration::ms(247);
+    policy.check_period = run.check_period;
     builder.platoon_maneuvers(policy);
     builder
         .at(Duration::ms(100),
             [](scenario::Scenario& s) { (void)s.form_managed_platoon(); })
-        .at(Duration::ms(600), [](scenario::Scenario& s) {
+        .at(run.degrade_at, [](scenario::Scenario& s) {
             auto& abilities = s.vehicle("beta").abilities();
             abilities.set_source_level(skills::caps::kV2vLink, 0.0);
             abilities.set_source_level(skills::acc::kRadar, 0.0);
@@ -610,6 +662,9 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, std::uint64_t seed)
         std::string s = v.report().str();
         s += "| follow=" +
              std::to_string(v.abilities().level(skills::caps::kPlatoonFollow));
+        for (const auto& snapshot : v.self_model().history()) {
+            s += "\n" + snapshot.str();
+        }
         s += "\n" + trace_fingerprint(v.rte().can_bus("can_sense").trace());
         s += trace_fingerprint(v.rte().can_bus("can_act").trace());
         fp.vehicles.push_back(std::move(s));
@@ -631,27 +686,35 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, std::uint64_t seed)
 
 TEST(ShardedDeterminism, ManeuverScenarioReproducesPerDomainCount) {
     for (std::size_t domains : {1u, 2u, 4u}) {
-        const RunFingerprint first = run_maneuver_platoon(domains, 4242);
-        const RunFingerprint second = run_maneuver_platoon(domains, 4242);
+        const RunFingerprint first = run_maneuver_platoon(domains, kManeuverCases[0]);
+        const RunFingerprint second = run_maneuver_platoon(domains, kManeuverCases[0]);
         EXPECT_EQ(first, second) << "non-reproducible at domains=" << domains;
     }
 }
 
 TEST(ShardedDeterminism, ManeuverScenarioIdenticalAcrossDomainCounts) {
-    const RunFingerprint one = run_maneuver_platoon(1, 4242);
-    const RunFingerprint two = run_maneuver_platoon(2, 4242);
-    const RunFingerprint four = run_maneuver_platoon(4, 4242);
-    ASSERT_EQ(one.vehicles.size(), 3u);
-    for (std::size_t i = 0; i < one.vehicles.size(); ++i) {
-        EXPECT_EQ(one.vehicles[i], two.vehicles[i])
-            << kPlatoonVehicles[i] << " diverged between 1 and 2 domains";
-        EXPECT_EQ(one.vehicles[i], four.vehicles[i])
-            << kPlatoonVehicles[i] << " diverged between 1 and 4 domains";
+    // Scripts run before simultaneous periodic occurrences at every domain
+    // count, so even the cases that collide with them match.
+    for (const ManeuverCase& run : kManeuverCases) {
+        const RunFingerprint one = run_maneuver_platoon(1, run);
+        const RunFingerprint two = run_maneuver_platoon(2, run);
+        const RunFingerprint four = run_maneuver_platoon(4, run);
+        ASSERT_EQ(one.vehicles.size(), 3u);
+        for (std::size_t i = 0; i < one.vehicles.size(); ++i) {
+            EXPECT_EQ(one.vehicles[i], two.vehicles[i])
+                << kPlatoonVehicles[i] << " diverged between 1 and 2 domains (seed "
+                << run.seed << ")";
+            EXPECT_EQ(one.vehicles[i], four.vehicles[i])
+                << kPlatoonVehicles[i] << " diverged between 1 and 4 domains (seed "
+                << run.seed << ")";
+        }
+        EXPECT_EQ(one.v2v, two.v2v)
+            << "platoon/maneuver state diverged (2 domains, seed " << run.seed << ")";
+        EXPECT_EQ(one.v2v, four.v2v)
+            << "platoon/maneuver state diverged (4 domains, seed " << run.seed << ")";
+        // And the degradation actually triggered the maneuver we claim to test.
+        EXPECT_NE(one.v2v.find("split(beta)"), std::string::npos) << one.v2v;
     }
-    EXPECT_EQ(one.v2v, two.v2v) << "platoon/maneuver state diverged (2 domains)";
-    EXPECT_EQ(one.v2v, four.v2v) << "platoon/maneuver state diverged (4 domains)";
-    // And the degradation actually triggered the maneuver we claim to test.
-    EXPECT_NE(one.v2v.find("split(beta)"), std::string::npos) << one.v2v;
 }
 
 TEST(ShardedDeterminism, PinnedVehiclesDoNotConsumeRoundRobinSlots) {
