@@ -6,7 +6,7 @@
 // campaigns are data, not recompiles. expand() enumerates the matrix into
 // CellConfigs in a fixed nested-loop order; every cell is fully described by
 // its own text block (CellConfig::str()/parse() round-trip), which is what
-// the worker protocol and the failing-seed corpus exchange.
+// the failing-seed corpus stores.
 //
 // Campaign grammar (tokens follow the shared lexical rules in
 // util/lexer.hpp; statements are ';'-terminated; malformed text throws
@@ -102,7 +102,7 @@ enum class Topology { DualBus, Bridged, Mesh, LossyMesh };
 
 /// One fully instantiated campaign cell. Everything a run needs is here;
 /// str() serializes the canonical `cell { ... }` block and parse() reads it
-/// back (the worker protocol and corpus entries exchange exactly this).
+/// back (corpus entries store exactly this).
 struct CellConfig {
     std::string campaign = "adhoc";
     std::string scenario_template = "platoon";

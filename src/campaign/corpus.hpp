@@ -56,7 +56,7 @@ struct CorpusEntry {
     [[nodiscard]] static CorpusEntry parse(const std::string& text);
 
     /// Check a replayed verdict (its canonical JSON line — CellVerdict::
-    /// json() in-process, the worker's stdout line in process mode) against
+    /// json() in-process, the worker's verdict line in worker mode) against
     /// the expectations; returns human-readable mismatches (empty =
     /// reproduced bit-for-bit).
     [[nodiscard]] std::vector<std::string>

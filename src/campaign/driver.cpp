@@ -1,12 +1,15 @@
 #include "campaign/driver.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
-#include <csignal>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,58 +20,6 @@
 namespace sa::campaign {
 namespace {
 
-/// Write the whole buffer (cell blocks are far below PIPE_BUF, but be
-/// correct anyway). Returns false on a broken pipe (worker died early).
-bool write_all(int fd, const std::string& text) {
-    std::size_t done = 0;
-    while (done < text.size()) {
-        const ssize_t n = ::write(fd, text.data() + done, text.size() - done);
-        if (n <= 0) {
-            return false;
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-std::string read_all(int fd) {
-    std::string out;
-    char buf[4096];
-    while (true) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n <= 0) {
-            break;
-        }
-        out.append(buf, static_cast<std::size_t>(n));
-    }
-    return out;
-}
-
-/// The last non-empty line that looks like a verdict object.
-std::string last_json_line(const std::string& text) {
-    std::size_t end = text.size();
-    while (end > 0) {
-        std::size_t start = text.rfind('\n', end - 1);
-        start = (start == std::string::npos) ? 0 : start + 1;
-        const std::string line = text.substr(start, end - start);
-        if (!line.empty() && line.front() == '{') {
-            return line;
-        }
-        if (start == 0) {
-            break;
-        }
-        end = start - 1;
-    }
-    return {};
-}
-
-/// One in-flight worker process.
-struct Worker {
-    pid_t pid = -1;
-    int out_fd = -1;
-    std::size_t index = 0;
-};
-
 CellResult make_result(const CellConfig& cell, std::string verdict_json) {
     CellResult result;
     result.cell = cell;
@@ -78,6 +29,183 @@ CellResult make_result(const CellConfig& cell, std::string verdict_json) {
     result.verdict_json = std::move(verdict_json);
     return result;
 }
+
+/// Send the whole buffer; false once the peer is gone. MSG_NOSIGNAL turns a
+/// dead peer into EPIPE instead of a SIGPIPE for the whole process.
+bool send_all(int fd, const void* data, std::size_t size) {
+    const char* bytes = static_cast<const char*>(data);
+    while (size > 0) {
+        const ssize_t n = ::send(fd, bytes, size, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        if (n <= 0) {
+            return false;
+        }
+        bytes += n;
+        size -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/// A forked worker's whole life: answer every cell index the driver sends
+/// with that cell's verdict line, and leave when the driver closes the
+/// socket (exit 0) or anything throws (exit 2, as a worker with a bad cell).
+[[noreturn]] void serve(int fd, const std::vector<CellConfig>& cells) {
+    try {
+        std::size_t index = 0;
+        while (::recv(fd, &index, sizeof index, MSG_WAITALL) ==
+               static_cast<ssize_t>(sizeof index)) {
+            const std::string line = run_cell(cells.at(index)).json() + '\n';
+            if (!send_all(fd, line.data(), line.size())) {
+                break;
+            }
+        }
+    } catch (...) {
+        ::_exit(2);
+    }
+    ::_exit(0);
+}
+
+/// At most `jobs` forked copies of this process, each kept across cells: a
+/// worker takes a cell index over its socket and answers with the verdict
+/// line. A worker that dies mid-cell is reaped, its cell gets the crash (or
+/// worker-error) verdict, and the next cell forks a replacement. The
+/// destructor closes every socket and reaps every worker.
+class WorkerPool {
+public:
+    WorkerPool(const std::vector<CellConfig>& cells, std::size_t jobs)
+        : cells_(cells), slots_(std::min(jobs, cells.size())) {}
+    WorkerPool(const WorkerPool&) = delete;
+    WorkerPool& operator=(const WorkerPool&) = delete;
+
+    ~WorkerPool() {
+        // The closed socket is each worker's EOF: close them all before
+        // reaping any, so the workers exit in parallel.
+        for (const Slot& slot : slots_) {
+            if (slot.fd >= 0) {
+                ::close(slot.fd);
+            }
+        }
+        for (const Slot& slot : slots_) {
+            while (slot.pid > 0 && ::waitpid(slot.pid, nullptr, 0) < 0 && errno == EINTR) {
+            }
+        }
+    }
+
+    /// Run the cells in index order while `in_budget()` holds; returns the
+    /// verdict of every cell that ran, by index.
+    std::map<std::size_t, CellResult> run(const std::function<bool()>& in_budget) {
+        std::map<std::size_t, CellResult> results;
+        std::size_t next = 0;
+        std::vector<pollfd> busy;
+        std::vector<Slot*> owners;
+        while (true) {
+            busy.clear();
+            owners.clear();
+            for (Slot& slot : slots_) {
+                if (slot.cell == kIdle && next < cells_.size() && in_budget()) {
+                    if (slot.pid < 0) {
+                        fork_worker(slot);
+                    }
+                    slot.cell = next++;
+                    // A worker that is already gone shows as EOF below.
+                    (void)send_all(slot.fd, &slot.cell, sizeof slot.cell);
+                }
+                if (slot.cell != kIdle) {
+                    busy.push_back({slot.fd, POLLIN, 0});
+                    owners.push_back(&slot);
+                }
+            }
+            if (busy.empty()) {
+                return results;
+            }
+            if (::poll(busy.data(), busy.size(), -1) < 0) {
+                SA_REQUIRE(errno == EINTR, "cannot poll the campaign workers");
+                continue;
+            }
+            for (std::size_t i = 0; i < busy.size(); ++i) {
+                if (busy[i].revents != 0) {
+                    receive(*owners[i], results);
+                }
+            }
+        }
+    }
+
+private:
+    static constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+
+    struct Slot {
+        pid_t pid = -1;
+        int fd = -1;                ///< the driver's end of the socket
+        std::size_t cell = kIdle;   ///< the cell in flight
+        std::string line;           ///< its verdict so far
+    };
+
+    void fork_worker(Slot& slot) {
+        int pair[2] = {-1, -1};
+        SA_REQUIRE(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) == 0,
+                   "cannot create a worker socket");
+        const pid_t pid = ::fork();
+        if (pid < 0) {
+            ::close(pair[0]);
+            ::close(pair[1]);
+        }
+        SA_REQUIRE(pid >= 0, "cannot fork a campaign worker");
+        if (pid == 0) {
+            // A sibling's driver end kept open here would hold back that
+            // sibling's EOF until this worker exits.
+            for (const Slot& other : slots_) {
+                if (other.fd >= 0) {
+                    ::close(other.fd);
+                }
+            }
+            ::close(pair[0]);
+            serve(pair[1], cells_);
+        }
+        ::close(pair[1]);
+        slot.pid = pid;
+        slot.fd = pair[0];
+    }
+
+    void receive(Slot& slot, std::map<std::size_t, CellResult>& results) {
+        char buffer[4096];
+        const ssize_t n = ::recv(slot.fd, buffer, sizeof buffer, 0);
+        if (n < 0 && errno == EINTR) {
+            return;
+        }
+        if (n > 0) {
+            slot.line.append(buffer, static_cast<std::size_t>(n));
+            // The worker sends one line per index, then waits for the next.
+            if (slot.line.back() == '\n') {
+                slot.line.pop_back();
+                results.emplace(slot.cell, make_result(cells_[slot.cell],
+                                                       std::exchange(slot.line, {})));
+                slot.cell = kIdle;
+            }
+            return;
+        }
+        // EOF before a full line: the worker died with this cell in flight.
+        const std::size_t index = slot.cell;
+        ::close(slot.fd);
+        int status = 0;
+        while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
+        }
+        slot = Slot{};
+        results.emplace(
+            index,
+            make_result(cells_[index],
+                        WIFSIGNALED(status)
+                            ? CellVerdict::crash(WTERMSIG(status)).json()
+                            : CellVerdict::worker_error(
+                                  format("worker exited with status %d and no verdict",
+                                         WEXITSTATUS(status)))
+                                  .json()));
+    }
+
+    const std::vector<CellConfig>& cells_;
+    std::vector<Slot> slots_;
+};
 
 } // namespace
 
@@ -91,11 +219,6 @@ std::string CellResult::signature() const {
 CampaignDriver::CampaignDriver(DriverOptions options)
     : options_(std::move(options)) {
     SA_REQUIRE(options_.jobs >= 1, "the driver needs at least one job slot");
-    if (!options_.worker_exe.empty()) {
-        // A worker that aborts before draining stdin must not take the
-        // driver down with SIGPIPE; write_all() reports the failure instead.
-        std::signal(SIGPIPE, SIG_IGN);
-    }
 }
 
 CellResult CampaignDriver::run_single(const CellConfig& cell) {
@@ -105,46 +228,8 @@ CellResult CampaignDriver::run_single(const CellConfig& cell) {
                    "would take the driver down)");
         return make_result(cell, run_cell(cell).json());
     }
-
-    int in_pipe[2];
-    int out_pipe[2];
-    SA_REQUIRE(::pipe(in_pipe) == 0 && ::pipe(out_pipe) == 0,
-               "cannot create worker pipes");
-    const pid_t pid = ::fork();
-    SA_REQUIRE(pid >= 0, "cannot fork a campaign worker");
-    if (pid == 0) {
-        ::dup2(in_pipe[0], STDIN_FILENO);
-        ::dup2(out_pipe[1], STDOUT_FILENO);
-        ::close(in_pipe[0]);
-        ::close(in_pipe[1]);
-        ::close(out_pipe[0]);
-        ::close(out_pipe[1]);
-        ::execl(options_.worker_exe.c_str(), options_.worker_exe.c_str(),
-                "cell", "-", static_cast<char*>(nullptr));
-        ::_exit(127);
-    }
-    ::close(in_pipe[0]);
-    ::close(out_pipe[1]);
-    (void)write_all(in_pipe[1], cell.str());
-    ::close(in_pipe[1]);
-
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    const std::string output = read_all(out_pipe[0]);
-    ::close(out_pipe[0]);
-
-    if (WIFSIGNALED(status)) {
-        return make_result(cell, CellVerdict::crash(WTERMSIG(status)).json());
-    }
-    const std::string line = last_json_line(output);
-    if (line.empty() || WEXITSTATUS(status) != 0) {
-        return make_result(
-            cell, CellVerdict::worker_error(
-                      format("worker exited with status %d and no verdict",
-                             WEXITSTATUS(status)))
-                      .json());
-    }
-    return make_result(cell, line);
+    const std::vector<CellConfig> one{cell};
+    return WorkerPool(one, 1).run([] { return true; }).at(0);
 }
 
 CorpusEntry CampaignDriver::shrink(const CellResult& failure,
@@ -218,87 +303,14 @@ CampaignReport CampaignDriver::run(const CampaignSpec& spec) {
     report.campaign = spec.name();
     report.cells = cells.size();
     std::map<std::size_t, CellResult> by_index;
-
     if (options_.worker_exe.empty()) {
-        std::size_t index = 0;
-        for (; index < cells.size() && in_budget(); ++index) {
+        for (std::size_t index = 0; index < cells.size() && in_budget(); ++index) {
             by_index.emplace(index, run_single(cells[index]));
         }
-        report.skipped = cells.size() - index;
     } else {
-        std::map<pid_t, Worker> running;
-        std::size_t next = 0;
-        const auto launch = [&](std::size_t index) {
-            int in_pipe[2];
-            int out_pipe[2];
-            SA_REQUIRE(::pipe(in_pipe) == 0 && ::pipe(out_pipe) == 0,
-                       "cannot create worker pipes");
-            const pid_t pid = ::fork();
-            SA_REQUIRE(pid >= 0, "cannot fork a campaign worker");
-            if (pid == 0) {
-                ::dup2(in_pipe[0], STDIN_FILENO);
-                ::dup2(out_pipe[1], STDOUT_FILENO);
-                ::close(in_pipe[0]);
-                ::close(in_pipe[1]);
-                ::close(out_pipe[0]);
-                ::close(out_pipe[1]);
-                for (const auto& [other_pid, other] : running) {
-                    ::close(other.out_fd);
-                }
-                ::execl(options_.worker_exe.c_str(),
-                        options_.worker_exe.c_str(), "cell", "-",
-                        static_cast<char*>(nullptr));
-                ::_exit(127);
-            }
-            ::close(in_pipe[0]);
-            ::close(out_pipe[1]);
-            (void)write_all(in_pipe[1], cells[index].str());
-            ::close(in_pipe[1]);
-            running.emplace(pid, Worker{pid, out_pipe[0], index});
-        };
-
-        while (next < cells.size() || !running.empty()) {
-            while (next < cells.size() && running.size() < options_.jobs &&
-                   in_budget()) {
-                launch(next++);
-            }
-            if (running.empty()) {
-                break; // budget expired with nothing in flight
-            }
-            int status = 0;
-            const pid_t pid = ::waitpid(-1, &status, 0);
-            const auto it = running.find(pid);
-            if (it == running.end()) {
-                continue;
-            }
-            const Worker worker = it->second;
-            running.erase(it);
-            const std::string output = read_all(worker.out_fd);
-            ::close(worker.out_fd);
-            const CellConfig& cell = cells[worker.index];
-            if (WIFSIGNALED(status)) {
-                by_index.emplace(worker.index,
-                                 make_result(cell, CellVerdict::crash(
-                                                       WTERMSIG(status))
-                                                       .json()));
-            } else {
-                const std::string line = last_json_line(output);
-                if (line.empty() || WEXITSTATUS(status) != 0) {
-                    by_index.emplace(
-                        worker.index,
-                        make_result(cell,
-                                    CellVerdict::worker_error(
-                                        format("worker exited with status %d "
-                                               "and no verdict",
-                                               WEXITSTATUS(status)))
-                                        .json()));
-                } else {
-                    by_index.emplace(worker.index, make_result(cell, line));
-                }
-            }
-        }
-        report.skipped = cells.size() - by_index.size();
+        by_index = WorkerPool(cells, options_.jobs).run(in_budget);
     }
+    report.skipped = cells.size() - by_index.size();
 
     // Aggregate in cell-index order: the report is deterministic in the
     // verdicts alone, not in worker completion order.

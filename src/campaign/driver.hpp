@@ -1,10 +1,11 @@
 #pragma once
 // The campaign driver: expands a CampaignSpec, fans the cells across worker
-// processes (fork/exec of the self-invoking sa_campaign CLI — one crashing
-// cell kills its worker, never the driver), aggregates the per-cell verdicts
-// into a schema-stable report, and shrinks every new failure into a minimal
-// corpus reproducer. An in-process mode (worker_exe empty) runs cells on the
-// driver's own thread for tests and replay of non-crash entries.
+// processes (forked copies of the driver, kept across cells — one crashing
+// cell kills its worker, never the driver), aggregates the per-cell
+// verdicts into a schema-stable report, and shrinks every new failure into
+// a minimal corpus reproducer. An in-process mode (worker_exe empty) runs
+// cells on the driver's own thread for tests and replay of non-crash
+// entries.
 
 #include <cstdint>
 #include <string>
@@ -19,8 +20,10 @@ namespace sa::campaign {
 struct DriverOptions {
     /// Concurrent worker processes (in-process mode ignores this).
     std::size_t jobs = 4;
-    /// Worker executable (fork/exec'd as `<worker_exe> cell -`); empty runs
-    /// every cell in-process — which REQUIREs a matrix without Crash cells.
+    /// Non-empty runs cells in forked workers, which are copies of this
+    /// process and never exec: the value is not read ("/proc/self/exe"
+    /// names what the workers are). Empty runs every cell in-process —
+    /// which REQUIREs a matrix without Crash cells.
     std::string worker_exe;
     /// Shrink new failures before recording them (drop matrix axes while
     /// the failure signature persists).
@@ -81,10 +84,12 @@ public:
     explicit CampaignDriver(DriverOptions options);
 
     /// Expand and run the whole matrix. REQUIREs worker-process mode when
-    /// the matrix contains Crash cells.
+    /// the matrix contains Crash cells. In worker-process mode, run() and
+    /// run_single() fork the calling process, so call them while no other
+    /// thread holds a lock; every worker is reaped before they return.
     [[nodiscard]] CampaignReport run(const CampaignSpec& spec);
 
-    /// Run one cell (worker process or in-process per the options) —
+    /// Run one cell (one forked worker or in-process per the options) —
     /// the building block replay and shrink share with run().
     [[nodiscard]] CellResult run_single(const CellConfig& cell);
 

@@ -230,8 +230,11 @@ void FixedPriorityScheduler::complete_running() {
     // one scratch is enough.
     JobRecord& record = record_scratch_;
     record.task = job.task;
-    record.task_name.assign(task_it != tasks_.end() ? task_it->second.config.name
-                                                    : "<removed>");
+    if (task_it != tasks_.end()) {
+        record.task_name.assign(task_it->second.config.name);
+    } else {
+        record.task_name.assign("<removed>");
+    }
     record.release = job.release;
     record.completion = simulator_.now();
     record.response = record.completion - record.release;

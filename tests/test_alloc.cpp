@@ -19,6 +19,7 @@
 #include "can/virtual_controller.hpp"
 #include "mesh/mesh_stack.hpp"
 #include "monitor/manager.hpp"
+#include "rte/scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/alloc_hook.hpp"
@@ -395,6 +396,29 @@ TEST(ZeroAllocPins, VirtualizedCanRoundTripSteadyState) {
         }
     })) << "virtualized CAN round trip allocated in every probe window";
     EXPECT_GE(echoes, 70u);
+}
+
+TEST(ZeroAllocPins, JobCompletionSteadyState) {
+    // A task name past the small-string buffer: copying it into the
+    // completion record allocates unless the reused record keeps capacity.
+    Simulator sim;
+    rte::FixedPriorityScheduler scheduler(sim, "ecu");
+    rte::RtTaskConfig task;
+    task.name = "perception.track_objects";
+    task.priority = 1;
+    task.period = Duration::ms(10);
+    task.wcet = Duration::ms(2);
+    (void)scheduler.add_task(task);
+    std::uint64_t completions = 0;
+    scheduler.job_completed().subscribe(
+        [&completions](const rte::JobRecord&) { ++completions; });
+    scheduler.start();
+    sim.run_for(Duration::ms(100)); // warm: record name, queue buckets
+    const std::uint64_t before = completions;
+    alloc_hook::CountScope scope;
+    sim.run_for(Duration::ms(500));
+    EXPECT_EQ(scope.allocations(), 0u) << "job completion allocated in steady state";
+    EXPECT_EQ(completions - before, 50u);
 }
 
 TEST(ZeroAllocPins, MonitorIngestSteadyState) {

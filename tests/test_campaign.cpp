@@ -2,15 +2,19 @@
 // line-numbered rejections), deterministic matrix expansion, verdict JSON
 // stability, the cross-suite determinism property (same cell, domains 1 vs
 // 2, byte-identical verdicts), corpus-entry round-trips and replay checks,
-// the in-process driver with shrink-to-minimal reproducers, and — when the
-// sa_campaign CLI is built — worker-process isolation of crashing cells.
+// the in-process driver with shrink-to-minimal reproducers, and forked
+// workers: crash isolation, reuse across cells, and no leftover processes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "campaign/campaign_spec.hpp"
 #include "campaign/corpus.hpp"
@@ -530,20 +534,25 @@ TEST(CampaignDriver, RefusesCrashCellsInProcess) {
     EXPECT_THROW((void)driver.run(spec), ContractViolation);
 }
 
-// --- worker-process isolation (needs the sa_campaign CLI) --------------------------
+// --- forked workers ----------------------------------------------------------------
+
+DriverOptions worker_options(std::size_t jobs, bool shrink) {
+    return {.jobs = jobs, .worker_exe = "/proc/self/exe", .shrink = shrink,
+            .budget_seconds = 0, .known_signatures = {}};
+}
+
+/// True when this process has no child, running or unreaped.
+bool no_children() {
+    return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
 
 TEST(CampaignDriver, CrashingCellIsIsolatedInWorkerProcess) {
-#ifndef SA_CAMPAIGN_BIN
-    GTEST_SKIP() << "sa_campaign CLI not built (SA_BUILD_TOOLS=OFF)";
-#else
     CampaignSpec spec("crashy");
     spec.vehicles({2})
         .duration(Duration::ms(150))
         .faults({Fault::None, Fault::Crash})
         .seeds(1, 1);
-    CampaignDriver driver({.jobs = 2, .worker_exe = SA_CAMPAIGN_BIN,
-                           .shrink = true, .budget_seconds = 0,
-                           .known_signatures = {}});
+    CampaignDriver driver(worker_options(2, true));
     const auto report = driver.run(spec);
     EXPECT_EQ(report.executed, 2u);
     EXPECT_EQ(report.ok, 1u);
@@ -557,27 +566,64 @@ TEST(CampaignDriver, CrashingCellIsIsolatedInWorkerProcess) {
     const auto replay = driver.run_single(entry.cell);
     EXPECT_EQ(replay.status, "crash");
     EXPECT_EQ(replay.signal, 6);
-#endif
 }
 
 TEST(CampaignDriver, WorkerAndInProcessVerdictsAgree) {
-#ifndef SA_CAMPAIGN_BIN
-    GTEST_SKIP() << "sa_campaign CLI not built (SA_BUILD_TOOLS=OFF)";
-#else
-    // Process isolation must be invisible for well-behaved cells: the worker
-    // protocol ships the cell text over and the verdict JSON back unchanged.
+    // Process isolation must be invisible for well-behaved cells. Crash
+    // cells sit between 1- and 2-domain cells in matrix order, so a worker
+    // runs several cells back to back and is replaced after every crash.
+    CampaignSpec spec("reuse");
+    spec.vehicles({2})
+        .duration(Duration::ms(150))
+        .weathers({Weather::Clear, Weather::Fog})
+        .faults({Fault::None, Fault::Crash, Fault::Misuse})
+        .domains({1, 2})
+        .seeds(1, 1);
+    CampaignDriver in_process({.jobs = 1, .worker_exe = "", .shrink = false,
+                               .budget_seconds = 0, .known_signatures = {}});
+    for (const std::size_t jobs : {1, 2}) {
+        CampaignDriver forked(worker_options(jobs, false));
+        const auto report = forked.run(spec);
+        EXPECT_TRUE(no_children()) << "run() left a worker behind";
+        ASSERT_EQ(report.results.size(), 12u);
+        for (const CellResult& result : report.results) {
+            if (result.cell.fault == Fault::Crash) {
+                EXPECT_EQ(result.signature(), "crash signal=6") << result.cell.id();
+            } else {
+                EXPECT_EQ(result.verdict_json,
+                          in_process.run_single(result.cell).verdict_json)
+                    << "jobs " << jobs << ": " << result.cell.id();
+            }
+        }
+    }
+
     CellConfig cell;
     cell.vehicles = 2;
     cell.duration = Duration::ms(150);
     cell.weather = Weather::Fog;
-    CampaignDriver in_process({.jobs = 1, .worker_exe = "", .shrink = false,
-                               .budget_seconds = 0, .known_signatures = {}});
-    CampaignDriver forked({.jobs = 1, .worker_exe = SA_CAMPAIGN_BIN,
-                           .shrink = false, .budget_seconds = 0,
-                           .known_signatures = {}});
-    EXPECT_EQ(in_process.run_single(cell).verdict_json,
-              forked.run_single(cell).verdict_json);
-#endif
+    cell.domains = 2;
+    CampaignDriver forked(worker_options(1, false));
+    EXPECT_EQ(forked.run_single(cell).verdict_json,
+              in_process.run_single(cell).verdict_json);
+    EXPECT_TRUE(no_children()) << "run_single() left a worker behind";
+}
+
+TEST(CampaignDriver, LeavesSigpipeDispositionAlone) {
+    // Start from the default, so a driver an earlier test made in this
+    // process cannot hide a change; the original is restored at the end.
+    struct sigaction default_action {};
+    default_action.sa_handler = SIG_DFL;
+    struct sigaction original {};
+    ASSERT_EQ(::sigaction(SIGPIPE, &default_action, &original), 0);
+    CampaignSpec spec("one_cell");
+    spec.vehicles({2}).duration(Duration::ms(150)).seeds(1, 1);
+    CampaignDriver driver(worker_options(1, false));
+    EXPECT_EQ(driver.run(spec).ok, 1u);
+    struct sigaction after {};
+    ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &after), 0);
+    EXPECT_EQ(after.sa_handler, SIG_DFL)
+        << "the driver changed SIGPIPE's disposition for the whole process";
+    ASSERT_EQ(::sigaction(SIGPIPE, &original, nullptr), 0);
 }
 
 // --- campaign lint -----------------------------------------------------------------

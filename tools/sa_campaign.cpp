@@ -1,8 +1,8 @@
 // sa_campaign: the scenario-campaign front end. Expands a campaign matrix
-// file, lints it, fans the cells across worker processes (fork/exec of this
-// same binary, so a crashing cell kills a worker, never the driver), and
-// maintains the failing-seed corpus (fixtures/corpus/) that CI replays as a
-// regression-fuzz suite.
+// file, lints it, fans the cells across worker processes (forked copies of
+// this binary that take cell indices over a socket, so a crashing cell
+// kills a worker, never the driver), and maintains the failing-seed corpus
+// (fixtures/corpus/) that CI replays as a regression-fuzz suite.
 //
 //   usage: sa_campaign <command> [options] ...
 //
@@ -15,16 +15,13 @@
 //         --budget <sec>     wall-clock budget; remaining cells are skipped
 //         --no-shrink        record new failures without axis shrinking
 //         --in-process       run cells on the driver thread (no crash cells)
-//         --worker <exe>     worker executable (default: this binary)
 //         exit 0 = no new failures, 1 = new failures, 2 = usage/lint error
 //     replay <entry.repro | dir>...
 //         re-run every corpus entry bit-for-bit and check its expectations
-//         (--in-process / --worker as above)
+//         (--in-process as above)
 //         exit 0 = all reproduced, 1 = mismatch, 2 = usage error
 //     expand [--count] [--require-at-least <n>] <campaign-file>
 //         print the expanded cell ids (or just the count)
-//     cell <file | ->
-//         worker mode: read one cell block, run it, print the verdict JSON
 //     lint <campaign-file>...
 //         lint only; exit like sa_lint (0/1/2)
 
@@ -39,8 +36,6 @@
 #include "campaign/campaign_spec.hpp"
 #include "campaign/corpus.hpp"
 #include "campaign/driver.hpp"
-#include "campaign/runner.hpp"
-#include "campaign/verdict.hpp"
 #include "lint/campaign_rules.hpp"
 #include "util/lexer.hpp"
 #include "util/string_util.hpp"
@@ -70,13 +65,6 @@ std::string resolve_spec_path(const std::string& base_file,
     }
     return (fs::path(base_file).parent_path() / spec_path).lexically_normal()
         .string();
-}
-
-/// The path of this executable — the default worker the driver fork/execs.
-std::string self_exe() {
-    std::error_code ec;
-    const fs::path self = fs::read_symlink("/proc/self/exe", ec);
-    return ec ? std::string{} : self.string();
 }
 
 bool load_campaign(const std::string& path, sa::campaign::CampaignSpec& spec) {
@@ -113,7 +101,7 @@ std::uint64_t uint_flag(const std::string& flag, const std::string& text) {
 }
 
 int usage() {
-    std::cerr << "usage: sa_campaign run|replay|expand|cell|lint ...\n"
+    std::cerr << "usage: sa_campaign run|replay|expand|lint ...\n"
                  "       (see the header of tools/sa_campaign.cpp)\n";
     return 2;
 }
@@ -173,58 +161,17 @@ int cmd_expand(const std::vector<std::string>& args) {
     return 0;
 }
 
-int cmd_cell(const std::vector<std::string>& args) {
-    if (args.size() != 1) {
-        return usage();
-    }
-    std::string text;
-    if (args[0] == "-") {
-        std::ostringstream buffer;
-        buffer << std::cin.rdbuf();
-        text = buffer.str();
-    } else {
-        bool ok = false;
-        text = read_file(args[0], ok);
-        if (!ok) {
-            std::cerr << "sa_campaign: cannot read " << args[0] << '\n';
-            return 2;
-        }
-    }
-    try {
-        const auto cell = sa::campaign::CellConfig::parse(text);
-        std::cout << sa::campaign::run_cell(cell).json() << '\n';
-        return 0;
-    } catch (const sa::util::ParseError& error) {
-        std::cerr << "sa_campaign: cell line " << error.line() << ": "
-                  << error.what() << '\n';
-        return 2;
-    }
+/// Forked workers are copies of this process; in-process mode has none.
+std::string worker_exe(bool in_process) {
+    return in_process ? std::string{} : std::string{"/proc/self/exe"};
 }
 
-struct WorkerChoice {
-    bool in_process = false;
-    std::string worker_exe;
-
-    /// Resolve the worker executable (empty string = in-process mode).
-    [[nodiscard]] std::string resolve() const {
-        if (in_process) {
-            return {};
-        }
-        if (!worker_exe.empty()) {
-            return worker_exe;
-        }
-        return self_exe();
-    }
-};
-
 int cmd_replay(const std::vector<std::string>& args) {
-    WorkerChoice worker;
+    bool in_process = false;
     std::vector<std::string> paths;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--in-process") {
-            worker.in_process = true;
-        } else if (args[i] == "--worker" && i + 1 < args.size()) {
-            worker.worker_exe = args[++i];
+            in_process = true;
         } else if (!args[i].empty() && args[i].front() == '-') {
             return usage();
         } else {
@@ -253,7 +200,7 @@ int cmd_replay(const std::vector<std::string>& args) {
     }
 
     sa::campaign::DriverOptions options;
-    options.worker_exe = worker.resolve();
+    options.worker_exe = worker_exe(in_process);
     options.shrink = false;
     sa::campaign::CampaignDriver driver(options);
 
@@ -278,7 +225,7 @@ int cmd_replay(const std::vector<std::string>& args) {
 }
 
 int cmd_run(const std::vector<std::string>& args) {
-    WorkerChoice worker;
+    bool in_process = false;
     sa::campaign::DriverOptions options;
     std::string corpus_dir;
     std::string corpus_out;
@@ -299,9 +246,7 @@ int cmd_run(const std::vector<std::string>& args) {
         } else if (arg == "--no-shrink") {
             options.shrink = false;
         } else if (arg == "--in-process") {
-            worker.in_process = true;
-        } else if (arg == "--worker" && i + 1 < args.size()) {
-            worker.worker_exe = args[++i];
+            in_process = true;
         } else if (!arg.empty() && arg.front() == '-') {
             return usage();
         } else {
@@ -333,7 +278,7 @@ int cmd_run(const std::vector<std::string>& args) {
             return 2;
         }
     }
-    options.worker_exe = worker.resolve();
+    options.worker_exe = worker_exe(in_process);
 
     sa::campaign::CampaignDriver driver(options);
     const sa::campaign::CampaignReport report = driver.run(spec);
@@ -377,9 +322,6 @@ int main(int argc, char** argv) {
         }
         if (command == "expand") {
             return cmd_expand(args);
-        }
-        if (command == "cell") {
-            return cmd_cell(args);
         }
         if (command == "lint") {
             return cmd_lint(args);
