@@ -7,10 +7,10 @@
 #include <sstream>
 #include <utility>
 
+#include "can/trace.hpp"
 #include "learn/anomaly_model_monitor.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/trace.hpp"
 #include "skills/acc_graph_factory.hpp"
 #include "skills/capability_registry.hpp"
 #include "skills/skill_graph_spec.hpp"
@@ -124,26 +124,24 @@ skills::SkillGraphSpec load_spec_file(const std::string& path) {
 /// Pair the k-th object-frame TX on the sense bus with the k-th on the act
 /// bus — the store-and-forward gateway preserves order for a single frame
 /// id, so the pairing measures the cross-gateway forwarding latency.
-void collect_latency(const sim::Trace& sense, const sim::Trace& act,
+void collect_latency(const can::CanTrace& sense, const can::CanTrace& act,
                      SampleSet& samples) {
-    const std::string prefix =
-        format("%x [", scenario::presets::kDualBusObjectFrameId);
+    const auto object_tx = [](const can::CanTraceRecord& record) {
+        return record.kind == can::CanTraceKind::Tx && !record.frame.extended &&
+               record.frame.id == scenario::presets::kDualBusObjectFrameId;
+    };
     std::vector<sim::Time> sent;
-    for (const auto& record : sense.records()) {
-        if (record.tag == "can.tx" && record.detail.starts_with(prefix)) {
-            sent.push_back(record.at);
+    for (std::size_t i = 0; i < sense.size(); ++i) {
+        if (object_tx(sense[i])) {
+            sent.push_back(sense[i].at);
         }
     }
     std::size_t k = 0;
-    for (const auto& record : act.records()) {
-        if (record.tag != "can.tx" || !record.detail.starts_with(prefix)) {
-            continue;
+    for (std::size_t i = 0; i < act.size() && k < sent.size(); ++i) {
+        if (object_tx(act[i])) {
+            samples.add(static_cast<double>(act[i].at.ns() - sent[k].ns()));
+            ++k;
         }
-        if (k >= sent.size()) {
-            break;
-        }
-        samples.add(static_cast<double>(record.at.ns() - sent[k].ns()));
-        ++k;
     }
 }
 

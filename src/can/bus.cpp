@@ -40,7 +40,8 @@ void CanBus::attach(CanControllerBase& controller) {
                             [&](const ArbEntry& e) { return e.controller == &controller; }) ==
                    arb_.end(),
                "controller already attached");
-    arb_.push_back(ArbEntry{&controller, std::nullopt, true});
+    arb_.push_back(
+        ArbEntry{&controller, trace_.intern_node(controller.node_name()), std::nullopt, true});
 }
 
 void CanBus::detach(CanControllerBase& controller) {
@@ -112,6 +113,7 @@ void CanBus::try_start_transmission() {
     ++arb_rounds_;
     transmitting_ = true;
     tx_controller_ = winner->controller;
+    tx_node_ = winner->node;
     tx_frame_ = *winner->head;
     tx_controller_->tx_started(tx_frame_);
 
@@ -122,11 +124,7 @@ void CanBus::try_start_transmission() {
     tx_corrupted_ =
         config_.bit_error_rate > 0.0 && simulator_.rng().chance(config_.bit_error_rate);
 
-    // Format straight into the trace's retained storage: no temporary
-    // strings on the per-transmission path.
-    std::string& detail = trace_.append_record(simulator_.now(), "can.arb");
-    detail.append(tx_controller_->node_name()).append(" wins with ");
-    tx_frame_.append_str(detail);
+    trace_.record({simulator_.now(), tx_frame_, tx_node_, CanTraceKind::Arb});
 
     simulator_.schedule(tx_time, [this] { finish_transmission(); });
 }
@@ -139,6 +137,7 @@ void CanBus::finish_transmission() {
     // synchronously, re-entering try_start_transmission and overwriting
     // tx_frame_/tx_corrupted_ while this frame is still being delivered.
     const CanFrame frame = tx_frame_;
+    const std::uint32_t node = tx_node_;
     const bool corrupted = tx_corrupted_;
     // The transmitter may have been destroyed (detaching itself) while its
     // frame was on the wire; only touch it if it is still attached.
@@ -152,13 +151,13 @@ void CanBus::finish_transmission() {
         // Error frame: all nodes discard; the transmitter retries via the
         // next arbitration round.
         ++frames_err_;
-        frame.append_str(trace_.append_record(simulator_.now(), "can.err"));
+        trace_.record({simulator_.now(), frame, node, CanTraceKind::Err});
         if (winner_attached) {
             winner->tx_aborted(frame);
         }
     } else {
         ++frames_tx_;
-        frame.append_str(trace_.append_record(simulator_.now(), "can.tx"));
+        trace_.record({simulator_.now(), frame, node, CanTraceKind::Tx});
         // Completion order: the transmitter is told first (it frees its
         // mailbox), then every controller attached at completion time sees
         // the frame. Deliver from a snapshot so an RX callback that

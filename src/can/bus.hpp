@@ -9,6 +9,9 @@
 // via notify_tx_pending(). Draining a backlog of k frames queued in one
 // idle window therefore costs one full poll pass plus k cheap cache
 // refreshes of the winners — not k full re-scans of every controller.
+//
+// Every frame leaves two typed records in the bus's CanTrace (can/trace.hpp);
+// their text is formatted only when a reader asks for it.
 
 #include <cstdint>
 #include <functional>
@@ -17,8 +20,8 @@
 #include <vector>
 
 #include "can/frame.hpp"
+#include "can/trace.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace sa::can {
 
@@ -101,7 +104,7 @@ public:
     [[nodiscard]] std::uint64_t controller_polls() const noexcept { return polls_; }
     [[nodiscard]] double busy_fraction(Time horizon) const;
 
-    [[nodiscard]] sim::Trace& trace() noexcept { return trace_; }
+    [[nodiscard]] const CanTrace& trace() const noexcept { return trace_; }
     sim::Simulator& simulator() noexcept { return simulator_; }
 
 private:
@@ -109,6 +112,7 @@ private:
     /// would transmit next (refreshed only when stale).
     struct ArbEntry {
         CanControllerBase* controller;
+        std::uint32_t node; ///< the controller's name in the trace
         std::optional<CanFrame> head;
         bool stale = true;
     };
@@ -126,6 +130,7 @@ private:
     // In-flight transmission state; kept in members (one frame is on the
     // wire at a time) so the completion event captures only `this`.
     CanControllerBase* tx_controller_ = nullptr;
+    std::uint32_t tx_node_ = 0;
     CanFrame tx_frame_{};
     bool tx_corrupted_ = false;
     std::uint64_t frames_tx_ = 0;
@@ -137,7 +142,7 @@ private:
     // because transmissions never nest — the next finish is a future event.
     std::vector<CanControllerBase*> rx_scratch_;
     std::uint64_t detach_epoch_ = 0; ///< bumped on detach; guards snapshots
-    sim::Trace trace_;
+    CanTrace trace_;
 };
 
 } // namespace sa::can

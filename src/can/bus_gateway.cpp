@@ -1,17 +1,58 @@
 #include "can/bus_gateway.hpp"
 
+#include <utility>
+
 #include "can/bus.hpp"
 #include "sim/sharded_kernel.hpp"
 #include "util/assert.hpp"
 
 namespace sa::can {
 
+/// A forward event captures a RouteRef and the frame: 24 bytes, the kernel's
+/// inline action budget, so forwarding a frame never touches the heap. The
+/// event checks `alive` before touching the gateway, so destroying a gateway
+/// while its simulator keeps running drops the pending forwards instead of
+/// dereferencing freed controllers. The counts are atomic because the two
+/// ends of a cross-domain route run on different workers: the ingress side
+/// takes a reference, the egress side drops it.
+struct BusGateway::Route {
+    BusGateway* gateway;
+    CanController* egress;
+    std::atomic<std::uint32_t> refs{0};
+    std::atomic<bool> alive{true};
+};
+
+class BusGateway::RouteRef {
+public:
+    explicit RouteRef(Route* route) noexcept : route_(route) {
+        route_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    RouteRef(RouteRef&& other) noexcept : route_(std::exchange(other.route_, nullptr)) {}
+    RouteRef(const RouteRef&) = delete;
+    RouteRef& operator=(const RouteRef&) = delete;
+    RouteRef& operator=(RouteRef&&) = delete;
+    ~RouteRef() {
+        if (route_ != nullptr && route_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            delete route_;
+        }
+    }
+
+    Route* operator->() const noexcept { return route_; }
+
+private:
+    Route* route_;
+};
+
 BusGateway::BusGateway(std::string name, Duration forward_latency)
     : name_(std::move(name)), latency_(forward_latency) {
     SA_REQUIRE(latency_.count_ns() >= 0, "forward latency must be non-negative");
 }
 
-BusGateway::~BusGateway() { alive_->store(false, std::memory_order_relaxed); }
+BusGateway::~BusGateway() {
+    for (const RouteRef& route : routes_) {
+        route->alive.store(false, std::memory_order_relaxed);
+    }
+}
 
 CanController& BusGateway::port(CanBus& bus) {
     auto it = ports_.find(&bus);
@@ -41,22 +82,22 @@ void BusGateway::add_route(CanBus& from, CanBus& to, std::uint32_t id,
                    "latency (it becomes the ingress domain's lookahead)");
         ingress_sim.shard()->declare_lookahead(ingress_sim, latency_);
     }
-    CanController& egress = port(to);
+    auto* route = new Route{this, &port(to)};
+    routes_.emplace_back(route);
     port(from).add_rx_filter(
-        id, mask, [this, &egress, &ingress_sim](const CanFrame& frame, Time) {
+        id, mask, [this, route, &ingress_sim](const CanFrame& frame, Time) {
             forwarded_.fetch_add(1, std::memory_order_relaxed);
             // Store-and-forward: the egress send happens after the gateway's
             // processing latency, from a fresh event (never from inside the
             // ingress bus's RX delivery), on the egress bus's domain when the
-            // route crosses domains. The alive flag guards the event against
-            // the gateway being destroyed mid-flight.
-            sim::post(egress.bus().simulator(), ingress_sim.now() + latency_,
-                      [alive = alive_, this, &egress, frame] {
-                          if (!alive->load(std::memory_order_relaxed)) {
+            // route crosses domains.
+            sim::post(route->egress->bus().simulator(), ingress_sim.now() + latency_,
+                      [ref = RouteRef(route), frame] {
+                          if (!ref->alive.load(std::memory_order_relaxed)) {
                               return;
                           }
-                          if (!egress.send(frame)) {
-                              dropped_.fetch_add(1, std::memory_order_relaxed);
+                          if (!ref->egress->send(frame)) {
+                              ref->gateway->dropped_.fetch_add(1, std::memory_order_relaxed);
                           }
                       });
         });

@@ -63,19 +63,19 @@ public:
     }
 
 private:
+    // One route's egress side, shared by the gateway and every forward in
+    // flight on it; see bus_gateway.cpp.
+    struct Route;
+    class RouteRef;
+
     CanController& port(CanBus& bus);
 
     std::string name_;
     Duration latency_;
     // Stable addresses: forwarding callbacks capture CanController pointers.
     std::map<const CanBus*, std::unique_ptr<CanController>> ports_;
-    // Liveness guard for in-flight forward events: scheduled forwards check
-    // the flag before touching the gateway, so destroying a gateway while
-    // its simulator keeps running simply drops the pending forwards instead
-    // of dereferencing freed controllers. Atomic because the ingress and
-    // egress side of a cross-domain route run on different workers.
-    std::shared_ptr<std::atomic<bool>> alive_ =
-        std::make_shared<std::atomic<bool>>(true);
+    // The gateway's own reference to each route.
+    std::vector<RouteRef> routes_;
     // Relaxed atomics: forwarded_ counts on the ingress worker, dropped_ on
     // the egress worker; order-free sums.
     std::atomic<std::uint64_t> forwarded_{0};

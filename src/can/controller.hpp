@@ -88,7 +88,7 @@ public:
     [[nodiscard]] std::uint64_t rx_count() const noexcept { return rx_count_; }
     [[nodiscard]] std::uint64_t tx_dropped() const noexcept { return tx_dropped_; }
     [[nodiscard]] std::size_t tx_pending() const noexcept { return tx_queue_.size(); }
-    [[nodiscard]] const SampleSet& tx_latency_us() const noexcept { return tx_latency_us_; }
+    [[nodiscard]] const RunningStats& tx_latency_us() const noexcept { return tx_latency_us_; }
 
     /// Seen by the echo benches: loopback of own frames is suppressed.
     void set_receive_own(bool receive_own) noexcept { receive_own_ = receive_own; }
@@ -123,7 +123,7 @@ private:
     std::uint64_t tx_count_ = 0;
     std::uint64_t rx_count_ = 0;
     std::uint64_t tx_dropped_ = 0;
-    SampleSet tx_latency_us_;
+    RunningStats tx_latency_us_; ///< no per-frame storage
 
     // Last completed own transmission, used to suppress self-reception.
     bool last_tx_valid_ = false;

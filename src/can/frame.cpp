@@ -1,5 +1,6 @@
 #include "can/frame.hpp"
 
+#include <array>
 #include <cstdio>
 
 #include "util/assert.hpp"
@@ -39,11 +40,10 @@ bool CanFrame::valid() const noexcept {
     return id <= (extended ? kMaxExtendedId : kMaxStandardId);
 }
 
-void CanFrame::append_str(std::string& out) const {
-    // Hot path (bus tracing): manual formatting, no ostringstream. There is
-    // no validity precondition (it is used to describe bad frames too), so
-    // clamp to the payload that actually exists. Worst case fits easily:
-    // "x" + 8 hex id + " [255]" + 8 * " : ff" = well under 64 bytes.
+std::string CanFrame::str() const {
+    // There is no validity precondition (it is used to describe bad frames
+    // too), so clamp to the payload that actually exists. Worst case fits
+    // easily: "x" + 8 hex id + " [255]" + 8 * " : ff" = well under 64 bytes.
     char buf[64];
     int n = std::snprintf(buf, sizeof buf, "%s%x [%d]", extended ? "x" : "", id, int(dlc));
     const int payload = dlc > 8 ? 8 : int(dlc);
@@ -51,150 +51,123 @@ void CanFrame::append_str(std::string& out) const {
         n += std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n), "%s%x",
                            i ? " " : " : ", int(data[static_cast<std::size_t>(i)]));
     }
-    out.append(buf, static_cast<std::size_t>(n));
-}
-
-std::string CanFrame::str() const {
-    std::string out;
-    append_str(out);
-    return out;
+    return {buf, static_cast<std::size_t>(n)};
 }
 
 namespace {
 
-/// Fixed-capacity bit buffer: the stuffable portion of any classic CAN frame
-/// is at most 118 bits (extended, 8 data bytes), so serialization never
-/// allocates.
-struct BitBuf {
-    std::uint8_t bits[128];
-    int n = 0;
+/// One CRC-15 register step for one bit (ISO 11898-1).
+constexpr std::uint16_t crc15_step(std::uint16_t crc, unsigned bit) noexcept {
+    const unsigned feedback = bit ^ ((crc >> 14) & 1u);
+    crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
+    return feedback != 0 ? static_cast<std::uint16_t>(crc ^ 0x4599) : crc;
+}
 
-    void push(bool b) noexcept { bits[n++] = b ? 1 : 0; }
-    void push_bits(std::uint32_t value, int width) noexcept {
-        for (int i = width - 1; i >= 0; --i) {
-            bits[n++] = static_cast<std::uint8_t>((value >> i) & 1u);
+/// kCrc15[x] is the register after 8 zero-input steps from x << 7, so a
+/// whole byte costs one lookup:
+/// crc' = ((crc << 8) & 0x7FFF) ^ kCrc15[(crc >> 7) ^ byte].
+constexpr std::array<std::uint16_t, 256> kCrc15 = [] {
+    std::array<std::uint16_t, 256> table{};
+    for (unsigned x = 0; x < 256; ++x) {
+        auto crc = static_cast<std::uint16_t>(x << 7);
+        for (int i = 0; i < 8; ++i) {
+            crc = crc15_step(crc, 0);
         }
+        table[x] = crc;
+    }
+    return table;
+}();
+
+/// The stuffing state is the last bit on the wire (stuff bits included) and
+/// its run length 1..4, packed as last * 4 + run - 1. A fifth equal bit
+/// never persists: the transmitter stuffs its complement, a new run of 1.
+constexpr unsigned stuff_step(unsigned state, unsigned bit, int& stuffed) noexcept {
+    if (bit != state >> 2) {
+        return bit << 2;
+    }
+    if ((state & 3u) < 3u) {
+        return state + 1;
+    }
+    ++stuffed;
+    return (bit ^ 1u) << 2;
+}
+
+/// kStuff[state][byte]: the state after the byte's 8 bits (MSB first) in the
+/// low 3 bits, the stuff bits inserted meanwhile (at most 2) above them.
+constexpr std::array<std::array<std::uint8_t, 256>, 8> kStuff = [] {
+    std::array<std::array<std::uint8_t, 256>, 8> table{};
+    for (unsigned start = 0; start < 8; ++start) {
+        for (unsigned byte = 0; byte < 256; ++byte) {
+            unsigned state = start;
+            int stuffed = 0;
+            for (int i = 7; i >= 0; --i) {
+                state = stuff_step(state, (byte >> i) & 1u, stuffed);
+            }
+            table[start][byte] = static_cast<std::uint8_t>(state | (stuffed << 3));
+        }
+    }
+    return table;
+}();
+
+/// The stuffable bits (at most 118), MSB first: whole bytes in `bytes`, the
+/// last `pending` bits in the low bits of `acc`.
+struct PackedBits {
+    std::array<std::uint8_t, 16> bytes{};
+    std::size_t full = 0;
+    std::uint64_t acc = 0;
+    int pending = 0;
+
+    void put(std::uint32_t value, int width) noexcept { // width <= 32
+        acc = (acc << width) | value;
+        pending += width;
+        while (pending >= 8) {
+            pending -= 8;
+            bytes[full++] = static_cast<std::uint8_t>(acc >> pending);
+        }
+    }
+    [[nodiscard]] unsigned pending_bit(int i) const noexcept {
+        return static_cast<unsigned>(acc >> i) & 1u;
     }
 };
 
-/// Serialize SOF, arbitration, control and data fields (everything stuffable
-/// up to — not including — the CRC sequence).
-void serialize_pre_crc(const CanFrame& frame, BitBuf& out) noexcept {
-    out.push(false); // SOF (dominant)
-    if (!frame.extended) {
-        out.push_bits(frame.id, 11);
-        out.push(false); // RTR = dominant (data frame)
-        out.push(false); // IDE = dominant (standard)
-        out.push(false); // r0
-    } else {
-        out.push_bits(frame.id >> 18, 11); // base id
-        out.push(true);                    // SRR = recessive
-        out.push(true);                    // IDE = recessive (extended)
-        out.push_bits(frame.id & 0x3FFFF, 18);
-        out.push(false); // RTR
-        out.push(false); // r1
-        out.push(false); // r0
-    }
-    out.push_bits(frame.dlc, 4);
-    for (int i = 0; i < frame.dlc; ++i) {
-        out.push_bits(frame.data[static_cast<std::size_t>(i)], 8);
-    }
-}
-
-/// CAN CRC-15 step for one bit; shared by both the contiguous-buffer and
-/// std::vector<bool> entry points.
-inline std::uint16_t crc15_step(std::uint16_t crc, bool bit) noexcept {
-    const bool crc_nxt = bit ^ ((crc >> 14) & 1u);
-    crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
-    if (crc_nxt) {
-        crc ^= 0x4599;
-    }
-    return crc;
-}
-
-std::uint16_t crc15_buf(const BitBuf& buf) noexcept {
-    std::uint16_t crc = 0;
-    for (int i = 0; i < buf.n; ++i) {
-        crc = crc15_step(crc, buf.bits[i] != 0);
-    }
-    return crc;
-}
-
-/// Stuff-bit count over any indexable bit sequence (single implementation
-/// shared by the hot stack-buffer path and the std::vector<bool> API).
-/// After 5 consecutive equal bits, a complementary bit is inserted; the
-/// inserted bit participates in subsequent stuffing decisions.
-template <typename GetBit>
-int count_stuff_bits_impl(std::size_t n, GetBit bit_at) {
-    if (n == 0) {
-        return 0;
-    }
-    int stuffed = 0;
-    int run = 1;
-    bool last = bit_at(0);
-    for (std::size_t i = 1; i < n; ++i) {
-        const bool b = bit_at(i);
-        if (b == last) {
-            ++run;
-            if (run == 5) {
-                ++stuffed;
-                // Inserted complement bit resets the run to length 1 of the
-                // complement value; the next real bit compares against it.
-                last = !b;
-                run = 1;
-            }
-        } else {
-            last = b;
-            run = 1;
-        }
-    }
-    return stuffed;
-}
-
-int count_stuff_bits_buf(const std::uint8_t* bits, int n) noexcept {
-    return count_stuff_bits_impl(static_cast<std::size_t>(n),
-                                 [bits](std::size_t i) { return bits[i] != 0; });
-}
-
 } // namespace
 
-std::uint16_t can_crc15(const std::vector<bool>& bits) {
-    std::uint16_t crc = 0;
-    for (bool bit : bits) {
-        crc = crc15_step(crc, bit);
-    }
-    return crc;
-}
-
-std::vector<bool> frame_stuffable_bits(const CanFrame& frame) {
-    SA_REQUIRE(frame.valid(), "invalid CAN frame");
-    BitBuf buf;
-    serialize_pre_crc(frame, buf);
-    const std::uint16_t crc = crc15_buf(buf);
-    buf.push_bits(crc, 15);
-    std::vector<bool> bits;
-    bits.reserve(static_cast<std::size_t>(buf.n));
-    for (int i = 0; i < buf.n; ++i) {
-        bits.push_back(buf.bits[i] != 0);
-    }
-    return bits;
-}
-
-int count_stuff_bits(const std::vector<bool>& bits) {
-    return count_stuff_bits_impl(bits.size(),
-                                 [&bits](std::size_t i) -> bool { return bits[i]; });
-}
-
 std::int64_t frame_exact_bits(const CanFrame& frame) {
-    // Allocation-free: the bus calls this once per transmission, so it runs
-    // on a stack buffer instead of materialising std::vector<bool>s.
     SA_REQUIRE(frame.valid(), "invalid CAN frame");
-    BitBuf buf;
-    serialize_pre_crc(frame, buf);
-    const std::uint16_t crc = crc15_buf(buf);
-    buf.push_bits(crc, 15);
-    const int stuffed = count_stuff_bits_buf(buf.bits, buf.n);
-    return static_cast<std::int64_t>(buf.n) + stuffed + kFrameTrailerBits;
+    PackedBits bits;
+    // The first width counts the dominant (0) SOF bit ahead of the value.
+    // Standard: SOF, id, RTR IDE r0 = 000, DLC. Extended: SOF, base id,
+    // SRR IDE = 11, then id extension, RTR r1 r0 = 000, DLC.
+    if (!frame.extended) {
+        bits.put((frame.id << 7) | frame.dlc, 19);
+    } else {
+        bits.put(((frame.id >> 18) << 2) | 0b11u, 14);
+        bits.put(((frame.id & 0x3FFFF) << 7) | frame.dlc, 25);
+    }
+    for (std::size_t i = 0; i < frame.dlc; ++i) {
+        bits.put(frame.data[i], 8);
+    }
+    std::uint16_t crc = 0;
+    for (std::size_t i = 0; i < bits.full; ++i) {
+        crc = static_cast<std::uint16_t>(((crc << 8) & 0x7FFF) ^
+                                         kCrc15[(crc >> 7) ^ bits.bytes[i]]);
+    }
+    for (int i = bits.pending - 1; i >= 0; --i) {
+        crc = crc15_step(crc, bits.pending_bit(i));
+    }
+    bits.put(crc, 15);
+    // As if a recessive bit preceded SOF, so SOF starts a run of 1.
+    unsigned state = 1u << 2;
+    int stuffed = 0;
+    for (std::size_t i = 0; i < bits.full; ++i) {
+        const std::uint8_t step = kStuff[state][bits.bytes[i]];
+        state = step & 7u;
+        stuffed += step >> 3;
+    }
+    for (int i = bits.pending - 1; i >= 0; --i) {
+        state = stuff_step(state, bits.pending_bit(i), stuffed);
+    }
+    return static_cast<std::int64_t>(8 * bits.full) + bits.pending + stuffed + kFrameTrailerBits;
 }
 
 } // namespace sa::can

@@ -1,9 +1,10 @@
 #pragma once
-// Classic CAN (2.0A/2.0B) data frames with exact on-wire bit counts:
-// we serialize the frame fields (SOF, arbitration, control, data, CRC-15)
-// and apply the CAN bit-stuffing rule to obtain the true transmission
-// length. Tests verify the exact length never exceeds the analytical
-// worst case used by the schedulability analysis (analysis/can_wcrt).
+// Classic CAN (2.0A/2.0B) data frames with exact on-wire bit counts: the
+// frame fields (SOF, arbitration, control, data, CRC-15) are packed into
+// bytes and the CAN bit-stuffing rule is applied to them, giving the true
+// transmission length. Tests check it against a bit-by-bit reference
+// encoder and against the analytical worst case used by the
+// schedulability analysis (analysis/can_wcrt).
 
 #include <array>
 #include <cstdint>
@@ -28,30 +29,20 @@ struct CanFrame {
                          bool extended = false);
 
     [[nodiscard]] bool valid() const noexcept;
+    /// Hex id ("x" prefix when extended), "[dlc]", then the payload bytes
+    /// in hex, e.g. "x1abcdef0 [2] : de 0". Safe on invalid frames.
     [[nodiscard]] std::string str() const;
-    /// Append str() to `out` without a temporary (bus trace hot path:
-    /// formats on the stack, then one append into retained trace storage).
-    void append_str(std::string& out) const;
 
     bool operator==(const CanFrame&) const = default;
 };
 
-/// CAN CRC-15 (polynomial x^15+x^14+x^10+x^8+x^7+x^4+x^3+1 = 0x4599) over a
-/// bit sequence, as specified in ISO 11898-1.
-[[nodiscard]] std::uint16_t can_crc15(const std::vector<bool>& bits);
-
-/// The stuffable portion of the frame as transmitted: SOF, arbitration,
-/// control and data fields plus the CRC sequence (stuffing applies up to and
-/// including the CRC sequence; the CRC delimiter, ACK and EOF are not stuffed).
-[[nodiscard]] std::vector<bool> frame_stuffable_bits(const CanFrame& frame);
-
-/// Number of stuff bits the transmitter inserts for this exact frame.
-[[nodiscard]] int count_stuff_bits(const std::vector<bool>& bits);
-
 /// Exact total number of bits on the wire for this frame, including stuff
 /// bits and the fixed trailer (CRC delimiter, ACK slot + delimiter, EOF) but
-/// excluding inter-frame space. Computed on a stack buffer (no allocation);
-/// the bus calls this once per transmission.
+/// excluding inter-frame space. Stuffing applies from SOF through the CRC
+/// sequence. The bus calls this once per transmission: it packs the fields
+/// into bytes and takes the CRC-15 (polynomial 0x4599, ISO 11898-1) and the
+/// stuff bits a byte per table lookup, with a bitwise tail for the last
+/// bits; no allocation and no per-bit pass over the frame.
 [[nodiscard]] std::int64_t frame_exact_bits(const CanFrame& frame);
 
 /// Fixed trailer + interframe space constants.

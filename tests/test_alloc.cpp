@@ -2,8 +2,9 @@
 // for the kernel hot paths (the arena/pool memory layout). Linking this
 // suite pulls the interposing operator new/delete from alloc_hook.cpp into
 // the binary (static-library pull-in IS the hook); the pins then assert that
-// a warmed simulation schedules/pops events, completes CAN round trips,
-// ingests metrics and fans V2V frames out without touching the heap.
+// a warmed simulation schedules/pops events, completes CAN round trips and
+// gateway forwards, ingests metrics and fans V2V frames out without
+// touching the heap.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "can/bus.hpp"
+#include "can/bus_gateway.hpp"
 #include "can/controller.hpp"
 #include "can/virtual_controller.hpp"
 #include "mesh/mesh_stack.hpp"
@@ -355,12 +357,64 @@ TEST(ZeroAllocPins, NativeCanRoundTripSteadyState) {
     for (int i = 0; i < 40; ++i) {
         round_trip();
     }
-    EXPECT_TRUE(eventually_alloc_free(12, [&] {
-        for (int i = 0; i < 5; ++i) {
-            round_trip();
-        }
-    })) << "native CAN round trip allocated in every probe window";
-    EXPECT_GE(echoes, 40u);
+    alloc_hook::CountScope scope;
+    for (int i = 0; i < 60; ++i) {
+        round_trip();
+    }
+    EXPECT_EQ(scope.allocations(), 0u) << "native CAN round trip allocated in steady state";
+    EXPECT_EQ(echoes, 100u);
+}
+
+TEST(ZeroAllocPins, GatewayForwardSteadyState) {
+    Simulator simulator;
+    can::CanBus ingress(simulator, "ingress", can::CanBusConfig{500'000, 0.0, 64});
+    can::CanBus egress(simulator, "egress", can::CanBusConfig{500'000, 0.0, 64});
+    can::BusGateway gateway("gw");
+    gateway.add_route(ingress, egress, 0x100, 0x7FF);
+    can::CanController sender(ingress, "sender");
+    can::CanController sink(egress, "sink");
+    std::uint64_t received = 0;
+    sink.add_rx_filter(0x100, 0x7FF, [&](const can::CanFrame&, Time) { ++received; });
+    auto forward = [&] {
+        sender.send(can::CanFrame::make(0x100, {1, 2, 3, 4}));
+        simulator.run_for(Duration::ms(1));
+    };
+    // Warm: queues, bucket pool, and both trace rings past their wrap point
+    // (64-record capacity, 2 records per bus per forward).
+    for (int i = 0; i < 50; ++i) {
+        forward();
+    }
+    alloc_hook::CountScope scope;
+    for (int i = 0; i < 100; ++i) {
+        forward();
+    }
+    EXPECT_EQ(scope.allocations(), 0u) << "gateway forward allocated in steady state";
+    EXPECT_EQ(gateway.frames_forwarded(), 150u);
+    EXPECT_EQ(received, 150u);
+}
+
+TEST(ZeroAllocPins, CanTraceFillingAllocatesOnlyToGrow) {
+    // A default-capacity trace (65,536 records) that never fills: once one
+    // frame has warmed the queues, only the ring's doublings (to 16,384
+    // records) may allocate, never a record.
+    Simulator simulator;
+    can::CanBus bus(simulator, "filling");
+    can::CanController sender(bus, "sender");
+    can::CanController sink(bus, "sink");
+    std::uint64_t received = 0;
+    sink.add_rx_filter(0, 0, [&](const can::CanFrame&, Time) { ++received; });
+    auto send = [&] {
+        sender.send(can::CanFrame::make(0x123, {1, 2, 3, 4}));
+        simulator.run_for(Duration::us(500));
+    };
+    send();
+    alloc_hook::CountScope scope;
+    for (int i = 0; i < 4096; ++i) {
+        send();
+    }
+    EXPECT_LE(scope.allocations(), 16u) << "CAN trace allocated per record while filling";
+    EXPECT_EQ(received, 4097u);
+    EXPECT_EQ(bus.trace().size(), 2u * 4097u);
 }
 
 TEST(ZeroAllocPins, VirtualizedCanRoundTripSteadyState) {

@@ -1,7 +1,8 @@
-// Tests for the CAN substrate: exact frame encoding (CRC-15, bit stuffing),
-// bus arbitration, native controllers, and the virtualized controller of
-// Fig. 2 (PF/VF split, isolation, priority preservation, calibrated latency,
-// FPGA resource break-even).
+// Tests for the CAN substrate: exact frame encoding (CRC-15, bit stuffing)
+// against a bit-by-bit reference, the typed bus trace, bus arbitration,
+// native controllers, and the virtualized controller of Fig. 2 (PF/VF
+// split, isolation, priority preservation, calibrated latency, FPGA
+// resource break-even).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "can/controller.hpp"
 #include "can/frame.hpp"
 #include "can/resource_model.hpp"
+#include "can/trace.hpp"
 #include "can/virtual_controller.hpp"
 #include "util/assert.hpp"
 
@@ -19,6 +21,79 @@ using namespace sa;
 using namespace sa::can;
 using sim::Duration;
 using sim::Time;
+
+// --- Bit-by-bit reference encoder ----------------------------------------------
+// The straightforward serialisation that frame_exact_bits' table-driven
+// path is checked against: one bool per bit, CRC-15 and stuffing bit by bit.
+
+void push_bits(std::vector<bool>& bits, std::uint32_t value, int width) {
+    for (int i = width - 1; i >= 0; --i) {
+        bits.push_back(((value >> i) & 1u) != 0);
+    }
+}
+
+/// CAN CRC-15 (polynomial x^15+x^14+x^10+x^8+x^7+x^4+x^3+1 = 0x4599) over a
+/// bit sequence, as specified in ISO 11898-1.
+std::uint16_t can_crc15(const std::vector<bool>& bits) {
+    std::uint16_t crc = 0;
+    for (const bool bit : bits) {
+        const bool feedback = bit != (((crc >> 14) & 1u) != 0);
+        crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
+        if (feedback) {
+            crc ^= 0x4599;
+        }
+    }
+    return crc;
+}
+
+/// SOF, arbitration, control and data fields plus the CRC sequence: the
+/// stuffable part of the frame (the CRC delimiter, ACK and EOF are not).
+std::vector<bool> frame_stuffable_bits(const CanFrame& frame) {
+    std::vector<bool> bits{false}; // SOF (dominant)
+    if (!frame.extended) {
+        push_bits(bits, frame.id, 11);
+        push_bits(bits, 0, 3); // RTR (data frame), IDE (standard), r0
+    } else {
+        push_bits(bits, frame.id >> 18, 11); // base id
+        push_bits(bits, 0b11, 2);            // SRR, IDE (extended): recessive
+        push_bits(bits, frame.id & 0x3FFFF, 18);
+        push_bits(bits, 0, 3); // RTR, r1, r0
+    }
+    push_bits(bits, frame.dlc, 4);
+    for (int i = 0; i < frame.dlc; ++i) {
+        push_bits(bits, frame.data[static_cast<std::size_t>(i)], 8);
+    }
+    push_bits(bits, can_crc15(bits), 15);
+    return bits;
+}
+
+/// Stuff bits the transmitter inserts: after 5 equal bits it sends their
+/// complement, which takes part in the following stuffing decisions.
+int count_stuff_bits(const std::vector<bool>& bits) {
+    if (bits.empty()) {
+        return 0;
+    }
+    int stuffed = 0;
+    int run = 1;
+    bool last = bits[0];
+    for (std::size_t i = 1; i < bits.size(); ++i) {
+        const bool bit = bits[i];
+        if (bit != last) {
+            last = bit;
+            run = 1;
+        } else if (++run == 5) {
+            ++stuffed;
+            last = !bit; // the stuffed complement starts a new run of 1
+            run = 1;
+        }
+    }
+    return stuffed;
+}
+
+std::int64_t reference_exact_bits(const CanFrame& frame) {
+    const std::vector<bool> bits = frame_stuffable_bits(frame);
+    return static_cast<std::int64_t>(bits.size()) + count_stuff_bits(bits) + kFrameTrailerBits;
+}
 
 // --- Frame encoding -----------------------------------------------------------
 
@@ -107,6 +182,119 @@ TEST_P(FrameBoundProperty, ExactNeverExceedsWorstCase) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dlc, FrameBoundProperty, ::testing::Values(0, 1, 4, 8));
+
+TEST(CanFrame, ExactBitsMatchBitwiseReference) {
+    // Seeded random frames for every dlc and both id formats, plus the
+    // payloads and ids at the stuffing extremes.
+    RandomEngine rng(2017);
+    for (std::uint8_t dlc = 0; dlc <= 8; ++dlc) {
+        for (const bool extended : {false, true}) {
+            const std::uint32_t max_id = extended ? kMaxExtendedId : kMaxStandardId;
+            std::vector<CanFrame> frames;
+            for (const std::uint32_t id : {0u, max_id}) {
+                for (const std::uint8_t fill : {0x00, 0xFF, 0xAA}) {
+                    CanFrame frame;
+                    frame.id = id;
+                    frame.extended = extended;
+                    frame.dlc = dlc;
+                    for (std::size_t i = 0; i < frame.data.size(); ++i) {
+                        // 0xAA alternates with 0x55 byte by byte.
+                        frame.data[i] = i % 2 == 1 && fill == 0xAA ? std::uint8_t{0x55} : fill;
+                    }
+                    frames.push_back(frame);
+                }
+            }
+            for (int trial = 0; trial < 2000; ++trial) {
+                CanFrame frame;
+                frame.id = static_cast<std::uint32_t>(rng.uniform_int(0, max_id));
+                frame.extended = extended;
+                frame.dlc = dlc;
+                for (auto& byte : frame.data) {
+                    byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+                }
+                frames.push_back(frame);
+            }
+            for (const CanFrame& frame : frames) {
+                ASSERT_EQ(frame_exact_bits(frame), reference_exact_bits(frame)) << frame.str();
+            }
+        }
+    }
+}
+
+// --- Bus trace -------------------------------------------------------------------
+
+TEST(CanTrace, RecordsAndFilters) {
+    CanTrace trace(100);
+    const std::uint32_t a = trace.intern_node("a");
+    EXPECT_EQ(trace.intern_node("b"), a + 1);
+    EXPECT_EQ(trace.intern_node("a"), a);
+    const auto frame_a = CanFrame::make(0x10, {1});
+    const auto frame_c = CanFrame::make(0x30, {0xab, 0xcd}, true);
+    trace.record({Time(1), frame_a, a, CanTraceKind::Tx});
+    trace.record({Time(2), CanFrame::make(0x20, {}), a, CanTraceKind::Err});
+    trace.record({Time(3), frame_c, a, CanTraceKind::Tx});
+    ASSERT_EQ(trace.size(), 3u);
+    std::vector<CanTraceRecord> tx;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace[i].kind == CanTraceKind::Tx) {
+            tx.push_back(trace[i]);
+        }
+    }
+    ASSERT_EQ(tx.size(), 2u);
+    EXPECT_EQ(tx[1].frame, frame_c);
+    EXPECT_EQ(tx[1].tag(), "can.tx");
+    EXPECT_EQ(trace.detail(tx[1]), "x30 [2] : ab cd");
+    EXPECT_EQ(trace[1].tag(), "can.err");
+}
+
+TEST(CanTrace, BoundedCapacityDropsOldest) {
+    CanTrace trace(2);
+    const auto frame = CanFrame::make(0x1, {});
+    trace.record({Time(1), frame, 0, CanTraceKind::Arb});
+    trace.record({Time(2), frame, 0, CanTraceKind::Tx});
+    trace.record({Time(3), frame, 0, CanTraceKind::Err});
+    EXPECT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace.total_recorded(), 3u);
+    EXPECT_EQ(trace[0].kind, CanTraceKind::Tx);
+    EXPECT_EQ(trace[0].at, Time(2));
+    EXPECT_EQ(trace[1].kind, CanTraceKind::Err);
+}
+
+TEST(CanTrace, FormatsTheBusRecordsOnRead) {
+    // Standard, extended, dlc-0 and corrupted frames on a bus that keeps 8
+    // records. The expected text is what the bus recorded as strings before
+    // its records were typed.
+    sim::Simulator sim;
+    CanBus bus(sim, "can_sense", CanBusConfig{500'000, 0.0, 8});
+    CanController front(bus, "zone_front@can_sense");
+    CanController rear(bus, "zone_rear@can_sense");
+    front.send(CanFrame::make(0x123, {1, 2, 3, 4}));
+    sim.run_for(Duration::ms(1));
+    front.send(CanFrame::make(0x7FF, {}));
+    rear.send(CanFrame::make(0x1ABCDEF0, {0xde, 0xad, 0x00, 0xff, 1, 2, 3, 0x10}, true));
+    sim.run_for(Duration::ms(1));
+    bus.set_bit_error_rate(1.0); // corrupts the frame that wins the idle bus now
+    rear.send(CanFrame::make(0x5, {0xab}));
+    bus.set_bit_error_rate(0.0);
+    sim.run_for(Duration::ms(1));
+
+    const CanTrace& trace = bus.trace();
+    EXPECT_EQ(trace.total_recorded(), 10u);
+    std::string text;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        text += std::to_string(trace[i].at.ns()) + " " + std::string(trace[i].tag()) + " " +
+                trace.detail(trace[i]) + "\n";
+    }
+    EXPECT_EQ(text,
+              "1000000 can.arb zone_front@can_sense wins with 7ff [0]\n"
+              "1100000 can.tx 7ff [0]\n"
+              "1100000 can.arb zone_rear@can_sense wins with x1abcdef0 [8] : de ad 0 ff 1 2 3 10\n"
+              "1380000 can.tx x1abcdef0 [8] : de ad 0 ff 1 2 3 10\n"
+              "2000000 can.arb zone_rear@can_sense wins with 5 [1] : ab\n"
+              "2116000 can.err 5 [1] : ab\n"
+              "2116000 can.arb zone_rear@can_sense wins with 5 [1] : ab\n"
+              "2232000 can.tx 5 [1] : ab\n");
+}
 
 // --- Bus arbitration -------------------------------------------------------------
 

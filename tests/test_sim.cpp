@@ -1,12 +1,11 @@
-// Unit tests for the discrete-event kernel: time, queue, simulator,
-// signals, trace.
+// Unit tests for the discrete-event kernel: time, queue, simulator and
+// signals.
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/assert.hpp"
 
 namespace {
@@ -394,30 +393,6 @@ TEST(Signal, SlotUnsubscribingDuringEmitKeepsItsCaptures) {
     sig.emit();
     EXPECT_EQ(first, 1);
     EXPECT_EQ(second, 0);
-}
-
-// --- Trace -----------------------------------------------------------------------
-
-TEST(Trace, RecordsAndFilters) {
-    Trace trace(100);
-    trace.record(Time(1), "can.tx", "frame a");
-    trace.record(Time(2), "can.err", "frame b");
-    trace.record(Time(3), "can.tx", "frame c");
-    EXPECT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace.count_tag("can.tx"), 2u);
-    const auto tx = trace.with_tag("can.tx");
-    ASSERT_EQ(tx.size(), 2u);
-    EXPECT_EQ(tx[1].detail, "frame c");
-}
-
-TEST(Trace, BoundedCapacityDropsOldest) {
-    Trace trace(2);
-    trace.record(Time(1), "a");
-    trace.record(Time(2), "b");
-    trace.record(Time(3), "c");
-    EXPECT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace.total_recorded(), 3u);
-    EXPECT_EQ(trace.records().front().tag, "b");
 }
 
 } // namespace
