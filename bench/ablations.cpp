@@ -17,7 +17,7 @@
 #include "monitor/budget_monitor.hpp"
 #include "rte/rte.hpp"
 #include "skills/ability_graph.hpp"
-#include "skills/acc_graph_factory.hpp"
+#include "skills/capability_registry.hpp"
 
 using namespace sa;
 using sim::Duration;
@@ -78,12 +78,12 @@ void BM_AggregationStrategy(benchmark::State& state) {
     const auto strategy = static_cast<skills::Aggregation>(state.range(0));
     double root_after_loss = 0.0;
     for (auto _ : state) {
-        skills::AbilityGraph abilities(skills::make_acc_skill_graph());
-        abilities.set_aggregation(skills::acc::kPerceiveTrack, strategy);
+        skills::SkillGraphSpec spec = skills::CapabilityRegistry::builtin().spec("acc");
+        spec.aggregate(skills::acc::kPerceiveTrack, strategy);
         if (strategy == skills::Aggregation::WeightedMean) {
-            abilities.set_dependency_weight(skills::acc::kPerceiveTrack,
-                                            skills::acc::kRadar, 3.0);
+            spec.weight(skills::acc::kPerceiveTrack, skills::acc::kRadar, 3.0);
         }
+        skills::AbilityGraph abilities(spec);
         abilities.set_source_level(skills::acc::kCamera, 0.0); // camera dead
         abilities.propagate();
         root_after_loss = abilities.level(skills::acc::kAccDriving);

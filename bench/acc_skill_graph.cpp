@@ -10,7 +10,8 @@
 #include <benchmark/benchmark.h>
 
 #include "monitor/sensor_quality_monitor.hpp"
-#include "skills/acc_graph_factory.hpp"
+#include "skills/ability_graph.hpp"
+#include "skills/capability_registry.hpp"
 #include "skills/degradation.hpp"
 #include "util/random.hpp"
 #include "util/string_util.hpp"
@@ -25,35 +26,36 @@ namespace {
 
 /// Random layered DAG: `layers` layers of `width` skills, sources at the
 /// bottom, one root on top.
-SkillGraph make_layered_graph(int layers, int width, std::uint64_t seed) {
+SkillGraphSpec make_layered_graph(int layers, int width, std::uint64_t seed) {
     RandomEngine rng(seed);
-    SkillGraph g;
-    g.add_skill("root");
+    SkillGraphSpec g("layered");
+    g.skill("root");
     std::vector<std::string> previous{"root"};
     for (int l = 0; l < layers; ++l) {
         std::vector<std::string> current;
         for (int w = 0; w < width; ++w) {
             const std::string name = format("s_%d_%d", l, w);
-            g.add_skill(name);
+            g.skill(name);
             current.push_back(name);
         }
         for (const auto& parent : previous) {
             // Each parent depends on 2 nodes of the next layer.
+            std::vector<std::string> kids;
             for (int k = 0; k < 2; ++k) {
                 const auto& child = current[rng.index(current.size())];
-                const auto kids = g.children(parent);
                 if (std::find(kids.begin(), kids.end(), child) == kids.end()) {
-                    g.add_dependency(parent, child);
+                    kids.push_back(child);
                 }
             }
+            g.depends(parent, kids);
         }
         previous = current;
     }
     int source_index = 0;
     for (const auto& leaf : previous) {
         const std::string src = format("src_%d", source_index++);
-        g.add_source(src);
-        g.add_dependency(leaf, src);
+        g.source(src);
+        g.depends(leaf, {src});
     }
     return g;
 }
@@ -71,22 +73,22 @@ void BM_Propagate(benchmark::State& state) {
         state.ResumeTiming();
         benchmark::DoNotOptimize(abilities.propagate());
     }
-    state.counters["nodes"] = static_cast<double>(abilities.structure().node_count());
-    state.counters["edges"] = static_cast<double>(abilities.structure().edge_count());
+    state.counters["nodes"] = static_cast<double>(abilities.node_count());
+    state.counters["edges"] = static_cast<double>(abilities.edge_count());
 }
 BENCHMARK(BM_Propagate)->Args({3, 4})->Args({5, 8})->Args({8, 16})->Args({10, 32})
     ->Unit(benchmark::kMicrosecond);
 
 /// The paper's ACC graph: one full degradation + recovery cycle.
 void BM_AccGraphCycle(benchmark::State& state) {
-    AbilityGraph abilities(make_acc_skill_graph());
+    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
     for (auto _ : state) {
         abilities.set_source_level(acc::kCamera, 0.1);
         abilities.propagate();
         abilities.set_source_level(acc::kCamera, 1.0);
         abilities.propagate();
     }
-    state.counters["nodes"] = static_cast<double>(abilities.structure().node_count());
+    state.counters["nodes"] = static_cast<double>(abilities.node_count());
 }
 BENCHMARK(BM_AccGraphCycle)->Unit(benchmark::kMicrosecond);
 
@@ -117,11 +119,12 @@ void BM_FogScenario(benchmark::State& state) {
         scenario.attach_quality_monitor(radar, q_radar);
         scenario.attach_quality_monitor(camera, q_camera);
 
-        AbilityGraph abilities(make_acc_skill_graph());
-        abilities.set_aggregation(acc::kPerceiveTrack, Aggregation::WeightedMean);
-        abilities.set_dependency_weight(acc::kPerceiveTrack, acc::kRadar, 3.0);
-        abilities.set_dependency_weight(acc::kPerceiveTrack, acc::kCamera, 1.0);
-        abilities.set_dependency_weight(acc::kPerceiveTrack, acc::kLidar, 1.0);
+        SkillGraphSpec fused = CapabilityRegistry::builtin().spec("acc");
+        fused.aggregate(acc::kPerceiveTrack, Aggregation::WeightedMean)
+            .weight(acc::kPerceiveTrack, acc::kRadar, 3.0)
+            .weight(acc::kPerceiveTrack, acc::kCamera, 1.0)
+            .weight(acc::kPerceiveTrack, acc::kLidar, 1.0);
+        AbilityGraph abilities(fused);
         abilities.set_source_level(acc::kLidar, 0.0); // not fitted
         abilities.bind_source(acc::kRadar, q_radar);
         abilities.bind_source(acc::kCamera, q_camera);

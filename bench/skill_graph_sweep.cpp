@@ -29,12 +29,12 @@ namespace {
 
 void BM_SpecPropagate(benchmark::State& state, const char* spec_name) {
     const auto& registry = CapabilityRegistry::builtin();
-    AbilityGraph abilities = registry.instantiate_abilities(spec_name);
+    AbilityGraph abilities(registry.spec(spec_name));
     // Toggle the first source between two levels so every propagate does
     // real work (no memoized fixpoint).
     std::string source;
-    for (const auto& node : abilities.structure().node_names()) {
-        if (abilities.structure().node(node).kind == SkillNodeKind::DataSource) {
+    for (const auto& node : abilities.node_names()) {
+        if (abilities.kind(node) == SkillNodeKind::DataSource) {
             source = node;
             break;
         }
@@ -45,8 +45,8 @@ void BM_SpecPropagate(benchmark::State& state, const char* spec_name) {
         level = 1.25 - level; // 0.25 <-> 1.0
         benchmark::DoNotOptimize(abilities.propagate());
     }
-    state.counters["nodes"] = static_cast<double>(abilities.structure().node_count());
-    state.counters["edges"] = static_cast<double>(abilities.structure().edge_count());
+    state.counters["nodes"] = static_cast<double>(abilities.node_count());
+    state.counters["edges"] = static_cast<double>(abilities.edge_count());
 }
 BENCHMARK_CAPTURE(BM_SpecPropagate, acc, "acc")->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_SpecPropagate, lane_keep, "lane_keep")
@@ -59,8 +59,8 @@ BENCHMARK_CAPTURE(BM_SpecPropagate, platoon_follow, "platoon_follow")
 void BM_SpecParseInstantiate(benchmark::State& state) {
     const std::string text = CapabilityRegistry::builtin().spec("acc").str();
     for (auto _ : state) {
-        auto spec = SkillGraphSpec::parse(text);
-        benchmark::DoNotOptimize(spec.instantiate_abilities());
+        const AbilityGraph abilities(SkillGraphSpec::parse(text));
+        benchmark::DoNotOptimize(abilities.node_count());
     }
     state.counters["text_bytes"] = static_cast<double>(text.size());
 }

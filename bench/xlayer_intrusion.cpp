@@ -23,7 +23,7 @@
 #include "monitor/manager.hpp"
 #include "monitor/rate_monitor.hpp"
 #include "rte/fault_injection.hpp"
-#include "skills/acc_graph_factory.hpp"
+#include "skills/capability_registry.hpp"
 #include "skills/degradation.hpp"
 #include "vehicle/acc_controller.hpp"
 #include "vehicle/brake_by_wire.hpp"
@@ -106,7 +106,7 @@ Outcome run_scenario(bool cross_layer, bool with_redundancy) {
     ids.set_default_bound(400.0);
     ids.start();
 
-    skills::AbilityGraph abilities(skills::make_acc_skill_graph());
+    skills::AbilityGraph abilities(skills::CapabilityRegistry::builtin().spec("acc"));
     skills::DegradationManager tactics;
     vehicle::BrakeByWire brakes;
     vehicle::AccController acc;

@@ -33,6 +33,13 @@ int main() {
     mq.expected_period = cfg.control_period;
     mq.nominal_noise_sigma = 0.6;
 
+    // The §IV ACC graph with a fusion-aware perception stack.
+    skills::SkillGraphSpec acc_graph = skills::CapabilityRegistry::builtin().spec("acc");
+    acc_graph.aggregate(skills::acc::kPerceiveTrack, skills::Aggregation::WeightedMean)
+        .weight(skills::acc::kPerceiveTrack, skills::acc::kRadar, 3.0)
+        .weight(skills::acc::kPerceiveTrack, skills::acc::kCamera, 1.0)
+        .weight(skills::acc::kPerceiveTrack, skills::acc::kLidar, 1.0);
+
     builder.vehicle("ego")
         .driving(cfg)
         .sensor({vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002}, mq,
@@ -41,11 +48,7 @@ int main() {
                 skills::acc::kCamera)
         .sensor({vehicle::SensorType::Lidar, "lidar", 120.0, 0.15, 0.003}, mq,
                 skills::acc::kLidar)
-        .acc_skills()
-        .aggregation(skills::acc::kPerceiveTrack, skills::Aggregation::WeightedMean)
-        .dependency_weight(skills::acc::kPerceiveTrack, skills::acc::kRadar, 3.0)
-        .dependency_weight(skills::acc::kPerceiveTrack, skills::acc::kCamera, 1.0)
-        .dependency_weight(skills::acc::kPerceiveTrack, skills::acc::kLidar, 1.0)
+        .skill_graph(acc_graph)
         // Degradation tactics: widen gap first, then clamp speed.
         .tactic("widen_time_gap", skills::acc::kPerceiveTrack, 0.5, 0.85, 1,
                 [](scenario::Vehicle& v) {

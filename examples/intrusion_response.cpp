@@ -86,7 +86,7 @@ std::unique_ptr<scenario::Scenario> make_vehicle(bool with_redundancy) {
         .ecu({"chassis_b", 1.0, 0.75, model::Asil::D, "cabin", "main"})
         .contracts(vehicle_contracts(with_redundancy))
         .rate_ids(Duration::ms(100), /*default_bound=*/400.0)
-        .acc_skills()
+        .skill_graph("acc")
         .full_layer_stack()
         .degradation_policy(policy)
         .ability_update_hook([](scenario::Vehicle& v, const core::Problem& problem) {

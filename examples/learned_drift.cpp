@@ -20,7 +20,7 @@
 
 #include "monitor/anomaly_kinds.hpp"
 #include "scenario/presets.hpp"
-#include "skills/acc_graph_factory.hpp"
+#include "skills/capability_registry.hpp"
 
 using namespace sa;
 using sim::Duration;

@@ -85,7 +85,7 @@ void declare_vehicle(scenario::ScenarioBuilder& builder, const std::string& name
                               can::CanFrame::make(kObjectFrameId, {1, 2, 3, 4}))
         .can_rx_activation("zone_rear", "brake_apply", "can_act", kObjectFrameId, 0x7F0)
         .rate_ids(Duration::ms(100), /*default_bound=*/400.0)
-        .acc_skills()
+        .skill_graph("acc")
         .full_layer_stack()
         .self_model(Duration::ms(500));
 }

@@ -49,7 +49,7 @@ int main() {
         .contracts(kContracts)
         .integration_policy(scenario::IntegrationPolicy::ReportOnly)
         .rate_ids(Duration::ms(100))
-        .acc_skills()
+        .skill_graph("acc")
         .full_layer_stack()
         .self_model(Duration::ms(500));
     auto scenario = builder.build();

@@ -11,7 +11,6 @@
 #include "learn/anomaly_model_monitor.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/scenario.hpp"
-#include "skills/acc_graph_factory.hpp"
 #include "skills/capability_registry.hpp"
 #include "skills/skill_graph_spec.hpp"
 #include "util/assert.hpp"

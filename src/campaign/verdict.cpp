@@ -7,37 +7,6 @@
 namespace sa::campaign {
 namespace {
 
-std::string json_escape(const std::string& text) {
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += format("\\u%04x", static_cast<int>(c));
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 std::string json_unescape(const std::string& text) {
     std::string out;
     out.reserve(text.size());

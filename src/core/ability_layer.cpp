@@ -26,18 +26,9 @@ std::vector<Proposal> AbilityLayer::propose(const Problem& problem) {
     if (plan.empty()) {
         return out;
     }
-    std::size_t below_nominal = 0;
-    const auto snapshot = abilities_.snapshot();
-    for (const auto& [node, level] : snapshot) {
-        if (skills::classify(level, abilities_.thresholds()) !=
-            skills::AbilityLevel::Nominal) {
-            ++below_nominal;
-        }
-    }
     const double scope_base =
-        snapshot.empty() ? 0.3
-                         : 0.2 + 0.5 * static_cast<double>(below_nominal) /
-                                     static_cast<double>(snapshot.size());
+        0.2 + 0.5 * static_cast<double>(abilities_.below_nominal_count()) /
+                  static_cast<double>(abilities_.node_count());
 
     for (const skills::Tactic* t : plan) {
         Proposal p;

@@ -28,7 +28,7 @@ std::string SelfSnapshot::str() const {
 
 void SelfModel::bind_abilities(const skills::AbilityGraph& abilities,
                                std::string root_skill) {
-    SA_REQUIRE(abilities.structure().has_node(root_skill),
+    SA_REQUIRE(abilities.has_node(root_skill),
                "bind_abilities: unknown root skill: " + root_skill);
     abilities_ = &abilities;
     root_skill_ = std::move(root_skill);

@@ -84,7 +84,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
         {"SCN006", Severity::Warning, Layer::Scenario,
          "heartbeat watches a source nothing publishes"},
         {"SCN007", Severity::Warning, Layer::Scenario,
-         "sensor bound to a skill node the vehicle's graph lacks"},
+         "sensor bound to a node that is not a data source or sink of the "
+         "vehicle's graph"},
         // --- mesh (scenario-layer V2V topology) -----------------------------
         {"MSH001", Severity::Error, Layer::Scenario,
          "V2V endpoint unreachable under the declared radio ranges"},
@@ -184,27 +185,6 @@ std::string LintReport::json() const {
             json_escape(finding.message).c_str());
     }
     out += "]}";
-    return out;
-}
-
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += format("\\u%04x", static_cast<unsigned>(c));
-            } else {
-                out += c;
-            }
-        }
-    }
     return out;
 }
 

@@ -106,7 +106,4 @@ private:
     std::vector<Finding> findings_;
 };
 
-/// Escape `text` for embedding in a JSON string literal (no quotes added).
-[[nodiscard]] std::string json_escape(std::string_view text);
-
 } // namespace sa::lint

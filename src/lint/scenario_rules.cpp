@@ -218,10 +218,10 @@ void lint_vehicle_into(const VehicleShape& vehicle,
         }
     }
 
-    // SCN007: sensor-to-skill bindings must hit a node of the configured
-    // graph (the ability layer silently ignores unknown nodes).
-    const std::set<std::string> nodes{vehicle.skill_nodes.begin(),
-                                      vehicle.skill_nodes.end()};
+    // SCN007: sensor-to-skill bindings must hit a data source or sink of
+    // the configured graph (build() rejects any other binding).
+    const std::set<std::string> nodes{vehicle.bindable_nodes.begin(),
+                                      vehicle.bindable_nodes.end()};
     for (const auto& [sensor, node] : vehicle.sensor_skill_bindings) {
         if (node.empty()) {
             continue;
@@ -236,7 +236,9 @@ void lint_vehicle_into(const VehicleShape& vehicle,
             report.add("SCN007",
                        format("vehicle %s / sensor %s", vehicle.name.c_str(),
                               sensor.c_str()),
-                       "bound to unknown skill node '" + node + "'");
+                       "bound to '" + node +
+                           "', which is not a data source or sink of the "
+                           "vehicle's skill graph");
         }
     }
 }

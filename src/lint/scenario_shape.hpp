@@ -62,7 +62,9 @@ struct VehicleShape {
     std::vector<MonitorRefShape> ecu_monitors;
     std::vector<std::string> heartbeat_watches;
     bool has_skill_graph = false;
-    std::vector<std::string> skill_nodes;
+    /// The skill graph's data sources and sinks: the nodes a sensor's
+    /// quality can feed.
+    std::vector<std::string> bindable_nodes;
     /// (sensor name, bound skill node) for sensors with a non-empty binding.
     std::vector<std::pair<std::string, std::string>> sensor_skill_bindings;
     std::vector<LearnedMonitorShape> learned_monitors;

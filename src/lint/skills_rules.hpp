@@ -1,7 +1,7 @@
 #pragma once
 // Skills-layer lint rules (SKL001-SKL007): structural checks on
 // SkillGraphSpec declarations, capability-catalogue conformance and alarm
-// bindings. Unlike SkillGraph::validate() / CapabilityRegistry registration
+// bindings. Unlike AbilityGraph(spec) / CapabilityRegistry registration
 // (which throw on the *first* defect), these report every finding so a spec
 // author fixes one pass, not one error per compile.
 

@@ -1,7 +1,7 @@
 #include "scenario/presets.hpp"
 
 #include "monitor/anomaly_kinds.hpp"
-#include "skills/acc_graph_factory.hpp"
+#include "skills/capability_registry.hpp"
 #include "util/assert.hpp"
 
 namespace sa::scenario::presets {
@@ -55,7 +55,7 @@ void declare_dual_bus_platoon_vehicle(ScenarioBuilder& builder,
         .can_rx_activation("zone_rear", "brake_apply", "can_act",
                            kDualBusObjectFrameId, 0x7F0)
         .rate_ids(sim::Duration::ms(100), 400.0)
-        .acc_skills()
+        .skill_graph("acc")
         .full_layer_stack()
         .self_model(sim::Duration::ms(500));
 }
@@ -126,7 +126,7 @@ void declare_drift_demo(ScenarioBuilder& builder, const DriftDemoConfig& config)
     camera_quality.nominal_noise_sigma = camera.noise_sigma_m;
     ego.sensor(camera, camera_quality);
 
-    ego.acc_skills();
+    ego.skill_graph("acc");
 
     // The only route from "the joint state looks wrong" to the ability
     // graph: cap the radar capability's accuracy when the learned monitor

@@ -118,7 +118,7 @@ void Scenario::run_maneuver_check() {
             return false;
         }
         Vehicle& v = vehicle(name);
-        if (!v.has_abilities() || !v.abilities().structure().has_node(follow)) {
+        if (!v.has_abilities() || !v.abilities().has_node(follow)) {
             return false;
         }
         level = v.abilities().level(follow);

@@ -161,26 +161,16 @@ std::vector<std::string> VehicleBuilder::resolved_learned_metrics(
     for (const auto& spec : sensors_) {
         names.push_back("sensor." + spec.config.name);
     }
-    if (!root_skill_.empty()) {
-        names.push_back("skill." + root_skill_);
+    if (skill_spec_.has_value()) {
+        names.push_back("skill." + skill_spec_->root_skill());
     }
     return names;
-}
-
-VehicleBuilder& VehicleBuilder::skill_graph(skills::SkillGraph graph,
-                                            std::string root_skill) {
-    skill_graph_ = std::move(graph);
-    skill_spec_.reset();
-    root_skill_ = std::move(root_skill);
-    return *this;
 }
 
 VehicleBuilder& VehicleBuilder::skill_graph(skills::SkillGraphSpec spec) {
     SA_REQUIRE(!spec.root_skill().empty(),
                "skill_graph(spec): spec '" + spec.name() + "' declares no root");
-    root_skill_ = spec.root_skill();
     skill_spec_ = std::move(spec);
-    skill_graph_.reset();
     return *this;
 }
 
@@ -191,22 +181,6 @@ VehicleBuilder& VehicleBuilder::skill_graph(const std::string& registry_spec_nam
 
 VehicleBuilder& VehicleBuilder::degradation_policy(skills::DegradationPolicy policy) {
     degradation_policy_ = std::move(policy);
-    return *this;
-}
-
-VehicleBuilder& VehicleBuilder::acc_skills(skills::AccGraphOptions options) {
-    return skill_graph(skills::make_acc_skill_graph(options), skills::acc::kAccDriving);
-}
-
-VehicleBuilder& VehicleBuilder::aggregation(std::string skill,
-                                            skills::Aggregation aggregation) {
-    aggregations_.push_back(AggregationSpec{std::move(skill), aggregation});
-    return *this;
-}
-
-VehicleBuilder& VehicleBuilder::dependency_weight(std::string skill, std::string child,
-                                                  double weight) {
-    weights_.push_back(WeightSpec{std::move(skill), std::move(child), weight});
     return *this;
 }
 
@@ -385,10 +359,11 @@ void VehicleBuilder::describe(lint::VehicleShape& shape) const {
     }
     if (skill_spec_.has_value()) {
         shape.has_skill_graph = true;
-        shape.skill_nodes = skill_spec_->node_names();
-    } else if (skill_graph_.has_value()) {
-        shape.has_skill_graph = true;
-        shape.skill_nodes = skill_graph_->node_names();
+        for (const auto& node : skill_spec_->nodes()) {
+            if (node.kind != skills::SkillNodeKind::Skill) {
+                shape.bindable_nodes.push_back(node.name);
+            }
+        }
     }
     // Parse failures surface as TXT001 via ScenarioBuilder::lint(); here
     // they only mean the component list stays unknown.
@@ -582,23 +557,11 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         SA_REQUIRE(sensors_.empty(), "sensor() requires driving() to be declared");
     }
 
-    // 5. Ability graph: from the declarative spec (aggregations/weights of
-    //    the spec applied first) or a raw SkillGraph; builder-level
-    //    aggregation()/dependency_weight() declarations refine either.
+    // 5. Ability graph, instantiated from the spec; sensors bound to a data
+    //    source or sink feed their quality into it.
     if (skill_spec_.has_value()) {
-        v.abilities_ = std::make_unique<skills::AbilityGraph>(
-            skill_spec_->instantiate_abilities());
-    } else if (skill_graph_.has_value()) {
-        v.abilities_ = std::make_unique<skills::AbilityGraph>(*skill_graph_);
-    }
-    if (v.abilities_ != nullptr) {
-        v.root_skill_ = root_skill_;
-        for (const auto& spec : aggregations_) {
-            v.abilities_->set_aggregation(spec.skill, spec.aggregation);
-        }
-        for (const auto& spec : weights_) {
-            v.abilities_->set_dependency_weight(spec.skill, spec.child, spec.weight);
-        }
+        v.abilities_ = std::make_unique<skills::AbilityGraph>(*skill_spec_);
+        v.root_skill_ = skill_spec_->root_skill();
         for (const auto& spec : sensors_) {
             if (!spec.skill_node.empty()) {
                 v.abilities_->bind_source(spec.skill_node,
@@ -696,8 +659,7 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
             } else if (metric.starts_with("skill.")) {
                 const std::string node = metric.substr(6);
                 feeds->push_back({feed_id(metric), [node](Vehicle& veh) -> std::optional<double> {
-                    if (veh.abilities_ == nullptr ||
-                        !veh.abilities_->structure().has_node(node)) {
+                    if (veh.abilities_ == nullptr || !veh.abilities_->has_node(node)) {
                         return std::nullopt;
                     }
                     return veh.abilities_->level(node);
@@ -737,7 +699,7 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         case core::LayerId::Ability: {
             SA_REQUIRE(v.abilities_ != nullptr, "ability layer requires a skill graph");
             auto layer = std::make_unique<core::AbilityLayer>(*v.abilities_, v.tactics_,
-                                                              root_skill_);
+                                                              v.root_skill_);
             if (update_hook_ || v.policy_ != nullptr) {
                 // The degradation policy runs first: coordinator-internal
                 // follow-up problems (containment consequences) that never
@@ -776,8 +738,8 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
     //    self-representation).
     if (self_model_period_.has_value()) {
         v.self_ = std::make_unique<core::SelfModel>(simulator, *v.coordinator_);
-        if (v.abilities_ != nullptr && !root_skill_.empty()) {
-            v.self_->bind_abilities(*v.abilities_, root_skill_);
+        if (v.abilities_ != nullptr) {
+            v.self_->bind_abilities(*v.abilities_, v.root_skill_);
         }
         v.self_->start(*self_model_period_);
     }

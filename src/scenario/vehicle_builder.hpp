@@ -18,7 +18,6 @@
 #include "lint/scenario_shape.hpp"
 #include "monitor/budget_monitor.hpp"
 #include "scenario/scenario.hpp"
-#include "skills/acc_graph_factory.hpp"
 #include "skills/capability_registry.hpp"
 #include "skills/degradation_policy.hpp"
 #include "skills/skill_graph_spec.hpp"
@@ -141,28 +140,22 @@ public:
     resolved_learned_metrics(const learn::LearnedMonitorConfig& config) const;
 
     // --- skills / degradation ----------------------------------------------
-    VehicleBuilder& skill_graph(skills::SkillGraph graph, std::string root_skill);
-    /// Declarative form: instantiate `spec` at build time (its aggregation
-    /// choices and dependency weights are applied before any aggregation()/
-    /// dependency_weight() declared on this builder). The root skill comes
-    /// from the spec, which must declare one.
+    /// Instantiate `spec` (with its aggregation choices and dependency
+    /// weights) at build time. The root skill comes from the spec, which
+    /// must declare one. A later call replaces an earlier one.
     VehicleBuilder& skill_graph(skills::SkillGraphSpec spec);
     /// Instantiate a spec registered in `registry` by name (the builtin
-    /// catalogue by default): `skill_graph("platoon_follow")`.
+    /// catalogue by default): `skill_graph("acc")` is the paper's §IV ACC
+    /// graph, `skill_graph("platoon_follow")` the platoon maneuver.
     VehicleBuilder& skill_graph(const std::string& registry_spec_name,
                                 const skills::CapabilityRegistry& registry =
                                     skills::CapabilityRegistry::builtin());
-    /// The paper's §IV ACC skill graph with root acc_driving.
-    VehicleBuilder& acc_skills(skills::AccGraphOptions options = {});
     /// Route every monitor alarm of this vehicle through `policy` into the
     /// ability graph (capability-quality downgrades via the registry's alarm
     /// bindings plus the policy's own rules) — the unified degradation flow
     /// consumed by the coordinator's ability layer and the self-model.
     /// Requires a skill graph.
     VehicleBuilder& degradation_policy(skills::DegradationPolicy policy);
-    VehicleBuilder& aggregation(std::string skill, skills::Aggregation aggregation);
-    VehicleBuilder& dependency_weight(std::string skill, std::string child,
-                                      double weight);
     /// A degradation tactic whose action receives the built vehicle.
     using VehicleTactic = std::function<void(Vehicle&)>;
     VehicleBuilder& tactic(std::string name, std::string target_skill,
@@ -209,8 +202,8 @@ public:
     // --- closed-loop driving ------------------------------------------------
     VehicleBuilder& driving(vehicle::ScenarioConfig config);
     /// Range sensor on the driving loop; with a quality config a
-    /// SensorQualityMonitor is attached (and bound to `skill_node` in the
-    /// ability graph when non-empty).
+    /// SensorQualityMonitor is attached (and bound to `skill_node`, a data
+    /// source or sink of the skill graph, when non-empty).
     VehicleBuilder& sensor(vehicle::SensorConfig sensor);
     VehicleBuilder& sensor(vehicle::SensorConfig sensor,
                            monitor::SensorQualityConfig quality,
@@ -323,15 +316,6 @@ private:
         std::optional<monitor::SensorQualityConfig> quality;
         std::string skill_node;
     };
-    struct AggregationSpec {
-        std::string skill;
-        skills::Aggregation aggregation;
-    };
-    struct WeightSpec {
-        std::string skill;
-        std::string child;
-        double weight;
-    };
 
     void build_monitors(Vehicle& vehicle) const;
     void require_unique_sensor(const std::string& name) const;
@@ -349,12 +333,8 @@ private:
     std::vector<CanTxSpec> can_tx_;
     std::vector<CanRxSpec> can_rx_;
     std::vector<MonitorDecl> monitor_decls_;
-    std::optional<skills::SkillGraph> skill_graph_;
     std::optional<skills::SkillGraphSpec> skill_spec_;
     std::optional<skills::DegradationPolicy> degradation_policy_;
-    std::string root_skill_;
-    std::vector<AggregationSpec> aggregations_;
-    std::vector<WeightSpec> weights_;
     std::vector<TacticSpec> tactics_;
     std::optional<sim::Duration> tactic_plan_period_;
     std::vector<core::LayerId> layers_;

@@ -1,6 +1,8 @@
 #include "skills/ability_graph.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "util/assert.hpp"
 
@@ -29,99 +31,189 @@ AbilityLevel classify(double level, const AbilityThresholds& thresholds) {
     return AbilityLevel::Unavailable;
 }
 
-AbilityGraph::AbilityGraph(SkillGraph structure, AbilityThresholds thresholds)
-    : structure_(std::move(structure)), thresholds_(thresholds) {
-    structure_.validate();
-    topo_ = structure_.topological_order();
-    for (const auto& name : topo_) {
-        level_[name] = 1.0;
-        if (structure_.node(name).kind == SkillNodeKind::Skill) {
-            intrinsic_[name] = 1.0;
-            aggregation_[name] = Aggregation::Min;
+AbilityGraph::AbilityGraph(const SkillGraphSpec& spec, AbilityThresholds thresholds)
+    : thresholds_(thresholds) {
+    // Ids follow name order, so Kahn's "smallest ready name" below is the
+    // smallest ready id. The spec already rejects duplicate node names.
+    std::vector<const SkillGraphSpec::NodeDecl*> decls;
+    for (const auto& decl : spec.nodes()) {
+        decls.push_back(&decl);
+    }
+    std::sort(decls.begin(), decls.end(),
+              [](const auto* a, const auto* b) { return a->name < b->name; });
+    for (const auto* decl : decls) {
+        ids_.emplace(decl->name, static_cast<NodeId>(nodes_.size()));
+        Node& node = nodes_.emplace_back();
+        node.name = decl->name;
+        node.kind = decl->kind;
+    }
+
+    std::vector<std::vector<NodeId>> parents(nodes_.size());
+    std::size_t max_children = 0;
+    for (const auto& edge : spec.edges()) {
+        const NodeId parent = id(edge.parent);
+        const NodeId child = id(edge.child);
+        Node& node = nodes_[parent];
+        SA_REQUIRE(node.kind == SkillNodeKind::Skill,
+                   "only skills can have dependencies: " + edge.parent);
+        SA_REQUIRE(std::find(node.children.begin(), node.children.end(), child) ==
+                       node.children.end(),
+                   "duplicate dependency: " + edge.parent + " -> " + edge.child);
+        node.children.push_back(child);
+        node.weights.push_back(1.0);
+        parents[child].push_back(parent);
+        max_children = std::max(max_children, node.children.size());
+    }
+    edge_count_ = spec.edges().size();
+    inputs_.reserve(max_children);
+
+    // The structural rules of [22]: paths end at sources/sinks, not at
+    // skills; a main skill exists; the graph is acyclic.
+    auto is_root = [&](NodeId i) {
+        return nodes_[i].kind == SkillNodeKind::Skill && parents[i].empty();
+    };
+    bool has_root = false;
+    for (NodeId i = 0; i < nodes_.size(); ++i) {
+        if (nodes_[i].kind == SkillNodeKind::Skill && nodes_[i].children.empty()) {
+            throw SkillGraphError("skill has no dependencies (dangling path): " +
+                                  nodes_[i].name);
         }
+        has_root = has_root || is_root(i);
+    }
+    if (!has_root) {
+        throw SkillGraphError("graph has no root (main) skill");
+    }
+    // Kahn's algorithm over the child -> parent direction: children first.
+    std::vector<std::size_t> pending(nodes_.size());
+    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ready;
+    for (NodeId i = 0; i < nodes_.size(); ++i) {
+        pending[i] = nodes_[i].children.size();
+        if (pending[i] == 0) {
+            ready.push(i);
+        }
+    }
+    while (!ready.empty()) {
+        const NodeId next = ready.top();
+        ready.pop();
+        topo_.push_back(next);
+        for (const NodeId parent : parents[next]) {
+            if (--pending[parent] == 0) {
+                ready.push(parent);
+            }
+        }
+    }
+    if (topo_.size() != nodes_.size()) {
+        throw SkillGraphError("graph contains a cycle");
+    }
+
+    const std::string& root = spec.root_skill();
+    SA_REQUIRE(root.empty() || (has_node(root) && is_root(id(root))),
+               "spec '" + spec.name() + "': declared root '" + root +
+                   "' is not a root skill of the instantiated graph");
+    for (const auto& agg : spec.aggregations()) {
+        SA_REQUIRE(has_node(agg.skill) && kind(agg.skill) == SkillNodeKind::Skill,
+                   "aggregation applies to skills: " + agg.skill);
+        nodes_[id(agg.skill)].aggregation = agg.aggregation;
+    }
+    for (const auto& w : spec.weights()) {
+        SA_REQUIRE(w.weight > 0.0, "weights must be positive");
+        Node& node = nodes_[id(w.skill)];
+        const auto it =
+            std::find(node.children.begin(), node.children.end(), id(w.child));
+        SA_REQUIRE(it != node.children.end(),
+                   "no dependency " + w.skill + " -> " + w.child);
+        node.weights[static_cast<std::size_t>(it - node.children.begin())] = w.weight;
     }
 }
 
-void AbilityGraph::set_source_level(const std::string& name, double level) {
-    SA_REQUIRE(structure_.has_node(name), "unknown node: " + name);
-    SA_REQUIRE(structure_.node(name).kind != SkillNodeKind::Skill,
-               "set_source_level is for sources/sinks; use set_intrinsic_level for " + name);
-    SA_REQUIRE(level >= 0.0 && level <= 1.0, "levels must be within [0,1]");
-    level_[name] = level;
-}
-
-void AbilityGraph::set_intrinsic_level(const std::string& skill, double level) {
-    SA_REQUIRE(structure_.has_node(skill), "unknown node: " + skill);
-    SA_REQUIRE(structure_.node(skill).kind == SkillNodeKind::Skill,
-               "set_intrinsic_level is for skills: " + skill);
-    SA_REQUIRE(level >= 0.0 && level <= 1.0, "levels must be within [0,1]");
-    intrinsic_[skill] = level;
-}
-
-double AbilityGraph::intrinsic_level(const std::string& skill) const {
-    auto it = intrinsic_.find(skill);
-    SA_REQUIRE(it != intrinsic_.end(), "not a skill: " + skill);
+AbilityGraph::NodeId AbilityGraph::id(const std::string& name) const {
+    const auto it = ids_.find(name);
+    SA_REQUIRE(it != ids_.end(), "unknown node: " + name);
     return it->second;
 }
 
-void AbilityGraph::set_aggregation(const std::string& skill, Aggregation aggregation) {
-    SA_REQUIRE(structure_.has_node(skill) &&
-                   structure_.node(skill).kind == SkillNodeKind::Skill,
-               "aggregation applies to skills: " + skill);
-    aggregation_[skill] = aggregation;
+bool AbilityGraph::has_node(const std::string& name) const { return ids_.contains(name); }
+
+SkillNodeKind AbilityGraph::kind(const std::string& name) const {
+    return nodes_[id(name)].kind;
 }
 
-void AbilityGraph::set_dependency_weight(const std::string& skill, const std::string& child,
-                                         double weight) {
-    SA_REQUIRE(weight > 0.0, "weights must be positive");
-    const auto kids = structure_.children(skill);
-    SA_REQUIRE(std::find(kids.begin(), kids.end(), child) != kids.end(),
-               "no dependency " + skill + " -> " + child);
-    weights_[{skill, child}] = weight;
+std::vector<std::string> AbilityGraph::node_names() const {
+    std::vector<std::string> out;
+    out.reserve(nodes_.size());
+    for (const Node& node : nodes_) {
+        out.push_back(node.name);
+    }
+    return out;
+}
+
+void AbilityGraph::set_source_level(const std::string& name, double level) {
+    Node& node = nodes_[id(name)];
+    SA_REQUIRE(node.kind != SkillNodeKind::Skill,
+               "set_source_level is for sources/sinks; use set_intrinsic_level for " + name);
+    SA_REQUIRE(level >= 0.0 && level <= 1.0, "levels must be within [0,1]");
+    node.level = level;
+}
+
+void AbilityGraph::set_intrinsic_level(const std::string& skill, double level) {
+    Node& node = nodes_[id(skill)];
+    SA_REQUIRE(node.kind == SkillNodeKind::Skill,
+               "set_intrinsic_level is for skills: " + skill);
+    SA_REQUIRE(level >= 0.0 && level <= 1.0, "levels must be within [0,1]");
+    node.intrinsic = level;
+}
+
+double AbilityGraph::intrinsic_level(const std::string& skill) const {
+    const Node& node = nodes_[id(skill)];
+    SA_REQUIRE(node.kind == SkillNodeKind::Skill, "not a skill: " + skill);
+    return node.intrinsic;
 }
 
 std::size_t AbilityGraph::propagate() {
     std::size_t qualitative_changes = 0;
-    for (const auto& name : topo_) {
-        if (structure_.node(name).kind != SkillNodeKind::Skill) {
+    for (const NodeId i : topo_) {
+        Node& node = nodes_[i];
+        if (node.kind != SkillNodeKind::Skill) {
             continue; // sources/sinks are inputs
         }
-        std::vector<WeightedLevel> inputs;
-        for (const auto& child : structure_.children(name)) {
-            double w = 1.0;
-            if (auto it = weights_.find({name, child}); it != weights_.end()) {
-                w = it->second;
-            }
-            inputs.push_back(WeightedLevel{level_.at(child), w});
+        inputs_.clear();
+        for (std::size_t c = 0; c < node.children.size(); ++c) {
+            inputs_.push_back(
+                WeightedLevel{nodes_[node.children[c]].level, node.weights[c]});
         }
-        const double combined = aggregate(aggregation_.at(name), inputs);
-        const double next = std::min(intrinsic_.at(name), combined);
-        const double prev = level_.at(name);
-        if (classify(prev, thresholds_) != classify(next, thresholds_)) {
+        const double next =
+            std::min(node.intrinsic, aggregate(node.aggregation, inputs_));
+        const AbilityLevel before = classify(node.level, thresholds_);
+        const AbilityLevel after = classify(next, thresholds_);
+        if (before != after) {
             ++qualitative_changes;
-            level_changed_.emit(name, classify(prev, thresholds_),
-                                classify(next, thresholds_));
+            level_changed_.emit(node.name, before, after);
         }
-        level_[name] = next;
+        node.level = next;
     }
     return qualitative_changes;
 }
 
 double AbilityGraph::level(const std::string& name) const {
-    auto it = level_.find(name);
-    SA_REQUIRE(it != level_.end(), "unknown node: " + name);
-    return it->second;
+    return nodes_[id(name)].level;
 }
 
 AbilityLevel AbilityGraph::ability(const std::string& name) const {
     return classify(level(name), thresholds_);
 }
 
-std::map<std::string, double> AbilityGraph::snapshot() const { return level_; }
+std::size_t AbilityGraph::below_nominal_count() const {
+    std::size_t below = 0;
+    for (const Node& node : nodes_) {
+        below += classify(node.level, thresholds_) != AbilityLevel::Nominal ? 1 : 0;
+    }
+    return below;
+}
 
 void AbilityGraph::bind_source(const std::string& source,
                                monitor::SensorQualityMonitor& monitor) {
-    SA_REQUIRE(structure_.has_node(source), "unknown node: " + source);
+    SA_REQUIRE(kind(source) != SkillNodeKind::Skill,
+               "bind_source feeds a data source or sink, not skill " + source);
     monitor.quality_updated().subscribe([this, source](double quality) {
         set_source_level(source, std::clamp(quality, 0.0, 1.0));
         propagate();

@@ -10,14 +10,20 @@
 // levels from monitors (sensor quality, actuator health); skills combine an
 // intrinsic level (own performance, e.g. control quality) with an
 // aggregation of their dependencies. propagate() recomputes bottom-up.
+//
+// The constructor is the only way to instantiate a SkillGraphSpec. It
+// validates the spec and assigns every node a dense id once; after that only
+// levels change, and propagate() walks ids without name lookups.
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "monitor/sensor_quality_monitor.hpp"
 #include "sim/signal.hpp"
 #include "skills/aggregation.hpp"
-#include "skills/skill_graph.hpp"
+#include "skills/skill_graph_spec.hpp"
 
 namespace sa::skills {
 
@@ -36,9 +42,24 @@ AbilityLevel classify(double level, const AbilityThresholds& thresholds = {});
 
 class AbilityGraph {
 public:
-    explicit AbilityGraph(SkillGraph structure, AbilityThresholds thresholds = {});
+    /// Instantiate `spec` with its aggregations and dependency weights.
+    /// Throws ContractViolation on an unknown node, a dependency of a source
+    /// or sink, a duplicate edge, a declared root that is not a root skill,
+    /// an aggregation on a non-skill, or a weight on a missing edge; throws
+    /// SkillGraphError on a skill without dependencies, no root skill, or a
+    /// cycle.
+    explicit AbilityGraph(const SkillGraphSpec& spec, AbilityThresholds thresholds = {});
 
-    [[nodiscard]] const SkillGraph& structure() const noexcept { return structure_; }
+    // bind_source() hands `this` to a monitor callback, so the graph stays put.
+    AbilityGraph(const AbilityGraph&) = delete;
+    AbilityGraph& operator=(const AbilityGraph&) = delete;
+
+    [[nodiscard]] bool has_node(const std::string& name) const;
+    [[nodiscard]] SkillNodeKind kind(const std::string& name) const;
+    /// Node names, sorted.
+    [[nodiscard]] std::vector<std::string> node_names() const;
+    [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
+    [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
     /// Set a source/sink level (monitor input). Does not propagate.
     void set_source_level(const std::string& name, double level);
@@ -49,17 +70,14 @@ public:
     /// A skill's intrinsic performance as last set (1.0 by default).
     [[nodiscard]] double intrinsic_level(const std::string& skill) const;
 
-    void set_aggregation(const std::string& skill, Aggregation aggregation);
-    void set_dependency_weight(const std::string& skill, const std::string& child,
-                               double weight);
-
     /// Recompute all skill levels bottom-up. Returns the number of nodes
     /// whose qualitative level changed.
     std::size_t propagate();
 
     [[nodiscard]] double level(const std::string& name) const;
     [[nodiscard]] AbilityLevel ability(const std::string& name) const;
-    [[nodiscard]] std::map<std::string, double> snapshot() const;
+    /// Nodes whose qualitative level is below Nominal.
+    [[nodiscard]] std::size_t below_nominal_count() const;
 
     /// Emitted from propagate() for each node whose qualitative level
     /// changed: (node, old level, new level).
@@ -67,9 +85,9 @@ public:
         return level_changed_;
     }
 
-    /// Convenience: drive a source level from a sensor-quality monitor.
-    /// Subscribes to quality updates; each update sets the level and
-    /// propagates.
+    /// Convenience: drive a source or sink level from a sensor-quality
+    /// monitor. Subscribes to quality updates; each update sets the level
+    /// and propagates.
     void bind_source(const std::string& source, monitor::SensorQualityMonitor& monitor);
 
     [[nodiscard]] const AbilityThresholds& thresholds() const noexcept {
@@ -77,13 +95,25 @@ public:
     }
 
 private:
-    SkillGraph structure_;
+    using NodeId = std::uint32_t;
+    struct Node {
+        std::string name;
+        SkillNodeKind kind = SkillNodeKind::Skill;
+        Aggregation aggregation = Aggregation::Min;
+        double level = 1.0;     ///< current propagated level
+        double intrinsic = 1.0; ///< skills only
+        std::vector<NodeId> children; ///< edge-declaration order
+        std::vector<double> weights;  ///< per child
+    };
+
+    [[nodiscard]] NodeId id(const std::string& name) const;
+
+    std::vector<Node> nodes_; ///< indexed by id; ids follow name order
+    std::vector<NodeId> topo_; ///< children first, smallest ready name first
+    std::map<std::string, NodeId> ids_;
+    std::size_t edge_count_ = 0;
     AbilityThresholds thresholds_;
-    std::map<std::string, double> level_;      ///< current propagated levels
-    std::map<std::string, double> intrinsic_;  ///< skills only
-    std::map<std::string, Aggregation> aggregation_;
-    std::map<std::pair<std::string, std::string>, double> weights_;
-    std::vector<std::string> topo_;            ///< cached topological order
+    std::vector<WeightedLevel> inputs_; ///< propagate() scratch, reused
     sim::Signal<const std::string&, AbilityLevel, AbilityLevel> level_changed_;
 };
 

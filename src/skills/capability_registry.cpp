@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "skills/acc_graph_factory.hpp"
+#include "skills/ability_graph.hpp"
 #include "util/assert.hpp"
 
 namespace sa::skills {
@@ -94,7 +94,7 @@ CapabilityRegistry& CapabilityRegistry::register_spec(SkillGraphSpec spec) {
     }
     // A registered spec must instantiate cleanly: catch structural errors at
     // registration, not first use.
-    (void)spec.instantiate();
+    (void)AbilityGraph(spec);
     specs_.emplace(spec.name(), std::move(spec));
     return *this;
 }
@@ -116,15 +116,6 @@ std::vector<std::string> CapabilityRegistry::spec_names() const {
         out.push_back(name);
     }
     return out;
-}
-
-SkillGraph CapabilityRegistry::instantiate(const std::string& spec_name) const {
-    return spec(spec_name).instantiate();
-}
-
-AbilityGraph CapabilityRegistry::instantiate_abilities(const std::string& spec_name,
-                                                       AbilityThresholds thresholds) const {
-    return spec(spec_name).instantiate_abilities(thresholds);
 }
 
 // --- alarm bindings ---------------------------------------------------------------
@@ -196,10 +187,8 @@ Capability sink_cap(const char* name, const char* description) {
                       {{QualityKind::Availability, 1.0}}};
 }
 
-/// The §IV ACC skill graph as a spec — node and dependency declarations in
-/// exactly the order of the retired hand-wired factory, so the instantiated
-/// graph is behavior-identical (same children() ordering, same propagate
-/// results).
+/// The §IV ACC skill graph. Each skill's dependencies are declared in the
+/// order its aggregation consumes them.
 SkillGraphSpec make_acc_spec(bool split_environment_sensors) {
     using namespace acc;
     SkillGraphSpec spec(split_environment_sensors ? "acc" : "acc_aggregate_sensors");

@@ -12,10 +12,11 @@
 //     capability-quality downgrades, the bridge from monitor::MonitorManager
 //     alarms into ability-graph levels (consumed by DegradationPolicy).
 //
-// builtin() exposes the paper's catalogue: the §IV ACC graph re-expressed as
-// a spec (behavior-identical to the retired hand-wired factory) plus
-// lane-keep, emergency-stop and platoon-follow maneuvers, with default alarm
-// bindings for the stock monitors.
+// builtin() exposes the paper's catalogue: the §IV ACC graph as the "acc"
+// spec (and "acc_aggregate_sensors", the paper's minimal narration with one
+// environment-sensor source) plus lane-keep, emergency-stop and
+// platoon-follow maneuvers, with default alarm bindings for the stock
+// monitors. AbilityGraph(registry.spec(name)) instantiates a spec.
 
 #include <map>
 #include <optional>
@@ -89,20 +90,13 @@ public:
     // --- skill-graph specs -------------------------------------------------
     /// Register a named spec. Every node the spec declares must already be a
     /// registered capability of the same kind — a spec referencing an
-    /// unknown capability is a catalogue bug and fails loudly here.
+    /// unknown capability is a catalogue bug and fails loudly here, as does
+    /// a spec AbilityGraph cannot instantiate.
     CapabilityRegistry& register_spec(SkillGraphSpec spec);
     [[nodiscard]] bool has_spec(const std::string& name) const;
     [[nodiscard]] const SkillGraphSpec& spec(const std::string& name) const;
     /// Registered spec names, sorted.
     [[nodiscard]] std::vector<std::string> spec_names() const;
-
-    /// Instantiate a registered spec's structural graph.
-    [[nodiscard]] SkillGraph instantiate(const std::string& spec_name) const;
-    /// Instantiate a registered spec's runtime ability graph (aggregations
-    /// and weights applied).
-    [[nodiscard]] AbilityGraph
-    instantiate_abilities(const std::string& spec_name,
-                          AbilityThresholds thresholds = {}) const;
 
     // --- alarm bindings ----------------------------------------------------
     /// Bind a monitor anomaly kind to a capability-quality downgrade. A
@@ -129,7 +123,37 @@ private:
     std::vector<AlarmBinding> bindings_;
 };
 
-/// Canonical node names of the built-in specs (beyond skills::acc).
+/// Canonical node names of the §IV ACC graph (specs "acc" and
+/// "acc_aggregate_sensors"). The structure follows the paper's text:
+///   - ACC driving (main skill) requires: control distance, control speed,
+///     keep the vehicle controllable for the driver
+///   - keep vehicle controllable requires: estimate driver intent, decelerate
+///   - control distance / control speed require: select target object,
+///     estimate driver intent, accelerate & decelerate
+///   - select target object requires: perceive and track dynamic objects
+///   - perceive/track requires the environment sensors as data sources
+///   - estimate driver intent requires the HMI as data source
+///   - accelerate requires the powertrain data sink; decelerate requires both
+///     powertrain and braking system sinks
+namespace acc {
+inline constexpr const char* kAccDriving = "acc_driving";
+inline constexpr const char* kControlDistance = "control_distance";
+inline constexpr const char* kControlSpeed = "control_speed";
+inline constexpr const char* kKeepControllable = "keep_vehicle_controllable";
+inline constexpr const char* kEstimateDriverIntent = "estimate_driver_intent";
+inline constexpr const char* kSelectTarget = "select_target_object";
+inline constexpr const char* kPerceiveTrack = "perceive_track_dynamic_objects";
+inline constexpr const char* kAccelerate = "accelerate";
+inline constexpr const char* kDecelerate = "decelerate";
+inline constexpr const char* kRadar = "radar";
+inline constexpr const char* kCamera = "camera";
+inline constexpr const char* kLidar = "lidar";
+inline constexpr const char* kHmi = "hmi";
+inline constexpr const char* kPowertrain = "powertrain";
+inline constexpr const char* kBrakeSystem = "brake_system";
+} // namespace acc
+
+/// Canonical node names of the other built-in specs (beyond skills::acc).
 namespace caps {
 // lane_keep
 inline constexpr const char* kLaneKeeping = "lane_keeping";

@@ -22,7 +22,7 @@ std::vector<const Tactic*> DegradationManager::plan(const AbilityGraph& abilitie
             continue;
         }
         const Tactic& t = entry.tactic;
-        if (!abilities.structure().has_node(t.target_skill)) {
+        if (!abilities.has_node(t.target_skill)) {
             continue;
         }
         const double level = abilities.level(t.target_skill);

@@ -28,7 +28,7 @@ double DegradationPolicy::effective_level(const std::string& capability) const {
 
 void DegradationPolicy::push_level(const std::string& capability, double level,
                                    AbilityGraph& abilities) const {
-    if (abilities.structure().node(capability).kind == SkillNodeKind::Skill) {
+    if (abilities.kind(capability) == SkillNodeKind::Skill) {
         abilities.set_intrinsic_level(capability, level);
     } else {
         abilities.set_source_level(capability, level);
@@ -43,7 +43,7 @@ bool DegradationPolicy::apply(const monitor::Anomaly& anomaly,
             return;
         }
         const std::string& capability = binding.capability_for(anomaly);
-        if (capability.empty() || !abilities.structure().has_node(capability)) {
+        if (capability.empty() || !abilities.has_node(capability)) {
             return; // this vehicle's graph has no such capability
         }
         auto& qualities = state_[capability];
@@ -61,8 +61,7 @@ bool DegradationPolicy::apply(const monitor::Anomaly& anomaly,
         // push_level writes: the intrinsic cap for skills (a skill's
         // *propagated* level also reflects its children and would never
         // match while they are degraded), the node level otherwise.
-        const bool is_skill = abilities.structure().node(capability).kind ==
-                              SkillNodeKind::Skill;
+        const bool is_skill = abilities.kind(capability) == SkillNodeKind::Skill;
         const double current = is_skill ? abilities.intrinsic_level(capability)
                                         : abilities.level(capability);
         if (!state_changed && current == level) {
@@ -86,7 +85,7 @@ bool DegradationPolicy::apply(const monitor::Anomaly& anomaly,
 void DegradationPolicy::restore(const std::string& capability,
                                 AbilityGraph& abilities) {
     state_.erase(capability);
-    if (abilities.structure().has_node(capability)) {
+    if (abilities.has_node(capability)) {
         push_level(capability, 1.0, abilities);
     }
 }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "skills/ability_graph.hpp"
 #include "skills/capability_registry.hpp"
 
 namespace sa::skills {

@@ -1,11 +1,19 @@
 #include "skills/skill_graph_spec.hpp"
 
-#include <algorithm>
 #include <charconv>
 
 #include "util/assert.hpp"
 
 namespace sa::skills {
+
+const char* to_string(SkillNodeKind kind) noexcept {
+    switch (kind) {
+    case SkillNodeKind::Skill: return "skill";
+    case SkillNodeKind::DataSource: return "source";
+    case SkillNodeKind::DataSink: return "sink";
+    }
+    return "?";
+}
 
 bool aggregation_from_string(const std::string& text, Aggregation& out) {
     if (text == "min") {
@@ -120,13 +128,7 @@ std::string SkillGraphSpec::str() const {
         out += "  root " + root_ + ";\n";
     }
     for (const auto& node : nodes_) {
-        out += "  ";
-        switch (node.kind) {
-        case SkillNodeKind::Skill: out += "skill "; break;
-        case SkillNodeKind::DataSource: out += "source "; break;
-        case SkillNodeKind::DataSink: out += "sink "; break;
-        }
-        out += node.name;
+        out += "  " + std::string(to_string(node.kind)) + " " + node.name;
         if (!node.description.empty()) {
             out += " \"" + node.description + "\"";
         }
@@ -158,41 +160,6 @@ std::string SkillGraphSpec::str() const {
     }
     out += "}\n";
     return out;
-}
-
-// --- instantiation ----------------------------------------------------------------
-
-SkillGraph SkillGraphSpec::instantiate() const {
-    SkillGraph g;
-    for (const auto& node : nodes_) {
-        switch (node.kind) {
-        case SkillNodeKind::Skill: g.add_skill(node.name, node.description); break;
-        case SkillNodeKind::DataSource: g.add_source(node.name, node.description); break;
-        case SkillNodeKind::DataSink: g.add_sink(node.name, node.description); break;
-        }
-    }
-    for (const auto& edge : edges_) {
-        g.add_dependency(edge.parent, edge.child);
-    }
-    g.validate();
-    if (!root_.empty()) {
-        const auto roots = g.roots();
-        SA_REQUIRE(std::find(roots.begin(), roots.end(), root_) != roots.end(),
-                   "spec '" + name_ + "': declared root '" + root_ +
-                       "' is not a root skill of the instantiated graph");
-    }
-    return g;
-}
-
-AbilityGraph SkillGraphSpec::instantiate_abilities(AbilityThresholds thresholds) const {
-    AbilityGraph abilities(instantiate(), thresholds);
-    for (const auto& agg : aggregates_) {
-        abilities.set_aggregation(agg.skill, agg.aggregation);
-    }
-    for (const auto& w : weights_) {
-        abilities.set_dependency_weight(w.skill, w.child, w.weight);
-    }
-    return abilities;
 }
 
 // --- parser -----------------------------------------------------------------------

@@ -1,16 +1,21 @@
 #pragma once
-// SkillGraphSpec: a *declarative* description of a skill graph — the
-// development artifact Nolte et al. argue skill graphs should be (composed
-// from a capability catalogue instead of hand-written per-maneuver C++
-// factories). A spec carries the ordered node/dependency declarations, the
-// per-skill aggregation choices, per-edge weights and the root skill, and
-// can be
+// Skill graphs after Reschka et al. [22] (§IV): "a directed acyclic graph
+// that consists of skill nodes, data sink nodes, data source nodes, and
+// dependency relations between the nodes. A path in this DAG, starting with
+// a main skill and ending at a data source or data sink, represents a chain
+// of dependencies between abilities."
+//
+// SkillGraphSpec is the one skill-graph model: a *declarative* description
+// of such a DAG, the development artifact Nolte et al. argue skill graphs
+// should be (composed from a capability catalogue instead of hand-written
+// per-maneuver C++ factories). A spec carries the ordered node/dependency
+// declarations, the per-skill aggregation choices, per-edge weights and the
+// root skill, and can be
 //   - built programmatically (builder-style chaining),
 //   - parsed from a compact text form (mirroring model/contract_parser), or
 //   - serialized back to that text form (str(); parse(str()) round-trips).
-// instantiate() produces the structural SkillGraph; instantiate_abilities()
-// the runtime AbilityGraph with aggregations/weights applied — the one
-// authoritative path from "scenario described as data" to "running graph".
+// A spec only records declarations; AbilityGraph(spec) (ability_graph.hpp)
+// validates them and instantiates the runtime graph.
 //
 // Text grammar (tokens follow the shared lexical rules in util/lexer.hpp;
 // malformed text throws util::ParseError with its line):
@@ -25,14 +30,25 @@
 //     weight <skill> <child> <number>;          // digits with at most one '.'
 //   }
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "skills/ability_graph.hpp"
-#include "skills/skill_graph.hpp"
+#include "skills/aggregation.hpp"
 #include "util/lexer.hpp"
 
 namespace sa::skills {
+
+enum class SkillNodeKind { Skill, DataSource, DataSink };
+
+const char* to_string(SkillNodeKind kind) noexcept;
+
+/// Thrown when instantiating a spec whose graph breaks a structural rule of
+/// [22]: a skill without dependencies, no root skill, or a cycle.
+class SkillGraphError : public std::logic_error {
+public:
+    explicit SkillGraphError(const std::string& what) : std::logic_error(what) {}
+};
 
 class SkillGraphSpec {
 public:
@@ -84,8 +100,8 @@ public:
     [[nodiscard]] std::vector<std::string> node_names() const;
     [[nodiscard]] SkillNodeKind node_kind(const std::string& name) const;
     /// Raw declarations in declaration order — what sa::lint inspects
-    /// without instantiating (instantiate() throws on the defects lint is
-    /// supposed to *report*).
+    /// without instantiating (AbilityGraph(spec) throws on the defects lint
+    /// is supposed to *report*).
     [[nodiscard]] const std::vector<NodeDecl>& nodes() const noexcept {
         return nodes_;
     }
@@ -101,17 +117,6 @@ public:
 
     /// Serialize to the text grammar above; parse(str()) reproduces the spec.
     [[nodiscard]] std::string str() const;
-
-    // --- instantiation ------------------------------------------------------
-    /// Build and validate the structural SkillGraph (nodes and dependencies
-    /// are added in declaration order, so children() ordering matches a
-    /// hand-wired factory making the same calls).
-    [[nodiscard]] SkillGraph instantiate() const;
-
-    /// Build the runtime AbilityGraph with the spec's aggregation choices and
-    /// dependency weights applied.
-    [[nodiscard]] AbilityGraph
-    instantiate_abilities(AbilityThresholds thresholds = {}) const;
 
 private:
     SkillGraphSpec& add_node(NodeDecl decl);

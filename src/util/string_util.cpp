@@ -80,4 +80,25 @@ std::string human_duration_ns(long long ns) {
     return format("%lldns", ns);
 }
 
+std::string json_escape(std::string_view text) {
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text) {
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                out += format("\\u%04x", static_cast<unsigned>(c));
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
 } // namespace sa

@@ -1,5 +1,5 @@
 #pragma once
-// Small string helpers shared by the contract parser and report printers.
+// Small string helpers shared by the parsers and report printers.
 
 #include <cstddef>
 #include <functional>
@@ -39,5 +39,10 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// Render a duration in nanoseconds with an adaptive unit ("12.3us", "4.5ms").
 std::string human_duration_ns(long long ns);
+
+/// Escape `text` for embedding in a JSON string literal (no quotes added):
+/// `"`, `\`, `\n`, `\r` and `\t` get their short escapes, other control
+/// bytes `\u00XX`; everything else, UTF-8 included, passes through.
+std::string json_escape(std::string_view text);
 
 } // namespace sa

@@ -3,8 +3,8 @@
 // suite pulls the interposing operator new/delete from alloc_hook.cpp into
 // the binary (static-library pull-in IS the hook); the pins then assert that
 // a warmed simulation schedules/pops events, completes CAN round trips and
-// gateway forwards, ingests metrics and fans V2V frames out without
-// touching the heap.
+// gateway forwards, ingests metrics, fans V2V frames out and propagates
+// ability levels without touching the heap.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,8 @@
 #include "rte/scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "skills/ability_graph.hpp"
+#include "skills/capability_registry.hpp"
 #include "util/alloc_hook.hpp"
 #include "util/flat_map.hpp"
 #include "util/inline_callable.hpp"
@@ -495,6 +497,30 @@ TEST(ZeroAllocPins, MonitorIngestSteadyState) {
     EXPECT_DOUBLE_EQ(manager.last_value("drive.speed"), 25.0);
     ASSERT_NE(manager.stats("drive.gap"), nullptr);
     EXPECT_EQ(manager.stats("drive.gap")->count(), 1'001u);
+}
+
+TEST(ZeroAllocPins, AbilityPropagateSteadyState) {
+    // The §IV ACC graph: a camera update and propagate() walk dense ids and
+    // reuse one scratch buffer, level changes and their signal included.
+    skills::AbilityGraph abilities(skills::CapabilityRegistry::builtin().spec("acc"));
+    std::uint64_t changed = 0;
+    abilities.level_changed().subscribe(
+        [&changed](const std::string&, skills::AbilityLevel, skills::AbilityLevel) {
+            ++changed;
+        });
+    const std::string camera = skills::acc::kCamera;
+    abilities.set_source_level(camera, 0.1); // warm
+    (void)abilities.propagate();
+    std::size_t changes = 0;
+    alloc_hook::CountScope scope;
+    for (int i = 0; i < 100; ++i) {
+        abilities.set_source_level(camera, i % 2 == 0 ? 1.0 : 0.1);
+        changes += abilities.propagate();
+    }
+    EXPECT_EQ(scope.allocations(), 0u) << "ability propagation allocated";
+    // The camera reaches perception and the 4 skills above it.
+    EXPECT_EQ(changes, 100u * 5u);
+    EXPECT_EQ(changed, 5u + changes);
 }
 
 TEST(ZeroAllocPins, V2vBroadcastFanOutSteadyState) {

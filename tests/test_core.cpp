@@ -13,7 +13,7 @@
 #include "core/safety_layer.hpp"
 #include "core/self_model.hpp"
 #include "monitor/range_monitor.hpp"
-#include "skills/acc_graph_factory.hpp"
+#include "skills/capability_registry.hpp"
 #include "util/assert.hpp"
 
 namespace {
@@ -311,7 +311,7 @@ struct SystemFixture {
     sim::Simulator sim{11};
     rte::Rte rte{sim};
     model::Mcc mcc;
-    skills::AbilityGraph abilities{skills::make_acc_skill_graph()};
+    skills::AbilityGraph abilities{skills::CapabilityRegistry::builtin().spec("acc")};
     skills::DegradationManager tactics;
 
     SystemFixture() : mcc(make_platform()) {

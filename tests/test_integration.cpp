@@ -69,7 +69,7 @@ make_test_vehicle(core::CoordinatorConfig coord_cfg = {},
             // Traffic on pairs the contracts never declared is suspicious
             // above a generic bound ("monitoring communication behavior", §V).
             .rate_ids(Duration::ms(100), /*default_bound=*/400.0)
-            .acc_skills()
+            .skill_graph("acc")
             .full_layer_stack()
             .coordinator(coord_cfg)
             // Map component losses onto ability inputs: rear brake

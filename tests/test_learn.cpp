@@ -21,7 +21,7 @@
 #include "monitor/anomaly_kinds.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/scenario.hpp"
-#include "skills/acc_graph_factory.hpp"
+#include "skills/capability_registry.hpp"
 
 namespace {
 

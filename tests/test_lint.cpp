@@ -408,12 +408,33 @@ TEST(LintScenario, SCN007SensorBoundToUnknownSkillNode) {
     auto v = minimal_vehicle();
     v.sensors = {"radar0"};
     v.has_skill_graph = true;
-    v.skill_nodes = {"drive", "radar"};
+    v.bindable_nodes = {"radar"};
     v.sensor_skill_bindings = {{"radar0", "no_such_node"}};
     const auto report = lint_vehicle(v);
     ASSERT_TRUE(report.has("SCN007"));
     v.sensor_skill_bindings = {{"radar0", "radar"}};
     EXPECT_FALSE(lint_vehicle(v).has("SCN007"));
+}
+
+TEST(LintScenario, SCN007SensorBoundToSkillNode) {
+    // A skill's level is propagated, not fed: the builder lists only the
+    // graph's sources and sinks as bindable, so a skill binding is flagged.
+    auto declare = [](scenario::ScenarioBuilder& builder, const char* node) {
+        builder.vehicle("ego")
+            .driving(vehicle::ScenarioConfig{})
+            .sensor({vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002},
+                    monitor::SensorQualityConfig{}, node)
+            .skill_graph("acc");
+    };
+    scenario::ScenarioBuilder skill_bound;
+    declare(skill_bound, skills::acc::kPerceiveTrack);
+    const auto report = skill_bound.lint();
+    ASSERT_TRUE(report.has("SCN007")) << report.str();
+    EXPECT_NE(report.first("SCN007")->message.find(skills::acc::kPerceiveTrack),
+              std::string::npos);
+    scenario::ScenarioBuilder source_bound;
+    declare(source_bound, skills::acc::kRadar);
+    EXPECT_FALSE(source_bound.lint().has("SCN007"));
 }
 
 TEST(LintScenario, MSH001EndpointOutOfRadioRange) {

@@ -312,6 +312,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoordinatorFuzz, ::testing::Range(1, 6));
 
 // --- Skill-graph degradation monotonicity --------------------------------------------
 
+#include "skills/ability_graph.hpp"
 #include "skills/capability_registry.hpp"
 
 namespace {
@@ -329,26 +330,27 @@ TEST_P(SpecDegradationMonotone, ReducingAnyCapabilityNeverImprovesASkill) {
     const auto& registry = skills::CapabilityRegistry::builtin();
     RandomEngine rng(static_cast<std::uint64_t>(GetParam()) * 131 + 7);
     for (const auto& spec_name : registry.spec_names()) {
-        auto abilities = registry.instantiate_abilities(spec_name);
-        const auto nodes = abilities.structure().node_names();
+        skills::AbilityGraph abilities(registry.spec(spec_name));
+        const auto nodes = abilities.node_names();
 
         // Random baseline quality state (sources/sinks and intrinsics).
         for (const auto& node : nodes) {
             const double level = rng.uniform(0.0, 1.0);
-            if (abilities.structure().node(node).kind ==
-                skills::SkillNodeKind::Skill) {
+            if (abilities.kind(node) == skills::SkillNodeKind::Skill) {
                 abilities.set_intrinsic_level(node, level);
             } else {
                 abilities.set_source_level(node, level);
             }
         }
         abilities.propagate();
-        const auto baseline = abilities.snapshot();
+        std::map<std::string, double> baseline;
+        for (const auto& node : nodes) {
+            baseline[node] = abilities.level(node);
+        }
 
         // Degrade one random capability below its baseline input level.
         const auto& victim = nodes[rng.index(nodes.size())];
-        const bool is_skill = abilities.structure().node(victim).kind ==
-                              skills::SkillNodeKind::Skill;
+        const bool is_skill = abilities.kind(victim) == skills::SkillNodeKind::Skill;
         // The baseline input: for skills the intrinsic we just set is not
         // readable back, so re-derive a strictly-lower level from 0.
         const double degraded = rng.uniform(0.0, 1.0) *

@@ -36,7 +36,7 @@ TEST(VehicleBuilder, ComposesIntegratesAndRuns) {
     builder.ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
         .contracts(kMiniContracts)
         .rate_ids(Duration::ms(100))
-        .acc_skills()
+        .skill_graph("acc")
         .full_layer_stack()
         .self_model(Duration::ms(100));
     auto vehicle = builder.build(simulator);
@@ -217,7 +217,7 @@ TEST(VehicleBuilder, VehicleOnExternalSimulatorCanDieFirst) {
             .rt_task("ecu0", tx)
             .can_tx_on_completion("ecu0", "tx", "can_a",
                                   can::CanFrame::make(0x100, {1}))
-            .acc_skills()
+            .skill_graph("acc")
             .tactic("noop", skills::acc::kAccDriving, 0.0, 0.5, 1,
                     [](scenario::Vehicle&) {})
             .plan_tactics_every(Duration::ms(50))
@@ -250,7 +250,7 @@ TEST(ScenarioBuilder, TwoVehiclesHaveIndependentStacks) {
             .contracts(kMiniContracts)
             .rate_ids(Duration::ms(100), 400.0)
             .full_layer_stack()
-            .acc_skills();
+            .skill_graph("acc");
     }
     auto scenario = builder.build();
     ASSERT_EQ(scenario->vehicle_names().size(), 2u);
@@ -434,6 +434,29 @@ TEST(VehicleBuilder, SpecWithoutRootRejected) {
     EXPECT_THROW(builder.skill_graph(spec), ContractViolation);
 }
 
+TEST(VehicleBuilder, SensorBoundToSkillNodeRejectedAtBuild) {
+    // A sensor's quality feeds a data source or sink; a skill's level is
+    // propagated. build() rejects a skill binding instead of letting the
+    // first quality update throw during run().
+    auto declare = [](scenario::VehicleBuilder& builder, const char* node) {
+        vehicle::ScenarioConfig cfg;
+        monitor::SensorQualityConfig quality;
+        quality.expected_period = cfg.control_period;
+        builder.driving(cfg)
+            .sensor({vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002}, quality,
+                    node)
+            .skill_graph("acc");
+    };
+    sim::Simulator simulator(3);
+    scenario::VehicleBuilder skill_bound("ego");
+    declare(skill_bound, skills::acc::kPerceiveTrack);
+    EXPECT_THROW((void)skill_bound.build(simulator), ContractViolation);
+    scenario::VehicleBuilder source_bound("ego");
+    declare(source_bound, skills::acc::kRadar);
+    auto vehicle = source_bound.build(simulator);
+    EXPECT_NO_THROW(simulator.run_until(Time(Duration::sec(1).count_ns())));
+}
+
 TEST(VehicleBuilder, DegradationPolicyRequiresSkillGraph) {
     sim::Simulator simulator(3);
     scenario::VehicleBuilder builder("ego");
@@ -450,7 +473,7 @@ TEST(VehicleBuilder, DegradationPolicyRoutesAlarmsIntoAbilities) {
     quality.expected_period = cfg.control_period;
     builder.driving(cfg)
         .sensor({vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002}, quality)
-        .acc_skills()
+        .skill_graph("acc")
         .degradation_policy(skills::DegradationPolicy{})
         .self_model(Duration::ms(100));
     auto vehicle = builder.build(simulator);

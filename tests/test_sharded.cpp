@@ -368,7 +368,7 @@ TEST(ShardedKernel, VehicleDestroyedAtAScriptBarrierWhileTheKernelKeepsRunning) 
               provides service cmd { max_rate 200/s; }
             }
         )")
-        .acc_skills()
+        .skill_graph("acc")
         .full_layer_stack()
         .self_model(Duration::ms(5));
     auto vehicle = builder.build(kernel.domain(1));

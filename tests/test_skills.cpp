@@ -4,89 +4,118 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "skills/ability_graph.hpp"
-#include "skills/acc_graph_factory.hpp"
 #include "skills/capability_registry.hpp"
 #include "skills/degradation.hpp"
 #include "skills/degradation_policy.hpp"
 #include "skills/skill_graph_spec.hpp"
 #include "util/assert.hpp"
+#include "util/random.hpp"
+#include "util/string_util.hpp"
 
 namespace {
 
 using namespace sa;
 using namespace sa::skills;
 
-SkillGraph tiny_graph() {
-    SkillGraph g;
-    g.add_skill("drive");
-    g.add_skill("perceive");
-    g.add_skill("brake");
-    g.add_source("radar");
-    g.add_sink("brake_hw");
-    g.add_dependency("drive", "perceive");
-    g.add_dependency("drive", "brake");
-    g.add_dependency("perceive", "radar");
-    g.add_dependency("brake", "brake_hw");
+SkillGraphSpec tiny_spec() {
+    SkillGraphSpec g("tiny");
+    g.skill("drive")
+        .skill("perceive")
+        .skill("brake")
+        .source("radar")
+        .sink("brake_hw")
+        .depends("drive", {"perceive", "brake"})
+        .depends("perceive", {"radar"})
+        .depends("brake", {"brake_hw"});
     return g;
 }
 
-// --- SkillGraph --------------------------------------------------------------------
+/// Every node's current level, by name.
+std::map<std::string, double> levels(const AbilityGraph& abilities) {
+    std::map<std::string, double> out;
+    for (const auto& name : abilities.node_names()) {
+        out[name] = abilities.level(name);
+    }
+    return out;
+}
+
+/// The skills whose qualitative level changes in one propagate(), in the
+/// order level_changed() reports them.
+std::vector<std::string> change_order(AbilityGraph& abilities) {
+    std::vector<std::string> order;
+    const auto id = abilities.level_changed().subscribe(
+        [&](const std::string& node, AbilityLevel, AbilityLevel) {
+            order.push_back(node);
+        });
+    (void)abilities.propagate();
+    abilities.level_changed().unsubscribe(id);
+    return order;
+}
+
+// --- Skill-graph structure (instantiated by AbilityGraph) -------------------------
 
 TEST(SkillGraph, BuildAndQuery) {
-    const auto g = tiny_graph();
+    const AbilityGraph g(tiny_spec());
     EXPECT_EQ(g.node_count(), 5u);
     EXPECT_EQ(g.edge_count(), 4u);
-    EXPECT_EQ(g.children("drive"), (std::vector<std::string>{"perceive", "brake"}));
-    EXPECT_EQ(g.parents("radar"), (std::vector<std::string>{"perceive"}));
-    EXPECT_EQ(g.roots(), (std::vector<std::string>{"drive"}));
-    EXPECT_NO_THROW(g.validate());
+    EXPECT_EQ(g.node_names(), (std::vector<std::string>{"brake", "brake_hw", "drive",
+                                                        "perceive", "radar"}));
+    EXPECT_TRUE(g.has_node("drive"));
+    EXPECT_FALSE(g.has_node("ghost"));
+    EXPECT_EQ(g.kind("drive"), SkillNodeKind::Skill);
+    EXPECT_EQ(g.kind("radar"), SkillNodeKind::DataSource);
+    EXPECT_EQ(g.kind("brake_hw"), SkillNodeKind::DataSink);
+    // drive is the only root: only it may be declared as the main skill.
+    EXPECT_NO_THROW((void)AbilityGraph(tiny_spec().root("drive")));
+    EXPECT_THROW((void)AbilityGraph(tiny_spec().root("perceive")), ContractViolation);
+    EXPECT_THROW((void)AbilityGraph(tiny_spec().root("radar")), ContractViolation);
 }
 
 TEST(SkillGraph, SourcesCannotHaveDependencies) {
-    SkillGraph g;
-    g.add_source("radar");
-    g.add_skill("s");
-    g.add_sink("out");
-    g.add_dependency("s", "out");
-    EXPECT_THROW(g.add_dependency("radar", "s"), ContractViolation);
+    SkillGraphSpec g("g");
+    g.source("radar").skill("s").sink("out").depends("s", {"out"});
+    EXPECT_NO_THROW((void)AbilityGraph(g));
+    g.depends("radar", {"s"});
+    EXPECT_THROW((void)AbilityGraph(g), ContractViolation);
 }
 
 TEST(SkillGraph, DanglingSkillFailsValidation) {
-    SkillGraph g;
-    g.add_skill("lonely");
-    EXPECT_THROW(g.validate(), SkillGraphError);
+    SkillGraphSpec g("g");
+    g.skill("lonely");
+    EXPECT_THROW((void)AbilityGraph(g), SkillGraphError);
 }
 
 TEST(SkillGraph, CycleDetected) {
-    SkillGraph g;
-    g.add_skill("a");
-    g.add_skill("b");
-    g.add_dependency("a", "b");
-    g.add_dependency("b", "a");
-    EXPECT_THROW(g.validate(), SkillGraphError);
-    EXPECT_THROW((void)g.topological_order(), SkillGraphError);
+    SkillGraphSpec g("g");
+    g.skill("a").skill("b").depends("a", {"b"}).depends("b", {"a"});
+    EXPECT_THROW((void)AbilityGraph(g), SkillGraphError);
+    // The same cycle below a root skill.
+    g.skill("top").depends("top", {"a"});
+    EXPECT_THROW((void)AbilityGraph(g), SkillGraphError);
 }
 
 TEST(SkillGraph, DuplicatesRejected) {
-    SkillGraph g;
-    g.add_skill("a");
-    EXPECT_THROW(g.add_skill("a"), ContractViolation);
-    g.add_skill("b");
-    g.add_dependency("a", "b");
-    EXPECT_THROW(g.add_dependency("a", "b"), ContractViolation);
+    SkillGraphSpec g("g");
+    g.skill("a");
+    EXPECT_THROW(g.skill("a"), ContractViolation);
+    g.sink("b").depends("a", {"b"});
+    EXPECT_NO_THROW((void)AbilityGraph(g));
+    g.depends("a", {"b"});
+    EXPECT_THROW((void)AbilityGraph(g), ContractViolation);
 }
 
 TEST(SkillGraph, TopologicalOrderChildrenFirst) {
-    const auto g = tiny_graph();
-    const auto order = g.topological_order();
-    auto pos = [&](const std::string& n) {
-        return std::find(order.begin(), order.end(), n) - order.begin();
-    };
-    EXPECT_LT(pos("radar"), pos("perceive"));
-    EXPECT_LT(pos("perceive"), pos("drive"));
-    EXPECT_LT(pos("brake_hw"), pos("brake"));
-    EXPECT_LT(pos("brake"), pos("drive"));
+    // Skills report level changes children first.
+    AbilityGraph g(tiny_spec());
+    g.set_source_level("radar", 0.0);
+    g.set_source_level("brake_hw", 0.0);
+    EXPECT_EQ(change_order(g), (std::vector<std::string>{"brake", "perceive", "drive"}));
 }
 
 // --- Aggregation -----------------------------------------------------------------------
@@ -133,16 +162,16 @@ TEST(Classify, ThresholdBands) {
 // --- AbilityGraph -----------------------------------------------------------------------
 
 TEST(AbilityGraph, AllNominalInitially) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     ag.propagate();
-    for (const auto& [name, level] : ag.snapshot()) {
+    for (const auto& [name, level] : levels(ag)) {
         EXPECT_DOUBLE_EQ(level, 1.0) << name;
     }
     EXPECT_EQ(ag.ability("drive"), AbilityLevel::Nominal);
 }
 
 TEST(AbilityGraph, SourceDegradationPropagatesToRoot) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     ag.set_source_level("radar", 0.3);
     ag.propagate();
     EXPECT_DOUBLE_EQ(ag.level("perceive"), 0.3);
@@ -152,7 +181,7 @@ TEST(AbilityGraph, SourceDegradationPropagatesToRoot) {
 }
 
 TEST(AbilityGraph, IntrinsicLevelCapsSkill) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     ag.set_intrinsic_level("perceive", 0.6); // e.g. poor tracker performance
     ag.propagate();
     EXPECT_DOUBLE_EQ(ag.level("perceive"), 0.6);
@@ -160,17 +189,17 @@ TEST(AbilityGraph, IntrinsicLevelCapsSkill) {
 }
 
 TEST(AbilityGraph, PropagationIsIdempotent) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     ag.set_source_level("radar", 0.5);
     ag.propagate();
-    const auto snap1 = ag.snapshot();
+    const auto snap1 = levels(ag);
     const auto changes = ag.propagate();
     EXPECT_EQ(changes, 0u);
-    EXPECT_EQ(ag.snapshot(), snap1);
+    EXPECT_EQ(levels(ag), snap1);
 }
 
 TEST(AbilityGraph, LevelChangedSignalFiresOnQualitativeChange) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     std::vector<std::string> changed;
     ag.level_changed().subscribe(
         [&](const std::string& node, AbilityLevel, AbilityLevel) {
@@ -185,18 +214,18 @@ TEST(AbilityGraph, LevelChangedSignalFiresOnQualitativeChange) {
 }
 
 TEST(AbilityGraph, WeightedAggregationSoftensImpact) {
-    auto g = tiny_graph();
-    AbilityGraph ag(std::move(g));
-    ag.set_aggregation("drive", Aggregation::WeightedMean);
-    ag.set_dependency_weight("drive", "perceive", 1.0);
-    ag.set_dependency_weight("drive", "brake", 3.0);
+    auto g = tiny_spec();
+    g.aggregate("drive", Aggregation::WeightedMean)
+        .weight("drive", "perceive", 1.0)
+        .weight("drive", "brake", 3.0);
+    AbilityGraph ag(g);
     ag.set_source_level("radar", 0.0);
     ag.propagate();
     EXPECT_DOUBLE_EQ(ag.level("drive"), 0.75); // (0*1 + 1*3) / 4
 }
 
 TEST(AbilityGraph, RecoveryRestoresNominal) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     ag.set_source_level("radar", 0.2);
     ag.propagate();
     EXPECT_NE(ag.ability("drive"), AbilityLevel::Nominal);
@@ -208,29 +237,44 @@ TEST(AbilityGraph, RecoveryRestoresNominal) {
 TEST(AbilityGraph, MonotonicityProperty) {
     // Lowering any single source can never raise any skill level.
     for (double level : {0.9, 0.7, 0.5, 0.3, 0.1}) {
-        AbilityGraph base(tiny_graph());
+        AbilityGraph base(tiny_spec());
         base.propagate();
-        AbilityGraph degraded(tiny_graph());
+        AbilityGraph degraded(tiny_spec());
         degraded.set_source_level("radar", level);
         degraded.propagate();
-        for (const auto& [name, value] : degraded.snapshot()) {
+        for (const auto& [name, value] : levels(degraded)) {
             EXPECT_LE(value, base.level(name)) << name << " at " << level;
         }
     }
 }
 
 TEST(AbilityGraph, RejectsInvalidInputs) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     EXPECT_THROW(ag.set_source_level("ghost", 0.5), ContractViolation);
     EXPECT_THROW(ag.set_source_level("drive", 0.5), ContractViolation);
     EXPECT_THROW(ag.set_intrinsic_level("radar", 0.5), ContractViolation);
     EXPECT_THROW(ag.set_source_level("radar", 1.5), ContractViolation);
+    EXPECT_THROW((void)ag.intrinsic_level("radar"), ContractViolation);
+    EXPECT_THROW((void)ag.level("ghost"), ContractViolation);
+}
+
+TEST(AbilityGraph, RejectsInvalidAggregationsAndWeights) {
+    EXPECT_THROW((void)AbilityGraph(tiny_spec().aggregate("radar", Aggregation::Product)),
+                 ContractViolation);
+    EXPECT_THROW((void)AbilityGraph(tiny_spec().aggregate("ghost", Aggregation::Product)),
+                 ContractViolation);
+    EXPECT_THROW((void)AbilityGraph(tiny_spec().weight("drive", "radar", 2.0)),
+                 ContractViolation);
+    EXPECT_THROW((void)AbilityGraph(tiny_spec().weight("ghost", "radar", 2.0)),
+                 ContractViolation);
+    EXPECT_THROW((void)AbilityGraph(tiny_spec().depends("drive", {"ghost"})),
+                 ContractViolation);
 }
 
 // --- DegradationManager ------------------------------------------------------------------
 
 TEST(Degradation, PlansCheapestApplicableTactic) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     DegradationManager mgr;
     int applied_cheap = 0;
     int applied_costly = 0;
@@ -251,7 +295,7 @@ TEST(Degradation, PlansCheapestApplicableTactic) {
 }
 
 TEST(Degradation, NothingPlannedWhenNominal) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     DegradationManager mgr;
     mgr.register_tactic(Tactic{"t", "drive", 0.0, 0.85, 1, [] {}, nullptr});
     ag.propagate();
@@ -259,7 +303,7 @@ TEST(Degradation, NothingPlannedWhenNominal) {
 }
 
 TEST(Degradation, FiredTacticNotReplanned) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     DegradationManager mgr;
     mgr.register_tactic(Tactic{"t", "drive", 0.0, 0.85, 1, [] {}, nullptr});
     ag.set_source_level("radar", 0.4);
@@ -271,7 +315,7 @@ TEST(Degradation, FiredTacticNotReplanned) {
 }
 
 TEST(Degradation, ExtraConditionGuards) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     DegradationManager mgr;
     bool allowed = false;
     mgr.register_tactic(
@@ -284,7 +328,7 @@ TEST(Degradation, ExtraConditionGuards) {
 }
 
 TEST(Degradation, ApplicabilityBandRespected) {
-    AbilityGraph ag(tiny_graph());
+    AbilityGraph ag(tiny_spec());
     DegradationManager mgr;
     // Only applicable when drive is *severely* degraded.
     mgr.register_tactic(Tactic{"last_resort", "drive", 0.0, 0.2, 1, [] {}, nullptr});
@@ -298,45 +342,55 @@ TEST(Degradation, ApplicabilityBandRespected) {
 
 // --- ACC example (§IV) --------------------------------------------------------------------
 
+/// `parent`'s dependencies in declaration order.
+std::vector<std::string> children(const SkillGraphSpec& spec, const std::string& parent) {
+    std::vector<std::string> out;
+    for (const auto& edge : spec.edges()) {
+        if (edge.parent == parent) {
+            out.push_back(edge.child);
+        }
+    }
+    return out;
+}
+
 TEST(AccGraph, StructureMatchesPaper) {
-    const auto g = make_acc_skill_graph();
-    EXPECT_NO_THROW(g.validate());
-    EXPECT_EQ(g.roots(), (std::vector<std::string>{acc::kAccDriving}));
+    const SkillGraphSpec& g = CapabilityRegistry::builtin().spec("acc");
+    EXPECT_NO_THROW((void)AbilityGraph(g));
+    EXPECT_EQ(g.root_skill(), acc::kAccDriving);
 
     // Main skill refinement per the paper's narration.
-    const auto main_deps = g.children(acc::kAccDriving);
+    const auto main_deps = children(g, acc::kAccDriving);
     EXPECT_EQ(main_deps, (std::vector<std::string>{acc::kControlDistance,
                                                    acc::kControlSpeed,
                                                    acc::kKeepControllable}));
     // "To keep the vehicle controllable ... estimate the driver's intent and
     // to be able to decelerate".
-    EXPECT_EQ(g.children(acc::kKeepControllable),
+    EXPECT_EQ(children(g, acc::kKeepControllable),
               (std::vector<std::string>{acc::kEstimateDriverIntent, acc::kDecelerate}));
     // "For the selection of a target object ... perceive and track dynamic
     // objects which itself depends on environment sensors as data sources".
-    EXPECT_EQ(g.children(acc::kSelectTarget),
+    EXPECT_EQ(children(g, acc::kSelectTarget),
               (std::vector<std::string>{acc::kPerceiveTrack}));
     // "To estimate the driver's intent, a form of HMI is required".
-    EXPECT_EQ(g.children(acc::kEstimateDriverIntent),
+    EXPECT_EQ(children(g, acc::kEstimateDriverIntent),
               (std::vector<std::string>{acc::kHmi}));
     // "Acceleration and deceleration both require the powertrain ... while
     // deceleration also requires the braking system".
-    EXPECT_EQ(g.children(acc::kAccelerate), (std::vector<std::string>{acc::kPowertrain}));
-    EXPECT_EQ(g.children(acc::kDecelerate),
+    EXPECT_EQ(children(g, acc::kAccelerate),
+              (std::vector<std::string>{acc::kPowertrain}));
+    EXPECT_EQ(children(g, acc::kDecelerate),
               (std::vector<std::string>{acc::kPowertrain, acc::kBrakeSystem}));
 }
 
 TEST(AccGraph, AggregateSensorVariant) {
-    AccGraphOptions opt;
-    opt.split_environment_sensors = false;
-    const auto g = make_acc_skill_graph(opt);
+    const AbilityGraph g(CapabilityRegistry::builtin().spec("acc_aggregate_sensors"));
     EXPECT_TRUE(g.has_node("environment_sensors"));
     EXPECT_FALSE(g.has_node(acc::kRadar));
-    EXPECT_NO_THROW(g.validate());
 }
 
 TEST(AccGraph, FogScenarioDegradesPerception) {
-    AbilityGraph ag(make_acc_skill_graph());
+    const SkillGraphSpec& spec = CapabilityRegistry::builtin().spec("acc");
+    AbilityGraph ag(spec);
     // Dense fog: camera nearly blind, lidar poor, radar fine.
     ag.set_source_level(acc::kCamera, 0.1);
     ag.set_source_level(acc::kLidar, 0.35);
@@ -346,11 +400,12 @@ TEST(AccGraph, FogScenarioDegradesPerception) {
     EXPECT_EQ(ag.ability(acc::kAccDriving), AbilityLevel::Unavailable);
 
     // A fusion-aware perception stack (weighted mean) keeps partial ability.
-    AbilityGraph fused(make_acc_skill_graph());
-    fused.set_aggregation(acc::kPerceiveTrack, Aggregation::WeightedMean);
-    fused.set_dependency_weight(acc::kPerceiveTrack, acc::kRadar, 3.0);
-    fused.set_dependency_weight(acc::kPerceiveTrack, acc::kCamera, 1.0);
-    fused.set_dependency_weight(acc::kPerceiveTrack, acc::kLidar, 1.0);
+    SkillGraphSpec fused_spec = spec;
+    fused_spec.aggregate(acc::kPerceiveTrack, Aggregation::WeightedMean)
+        .weight(acc::kPerceiveTrack, acc::kRadar, 3.0)
+        .weight(acc::kPerceiveTrack, acc::kCamera, 1.0)
+        .weight(acc::kPerceiveTrack, acc::kLidar, 1.0);
+    AbilityGraph fused(fused_spec);
     fused.set_source_level(acc::kCamera, 0.1);
     fused.set_source_level(acc::kLidar, 0.35);
     fused.set_source_level(acc::kRadar, 0.9);
@@ -361,7 +416,7 @@ TEST(AccGraph, FogScenarioDegradesPerception) {
 // --- SkillGraphSpec ----------------------------------------------------------------
 
 constexpr const char* kTinySpecText = R"(
-    // the tiny_graph() fixture, as a spec
+    // the tiny_spec() fixture, as text, plus a root and weights
     graph tiny {
       root drive;
       skill drive "main";
@@ -384,17 +439,15 @@ TEST(SkillGraphSpec, ParsesAndInstantiates) {
     EXPECT_EQ(spec.root_skill(), "drive");
     EXPECT_EQ(spec.node_count(), 5u);
     EXPECT_EQ(spec.edge_count(), 4u);
-    const auto g = spec.instantiate();
-    EXPECT_NO_THROW(g.validate());
-    EXPECT_EQ(g.children("drive"), (std::vector<std::string>{"perceive", "brake"}));
-    EXPECT_EQ(g.node("radar").kind, SkillNodeKind::DataSource);
-    EXPECT_EQ(g.node("radar").description, "range sensor");
-    EXPECT_EQ(g.node("brake_hw").kind, SkillNodeKind::DataSink);
+    EXPECT_EQ(children(spec, "drive"), (std::vector<std::string>{"perceive", "brake"}));
+    EXPECT_EQ(spec.nodes()[3].description, "range sensor");
+    const AbilityGraph g(spec);
+    EXPECT_EQ(g.kind("radar"), SkillNodeKind::DataSource);
+    EXPECT_EQ(g.kind("brake_hw"), SkillNodeKind::DataSink);
 }
 
 TEST(SkillGraphSpec, InstantiateAbilitiesAppliesAggregationAndWeights) {
-    const auto spec = SkillGraphSpec::parse(kTinySpecText);
-    auto abilities = spec.instantiate_abilities();
+    AbilityGraph abilities(SkillGraphSpec::parse(kTinySpecText));
     abilities.set_source_level("radar", 0.0);
     abilities.propagate();
     // weighted mean at drive: (perceive 0 * 3 + brake 1 * 1) / 4 = 0.25.
@@ -408,13 +461,13 @@ TEST(SkillGraphSpec, StrRoundTrips) {
     EXPECT_EQ(reparsed.node_names(), spec.node_names());
     EXPECT_EQ(reparsed.root_skill(), spec.root_skill());
     // Same propagate behaviour after the round trip.
-    auto a = spec.instantiate_abilities();
-    auto b = reparsed.instantiate_abilities();
+    AbilityGraph a(spec);
+    AbilityGraph b(reparsed);
     a.set_source_level("radar", 0.4);
     b.set_source_level("radar", 0.4);
     a.propagate();
     b.propagate();
-    EXPECT_EQ(a.snapshot(), b.snapshot());
+    EXPECT_EQ(levels(a), levels(b));
 }
 
 TEST(SkillGraphSpec, BuilderFormEqualsParsedForm) {
@@ -481,90 +534,104 @@ TEST(SkillGraphSpec, DuplicateNodesAndBadRootRejected) {
         .sink("out")
         .depends("top", {"child"})
         .depends("child", {"out"});
-    EXPECT_THROW((void)bad.instantiate(), ContractViolation);
+    EXPECT_THROW((void)AbilityGraph(bad), ContractViolation);
 }
 
-// --- ACC-as-spec parity -------------------------------------------------------------
+// --- Propagation semantics -----------------------------------------------------------
 
-/// The retired hand-wired factory, reproduced verbatim: the spec-instantiated
-/// graph must match it node for node, edge for edge, and propagate for
-/// propagate.
-SkillGraph hand_wired_acc() {
-    using namespace acc;
-    SkillGraph g;
-    g.add_skill(kAccDriving);
-    g.add_skill(kControlDistance);
-    g.add_skill(kControlSpeed);
-    g.add_skill(kKeepControllable);
-    g.add_skill(kEstimateDriverIntent);
-    g.add_skill(kSelectTarget);
-    g.add_skill(kPerceiveTrack);
-    g.add_skill(kAccelerate);
-    g.add_skill(kDecelerate);
-    g.add_sink(kPowertrain);
-    g.add_sink(kBrakeSystem);
-    g.add_source(kHmi);
-    g.add_source(kRadar);
-    g.add_source(kCamera);
-    g.add_source(kLidar);
-    g.add_dependency(kAccDriving, kControlDistance);
-    g.add_dependency(kAccDriving, kControlSpeed);
-    g.add_dependency(kAccDriving, kKeepControllable);
-    g.add_dependency(kKeepControllable, kEstimateDriverIntent);
-    g.add_dependency(kKeepControllable, kDecelerate);
-    g.add_dependency(kControlDistance, kSelectTarget);
-    g.add_dependency(kControlDistance, kEstimateDriverIntent);
-    g.add_dependency(kControlDistance, kAccelerate);
-    g.add_dependency(kControlDistance, kDecelerate);
-    g.add_dependency(kControlSpeed, kSelectTarget);
-    g.add_dependency(kControlSpeed, kEstimateDriverIntent);
-    g.add_dependency(kControlSpeed, kAccelerate);
-    g.add_dependency(kControlSpeed, kDecelerate);
-    g.add_dependency(kSelectTarget, kPerceiveTrack);
-    g.add_dependency(kPerceiveTrack, kRadar);
-    g.add_dependency(kPerceiveTrack, kCamera);
-    g.add_dependency(kPerceiveTrack, kLidar);
-    g.add_dependency(kEstimateDriverIntent, kHmi);
-    g.add_dependency(kAccelerate, kPowertrain);
-    g.add_dependency(kDecelerate, kPowertrain);
-    g.add_dependency(kDecelerate, kBrakeSystem);
-    g.validate();
-    return g;
-}
-
-TEST(AccAsSpec, StructureIdenticalToHandWiredFactory) {
-    const SkillGraph reference = hand_wired_acc();
-    const SkillGraph from_spec = make_acc_skill_graph();
-    EXPECT_EQ(from_spec.node_names(), reference.node_names());
-    EXPECT_EQ(from_spec.edge_count(), reference.edge_count());
-    for (const auto& name : reference.node_names()) {
-        EXPECT_EQ(from_spec.node(name).kind, reference.node(name).kind) << name;
-        EXPECT_EQ(from_spec.children(name), reference.children(name)) << name;
-        EXPECT_EQ(from_spec.parents(name), reference.parents(name)) << name;
+/// Reference propagation, read straight off the spec's declarations: a
+/// skill's level is the aggregate of its children's levels (in edge
+/// declaration order, with the declared weights), capped by its intrinsic
+/// level. `inputs` holds source/sink levels and skill intrinsics.
+double reference_level(const SkillGraphSpec& spec, const std::string& node,
+                       const std::map<std::string, double>& inputs) {
+    if (spec.node_kind(node) != SkillNodeKind::Skill) {
+        return inputs.at(node);
     }
-    EXPECT_EQ(from_spec.topological_order(), reference.topological_order());
+    Aggregation aggregation = Aggregation::Min;
+    for (const auto& decl : spec.aggregations()) {
+        if (decl.skill == node) {
+            aggregation = decl.aggregation;
+        }
+    }
+    std::vector<WeightedLevel> levels;
+    for (const auto& child : children(spec, node)) {
+        double weight = 1.0;
+        for (const auto& decl : spec.weights()) {
+            if (decl.skill == node && decl.child == child) {
+                weight = decl.weight;
+            }
+        }
+        levels.push_back({reference_level(spec, child, inputs), weight});
+    }
+    return std::min(inputs.at(node), aggregate(aggregation, levels));
 }
 
-TEST(AccAsSpec, PropagateResultsIdenticalToHandWiredFactory) {
-    // Sweep a grid of source degradations (with the fog-style weighted
-    // perception fusion) through both graphs: every node level must match
-    // exactly, not approximately.
-    for (double camera : {1.0, 0.6, 0.1, 0.0}) {
-        for (double brake : {1.0, 0.35, 0.0}) {
-            AbilityGraph reference(hand_wired_acc());
-            AbilityGraph from_spec(make_acc_skill_graph());
-            for (AbilityGraph* ag : {&reference, &from_spec}) {
-                ag->set_aggregation(acc::kPerceiveTrack, Aggregation::WeightedMean);
-                ag->set_dependency_weight(acc::kPerceiveTrack, acc::kRadar, 3.0);
-                ag->set_dependency_weight(acc::kPerceiveTrack, acc::kCamera, 1.0);
-                ag->set_dependency_weight(acc::kPerceiveTrack, acc::kLidar, 1.0);
-                ag->set_source_level(acc::kCamera, camera);
-                ag->set_source_level(acc::kBrakeSystem, brake);
+TEST(AbilityGraph, MatchesReferenceEvaluatorOnBuiltinSpecs) {
+    const auto& registry = CapabilityRegistry::builtin();
+    const double grid[] = {0.0, 0.1, 0.15, 0.35, 0.5, 0.6, 0.85, 0.9, 1.0};
+    RandomEngine rng(18);
+    for (const auto& spec_name : registry.spec_names()) {
+        const SkillGraphSpec& spec = registry.spec(spec_name);
+        AbilityGraph abilities(spec);
+        for (int trial = 0; trial < 64; ++trial) {
+            std::map<std::string, double> inputs;
+            for (const auto& node : spec.node_names()) {
+                const double level = grid[rng.index(std::size(grid))];
+                inputs[node] = level;
+                if (spec.node_kind(node) == SkillNodeKind::Skill) {
+                    abilities.set_intrinsic_level(node, level);
+                } else {
+                    abilities.set_source_level(node, level);
+                }
             }
-            EXPECT_EQ(reference.propagate(), from_spec.propagate());
-            EXPECT_EQ(reference.snapshot(), from_spec.snapshot())
-                << "camera=" << camera << " brake=" << brake;
+            abilities.propagate();
+            for (const auto& node : spec.node_names()) {
+                EXPECT_EQ(abilities.level(node), reference_level(spec, node, inputs))
+                    << spec_name << " trial " << trial << ": " << node;
+            }
         }
+    }
+}
+
+TEST(AbilityGraph, PropagationOrderIsPinned) {
+    // Kahn's algorithm, children first, the smallest ready name first. Skills
+    // report level changes in this order; sources and sinks never change in
+    // propagate(), so only the skills' places are observable.
+    const std::map<std::string, std::string> orders{
+        {"acc",
+         "brake_system camera hmi estimate_driver_intent lidar powertrain accelerate "
+         "decelerate keep_vehicle_controllable radar perceive_track_dynamic_objects "
+         "select_target_object control_distance control_speed acc_driving"},
+        {"acc_aggregate_sensors",
+         "brake_system environment_sensors hmi estimate_driver_intent "
+         "perceive_track_dynamic_objects powertrain accelerate decelerate "
+         "keep_vehicle_controllable select_target_object control_distance "
+         "control_speed acc_driving"},
+        {"emergency_stop",
+         "brake_system camera full_braking hazard_lights radar detect_obstacle "
+         "warn_traffic emergency_stop"},
+        {"lane_keep",
+         "camera detect_lane_markings hmi estimate_driver_intent imu steering "
+         "wheel_odometry estimate_vehicle_state lateral_control lane_keeping"},
+        {"platoon_follow",
+         "brake_system powertrain accelerate decelerate radar v2v_link "
+         "receive_platoon_commands track_lead_vehicle control_gap platoon_follow"},
+    };
+    const auto& registry = CapabilityRegistry::builtin();
+    ASSERT_EQ(registry.spec_names().size(), orders.size());
+    for (const auto& [spec_name, order] : orders) {
+        AbilityGraph abilities(registry.spec(spec_name));
+        std::vector<std::string> skills;
+        for (const auto& node : split(order, ' ')) {
+            if (abilities.kind(node) == SkillNodeKind::Skill) {
+                skills.push_back(node);
+            } else {
+                abilities.set_source_level(node, 0.0); // every skill changes
+            }
+        }
+        EXPECT_EQ(split(order, ' ').size(), abilities.node_count()) << spec_name;
+        EXPECT_EQ(change_order(abilities), skills) << spec_name;
     }
 }
 
@@ -577,32 +644,45 @@ TEST(CapabilityRegistry, BuiltinCatalogueIsComplete) {
                                         "emergency_stop", "lane_keep",
                                         "platoon_follow"}));
     for (const auto& name : registry.spec_names()) {
-        const auto g = registry.instantiate(name);
-        EXPECT_NO_THROW(g.validate()) << name;
         const auto& spec = registry.spec(name);
+        const AbilityGraph g(spec);
         EXPECT_FALSE(spec.root_skill().empty()) << name;
         // Every spec node is a registered capability of the declared kind.
         for (const auto& node : spec.node_names()) {
             ASSERT_TRUE(registry.has_capability(node)) << name << "/" << node;
-            EXPECT_EQ(registry.capability(node).node_kind, g.node(node).kind)
+            EXPECT_EQ(registry.capability(node).node_kind, g.kind(node))
                 << name << "/" << node;
         }
     }
     EXPECT_GE(registry.capability_count(), 30u);
 }
 
+/// Skills no other node depends on.
+std::vector<std::string> roots(const SkillGraphSpec& spec) {
+    std::vector<std::string> out;
+    for (const auto& node : spec.nodes()) {
+        const bool has_parent =
+            std::any_of(spec.edges().begin(), spec.edges().end(),
+                        [&](const auto& edge) { return edge.child == node.name; });
+        if (node.kind == SkillNodeKind::Skill && !has_parent) {
+            out.push_back(node.name);
+        }
+    }
+    return out;
+}
+
 TEST(CapabilityRegistry, NewManeuverGraphsHaveExpectedRoots) {
     const auto& registry = CapabilityRegistry::builtin();
-    EXPECT_EQ(registry.instantiate("lane_keep").roots(),
+    EXPECT_EQ(roots(registry.spec("lane_keep")),
               (std::vector<std::string>{caps::kLaneKeeping}));
-    EXPECT_EQ(registry.instantiate("emergency_stop").roots(),
+    EXPECT_EQ(roots(registry.spec("emergency_stop")),
               (std::vector<std::string>{caps::kEmergencyStop}));
-    EXPECT_EQ(registry.instantiate("platoon_follow").roots(),
+    EXPECT_EQ(roots(registry.spec("platoon_follow")),
               (std::vector<std::string>{caps::kPlatoonFollow}));
 
     // platoon_follow: losing V2V degrades command reception hard but the
     // radar-dominant tracking fusion keeps partial follow ability.
-    auto abilities = registry.instantiate_abilities("platoon_follow");
+    AbilityGraph abilities(registry.spec("platoon_follow"));
     abilities.set_source_level(caps::kV2vLink, 0.0);
     abilities.propagate();
     EXPECT_DOUBLE_EQ(abilities.level(caps::kReceivePlatoonCommands), 0.0);
@@ -656,7 +736,7 @@ monitor::Anomaly sensor_anomaly(const char* kind, const char* source) {
 }
 
 TEST(DegradationPolicy, MapsAlarmsOntoCapabilityDowngrades) {
-    auto abilities = CapabilityRegistry::builtin().instantiate_abilities("acc");
+    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     EXPECT_TRUE(policy.apply(sensor_anomaly("sensor_failed", acc::kCamera), abilities));
     abilities.propagate();
@@ -677,7 +757,7 @@ TEST(DegradationPolicy, MapsAlarmsOntoCapabilityDowngrades) {
 }
 
 TEST(DegradationPolicy, EffectiveLevelIsMinOverQualities) {
-    auto abilities = CapabilityRegistry::builtin().instantiate_abilities("acc");
+    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     // Degrade accuracy first, then availability harder.
     EXPECT_TRUE(policy.apply(sensor_anomaly("sensor_degraded", acc::kRadar), abilities));
@@ -707,7 +787,7 @@ TEST(DegradationPolicy, EffectiveLevelIsMinOverQualities) {
 }
 
 TEST(DegradationPolicy, ScenarioRulesExtendTheRegistry) {
-    auto abilities = CapabilityRegistry::builtin().instantiate_abilities("acc");
+    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     AlarmBinding rule;
     rule.anomaly_kind = "component_contained";
@@ -734,7 +814,7 @@ TEST(DegradationPolicy, SkillDowngradesStayIdempotentWithDegradedChildren) {
     // Idempotence must compare against what the policy wrote (the skill's
     // intrinsic cap), not the propagated level, which also reflects the
     // degraded children and never matches the imposed value.
-    auto abilities = CapabilityRegistry::builtin().instantiate_abilities("acc");
+    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
     abilities.set_source_level(acc::kRadar, 0.0);
     abilities.set_source_level(acc::kCamera, 0.0);
     abilities.set_source_level(acc::kLidar, 0.0);
@@ -769,7 +849,7 @@ TEST(SkillGraphSpec, NonIdentifierNamesRejected) {
 }
 
 TEST(DegradationPolicy, SkillCapabilitiesDowngradeIntrinsically) {
-    auto abilities = CapabilityRegistry::builtin().instantiate_abilities("acc");
+    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     AlarmBinding rule;
     rule.anomaly_kind = "tracker_diverged";
@@ -789,7 +869,7 @@ TEST(DegradationPolicy, SkillCapabilitiesDowngradeIntrinsically) {
 
 TEST(DegradationPolicy, SkipsCapabilitiesOutsideTheGraph) {
     // lane_keep has no radar: a radar alarm must be a no-op, not an error.
-    auto abilities = CapabilityRegistry::builtin().instantiate_abilities("lane_keep");
+    AbilityGraph abilities(CapabilityRegistry::builtin().spec("lane_keep"));
     DegradationPolicy policy;
     EXPECT_FALSE(policy.apply(sensor_anomaly("sensor_failed", acc::kRadar), abilities));
     EXPECT_TRUE(policy.apply(sensor_anomaly("sensor_failed", acc::kCamera), abilities));
@@ -800,7 +880,7 @@ TEST(DegradationPolicy, SkipsCapabilitiesOutsideTheGraph) {
 TEST(AccGraph, RearBrakeLossScenario) {
     // §V: rear braking compromised -> brake_system sink degraded -> decelerate
     // and everything above it degrade, but accelerate stays nominal.
-    AbilityGraph ag(make_acc_skill_graph());
+    AbilityGraph ag(CapabilityRegistry::builtin().spec("acc"));
     ag.set_source_level(acc::kBrakeSystem, 0.35);
     ag.propagate();
     EXPECT_EQ(ag.ability(acc::kDecelerate), AbilityLevel::Marginal);

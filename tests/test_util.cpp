@@ -289,6 +289,14 @@ TEST(StringUtil, HumanDuration) {
     EXPECT_EQ(human_duration_ns(3'000'000'000LL), "3.000s");
 }
 
+TEST(StringUtil, JsonEscape) {
+    EXPECT_EQ(json_escape("plain"), "plain");
+    EXPECT_EQ(json_escape("\"\\\n\r\t"), "\\\"\\\\\\n\\r\\t");
+    EXPECT_EQ(json_escape("a\x01" "b\x1f"), "a\\u0001b\\u001f");
+    // Bytes from 0x80 (UTF-8 sequences) pass through unchanged.
+    EXPECT_EQ(json_escape("\xc2\xb5s \xe2\x86\x92"), "\xc2\xb5s \xe2\x86\x92");
+}
+
 // --- StableVector ----------------------------------------------------------
 
 TEST(StableVector, EmptyContainerOwnsNoHeap) {

@@ -1,11 +1,10 @@
 // Tests for the vehicle substrate: dynamics, weather-dependent sensors, ACC,
-// brake-by-wire, driver model, closed-loop scenarios, route planning.
+// brake-by-wire, closed-loop scenarios, route planning.
 
 #include <gtest/gtest.h>
 
 #include "vehicle/acc_controller.hpp"
 #include "vehicle/brake_by_wire.hpp"
-#include "vehicle/driver_model.hpp"
 #include "vehicle/longitudinal.hpp"
 #include "vehicle/route_planner.hpp"
 #include "vehicle/sensor.hpp"
@@ -194,32 +193,6 @@ TEST(BrakeByWire, AbilityLevelTracksEffectiveness) {
     BrakeByWire brakes;
     brakes.set_rear_available(false);
     EXPECT_NEAR(brakes.ability_level(), 0.65, 1e-9);
-}
-
-// --- Driver model ------------------------------------------------------------------
-
-TEST(Driver, ProducesIntentSamples) {
-    sim::Simulator sim;
-    DriverModel driver(sim, Duration::ms(100));
-    int samples = 0;
-    driver.start([&](const DriverIntent& intent) {
-        ++samples;
-        EXPECT_DOUBLE_EQ(intent.requested_speed_mps, 30.0);
-    });
-    sim.run_until(Time(Duration::sec(1).count_ns()));
-    EXPECT_GE(samples, 9);
-}
-
-TEST(Driver, HmiFailureSilencesStream) {
-    sim::Simulator sim;
-    DriverModel driver(sim, Duration::ms(100));
-    int samples = 0;
-    driver.start([&](const DriverIntent&) { ++samples; });
-    sim.run_until(Time(Duration::ms(500).count_ns()));
-    const int before = samples;
-    driver.set_hmi_failed(true);
-    sim.run_until(Time(Duration::sec(2).count_ns()));
-    EXPECT_EQ(samples, before);
 }
 
 // --- Closed-loop scenario -------------------------------------------------------------
