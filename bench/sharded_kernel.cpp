@@ -9,6 +9,12 @@
 // overhead instead.
 //
 // Timing is manual (UseManualTime): assembly excluded, run() wall time only.
+//
+// BM_WindowHandoff isolates the barrier: every domain runs one no-op event
+// per 1 us tick under a 1 us lookahead, so each window is one tick with one
+// event per domain and its wall time is almost all handoff. The kernel and
+// its workers are set up once, outside the timing; each iteration runs one
+// window, so the row's time is the wall time per window, measured directly.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +23,7 @@
 
 #include "scenario/presets.hpp"
 #include "scenario/scenario_builder.hpp"
+#include "sim/sharded_kernel.hpp"
 
 using namespace sa;
 using sim::Duration;
@@ -85,5 +92,33 @@ BENCHMARK(BM_ShardedDualBusPlatoon)
     ->Arg(4)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_WindowHandoff(benchmark::State& state) {
+    const auto domains = static_cast<std::size_t>(state.range(0));
+    sim::ShardedKernel kernel(domains, 2026);
+    for (std::size_t d = 0; d < domains; ++d) {
+        kernel.declare_lookahead(d, Duration::us(1));
+        (void)kernel.domain(d).schedule_periodic(Duration::us(1), [] {});
+    }
+    // Start the workers and let their spin budgets settle before timing:
+    // at short --benchmark_min_time the first windows would dominate.
+    kernel.run_for(Duration::ms(1));
+    const std::uint64_t before = kernel.windows();
+    for (auto _ : state) {
+        const auto start = std::chrono::steady_clock::now();
+        kernel.run_for(Duration::us(1));
+        const auto end = std::chrono::steady_clock::now();
+        state.SetIterationTime(std::chrono::duration<double>(end - start).count());
+    }
+    // Reads 1: one window per iteration, so real_time is the time per window.
+    state.counters["windows"] = benchmark::Counter(
+        static_cast<double>(kernel.windows() - before), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WindowHandoff)
+    ->ArgName("domains")
+    ->Arg(2)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace

@@ -24,13 +24,68 @@ Time saturating_after(Time at, Duration delta) {
     return at + delta;
 }
 
+// Bounds of a waiter's adaptive spin budget (see the header's round
+// coordination comment).
+constexpr std::chrono::nanoseconds kSpinFloor = std::chrono::microseconds(1);
+constexpr std::chrono::nanoseconds kSpinCap = std::chrono::microseconds(50);
+
+/// Tell the core this thread is spinning: frees pipeline resources for a
+/// sibling hyperthread and paces the polling load.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/// Wait until `done(word)` holds and return the value that satisfied it:
+/// spin for up to `budget`, then park. Adapts `budget`: doubled when
+/// spinning sufficed, halved when the wait had to park.
+template <typename Done>
+std::uint32_t await(const std::atomic<std::uint32_t>& word,
+                    std::atomic<std::uint32_t>& parked,
+                    std::chrono::nanoseconds& budget, Done done) noexcept {
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    for (;;) {
+        const std::uint32_t value = word.load(std::memory_order_acquire);
+        if (done(value)) {
+            budget = std::min(budget * 2, kSpinCap);
+            return value;
+        }
+        if (std::chrono::steady_clock::now() >= deadline) {
+            break;
+        }
+        cpu_relax();
+    }
+    budget = std::max(budget / 2, kSpinFloor);
+    // Announce the sleep before the re-check (both seq_cst, pairing with
+    // wake()): a bump this re-check misses sees the count and notifies.
+    parked.fetch_add(1, std::memory_order_seq_cst);
+    std::uint32_t value = word.load(std::memory_order_seq_cst);
+    while (!done(value)) {
+        word.wait(value, std::memory_order_seq_cst);
+        value = word.load(std::memory_order_seq_cst);
+    }
+    parked.fetch_sub(1, std::memory_order_relaxed);
+    return value;
+}
+
+/// Wake the waiters parked on `word`, called right after a seq_cst RMW of
+/// it. No system call unless a waiter announced that it sleeps.
+void wake(std::atomic<std::uint32_t>& word,
+          const std::atomic<std::uint32_t>& parked) noexcept {
+    if (parked.load(std::memory_order_seq_cst) != 0) {
+        word.notify_all();
+    }
+}
+
 } // namespace
 
 DomainKernel::DomainKernel(std::size_t index, std::uint64_t seed,
                            std::size_t num_domains)
     : simulator_(seed), index_(index), outbox_(num_domains) {}
 
-ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed) {
+ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed)
+    : spin_budget_(kSpinCap) {
     SA_REQUIRE(num_domains >= 1, "a sharded kernel needs at least one domain");
     domains_.reserve(num_domains);
     for (std::size_t d = 0; d < num_domains; ++d) {
@@ -49,11 +104,11 @@ ShardedKernel::~ShardedKernel() {
     if (!workers_started_) {
         return;
     }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    cv_start_.notify_all();
+    // Every worker is between windows here: the last window's pending_
+    // handshake completed before the coordinator could get here.
+    shutdown_ = true;
+    round_.value.fetch_add(1, std::memory_order_seq_cst);
+    wake(round_.value, round_.parked);
     for (auto& domain : domains_) {
         if (domain->worker_.joinable()) {
             domain->worker_.join();
@@ -151,41 +206,35 @@ void ShardedKernel::run_domain_window(DomainKernel& domain, Time window_end) {
 }
 
 void ShardedKernel::worker_main(DomainKernel& domain) {
-    std::uint64_t seen_round = 0;
+    std::uint32_t seen_round = 0;
+    std::chrono::nanoseconds budget = kSpinCap;
     for (;;) {
-        Time window_end;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_start_.wait(lock,
-                           [&] { return round_ != seen_round || shutdown_; });
-            if (shutdown_) {
-                return;
-            }
-            seen_round = round_;
-            window_end = window_end_;
+        seen_round = await(round_.value, round_.parked, budget,
+                           [seen_round](std::uint32_t round) {
+                               return round != seen_round;
+                           });
+        if (shutdown_) {
+            return;
         }
-        run_domain_window(domain, window_end);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (++done_ == domains_.size() - 1) {
-                cv_done_.notify_one();
-            }
+        run_domain_window(domain, window_end_);
+        if (pending_.value.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+            wake(pending_.value, pending_.parked);
         }
     }
 }
 
 void ShardedKernel::run_window(Time window_end) {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
+    if (workers_started_) {
         window_end_ = window_end;
-        done_ = 0;
-        ++round_;
+        pending_.value.store(static_cast<std::uint32_t>(domains_.size() - 1),
+                             std::memory_order_relaxed);
+        round_.value.fetch_add(1, std::memory_order_seq_cst);
+        wake(round_.value, round_.parked);
     }
-    cv_start_.notify_all();
     run_domain_window(*domains_[0], window_end);
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_done_.wait(lock, [&] { return done_ == domains_.size() - 1; });
+    if (workers_started_) {
+        (void)await(pending_.value, pending_.parked, spin_budget_,
+                    [](std::uint32_t left) { return left == 0; });
     }
     ++windows_;
     // Surface window failures on the calling thread, lowest domain first

@@ -46,12 +46,11 @@
 // — the property the sharded determinism suite locks in.
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -91,7 +90,7 @@ private:
     Duration lookahead_ = kUnboundedLookahead;
     /// outbox_[target]: sends made by this domain during the current window.
     /// Written only by the domain's own thread, drained by the coordinator
-    /// at the barrier (synchronised through the round mutex).
+    /// at the barrier (published by the worker's pending_ decrement).
     std::vector<std::vector<Envelope>> outbox_;
     /// An exception thrown inside this domain's window (e.g. a contract
     /// violation); captured by run_domain_window() and rethrown by the
@@ -216,16 +215,32 @@ private:
     std::vector<Script> scripts_;
     std::size_t scripts_head_ = 0;
 
-    // Round coordination. The coordinator publishes {window_end_, horizon_,
-    // round_} under mutex_, runs domain 0 itself, and the workers
-    // acknowledge through done_; outbox contents ride the same mutex, so
-    // every window is a full happens-before edge in both directions
-    // (ThreadSanitizer-clean).
-    std::mutex mutex_;
-    std::condition_variable cv_start_;
-    std::condition_variable cv_done_;
-    std::uint64_t round_ = 0;
-    std::size_t done_ = 0;
+    // Round coordination: two handoff words, no lock. The coordinator writes
+    // window_end_, horizon_ (and, once, shutdown_), then bumps round_ with a
+    // release RMW; a worker that acquires the new round reads them. A worker
+    // writes its outboxes and error_, then decrements pending_ with a
+    // release RMW; the decrements form one release sequence, so the
+    // coordinator's acquire of zero reads every worker's writes.
+    //
+    // Each waiter — a worker waiting for the next round, the coordinator
+    // waiting for the last worker — spins on its word with a CPU-relax hint
+    // for a time budget of its own, then parks with std::atomic::wait. A
+    // wait that spinning satisfied doubles the budget (cap 50 us), one that
+    // had to park halves it (floor 1 us), so spinning persists only while
+    // it pays. The waker calls notify_all only when the word's parked count
+    // is non-zero. The parker's increment and re-check of the word and the
+    // waker's bump and read of the count are all seq_cst: either the waker
+    // sees the parker or the parker sees the bump, so no wake-up is lost and
+    // the usual handoff makes no system call. A one-domain kernel has no
+    // worker and touches none of this. Each word has a cache line of its
+    // own, so spinning on one does not contend with writes to the other.
+    struct alignas(64) HandoffWord {
+        std::atomic<std::uint32_t> value{0};
+        std::atomic<std::uint32_t> parked{0}; ///< waiters asleep on value
+    };
+    HandoffWord round_;   ///< bumped once per window (and at shutdown)
+    HandoffWord pending_; ///< workers still inside the current window
+    std::chrono::nanoseconds spin_budget_; ///< the coordinator's
     bool shutdown_ = false;
     bool workers_started_ = false;
     Time window_end_ = Time::zero();

@@ -1,28 +1,37 @@
 #include "util/log.hpp"
 
+#include <atomic>
 #include <cstdio>
+#include <mutex>
 
 namespace sa {
 
 namespace {
-LogLevel g_level = LogLevel::Warn;
-Log::Sink g_sink; // empty -> stderr
+std::atomic<LogLevel> g_level{LogLevel::Warn};
+std::mutex g_sink_mutex; // serialises sink calls and set_sink()
+Log::Sink g_sink;        // guarded by g_sink_mutex; empty -> stderr
 
 void default_sink(LogLevel level, const std::string& message) {
     std::fprintf(stderr, "[%s] %s\n", Log::level_name(level), message.c_str());
 }
 } // namespace
 
-void Log::set_level(LogLevel level) noexcept { g_level = level; }
+void Log::set_level(LogLevel level) noexcept {
+    g_level.store(level, std::memory_order_relaxed);
+}
 
-LogLevel Log::level() noexcept { return g_level; }
+LogLevel Log::level() noexcept { return g_level.load(std::memory_order_relaxed); }
 
-void Log::set_sink(Sink sink) { g_sink = std::move(sink); }
+void Log::set_sink(Sink sink) {
+    std::lock_guard<std::mutex> lock(g_sink_mutex);
+    g_sink = std::move(sink);
+}
 
 void Log::write(LogLevel level, const std::string& message) {
-    if (static_cast<int>(level) < static_cast<int>(g_level)) {
+    if (static_cast<int>(level) < static_cast<int>(Log::level())) {
         return;
     }
+    std::lock_guard<std::mutex> lock(g_sink_mutex);
     if (g_sink) {
         g_sink(level, message);
     } else {

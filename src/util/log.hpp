@@ -11,8 +11,11 @@ namespace sa {
 
 enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off = 5 };
 
-/// Global logging configuration. Not thread-safe by design: the simulation is
-/// single-threaded (discrete-event), so a global sink is sufficient.
+/// Global logging configuration, safe to use from any thread: the domain
+/// workers of a sharded simulation log concurrently. The level is a relaxed
+/// atomic, so a line filtered out by it takes no lock. Emitted lines reach
+/// the sink under one mutex, so sink calls never overlap; a sink must
+/// therefore not log itself.
 class Log {
 public:
     using Sink = std::function<void(LogLevel, const std::string&)>;

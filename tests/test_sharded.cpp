@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "scenario/scenario_builder.hpp"
 #include "sim/sharded_kernel.hpp"
 #include "util/assert.hpp"
+#include "util/log.hpp"
 
 namespace {
 
@@ -316,6 +319,152 @@ TEST(ShardedKernel, DomainZeroRunsOnTheCallingThread) {
         for (std::size_t e = 1; e < d; ++e) {
             EXPECT_NE(ran_on[d], ran_on[e]) << "domains " << e << " and " << d;
         }
+    }
+}
+
+TEST(ShardedKernel, DomainsLoggingInOneWindowSerialiseTheSink) {
+    // The sink appends without a lock of its own: the logger serialises
+    // sink calls, and the level is an atomic a window may set while another
+    // domain's window reads it.
+    std::vector<std::string> lines;
+    const LogLevel level = Log::level();
+    Log::set_level(LogLevel::Warn);
+    Log::set_sink([&lines](LogLevel, const std::string& line) { lines.push_back(line); });
+    {
+        // No lookahead declared: the whole span is one window, so both
+        // domains log concurrently.
+        sim::ShardedKernel kernel(2, 42);
+        for (std::size_t d = 0; d < 2; ++d) {
+            kernel.domain(d).schedule_periodic(Duration::us(10), [d] {
+                Log::set_level(LogLevel::Warn);
+                SA_LOG_WARN << "domain " << d;
+            });
+        }
+        kernel.run_until(Time(Duration::us(995).count_ns()));
+        EXPECT_EQ(kernel.windows(), 1u);
+    }
+    Log::set_sink(nullptr);
+    Log::set_level(level);
+    ASSERT_EQ(lines.size(), 200u);
+    EXPECT_EQ(std::count(lines.begin(), lines.end(), "domain 0"), 100);
+    EXPECT_EQ(std::count(lines.begin(), lines.end(), "domain 1"), 100);
+}
+
+// --- barrier stress: thousands of tiny windows, parked waiters ----------------------
+//
+// These pin the window handoff's behaviour, not its speed. Every few hundred
+// windows a stall longer than any spin budget (capped at 50 us) makes every
+// waiter give up spinning and park, so the next window must wake it.
+
+constexpr auto kStall = std::chrono::microseconds(300);
+constexpr std::int64_t kStressWindows = 10'000;
+constexpr std::int64_t kStallEvery = 250; // windows between stalls
+
+/// One event of the ping-pong as its domain saw it.
+struct TokenVisit {
+    std::int64_t at_us;
+    std::size_t token;
+    bool operator==(const TokenVisit&) const = default;
+};
+
+/// Cross-domain ping-pong on 1 us links: one token per domain, each passed
+/// to the next domain 1 us later, so every window is one 1 us tick in which
+/// every domain runs exactly one event. A script stalls the coordinator
+/// between windows (every worker parks waiting for the next round) and the
+/// last domain stalls inside a window half-way between scripts (the
+/// coordinator and the other workers park waiting for it).
+class PingPong {
+public:
+    explicit PingPong(std::size_t domains) : visits_(domains), kernel_(domains, 42) {
+        for (std::size_t d = 0; d < domains; ++d) {
+            kernel_.declare_lookahead(d, Duration::us(1));
+            kernel_.domain(d).schedule(Duration::zero(), [this, d] { visit(d, d); });
+        }
+        for (std::int64_t w = kStallEvery; w < kStressWindows; w += kStallEvery) {
+            kernel_.schedule_script(Time(Duration::us(w).count_ns()),
+                                    [] { std::this_thread::sleep_for(kStall); });
+        }
+    }
+
+    void run() { kernel_.run_until(Time(Duration::us(kStressWindows - 1).count_ns())); }
+
+    [[nodiscard]] const sim::ShardedKernel& kernel() const { return kernel_; }
+    [[nodiscard]] const std::vector<TokenVisit>& visits(std::size_t domain) const {
+        return visits_[domain];
+    }
+
+private:
+    void visit(std::size_t domain, std::size_t token) {
+        sim::Simulator& here = kernel_.domain(domain);
+        const std::int64_t at_us = here.now().ns() / 1000;
+        visits_[domain].push_back({at_us, token});
+        if (domain + 1 == kernel_.num_domains() && at_us % kStallEvery == kStallEvery / 2) {
+            std::this_thread::sleep_for(kStall);
+        }
+        const std::size_t next = (domain + 1) % kernel_.num_domains();
+        sim::post(kernel_.domain(next), here.now() + Duration::us(1),
+                  [this, next, token] { visit(next, token); });
+    }
+
+    std::vector<std::vector<TokenVisit>> visits_; ///< one per domain
+    sim::ShardedKernel kernel_;
+};
+
+void expect_exact_ping_pong(std::size_t domains) {
+    PingPong game(domains);
+    game.run();
+
+    const auto windows = static_cast<std::uint64_t>(kStressWindows);
+    EXPECT_EQ(game.kernel().windows(), windows);
+    EXPECT_EQ(game.kernel().executed_events(), windows * domains);
+    EXPECT_EQ(game.kernel().cross_domain_events(), windows * domains);
+    for (std::size_t d = 0; d < domains; ++d) {
+        // At tick t, domain d holds the token that started on d - t.
+        std::vector<TokenVisit> expected;
+        for (std::int64_t t = 0; t < kStressWindows; ++t) {
+            const auto back = static_cast<std::size_t>(t) % domains;
+            expected.push_back({t, (d + domains - back) % domains});
+        }
+        EXPECT_EQ(game.visits(d), expected) << "domain " << d << " of " << domains;
+    }
+}
+
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtTwoDomains) { expect_exact_ping_pong(2); }
+
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtFourDomains) { expect_exact_ping_pong(4); }
+
+TEST(ShardedBarrierStress, KernelDestroyedWhileItsWorkersAreParked) {
+    for (std::size_t domains : {2u, 4u}) {
+        std::vector<int> ran(domains, 0); // one slot per domain
+        {
+            sim::ShardedKernel kernel(domains, 42);
+            for (std::size_t d = 0; d < domains; ++d) {
+                kernel.domain(d).schedule(Duration::us(1), [&ran, d] { ++ran[d]; });
+            }
+            kernel.run_until(Time(Duration::us(10).count_ns()));
+            // Longer than any spin budget: the destructor finds every worker
+            // parked and must wake it to join it.
+            std::this_thread::sleep_for(kStall);
+        }
+        EXPECT_EQ(ran, std::vector<int>(domains, 1)) << domains << " domains";
+    }
+}
+
+TEST(ShardedBarrierStress, KernelDestroyedRightAfterAWindowThatThrewInDomainOne) {
+    for (std::size_t domains : {2u, 4u}) {
+        sim::ShardedKernel kernel(domains, 42);
+        for (std::size_t d = 0; d < domains; ++d) {
+            kernel.declare_lookahead(d, Duration::us(1));
+            (void)kernel.domain(d).schedule_periodic(Duration::us(1), [] {});
+        }
+        kernel.domain(1).schedule(Duration::us(500), [] {
+            SA_REQUIRE(false, "domain 1 fails inside its window");
+        });
+        EXPECT_THROW(kernel.run_until(Time(Duration::ms(1).count_ns())),
+                     sa::ContractViolation);
+        // Ticks 0..500, the last one the window that threw; the kernel is
+        // destroyed right away, its workers still spinning.
+        EXPECT_EQ(kernel.windows(), 501u) << domains << " domains";
     }
 }
 
