@@ -77,10 +77,10 @@ WcrtResult CanWcrtAnalysis::analyze_message(const CanBusModel& bus,
     // plus own preceding jobs (q-1)*C; response of job q = w + C - delta-(q).
     sim::Duration worst = sim::Duration::zero();
     bool converged = true;
-    for (int q = 1; q <= options_.max_busy_jobs; ++q) {
+    for (int q = 1; q <= kWcrtMaxBusyJobs; ++q) {
         sim::Duration w = sim::Duration(blocking.count_ns() + (q - 1) * c.count_ns());
         bool settled = false;
-        for (int it = 0; it < options_.max_iterations; ++it) {
+        for (int it = 0; it < kWcrtMaxIterations; ++it) {
             std::int64_t acc = blocking.count_ns() + (q - 1) * c.count_ns();
             for (const auto& hp : bus.messages) {
                 if (hp.can_id < msg.can_id) {
@@ -107,7 +107,7 @@ WcrtResult CanWcrtAnalysis::analyze_message(const CanBusModel& bus,
         if (w + c <= msg.activation.delta_minus(q + 1)) {
             break;
         }
-        if (q == options_.max_busy_jobs) {
+        if (q == kWcrtMaxBusyJobs) {
             converged = false;
         }
     }

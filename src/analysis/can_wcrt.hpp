@@ -17,15 +17,8 @@ namespace sa::analysis {
 [[nodiscard]] sim::Duration can_frame_time(int payload_bytes, bool extended_id,
                                            std::int64_t bitrate_bps);
 
-struct CanWcrtOptions {
-    int max_iterations = 10'000;
-    int max_busy_jobs = 10'000;
-};
-
 class CanWcrtAnalysis {
 public:
-    explicit CanWcrtAnalysis(CanWcrtOptions options = {}) : options_(options) {}
-
     /// Analyze all messages on the bus. CAN ids must be unique.
     [[nodiscard]] ResourceAnalysisResult analyze(const CanBusModel& bus) const;
 
@@ -34,9 +27,6 @@ public:
 
     /// Bus utilization in [0, inf).
     [[nodiscard]] static double utilization(const CanBusModel& bus);
-
-private:
-    CanWcrtOptions options_;
 };
 
 } // namespace sa::analysis

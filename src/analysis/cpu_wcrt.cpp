@@ -56,11 +56,11 @@ WcrtResult CpuWcrtAnalysis::analyze_task(const CpuResourceModel& cpu,
     // period ends (completion of job q before arrival of job q+1).
     sim::Duration worst = sim::Duration::zero();
     bool converged = true;
-    for (int q = 1; q <= options_.max_busy_jobs; ++q) {
+    for (int q = 1; q <= kWcrtMaxBusyJobs; ++q) {
         // Fixed point: w = q*C + I(w)
         sim::Duration w = sim::Duration(q * c.count_ns());
         bool settled = false;
-        for (int it = 0; it < options_.max_iterations; ++it) {
+        for (int it = 0; it < kWcrtMaxIterations; ++it) {
             const sim::Duration next =
                 sim::Duration(q * c.count_ns() + interference(cpu, task, w).count_ns());
             if (next == w) {
@@ -83,7 +83,7 @@ WcrtResult CpuWcrtAnalysis::analyze_task(const CpuResourceModel& cpu,
         if (w <= task.activation.delta_minus(q + 1)) {
             break;
         }
-        if (q == options_.max_busy_jobs) {
+        if (q == kWcrtMaxBusyJobs) {
             converged = false;
         }
     }

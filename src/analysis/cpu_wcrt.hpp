@@ -8,15 +8,8 @@
 
 namespace sa::analysis {
 
-struct CpuWcrtOptions {
-    int max_iterations = 10'000;   ///< per fixed-point; guards divergence
-    int max_busy_jobs = 10'000;    ///< max jobs q examined per busy window
-};
-
 class CpuWcrtAnalysis {
 public:
-    explicit CpuWcrtAnalysis(CpuWcrtOptions options = {}) : options_(options) {}
-
     /// Analyze all tasks on the resource. Task priorities must be unique.
     [[nodiscard]] ResourceAnalysisResult analyze(const CpuResourceModel& cpu) const;
 
@@ -25,9 +18,6 @@ public:
     /// (utilization >= 1 among the considered tasks).
     [[nodiscard]] WcrtResult analyze_task(const CpuResourceModel& cpu,
                                           const TaskModel& task) const;
-
-private:
-    CpuWcrtOptions options_;
 };
 
 } // namespace sa::analysis

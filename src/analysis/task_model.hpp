@@ -88,6 +88,12 @@ struct WcrtResult {
     bool converged = true; ///< false if the busy-window iteration diverged
 };
 
+/// Bounds of the CPU and CAN busy-window analyses: fixed-point iterations
+/// per job, and jobs examined per busy window. An analysis that needs more
+/// reports its result as not converged.
+inline constexpr int kWcrtMaxIterations = 10'000;
+inline constexpr int kWcrtMaxBusyJobs = 10'000;
+
 /// Result for a whole resource.
 struct ResourceAnalysisResult {
     std::string resource;

@@ -1,9 +1,8 @@
 #include "campaign/campaign_spec.hpp"
 
-#include <algorithm>
 #include <limits>
+#include <set>
 
-#include "util/assert.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::campaign {
@@ -236,6 +235,14 @@ auto take_list(Lexer& lex, Take take_one) {
     return values;
 }
 
+/// A statement given twice in one block would silently override the first:
+/// a campaign would drop an axis, a cell would replay another seed.
+void reject_repeat(std::set<std::string>& seen, const std::string& keyword, int line) {
+    if (!seen.insert(keyword).second) {
+        throw util::ParseError(line, "repeated statement '" + keyword + "'");
+    }
+}
+
 /// Parse one cell statement into `cell`. Returns false when `keyword` is not
 /// a cell statement (CampaignSpec::parse reads its scalar statements, which
 /// are the cell's, through here too).
@@ -296,9 +303,11 @@ CellConfig CellConfig::parse(util::Lexer& lex) {
     lex.expect("cell");
     lex.expect("{");
     CellConfig cell;
+    std::set<std::string> seen;
     while (!lex.accept("}")) {
         const int line = lex.peek().line;
         const std::string keyword = lex.take_ident("a cell statement");
+        reject_repeat(seen, keyword, line);
         if (!parse_cell_statement(lex, keyword, line, cell)) {
             throw util::ParseError(line, "unknown cell statement '" + keyword + "'");
         }
@@ -315,80 +324,13 @@ CellConfig CellConfig::parse(const std::string& text) {
 
 // --- CampaignSpec ------------------------------------------------------------------
 
-CampaignSpec::CampaignSpec(std::string name) : name_(std::move(name)) {}
-
-CampaignSpec& CampaignSpec::scenario_template(std::string name) {
-    template_ = std::move(name);
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::vehicles(std::vector<std::size_t> counts) {
-    SA_REQUIRE(!counts.empty(), "vehicles axis needs at least one value");
-    vehicles_ = std::move(counts);
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::duration(sim::Duration duration) {
-    SA_REQUIRE(duration.count_ns() >= sim::Duration::ms(1).count_ns(),
-               "campaign duration must be at least 1ms");
-    duration_ = duration;
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::spec_file(std::string path) {
-    spec_file_ = std::move(path);
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::weathers(std::vector<Weather> values) {
-    SA_REQUIRE(!values.empty(), "weather axis needs at least one value");
-    weathers_ = std::move(values);
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::faults(std::vector<Fault> values) {
-    SA_REQUIRE(!values.empty(), "fault axis needs at least one value");
-    faults_ = std::move(values);
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::policies(std::vector<PolicyKind> values) {
-    SA_REQUIRE(!values.empty(), "policy axis needs at least one value");
-    policies_ = std::move(values);
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::topologies(std::vector<Topology> values) {
-    SA_REQUIRE(!values.empty(), "topology axis needs at least one value");
-    topologies_ = std::move(values);
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::domains(std::vector<std::size_t> counts) {
-    SA_REQUIRE(!counts.empty(), "domains axis needs at least one value");
-    domains_ = std::move(counts);
-    return *this;
-}
-
 CampaignSpec& CampaignSpec::seeds(std::uint64_t lo, std::uint64_t hi) {
     seeds_ = SeedRange{lo, hi};
     return *this;
 }
 
-CampaignSpec& CampaignSpec::learned(sim::Duration warmup, bool no_metrics) {
-    SA_REQUIRE(warmup.count_ns() >= 0, "learned warm-up must not be negative");
-    learned_warmup_ = warmup;
-    learned_no_metrics_ = no_metrics;
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::mesh_range(std::uint64_t range_m) {
-    mesh_range_m_ = range_m;
-    return *this;
-}
-
-CampaignSpec& CampaignSpec::mesh_ttl(std::uint64_t ttl) {
-    mesh_ttl_ = ttl;
+CampaignSpec& CampaignSpec::spec_file(std::string path) {
+    cell_.spec_file = std::move(path);
     return *this;
 }
 
@@ -414,23 +356,14 @@ std::vector<CellConfig> CampaignSpec::expand() const {
                         for (const std::size_t vehicles : vehicles_) {
                             for (std::uint64_t seed = seeds_.lo;
                                  seed <= seeds_.hi && seeds_.count() > 0; ++seed) {
-                                CellConfig cell;
-                                cell.campaign = name_;
-                                cell.scenario_template = template_;
+                                CellConfig& cell = cells.emplace_back(cell_);
                                 cell.vehicles = vehicles;
-                                cell.duration = duration_;
-                                cell.spec_file = spec_file_;
                                 cell.weather = weather;
                                 cell.fault = fault;
                                 cell.policy = policy;
                                 cell.topology = topology;
                                 cell.domains = domains;
                                 cell.seed = seed;
-                                cell.learned_warmup = learned_warmup_;
-                                cell.learned_no_metrics = learned_no_metrics_;
-                                cell.mesh_range_m = mesh_range_m_;
-                                cell.mesh_ttl = mesh_ttl_;
-                                cells.push_back(std::move(cell));
                                 if (seed == seeds_.hi) {
                                     break; // avoid overflow at UINT64_MAX
                                 }
@@ -445,16 +378,16 @@ std::vector<CellConfig> CampaignSpec::expand() const {
 }
 
 std::string CampaignSpec::str() const {
-    std::string out = "campaign " + name_ + " {\n";
-    out += "  template " + template_ + ";\n";
+    std::string out = "campaign " + cell_.campaign + " {\n";
+    out += "  template " + cell_.scenario_template + ";\n";
     out += "  vehicles";
     for (const std::size_t count : vehicles_) {
         out += " " + std::to_string(count);
     }
     out += ";\n";
-    out += "  duration " + duration_str(duration_) + ";\n";
-    if (!spec_file_.empty()) {
-        out += "  spec \"" + spec_file_ + "\";\n";
+    out += "  duration " + duration_str(cell_.duration) + ";\n";
+    if (!cell_.spec_file.empty()) {
+        out += "  spec \"" + cell_.spec_file + "\";\n";
     }
     out += "  weather";
     for (const Weather weather : weathers_) {
@@ -483,15 +416,15 @@ std::string CampaignSpec::str() const {
     out += ";\n";
     out += "  seeds " + std::to_string(seeds_.lo) + ".." + std::to_string(seeds_.hi) +
            ";\n";
-    if (learned_warmup_.count_ns() > 0) {
-        out += "  learned " + duration_str(learned_warmup_) +
-               (learned_no_metrics_ ? " none" : "") + ";\n";
+    if (cell_.learned_warmup.count_ns() > 0) {
+        out += "  learned " + duration_str(cell_.learned_warmup) +
+               (cell_.learned_no_metrics ? " none" : "") + ";\n";
     }
-    if (mesh_range_m_ > 0) {
-        out += "  mesh_range " + std::to_string(mesh_range_m_) + ";\n";
+    if (cell_.mesh_range_m > 0) {
+        out += "  mesh_range " + std::to_string(cell_.mesh_range_m) + ";\n";
     }
-    if (mesh_ttl_ > 0) {
-        out += "  mesh_ttl " + std::to_string(mesh_ttl_) + ";\n";
+    if (cell_.mesh_ttl > 0) {
+        out += "  mesh_ttl " + std::to_string(cell_.mesh_ttl) + ";\n";
     }
     out += "}\n";
     return out;
@@ -500,12 +433,14 @@ std::string CampaignSpec::str() const {
 CampaignSpec CampaignSpec::parse(const std::string& text) {
     Lexer lex(text);
     lex.expect("campaign");
-    CampaignSpec spec(lex.take_ident("a campaign name"));
+    CampaignSpec spec;
+    spec.cell_.campaign = lex.take_ident("a campaign name");
     lex.expect("{");
-    CellConfig scalars; // template, duration, spec, learned, mesh_range, mesh_ttl
+    std::set<std::string> seen;
     while (!lex.accept("}")) {
         const int line = lex.peek().line;
         const std::string keyword = lex.take_ident("a campaign statement");
+        reject_repeat(seen, keyword, line);
         if (keyword == "vehicles") {
             spec.vehicles_ = take_list(lex, take_vehicles);
         } else if (keyword == "weather") {
@@ -524,18 +459,11 @@ CampaignSpec CampaignSpec::parse(const std::string& text) {
             spec.seeds_.hi = lex.take_uint("a seed range high bound", kMaxU64);
             lex.expect(";");
         } else if (keyword == "campaign" || keyword == "seed" ||
-                   !parse_cell_statement(lex, keyword, line, scalars)) {
+                   !parse_cell_statement(lex, keyword, line, spec.cell_)) {
             throw util::ParseError(line, "unknown campaign axis '" + keyword + "'");
         }
     }
     expect_end(lex, "campaign");
-    spec.template_ = scalars.scenario_template;
-    spec.duration_ = scalars.duration;
-    spec.spec_file_ = scalars.spec_file;
-    spec.learned_warmup_ = scalars.learned_warmup;
-    spec.learned_no_metrics_ = scalars.learned_no_metrics;
-    spec.mesh_range_m_ = scalars.mesh_range_m;
-    spec.mesh_ttl_ = scalars.mesh_ttl;
     return spec;
 }
 

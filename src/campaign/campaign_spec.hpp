@@ -9,8 +9,8 @@
 // the failing-seed corpus stores.
 //
 // Campaign grammar (tokens follow the shared lexical rules in
-// util/lexer.hpp; statements are ';'-terminated; malformed text throws
-// util::ParseError with its line):
+// util/lexer.hpp; statements are ';'-terminated and each appears at most
+// once per block; malformed text throws util::ParseError with its line):
 //
 //   campaign <name> {
 //     template platoon;             // scenario template (only "platoon")
@@ -135,7 +135,8 @@ struct CellConfig {
     [[nodiscard]] std::string id() const;
     /// Canonical multi-line `cell { ... }` block; parse(str()) round-trips.
     [[nodiscard]] std::string str() const;
-    /// Parse exactly one `cell { ... }` block and nothing after it.
+    /// Parse exactly one `cell { ... }` block and nothing after it. A
+    /// statement given twice is a util::ParseError at the repeat's line.
     [[nodiscard]] static CellConfig parse(const std::string& text);
     /// Parse one `cell { ... }` block from `lex`, leaving what follows it.
     [[nodiscard]] static CellConfig parse(util::Lexer& lex);
@@ -151,42 +152,27 @@ struct SeedRange {
     }
 };
 
-/// A parsed (or programmatically built) campaign matrix.
+/// A parsed campaign matrix: the scalar statements as one CellConfig, the
+/// axis values and the seed range.
 class CampaignSpec {
 public:
-    CampaignSpec() = default;
-    explicit CampaignSpec(std::string name);
-
-    /// Parse exactly one `campaign <name> { ... }` block.
+    /// Parse exactly one `campaign <name> { ... }` block. A statement given
+    /// twice is a util::ParseError at the repeat's line.
     [[nodiscard]] static CampaignSpec parse(const std::string& text);
 
-    // --- builder-style declaration ------------------------------------------
-    CampaignSpec& scenario_template(std::string name);
-    CampaignSpec& vehicles(std::vector<std::size_t> counts);
-    CampaignSpec& duration(sim::Duration duration);
-    CampaignSpec& spec_file(std::string path);
-    CampaignSpec& weathers(std::vector<Weather> values);
-    CampaignSpec& faults(std::vector<Fault> values);
-    CampaignSpec& policies(std::vector<PolicyKind> values);
-    CampaignSpec& topologies(std::vector<Topology> values);
-    CampaignSpec& domains(std::vector<std::size_t> counts);
+    /// Replace the seed range.
     CampaignSpec& seeds(std::uint64_t lo, std::uint64_t hi);
-    /// Learned monitor on every vehicle of every cell (zero warm-up = off).
-    CampaignSpec& learned(sim::Duration warmup, bool no_metrics = false);
-    /// Radio range / beacon TTL for mesh-topology cells (0 = defaults).
-    CampaignSpec& mesh_range(std::uint64_t range_m);
-    CampaignSpec& mesh_ttl(std::uint64_t ttl);
+    /// Replace the skill-graph spec file every cell loads (sa_campaign
+    /// resolves it against the campaign file's directory).
+    CampaignSpec& spec_file(std::string path);
 
-    // --- introspection ------------------------------------------------------
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] const std::string& scenario_template() const noexcept {
-        return template_;
-    }
+    /// The scalar statements (name as `campaign`, template, duration, spec,
+    /// learned, mesh_range, mesh_ttl): expand() starts every cell from a
+    /// copy of it and sets the axis values and the seed.
+    [[nodiscard]] const CellConfig& cell() const noexcept { return cell_; }
     [[nodiscard]] const std::vector<std::size_t>& vehicles() const noexcept {
         return vehicles_;
     }
-    [[nodiscard]] sim::Duration duration() const noexcept { return duration_; }
-    [[nodiscard]] const std::string& spec_file() const noexcept { return spec_file_; }
     [[nodiscard]] const std::vector<Weather>& weathers() const noexcept {
         return weathers_;
     }
@@ -201,16 +187,6 @@ public:
         return domains_;
     }
     [[nodiscard]] SeedRange seed_range() const noexcept { return seeds_; }
-    [[nodiscard]] sim::Duration learned_warmup() const noexcept {
-        return learned_warmup_;
-    }
-    [[nodiscard]] bool learned_no_metrics() const noexcept {
-        return learned_no_metrics_;
-    }
-    [[nodiscard]] std::uint64_t mesh_range() const noexcept {
-        return mesh_range_m_;
-    }
-    [[nodiscard]] std::uint64_t mesh_ttl() const noexcept { return mesh_ttl_; }
 
     /// Matrix size: the product of every axis (0 when the seed range is
     /// empty — lint flags that as CMP002).
@@ -225,21 +201,14 @@ public:
     [[nodiscard]] std::string str() const;
 
 private:
-    std::string name_ = "adhoc";
-    std::string template_ = "platoon";
+    CellConfig cell_;
     std::vector<std::size_t> vehicles_{3};
-    sim::Duration duration_ = sim::Duration::ms(400);
-    std::string spec_file_;
     std::vector<Weather> weathers_{Weather::Clear};
     std::vector<Fault> faults_{Fault::None};
     std::vector<PolicyKind> policies_{PolicyKind::Steady};
     std::vector<Topology> topologies_{Topology::DualBus};
     std::vector<std::size_t> domains_{1};
     SeedRange seeds_{};
-    sim::Duration learned_warmup_ = sim::Duration::zero();
-    bool learned_no_metrics_ = false;
-    std::uint64_t mesh_range_m_ = 0;
-    std::uint64_t mesh_ttl_ = 0;
 };
 
 } // namespace sa::campaign

@@ -28,28 +28,7 @@ std::string quoted(const std::string& text) {
 } // namespace
 
 std::string CorpusEntry::signature() const {
-    if (status == "crash") {
-        return format("crash signal=%d", signal);
-    }
-    return status + " reason=" + reason;
-}
-
-std::string CorpusEntry::signature_of(const CellVerdict& verdict) {
-    if (verdict.status == "crash") {
-        return format("crash signal=%d", verdict.signal);
-    }
-    return verdict.status + " reason=" + verdict.reason;
-}
-
-CorpusEntry CorpusEntry::from_failure(const CellConfig& cell,
-                                      const CellVerdict& verdict) {
-    CorpusEntry entry;
-    entry.cell = cell;
-    entry.status = verdict.status;
-    entry.reason = verdict.reason;
-    entry.signal = verdict.signal;
-    entry.fingerprint = fingerprint_hex(fnv1a64(verdict.json()));
-    return entry;
+    return failure_signature(status, reason, signal);
 }
 
 std::string CorpusEntry::suggested_filename() const {

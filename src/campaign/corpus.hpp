@@ -34,18 +34,8 @@ struct CorpusEntry {
     std::string fingerprint;          ///< expected verdict fingerprint
                                       ///< (hex16; "" = don't check)
 
-    /// Failure identity used for dedup and shrink: crashes group by
-    /// (status, signal), violations by (status, reason) — the axes of a
-    /// cell are deliberately NOT part of the signature, so shrink can move
-    /// through the matrix while "the same failure" stays recognisable.
+    /// The expected failure's failure_signature().
     [[nodiscard]] std::string signature() const;
-    /// Signature of a live verdict, comparable with signature().
-    [[nodiscard]] static std::string signature_of(const CellVerdict& verdict);
-
-    /// Build an entry from a failing cell and its verdict (records the
-    /// verdict fingerprint so replay checks bit-for-bit reproduction).
-    [[nodiscard]] static CorpusEntry from_failure(const CellConfig& cell,
-                                                 const CellVerdict& verdict);
 
     /// Deterministic filename for fixtures/corpus/, derived from the
     /// failure signature and the cell identity ("<campaign>-<hash>.repro").

@@ -210,10 +210,7 @@ private:
 } // namespace
 
 std::string CellResult::signature() const {
-    if (status == "crash") {
-        return format("crash signal=%d", signal);
-    }
-    return status + " reason=" + reason;
+    return failure_signature(status, reason, signal);
 }
 
 CampaignDriver::CampaignDriver(DriverOptions options)
@@ -300,7 +297,7 @@ CampaignReport CampaignDriver::run(const CampaignSpec& spec) {
     };
 
     CampaignReport report;
-    report.campaign = spec.name();
+    report.campaign = spec.cell().campaign;
     report.cells = cells.size();
     std::map<std::size_t, CellResult> by_index;
     if (options_.worker_exe.empty()) {

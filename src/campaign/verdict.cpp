@@ -141,13 +141,12 @@ std::string CellVerdict::json() const {
     return out;
 }
 
-std::uint64_t fnv1a64(std::string_view text) noexcept {
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (const char c : text) {
-        hash ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        hash *= 1099511628211ULL;
+std::string failure_signature(const std::string& status, const std::string& reason,
+                              int signal) {
+    if (status == "crash") {
+        return format("crash signal=%d", signal);
     }
-    return hash;
+    return status + " reason=" + reason;
 }
 
 std::string fingerprint_hex(std::uint64_t fingerprint) {

@@ -9,8 +9,9 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "util/hash.hpp"
 
 namespace sa::campaign {
 
@@ -65,8 +66,15 @@ struct CellVerdict {
     [[nodiscard]] std::string json() const;
 };
 
+/// Failure identity used for dedup and shrink: "crash signal=<n>" for a
+/// crash, else "<status> reason=<reason>". The axes of a cell are
+/// deliberately NOT part of it, so shrink can move through the matrix while
+/// "the same failure" stays recognisable.
+[[nodiscard]] std::string failure_signature(const std::string& status,
+                                            const std::string& reason, int signal);
+
 /// FNV-1a 64-bit hash (the corpus fingerprint function).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view text) noexcept;
+using util::fnv1a64;
 
 /// 16-digit lowercase hex rendering of a fingerprint.
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t fingerprint);

@@ -11,15 +11,6 @@ namespace {
 bool higher_priority(const CanFrame& a, const CanFrame& b) noexcept { return a.id < b.id; }
 } // namespace
 
-const char* to_string(FaultConfinement state) noexcept {
-    switch (state) {
-    case FaultConfinement::ErrorActive: return "error_active";
-    case FaultConfinement::ErrorPassive: return "error_passive";
-    case FaultConfinement::BusOff: return "bus_off";
-    }
-    return "?";
-}
-
 void ErrorCounters::on_tx_error() noexcept {
     tec_ += 8;
     if (tec_ >= 256) {

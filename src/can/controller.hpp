@@ -32,8 +32,6 @@ struct RxFilter {
 /// the classic self-protection mechanism against babbling(-idiot) faults.
 enum class FaultConfinement { ErrorActive, ErrorPassive, BusOff };
 
-const char* to_string(FaultConfinement state) noexcept;
-
 /// TEC/REC bookkeeping per ISO 11898-1 (simplified: +8 per TX error, -1 per
 /// successful TX; +1 per RX error, -1 per good RX).
 class ErrorCounters {

@@ -41,7 +41,7 @@ std::vector<Proposal> AbilityLayer::propose(const Problem& problem) {
         // unavailable — functional compensation only works while the overall
         // function exists at all.
         const double root = abilities_.level(root_skill_);
-        p.adequacy = root > abilities_.thresholds().marginal ? 0.85 : 0.25;
+        p.adequacy = root > skills::kMarginalLevel ? 0.85 : 0.25;
         p.execute = [this, t] {
             const double level = abilities_.level(t->target_skill);
             t->apply();

@@ -7,11 +7,19 @@
 #include "util/string_util.hpp"
 
 namespace sa::core {
+namespace {
+
+/// Thermal health is 1 up to kRecoverTempC and falls linearly to 0 at 20 °C
+/// past kOvertempThresholdC, which matches the RangeMonitor bound.
+constexpr double kOvertempThresholdC = 85.0;
+constexpr double kRecoverTempC = 70.0;
+
+} // namespace
 
 namespace kinds = sa::monitor::kinds;
 
-PlatformLayer::PlatformLayer(rte::Rte& rte, model::Mcc& mcc, PlatformLayerConfig config)
-    : Layer(LayerId::Platform, "platform"), rte_(rte), mcc_(mcc), config_(config) {}
+PlatformLayer::PlatformLayer(rte::Rte& rte, model::Mcc& mcc)
+    : Layer(LayerId::Platform, "platform"), rte_(rte), mcc_(mcc) {}
 
 std::string PlatformLayer::ecu_from_source(const std::string& source) const {
     // Convention: thermal monitors name signals "temp.<ecu>".
@@ -100,9 +108,8 @@ double PlatformLayer::health() const {
         auto& ecu = const_cast<rte::Rte&>(rte_).ecu(name);
         const double temp = ecu.thermal().temperature_c();
         const double thermal_health =
-            std::clamp(1.0 - (temp - config_.recover_temp_c) /
-                                 (config_.overtemp_threshold_c + 20.0 -
-                                  config_.recover_temp_c),
+            std::clamp(1.0 - (temp - kRecoverTempC) /
+                                 (kOvertempThresholdC + 20.0 - kRecoverTempC),
                        0.0, 1.0);
         const auto& sched = ecu.scheduler();
         const double miss_health =

@@ -14,14 +14,9 @@
 
 namespace sa::core {
 
-struct PlatformLayerConfig {
-    double overtemp_threshold_c = 85.0; ///< matches the RangeMonitor bound
-    double recover_temp_c = 70.0;
-};
-
 class PlatformLayer : public Layer {
 public:
-    PlatformLayer(rte::Rte& rte, model::Mcc& mcc, PlatformLayerConfig config = {});
+    PlatformLayer(rte::Rte& rte, model::Mcc& mcc);
 
     std::vector<Proposal> propose(const Problem& problem) override;
     [[nodiscard]] double health() const override;
@@ -35,7 +30,6 @@ private:
 
     rte::Rte& rte_;
     model::Mcc& mcc_;
-    PlatformLayerConfig config_;
     std::uint64_t dvfs_actions_ = 0;
     std::uint64_t restarts_ = 0;
 };

@@ -4,18 +4,11 @@
 #include <limits>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace sa::learn {
 
 namespace {
-
-/// splitmix64: cheap, well-mixed 64-bit hash for the clustering tie-break.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 double l1_distance(const std::vector<int>& a, const std::vector<int>& b) noexcept {
     double d = 0.0;
@@ -63,7 +56,8 @@ std::size_t StateModel::find_or_create(const std::vector<int>& bands, bool& crea
     if (states_.size() < config_.max_states) {
         State fresh;
         fresh.center = bands;
-        fresh.tie_key = mix64(config_.seed ^ mix64(states_.size() + 1));
+        fresh.tie_key =
+            util::splitmix64(config_.seed ^ util::splitmix64(states_.size() + 1));
         states_.push_back(std::move(fresh));
         created = true;
         return states_.size() - 1;

@@ -15,11 +15,11 @@ namespace {
 
 /// CMP004: the referenced spec file must exist, parse and pass skills lint.
 void check_spec_file(const campaign::CampaignSpec& spec, LintReport& report) {
-    const std::string& path = spec.spec_file();
+    const std::string& path = spec.cell().spec_file;
     if (path.empty()) {
         return;
     }
-    const std::string subject = "campaign " + spec.name() + " / spec " + path;
+    const std::string subject = "campaign " + spec.cell().campaign + " / spec " + path;
     std::ifstream in(path);
     if (!in) {
         report.add("CMP004", subject, "spec file cannot be read");
@@ -64,7 +64,7 @@ void check_representative_cell(const campaign::CampaignSpec& spec,
     }
     const LintReport cell_report = builder.lint();
     if (cell_report.error_count() > 0) {
-        report.add("CMP005", "campaign " + spec.name() + " / cell " + cell.id(),
+        report.add("CMP005", "campaign " + spec.cell().campaign + " / cell " + cell.id(),
                    format("representative cell fails scenario lint with "
                           "%zu error(s)",
                           cell_report.error_count()));
@@ -76,11 +76,11 @@ void check_representative_cell(const campaign::CampaignSpec& spec,
 
 LintReport lint_campaign(const campaign::CampaignSpec& spec) {
     LintReport report;
-    const std::string subject = "campaign " + spec.name();
+    const std::string subject = "campaign " + spec.cell().campaign;
 
-    if (spec.scenario_template() != "platoon") {
+    if (spec.cell().scenario_template != "platoon") {
         report.add("CMP001", subject,
-                   "unknown scenario template '" + spec.scenario_template() +
+                   "unknown scenario template '" + spec.cell().scenario_template +
                        "' (known: platoon)");
     }
     if (spec.cell_count() == 0) {
@@ -103,7 +103,7 @@ LintReport lint_campaign(const campaign::CampaignSpec& spec) {
                    "these exercise the driver, not the modelled system");
     }
     check_spec_file(spec, report);
-    if (spec.scenario_template() == "platoon" && spec.cell_count() > 0) {
+    if (spec.cell().scenario_template == "platoon" && spec.cell_count() > 0) {
         check_representative_cell(spec, report);
     }
     return report;

@@ -20,7 +20,7 @@ namespace sa::lint {
 
 enum class Severity {
     Info,    ///< stylistic / informational; never blocks
-    Warning, ///< suspicious but runnable; blocks only strict mode
+    Warning, ///< suspicious but runnable; never blocks by itself
     Error,   ///< structurally broken; analyses would crash or lie
 };
 

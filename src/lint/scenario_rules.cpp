@@ -254,12 +254,6 @@ std::set<std::string> local_publishers(const VehicleShape& vehicle) {
 
 } // namespace
 
-LintReport lint_vehicle(const VehicleShape& vehicle) {
-    LintReport report;
-    lint_vehicle_into(vehicle, local_publishers(vehicle), report);
-    return report;
-}
-
 LintReport lint_scenario(const ScenarioShape& scenario) {
     LintReport report;
 

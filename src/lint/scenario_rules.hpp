@@ -11,12 +11,9 @@
 
 namespace sa::lint {
 
-/// Lint one vehicle in isolation: unknown ECU/bus references (SCN005),
+/// Lint the whole topology: each vehicle's ECU/bus references (SCN005),
 /// route shadowing within its gateways (SCN001), heartbeat targets (SCN006)
-/// and sensor-to-skill bindings (SCN007).
-[[nodiscard]] LintReport lint_vehicle(const VehicleShape& vehicle);
-
-/// Lint the whole topology: every vehicle, plus domain pins (SCN004),
+/// and sensor-to-skill bindings (SCN007); then domain pins (SCN004),
 /// cross-domain latency (SCN003), bridge references (SCN005) and
 /// bus-to-bus forwarding cycles across gateways and bridges (SCN002).
 [[nodiscard]] LintReport lint_scenario(const ScenarioShape& scenario);

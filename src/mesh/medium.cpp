@@ -6,46 +6,12 @@
 
 #include "sim/sharded_kernel.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace sa::v2v {
-namespace {
 
-/// splitmix64 finalizer: the avalanche stage used for the per-domain seed
-/// derivation, reused here to mix the loss-draw hash state.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-/// FNV-1a over a string. Endpoint names are hashed once, at attach.
-std::uint64_t fnv1a(const std::string& text) noexcept {
-    std::uint64_t fnv = 0xCBF29CE484222325ULL;
-    for (const char c : text) {
-        fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
-    }
-    return fnv;
-}
-
-} // namespace
-
-const char* to_string(FrameKind kind) noexcept {
-    switch (kind) {
-    case FrameKind::Announce: return "announce";
-    case FrameKind::Cam: return "cam";
-    }
-    return "?";
-}
-
-const char* to_string(Fading fading) noexcept {
-    switch (fading) {
-    case Fading::None: return "none";
-    case Fading::Linear: return "linear";
-    case Fading::Quadratic: return "quadratic";
-    }
-    return "?";
-}
+using util::fnv1a64;
+using util::splitmix64;
 
 Medium::Medium(sim::Simulator& simulator, MediumConfig config)
     : simulator_(simulator),
@@ -104,7 +70,7 @@ void Medium::attach(const std::string& name, sim::Simulator& home,
     endpoint.name = &entry->first;
     endpoint.receiver = std::move(receiver);
     endpoint.position_m = position_m;
-    endpoint.name_hash = fnv1a(name);
+    endpoint.name_hash = fnv1a64(name);
     endpoint.home = simulator_.shard() != nullptr ? home.shard_domain() : 0;
     // The home's receivers stay in endpoint-name order.
     std::vector<std::uint32_t>& receivers = homes_[endpoint.home].receivers;
@@ -146,15 +112,6 @@ double Medium::position(const std::string& name) const {
     return endpoints_[it->second].position_m;
 }
 
-std::vector<std::string> Medium::members() const {
-    std::vector<std::string> names;
-    names.reserve(slots_.size());
-    for (const auto& [name, slot] : slots_) {
-        names.push_back(name);
-    }
-    return names;
-}
-
 double Medium::loss_at(double distance_m) const noexcept {
     if (config_.range_m > 0.0 && distance_m > config_.range_m) {
         return 1.0;
@@ -182,12 +139,12 @@ double Medium::rssi_at(double distance_m) noexcept {
 double Medium::loss_draw(const Frame& frame, std::uint64_t transmitter_hash,
                          std::uint64_t receiver_hash,
                          std::uint64_t origin_hash) const noexcept {
-    std::uint64_t h = mix64(config_.seed);
-    h = mix64(h ^ transmitter_hash);
-    h = mix64(h ^ receiver_hash);
-    h = mix64(h ^ static_cast<std::uint64_t>(frame.sent.ns()));
-    h = mix64(h ^ origin_hash);
-    h = mix64(h ^ (static_cast<std::uint64_t>(frame.seq) |
+    std::uint64_t h = splitmix64(config_.seed);
+    h = splitmix64(h ^ transmitter_hash);
+    h = splitmix64(h ^ receiver_hash);
+    h = splitmix64(h ^ static_cast<std::uint64_t>(frame.sent.ns()));
+    h = splitmix64(h ^ origin_hash);
+    h = splitmix64(h ^ (static_cast<std::uint64_t>(frame.seq) |
                    (static_cast<std::uint64_t>(frame.kind) << 32) |
                    (static_cast<std::uint64_t>(frame.hops) << 40)));
     return static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -247,7 +204,7 @@ void Medium::transmit(Frame frame) {
     Payload& payload = acquire(sender);
     payload.frame = std::move(frame);
     payload.deliver_at = context.now() + config_.latency;
-    const std::uint64_t origin_hash = fnv1a(payload.frame.origin);
+    const std::uint64_t origin_hash = fnv1a64(payload.frame.origin);
     std::uint64_t lost = 0;
     // Draw every receiver of one home in name order, then post that home's
     // share of the payload as one event.

@@ -63,8 +63,6 @@ using sim::Time;
 /// and routes; Cam frames carry the cooperative-awareness payload.
 enum class FrameKind : std::uint8_t { Announce, Cam };
 
-[[nodiscard]] const char* to_string(FrameKind kind) noexcept;
-
 /// One radio frame. A single-hop CAM (the old V2vBeacon) is a Frame with
 /// origin == transmitter, ttl 1 and no destination; the mesh layer reuses
 /// the same shape for TTL'd announcements and addressed multi-hop relays.
@@ -90,8 +88,6 @@ enum class Fading : std::uint8_t {
     Linear,    ///< f(d) = d / range
     Quadratic, ///< f(d) = (d / range)^2
 };
-
-[[nodiscard]] const char* to_string(Fading fading) noexcept;
 
 struct MediumConfig {
     /// Distance-independent base loss probability in [0, 1].
@@ -133,8 +129,6 @@ public:
 
     [[nodiscard]] bool attached(const std::string& name) const;
     [[nodiscard]] double position(const std::string& name) const;
-    /// Attached endpoint names, sorted (map order).
-    [[nodiscard]] std::vector<std::string> members() const;
 
     /// Transmit one frame from frame.transmitter (which must be attached).
     /// Every other endpoint — or only frame.next_hop when set — draws an

@@ -182,14 +182,6 @@ void MeshStack::age_tables(Time now) {
     }
 }
 
-void MeshStack::broadcast_cam() {
-    v2v::Frame frame =
-        v2v::Medium::cam(name_, medium_.position(name_), config_.speed_mps);
-    frame.seq = ++cam_seq_;
-    medium_.transmit(std::move(frame));
-    ++cams_sent_;
-}
-
 bool MeshStack::send_cam(const std::string& destination) {
     SA_REQUIRE(destination != name_, "a CAM cannot be addressed to its sender");
     const auto hop = next_hop(destination);

@@ -114,9 +114,6 @@ public:
     /// before the run (or from a script barrier).
     void on_cam(CamHandler handler) { cam_handler_ = std::move(handler); }
 
-    /// Single-hop CAM broadcast (the pre-mesh beacon behaviour): every
-    /// endpoint in radio range hears it, nobody relays it.
-    void broadcast_cam();
     /// Unicast CAM toward `destination`, relayed hop by hop along each
     /// stack's chosen route. Returns false (and counts cams_unroutable)
     /// when no route to the destination is known yet.

@@ -6,38 +6,6 @@
 
 namespace sa::model {
 
-const char* to_string(DepNodeKind kind) noexcept {
-    switch (kind) {
-    case DepNodeKind::Function: return "function";
-    case DepNodeKind::Component: return "component";
-    case DepNodeKind::Task: return "task";
-    case DepNodeKind::Service: return "service";
-    case DepNodeKind::Message: return "message";
-    case DepNodeKind::Ecu: return "ecu";
-    case DepNodeKind::Bus: return "bus";
-    case DepNodeKind::PowerDomain: return "power";
-    case DepNodeKind::ThermalZone: return "thermal";
-    case DepNodeKind::Sensor: return "sensor";
-    }
-    return "?";
-}
-
-const char* to_string(DepEdgeKind kind) noexcept {
-    switch (kind) {
-    case DepEdgeKind::MappedTo: return "mapped_to";
-    case DepEdgeKind::Provides: return "provides";
-    case DepEdgeKind::DependsOn: return "depends_on";
-    case DepEdgeKind::Sends: return "sends";
-    case DepEdgeKind::SharesResource: return "shares_resource";
-    case DepEdgeKind::ThermallyCoupled: return "thermally_coupled";
-    case DepEdgeKind::PoweredBy: return "powered_by";
-    case DepEdgeKind::Feeds: return "feeds";
-    }
-    return "?";
-}
-
-std::string DepNodeId::str() const { return std::string(to_string(kind)) + ":" + name; }
-
 void DependencyGraph::add_node(DepNodeId node) { nodes_.insert(std::move(node)); }
 
 void DependencyGraph::add_edge(DepNodeId from, DepNodeId to, DepEdgeKind kind) {
@@ -58,17 +26,6 @@ std::vector<DepNodeId> DependencyGraph::successors(const DepNodeId& node,
     for (const auto& e : edges_) {
         if (e.from == node && (!kind.has_value() || e.kind == *kind)) {
             out.push_back(e.to);
-        }
-    }
-    return out;
-}
-
-std::vector<DepNodeId> DependencyGraph::predecessors(const DepNodeId& node,
-                                                     std::optional<DepEdgeKind> kind) const {
-    std::vector<DepNodeId> out;
-    for (const auto& e : edges_) {
-        if (e.to == node && (!kind.has_value() || e.kind == *kind)) {
-            out.push_back(e.from);
         }
     }
     return out;

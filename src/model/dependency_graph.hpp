@@ -32,8 +32,6 @@ enum class DepNodeKind {
     Sensor,      ///< data source
 };
 
-const char* to_string(DepNodeKind kind) noexcept;
-
 enum class DepEdgeKind {
     MappedTo,         ///< component -> ECU, message -> bus
     Provides,         ///< component -> service
@@ -45,14 +43,11 @@ enum class DepEdgeKind {
     Feeds,            ///< sensor -> component
 };
 
-const char* to_string(DepEdgeKind kind) noexcept;
-
 struct DepNodeId {
     DepNodeKind kind;
     std::string name;
 
     auto operator<=>(const DepNodeId&) const = default;
-    [[nodiscard]] std::string str() const;
 };
 
 struct DepEdge {
@@ -72,10 +67,8 @@ public:
     [[nodiscard]] const std::vector<DepEdge>& edges() const noexcept { return edges_; }
     [[nodiscard]] std::vector<DepNodeId> nodes() const;
 
-    /// Outgoing / incoming neighbours, optionally filtered by edge kind.
+    /// Outgoing neighbours, optionally filtered by edge kind.
     [[nodiscard]] std::vector<DepNodeId> successors(
-        const DepNodeId& node, std::optional<DepEdgeKind> kind = std::nullopt) const;
-    [[nodiscard]] std::vector<DepNodeId> predecessors(
         const DepNodeId& node, std::optional<DepEdgeKind> kind = std::nullopt) const;
 
     /// All nodes whose correct operation (transitively) depends on `node`:

@@ -4,15 +4,6 @@
 
 namespace sa::model {
 
-const char* to_string(FailureMode mode) noexcept {
-    switch (mode) {
-    case FailureMode::Loss: return "loss";
-    case FailureMode::Degraded: return "degraded";
-    case FailureMode::Babbling: return "babbling";
-    }
-    return "?";
-}
-
 const FmeaEntry* FmeaReport::find(const DepNodeId& failed) const {
     for (const auto& e : entries) {
         if (e.failed == failed) {

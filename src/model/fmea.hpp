@@ -18,8 +18,6 @@ namespace sa::model {
 
 enum class FailureMode { Loss, Degraded, Babbling };
 
-const char* to_string(FailureMode mode) noexcept;
-
 struct FmeaEntry {
     DepNodeId failed;
     FailureMode mode = FailureMode::Loss;

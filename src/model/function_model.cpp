@@ -59,22 +59,4 @@ std::vector<Channel> FunctionModel::channels() const {
     return out;
 }
 
-std::vector<Channel> FunctionModel::unresolved_channels() const {
-    std::vector<Channel> out;
-    for (const auto& ch : channels()) {
-        if (ch.provider.empty()) {
-            out.push_back(ch);
-        }
-    }
-    return out;
-}
-
-double FunctionModel::total_utilization() const {
-    double u = 0.0;
-    for (const auto& c : contracts_) {
-        u += c.cpu_utilization();
-    }
-    return u;
-}
-
 } // namespace sa::model

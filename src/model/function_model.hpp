@@ -41,12 +41,6 @@ public:
     /// All resolved and unresolved channels.
     [[nodiscard]] std::vector<Channel> channels() const;
 
-    /// Services required but provided by nobody.
-    [[nodiscard]] std::vector<Channel> unresolved_channels() const;
-
-    /// Total CPU utilization demand (at speed factor 1).
-    [[nodiscard]] double total_utilization() const;
-
 private:
     std::vector<Contract> contracts_;
 };

@@ -29,11 +29,6 @@ Mcc::Mcc(PlatformModel platform, MccOptions options)
     viewpoints_.push_back(std::move(security));
 }
 
-void Mcc::add_viewpoint(std::unique_ptr<Viewpoint> viewpoint) {
-    SA_REQUIRE(viewpoint != nullptr, "viewpoint must not be null");
-    viewpoints_.push_back(std::move(viewpoint));
-}
-
 IntegrationReport Mcc::integrate(const ChangeRequest& change) {
     ++attempts_;
     IntegrationReport report;
@@ -155,10 +150,8 @@ IntegrationReport Mcc::integrate(const ChangeRequest& change) {
 
 void Mcc::rebuild_committed_artifacts() {
     dependency_graph_ = build_dependency_graph(functions_, platform_, mapping_);
-    if (options_.run_fmea) {
-        FmeaEngine engine(dependency_graph_, functions_);
-        fmea_ = engine.analyze_all();
-    }
+    FmeaEngine engine(dependency_graph_, functions_);
+    fmea_ = engine.analyze_all();
     if (security_viewpoint_ != nullptr) {
         // Re-derive policy against the committed model.
         const SystemModel system{functions_, platform_, mapping_};

@@ -60,7 +60,6 @@ struct IntegrationReport {
 };
 
 struct MccOptions {
-    bool run_fmea = true; ///< include the automated FMEA sweep as evidence
     /// Run the sa::lint structural gate between mapping and the viewpoint
     /// acceptance tests: any Error-severity finding rejects the change before
     /// the expensive WCRT analyses see a model they silently mis-handle.
@@ -70,10 +69,6 @@ struct MccOptions {
 class Mcc {
 public:
     explicit Mcc(PlatformModel platform, MccOptions options = {});
-
-    /// Register an additional viewpoint (owned). Timing/safety/security are
-    /// built in.
-    void add_viewpoint(std::unique_ptr<Viewpoint> viewpoint);
 
     /// Run the integration process for a change request.
     IntegrationReport integrate(const ChangeRequest& change);

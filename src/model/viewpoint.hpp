@@ -26,8 +26,6 @@ struct SystemModel {
 
 enum class IssueSeverity { Info, Warning, Error };
 
-const char* to_string(IssueSeverity severity) noexcept;
-
 struct ViewpointIssue {
     IssueSeverity severity = IssueSeverity::Warning;
     std::string code;    ///< machine-matchable, e.g. "timing.unschedulable"

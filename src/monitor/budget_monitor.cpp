@@ -8,15 +8,6 @@
 
 namespace sa::monitor {
 
-const char* to_string(BudgetMode mode) noexcept {
-    switch (mode) {
-    case BudgetMode::Observe: return "observe";
-    case BudgetMode::Warn: return "warn";
-    case BudgetMode::Enforce: return "enforce";
-    }
-    return "?";
-}
-
 BudgetMonitor::BudgetMonitor(sim::Simulator& simulator,
                              rte::FixedPriorityScheduler& scheduler)
     : Monitor(simulator, "budget:" + scheduler.ecu_name(), Domain::Platform),

@@ -18,8 +18,6 @@ namespace sa::monitor {
 
 enum class BudgetMode { Observe, Warn, Enforce };
 
-const char* to_string(BudgetMode mode) noexcept;
-
 class BudgetMonitor : public Monitor {
 public:
     using EnforcementAction = std::function<void(rte::TaskId, const rte::JobRecord&)>;

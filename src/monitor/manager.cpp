@@ -30,11 +30,6 @@ MetricId MonitorManager::metric_id(std::string_view name) {
     return id;
 }
 
-const std::string& MonitorManager::metric_name(MetricId id) const {
-    SA_REQUIRE(id < metric_names_by_id_.size(), "unknown metric id");
-    return *metric_names_by_id_[id];
-}
-
 void MonitorManager::ingest(MetricId id, double value, sim::Time at) {
     SA_REQUIRE(id < metric_stats_.size(), "unknown metric id");
     metric_stats_[id].add(value);

@@ -51,8 +51,6 @@ public:
     /// Intern a metric name, registering it on first sight. The returned id
     /// stays valid for the manager's lifetime.
     MetricId metric_id(std::string_view name);
-    /// The interned name for an id returned by metric_id().
-    [[nodiscard]] const std::string& metric_name(MetricId id) const;
 
     /// Metric ingestion (monitors and substrates push; the MCC reads).
     /// The id-based overload is the hot path: stats/last-value updates are

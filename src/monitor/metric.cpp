@@ -13,13 +13,4 @@ const char* to_string(Domain domain) noexcept {
     return "?";
 }
 
-const char* to_string(Severity severity) noexcept {
-    switch (severity) {
-    case Severity::Info: return "info";
-    case Severity::Warning: return "warning";
-    case Severity::Critical: return "critical";
-    }
-    return "?";
-}
-
 } // namespace sa::monitor

@@ -25,8 +25,6 @@ const char* to_string(Domain domain) noexcept;
 
 enum class Severity { Info = 0, Warning = 1, Critical = 2 };
 
-const char* to_string(Severity severity) noexcept;
-
 /// A time-stamped scalar observation ("execution times, access patterns, or
 /// sensor values", §II-B).
 struct Metric {

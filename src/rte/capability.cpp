@@ -6,10 +6,6 @@ void AccessControl::grant(const std::string& client, const std::string& service)
     rules_.insert({client, service});
 }
 
-void AccessControl::revoke(const std::string& client, const std::string& service) {
-    rules_.erase({client, service});
-}
-
 void AccessControl::revoke_all(const std::string& client) {
     for (auto it = rules_.begin(); it != rules_.end();) {
         if (it->first == client) {

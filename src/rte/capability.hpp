@@ -18,7 +18,6 @@ namespace sa::rte {
 class AccessControl {
 public:
     void grant(const std::string& client, const std::string& service);
-    void revoke(const std::string& client, const std::string& service);
     void revoke_all(const std::string& client);
 
     [[nodiscard]] bool allowed(const std::string& client, const std::string& service) const;

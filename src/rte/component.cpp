@@ -41,10 +41,7 @@ void Component::start() {
         task_ids_.push_back(ecu_.scheduler().add_task(t));
     }
     for (const auto& svc : spec_.provides) {
-        auto it = handlers_.find(svc);
-        ServiceHandler handler =
-            it != handlers_.end() ? it->second : ServiceHandler([](const Message&) {});
-        services_.provide(spec_.name, svc, std::move(handler));
+        services_.provide(spec_.name, svc, [](const Message&) {});
     }
     set_state(ComponentState::Running);
 }
@@ -86,15 +83,6 @@ void Component::contain() {
     task_ids_.clear();
     services_.withdraw_all(spec_.name);
     set_state(ComponentState::Contained);
-}
-
-void Component::set_service_handler(const std::string& service, ServiceHandler handler) {
-    SA_REQUIRE(static_cast<bool>(handler), "service handler must be callable");
-    handlers_[service] = std::move(handler);
-}
-
-std::optional<SessionId> Component::connect(const std::string& service) {
-    return services_.open(spec_.name, service);
 }
 
 } // namespace sa::rte

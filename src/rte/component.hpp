@@ -4,9 +4,6 @@
 // starts/stops/restarts components; the security response may *contain* one,
 // which withdraws its services and stops its tasks "immediately").
 
-#include <functional>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,9 +37,8 @@ public:
     [[nodiscard]] ComponentState state() const noexcept { return state_; }
     [[nodiscard]] Ecu& ecu() noexcept { return ecu_; }
 
-    /// Start: register tasks with the scheduler, provide services. Service
-    /// handlers must have been set (set_service_handler) for each provided
-    /// service; missing handlers get a default sink.
+    /// Start: register tasks with the scheduler, provide services (each
+    /// with a sink handler).
     void start();
 
     /// Stop: remove tasks, withdraw services.
@@ -62,15 +58,9 @@ public:
     /// Contain: stop + withdraw, state = Contained (security countermeasure).
     void contain();
 
-    /// Handler for one of the provided services.
-    void set_service_handler(const std::string& service, ServiceHandler handler);
-
     /// Take ownership of an externally created task (e.g. an injected
     /// attacker task): stop/contain/fail will remove it with the rest.
     void adopt_task(TaskId id) { task_ids_.push_back(id); }
-
-    /// Open a session to a required service (access-checked).
-    [[nodiscard]] std::optional<SessionId> connect(const std::string& service);
 
     /// Task ids after start() (empty when stopped).
     [[nodiscard]] const std::vector<TaskId>& task_ids() const noexcept { return task_ids_; }
@@ -90,7 +80,6 @@ private:
     ServiceRegistry& services_;
     ComponentState state_ = ComponentState::Stopped;
     std::vector<TaskId> task_ids_;
-    std::map<std::string, ServiceHandler> handlers_;
     std::uint64_t restarts_ = 0;
     sim::Signal<ComponentState, ComponentState> state_changed_;
 };

@@ -58,11 +58,6 @@ void FixedPriorityScheduler::remove_task(TaskId id) {
     dispatch();
 }
 
-const RtTaskConfig* FixedPriorityScheduler::task_config(TaskId id) const {
-    auto it = tasks_.find(id);
-    return it == tasks_.end() ? nullptr : &it->second.config;
-}
-
 void FixedPriorityScheduler::start() {
     if (started_) {
         return;

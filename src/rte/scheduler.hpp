@@ -70,7 +70,6 @@ public:
     void remove_task(TaskId id);
 
     [[nodiscard]] bool has_task(TaskId id) const { return tasks_.contains(id); }
-    [[nodiscard]] const RtTaskConfig* task_config(TaskId id) const;
 
     void start();
     void stop();

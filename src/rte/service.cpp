@@ -26,13 +26,6 @@ void ServiceRegistry::withdraw_all(const std::string& provider) {
     }
 }
 
-void ServiceRegistry::withdraw(const std::string& provider, const std::string& service) {
-    auto it = services_.find(service);
-    if (it != services_.end() && it->second.provider == provider) {
-        it->second.active = false;
-    }
-}
-
 std::optional<SessionId> ServiceRegistry::open(const std::string& client,
                                                const std::string& service) {
     auto it = services_.find(service);
@@ -45,15 +38,13 @@ std::optional<SessionId> ServiceRegistry::open(const std::string& client,
         return std::nullopt;
     }
     const SessionId id = next_session_++;
-    sessions_[id] = SessionEntry{client, service, true};
+    sessions_[id] = SessionEntry{client, service};
     return id;
 }
 
-void ServiceRegistry::close(SessionId session) { sessions_.erase(session); }
-
 bool ServiceRegistry::call(SessionId session, std::vector<double> values, std::string text) {
     auto it = sessions_.find(session);
-    if (it == sessions_.end() || !it->second.open) {
+    if (it == sessions_.end()) {
         return false;
     }
     auto svc = services_.find(it->second.service);
@@ -83,11 +74,6 @@ bool ServiceRegistry::call(SessionId session, std::vector<double> values, std::s
 bool ServiceRegistry::has_service(const std::string& service) const {
     auto it = services_.find(service);
     return it != services_.end() && it->second.active;
-}
-
-std::string ServiceRegistry::provider_of(const std::string& service) const {
-    auto it = services_.find(service);
-    return it == services_.end() ? std::string{} : it->second.provider;
 }
 
 } // namespace sa::rte

@@ -41,21 +41,17 @@ public:
 
     /// Remove all services of a provider (component stopped / contained).
     void withdraw_all(const std::string& provider);
-    void withdraw(const std::string& provider, const std::string& service);
 
     /// Open a session; returns nullopt when the access policy denies it or
     /// the service does not exist.
     [[nodiscard]] std::optional<SessionId> open(const std::string& client,
                                                 const std::string& service);
 
-    void close(SessionId session);
-
     /// Send a message through an open session. Delivery is asynchronous with
     /// the configured IPC latency. Returns false for unknown sessions.
     bool call(SessionId session, std::vector<double> values, std::string text = {});
 
     [[nodiscard]] bool has_service(const std::string& service) const;
-    [[nodiscard]] std::string provider_of(const std::string& service) const;
 
     // Observability.
     sim::Signal<const Message&>& message_sent() noexcept { return message_sent_; }
@@ -74,7 +70,6 @@ private:
     struct SessionEntry {
         std::string client;
         std::string service;
-        bool open = true;
     };
 
     sim::Simulator& simulator_;

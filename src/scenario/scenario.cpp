@@ -46,10 +46,6 @@ mesh::MeshStack& Scenario::mesh(const std::string& vehicle_name) {
     return *it->second;
 }
 
-bool Scenario::has_bridge(const std::string& name) const {
-    return bridges_.contains(name);
-}
-
 can::BusGateway& Scenario::bridge(const std::string& name) {
     auto it = bridges_.find(name);
     SA_REQUIRE(it != bridges_.end(), "unknown bridge: " + name);

@@ -113,11 +113,6 @@ public:
     // --- monitors -----------------------------------------------------------
     [[nodiscard]] monitor::MonitorManager& monitors() noexcept { return *monitors_; }
     [[nodiscard]] bool has_ids() const noexcept { return ids_ != nullptr; }
-    [[nodiscard]] monitor::RateMonitor& ids();
-    [[nodiscard]] bool has_thermal_guard() const noexcept {
-        return thermal_guard_ != nullptr;
-    }
-    [[nodiscard]] monitor::RangeMonitor& thermal_guard();
     [[nodiscard]] monitor::SensorQualityMonitor& sensor_quality(const std::string& sensor);
     /// Learned anomaly monitor (declared via
     /// VehicleBuilder::learned_monitor()).
@@ -214,8 +209,10 @@ public:
     [[nodiscard]] std::size_t num_domains() const noexcept {
         return kernel_.num_domains();
     }
-    /// Scenario-level RNG (platoon formation, ad-hoc noise); seeded with the
-    /// builder seed, independent of the simulator's own engine.
+    /// Scenario-level RNG (platoon formation, ad-hoc noise), seeded with the
+    /// builder seed. It is a separate engine but not a separate stream:
+    /// domain 0's Simulator::rng() is seeded with the same seed, so both
+    /// draw the same sequence.
     [[nodiscard]] RandomEngine& rng() noexcept { return rng_; }
 
     [[nodiscard]] bool has_vehicle(const std::string& name) const;
@@ -240,7 +237,6 @@ public:
     // --- cross-vehicle bridges ---------------------------------------------
     /// Scenario-level CAN gateway declared via ScenarioBuilder::bridge():
     /// joins buses of different vehicles (cross-domain when sharded).
-    [[nodiscard]] bool has_bridge(const std::string& name) const;
     [[nodiscard]] can::BusGateway& bridge(const std::string& name);
     /// Form a platoon from the builder-declared candidates (or an explicit
     /// list), gated by the shared TrustManager, drawing from rng().

@@ -1,7 +1,5 @@
 #include "scenario/scenario_builder.hpp"
 
-#include <algorithm>
-
 #include "lint/model_rules.hpp"
 #include "lint/scenario_rules.hpp"
 #include "lint/skills_rules.hpp"
@@ -19,7 +17,6 @@ VehicleBuilder& ScenarioBuilder::vehicle(const std::string& name) {
             return builder;
         }
     }
-    order_.push_back(name);
     builders_.emplace_back(name);
     return builders_.back();
 }
@@ -105,14 +102,9 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     shape.v2v_latency_ns = v2v_config_.latency.count_ns();
     shape.v2v_range_m = v2v_config_.range_m;
     shape.duration_hint_ns = duration_hint_.count_ns();
-    for (const auto& name : order_) {
-        auto it = std::find_if(builders_.begin(), builders_.end(),
-                               [&](const VehicleBuilder& b) {
-                                   return b.name() == name;
-                               });
-        SA_ASSERT(it != builders_.end(), "builder list out of sync");
+    for (const auto& builder : builders_) {
         lint::VehicleShape vehicle;
-        it->describe(vehicle);
+        builder.describe(vehicle);
         shape.vehicles.push_back(std::move(vehicle));
     }
     for (const auto& spec : bridges_) {
@@ -155,36 +147,24 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     return report;
 }
 
-ScenarioBuilder& ScenarioBuilder::strict(bool enabled) {
-    strict_ = enabled;
-    return *this;
-}
-
 std::unique_ptr<Scenario> ScenarioBuilder::build() {
-    if (strict_) {
-        const lint::LintReport report = lint();
-        SA_REQUIRE(report.error_count() + report.warning_count() == 0,
-                   "strict scenario lint failed:\n" + report.str());
-    }
     auto scenario = std::unique_ptr<Scenario>(new Scenario(seed_, num_domains_));
     std::size_t round_robin = 0;
-    for (const auto& name : order_) {
-        auto it = std::find_if(builders_.begin(), builders_.end(),
-                               [&](const VehicleBuilder& b) { return b.name() == name; });
-        SA_ASSERT(it != builders_.end(), "builder list out of sync");
+    for (const auto& builder : builders_) {
+        const std::string& name = builder.name();
         // Pinned vehicles must not consume round-robin slots: only unpinned
         // ones advance the counter, so "round-robin in declaration order
         // unless pinned" means exactly that.
         std::size_t domain;
-        if (it->assigned_domain().has_value()) {
-            domain = *it->assigned_domain();
+        if (builder.assigned_domain().has_value()) {
+            domain = *builder.assigned_domain();
         } else {
             domain = round_robin++ % num_domains_;
         }
         SA_REQUIRE(domain < num_domains_,
                    "vehicle '" + name + "' pinned to domain out of range");
         scenario->vehicles_.emplace(name,
-                                    it->build(scenario->kernel_.domain(domain)));
+                                    builder.build(scenario->kernel_.domain(domain)));
         scenario->order_.push_back(name);
     }
     for (const auto& spec : bridges_) {
@@ -213,11 +193,9 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
         scenario->v2v_ = std::make_unique<v2v::Medium>(scenario->simulator(),
                                                        v2v_config_);
     }
-    for (const auto& name : order_) {
-        auto it = std::find_if(builders_.begin(), builders_.end(),
-                               [&](const VehicleBuilder& b) { return b.name() == name; });
-        SA_ASSERT(it != builders_.end(), "builder list out of sync");
-        const auto& endpoint = it->v2v_endpoint();
+    for (const auto& builder : builders_) {
+        const std::string& name = builder.name();
+        const auto& endpoint = builder.v2v_endpoint();
         if (!endpoint.has_value()) {
             continue;
         }

@@ -91,10 +91,6 @@ public:
     lint(const skills::CapabilityRegistry& registry =
              skills::CapabilityRegistry::builtin()) const;
 
-    /// Strict build mode: build() first runs lint() and requires zero
-    /// errors AND zero warnings (Info findings are allowed).
-    ScenarioBuilder& strict(bool enabled = true);
-
     /// Build every declared vehicle (in declaration order), seed trust,
     /// create the V2V channel, then schedule the scripts.
     [[nodiscard]] std::unique_ptr<Scenario> build();
@@ -111,10 +107,8 @@ private:
     };
 
     std::uint64_t seed_;
-    bool strict_ = false;
     std::size_t num_domains_ = 1;
-    std::vector<std::string> order_;
-    std::list<VehicleBuilder> builders_; ///< list: stable references
+    std::list<VehicleBuilder> builders_; ///< declaration order; list: stable references
     std::vector<BridgeSpec> bridges_;
     bool v2v_enabled_ = false;
     v2v::MediumConfig v2v_config_{};

@@ -80,17 +80,6 @@ rte::TaskId Vehicle::rt_task(const std::string& ecu, const std::string& task) co
     return it->second;
 }
 
-monitor::RateMonitor& Vehicle::ids() {
-    SA_REQUIRE(ids_ != nullptr, "vehicle '" + name_ + "': rate_ids() not declared");
-    return *ids_;
-}
-
-monitor::RangeMonitor& Vehicle::thermal_guard() {
-    SA_REQUIRE(thermal_guard_ != nullptr,
-               "vehicle '" + name_ + "': thermal_guard() not declared");
-    return *thermal_guard_;
-}
-
 monitor::SensorQualityMonitor& Vehicle::sensor_quality(const std::string& sensor) {
     auto it = sensor_quality_.find(sensor);
     SA_REQUIRE(it != sensor_quality_.end(),

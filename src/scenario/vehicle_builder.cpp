@@ -70,11 +70,6 @@ VehicleBuilder& VehicleBuilder::contracts(std::vector<model::Contract> parsed) {
     return *this;
 }
 
-VehicleBuilder& VehicleBuilder::mcc_options(model::MccOptions options) {
-    mcc_options_ = options;
-    return *this;
-}
-
 VehicleBuilder& VehicleBuilder::integration_policy(IntegrationPolicy policy) {
     policy_ = policy;
     return *this;
@@ -464,7 +459,7 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         });
     bool deploy = false;
     if (!ecus_.empty() && (!change.contracts.empty() || wants_model_layer)) {
-        v.mcc_ = std::make_unique<model::Mcc>(platform_model(), mcc_options_);
+        v.mcc_ = std::make_unique<model::Mcc>(platform_model());
     } else {
         SA_REQUIRE(change.contracts.empty(), "contracts require at least one ECU");
     }

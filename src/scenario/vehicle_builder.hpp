@@ -88,7 +88,6 @@ public:
     VehicleBuilder& contracts(std::string_view text);
     /// Pre-built contracts, appended to the initial change request.
     VehicleBuilder& contracts(std::vector<model::Contract> parsed);
-    VehicleBuilder& mcc_options(model::MccOptions options);
     VehicleBuilder& integration_policy(IntegrationPolicy policy);
 
     // --- raw platform tasks (benchmarks, CAN-driven chains) ----------------
@@ -327,7 +326,6 @@ private:
     std::vector<GatewaySpec> gateways_;
     std::string contract_text_;
     std::vector<model::Contract> contracts_;
-    model::MccOptions mcc_options_{};
     IntegrationPolicy policy_ = IntegrationPolicy::RequireAccepted;
     std::vector<RawTaskSpec> raw_tasks_;
     std::vector<CanTxSpec> can_tx_;

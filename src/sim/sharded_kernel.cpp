@@ -3,17 +3,15 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace sa::sim {
 
 namespace {
 
-/// splitmix64 finalizer — decorrelates per-domain seeds derived from one.
+/// Decorrelates per-domain seeds derived from one.
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t domain) {
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (domain + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    return util::mix64(seed + 0x9E3779B97F4A7C15ULL * (domain + 1));
 }
 
 /// `at + delta`, saturating at Time::max() (unbounded lookaheads, horizons).

@@ -43,7 +43,12 @@
 // one included. Entities that do not share simulator-level state (distinct
 // vehicles) therefore observe the same event sequence whatever the domain
 // count, and per-entity counters reproduce bit-for-bit across domain counts
-// — the property the sharded determinism suite locks in.
+// — the property the sharded determinism suite locks in. This holds only
+// while nothing draws randomness: a random draw comes from its domain's
+// Simulator::rng(), which vehicles on one domain share and which is seeded
+// per domain, so a scenario with randomised execution times, CAN bit errors
+// or sensor noise reads different results at different domain counts.
+// ROADMAP direction 9 gives each entity its own stream.
 
 #include <atomic>
 #include <chrono>

@@ -18,21 +18,20 @@ const char* to_string(AbilityLevel level) noexcept {
     return "?";
 }
 
-AbilityLevel classify(double level, const AbilityThresholds& thresholds) {
-    if (level >= thresholds.nominal) {
+AbilityLevel classify(double level) {
+    if (level >= kNominalLevel) {
         return AbilityLevel::Nominal;
     }
-    if (level >= thresholds.reduced) {
+    if (level >= kReducedLevel) {
         return AbilityLevel::Reduced;
     }
-    if (level >= thresholds.marginal) {
+    if (level >= kMarginalLevel) {
         return AbilityLevel::Marginal;
     }
     return AbilityLevel::Unavailable;
 }
 
-AbilityGraph::AbilityGraph(const SkillGraphSpec& spec, AbilityThresholds thresholds)
-    : thresholds_(thresholds) {
+AbilityGraph::AbilityGraph(const SkillGraphSpec& spec) {
     // Ids follow name order, so Kahn's "smallest ready name" below is the
     // smallest ready id. The spec already rejects duplicate node names.
     std::vector<const SkillGraphSpec::NodeDecl*> decls;
@@ -183,8 +182,8 @@ std::size_t AbilityGraph::propagate() {
         }
         const double next =
             std::min(node.intrinsic, aggregate(node.aggregation, inputs_));
-        const AbilityLevel before = classify(node.level, thresholds_);
-        const AbilityLevel after = classify(next, thresholds_);
+        const AbilityLevel before = classify(node.level);
+        const AbilityLevel after = classify(next);
         if (before != after) {
             ++qualitative_changes;
             level_changed_.emit(node.name, before, after);
@@ -199,13 +198,13 @@ double AbilityGraph::level(const std::string& name) const {
 }
 
 AbilityLevel AbilityGraph::ability(const std::string& name) const {
-    return classify(level(name), thresholds_);
+    return classify(level(name));
 }
 
 std::size_t AbilityGraph::below_nominal_count() const {
     std::size_t below = 0;
     for (const Node& node : nodes_) {
-        below += classify(node.level, thresholds_) != AbilityLevel::Nominal ? 1 : 0;
+        below += classify(node.level) != AbilityLevel::Nominal ? 1 : 0;
     }
     return below;
 }

@@ -32,13 +32,14 @@ enum class AbilityLevel { Unavailable, Marginal, Reduced, Nominal };
 
 const char* to_string(AbilityLevel level) noexcept;
 
-struct AbilityThresholds {
-    double nominal = 0.85; ///< >= nominal  => Nominal
-    double reduced = 0.50; ///< >= reduced  => Reduced
-    double marginal = 0.15;///< >= marginal => Marginal, below => Unavailable
-};
+/// Lower bounds of the qualitative levels: a score >= kNominalLevel is
+/// Nominal, >= kReducedLevel Reduced, >= kMarginalLevel Marginal, and below
+/// that Unavailable.
+inline constexpr double kNominalLevel = 0.85;
+inline constexpr double kReducedLevel = 0.50;
+inline constexpr double kMarginalLevel = 0.15;
 
-AbilityLevel classify(double level, const AbilityThresholds& thresholds = {});
+AbilityLevel classify(double level);
 
 class AbilityGraph {
 public:
@@ -48,7 +49,7 @@ public:
     /// an aggregation on a non-skill, or a weight on a missing edge; throws
     /// SkillGraphError on a skill without dependencies, no root skill, or a
     /// cycle.
-    explicit AbilityGraph(const SkillGraphSpec& spec, AbilityThresholds thresholds = {});
+    explicit AbilityGraph(const SkillGraphSpec& spec);
 
     // bind_source() hands `this` to a monitor callback, so the graph stays put.
     AbilityGraph(const AbilityGraph&) = delete;
@@ -90,10 +91,6 @@ public:
     /// and propagates.
     void bind_source(const std::string& source, monitor::SensorQualityMonitor& monitor);
 
-    [[nodiscard]] const AbilityThresholds& thresholds() const noexcept {
-        return thresholds_;
-    }
-
 private:
     using NodeId = std::uint32_t;
     struct Node {
@@ -112,7 +109,6 @@ private:
     std::vector<NodeId> topo_; ///< children first, smallest ready name first
     std::map<std::string, NodeId> ids_;
     std::size_t edge_count_ = 0;
-    AbilityThresholds thresholds_;
     std::vector<WeightedLevel> inputs_; ///< propagate() scratch, reused
     sim::Signal<const std::string&, AbilityLevel, AbilityLevel> level_changed_;
 };

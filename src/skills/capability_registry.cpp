@@ -99,10 +99,6 @@ CapabilityRegistry& CapabilityRegistry::register_spec(SkillGraphSpec spec) {
     return *this;
 }
 
-bool CapabilityRegistry::has_spec(const std::string& name) const {
-    return specs_.contains(name);
-}
-
 const SkillGraphSpec& CapabilityRegistry::spec(const std::string& name) const {
     auto it = specs_.find(name);
     SA_REQUIRE(it != specs_.end(), "unknown skill-graph spec: " + name);

@@ -93,7 +93,6 @@ public:
     /// unknown capability is a catalogue bug and fails loudly here, as does
     /// a spec AbilityGraph cannot instantiate.
     CapabilityRegistry& register_spec(SkillGraphSpec spec);
-    [[nodiscard]] bool has_spec(const std::string& name) const;
     [[nodiscard]] const SkillGraphSpec& spec(const std::string& name) const;
     /// Registered spec names, sorted.
     [[nodiscard]] std::vector<std::string> spec_names() const;

@@ -80,10 +80,4 @@ void DegradationManager::rearm(const std::string& tactic_name) {
     }
 }
 
-void DegradationManager::rearm_all() {
-    for (auto& entry : tactics_) {
-        entry.fired = false;
-    }
-}
-
 } // namespace sa::skills

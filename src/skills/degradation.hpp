@@ -45,7 +45,6 @@ public:
 
     /// Re-arm a tactic (e.g. after the skill recovered).
     void rearm(const std::string& tactic_name);
-    void rearm_all();
 
     /// Mark a tactic as fired without executing it here (for callers that
     /// execute tactics themselves, e.g. the ability layer). Records history.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace sa::util {
 
@@ -104,16 +105,10 @@ private:
         P value = nullptr; ///< nullptr == empty
     };
 
-    /// splitmix64 finalizer: full-avalanche mix for dense int keys (raw
-    /// timestamps share low bits across periodic grids).
-    static std::uint64_t mix(std::uint64_t x) noexcept {
-        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-        return x ^ (x >> 31);
-    }
-
+    /// Full-avalanche mix of the key: raw timestamps share low bits across
+    /// periodic grids.
     [[nodiscard]] std::size_t home(std::int64_t key) const noexcept {
-        return static_cast<std::size_t>(mix(static_cast<std::uint64_t>(key))) & mask_;
+        return static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(key))) & mask_;
     }
 
     void grow() {

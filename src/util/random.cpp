@@ -35,27 +35,10 @@ double RandomEngine::normal(double mean, double sigma) {
     return dist(rng_);
 }
 
-double RandomEngine::exponential(double mean) {
-    SA_REQUIRE(mean > 0.0, "exponential mean must be positive");
-    std::exponential_distribution<double> dist(1.0 / mean);
-    return dist(rng_);
-}
-
 std::size_t RandomEngine::index(std::size_t size) {
     SA_REQUIRE(size > 0, "cannot pick an index from an empty range");
     std::uniform_int_distribution<std::size_t> dist(0, size - 1);
     return dist(rng_);
-}
-
-RandomEngine RandomEngine::fork() {
-    // Derive a child seed; splitmix-style finalizer decorrelates the streams.
-    std::uint64_t s = rng_();
-    s ^= s >> 30;
-    s *= 0xbf58476d1ce4e5b9ULL;
-    s ^= s >> 27;
-    s *= 0x94d049bb133111ebULL;
-    s ^= s >> 31;
-    return RandomEngine(s);
 }
 
 } // namespace sa

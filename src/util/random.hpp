@@ -27,9 +27,6 @@ public:
     /// Normal distribution with the given mean and standard deviation (sigma >= 0).
     double normal(double mean, double sigma);
 
-    /// Exponential inter-arrival with the given mean (> 0).
-    double exponential(double mean);
-
     /// Pick a uniformly random index into a container of the given size (> 0).
     std::size_t index(std::size_t size);
 
@@ -40,9 +37,6 @@ public:
             std::swap(items[i - 1], items[index(i)]);
         }
     }
-
-    /// Fork a child engine with an independent stream derived from this one.
-    RandomEngine fork();
 
     std::mt19937_64& raw() noexcept { return rng_; }
 

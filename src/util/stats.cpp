@@ -35,8 +35,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
     max_ = std::max(max_, other.max_);
 }
 
-void RunningStats::reset() noexcept { *this = RunningStats{}; }
-
 double RunningStats::mean() const noexcept { return n_ ? mean_ : 0.0; }
 
 double RunningStats::variance() const noexcept {

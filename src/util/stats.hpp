@@ -14,7 +14,6 @@ class RunningStats {
 public:
     void add(double x) noexcept;
     void merge(const RunningStats& other) noexcept;
-    void reset() noexcept;
 
     [[nodiscard]] std::size_t count() const noexcept { return n_; }
     [[nodiscard]] bool empty() const noexcept { return n_ == 0; }

@@ -38,10 +38,6 @@ bool starts_with(std::string_view text, std::string_view prefix) {
     return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-    return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::string to_lower(std::string_view text) {
     std::string out(text);
     for (char& c : out) {

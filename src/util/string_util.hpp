@@ -30,7 +30,6 @@ std::vector<std::string> split(std::string_view text, char delim);
 std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
 
 std::string to_lower(std::string_view text);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <set>
 
 #include "util/assert.hpp"
 
@@ -44,15 +43,6 @@ void RoutePlanner::add_road(RoadEdge edge) {
     SA_REQUIRE(edge.degradation_prob >= 0.0 && edge.degradation_prob <= 1.0,
                "degradation_prob must be a probability");
     edges_.push_back(edge);
-}
-
-std::size_t RoutePlanner::node_count() const {
-    std::set<std::string> nodes;
-    for (const auto& e : edges_) {
-        nodes.insert(e.from);
-        nodes.insert(e.to);
-    }
-    return nodes.size();
 }
 
 double RoutePlanner::edge_cost(const RoadEdge& edge, double risk_aversion) const {

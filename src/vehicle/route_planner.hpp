@@ -56,7 +56,6 @@ public:
     [[nodiscard]] Route plan(const std::string& from, const std::string& to,
                              double risk_aversion = 1.0) const;
 
-    [[nodiscard]] std::size_t node_count() const;
     [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
 
 private:

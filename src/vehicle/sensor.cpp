@@ -6,15 +6,6 @@
 
 namespace sa::vehicle {
 
-const char* to_string(SensorType type) noexcept {
-    switch (type) {
-    case SensorType::Radar: return "radar";
-    case SensorType::Lidar: return "lidar";
-    case SensorType::Camera: return "camera";
-    }
-    return "?";
-}
-
 Susceptibility susceptibility(SensorType type) noexcept {
     // Radar barely cares about fog; lidar suffers; cameras are nearly blind
     // in dense fog (§V: "driving in dense fog with inappropriate or broken

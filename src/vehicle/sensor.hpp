@@ -14,8 +14,6 @@ namespace sa::vehicle {
 
 enum class SensorType { Radar, Lidar, Camera };
 
-const char* to_string(SensorType type) noexcept;
-
 struct SensorConfig {
     SensorType type = SensorType::Radar;
     std::string name = "radar";

@@ -37,11 +37,6 @@ void VehicleSim::set_sensor_bias(std::size_t sensor_index, double bias_m) {
     sensor_bias_[sensor_index] = bias_m;
 }
 
-double VehicleSim::sensor_bias(std::size_t sensor_index) const {
-    SA_REQUIRE(sensor_index < sensors_.size(), "sensor index out of range");
-    return sensor_bias_[sensor_index];
-}
-
 std::optional<double> VehicleSim::last_measurement(std::size_t sensor_index) const {
     SA_REQUIRE(sensor_index < sensors_.size(), "sensor index out of range");
     return last_measurement_[sensor_index];

@@ -50,7 +50,6 @@ public:
     /// unchanged, so no threshold monitor reacts (the learned monitor's
     /// use case).
     void set_sensor_bias(std::size_t sensor_index, double bias_m);
-    [[nodiscard]] double sensor_bias(std::size_t sensor_index) const;
 
     [[nodiscard]] std::size_t sensor_count() const noexcept { return sensors_.size(); }
     /// Last valid (bias-included) measurement of a sensor stream; empty

@@ -48,10 +48,10 @@ const char* kSmokeText = R"(
 
 TEST(CampaignSpec, ParsesEveryAxis) {
     const auto spec = CampaignSpec::parse(kSmokeText);
-    EXPECT_EQ(spec.name(), "smoke");
-    EXPECT_EQ(spec.scenario_template(), "platoon");
+    EXPECT_EQ(spec.cell().campaign, "smoke");
+    EXPECT_EQ(spec.cell().scenario_template, "platoon");
     EXPECT_EQ(spec.vehicles(), (std::vector<std::size_t>{2, 3}));
-    EXPECT_EQ(spec.duration(), Duration::ms(250));
+    EXPECT_EQ(spec.cell().duration, Duration::ms(250));
     EXPECT_EQ(spec.weathers(),
               (std::vector<Weather>{Weather::Clear, Weather::Fog}));
     EXPECT_EQ(spec.faults(), (std::vector<Fault>{Fault::None, Fault::V2vBlackout}));
@@ -136,8 +136,29 @@ TEST(CampaignSpec, ChecksEveryNumberWithItsLine) {
                                 "expect signal 99999999999999999999;\n"),
               4);
     // Durations take a decimal fraction, as in contracts.
-    EXPECT_EQ(CampaignSpec::parse("campaign x { duration 2.5ms; seeds 1..1; }").duration(),
+    EXPECT_EQ(CampaignSpec::parse("campaign x { duration 2.5ms; seeds 1..1; }").cell().duration,
               Duration::us(2500));
+}
+
+TEST(CampaignSpec, RejectsRepeatedStatementWithItsLine) {
+    // A repeated statement must not silently replace the first: here the
+    // `vehicles 2` axis would vanish from the matrix.
+    const auto campaign = [](const std::string& text) { return CampaignSpec::parse(text); };
+    EXPECT_EQ(error_line(campaign, "campaign dup {\n  vehicles 2;\n  duration 100ms;\n"
+                                   "  vehicles 3;\n  seeds 1..2;\n}\n"),
+              4);
+    EXPECT_EQ(error_line(campaign, "campaign dup {\n  duration 100ms;\n  seeds 1..2;\n"
+                                   "  duration 200ms;\n}\n"),
+              4);
+    EXPECT_EQ(error_line(campaign, "campaign dup {\n  seeds 1..2;\n  seeds 3..4;\n}\n"), 3);
+}
+
+TEST(CellConfig, RejectsRepeatedStatementWithItsLine) {
+    // Two seeds in one cell block (or corpus entry) would replay the last.
+    const auto cell = [](const std::string& text) { return CellConfig::parse(text); };
+    const auto entry = [](const std::string& text) { return CorpusEntry::parse(text); };
+    EXPECT_EQ(error_line(cell, "cell {\n  seed 1;\n  fault storm;\n  seed 2;\n}\n"), 4);
+    EXPECT_EQ(error_line(entry, "cell {\n  seed 1;\n  seed 2;\n}\nexpect status ok;\n"), 3);
 }
 
 TEST(CampaignSpec, ExpandOrderIsStableWithSeedInnermost) {
@@ -213,8 +234,8 @@ TEST(CampaignSpec, LearnedStatementExpandsIntoEveryCell) {
           learned 100ms;
         }
     )");
-    EXPECT_EQ(spec.learned_warmup(), Duration::ms(100));
-    EXPECT_FALSE(spec.learned_no_metrics());
+    EXPECT_EQ(spec.cell().learned_warmup, Duration::ms(100));
+    EXPECT_FALSE(spec.cell().learned_no_metrics);
     const auto cells = spec.expand();
     ASSERT_EQ(cells.size(), 4u);
     for (const auto& cell : cells) {
@@ -223,7 +244,7 @@ TEST(CampaignSpec, LearnedStatementExpandsIntoEveryCell) {
     // str() round-trips the statement.
     const auto reparsed = CampaignSpec::parse(spec.str());
     EXPECT_EQ(reparsed.str(), spec.str());
-    EXPECT_EQ(reparsed.learned_warmup(), Duration::ms(100));
+    EXPECT_EQ(reparsed.cell().learned_warmup, Duration::ms(100));
 
     EXPECT_THROW((void)CampaignSpec::parse(
                      "campaign x { seeds 1..1; learned 0ms; }"),
@@ -272,8 +293,8 @@ TEST(CampaignSpec, MeshStatementsExpandIntoEveryCell) {
           seeds 1..2;
         }
     )");
-    EXPECT_EQ(spec.mesh_range(), 200u);
-    EXPECT_EQ(spec.mesh_ttl(), 6u);
+    EXPECT_EQ(spec.cell().mesh_range_m, 200u);
+    EXPECT_EQ(spec.cell().mesh_ttl, 6u);
     const auto cells = spec.expand();
     ASSERT_EQ(cells.size(), 4u);
     for (const auto& cell : cells) {
@@ -285,8 +306,8 @@ TEST(CampaignSpec, MeshStatementsExpandIntoEveryCell) {
     // str() round-trips both statements.
     const auto reparsed = CampaignSpec::parse(spec.str());
     EXPECT_EQ(reparsed.str(), spec.str());
-    EXPECT_EQ(reparsed.mesh_range(), 200u);
-    EXPECT_EQ(reparsed.mesh_ttl(), 6u);
+    EXPECT_EQ(reparsed.cell().mesh_range_m, 200u);
+    EXPECT_EQ(reparsed.cell().mesh_ttl, 6u);
 }
 
 TEST(CellConfig, HarnessProbeFaultsAreClassified) {
@@ -340,14 +361,17 @@ TEST(CampaignDeterminism, SixteenCellsReplayIdenticallyAcrossDomainCounts) {
     // and partitioning the kernel across 1 vs 2 ECU domains is invisible in
     // the verdict. Sample 16 cells spread across the axes (crash cells
     // excluded: they never produce a verdict in-process).
-    CampaignSpec spec("determinism");
-    spec.vehicles({2, 3})
-        .duration(Duration::ms(150))
-        .weathers({Weather::Clear, Weather::Fog, Weather::Winter})
-        .faults({Fault::None, Fault::V2vBlackout, Fault::Overrun, Fault::Misuse})
-        .policies({PolicyKind::Steady, PolicyKind::Eager})
-        .topologies({Topology::DualBus, Topology::Bridged})
-        .seeds(1, 2);
+    const auto spec = CampaignSpec::parse(R"(
+        campaign determinism {
+          vehicles 2 3;
+          duration 150ms;
+          weather clear fog winter;
+          fault none v2v_blackout overrun misuse;
+          policy steady eager;
+          topology dual_bus bridged;
+          seeds 1..2;
+        }
+    )");
     const auto cells = spec.expand();
     ASSERT_GE(cells.size(), 16u);
     const std::size_t stride = cells.size() / 16;
@@ -408,10 +432,14 @@ TEST(CorpusEntry, RoundTripsAndChecksReplays) {
     cell.vehicles = 2;
     cell.duration = Duration::ms(200);
     cell.fault = Fault::Misuse;
-    const auto verdict = run_cell(cell);
-    ASSERT_EQ(verdict.status, "violation");
-    const auto entry = CorpusEntry::from_failure(cell, verdict);
-    EXPECT_EQ(entry.signature(), CorpusEntry::signature_of(verdict));
+    CampaignDriver driver({.jobs = 1, .worker_exe = "", .shrink = false,
+                           .budget_seconds = 0, .known_signatures = {}});
+    const CellResult failure = driver.run_single(cell);
+    ASSERT_EQ(failure.status, "violation");
+    // Every axis is already at its floor, so the shrunk entry is the cell.
+    const auto entry = driver.shrink(failure, cell.seed);
+    ASSERT_EQ(entry.cell, cell);
+    EXPECT_EQ(entry.signature(), failure.signature());
     EXPECT_NE(entry.suggested_filename().find("smoke-"), std::string::npos);
     EXPECT_NE(entry.suggested_filename().find(".repro"), std::string::npos);
 
@@ -430,7 +458,7 @@ TEST(CorpusEntry, RoundTripsAndChecksReplays) {
               named.str());
 
     // A faithful replay has no mismatches; a doctored one is caught.
-    EXPECT_TRUE(reparsed.mismatches(verdict.json()).empty());
+    EXPECT_TRUE(reparsed.mismatches(failure.verdict_json).empty());
     CellVerdict other;
     other.status = "ok";
     EXPECT_FALSE(reparsed.mismatches(other.json()).empty());
@@ -440,21 +468,21 @@ TEST(CorpusEntry, CrashSignatureGroupsBySignal) {
     const auto crash = CellVerdict::crash(6);
     EXPECT_EQ(crash.status, "crash");
     EXPECT_EQ(crash.signal, 6);
-    CellConfig cell;
-    const auto entry = CorpusEntry::from_failure(cell, crash);
-    EXPECT_EQ(entry.signature(), CorpusEntry::signature_of(crash));
-    const auto with_other_signal = CellVerdict::crash(11);
-    EXPECT_NE(entry.signature(), CorpusEntry::signature_of(with_other_signal));
+    CorpusEntry entry;
+    entry.status = crash.status;
+    entry.reason = crash.reason;
+    entry.signal = crash.signal;
+    EXPECT_EQ(entry.signature(), "crash signal=6");
+    // A crash's reason text is not part of its identity; its signal is.
+    EXPECT_EQ(failure_signature("crash", "other text", 6), entry.signature());
+    EXPECT_NE(failure_signature("crash", crash.reason, 11), entry.signature());
 }
 
 // --- the in-process driver ---------------------------------------------------------
 
 TEST(CampaignDriver, RunsMatrixInProcessAndAggregates) {
-    CampaignSpec spec("inproc");
-    spec.vehicles({2})
-        .duration(Duration::ms(150))
-        .faults({Fault::None, Fault::Misuse})
-        .seeds(1, 2);
+    const auto spec = CampaignSpec::parse(
+        "campaign inproc { vehicles 2; duration 150ms; fault none misuse; seeds 1..2; }");
     CampaignDriver driver({.jobs = 1, .worker_exe = "", .shrink = false,
                            .budget_seconds = 0, .known_signatures = {}});
     const auto report = driver.run(spec);
@@ -477,9 +505,8 @@ TEST(CampaignDriver, RunsMatrixInProcessAndAggregates) {
 }
 
 TEST(CampaignDriver, KnownSignaturesSuppressNewEntries) {
-    CampaignSpec spec("known");
-    spec.vehicles({2}).duration(Duration::ms(150)).faults({Fault::Misuse}).seeds(
-        1, 1);
+    const auto spec = CampaignSpec::parse(
+        "campaign known { vehicles 2; duration 150ms; fault misuse; seeds 1..1; }");
     CampaignDriver probe({.jobs = 1, .worker_exe = "", .shrink = false,
                           .budget_seconds = 0, .known_signatures = {}});
     const auto first = probe.run(spec);
@@ -526,9 +553,8 @@ TEST(CampaignDriver, ShrinkDropsAxesWhileFailurePersists) {
 }
 
 TEST(CampaignDriver, RefusesCrashCellsInProcess) {
-    CampaignSpec spec("would_abort");
-    spec.vehicles({2}).duration(Duration::ms(150)).faults({Fault::Crash}).seeds(
-        1, 1);
+    const auto spec = CampaignSpec::parse(
+        "campaign would_abort { vehicles 2; duration 150ms; fault crash; seeds 1..1; }");
     CampaignDriver driver({.jobs = 1, .worker_exe = "", .shrink = false,
                            .budget_seconds = 0, .known_signatures = {}});
     EXPECT_THROW((void)driver.run(spec), ContractViolation);
@@ -547,11 +573,8 @@ bool no_children() {
 }
 
 TEST(CampaignDriver, CrashingCellIsIsolatedInWorkerProcess) {
-    CampaignSpec spec("crashy");
-    spec.vehicles({2})
-        .duration(Duration::ms(150))
-        .faults({Fault::None, Fault::Crash})
-        .seeds(1, 1);
+    const auto spec = CampaignSpec::parse(
+        "campaign crashy { vehicles 2; duration 150ms; fault none crash; seeds 1..1; }");
     CampaignDriver driver(worker_options(2, true));
     const auto report = driver.run(spec);
     EXPECT_EQ(report.executed, 2u);
@@ -572,13 +595,16 @@ TEST(CampaignDriver, WorkerAndInProcessVerdictsAgree) {
     // Process isolation must be invisible for well-behaved cells. Crash
     // cells sit between 1- and 2-domain cells in matrix order, so a worker
     // runs several cells back to back and is replaced after every crash.
-    CampaignSpec spec("reuse");
-    spec.vehicles({2})
-        .duration(Duration::ms(150))
-        .weathers({Weather::Clear, Weather::Fog})
-        .faults({Fault::None, Fault::Crash, Fault::Misuse})
-        .domains({1, 2})
-        .seeds(1, 1);
+    const auto spec = CampaignSpec::parse(R"(
+        campaign reuse {
+          vehicles 2;
+          duration 150ms;
+          weather clear fog;
+          fault none crash misuse;
+          domains 1 2;
+          seeds 1..1;
+        }
+    )");
     CampaignDriver in_process({.jobs = 1, .worker_exe = "", .shrink = false,
                                .budget_seconds = 0, .known_signatures = {}});
     for (const std::size_t jobs : {1, 2}) {
@@ -615,8 +641,8 @@ TEST(CampaignDriver, LeavesSigpipeDispositionAlone) {
     default_action.sa_handler = SIG_DFL;
     struct sigaction original {};
     ASSERT_EQ(::sigaction(SIGPIPE, &default_action, &original), 0);
-    CampaignSpec spec("one_cell");
-    spec.vehicles({2}).duration(Duration::ms(150)).seeds(1, 1);
+    const auto spec =
+        CampaignSpec::parse("campaign one_cell { vehicles 2; duration 150ms; seeds 1..1; }");
     CampaignDriver driver(worker_options(1, false));
     EXPECT_EQ(driver.run(spec).ok, 1u);
     struct sigaction after {};
@@ -629,34 +655,33 @@ TEST(CampaignDriver, LeavesSigpipeDispositionAlone) {
 // --- campaign lint -----------------------------------------------------------------
 
 TEST(CampaignLint, FlagsEmptyMatrixAndUnknownTemplate) {
-    CampaignSpec empty("empty");
-    empty.seeds(9, 3);
+    const auto empty = CampaignSpec::parse("campaign empty { seeds 9..3; }");
     const auto report = lint::lint_campaign(empty);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(report.has("CMP002"));
 
-    CampaignSpec martian("mars");
-    martian.scenario_template("rover").seeds(1, 1);
+    const auto martian =
+        CampaignSpec::parse("campaign mars { template rover; seeds 1..1; }");
     EXPECT_TRUE(lint::lint_campaign(martian).has("CMP001"));
 }
 
 TEST(CampaignLint, ProbeFaultsAreInfoNotError) {
-    CampaignSpec probing("probing");
-    probing.vehicles({2})
-        .duration(Duration::ms(150))
-        .faults({Fault::None, Fault::Crash})
-        .seeds(1, 1);
+    const auto probing = CampaignSpec::parse(
+        "campaign probing { vehicles 2; duration 150ms; fault none crash; seeds 1..1; }");
     const auto report = lint::lint_campaign(probing);
     EXPECT_TRUE(report.ok()) << report.str();
     EXPECT_TRUE(report.has("CMP006"));
 }
 
 TEST(CampaignLint, MissingSpecFileIsAnError) {
-    CampaignSpec broken("broken");
-    broken.vehicles({2})
-        .duration(Duration::ms(150))
-        .spec_file("/nonexistent/spec.skills")
-        .seeds(1, 1);
+    const auto broken = CampaignSpec::parse(R"(
+        campaign broken {
+          vehicles 2;
+          duration 150ms;
+          spec "/nonexistent/spec.skills";
+          seeds 1..1;
+        }
+    )");
     const auto report = lint::lint_campaign(broken);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(report.has("CMP004"));

@@ -1,6 +1,6 @@
 // Tests for sa::lint: the diagnostic engine, every rule in the catalogue
 // (one deliberately broken fixture per rule ID), the Mcc::integrate()
-// structural gate, ScenarioBuilder::lint()/strict(), and the cleanliness
+// structural gate, ScenarioBuilder::lint(), and the cleanliness
 // properties the repo guarantees (builtin registry, scenario presets and
 // parser round-trips produce zero errors and zero warnings).
 
@@ -71,6 +71,13 @@ VehicleShape minimal_vehicle(const std::string& name = "ego") {
     v.ecus = {"ecu0"};
     v.buses = {"can0", "can1"};
     return v;
+}
+
+/// A scenario of `vehicle` alone, so lint_scenario() checks just that vehicle.
+ScenarioShape only(VehicleShape vehicle) {
+    ScenarioShape scenario;
+    scenario.vehicles.push_back(std::move(vehicle));
+    return scenario;
 }
 
 // --- diagnostics engine ------------------------------------------------------------
@@ -309,7 +316,7 @@ TEST(LintScenario, SCN001RouteShadowing) {
     gw.routes.push_back({"can0", "can1", 0x000, 0x000}); // forwards everything
     gw.routes.push_back({"can0", "can1", 0x120, 0x7FF}); // never adds a frame
     v.gateways.push_back(gw);
-    const auto report = lint_vehicle(v);
+    const auto report = lint_scenario(only(v));
     ASSERT_TRUE(report.has("SCN001"));
     EXPECT_TRUE(report.ok()) << "shadowing is a warning";
 }
@@ -410,10 +417,10 @@ TEST(LintScenario, SCN007SensorBoundToUnknownSkillNode) {
     v.has_skill_graph = true;
     v.bindable_nodes = {"radar"};
     v.sensor_skill_bindings = {{"radar0", "no_such_node"}};
-    const auto report = lint_vehicle(v);
+    const auto report = lint_scenario(only(v));
     ASSERT_TRUE(report.has("SCN007"));
     v.sensor_skill_bindings = {{"radar0", "radar"}};
-    EXPECT_FALSE(lint_vehicle(v).has("SCN007"));
+    EXPECT_FALSE(lint_scenario(only(v)).has("SCN007"));
 }
 
 TEST(LintScenario, SCN007SensorBoundToSkillNode) {
@@ -504,11 +511,11 @@ TEST(LintScenario, MSH002BeaconTtlBelowHopEccentricity) {
 TEST(LintScenario, LRN001LearnedMonitorWithNoMetrics) {
     auto v = minimal_vehicle();
     v.learned_monitors.push_back({0, sim::Duration::ms(500).count_ns()});
-    const auto report = lint_vehicle(v);
+    const auto report = lint_scenario(only(v));
     ASSERT_TRUE(report.has("LRN001"));
     EXPECT_FALSE(report.ok());
     v.learned_monitors[0].metric_count = 3;
-    EXPECT_FALSE(lint_vehicle(v).has("LRN001"));
+    EXPECT_FALSE(lint_scenario(only(v)).has("LRN001"));
 }
 
 TEST(LintScenario, LRN002WarmupOutlivesDeclaredRun) {
@@ -587,15 +594,6 @@ TEST(LintBuilder, CleanVehicleLintsClean) {
     const auto report = builder.lint();
     EXPECT_EQ(report.error_count(), 0u) << report.str();
     EXPECT_EQ(report.warning_count(), 0u) << report.str();
-}
-
-TEST(LintBuilder, StrictBuildThrowsOnFindings) {
-    sa::scenario::ScenarioBuilder builder;
-    builder.strict();
-    builder.vehicle("ego")
-        .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
-        .contracts("component broken { this is not the grammar }");
-    EXPECT_THROW((void)builder.build(), ContractViolation);
 }
 
 // --- the MCC structural gate -------------------------------------------------------

@@ -169,21 +169,6 @@ TEST(RandomEngine, NormalStatistics) {
     EXPECT_NEAR(s.stddev(), 2.0, 0.1);
 }
 
-TEST(RandomEngine, ForkProducesIndependentStream) {
-    RandomEngine a(99);
-    RandomEngine child = a.fork();
-    // The fork should not replay the parent's stream.
-    bool all_equal = true;
-    RandomEngine b(99);
-    (void)b.uniform_int(0, 1000000); // consume the value fork() consumed
-    for (int i = 0; i < 20; ++i) {
-        if (child.uniform_int(0, 1000000) != b.uniform_int(0, 1000000)) {
-            all_equal = false;
-        }
-    }
-    EXPECT_FALSE(all_equal);
-}
-
 TEST(RandomEngine, IndexRequiresNonEmpty) {
     RandomEngine rng(1);
     EXPECT_THROW((void)rng.index(0), ContractViolation);
@@ -215,8 +200,6 @@ TEST(StringUtil, Trim) {
 TEST(StringUtil, StartsEndsWith) {
     EXPECT_TRUE(starts_with("temp.ecu1", "temp."));
     EXPECT_FALSE(starts_with("te", "temp."));
-    EXPECT_TRUE(ends_with("file.cpp", ".cpp"));
-    EXPECT_FALSE(ends_with("cpp", ".cpp"));
 }
 
 TEST(StringUtil, Format) {

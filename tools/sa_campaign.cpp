@@ -81,8 +81,8 @@ bool load_campaign(const std::string& path, sa::campaign::CampaignSpec& spec) {
                   << error.what() << '\n';
         return false;
     }
-    if (!spec.spec_file().empty()) {
-        spec.spec_file(resolve_spec_path(path, spec.spec_file()));
+    if (!spec.cell().spec_file.empty()) {
+        spec.spec_file(resolve_spec_path(path, spec.cell().spec_file));
     }
     return true;
 }
