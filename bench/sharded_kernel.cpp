@@ -2,10 +2,13 @@
 // three-vehicle platoon (examples/platoon_dual_bus.cpp) run at 1, 2 and 4
 // ECU domains. domains:1 is one domain on the calling thread; the sharded
 // rows run the identical workload (identical per-vehicle counters — locked
-// in by tests/test_sharded.cpp) with domains 1..n-1 on worker threads and
-// the 20 ms V2V latency as conservative lookahead. Every row reports the
+// in by tests/test_sharded.cpp) on the default thread budget (a thread per
+// domain where the affinity mask has that many CPUs) with the 20 ms V2V
+// latency as conservative lookahead. BM_ShardedDualBusPlatoonOneThread runs
+// the same partitions on a budget of one thread, as a campaign worker does:
+// every domain's window on the caller, no handoff. Every row reports the
 // kernel's windows, domains:1 included. Wall-clock speedup tracks physical
-// cores; on a single-core host the sharded rows surface pure coordination
+// cores; on a single-core host the threaded rows surface pure coordination
 // overhead instead.
 //
 // Timing is manual (UseManualTime): assembly excluded, run() wall time only.
@@ -15,6 +18,7 @@
 // event per domain and its wall time is almost all handoff. The kernel and
 // its workers are set up once, outside the timing; each iteration runs one
 // window, so the row's time is the wall time per window, measured directly.
+// BM_WindowHandoffTwoThreads runs 4 domains on 2 threads, two per thread.
 
 #include <benchmark/benchmark.h>
 
@@ -93,6 +97,18 @@ BENCHMARK(BM_ShardedDualBusPlatoon)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
+void BM_ShardedDualBusPlatoonOneThread(benchmark::State& state) {
+    const std::size_t previous = sim::set_thread_budget(1);
+    BM_ShardedDualBusPlatoon(state);
+    (void)sim::set_thread_budget(previous);
+}
+BENCHMARK(BM_ShardedDualBusPlatoonOneThread)
+    ->ArgName("domains")
+    ->Arg(2)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_WindowHandoff(benchmark::State& state) {
     const auto domains = static_cast<std::size_t>(state.range(0));
     sim::ShardedKernel kernel(domains, 2026);
@@ -117,6 +133,17 @@ void BM_WindowHandoff(benchmark::State& state) {
 BENCHMARK(BM_WindowHandoff)
     ->ArgName("domains")
     ->Arg(2)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_WindowHandoffTwoThreads(benchmark::State& state) {
+    const std::size_t previous = sim::set_thread_budget(2);
+    BM_WindowHandoff(state);
+    (void)sim::set_thread_budget(previous);
+}
+BENCHMARK(BM_WindowHandoffTwoThreads)
+    ->ArgName("domains")
     ->Arg(4)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);

@@ -116,6 +116,12 @@ std::string duration_str(sim::Duration duration) {
     return format("%lldns", static_cast<long long>(ns));
 }
 
+void reject_repeat(std::set<std::string>& seen, const std::string& statement, int line) {
+    if (!seen.insert(statement).second) {
+        throw util::ParseError(line, "repeated statement '" + statement + "'");
+    }
+}
+
 // --- CellConfig --------------------------------------------------------------------
 
 std::string CellConfig::id() const {
@@ -233,14 +239,6 @@ auto take_list(Lexer& lex, Take take_one) {
         values.push_back(take_one(lex));
     } while (!lex.accept(";"));
     return values;
-}
-
-/// A statement given twice in one block would silently override the first:
-/// a campaign would drop an axis, a cell would replay another seed.
-void reject_repeat(std::set<std::string>& seen, const std::string& keyword, int line) {
-    if (!seen.insert(keyword).second) {
-        throw util::ParseError(line, "repeated statement '" + keyword + "'");
-    }
 }
 
 /// Parse one cell statement into `cell`. Returns false when `keyword` is not

@@ -43,6 +43,7 @@
 //          domains 2; seed 7; }
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,12 @@ enum class Topology { DualBus, Bridged, Mesh, LossyMesh };
 
 /// Render a duration with the largest exact unit ("400ms", "250us", "2s").
 [[nodiscard]] std::string duration_str(sim::Duration duration);
+
+/// The repeat rule of campaign and cell blocks and of a corpus entry's
+/// expectations: a statement given twice would silently replace the first
+/// (a campaign would drop an axis, a cell would replay another seed), so
+/// throw util::ParseError at `line` when `statement` is already in `seen`.
+void reject_repeat(std::set<std::string>& seen, const std::string& statement, int line);
 
 /// One fully instantiated campaign cell. Everything a run needs is here;
 /// str() serializes the canonical `cell { ... }` block and parse() reads it

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "util/string_util.hpp"
@@ -56,10 +57,12 @@ CorpusEntry CorpusEntry::parse(const std::string& text) {
     CorpusEntry entry;
     entry.cell = CellConfig::parse(lex);
     entry.status.clear();
+    std::set<std::string> seen;
     while (!lex.at_end()) {
         lex.expect("expect");
         const int line = lex.peek().line;
         const std::string what = lex.take_ident("an expectation kind");
+        reject_repeat(seen, "expect " + what, line);
         if (what == "status") {
             entry.status = lex.take_ident("a status");
             if (entry.status != "ok" && entry.status != "violation" &&

@@ -7,7 +7,8 @@
 // (fixtures/corpus/ is replayed by CI on every PR).
 //
 // Entry grammar (one token stream in the shared lexical rules of
-// util/lexer.hpp: a cell block, then one or more expect statements):
+// util/lexer.hpp: a cell block, then one or more expect statements, each
+// kind at most once):
 //
 //   cell { campaign smoke; template platoon; vehicles 2; duration 800ms;
 //          weather clear; fault misuse; policy steady; topology dual_bus;

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "campaign/runner.hpp"
+#include "sim/sharded_kernel.hpp"
 #include "util/assert.hpp"
 #include "util/string_util.hpp"
 
@@ -51,7 +52,10 @@ bool send_all(int fd, const void* data, std::size_t size) {
 /// A forked worker's whole life: answer every cell index the driver sends
 /// with that cell's verdict line, and leave when the driver closes the
 /// socket (exit 0) or anything throws (exit 2, as a worker with a bad cell).
+/// The campaign runs cells in parallel across its workers, so a worker runs
+/// each cell's domains on one thread: more would only add window handoffs.
 [[noreturn]] void serve(int fd, const std::vector<CellConfig>& cells) {
+    (void)sim::set_thread_budget(1);
     try {
         std::size_t index = 0;
         while (::recv(fd, &index, sizeof index, MSG_WAITALL) ==

@@ -47,7 +47,8 @@ public:
     /// Partition the scenario into `n` ECU domains (sim::ShardedKernel).
     /// Vehicles are assigned round-robin in declaration order unless pinned
     /// via VehicleBuilder::domain(). 1 (the default) is one domain on the
-    /// thread that calls run(); n > 1 adds n - 1 worker threads.
+    /// thread that calls run(); n > 1 runs on min(n, budget) threads, the
+    /// caller and workers (sim::set_thread_budget()).
     ScenarioBuilder& domains(std::size_t n);
 
     /// Declare a scenario-level bridge joining buses of different vehicles.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include <sched.h>
+
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 
@@ -21,6 +23,21 @@ Time saturating_after(Time at, Duration delta) {
     }
     return at + delta;
 }
+
+/// The CPUs this process may run on: its affinity mask, which `taskset`
+/// narrows and std::thread::hardware_concurrency() ignores.
+std::size_t affinity_cpus() noexcept {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof set, &set) == 0) {
+        return static_cast<std::size_t>(CPU_COUNT(&set));
+    }
+    return std::max(1U, std::thread::hardware_concurrency());
+}
+
+/// Read at start-up, before any thread of the process narrows its own mask
+/// (a benchmark pinning its measured thread to one CPU keeps the default).
+std::atomic<std::size_t> g_thread_budget{affinity_cpus()};
 
 // Bounds of a waiter's adaptive spin budget (see the header's round
 // coordination comment).
@@ -82,8 +99,14 @@ DomainKernel::DomainKernel(std::size_t index, std::uint64_t seed,
                            std::size_t num_domains)
     : simulator_(seed), index_(index), outbox_(num_domains) {}
 
+std::size_t set_thread_budget(std::size_t threads) {
+    SA_REQUIRE(threads >= 1, "the thread budget must be at least one");
+    return g_thread_budget.exchange(threads, std::memory_order_relaxed);
+}
+
 ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed)
-    : spin_budget_(kSpinCap) {
+    : threads_(std::min(num_domains, g_thread_budget.load(std::memory_order_relaxed))),
+      spin_budget_(kSpinCap) {
     SA_REQUIRE(num_domains >= 1, "a sharded kernel needs at least one domain");
     domains_.reserve(num_domains);
     for (std::size_t d = 0; d < num_domains; ++d) {
@@ -99,20 +122,19 @@ ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed)
 }
 
 ShardedKernel::~ShardedKernel() {
-    if (!workers_started_) {
-        return;
-    }
-    // Every worker is between windows here: the last window's pending_
-    // handshake completed before the coordinator could get here.
-    shutdown_ = true;
-    round_.value.fetch_add(1, std::memory_order_seq_cst);
-    wake(round_.value, round_.parked);
-    for (auto& domain : domains_) {
-        if (domain->worker_.joinable()) {
-            domain->worker_.join();
+    if (!workers_.empty()) {
+        // Every worker is between windows here: the last window's pending_
+        // handshake completed before the coordinator could get here.
+        shutdown_ = true;
+        round_.value.fetch_add(1, std::memory_order_seq_cst);
+        wake(round_.value, round_.parked);
+        for (std::thread& worker : workers_) {
+            worker.join();
         }
     }
-    detail::add_active_sharded_kernels(-1);
+    if (started_ && domains_.size() > 1) {
+        detail::add_multi_domain_kernels(-1);
+    }
 }
 
 Simulator& ShardedKernel::domain(std::size_t index) {
@@ -176,17 +198,20 @@ void ShardedKernel::stop() noexcept {
     }
 }
 
-void ShardedKernel::ensure_workers() {
-    if (workers_started_ || domains_.size() == 1) {
+void ShardedKernel::start() {
+    if (started_) {
         return;
     }
-    workers_started_ = true;
-    // Flips the process-wide ownership guards from their one-thread fast
-    // path to the full thread-local check (see Simulator::owned_by_caller).
-    detail::add_active_sharded_kernels(1);
-    for (std::size_t d = 1; d < domains_.size(); ++d) {
-        DomainKernel* raw = domains_[d].get();
-        raw->worker_ = std::thread([this, raw] { worker_main(*raw); });
+    started_ = true;
+    if (domains_.size() > 1) {
+        // Flips the process-wide ownership guards from their fast path to
+        // the full thread-local check (see Simulator::owned_by_caller), at
+        // every thread count: a foreign mutation that would race at T > 1
+        // fails at T = 1 too.
+        detail::add_multi_domain_kernels(1);
+    }
+    for (std::size_t group = 1; group < threads_; ++group) {
+        workers_.emplace_back([this, group] { worker_main(group); });
     }
 }
 
@@ -203,7 +228,13 @@ void ShardedKernel::run_domain_window(DomainKernel& domain, Time window_end) {
     detail::set_executing_domain(nullptr);
 }
 
-void ShardedKernel::worker_main(DomainKernel& domain) {
+void ShardedKernel::run_group(std::size_t group, Time window_end) {
+    for (std::size_t d = group_begin(group); d < group_begin(group + 1); ++d) {
+        run_domain_window(*domains_[d], window_end);
+    }
+}
+
+void ShardedKernel::worker_main(std::size_t group) {
     std::uint32_t seen_round = 0;
     std::chrono::nanoseconds budget = kSpinCap;
     for (;;) {
@@ -214,7 +245,7 @@ void ShardedKernel::worker_main(DomainKernel& domain) {
         if (shutdown_) {
             return;
         }
-        run_domain_window(domain, window_end_);
+        run_group(group, window_end_);
         if (pending_.value.fetch_sub(1, std::memory_order_seq_cst) == 1) {
             wake(pending_.value, pending_.parked);
         }
@@ -222,15 +253,16 @@ void ShardedKernel::worker_main(DomainKernel& domain) {
 }
 
 void ShardedKernel::run_window(Time window_end) {
-    if (workers_started_) {
+    if (workers_.empty()) {
+        // One thread: the caller runs every domain's window, in index order.
+        run_group(0, window_end);
+    } else {
         window_end_ = window_end;
-        pending_.value.store(static_cast<std::uint32_t>(domains_.size() - 1),
+        pending_.value.store(static_cast<std::uint32_t>(workers_.size()),
                              std::memory_order_relaxed);
         round_.value.fetch_add(1, std::memory_order_seq_cst);
         wake(round_.value, round_.parked);
-    }
-    run_domain_window(*domains_[0], window_end);
-    if (workers_started_) {
+        run_group(0, window_end);
         (void)await(pending_.value, pending_.parked, spin_budget_,
                     [](std::uint32_t left) { return left == 0; });
     }
@@ -295,7 +327,7 @@ void ShardedKernel::post_from(std::size_t from, std::size_t to, Time at,
 
 std::size_t ShardedKernel::run_until(Time until) {
     SA_REQUIRE(until >= now_, "cannot run into the past");
-    ensure_workers();
+    start();
     const std::uint64_t executed_before = executed_events();
     // Consume any stale stop request on entry, mirroring
     // Simulator::run_until: a stop aimed at an idle kernel is discarded

@@ -6,11 +6,18 @@
 //
 // Partitioning model. A ShardedKernel owns N DomainKernels; each DomainKernel
 // owns a private Simulator (bucketed event queue, clock, RNG, periodic
-// registry). Domain 0's windows run on the thread that calls run_until();
-// domains 1..N-1 each get a worker thread, started by the first run, so a
-// one-domain kernel starts no thread at all. A domain's events execute only
-// on its own thread — a domain is exactly the single-threaded kernel it
-// always was, so no subsystem needs locks for its own state.
+// registry). The domains are the partition; threads are a budget. A kernel
+// runs its N domains on T = min(N, budget) threads (set_thread_budget();
+// by default the CPUs in the process's affinity mask), fixed when the
+// kernel is created. Each thread owns a fixed, contiguous group of domains
+// and runs their windows in index order. Group 0 holds domain 0 and runs on
+// the thread that calls run_until(); the other T-1 groups each get a worker
+// thread, started by the first run. So a kernel with T = 1 — one domain, or
+// a budget of one — starts no thread and runs every domain's window on the
+// caller. A domain's events execute only on its group's thread — a domain
+// is exactly the single-threaded kernel it always was, so no subsystem
+// needs locks for its own state. T changes no result: windows, horizons and
+// the mailbox merge order depend on the domains alone.
 //
 // Conservative lookahead. Cross-domain interactions (CAN gateway forwards,
 // V2V delivery) carry a minimum link latency, declared up front via
@@ -43,12 +50,13 @@
 // one included. Entities that do not share simulator-level state (distinct
 // vehicles) therefore observe the same event sequence whatever the domain
 // count, and per-entity counters reproduce bit-for-bit across domain counts
-// — the property the sharded determinism suite locks in. This holds only
-// while nothing draws randomness: a random draw comes from its domain's
-// Simulator::rng(), which vehicles on one domain share and which is seeded
-// per domain, so a scenario with randomised execution times, CAN bit errors
-// or sensor noise reads different results at different domain counts.
-// ROADMAP direction 9 gives each entity its own stream.
+// and thread budgets — the property the sharded determinism suite locks
+// in. This holds only while nothing draws randomness: a random draw comes
+// from its domain's Simulator::rng(), which vehicles on one domain share
+// and which is seeded per domain, so a scenario with randomised execution
+// times, CAN bit errors or sensor noise reads different results at
+// different domain counts. ROADMAP direction 9 gives each entity its own
+// stream.
 
 #include <atomic>
 #include <chrono>
@@ -66,9 +74,8 @@ namespace sa::sim {
 /// Lookahead value meaning "this domain never emits cross-domain events".
 inline constexpr Duration kUnboundedLookahead = Duration(INT64_MAX);
 
-/// One shard of a sharded simulation: a private Simulator plus its outboxes
-/// and (for domains 1..N-1) its worker thread. Created and owned by
-/// ShardedKernel.
+/// One shard of a sharded simulation: a private Simulator plus its outboxes.
+/// Created and owned by ShardedKernel.
 class DomainKernel {
 public:
     DomainKernel(const DomainKernel&) = delete;
@@ -94,15 +101,22 @@ private:
     std::size_t index_;
     Duration lookahead_ = kUnboundedLookahead;
     /// outbox_[target]: sends made by this domain during the current window.
-    /// Written only by the domain's own thread, drained by the coordinator
-    /// at the barrier (published by the worker's pending_ decrement).
+    /// Written only by the thread of the domain's group, drained by the
+    /// coordinator at the barrier (published by a worker's pending_
+    /// decrement).
     std::vector<std::vector<Envelope>> outbox_;
     /// An exception thrown inside this domain's window (e.g. a contract
     /// violation); captured by run_domain_window() and rethrown by the
     /// coordinator at the barrier so it surfaces on the calling thread.
     std::exception_ptr error_;
-    std::thread worker_; ///< domains 1..N-1; domain 0 runs on the caller
 };
+
+/// Set the process-wide thread budget (>= 1) and return the previous one.
+/// A kernel created after this call runs its N domains on min(N, threads)
+/// threads; kernels created earlier keep theirs. The default is the number
+/// of CPUs in the process's affinity mask at start-up, so `taskset -c 0`
+/// makes it 1.
+std::size_t set_thread_budget(std::size_t threads);
 
 /// Coordinator of N DomainKernels. See the header comment for the model.
 class ShardedKernel {
@@ -185,14 +199,22 @@ public:
 private:
     friend void post(Simulator& target, Time at, EventQueue::Action action);
 
-    /// Start the workers of domains 1..N-1 (none for one domain).
-    void ensure_workers();
-    void worker_main(DomainKernel& domain);
+    /// On the first run: arm the ownership guards (more than one domain)
+    /// and start the workers of groups 1..T-1.
+    void start();
+    void worker_main(std::size_t group);
+    /// First domain of thread `group`'s group. Groups split the domains as
+    /// evenly as T divides N, the smaller ones first.
+    [[nodiscard]] std::size_t group_begin(std::size_t group) const noexcept {
+        return group * domains_.size() / threads_;
+    }
     /// Drain one domain to `window_end` on the calling thread, marked as
     /// that domain's executing thread; an exception lands in error_.
     static void run_domain_window(DomainKernel& domain, Time window_end);
-    /// Run one parallel window: every domain drains to `window_end`, domain
-    /// 0 on the calling thread and the others on their workers.
+    /// Drain every domain of thread `group`'s group, in index order.
+    void run_group(std::size_t group, Time window_end);
+    /// Run one window: every domain drains to `window_end`, group 0 on the
+    /// calling thread and the others on their workers.
     void run_window(Time window_end);
     /// Merge all outboxes into their target queues, deterministically.
     void flush_outboxes();
@@ -203,6 +225,8 @@ private:
                    EventQueue::Action action);
 
     std::vector<std::unique_ptr<DomainKernel>> domains_;
+    std::size_t threads_; ///< T = min(N, budget at construction)
+    bool started_ = false;
     Time now_ = Time::zero();
     Time settled_ = Time::zero();
     std::atomic<bool> stop_{false};
@@ -220,12 +244,13 @@ private:
     std::vector<Script> scripts_;
     std::size_t scripts_head_ = 0;
 
-    // Round coordination: two handoff words, no lock. The coordinator writes
-    // window_end_, horizon_ (and, once, shutdown_), then bumps round_ with a
-    // release RMW; a worker that acquires the new round reads them. A worker
-    // writes its outboxes and error_, then decrements pending_ with a
-    // release RMW; the decrements form one release sequence, so the
-    // coordinator's acquire of zero reads every worker's writes.
+    // Round coordination (T > 1): two handoff words, no lock. The
+    // coordinator writes window_end_, horizon_ (and, once, shutdown_), then
+    // bumps round_ with a release RMW; a worker that acquires the new round
+    // reads them. A worker writes its group's outboxes and error_, then
+    // decrements pending_ with a release RMW; the decrements form one
+    // release sequence, so the coordinator's acquire of zero reads every
+    // worker's writes.
     //
     // Each waiter — a worker waiting for the next round, the coordinator
     // waiting for the last worker — spins on its word with a CPU-relax hint
@@ -236,7 +261,7 @@ private:
     // is non-zero. The parker's increment and re-check of the word and the
     // waker's bump and read of the count are all seq_cst: either the waker
     // sees the parker or the parker sees the bump, so no wake-up is lost and
-    // the usual handoff makes no system call. A one-domain kernel has no
+    // the usual handoff makes no system call. A one-thread kernel has no
     // worker and touches none of this. Each word has a cache line of its
     // own, so spinning on one does not contend with writes to the other.
     struct alignas(64) HandoffWord {
@@ -244,12 +269,13 @@ private:
         std::atomic<std::uint32_t> parked{0}; ///< waiters asleep on value
     };
     HandoffWord round_;   ///< bumped once per window (and at shutdown)
-    HandoffWord pending_; ///< workers still inside the current window
+    HandoffWord pending_; ///< worker threads still inside the current window
     std::chrono::nanoseconds spin_budget_; ///< the coordinator's
     bool shutdown_ = false;
-    bool workers_started_ = false;
     Time window_end_ = Time::zero();
     Time horizon_ = Time::max(); ///< current window's safe horizon (post() check)
+    /// Groups 1..T-1, started by the first run; after every member they use.
+    std::vector<std::thread> workers_;
 };
 
 /// Schedule `action` at absolute time `at` on `target`, routing through the

@@ -29,16 +29,18 @@ namespace detail {
 /// The simulator whose sharded window is executing on the calling thread,
 /// or nullptr outside a window (between runs, inside a script barrier, a
 /// plain Simulator's run). Set by ShardedKernel around each domain window;
-/// the thread running the window (the caller of run_until() for domain 0, a
-/// worker for the others) is the domain's sole owner for it, hence mutable.
+/// the thread running the window (the caller of run_until() for the domains
+/// of group 0, a worker for the others) is the domain's sole owner for it,
+/// hence mutable.
 [[nodiscard]] Simulator* executing_domain() noexcept;
 void set_executing_domain(Simulator* simulator) noexcept;
-/// Count of ShardedKernels with live worker threads in this process. While
-/// zero (no kernel with more than one domain has run), the ownership guards
-/// reduce to one relaxed global load — no thread-local access on the
-/// scheduling hot path.
-[[nodiscard]] int active_sharded_kernels() noexcept;
-void add_active_sharded_kernels(int delta) noexcept;
+/// Count of live ShardedKernels in this process that have more than one
+/// domain and have run, whatever their thread count: a one-thread kernel
+/// counts too, so a foreign mutation fails at every thread budget, not only
+/// where it would race. While zero, the ownership guards reduce to one
+/// relaxed global load — no thread-local access on the scheduling hot path.
+[[nodiscard]] int multi_domain_kernels() noexcept;
+void add_multi_domain_kernels(int delta) noexcept;
 } // namespace detail
 
 class Simulator {
@@ -156,8 +158,8 @@ private:
     /// a reference to some foreign standalone simulator must not race its
     /// owner either.
     [[nodiscard]] bool owned_by_caller() const noexcept {
-        if (detail::active_sharded_kernels() == 0) {
-            return true; // fast path: no worker threads exist in the process
+        if (detail::multi_domain_kernels() == 0) {
+            return true; // fast path: no multi-domain kernel has run
         }
         const Simulator* executing = detail::executing_domain();
         return executing == nullptr || executing == this;

@@ -22,6 +22,7 @@
 #include "campaign/runner.hpp"
 #include "campaign/verdict.hpp"
 #include "lint/campaign_rules.hpp"
+#include "thread_budget.hpp"
 
 namespace {
 
@@ -159,6 +160,27 @@ TEST(CellConfig, RejectsRepeatedStatementWithItsLine) {
     const auto entry = [](const std::string& text) { return CorpusEntry::parse(text); };
     EXPECT_EQ(error_line(cell, "cell {\n  seed 1;\n  fault storm;\n  seed 2;\n}\n"), 4);
     EXPECT_EQ(error_line(entry, "cell {\n  seed 1;\n  seed 2;\n}\nexpect status ok;\n"), 3);
+}
+
+TEST(CorpusEntry, RejectsRepeatedExpectationWithItsLine) {
+    // A second expectation of one kind would replace the first: this entry
+    // would check status ok and signal 11, not what its first lines say.
+    const auto entry = [](const std::string& text) { return CorpusEntry::parse(text); };
+    EXPECT_EQ(error_line(entry, "cell {\n}\nexpect status violation;\nexpect status ok;\n"
+                                "expect signal 6;\nexpect signal 11;\n"),
+              4);
+    EXPECT_EQ(error_line(entry, "cell {\n}\nexpect status crash;\nexpect signal 6;\n"
+                                "expect signal 11;\n"),
+              5);
+    EXPECT_EQ(error_line(entry, "cell {\n}\nexpect status violation;\nexpect reason \"a\";\n"
+                                "expect fingerprint \"0123456789abcdef\";\nexpect reason \"b\";\n"),
+              6);
+    try {
+        (void)CorpusEntry::parse("cell {\n}\nexpect status ok;\nexpect status ok;\n");
+        ADD_FAILURE() << "a repeated expectation was accepted";
+    } catch (const util::ParseError& err) {
+        EXPECT_STREQ(err.what(), "repeated statement 'expect status'");
+    }
 }
 
 TEST(CampaignSpec, ExpandOrderIsStableWithSeedInnermost) {
@@ -388,6 +410,36 @@ TEST(CampaignDeterminism, SixteenCellsReplayIdenticallyAcrossDomainCounts) {
     }
 }
 
+TEST(CampaignDeterminism, TwoDomainCellsReplayIdenticallyAtEveryThreadBudget) {
+    // A forked worker runs a cell's domains on one thread, an in-process
+    // cell on as many as the host gives it: the verdict must not tell them
+    // apart. Sample 2-domain cells across the axes (crash cells excluded).
+    const auto spec = CampaignSpec::parse(R"(
+        campaign budgets {
+          vehicles 2 3;
+          duration 150ms;
+          weather clear fog;
+          fault none v2v_blackout storm overrun misuse;
+          topology dual_bus bridged mesh;
+          domains 2;
+          seeds 1..1;
+        }
+    )");
+    const auto cells = spec.expand();
+    ASSERT_GE(cells.size(), 12u);
+    const std::size_t stride = cells.size() / 12;
+    for (std::size_t i = 0; i < 12; ++i) {
+        const CellConfig& cell = cells[i * stride];
+        std::string verdicts[2];
+        for (std::size_t budget : {1u, 2u}) {
+            const testutil::ScopedThreadBudget threads(budget);
+            verdicts[budget - 1] = run_cell(cell).json();
+        }
+        EXPECT_EQ(verdicts[0], verdicts[1]) << "thread budget leaked into the verdict: "
+                                            << cell.id();
+    }
+}
+
 TEST(CampaignDeterminism, MeshCellsReplayIdenticallyAcrossDomainCounts) {
     // The mesh topologies put a range-limited v2v::Medium plus a MeshStack
     // per vehicle under the platoon; their verdicts must stay a pure
@@ -595,6 +647,9 @@ TEST(CampaignDriver, WorkerAndInProcessVerdictsAgree) {
     // Process isolation must be invisible for well-behaved cells. Crash
     // cells sit between 1- and 2-domain cells in matrix order, so a worker
     // runs several cells back to back and is replaced after every crash.
+    // The workers run each cell on one thread; the in-process cells here
+    // run a thread per domain, so the comparison also covers the budget.
+    const testutil::ScopedThreadBudget threads(2);
     const auto spec = CampaignSpec::parse(R"(
         campaign reuse {
           vehicles 2;

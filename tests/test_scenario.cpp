@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "scenario/scenario_builder.hpp"
+#include "thread_budget.hpp"
 
 namespace {
 
@@ -724,33 +725,36 @@ TEST(Scenario, StopFromAnEventHaltsAtTheSameJobAtEveryDomainCount) {
     // One 10 ms task and a stop() from an event at 300 ms: the event's own
     // domain halts right after it at every domain count, instead of
     // draining to the next barrier (with nothing coupling the domains, the
-    // end of the run).
+    // end of the run) — on one thread and on a thread per domain alike.
     std::uint64_t jobs_at_one_domain = 0;
     for (std::size_t domains : {1u, 2u, 4u}) {
-        scenario::ScenarioBuilder builder(23);
-        builder.domains(domains);
-        builder.vehicle("ego")
-            .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
-            .contracts(R"(
-                component ctrl {
-                  asil D;
-                  security_level 2;
-                  task control { wcet 500us; period 10ms; deadline 8ms; }
-                }
-            )");
-        auto scenario = builder.build();
-        scenario::Scenario& s = *scenario;
-        (void)s.vehicle("ego").simulator().schedule_at(
-            Time(Duration::ms(300).count_ns()), [&s] { s.stop(); });
-        s.run(Duration::sec(2));
+        for (std::size_t budget : {1u, 4u}) {
+            const testutil::ScopedThreadBudget threads(budget);
+            scenario::ScenarioBuilder builder(23);
+            builder.domains(domains);
+            builder.vehicle("ego")
+                .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+                .contracts(R"(
+                    component ctrl {
+                      asil D;
+                      security_level 2;
+                      task control { wcet 500us; period 10ms; deadline 8ms; }
+                    }
+                )");
+            auto scenario = builder.build();
+            scenario::Scenario& s = *scenario;
+            (void)s.vehicle("ego").simulator().schedule_at(
+                Time(Duration::ms(300).count_ns()), [&s] { s.stop(); });
+            s.run(Duration::sec(2));
 
-        const auto report = s.report();
-        const std::uint64_t jobs = report.vehicle("ego").jobs_completed;
-        if (domains == 1) {
-            EXPECT_EQ(report.at, Time(Duration::ms(300).count_ns()));
-            jobs_at_one_domain = jobs;
+            const auto report = s.report();
+            const std::uint64_t jobs = report.vehicle("ego").jobs_completed;
+            if (domains == 1) {
+                EXPECT_EQ(report.at, Time(Duration::ms(300).count_ns()));
+                jobs_at_one_domain = jobs;
+            }
+            EXPECT_EQ(jobs, jobs_at_one_domain) << "domains=" << domains << " budget=" << budget;
         }
-        EXPECT_EQ(jobs, jobs_at_one_domain) << "domains=" << domains;
     }
     EXPECT_EQ(jobs_at_one_domain, 30u); // releases at 0, 10, ..., 290 ms
 }

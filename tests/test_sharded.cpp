@@ -1,9 +1,11 @@
 // Tests for the sharded kernel: conservative-lookahead windows, the
 // deterministic cross-domain mailboxes, script barriers, the foreign-thread
-// contracts on the periodic registry, cross-domain gateway routes and V2V —
-// and the determinism suite: the dual-bus platoon produces identical
-// per-vehicle counters and CAN event traces for num_domains in {1, 2, 4},
-// and identical everything when re-run with the same seed.
+// contracts on the periodic registry, thread budgets and their placement of
+// domains on threads, cross-domain gateway routes and V2V — and the
+// determinism suite: the dual-bus platoon produces identical per-vehicle
+// counters and CAN event traces for num_domains in {1, 2, 4} and every
+// thread budget up to the domain count, and identical everything when
+// re-run with the same seed.
 //
 // The whole file is ThreadSanitizer-relevant: the CI tsan job runs it with
 // SA_SANITIZE=thread.
@@ -13,6 +15,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +29,7 @@
 #include "scenario/presets.hpp"
 #include "scenario/scenario_builder.hpp"
 #include "sim/sharded_kernel.hpp"
+#include "thread_budget.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -33,6 +38,7 @@ namespace {
 using namespace sa;
 using sim::Duration;
 using sim::Time;
+using testutil::ScopedThreadBudget;
 
 // --- kernel mechanics --------------------------------------------------------------
 
@@ -96,29 +102,39 @@ TEST(ShardedKernel, MailboxMergeIsOrderedBySourceDomain) {
 }
 
 TEST(ShardedKernel, ForeignDirectScheduleIsRejected) {
-    sim::ShardedKernel kernel(2, 42);
-    kernel.domain(0).schedule(Duration::us(10), [&] {
-        // The legal pre-sharding pattern — holding a reference to another
-        // simulator and scheduling on it directly — must trip a contract
-        // inside a window instead of racing the owning worker.
-        (void)kernel.domain(1).schedule(Duration::ms(1), [] {});
-    });
+    // At budget 1 both domains run on the caller, where the schedule would
+    // not race; it must fail there too, or a one-thread run hides the bug.
+    for (std::size_t budget : {1u, 2u}) {
+        const ScopedThreadBudget threads(budget);
+        sim::ShardedKernel kernel(2, 42);
+        kernel.domain(0).schedule(Duration::us(10), [&] {
+            // The legal pre-sharding pattern — holding a reference to
+            // another simulator and scheduling on it directly — must trip a
+            // contract inside a window instead of racing the owning thread.
+            (void)kernel.domain(1).schedule(Duration::ms(1), [] {});
+        });
 
-    EXPECT_THROW(kernel.run_until(Time(Duration::ms(1).count_ns())),
-                 sa::ContractViolation);
+        EXPECT_THROW(kernel.run_until(Time(Duration::ms(1).count_ns())),
+                     sa::ContractViolation)
+            << "budget " << budget;
+    }
 }
 
 TEST(ShardedKernel, PostBelowTheHorizonIsRejected) {
-    sim::ShardedKernel kernel(2, 42);
-    kernel.declare_lookahead(0, Duration::us(50));
-    kernel.domain(0).schedule(Duration::us(10), [&] {
-        // 10 us < horizon: the declared lookahead promised >= 50 us.
-        sim::post(kernel.domain(1), kernel.domain(0).now() + Duration::us(10),
-                  [] {});
-    });
+    for (std::size_t budget : {1u, 2u}) {
+        const ScopedThreadBudget threads(budget);
+        sim::ShardedKernel kernel(2, 42);
+        kernel.declare_lookahead(0, Duration::us(50));
+        kernel.domain(0).schedule(Duration::us(10), [&] {
+            // 10 us < horizon: the declared lookahead promised >= 50 us.
+            sim::post(kernel.domain(1), kernel.domain(0).now() + Duration::us(10),
+                      [] {});
+        });
 
-    EXPECT_THROW(kernel.run_until(Time(Duration::ms(1).count_ns())),
-                 sa::ContractViolation);
+        EXPECT_THROW(kernel.run_until(Time(Duration::ms(1).count_ns())),
+                     sa::ContractViolation)
+            << "budget " << budget;
+    }
 }
 
 TEST(ShardedKernel, UndeclaredLookaheadFailsLoudlyInsteadOfLeakingCausality) {
@@ -287,6 +303,43 @@ TEST(ShardedKernel, StopIsSafeFromAnExternalThread) {
     SUCCEED(); // termination (early or not) without a race is the assertion
 }
 
+/// The threads of this process, from /proc/self/status.
+int process_threads() {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0) {
+            return std::stoi(line.substr(8));
+        }
+    }
+    return -1;
+}
+
+/// The thread each of a 4-domain kernel's domains ran its window on, and
+/// the ownership-guard count and process thread count seen from inside it.
+struct Placement {
+    std::thread::id ran_on[4];
+    int guarded = -1;
+    int threads = -1;
+};
+
+Placement place_four_domains(std::size_t budget) {
+    const ScopedThreadBudget threads(budget);
+    sim::ShardedKernel kernel(4, 42);
+    Placement placement;
+    for (std::size_t d = 0; d < 4; ++d) {
+        kernel.domain(d).schedule(Duration::us(10), [&placement, d] {
+            placement.ran_on[d] = std::this_thread::get_id();
+        });
+    }
+    kernel.domain(0).schedule(Duration::us(20), [&placement] {
+        placement.guarded = sim::detail::multi_domain_kernels();
+        placement.threads = process_threads();
+    });
+    kernel.run_until(Time(Duration::ms(1).count_ns()));
+    return placement;
+}
+
 TEST(ShardedKernel, DomainZeroRunsOnTheCallingThread) {
     const std::thread::id caller = std::this_thread::get_id();
     {
@@ -294,30 +347,43 @@ TEST(ShardedKernel, DomainZeroRunsOnTheCallingThread) {
         // process-wide ownership guards stay on their fast path.
         sim::ShardedKernel kernel(1, 42);
         std::thread::id ran_on;
-        int active = -1;
+        int guarded = -1;
         kernel.domain(0).schedule(Duration::us(10), [&] {
             ran_on = std::this_thread::get_id();
-            active = sim::detail::active_sharded_kernels();
+            guarded = sim::detail::multi_domain_kernels();
         });
         kernel.run_until(Time(Duration::ms(1).count_ns()));
         EXPECT_EQ(ran_on, caller);
-        EXPECT_EQ(active, 0);
+        EXPECT_EQ(guarded, 0);
     }
-    // N domains: domain 0 stays on the caller, each other domain gets a
-    // worker of its own.
-    sim::ShardedKernel kernel(4, 42);
-    std::thread::id ran_on[4];
+    // Budget 1: all four domains run on the caller and no thread starts,
+    // yet the ownership guards are armed.
+    const int threads_before = process_threads();
+    const Placement one = place_four_domains(1);
     for (std::size_t d = 0; d < 4; ++d) {
-        kernel.domain(d).schedule(
-            Duration::us(10), [&ran_on, d] { ran_on[d] = std::this_thread::get_id(); });
+        EXPECT_EQ(one.ran_on[d], caller) << "domain " << d;
     }
-    kernel.run_until(Time(Duration::ms(1).count_ns()));
-    EXPECT_EQ(ran_on[0], caller);
+    EXPECT_EQ(one.threads, threads_before);
+    EXPECT_EQ(one.guarded, 1);
+
+    // Budget 2: domains {0, 1} on the caller, {2, 3} on one other thread.
+    const Placement two = place_four_domains(2);
+    EXPECT_EQ(two.ran_on[0], caller);
+    EXPECT_EQ(two.ran_on[1], caller);
+    EXPECT_NE(two.ran_on[2], std::thread::id()) << "domain 2 never ran";
+    EXPECT_NE(two.ran_on[2], caller);
+    EXPECT_EQ(two.ran_on[3], two.ran_on[2]);
+    EXPECT_EQ(two.guarded, 1);
+
+    // Budget 4: domain 0 stays on the caller, each other domain gets a
+    // worker of its own.
+    const Placement four = place_four_domains(4);
+    EXPECT_EQ(four.ran_on[0], caller);
     for (std::size_t d = 1; d < 4; ++d) {
-        EXPECT_NE(ran_on[d], std::thread::id()) << "domain " << d << " never ran";
-        EXPECT_NE(ran_on[d], caller) << "domain " << d;
+        EXPECT_NE(four.ran_on[d], std::thread::id()) << "domain " << d << " never ran";
+        EXPECT_NE(four.ran_on[d], caller) << "domain " << d;
         for (std::size_t e = 1; e < d; ++e) {
-            EXPECT_NE(ran_on[d], ran_on[e]) << "domains " << e << " and " << d;
+            EXPECT_NE(four.ran_on[d], four.ran_on[e]) << "domains " << e << " and " << d;
         }
     }
 }
@@ -352,9 +418,10 @@ TEST(ShardedKernel, DomainsLoggingInOneWindowSerialiseTheSink) {
 
 // --- barrier stress: thousands of tiny windows, parked waiters ----------------------
 //
-// These pin the window handoff's behaviour, not its speed. Every few hundred
-// windows a stall longer than any spin budget (capped at 50 us) makes every
-// waiter give up spinning and park, so the next window must wake it.
+// These pin the window handoff's behaviour, not its speed, at every thread
+// budget from one to the domain count. Every few hundred windows a stall
+// longer than any spin budget (capped at 50 us) makes every waiter give up
+// spinning and park, so the next window must wake it.
 
 constexpr auto kStall = std::chrono::microseconds(300);
 constexpr std::int64_t kStressWindows = 10'000;
@@ -410,7 +477,8 @@ private:
     sim::ShardedKernel kernel_;
 };
 
-void expect_exact_ping_pong(std::size_t domains) {
+void expect_exact_ping_pong(std::size_t domains, std::size_t budget) {
+    const ScopedThreadBudget threads(budget);
     PingPong game(domains);
     game.run();
 
@@ -425,16 +493,40 @@ void expect_exact_ping_pong(std::size_t domains) {
             const auto back = static_cast<std::size_t>(t) % domains;
             expected.push_back({t, (d + domains - back) % domains});
         }
-        EXPECT_EQ(game.visits(d), expected) << "domain " << d << " of " << domains;
+        EXPECT_EQ(game.visits(d), expected)
+            << "domain " << d << " of " << domains << ", budget " << budget;
     }
 }
 
-TEST(ShardedBarrierStress, TenThousandTinyWindowsAtTwoDomains) { expect_exact_ping_pong(2); }
+// Every thread budget runs the same windows, events and mailbox traffic.
 
-TEST(ShardedBarrierStress, TenThousandTinyWindowsAtFourDomains) { expect_exact_ping_pong(4); }
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtTwoDomains) { expect_exact_ping_pong(2, 2); }
+
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtTwoDomainsOnOneThread) {
+    expect_exact_ping_pong(2, 1);
+}
+
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtFourDomains) { expect_exact_ping_pong(4, 4); }
+
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtFourDomainsOnOneThread) {
+    expect_exact_ping_pong(4, 1);
+}
+
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtFourDomainsOnTwoThreads) {
+    expect_exact_ping_pong(4, 2);
+}
+
+TEST(ShardedBarrierStress, TenThousandTinyWindowsAtFourDomainsOnThreeThreads) {
+    expect_exact_ping_pong(4, 3);
+}
+
+/// (domains, thread budget) pairs of the teardown cases: a worker per
+/// domain, and two domains per thread.
+constexpr std::size_t kTeardownCases[][2] = {{2, 2}, {4, 4}, {4, 2}};
 
 TEST(ShardedBarrierStress, KernelDestroyedWhileItsWorkersAreParked) {
-    for (std::size_t domains : {2u, 4u}) {
+    for (const auto& [domains, budget] : kTeardownCases) {
+        const ScopedThreadBudget threads(budget);
         std::vector<int> ran(domains, 0); // one slot per domain
         {
             sim::ShardedKernel kernel(domains, 42);
@@ -446,12 +538,14 @@ TEST(ShardedBarrierStress, KernelDestroyedWhileItsWorkersAreParked) {
             // parked and must wake it to join it.
             std::this_thread::sleep_for(kStall);
         }
-        EXPECT_EQ(ran, std::vector<int>(domains, 1)) << domains << " domains";
+        EXPECT_EQ(ran, std::vector<int>(domains, 1))
+            << domains << " domains, budget " << budget;
     }
 }
 
 TEST(ShardedBarrierStress, KernelDestroyedRightAfterAWindowThatThrewInDomainOne) {
-    for (std::size_t domains : {2u, 4u}) {
+    for (const auto& [domains, budget] : kTeardownCases) {
+        const ScopedThreadBudget threads(budget);
         sim::ShardedKernel kernel(domains, 42);
         for (std::size_t d = 0; d < domains; ++d) {
             kernel.declare_lookahead(d, Duration::us(1));
@@ -464,23 +558,27 @@ TEST(ShardedBarrierStress, KernelDestroyedRightAfterAWindowThatThrewInDomainOne)
                      sa::ContractViolation);
         // Ticks 0..500, the last one the window that threw; the kernel is
         // destroyed right away, its workers still spinning.
-        EXPECT_EQ(kernel.windows(), 501u) << domains << " domains";
+        EXPECT_EQ(kernel.windows(), 501u) << domains << " domains, budget " << budget;
     }
 }
 
 // --- the periodic-registry audit (Simulator::stop / Vehicle teardown) -------------
 
 TEST(ShardedKernel, ForeignThreadCancelPeriodicIsRejected) {
-    sim::ShardedKernel kernel(2, 42);
-    kernel.declare_lookahead(0, Duration::us(50));
-    const std::uint64_t id =
-        kernel.domain(1).schedule_periodic(Duration::ms(1), [] {});
-    kernel.domain(0).schedule(Duration::us(10), [&] {
-        kernel.domain(1).cancel_periodic(id); // foreign domain thread: race
-    });
+    for (std::size_t budget : {1u, 2u}) {
+        const ScopedThreadBudget threads(budget);
+        sim::ShardedKernel kernel(2, 42);
+        kernel.declare_lookahead(0, Duration::us(50));
+        const std::uint64_t id =
+            kernel.domain(1).schedule_periodic(Duration::ms(1), [] {});
+        kernel.domain(0).schedule(Duration::us(10), [&] {
+            kernel.domain(1).cancel_periodic(id); // foreign domain: a race at budget 2
+        });
 
-    EXPECT_THROW(kernel.run_until(Time(Duration::ms(10).count_ns())),
-                 sa::ContractViolation);
+        EXPECT_THROW(kernel.run_until(Time(Duration::ms(10).count_ns())),
+                     sa::ContractViolation)
+            << "budget " << budget;
+    }
 }
 
 TEST(ShardedKernel, PostedCancelPeriodicFromForeignDomainIsSafe) {
@@ -864,6 +962,33 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, const ManeuverCase&
     }
     fp.v2v = std::move(platoon_state);
     return fp;
+}
+
+/// Every (domains, thread budget) pair with a budget no larger than the
+/// domain count: one thread, a few domains per thread, a thread per domain.
+constexpr std::size_t kBudgetPairs[][2] = {{1, 1}, {2, 1}, {2, 2}, {4, 1},
+                                           {4, 2}, {4, 3}, {4, 4}};
+
+TEST(ShardedDeterminism, ThreadBudgetDoesNotChangeTheResults) {
+    RunFingerprint platoon;
+    std::vector<RunFingerprint> maneuvers;
+    for (const auto& [domains, budget] : kBudgetPairs) {
+        const ScopedThreadBudget threads(budget);
+        const RunFingerprint fp = run_platoon(domains, 2026);
+        if (domains == 1) {
+            platoon = fp;
+        }
+        EXPECT_EQ(fp, platoon) << "platoon at " << domains << " domains, budget " << budget;
+        for (std::size_t i = 0; i < std::size(kManeuverCases); ++i) {
+            const RunFingerprint maneuver = run_maneuver_platoon(domains, kManeuverCases[i]);
+            if (domains == 1) {
+                maneuvers.push_back(maneuver);
+            }
+            EXPECT_EQ(maneuver, maneuvers[i])
+                << "maneuver seed " << kManeuverCases[i].seed << " at " << domains
+                << " domains, budget " << budget;
+        }
+    }
 }
 
 TEST(ShardedDeterminism, ManeuverScenarioReproducesPerDomainCount) {
