@@ -10,7 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "model/mcc.hpp"
-#include "scenario/vehicle_builder.hpp"
+#include "scenario/presets.hpp"
 #include "util/string_util.hpp"
 
 using namespace sa;
@@ -69,15 +69,11 @@ Contract make_component(int index, int total) {
 /// Full integration of an n-component system from scratch.
 void BM_IntegrateSystem(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
-    scenario::VehicleBuilder contracts_builder("fig1");
-    {
-        std::vector<Contract> parsed;
-        for (int i = 0; i < n; ++i) {
-            parsed.push_back(make_component(i, n));
-        }
-        contracts_builder.contracts(std::move(parsed));
+    ChangeRequest change;
+    change.description = "fig1 system";
+    for (int i = 0; i < n; ++i) {
+        change.contracts.push_back(make_component(i, n));
     }
-    const ChangeRequest change = contracts_builder.change_request();
     bool accepted = false;
     std::size_t nodes = 0;
     std::size_t edges = 0;
@@ -150,5 +146,29 @@ void BM_ViewpointSuite(benchmark::State& state) {
     state.counters["components"] = n;
 }
 BENCHMARK(BM_ViewpointSuite)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+std::unique_ptr<scenario::Scenario> build_platoon(std::size_t vehicles) {
+    scenario::ScenarioBuilder builder(1);
+    for (std::size_t i = 0; i < vehicles; ++i) {
+        scenario::presets::declare_platoon_follow_vehicle(builder, format("v%zu", i));
+    }
+    return builder.build();
+}
+
+/// Assembly of a platoon (ROADMAP aim 1 counts it in end-to-end time):
+/// declare, ScenarioBuilder::build() and teardown of `vehicles` preset
+/// vehicles. A warm-up build before the timed loop fills the process's
+/// memo of initial analyses, so the row measures the steady state a
+/// campaign worker sees: every vehicle copies one analysed MCC.
+void BM_BuildPlatoon(benchmark::State& state) {
+    const auto vehicles = static_cast<std::size_t>(state.range(0));
+    benchmark::DoNotOptimize(build_platoon(vehicles).get());
+    for (auto _ : state) {
+        auto scenario = build_platoon(vehicles);
+        benchmark::DoNotOptimize(scenario.get());
+    }
+    state.counters["vehicles"] = static_cast<double>(vehicles);
+}
+BENCHMARK(BM_BuildPlatoon)->ArgName("vehicles")->Arg(8)->Unit(benchmark::kMicrosecond);
 
 } // namespace

@@ -1,13 +1,48 @@
 #include "model/mcc.hpp"
 
 #include <algorithm>
+#include <array>
+#include <mutex>
 
 #include "lint/model_rules.hpp"
+#include "model/contract_parser.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::model {
+
+namespace {
+
+/// The one line an integration leaves in the log, written for a change the
+/// MCC analysed and for a copy of a memoised initial analysis alike.
+void log_outcome(const std::string& description, const IntegrationReport& report) {
+    if (report.accepted) {
+        SA_LOG_INFO << "MCC accepted change '" << description << "'";
+    } else {
+        SA_LOG_INFO << "MCC rejected change '" << description
+                    << "': " << report.rejection_reason;
+    }
+}
+
+/// One memoised initial analysis under its key.
+struct MemoEntry {
+    std::string contract_text;
+    PlatformModel platform;
+    std::optional<InitialIntegration> integration; ///< nullopt: no contract declared
+};
+
+struct Memo {
+    std::mutex mutex;
+    std::vector<MemoEntry> entries; ///< guarded by mutex; never evicted
+};
+
+Memo& memo() {
+    static Memo instance;
+    return instance;
+}
+
+} // namespace
 
 const ViewpointReport* IntegrationReport::viewpoint(const std::string& name) const {
     for (const auto& r : viewpoints) {
@@ -21,16 +56,19 @@ const ViewpointReport* IntegrationReport::viewpoint(const std::string& name) con
 Mcc::Mcc(PlatformModel platform, MccOptions options)
     : platform_(std::move(platform)), options_(options) {
     SA_REQUIRE(!platform_.ecus.empty(), "MCC needs a platform with at least one ECU");
-    viewpoints_.push_back(std::make_unique<TimingViewpoint>());
-    viewpoints_.push_back(std::make_unique<LatencyViewpoint>());
-    viewpoints_.push_back(std::make_unique<SafetyViewpoint>());
-    auto security = std::make_unique<SecurityViewpoint>();
-    security_viewpoint_ = security.get();
-    viewpoints_.push_back(std::move(security));
 }
 
 IntegrationReport Mcc::integrate(const ChangeRequest& change) {
     ++attempts_;
+    IntegrationReport report = run_steps(change);
+    if (report.accepted) {
+        ++accepted_;
+    }
+    log_outcome(change.description, report);
+    return report;
+}
+
+IntegrationReport Mcc::run_steps(const ChangeRequest& change) {
     IntegrationReport report;
 
     // Step 1: candidate function model (platform-independent refinement).
@@ -109,7 +147,8 @@ IntegrationReport Mcc::integrate(const ChangeRequest& change) {
     // Step 4: viewpoint acceptance tests.
     const SystemModel system{candidate, platform_, mapped.mapping};
     bool all_passed = true;
-    for (auto& vp : viewpoints_) {
+    for (Viewpoint* vp :
+         std::array<Viewpoint*, 4>{&timing_, &latency_, &safety_, &security_}) {
         ViewpointReport vr = vp->check(system);
         const bool passed = vr.passed();
         report.steps.push_back(IntegrationStep{
@@ -130,7 +169,6 @@ IntegrationReport Mcc::integrate(const ChangeRequest& change) {
             }
         }
         report.rejection_reason = reason;
-        SA_LOG_INFO << "MCC rejected change '" << change.description << "': " << reason;
         return report;
     }
 
@@ -143,8 +181,6 @@ IntegrationReport Mcc::integrate(const ChangeRequest& change) {
         format("dependency graph: %zu node(s), %zu edge(s)",
                dependency_graph_.node_count(), dependency_graph_.edge_count())});
     report.accepted = true;
-    ++accepted_;
-    SA_LOG_INFO << "MCC accepted change '" << change.description << "'";
     return report;
 }
 
@@ -152,12 +188,10 @@ void Mcc::rebuild_committed_artifacts() {
     dependency_graph_ = build_dependency_graph(functions_, platform_, mapping_);
     FmeaEngine engine(dependency_graph_, functions_);
     fmea_ = engine.analyze_all();
-    if (security_viewpoint_ != nullptr) {
-        // Re-derive policy against the committed model.
-        const SystemModel system{functions_, platform_, mapping_};
-        (void)security_viewpoint_->check(system);
-        security_policy_ = security_viewpoint_->policy();
-    }
+    // Re-derive policy against the committed model.
+    const SystemModel system{functions_, platform_, mapping_};
+    (void)security_.check(system);
+    security_policy_ = security_.policy();
 }
 
 rte::RteConfig Mcc::make_rte_config(const std::map<std::string, TaskBody>& bodies) const {
@@ -234,6 +268,50 @@ bool Mcc::revalidate_with_speed(const std::string& ecu, double speed_factor) con
     }
     analysis::CpuWcrtAnalysis analysis;
     return analysis.analyze(cpu).all_schedulable;
+}
+
+std::optional<InitialIntegration> integrate_declared(const PlatformModel& platform,
+                                                     const std::string& contract_text,
+                                                     const std::string& description) {
+    Memo& shared = memo();
+    const auto find = [&]() -> const MemoEntry* {
+        for (const MemoEntry& entry : shared.entries) {
+            if (entry.contract_text == contract_text && entry.platform == platform) {
+                return &entry;
+            }
+        }
+        return nullptr;
+    };
+    std::optional<InitialIntegration> result;
+    bool hit = false;
+    {
+        const std::lock_guard lock(shared.mutex);
+        if (const MemoEntry* entry = find()) {
+            result = entry->integration;
+            hit = true;
+        }
+    }
+    if (hit) {
+        if (result.has_value()) {
+            log_outcome(description, result->report);
+        }
+        return result;
+    }
+
+    ChangeRequest change;
+    change.description = description;
+    change.contracts = ContractParser{}.parse(contract_text);
+    if (!change.contracts.empty()) {
+        result.emplace(InitialIntegration{Mcc(platform), {}});
+        result->report = result->mcc.integrate(change);
+    }
+    // Two threads that miss at once both analyse; the first to get here
+    // stores its (equal) result.
+    const std::lock_guard lock(shared.mutex);
+    if (find() == nullptr) {
+        shared.entries.push_back(MemoEntry{contract_text, platform, result});
+    }
+    return result;
 }
 
 } // namespace sa::model

@@ -15,9 +15,32 @@
 // At run time the MCC ingests monitoring metrics (Fig. 1 "metrics" arrow),
 // refines WCET assumptions, and re-validates the configuration under
 // changed platform conditions (DVFS levels in the thermal scenario).
+//
+// An Mcc is a value: it owns its four viewpoints as members, and a copy is
+// a fully independent MCC with the same committed model, observed WCETs and
+// integration counters. Integrating into, or feeding metrics to, one copy
+// never changes another.
+//
+// The initial analysis of a declared vehicle is memoised once per process
+// (integrate_declared()). Its verdict depends on the platform model and the
+// contracts, not on the vehicle that carries them, so every vehicle declared
+// with the same (platform model, contract text) pair gets a copy of one
+// analysis instead of a parse and an integration of its own:
+//   - key: the contract text byte for byte, plus every field of every ECU
+//     and bus descriptor in declaration order (PlatformModel::operator==);
+//   - bound: entries are never evicted. There is one per distinct
+//     configuration a process declares (one for a campaign template, one
+//     per perfbench workload, at most two per example), so the memo holds a
+//     handful of entries, not one per vehicle;
+//   - lock: one mutex guards the memo. A lookup or an insertion (and the
+//     copy of a hit) holds it; the parse and the integration of a miss do
+//     not. A process that forks copies the memo, so it must fork while no
+//     other thread builds a vehicle (campaign/driver.hpp).
+// In-field changes (Mcc::integrate on a built vehicle's MCC) are never
+// memoised: each is analysed against that vehicle's committed model.
 
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,6 +139,8 @@ public:
     }
 
 private:
+    /// Steps 1-5 of integrate(); commits the candidate when it passes.
+    IntegrationReport run_steps(const ChangeRequest& change);
     void rebuild_committed_artifacts();
 
     PlatformModel platform_;
@@ -126,11 +151,31 @@ private:
     FmeaReport fmea_;
     DerivedPolicy security_policy_;
     Mapper mapper_;
-    std::vector<std::unique_ptr<Viewpoint>> viewpoints_;
-    SecurityViewpoint* security_viewpoint_ = nullptr; ///< owned by viewpoints_
+    TimingViewpoint timing_;
+    LatencyViewpoint latency_;
+    SafetyViewpoint safety_;
+    SecurityViewpoint security_;
     std::map<std::string, sim::Duration> observed_wcet_;
     std::uint64_t attempts_ = 0;
     std::uint64_t accepted_ = 0;
 };
+
+/// An MCC after its first integration, and the report of that integration.
+struct InitialIntegration {
+    Mcc mcc;
+    IntegrationReport report;
+};
+
+/// The initial analysis of a declared configuration: `contract_text`
+/// parsed and integrated, as one Add change described by `description`,
+/// into a fresh `Mcc(platform)` with default options. Returns nullopt when
+/// the text declares no contract; throws util::ParseError (and stores
+/// nothing) when it does not parse. The first call with a given (platform,
+/// text) pair runs the analysis and memoises its result, accepted or
+/// rejected; every later call returns a copy of it (see the file comment).
+/// Each call logs the MCC's accepted/rejected line under `description`.
+[[nodiscard]] std::optional<InitialIntegration>
+integrate_declared(const PlatformModel& platform, const std::string& contract_text,
+                   const std::string& description);
 
 } // namespace sa::model

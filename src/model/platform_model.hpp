@@ -17,12 +17,16 @@ struct EcuDescriptor {
     Asil max_asil = Asil::D;        ///< highest ASIL certifiable on this ECU
     std::string thermal_zone = "cabin";
     std::string power_domain = "main";
+
+    bool operator==(const EcuDescriptor&) const = default;
 };
 
 struct BusDescriptor {
     std::string name;
     std::int64_t bitrate_bps = 500'000;
     double max_utilization = 0.60;
+
+    bool operator==(const BusDescriptor&) const = default;
 };
 
 struct PlatformModel {
@@ -31,6 +35,8 @@ struct PlatformModel {
 
     [[nodiscard]] const EcuDescriptor* find_ecu(const std::string& name) const;
     [[nodiscard]] const BusDescriptor* find_bus(const std::string& name) const;
+
+    bool operator==(const PlatformModel&) const = default;
 };
 
 } // namespace sa::model

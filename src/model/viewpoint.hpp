@@ -6,7 +6,6 @@
 // viewpoint inspects the assembled system model and acts as an acceptance
 // test: any Error-severity issue rejects the change.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,13 +60,16 @@ public:
     explicit Viewpoint(std::string name) : name_(std::move(name)) {}
     virtual ~Viewpoint() = default;
 
-    Viewpoint(const Viewpoint&) = delete;
-    Viewpoint& operator=(const Viewpoint&) = delete;
-
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
     /// Run the viewpoint's acceptance analysis.
     [[nodiscard]] virtual ViewpointReport check(const SystemModel& model) = 0;
+
+protected:
+    // A concrete viewpoint copies with the Mcc that holds it; the base
+    // alone never does (no slicing).
+    Viewpoint(const Viewpoint&) = default;
+    Viewpoint& operator=(const Viewpoint&) = default;
 
 private:
     std::string name_;

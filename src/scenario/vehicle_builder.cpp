@@ -64,12 +64,6 @@ VehicleBuilder& VehicleBuilder::contracts(std::string_view text) {
     return *this;
 }
 
-VehicleBuilder& VehicleBuilder::contracts(std::vector<model::Contract> parsed) {
-    contracts_.insert(contracts_.end(), std::make_move_iterator(parsed.begin()),
-                      std::make_move_iterator(parsed.end()));
-    return *this;
-}
-
 VehicleBuilder& VehicleBuilder::integration_policy(IntegrationPolicy policy) {
     policy_ = policy;
     return *this;
@@ -280,13 +274,8 @@ model::PlatformModel VehicleBuilder::platform_model() const {
 model::ChangeRequest VehicleBuilder::change_request() const {
     model::ChangeRequest change;
     change.description = name_ + " system";
-    change.contracts = contracts_;
     if (!contract_text_.empty()) {
-        model::ContractParser parser;
-        auto parsed = parser.parse(contract_text_);
-        change.contracts.insert(change.contracts.end(),
-                                std::make_move_iterator(parsed.begin()),
-                                std::make_move_iterator(parsed.end()));
+        change.contracts = model::ContractParser{}.parse(contract_text_);
     }
     return change;
 }
@@ -448,29 +437,42 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
     auto owned = std::unique_ptr<Vehicle>(new Vehicle(name_, simulator));
     Vehicle& v = *owned;
 
-    // 1. Model domain: the MCC integrates the declared contract set. A
-    //    vehicle with nothing for the model domain to do (no contracts and
-    //    no model-consulting layer) skips the MCC entirely — pure
-    //    driving-loop or raw-task scenarios have no model domain.
-    const model::ChangeRequest change = change_request();
+    // 1. Model domain: the MCC integrates the declared contract text. The
+    //    analysis depends only on the platform model and the text, so
+    //    model::integrate_declared() runs it once per process for each
+    //    distinct pair and hands every later vehicle declared the same way
+    //    its own copy of the analysed MCC and report (the vehicle name only
+    //    labels the log line). A vehicle without contract text never
+    //    reaches that memo. A vehicle with nothing for the model domain to
+    //    do (no contracts and no model-consulting layer) skips the MCC
+    //    entirely — pure driving-loop or raw-task scenarios have no model
+    //    domain.
     const bool wants_model_layer =
         std::any_of(layers_.begin(), layers_.end(), [](core::LayerId id) {
             return id == core::LayerId::Platform || id == core::LayerId::Safety;
         });
-    bool deploy = false;
-    if (!ecus_.empty() && (!change.contracts.empty() || wants_model_layer)) {
-        v.mcc_ = std::make_unique<model::Mcc>(platform_model());
-    } else {
-        SA_REQUIRE(change.contracts.empty(), "contracts require at least one ECU");
+    std::optional<model::InitialIntegration> initial;
+    if (!contract_text_.empty()) {
+        if (ecus_.empty()) {
+            SA_REQUIRE(change_request().contracts.empty(),
+                       "contracts require at least one ECU");
+        } else {
+            initial = model::integrate_declared(platform_model(), contract_text_,
+                                                name_ + " system");
+        }
     }
-    if (!change.contracts.empty()) {
-        v.integration_report_ = v.mcc_->integrate(change);
+    bool deploy = false;
+    if (initial.has_value()) {
+        v.mcc_ = std::make_unique<model::Mcc>(std::move(initial->mcc));
+        v.integration_report_ = std::move(initial->report);
         if (policy_ == IntegrationPolicy::RequireAccepted) {
             SA_REQUIRE(v.integration_report_.accepted,
                        "vehicle '" + name_ + "': initial integration rejected: " +
                            v.integration_report_.rejection_reason);
         }
         deploy = v.integration_report_.accepted;
+    } else if (!ecus_.empty() && wants_model_layer) {
+        v.mcc_ = std::make_unique<model::Mcc>(platform_model());
     }
 
     // 2. Execution domain: platform assembly, deployment, start.

@@ -86,8 +86,6 @@ public:
     // --- model domain -------------------------------------------------------
     /// Contract-language source, appended to the initial change request.
     VehicleBuilder& contracts(std::string_view text);
-    /// Pre-built contracts, appended to the initial change request.
-    VehicleBuilder& contracts(std::vector<model::Contract> parsed);
     VehicleBuilder& integration_policy(IntegrationPolicy policy);
 
     // --- raw platform tasks (benchmarks, CAN-driven chains) ----------------
@@ -233,7 +231,9 @@ public:
     }
 
     /// Compose the vehicle on `simulator`. Canonical assembly order:
-    ///   1. model domain: MCC + integration of the declared contracts
+    ///   1. model domain: MCC + integration of the declared contracts (one
+    ///      analysis per process for each distinct platform model and
+    ///      contract text; later vehicles copy it, model::integrate_declared)
     ///   2. execution domain: ECUs, buses, gateways, raw tasks, CAN
     ///      bindings, deployment of the accepted configuration, rte.start()
     ///   3. monitors, in declaration order (IDS bounds from the MCC policy)
@@ -325,7 +325,6 @@ private:
     std::vector<BusSpec> buses_;
     std::vector<GatewaySpec> gateways_;
     std::string contract_text_;
-    std::vector<model::Contract> contracts_;
     IntegrationPolicy policy_ = IntegrationPolicy::RequireAccepted;
     std::vector<RawTaskSpec> raw_tasks_;
     std::vector<CanTxSpec> can_tx_;

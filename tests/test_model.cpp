@@ -683,6 +683,85 @@ TEST(Mcc, RevalidateWithSpeed) {
     EXPECT_FALSE(mcc.revalidate_with_speed("ecu_a", 0.3)); // 11.6ms > 10ms
 }
 
+TEST(Mcc, CopyIsAnIndependentValue) {
+    Mcc original(two_ecu_platform());
+    ChangeRequest change;
+    change.contracts.push_back(simple_contract("comp", 0.1));
+    ASSERT_TRUE(original.integrate(change).accepted);
+
+    Mcc copy = original;
+    EXPECT_EQ(copy.functions().size(), 1u);
+    EXPECT_EQ(copy.mapping().component_to_ecu, original.mapping().component_to_ecu);
+    EXPECT_EQ(copy.dependency_graph().node_count(), original.dependency_graph().node_count());
+    EXPECT_EQ(copy.integrations_attempted(), 1u);
+    EXPECT_EQ(copy.integrations_accepted(), 1u);
+
+    ChangeRequest more;
+    more.contracts.push_back(simple_contract("extra", 0.1));
+    ASSERT_TRUE(copy.integrate(more).accepted);
+    copy.ingest_observed_wcet("comp.main", Duration::us(1'500));
+    EXPECT_EQ(copy.functions().size(), 2u);
+    EXPECT_EQ(copy.integrations_attempted(), 2u);
+    EXPECT_EQ(copy.wcet_violations().size(), 1u);
+    // The copy rebuilt its committed artifacts; the original kept its own.
+    EXPECT_GT(copy.dependency_graph().node_count(), original.dependency_graph().node_count());
+
+    EXPECT_EQ(original.functions().size(), 1u);
+    EXPECT_EQ(original.integrations_attempted(), 1u);
+    EXPECT_EQ(original.integrations_accepted(), 1u);
+    EXPECT_EQ(original.observed_wcet("comp.main"), Duration::zero());
+    EXPECT_TRUE(original.wcet_violations().empty());
+}
+
+// --- integrate_declared: the per-process memo of initial analyses ------------------
+
+TEST(IntegrateDeclared, EveryCallReadsAsItsOwnIntegration) {
+    const std::string text = R"(
+        component declared_once { asil B; task main { wcet 1ms; period 10ms; } }
+    )";
+    for (const char* description : {"first system", "second system"}) {
+        const auto analysed = integrate_declared(two_ecu_platform(), text, description);
+        ASSERT_TRUE(analysed.has_value());
+        EXPECT_TRUE(analysed->report.accepted);
+        EXPECT_EQ(analysed->mcc.functions().size(), 1u);
+        EXPECT_EQ(analysed->mcc.integrations_attempted(), 1u);
+        EXPECT_EQ(analysed->mcc.integrations_accepted(), 1u);
+    }
+}
+
+TEST(IntegrateDeclared, RejectedAnalysisIsSharedLikeAnAcceptedOne) {
+    const std::string text = R"(
+        component overload_a { task burn { wcet 8ms; period 10ms; } }
+        component overload_b { task burn { wcet 8ms; period 10ms; } }
+        component overload_c { task burn { wcet 8ms; period 10ms; } }
+    )";
+    for (int call = 0; call < 2; ++call) {
+        const auto analysed = integrate_declared(two_ecu_platform(), text, "overload");
+        ASSERT_TRUE(analysed.has_value());
+        EXPECT_FALSE(analysed->report.accepted);
+        EXPECT_FALSE(analysed->report.rejection_reason.empty());
+        EXPECT_TRUE(analysed->mcc.functions().empty());
+        EXPECT_EQ(analysed->mcc.integrations_attempted(), 1u);
+        EXPECT_EQ(analysed->mcc.integrations_accepted(), 0u);
+    }
+}
+
+TEST(IntegrateDeclared, ParseErrorThrowsEveryTimeAndStoresNothing) {
+    const std::string text = "component broken { task t { wcet 1ms; } ";
+    for (int call = 0; call < 2; ++call) {
+        EXPECT_THROW((void)integrate_declared(two_ecu_platform(), text, "broken"),
+                     util::ParseError);
+    }
+}
+
+TEST(IntegrateDeclared, TextWithoutContractsAnalysesNothing) {
+    for (int call = 0; call < 2; ++call) {
+        EXPECT_FALSE(
+            integrate_declared(two_ecu_platform(), "// no component yet\n", "empty")
+                .has_value());
+    }
+}
+
 TEST(Mcc, FmeaCommittedOnAccept) {
     Mcc mcc(two_ecu_platform());
     ChangeRequest change;

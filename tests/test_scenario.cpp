@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <latch>
+#include <sstream>
+#include <thread>
+
+#include "scenario/presets.hpp"
 #include "scenario/scenario_builder.hpp"
 #include "thread_budget.hpp"
+#include "util/alloc_hook.hpp"
 
 namespace {
 
@@ -811,6 +818,359 @@ TEST(ScenarioBuilder, ManeuverPolicyValidated) {
     platoon::ManeuverPolicy no_skill;
     no_skill.follow_skill = "";
     EXPECT_THROW(builder.platoon_maneuvers(no_skill), ContractViolation);
+}
+
+// --- one initial analysis per declared configuration -------------------------------
+
+/// Everything an initial analysis exposes, as text: the report's steps,
+/// viewpoint issues, lint findings and mapping; the MCC's committed
+/// functions, mapping, dependency graph size, FMEA, security policy, RTE
+/// configuration, observed WCETs and integration counters.
+std::string analysis_text(const model::Mcc& mcc, const model::IntegrationReport& report) {
+    std::ostringstream out;
+    const auto mapping = [&out](const model::Mapping& m) {
+        for (const auto& [component, ecu] : m.component_to_ecu) {
+            out << " place " << component << '@' << ecu;
+        }
+        for (const auto& [task, priority] : m.task_priority) {
+            out << " prio " << task << '=' << priority;
+        }
+        for (const auto& [message, bus] : m.message_to_bus) {
+            out << " bus " << message << '@' << bus;
+        }
+        for (const auto& [message, id] : m.message_id) {
+            out << " id " << message << '=' << id;
+        }
+        out << '\n';
+    };
+    out << "accepted " << report.accepted << ": " << report.rejection_reason << '\n';
+    for (const auto& step : report.steps) {
+        out << "step " << step.name << ' ' << step.passed << ' ' << step.detail << '\n';
+    }
+    for (const auto& viewpoint : report.viewpoints) {
+        for (const auto& issue : viewpoint.issues) {
+            out << "issue " << viewpoint.viewpoint << ' ' << static_cast<int>(issue.severity)
+                << ' ' << issue.code << ' ' << issue.subject << ' ' << issue.detail << '\n';
+        }
+    }
+    out << "lint " << report.lint.str() << "\nreport mapping";
+    mapping(report.mapping);
+
+    for (const auto& c : mcc.functions().contracts()) {
+        out << "component " << c.component << ' ' << model::to_string(c.asil) << ' '
+            << c.security_level;
+        for (const auto& t : c.tasks) {
+            out << " task " << t.name << ' ' << t.wcet.count_ns() << ' ' << t.bcet.count_ns()
+                << ' ' << t.period.count_ns() << ' ' << t.deadline.count_ns();
+        }
+        for (const auto& m : c.messages) {
+            out << " message " << m.name << ' ' << m.payload_bytes << ' '
+                << m.period.count_ns() << ' ' << m.bus;
+        }
+        out << '\n';
+    }
+    out << "mcc mapping";
+    mapping(mcc.mapping());
+    out << "graph " << mcc.dependency_graph().node_count() << ' '
+        << mcc.dependency_graph().edge_count() << '\n';
+    for (const auto& entry : mcc.fmea().entries) {
+        out << "fmea " << static_cast<int>(entry.failed.kind) << ' ' << entry.failed.name
+            << ' ' << static_cast<int>(entry.mode) << ' ' << entry.affected.size() << ' ' << entry.lost_components.size() << ' '
+            << model::to_string(entry.worst_asil) << ' ' << entry.mitigations.size() << ' '
+            << entry.fail_operational << '\n';
+    }
+    for (const auto& [client, service] : mcc.security_policy().grants) {
+        out << "grant " << client << ' ' << service << '\n';
+    }
+    for (const auto& bound : mcc.security_policy().rate_bounds) {
+        out << "rate " << bound.client << ' ' << bound.service << ' ' << bound.max_rate_hz
+            << '\n';
+    }
+    const rte::RteConfig config = mcc.make_rte_config();
+    for (const auto& component : config.components) {
+        out << "rte " << component.name << '@' << component.ecu << ' '
+            << component.safety_level;
+        for (const auto& t : component.tasks) {
+            out << " task " << t.name << ' ' << t.priority << ' ' << t.wcet.count_ns() << ' '
+                << t.period.count_ns() << ' ' << t.deadline.count_ns();
+        }
+        out << '\n';
+    }
+    for (const auto& [client, service] : config.grants) {
+        out << "rte grant " << client << ' ' << service << '\n';
+    }
+    for (const auto& c : mcc.functions().contracts()) {
+        for (const auto& t : c.tasks) {
+            const std::string qualified = c.component + "." + t.name;
+            out << "observed " << qualified << ' '
+                << mcc.observed_wcet(qualified).count_ns() << '\n';
+        }
+    }
+    out << "integrations " << mcc.integrations_attempted() << ' '
+        << mcc.integrations_accepted() << '\n';
+    return out.str();
+}
+
+/// The analysis a vehicle gets when its declaration is integrated from
+/// scratch, outside the builder: a fresh Mcc on the declared platform.
+std::string fresh_analysis_text(const scenario::VehicleBuilder& declared) {
+    model::Mcc mcc(declared.platform_model());
+    const model::IntegrationReport report = mcc.integrate(declared.change_request());
+    return analysis_text(mcc, report);
+}
+
+std::string vehicle_analysis_text(scenario::Vehicle& vehicle) {
+    return analysis_text(vehicle.mcc(), vehicle.integration_report());
+}
+
+TEST(SharedAnalysis, EveryVehicleReadsExactlyItsOwnIntegration) {
+    // Preset platoon vehicles and one-ECU kMiniContracts vehicles: from the
+    // second vehicle of each shape on, the builder copies one memoised
+    // analysis; every field of it must equal an integration run here.
+    scenario::ScenarioBuilder builder(3);
+    const std::vector<std::string> platoon{"p0", "p1", "p2", "p3"};
+    const std::vector<std::string> mini{"m0", "m1", "m2"};
+    for (const auto& name : platoon) {
+        scenario::presets::declare_platoon_follow_vehicle(builder, name);
+    }
+    for (const auto& name : mini) {
+        builder.vehicle(name)
+            .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+            .contracts(kMiniContracts);
+    }
+    auto scenario = builder.build();
+    for (const auto* names : {&platoon, &mini}) {
+        const std::string expected = fresh_analysis_text(builder.vehicle(names->front()));
+        EXPECT_NE(expected.find("accepted 1"), std::string::npos) << expected;
+        EXPECT_NE(expected.find("integrations 1 1"), std::string::npos) << expected;
+        for (const auto& name : *names) {
+            EXPECT_EQ(vehicle_analysis_text(scenario->vehicle(name)), expected) << name;
+        }
+    }
+}
+
+/// Build `a`, `b` and then `c` (declared like `a`) as one ReportOnly
+/// scenario; each must read the analysis of its own declaration, and `b`'s
+/// must differ from `a`'s.
+std::unique_ptr<scenario::Scenario> expect_distinct_outcomes(
+    const std::function<void(scenario::VehicleBuilder&, bool variant)>& declare) {
+    scenario::ScenarioBuilder builder(5);
+    for (const char* name : {"a", "b", "c"}) {
+        declare(builder.vehicle(name), std::string_view(name) == "b");
+        builder.vehicle(name).integration_policy(scenario::IntegrationPolicy::ReportOnly);
+    }
+    auto scenario = builder.build();
+    const std::string a = vehicle_analysis_text(scenario->vehicle("a"));
+    const std::string b = vehicle_analysis_text(scenario->vehicle("b"));
+    EXPECT_EQ(a, fresh_analysis_text(builder.vehicle("a")));
+    EXPECT_EQ(b, fresh_analysis_text(builder.vehicle("b")));
+    EXPECT_NE(a, b);
+    EXPECT_EQ(vehicle_analysis_text(scenario->vehicle("c")), a);
+    return scenario;
+}
+
+TEST(SharedAnalysis, EcuCapIsPartOfTheKey) {
+    // Same text; b's ECU admits 5% utilization, so its 10% contract set is
+    // rejected and nothing is deployed. The mapper enforces max_utilization
+    // before the timing viewpoint would check the same cap.
+    auto scenario = expect_distinct_outcomes([](scenario::VehicleBuilder& v, bool variant) {
+        v.ecu({"ecu0", 1.0, variant ? 0.05 : 0.75, model::Asil::D, "cabin", "main"})
+            .contracts(kMiniContracts);
+    });
+    const auto& report = scenario->vehicle("b").integration_report();
+    EXPECT_FALSE(report.accepted);
+    EXPECT_EQ(report.rejection_reason.rfind("mapping infeasible", 0), 0u)
+        << report.rejection_reason;
+    EXPECT_TRUE(scenario->vehicle("b").rte().component_names().empty());
+    EXPECT_TRUE(scenario->vehicle("c").integration_report().accepted);
+}
+
+TEST(SharedAnalysis, BusBitrateIsPartOfTheKey) {
+    // Same text; on b's 20 kbit/s bus an 8-byte frame every 2 ms no longer
+    // fits, so the timing viewpoint's CAN analysis rejects it.
+    auto scenario = expect_distinct_outcomes([](scenario::VehicleBuilder& v, bool variant) {
+        v.ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+            .can_bus({"can0", variant ? 20'000 : 500'000, 0.6})
+            .contracts(R"(
+                component sender {
+                  task tx { wcet 100us; period 10ms; }
+                  message status { payload 8; period 2ms; bus can0; }
+                }
+            )");
+    });
+    const auto& report = scenario->vehicle("b").integration_report();
+    EXPECT_FALSE(report.accepted);
+    const model::ViewpointReport* timing = report.viewpoint("timing");
+    ASSERT_NE(timing, nullptr);
+    EXPECT_FALSE(timing->passed());
+    EXPECT_TRUE(scenario->vehicle("c").integration_report().accepted);
+}
+
+TEST(SharedAnalysis, ContractTextIsPartOfTheKeyByteForByte) {
+    // Texts that differ in one WCET digit: both accepted, each vehicle
+    // commits and deploys its own WCET.
+    auto scenario = expect_distinct_outcomes([](scenario::VehicleBuilder& v, bool variant) {
+        v.ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+            .contracts(variant ? "component solo { task run { wcet 501us; period 10ms; } }"
+                               : "component solo { task run { wcet 500us; period 10ms; } }");
+    });
+    EXPECT_EQ(scenario->vehicle("b").mcc().functions().contracts()[0].tasks[0].wcet,
+              Duration::us(501));
+    EXPECT_EQ(scenario->vehicle("c").mcc().functions().contracts()[0].tasks[0].wcet,
+              Duration::us(500));
+}
+
+TEST(SharedAnalysis, InFieldChangesStayWithTheirVehicle) {
+    const auto declare = [](scenario::ScenarioBuilder& builder, const char* name) {
+        builder.vehicle(name)
+            .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+            .contracts(kMiniContracts);
+    };
+    scenario::ScenarioBuilder builder(7);
+    declare(builder, "a");
+    declare(builder, "b");
+    auto scenario = builder.build();
+    scenario::Vehicle& a = scenario->vehicle("a");
+    scenario::Vehicle& b = scenario->vehicle("b");
+    const std::string b_before = vehicle_analysis_text(b);
+
+    const auto update = a.integrate("extra component", R"(
+        component logger {
+          asil QM;
+          task flush { wcet 200us; period 50ms; }
+        }
+    )");
+    ASSERT_TRUE(update.accepted);
+    a.mcc().ingest_observed_wcet("ctrl.control", Duration::us(700));
+    EXPECT_EQ(a.mcc().functions().size(), 3u);
+    EXPECT_EQ(a.mcc().integrations_attempted(), 2u);
+    EXPECT_EQ(a.mcc().integrations_accepted(), 2u);
+    EXPECT_EQ(a.mcc().observed_wcet("ctrl.control"), Duration::us(700));
+    EXPECT_TRUE(a.rte().has_component("logger"));
+
+    EXPECT_EQ(b.mcc().functions().size(), 2u);
+    EXPECT_EQ(b.mcc().integrations_attempted(), 1u);
+    EXPECT_EQ(b.mcc().integrations_accepted(), 1u);
+    EXPECT_EQ(b.mcc().observed_wcet("ctrl.control"), Duration::zero());
+    EXPECT_FALSE(b.rte().has_component("logger"));
+    EXPECT_EQ(vehicle_analysis_text(b), b_before);
+
+    // The memoised analysis itself is untouched: a vehicle built afterwards
+    // reads what b read.
+    scenario::ScenarioBuilder later(7);
+    declare(later, "later");
+    auto rebuilt = later.build();
+    EXPECT_EQ(vehicle_analysis_text(rebuilt->vehicle("later")), b_before);
+}
+
+TEST(SharedAnalysis, RequireAcceptedNamesEveryRejectedVehicle) {
+    const char* rejected = R"(
+        component greedy_a { asil QM; task burn { wcet 8ms; period 10ms; } }
+        component greedy_b { asil QM; task burn { wcet 8ms; period 10ms; } }
+    )";
+    for (const char* name : {"first", "second", "third"}) {
+        sim::Simulator simulator(1);
+        scenario::VehicleBuilder builder(name);
+        builder.ecu({"tiny", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+            .contracts(rejected);
+        try {
+            (void)builder.build(simulator);
+            ADD_FAILURE() << name << " built despite a rejected contract set";
+        } catch (const ContractViolation& violation) {
+            const std::string what = violation.what();
+            EXPECT_NE(what.find("vehicle '" + std::string(name) + "'"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("initial integration rejected"), std::string::npos) << what;
+        }
+    }
+}
+
+TEST(SharedAnalysis, ConcurrentBuildsOfOneConfigurationAgree) {
+    // Two threads build identical 4-vehicle platoons at once. The appended
+    // component makes a contract text no other test (or repetition)
+    // declares, so both threads start on a cold memo entry and race on its
+    // first analysis.
+    static int repetition = 0;
+    const std::string extra = "component concurrency_probe" + std::to_string(repetition++) +
+                              " { task tick { wcet 50us; period 40ms; } }";
+    const auto build = [&extra] {
+        scenario::ScenarioBuilder builder(11);
+        for (const char* name : {"c0", "c1", "c2", "c3"}) {
+            scenario::presets::declare_platoon_follow_vehicle(builder, name);
+            builder.vehicle(name).contracts(extra);
+        }
+        return builder.build();
+    };
+    std::vector<std::string> results[2];
+    std::latch start(2);
+    const auto worker = [&](int index) {
+        start.arrive_and_wait();
+        auto scenario = build();
+        for (const char* name : {"c0", "c1", "c2", "c3"}) {
+            results[index].push_back(vehicle_analysis_text(scenario->vehicle(name)));
+        }
+    };
+    std::thread other(worker, 1);
+    worker(0);
+    other.join();
+    ASSERT_EQ(results[0].size(), 4u);
+    EXPECT_EQ(results[0], results[1]);
+    for (const auto& text : results[0]) {
+        EXPECT_EQ(text, results[0].front());
+    }
+    EXPECT_NE(results[0].front().find("component concurrency_probe"), std::string::npos);
+}
+
+TEST(SharedAnalysis, SecondIdenticalVehicleSkipsParseAndIntegration) {
+    namespace alloc_hook = util::alloc_hook;
+    // A contract text no other test (or repetition) declares: the first
+    // vehicle's build() misses the memo, the second's copies the first's
+    // analysis.
+    static int repetition = 0;
+    const std::string extra = "component alloc_probe" + std::to_string(repetition++) +
+                              " { task tick { wcet 60us; period 40ms; } }";
+    scenario::ScenarioBuilder builder(13);
+    for (const char* name : {"warm", "first", "second"}) {
+        scenario::presets::declare_platoon_follow_vehicle(builder, name);
+    }
+    builder.vehicle("first").contracts(extra);
+    builder.vehicle("second").contracts(extra);
+
+    sim::Simulator warm_simulator(1);
+    sim::Simulator first_simulator(1);
+    sim::Simulator second_simulator(1);
+    // One-time set-up (catalogues, lazily built statics) lands here.
+    auto warm = builder.vehicle("warm").build(warm_simulator);
+
+    std::uint64_t first_allocations = 0;
+    std::uint64_t second_allocations = 0;
+    std::unique_ptr<scenario::Vehicle> first;
+    std::unique_ptr<scenario::Vehicle> second;
+    {
+        const alloc_hook::CountScope scope;
+        first = builder.vehicle("first").build(first_simulator);
+        first_allocations = scope.allocations();
+    }
+    {
+        const alloc_hook::CountScope scope;
+        second = builder.vehicle("second").build(second_simulator);
+        second_allocations = scope.allocations();
+    }
+    // change_request() is one ContractParser::parse of the declared text
+    // (its description, "second system", fits the string's inline buffer).
+    std::uint64_t parse_allocations = 0;
+    {
+        const alloc_hook::CountScope scope;
+        const model::ChangeRequest change = builder.vehicle("second").change_request();
+        parse_allocations = scope.allocations();
+        EXPECT_EQ(change.contracts.size(), 3u);
+    }
+    EXPECT_EQ(vehicle_analysis_text(*first), vehicle_analysis_text(*second));
+    ASSERT_GT(parse_allocations, 0u);
+    EXPECT_LT(second_allocations, first_allocations);
+    EXPECT_GE(first_allocations - second_allocations, parse_allocations)
+        << "first " << first_allocations << ", second " << second_allocations
+        << ", one parse " << parse_allocations;
 }
 
 } // namespace
