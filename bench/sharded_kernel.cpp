@@ -116,8 +116,8 @@ void BM_WindowHandoff(benchmark::State& state) {
         kernel.declare_lookahead(d, Duration::us(1));
         (void)kernel.domain(d).schedule_periodic(Duration::us(1), [] {});
     }
-    // Start the workers and let their spin budgets settle before timing:
-    // at short --benchmark_min_time the first windows would dominate.
+    // Start the workers before timing: at short --benchmark_min_time the
+    // first windows would dominate.
     kernel.run_for(Duration::ms(1));
     const std::uint64_t before = kernel.windows();
     for (auto _ : state) {

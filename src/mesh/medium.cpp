@@ -1,6 +1,7 @@
 #include "mesh/medium.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <span>
 
@@ -79,6 +80,7 @@ void Medium::attach(const std::string& name, sim::Simulator& home,
                                           return *endpoints_[other].name < key;
                                       }),
                      entry->second);
+    refresh_rssi(entry->second);
 }
 
 void Medium::detach(const std::string& name) {
@@ -100,6 +102,29 @@ void Medium::move(const std::string& name, double position_m) {
     const auto it = slots_.find(name);
     SA_REQUIRE(it != slots_.end(), "unknown medium endpoint: " + name);
     endpoints_[it->second].position_m = position_m;
+    refresh_rssi(it->second);
+}
+
+void Medium::refresh_rssi(std::uint32_t slot) {
+    const std::size_t stride = std::bit_ceil(endpoints_.size());
+    if (stride > rssi_stride_) {
+        std::vector<double> grown(stride * stride);
+        for (std::size_t tx = 0; tx < rssi_stride_; ++tx) {
+            std::copy_n(rssi_.begin() + static_cast<std::ptrdiff_t>(tx * rssi_stride_),
+                        rssi_stride_,
+                        grown.begin() + static_cast<std::ptrdiff_t>(tx * stride));
+        }
+        rssi_ = std::move(grown);
+        rssi_stride_ = stride;
+    }
+    // |a - b| == |b - a| exactly, so one value serves both directions and
+    // equals what rssi_at() gives a transmit at these positions.
+    const double position_m = endpoints_[slot].position_m;
+    for (const auto& [name, other] : slots_) {
+        const double rssi = rssi_at(std::abs(endpoints_[other].position_m - position_m));
+        rssi_[slot * rssi_stride_ + other] = rssi;
+        rssi_[other * rssi_stride_ + slot] = rssi;
+    }
 }
 
 bool Medium::attached(const std::string& name) const {
@@ -200,6 +225,7 @@ void Medium::transmit(Frame frame) {
     }
     const std::uint32_t tx_slot = tx->second;
     const Endpoint& transmitter = endpoints_[tx_slot];
+    const double* rssi_row = rssi_.data() + tx_slot * rssi_stride_;
 
     Payload& payload = acquire(sender);
     payload.frame = std::move(frame);
@@ -223,7 +249,7 @@ void Medium::transmit(Frame frame) {
                 ++lost;
                 continue;
             }
-            payload.deliveries.push_back(Delivery{slot, rx.generation, rssi_at(distance)});
+            payload.deliveries.push_back(Delivery{slot, rx.generation, rssi_row[slot]});
         }
         const auto last = static_cast<std::uint32_t>(payload.deliveries.size());
         if (last > first) {

@@ -16,7 +16,8 @@
 //
 // Fan-out. One transmit() posts one event per home domain that has
 // receivers, carrying a pooled payload: the frame once, plus a (slot,
-// generation, RSSI) list in endpoint-name order. The event captures
+// generation, RSSI) list in endpoint-name order; the RSSI is read from a
+// per-link table that attach() and move() fill. The event captures
 // {medium, payload, range}, which fits the queue's inline action buffer.
 // Endpoints are dense slots whose generation detach() bumps, so delivery
 // does no name lookup and a receiver detached in flight misses the frame.
@@ -204,6 +205,9 @@ private:
     /// Loud ContractViolation when called from inside a sharded window —
     /// transmit() on other workers reads membership and positions lock-free.
     void require_quiescent(const char* operation) const;
+    /// Recompute `slot`'s row and column of the RSSI table against every
+    /// attached endpoint, first growing the table to the slot capacity.
+    void refresh_rssi(std::uint32_t slot);
     /// Stateless loss draw in [0, 1): a hash of the pair, the send instant
     /// and the frame identity. Identical across domain counts by design.
     [[nodiscard]] double loss_draw(const Frame& frame, std::uint64_t transmitter_hash,
@@ -223,6 +227,14 @@ private:
     /// endpoints while its own callback is running.
     util::StableVector<Endpoint> endpoints_;
     std::vector<std::uint32_t> free_slots_;
+    /// rssi_[tx * rssi_stride_ + rx]: rssi_at() of the (transmitter,
+    /// receiver) slot pair at their current positions, so a transmit
+    /// computes no logarithm. The stride is the slot capacity, a power of
+    /// two. attach() and move() refresh the slot's row and column; a
+    /// detached slot's stale entries are never read and are refilled on
+    /// reuse.
+    std::vector<double> rssi_;
+    std::size_t rssi_stride_ = 0;
     /// One per domain on a sharded kernel, otherwise just the simulator.
     std::vector<Home> homes_;
     /// One per domain, plus the quiescent context (the last entry).

@@ -102,9 +102,23 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     shape.v2v_latency_ns = v2v_config_.latency.count_ns();
     shape.v2v_range_m = v2v_config_.range_m;
     shape.duration_hint_ns = duration_hint_.count_ns();
+    // Each vehicle's contract text is parsed once: the shape takes its
+    // components, the model rules below its contracts. A parse error
+    // leaves both empty and becomes one TXT001 finding.
+    struct ParsedText {
+        std::vector<model::Contract> contracts;
+        std::optional<std::string> error; ///< the TXT001 message
+    };
+    std::vector<ParsedText> parsed;
     for (const auto& builder : builders_) {
+        ParsedText& text = parsed.emplace_back();
+        try {
+            text.contracts = builder.change_request().contracts;
+        } catch (const util::ParseError& error) {
+            text.error = format("line %d: %s", error.line(), error.what());
+        }
         lint::VehicleShape vehicle;
-        builder.describe(vehicle);
+        builder.describe(vehicle, text.contracts);
         shape.vehicles.push_back(std::move(vehicle));
     }
     for (const auto& spec : bridges_) {
@@ -121,18 +135,15 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     report.merge(lint::lint_scenario(shape));
 
     // Model- and skills-layer rules per vehicle.
+    auto next_parsed = parsed.begin();
     for (const auto& builder : builders_) {
-        try {
-            const model::ChangeRequest change = builder.change_request();
-            if (!change.contracts.empty()) {
-                const model::FunctionModel functions{change.contracts};
-                report.merge(
-                    lint::lint_system(functions, builder.platform_model()));
-            }
-        } catch (const util::ParseError& error) {
-            report.add("TXT001",
-                       "vehicle " + builder.name() + " / contracts",
-                       format("line %d: %s", error.line(), error.what()));
+        ParsedText& text = *next_parsed++;
+        if (text.error.has_value()) {
+            report.add("TXT001", "vehicle " + builder.name() + " / contracts",
+                       *text.error);
+        } else if (!text.contracts.empty()) {
+            const model::FunctionModel functions{std::move(text.contracts)};
+            report.merge(lint::lint_system(functions, builder.platform_model()));
         }
         if (builder.skill_spec().has_value()) {
             report.merge(lint::lint_spec(*builder.skill_spec(), &registry));

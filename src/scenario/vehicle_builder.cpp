@@ -280,7 +280,8 @@ model::ChangeRequest VehicleBuilder::change_request() const {
     return change;
 }
 
-void VehicleBuilder::describe(lint::VehicleShape& shape) const {
+void VehicleBuilder::describe(lint::VehicleShape& shape,
+                              const std::vector<model::Contract>& contracts) const {
     shape.name = name_;
     shape.domain_pin = domain_;
     for (const auto& spec : ecus_) {
@@ -349,14 +350,8 @@ void VehicleBuilder::describe(lint::VehicleShape& shape) const {
             }
         }
     }
-    // Parse failures surface as TXT001 via ScenarioBuilder::lint(); here
-    // they only mean the component list stays unknown.
-    try {
-        for (const auto& contract : change_request().contracts) {
-            shape.components.push_back(contract.component);
-        }
-    } catch (const util::ParseError&) {
-        // Swallowed deliberately — see the comment above the try.
+    for (const auto& contract : contracts) {
+        shape.components.push_back(contract.component);
     }
 }
 

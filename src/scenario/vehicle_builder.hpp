@@ -215,10 +215,11 @@ public:
 
     // --- lint surface -------------------------------------------------------
     /// Fill `shape` with this vehicle's declared topology for the
-    /// scenario-layer lint rules. Contract text that fails to parse leaves
-    /// `shape.components` empty — ScenarioBuilder::lint() reports the parse
-    /// error itself (TXT001).
-    void describe(lint::VehicleShape& shape) const;
+    /// scenario-layer lint rules; `contracts` is its parsed contract text,
+    /// whose components the shape lists. ScenarioBuilder::lint() parses the
+    /// text once and passes no contracts when it fails to parse (TXT001).
+    void describe(lint::VehicleShape& shape,
+                  const std::vector<model::Contract>& contracts) const;
     /// The declarative skill-graph spec, when one was configured.
     [[nodiscard]] const std::optional<skills::SkillGraphSpec>&
     skill_spec() const noexcept {

@@ -1,6 +1,7 @@
 #include "sim/sharded_kernel.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include <sched.h>
 
@@ -39,10 +40,11 @@ std::size_t affinity_cpus() noexcept {
 /// (a benchmark pinning its measured thread to one CPU keeps the default).
 std::atomic<std::size_t> g_thread_budget{affinity_cpus()};
 
-// Bounds of a waiter's adaptive spin budget (see the header's round
+// How long a waiter spins on its word before it parks, and how much of that
+// spin it makes without yielding its CPU (see the header's round
 // coordination comment).
-constexpr std::chrono::nanoseconds kSpinFloor = std::chrono::microseconds(1);
 constexpr std::chrono::nanoseconds kSpinCap = std::chrono::microseconds(50);
+constexpr std::chrono::nanoseconds kYieldAfter = std::chrono::microseconds(2);
 
 /// Tell the core this thread is spinning: frees pipeline resources for a
 /// sibling hyperthread and paces the polling load.
@@ -53,25 +55,28 @@ inline void cpu_relax() noexcept {
 }
 
 /// Wait until `done(word)` holds and return the value that satisfied it:
-/// spin for up to `budget`, then park. Adapts `budget`: doubled when
-/// spinning sufficed, halved when the wait had to park.
+/// spin for kSpinCap, yielding between polls after kYieldAfter, then park.
 template <typename Done>
 std::uint32_t await(const std::atomic<std::uint32_t>& word,
-                    std::atomic<std::uint32_t>& parked,
-                    std::chrono::nanoseconds& budget, Done done) noexcept {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
+                    std::atomic<std::uint32_t>& parked, Done done) noexcept {
+    const auto start = std::chrono::steady_clock::now();
     for (;;) {
         const std::uint32_t value = word.load(std::memory_order_acquire);
         if (done(value)) {
-            budget = std::min(budget * 2, kSpinCap);
             return value;
         }
-        if (std::chrono::steady_clock::now() >= deadline) {
+        const auto spun = std::chrono::steady_clock::now() - start;
+        if (spun >= kSpinCap) {
             break;
         }
-        cpu_relax();
+        if (spun >= kYieldAfter) {
+            // The thread this waits for may share the CPU; a pure spin would
+            // keep it off for the whole kSpinCap.
+            std::this_thread::yield();
+        } else {
+            cpu_relax();
+        }
     }
-    budget = std::max(budget / 2, kSpinFloor);
     // Announce the sleep before the re-check (both seq_cst, pairing with
     // wake()): a bump this re-check misses sees the count and notifies.
     parked.fetch_add(1, std::memory_order_seq_cst);
@@ -97,7 +102,9 @@ void wake(std::atomic<std::uint32_t>& word,
 
 DomainKernel::DomainKernel(std::size_t index, std::uint64_t seed,
                            std::size_t num_domains)
-    : simulator_(seed), index_(index), outbox_(num_domains) {}
+    : simulator_(seed),
+      index_(index),
+      outbox_{std::vector<Outbox>(num_domains), std::vector<Outbox>(num_domains)} {}
 
 std::size_t set_thread_budget(std::size_t threads) {
     SA_REQUIRE(threads >= 1, "the thread budget must be at least one");
@@ -105,8 +112,7 @@ std::size_t set_thread_budget(std::size_t threads) {
 }
 
 ShardedKernel::ShardedKernel(std::size_t num_domains, std::uint64_t seed)
-    : threads_(std::min(num_domains, g_thread_budget.load(std::memory_order_relaxed))),
-      spin_budget_(kSpinCap) {
+    : threads_(std::min(num_domains, g_thread_budget.load(std::memory_order_relaxed))) {
     SA_REQUIRE(num_domains >= 1, "a sharded kernel needs at least one domain");
     domains_.reserve(num_domains);
     for (std::size_t d = 0; d < num_domains; ++d) {
@@ -190,6 +196,14 @@ std::uint64_t ShardedKernel::executed_events() const noexcept {
     return total;
 }
 
+std::uint64_t ShardedKernel::cross_domain_events() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& domain : domains_) {
+        total += domain->received_;
+    }
+    return total;
+}
+
 void ShardedKernel::stop() noexcept {
     stop_.store(true, std::memory_order_relaxed);
     if (Simulator* executing = detail::executing_domain();
@@ -221,6 +235,9 @@ void ShardedKernel::run_domain_window(DomainKernel& domain, Time window_end) {
     // mutations trip the Simulator's contracts instead of racing.
     detail::set_executing_domain(&domain.simulator_);
     try {
+        // The previous window's mail lands after the events the domain
+        // scheduled for itself then and before any event of this window.
+        take_mail(domain, post_parity_ ^ 1U);
         domain.simulator_.run_until(window_end);
     } catch (...) {
         domain.error_ = std::current_exception();
@@ -236,12 +253,10 @@ void ShardedKernel::run_group(std::size_t group, Time window_end) {
 
 void ShardedKernel::worker_main(std::size_t group) {
     std::uint32_t seen_round = 0;
-    std::chrono::nanoseconds budget = kSpinCap;
     for (;;) {
-        seen_round = await(round_.value, round_.parked, budget,
-                           [seen_round](std::uint32_t round) {
-                               return round != seen_round;
-                           });
+        seen_round = await(round_.value, round_.parked, [seen_round](std::uint32_t round) {
+            return round != seen_round;
+        });
         if (shutdown_) {
             return;
         }
@@ -253,6 +268,9 @@ void ShardedKernel::worker_main(std::size_t group) {
 }
 
 void ShardedKernel::run_window(Time window_end) {
+    // This window posts into the outboxes the one before last drained; its
+    // domains take the last window's mail from the others.
+    post_parity_ ^= 1U;
     if (workers_.empty()) {
         // One thread: the caller runs every domain's window, in index order.
         run_group(0, window_end);
@@ -263,15 +281,15 @@ void ShardedKernel::run_window(Time window_end) {
         round_.value.fetch_add(1, std::memory_order_seq_cst);
         wake(round_.value, round_.parked);
         run_group(0, window_end);
-        (void)await(pending_.value, pending_.parked, spin_budget_,
+        (void)await(pending_.value, pending_.parked,
                     [](std::uint32_t left) { return left == 0; });
     }
     ++windows_;
     // Surface window failures on the calling thread, lowest domain first
     // (deterministic, if arbitrary relative to simulated time). A failed
-    // window aborts the whole round: every domain's error and outbox is
-    // dropped, so a caller that catches and re-runs cannot flush stale
-    // envelopes below a later horizon.
+    // window aborts the whole round: every domain's error and the mail of
+    // both parities is dropped, so a caller that catches and re-runs cannot
+    // deliver stale envelopes below a later horizon.
     std::exception_ptr first_error;
     for (auto& domain : domains_) {
         if (domain->error_ && !first_error) {
@@ -281,32 +299,44 @@ void ShardedKernel::run_window(Time window_end) {
     }
     if (first_error) {
         for (auto& domain : domains_) {
-            for (auto& box : domain->outbox_) {
-                box.clear();
+            for (auto& boxes : domain->outbox_) {
+                for (auto& box : boxes) {
+                    box.mail.clear();
+                    box.earliest = Time::max();
+                }
             }
         }
         std::rethrow_exception(first_error);
     }
 }
 
-void ShardedKernel::flush_outboxes() {
-    // Deterministic merge: targets in index order, sources in index order,
-    // sends in emission order. Within one timestamp bucket of the target
-    // queue this yields (source domain, send order) — stable across runs
-    // and independent of thread scheduling.
-    for (auto& target : domains_) {
-        Simulator& sim = target->simulator_;
-        for (auto& source : domains_) {
-            auto& box = source->outbox_[target->index_];
-            for (auto& envelope : box) {
-                SA_ASSERT(envelope.at >= horizon_,
-                          "cross-domain event below the safe horizon");
-                (void)sim.schedule_at(envelope.at, std::move(envelope.action));
-                ++cross_posts_;
-            }
-            box.clear();
+void ShardedKernel::take_mail(DomainKernel& target, unsigned parity) {
+    // Within one timestamp bucket of the target queue this yields (source
+    // domain, send order): stable across runs and independent of thread
+    // scheduling.
+    for (auto& source : domains_) {
+        DomainKernel::Outbox& box = source->outbox_[parity][target.index_];
+        for (auto& envelope : box.mail) {
+            (void)target.simulator_.schedule_at(envelope.at, std::move(envelope.action));
         }
+        target.received_ += box.mail.size();
+        box.mail.clear();
+        box.earliest = Time::max();
     }
+}
+
+void ShardedKernel::deliver_mail() {
+    for (auto& target : domains_) {
+        take_mail(*target, post_parity_);
+    }
+}
+
+Time ShardedKernel::next_time(const DomainKernel& target) const noexcept {
+    Time next = target.simulator_.next_pending_time();
+    for (const auto& source : domains_) {
+        next = std::min(next, source->outbox_[post_parity_][target.index_].earliest);
+    }
+    return next;
 }
 
 void ShardedKernel::settle() noexcept {
@@ -321,8 +351,9 @@ void ShardedKernel::post_from(std::size_t from, std::size_t to, Time at,
     SA_REQUIRE(at >= horizon_,
                "cross-domain event scheduled below the conservative horizon; "
                "declare_lookahead() a bound no larger than the link latency");
-    domains_[from]->outbox_[to].push_back(
-        DomainKernel::Envelope{at, std::move(action)});
+    DomainKernel::Outbox& box = domains_[from]->outbox_[post_parity_][to];
+    box.mail.push_back(DomainKernel::Envelope{at, std::move(action)});
+    box.earliest = std::min(box.earliest, at);
 }
 
 std::size_t ShardedKernel::run_until(Time until) {
@@ -349,7 +380,7 @@ std::size_t ShardedKernel::run_until(Time until) {
         Time next_min = script_at;
         Time bound = Time::max();
         for (const auto& domain : domains_) {
-            const Time next = domain->simulator_.next_pending_time();
+            const Time next = next_time(*domain);
             next_min = std::min(next_min, next);
             bound = std::min(bound, saturating_after(next, domain->lookahead_));
         }
@@ -360,7 +391,9 @@ std::size_t ShardedKernel::run_until(Time until) {
             // Global barrier: every domain is quiescent strictly before
             // script_at, and since every pending event is >= script_at with
             // positive lookahead, no cross-domain effect can land at or
-            // before it either. Align the clocks and run the script(s).
+            // before it either. Deliver the mail so the script(s) see
+            // complete queues, align the clocks and run the script(s).
+            deliver_mail();
             for (auto& domain : domains_) {
                 domain->simulator_.advance_to(script_at);
             }
@@ -394,16 +427,16 @@ std::size_t ShardedKernel::run_until(Time until) {
             // of advancing it to the numeric limit and poisoning later
             // relative scheduling.
             run_window(Time::max());
-            flush_outboxes();
             for (const auto& domain : domains_) {
                 now_ = std::max(now_, domain->simulator_.now());
             }
         } else {
             run_window(Time(horizon.ns() - 1));
-            flush_outboxes();
             now_ = Time(horizon.ns() - 1);
         }
     }
+    // The caller, like a script, sees complete queues.
+    deliver_mail();
     if (!stopped && until != Time::max()) {
         // Align every clock with the end of the observed span, mirroring
         // Simulator::run_until — relative scheduling after the run starts

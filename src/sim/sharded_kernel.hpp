@@ -30,12 +30,18 @@
 // domain earlier than that — and every domain drains its queue up to (but
 // excluding) the horizon in parallel. Cross-domain sends made during the
 // window land in per-(source, target) outboxes (plain vectors, written only
-// by the owning domain's thread) and are flushed into the target queues at
-// the barrier, ordered by (delivery time, source domain, send order): the
-// merge is deterministic, so the whole run is seed-stable regardless of
-// thread scheduling. post() rejects any send below the current horizon,
-// which turns a forgotten declare_lookahead() into a loud contract violation
-// instead of a silent causality leak.
+// by the owning domain's thread), double-buffered by window parity. At the
+// start of its next window each target domain, on its own thread and before
+// its first event, moves the mail addressed to it into its queue, sources in
+// index order and sends in emission order. Mail therefore lands after the
+// events the target scheduled for itself in the previous window, and the
+// run is seed-stable regardless of thread scheduling. The
+// horizon still counts that mail: each outbox keeps the earliest delivery
+// time posted to it. Quiescent code sees complete queues: the coordinator
+// delivers any undelivered mail, in the same order, before a script runs and
+// before run_until() returns. post() rejects any send below the current
+// horizon, which turns a forgotten declare_lookahead() into a loud contract
+// violation instead of a silent causality leak.
 //
 // Scripts. schedule_script() actions are global barriers: the coordinator
 // runs each one at exactly its timestamp with every domain quiescent and
@@ -58,8 +64,8 @@
 // different domain counts. ROADMAP direction 9 gives each entity its own
 // stream.
 
+#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -91,20 +97,30 @@ private:
     friend class ShardedKernel;
     DomainKernel(std::size_t index, std::uint64_t seed, std::size_t num_domains);
 
-    /// A cross-domain event waiting for the barrier flush.
+    /// A cross-domain event waiting for its target's next window.
     struct Envelope {
         Time at;
         EventQueue::Action action;
+    };
+    /// This domain's sends to one target in one window. A cache line of its
+    /// own: while the source fills the boxes of one parity, the targets
+    /// drain the other parity's on their own threads.
+    struct alignas(64) Outbox {
+        std::vector<Envelope> mail;
+        Time earliest = Time::max(); ///< the earliest `at` in `mail`
     };
 
     Simulator simulator_;
     std::size_t index_;
     Duration lookahead_ = kUnboundedLookahead;
-    /// outbox_[target]: sends made by this domain during the current window.
-    /// Written only by the thread of the domain's group, drained by the
-    /// coordinator at the barrier (published by a worker's pending_
-    /// decrement).
-    std::vector<std::vector<Envelope>> outbox_;
+    /// outbox_[parity][target]: sends made by this domain during windows of
+    /// that parity. Filled only by the thread of the domain's group; drained
+    /// by the target's thread at the start of the next window, or by the
+    /// coordinator while quiescent. The round_/pending_ handoffs between the
+    /// two windows publish the envelopes both ways.
+    std::array<std::vector<Outbox>, 2> outbox_;
+    /// Envelopes this domain has taken from the outboxes into its queue.
+    std::uint64_t received_ = 0;
     /// An exception thrown inside this domain's window (e.g. a contract
     /// violation); captured by run_domain_window() and rethrown by the
     /// coordinator at the barrier so it surfaces on the calling thread.
@@ -187,9 +203,7 @@ public:
     /// Parallel windows executed (diagnostic: work per barrier).
     [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
     /// Cross-domain events delivered through the mailboxes (diagnostic).
-    [[nodiscard]] std::uint64_t cross_domain_events() const noexcept {
-        return cross_posts_;
-    }
+    [[nodiscard]] std::uint64_t cross_domain_events() const noexcept;
 
     /// True when `simulator` is one of this kernel's domains.
     [[nodiscard]] bool owns(const Simulator& simulator) const noexcept {
@@ -208,16 +222,23 @@ private:
     [[nodiscard]] std::size_t group_begin(std::size_t group) const noexcept {
         return group * domains_.size() / threads_;
     }
-    /// Drain one domain to `window_end` on the calling thread, marked as
-    /// that domain's executing thread; an exception lands in error_.
-    static void run_domain_window(DomainKernel& domain, Time window_end);
+    /// Take the domain's mail from the previous window, then drain it to
+    /// `window_end`, on the calling thread marked as that domain's
+    /// executing thread; an exception lands in error_.
+    void run_domain_window(DomainKernel& domain, Time window_end);
     /// Drain every domain of thread `group`'s group, in index order.
     void run_group(std::size_t group, Time window_end);
     /// Run one window: every domain drains to `window_end`, group 0 on the
     /// calling thread and the others on their workers.
     void run_window(Time window_end);
-    /// Merge all outboxes into their target queues, deterministically.
-    void flush_outboxes();
+    /// Move the envelopes of `parity`'s outboxes addressed to `target` into
+    /// its queue: sources in index order, sends in emission order.
+    void take_mail(DomainKernel& target, unsigned parity);
+    /// Coordinator, quiescent: every target takes its undelivered mail.
+    void deliver_mail();
+    /// The earliest time `target` has work: its queue head or its
+    /// undelivered mail, whichever is first (coordinator, quiescent).
+    [[nodiscard]] Time next_time(const DomainKernel& target) const noexcept;
     /// Recompute settled_ from the domain clocks (coordinator, quiescent).
     void settle() noexcept;
     /// Called from a domain's window (via post()) for a cross-domain send.
@@ -231,7 +252,9 @@ private:
     Time settled_ = Time::zero();
     std::atomic<bool> stop_{false};
     std::uint64_t windows_ = 0;
-    std::uint64_t cross_posts_ = 0;
+    /// The outbox parity the current window posts into; between windows
+    /// those outboxes hold the mail the targets have not taken yet.
+    unsigned post_parity_ = 0;
     /// Scripts kept sorted by time in a flat vector (equal times stay in
     /// registration order: inserts land after existing equal-time entries).
     /// scripts_head_ is the drain cursor — executed entries are skipped, not
@@ -245,32 +268,34 @@ private:
     std::size_t scripts_head_ = 0;
 
     // Round coordination (T > 1): two handoff words, no lock. The
-    // coordinator writes window_end_, horizon_ (and, once, shutdown_), then
-    // bumps round_ with a release RMW; a worker that acquires the new round
-    // reads them. A worker writes its group's outboxes and error_, then
+    // coordinator writes window_end_, horizon_, post_parity_ (and, once,
+    // shutdown_), then bumps round_ with a release RMW; a worker that
+    // acquires the new round reads them, and the mail every other thread
+    // posted to its domains in the previous window. A worker writes its
+    // domains' outboxes, the drained boxes of their mail and error_, then
     // decrements pending_ with a release RMW; the decrements form one
     // release sequence, so the coordinator's acquire of zero reads every
     // worker's writes.
     //
     // Each waiter — a worker waiting for the next round, the coordinator
-    // waiting for the last worker — spins on its word with a CPU-relax hint
-    // for a time budget of its own, then parks with std::atomic::wait. A
-    // wait that spinning satisfied doubles the budget (cap 50 us), one that
-    // had to park halves it (floor 1 us), so spinning persists only while
-    // it pays. The waker calls notify_all only when the word's parked count
-    // is non-zero. The parker's increment and re-check of the word and the
-    // waker's bump and read of the count are all seq_cst: either the waker
-    // sees the parker or the parker sees the bump, so no wake-up is lost and
-    // the usual handoff makes no system call. A one-thread kernel has no
-    // worker and touches none of this. Each word has a cache line of its
-    // own, so spinning on one does not contend with writes to the other.
+    // waiting for the last worker — spins on its word for a fixed 50 us,
+    // with a CPU-relax hint for the first 2 us and yielding its CPU between
+    // polls after that, then parks with std::atomic::wait. (The scheduler
+    // may keep a waker and its waiter on one CPU; without the yield every
+    // wait there would last the whole spin.) The waker calls notify_all only
+    // when the word's parked count is non-zero. The parker's increment and
+    // re-check of the word and the waker's bump and read of the count are
+    // all seq_cst: either the waker sees the parker or the parker sees the
+    // bump, so no wake-up is lost and a handoff within the first 2 us makes
+    // no system call. A one-thread kernel has no worker and touches none of
+    // this. Each word has a cache line of its own, so spinning on one does
+    // not contend with writes to the other.
     struct alignas(64) HandoffWord {
         std::atomic<std::uint32_t> value{0};
         std::atomic<std::uint32_t> parked{0}; ///< waiters asleep on value
     };
     HandoffWord round_;   ///< bumped once per window (and at shutdown)
     HandoffWord pending_; ///< worker threads still inside the current window
-    std::chrono::nanoseconds spin_budget_; ///< the coordinator's
     bool shutdown_ = false;
     Time window_end_ = Time::zero();
     Time horizon_ = Time::max(); ///< current window's safe horizon (post() check)

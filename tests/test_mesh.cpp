@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,6 +137,126 @@ TEST(Medium, ReceiverStopTakesEffectAfterTheWholeFanOut) {
     EXPECT_EQ(executed, 1u);
     EXPECT_EQ(heard, (std::vector<std::string>{"a", "b", "c"}));
     EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+// --- the per-link RSSI table --------------------------------------------------------
+
+/// Endpoints spread round-robin over a kernel's domains that record every
+/// RSSI they receive. Membership and positions change only between runs or
+/// at script barriers; each receiver appends to its own log only.
+class RssiRig {
+public:
+    explicit RssiRig(std::size_t domains)
+        : kernel_(domains, 3), medium_(kernel_.domain(0), {.latency = Duration::ms(5)}) {}
+
+    void attach(const std::string& name, double position_m) {
+        position_[name] = position_m;
+        std::vector<Heard>& log = heard_[name];
+        medium_.attach(
+            name, kernel_.domain(attached_++ % kernel_.num_domains()),
+            [&log](const v2v::Frame& frame, double rssi) {
+                log.push_back({frame.transmitter, rssi});
+            },
+            position_m);
+    }
+    void detach(const std::string& name) {
+        medium_.detach(name);
+        position_.erase(name);
+    }
+    /// Move `name` at a script barrier 1 ms from now.
+    void move_at_barrier(const std::string& name, double position_m) {
+        kernel_.schedule_script(kernel_.now() + Duration::ms(1), [this, name, position_m] {
+            medium_.move(name, position_m);
+        });
+        position_[name] = position_m;
+        kernel_.run_for(Duration::ms(2));
+    }
+
+    /// Every attached endpoint transmits once; every other one must hear it
+    /// with rssi_at() of their distance, bit for bit.
+    void expect_exact_rssi(const std::string& when) {
+        for (auto& [name, log] : heard_) {
+            log.clear();
+        }
+        for (const auto& [name, position_m] : position_) {
+            medium_.transmit(v2v::Medium::cam(name, position_m, 20.0));
+        }
+        kernel_.run_for(Duration::ms(10));
+        for (const auto& [rx, rx_position] : position_) {
+            const std::vector<Heard>& log = heard_.at(rx);
+            ASSERT_EQ(log.size(), position_.size() - 1) << rx << " " << when;
+            for (const Heard& heard : log) {
+                const double want =
+                    v2v::Medium::rssi_at(std::abs(rx_position - position_.at(heard.from)));
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(heard.rssi),
+                          std::bit_cast<std::uint64_t>(want))
+                    << heard.from << " -> " << rx << " " << when << ": " << heard.rssi
+                    << " != " << want;
+            }
+        }
+    }
+
+    [[nodiscard]] sim::ShardedKernel& kernel() { return kernel_; }
+    [[nodiscard]] v2v::Medium& medium() { return medium_; }
+    [[nodiscard]] std::vector<double> rssi_heard(const std::string& name) const {
+        std::vector<double> rssi;
+        for (const Heard& heard : heard_.at(name)) {
+            rssi.push_back(heard.rssi);
+        }
+        return rssi;
+    }
+
+private:
+    struct Heard {
+        std::string from;
+        double rssi;
+    };
+    sim::ShardedKernel kernel_;
+    v2v::Medium medium_;
+    std::size_t attached_ = 0;
+    std::map<std::string, double> position_;             ///< attached endpoints
+    std::map<std::string, std::vector<Heard>> heard_;    ///< stable per-endpoint logs
+};
+
+TEST(Medium, EveryDeliveredRssiIsRssiAtTheDistanceBitForBit) {
+    for (const std::size_t domains : {1u, 2u, 4u}) {
+        const std::string at = " at " + std::to_string(domains) + " domains";
+        RssiRig rig(domains);
+        // Awkward doubles: 0.1 steps, a negative position, a shared one.
+        rig.attach("a", 0.1);
+        rig.attach("b", 0.7);
+        rig.attach("c", -33.3);
+        rig.expect_exact_rssi("after attach" + at);
+
+        rig.move_at_barrier("b", 123.456789);
+        rig.expect_exact_rssi("after a move at a script barrier" + at);
+
+        rig.detach("a");
+        rig.attach("z", 77.7); // reuses a's slot at another position
+        rig.attach("y", 0.7);  // past 4 slots: the table's stride doubles
+        rig.expect_exact_rssi("after detach, reuse and growth past 4" + at);
+
+        for (int i = 0; i < 5; ++i) { // past 8 slots
+            rig.attach("g" + std::to_string(i), 0.3 * i - 1e-9);
+        }
+        rig.move_at_barrier("c", 1e4 / 3.0);
+        rig.expect_exact_rssi("after growth past 8 and a move" + at);
+    }
+}
+
+TEST(Medium, AFrameInFlightAcrossAMoveKeepsItsTransmitTimeRssi) {
+    for (const std::size_t domains : {1u, 2u}) {
+        RssiRig rig(domains);
+        rig.attach("tx", 0.0);
+        rig.attach("rx", 50.0);
+        // Sent at 0 ms, delivered at 5 ms; rx moves at the 1 ms barrier.
+        rig.medium().transmit(v2v::Medium::cam("tx", 0.0, 20.0));
+        rig.move_at_barrier("rx", 400.0);
+        rig.kernel().run_for(Duration::ms(10));
+        EXPECT_EQ(rig.rssi_heard("rx"), std::vector<double>{v2v::Medium::rssi_at(50.0)})
+            << domains << " domains";
+        rig.expect_exact_rssi("after the move");
+    }
 }
 
 // --- seeded loss reproducibility ----------------------------------------------------

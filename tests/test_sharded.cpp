@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -79,26 +80,137 @@ TEST(ShardedKernel, CrossDomainPostDeliversAtDeclaredLatency) {
 }
 
 TEST(ShardedKernel, MailboxMergeIsOrderedBySourceDomain) {
-    // Two domains post to a third at the SAME delivery time; the flush must
-    // order them (source domain, send order), independent of which worker
-    // finished first.
-    sim::ShardedKernel kernel(3, 42);
-    kernel.declare_lookahead(0, Duration::us(100));
-    kernel.declare_lookahead(1, Duration::us(100));
-    const Time deliver(Duration::us(100).count_ns());
-    std::vector<int> order;
-    kernel.domain(1).schedule(Duration::zero(), [&] {
-        sim::post(kernel.domain(2), deliver, [&] { order.push_back(1); });
-        sim::post(kernel.domain(2), deliver, [&] { order.push_back(11); });
-    });
-    kernel.domain(0).schedule(Duration::zero(), [&] {
-        sim::post(kernel.domain(2), deliver, [&] { order.push_back(0); });
-    });
+    // Two domains post to a third at the SAME delivery time; the target
+    // must take them in (source domain, send order), independent of which
+    // thread finished first. An event the target scheduled for itself at
+    // that time in the same window runs before all of them.
+    for (std::size_t budget : {1u, 2u, 3u}) {
+        for (const bool own_event : {false, true}) {
+            const ScopedThreadBudget threads(budget);
+            sim::ShardedKernel kernel(3, 42);
+            kernel.declare_lookahead(0, Duration::us(100));
+            kernel.declare_lookahead(1, Duration::us(100));
+            const Time deliver(Duration::us(100).count_ns());
+            std::vector<int> order; // appended on domain 2 only
+            kernel.domain(1).schedule(Duration::zero(), [&] {
+                sim::post(kernel.domain(2), deliver, [&] { order.push_back(1); });
+                sim::post(kernel.domain(2), deliver, [&] { order.push_back(11); });
+            });
+            kernel.domain(0).schedule(Duration::zero(), [&] {
+                sim::post(kernel.domain(2), deliver, [&] { order.push_back(0); });
+            });
+            if (own_event) {
+                kernel.domain(2).schedule(Duration::us(10), [&] {
+                    (void)kernel.domain(2).schedule_at(deliver,
+                                                       [&] { order.push_back(2); });
+                });
+            }
 
-    kernel.run_until(Time(Duration::ms(1).count_ns()));
+            kernel.run_until(Time(Duration::ms(1).count_ns()));
 
-    ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 11}));
+            const std::vector<int> expected =
+                own_event ? std::vector<int>{2, 0, 1, 11} : std::vector<int>{0, 1, 11};
+            EXPECT_EQ(order, expected) << "budget " << budget;
+            EXPECT_EQ(kernel.cross_domain_events(), 3u) << "budget " << budget;
+        }
+    }
+}
+
+TEST(ShardedKernel, AScriptRightAfterCrossDomainSendsFindsThemQueued) {
+    // The window before the 1 ms script posts to domain 1; the script sees
+    // the mail in domain 1's queue, as it would any event domain 1
+    // scheduled for itself.
+    for (std::size_t budget : {1u, 2u}) {
+        const ScopedThreadBudget threads(budget);
+        sim::ShardedKernel kernel(2, 42);
+        kernel.declare_lookahead(0, Duration::ms(1));
+        bool delivered = false;
+        kernel.domain(0).schedule(Duration::us(500), [&] {
+            sim::post(kernel.domain(1), Time(Duration::ms(5).count_ns()),
+                      [&] { delivered = true; });
+        });
+        Time seen_next = Time::zero();
+        std::size_t seen_pending = 0;
+        std::uint64_t seen_cross = 0;
+        kernel.schedule_script(Time(Duration::ms(1).count_ns()), [&] {
+            seen_next = kernel.domain(1).next_pending_time();
+            seen_pending = kernel.domain(1).pending_events();
+            seen_cross = kernel.cross_domain_events();
+        });
+
+        kernel.run_until(Time(Duration::ms(10).count_ns()));
+
+        EXPECT_EQ(seen_next, Time(Duration::ms(5).count_ns())) << "budget " << budget;
+        EXPECT_EQ(seen_pending, 1u) << "budget " << budget;
+        EXPECT_EQ(seen_cross, 1u) << "budget " << budget;
+        EXPECT_TRUE(delivered) << "budget " << budget;
+    }
+}
+
+TEST(ShardedKernel, RunUntilLeavesNoMailBehindEvenAfterStop) {
+    // Sends due after the run's end, or after a stop, are in the target's
+    // queue when run_until() returns, and run on the next run.
+    for (std::size_t budget : {1u, 2u}) {
+        for (const bool stop : {false, true}) {
+            const ScopedThreadBudget threads(budget);
+            sim::ShardedKernel kernel(2, 42);
+            kernel.declare_lookahead(0, Duration::ms(1));
+            int ran = 0; // domain 1 only
+            kernel.domain(0).schedule(Duration::us(100), [&] {
+                for (int i = 0; i < 3; ++i) {
+                    sim::post(kernel.domain(1), Time(Duration::ms(5).count_ns()),
+                              [&] { ++ran; });
+                }
+                if (stop) {
+                    kernel.stop();
+                }
+            });
+
+            kernel.run_until(Time(Duration::ms(2).count_ns()));
+
+            EXPECT_EQ(kernel.domain(1).pending_events(), 3u)
+                << "budget " << budget << ", stop " << stop;
+            EXPECT_EQ(kernel.domain(1).next_pending_time(),
+                      Time(Duration::ms(5).count_ns()));
+            EXPECT_EQ(kernel.cross_domain_events(), 3u);
+            EXPECT_EQ(ran, 0);
+
+            kernel.run_until(Time(Duration::ms(10).count_ns()));
+            EXPECT_EQ(ran, 3) << "budget " << budget << ", stop " << stop;
+            EXPECT_EQ(kernel.cross_domain_events(), 3u);
+        }
+    }
+}
+
+TEST(ShardedKernel, AWindowThatThrowsDropsItsMail) {
+    // Window [0, 10 us) posts A; window [10 us, 30 us) posts B and throws.
+    // A reached domain 1's queue before the failing window ran an event
+    // and is delivered on the next run; B is dropped with the window.
+    for (std::size_t budget : {1u, 2u}) {
+        const ScopedThreadBudget threads(budget);
+        sim::ShardedKernel kernel(2, 42);
+        kernel.declare_lookahead(0, Duration::us(10));
+        kernel.declare_lookahead(1, Duration::us(10));
+        std::vector<char> delivered; // domain 1 only
+        kernel.domain(0).schedule(Duration::zero(), [&] {
+            sim::post(kernel.domain(1), Time(Duration::us(50).count_ns()),
+                      [&] { delivered.push_back('A'); });
+        });
+        kernel.domain(0).schedule(Duration::us(20), [&] {
+            sim::post(kernel.domain(1), Time(Duration::us(60).count_ns()),
+                      [&] { delivered.push_back('B'); });
+            SA_REQUIRE(false, "domain 0 fails inside its window");
+        });
+
+        EXPECT_THROW(kernel.run_until(Time(Duration::ms(1).count_ns())),
+                     sa::ContractViolation);
+        EXPECT_EQ(kernel.windows(), 2u) << "budget " << budget;
+        EXPECT_EQ(kernel.cross_domain_events(), 1u) << "budget " << budget;
+
+        kernel.run_until(Time(Duration::ms(1).count_ns()));
+        EXPECT_EQ(delivered, std::vector<char>{'A'}) << "budget " << budget;
+        EXPECT_EQ(kernel.cross_domain_events(), 1u) << "budget " << budget;
+    }
 }
 
 TEST(ShardedKernel, ForeignDirectScheduleIsRejected) {
@@ -420,8 +532,8 @@ TEST(ShardedKernel, DomainsLoggingInOneWindowSerialiseTheSink) {
 //
 // These pin the window handoff's behaviour, not its speed, at every thread
 // budget from one to the domain count. Every few hundred windows a stall
-// longer than any spin budget (capped at 50 us) makes every waiter give up
-// spinning and park, so the next window must wake it.
+// longer than the 50 us spin makes every waiter give up spinning and park,
+// so the next window must wake it.
 
 constexpr auto kStall = std::chrono::microseconds(300);
 constexpr std::int64_t kStressWindows = 10'000;
@@ -520,6 +632,65 @@ TEST(ShardedBarrierStress, TenThousandTinyWindowsAtFourDomainsOnThreeThreads) {
     expect_exact_ping_pong(4, 3);
 }
 
+/// Every domain, at every 1 us tick, schedules its own next tick and posts
+/// two envelopes to every other domain for that tick, all at the same
+/// timestamp. Each domain takes that mail at the start of its next window,
+/// on its own thread: every tick must read its own event first, then the
+/// mail by source domain and send order.
+void expect_all_to_all_mail_order(std::size_t domains, std::size_t budget) {
+    constexpr std::int64_t kTicks = 2'000;
+    const ScopedThreadBudget threads(budget);
+    sim::ShardedKernel kernel(domains, 42);
+    // log[d]: what domain d ran, in order; -1 is its own tick, 2s + k the
+    // k-th envelope from source s. Written only on domain d.
+    std::vector<std::vector<int>> log(domains);
+    std::function<void(std::size_t)> tick = [&](std::size_t d) {
+        sim::Simulator& here = kernel.domain(d);
+        log[d].push_back(-1);
+        const Time next = here.now() + Duration::us(1);
+        (void)here.schedule_at(next, [&tick, d] { tick(d); });
+        for (std::size_t e = 0; e < domains; ++e) {
+            for (int k = 0; e != d && k < 2; ++k) {
+                const int entry = static_cast<int>(2 * d) + k;
+                sim::post(kernel.domain(e), next,
+                          [&log, e, entry] { log[e].push_back(entry); });
+            }
+        }
+    };
+    for (std::size_t d = 0; d < domains; ++d) {
+        kernel.declare_lookahead(d, Duration::us(1));
+        (void)kernel.domain(d).schedule(Duration::zero(), [&tick, d] { tick(d); });
+    }
+
+    kernel.run_until(Time(Duration::us(kTicks - 1).count_ns()));
+
+    const auto ticks = static_cast<std::uint64_t>(kTicks);
+    EXPECT_EQ(kernel.windows(), ticks);
+    // Counted as delivered once queued: the last tick's mail is in the
+    // queues, due after the run's end.
+    EXPECT_EQ(kernel.cross_domain_events(), ticks * domains * (domains - 1) * 2);
+    EXPECT_EQ(kernel.domain(0).pending_events(), 1 + (domains - 1) * 2);
+    for (std::size_t d = 0; d < domains; ++d) {
+        std::vector<int> expected{-1};
+        for (std::int64_t t = 1; t < kTicks; ++t) {
+            expected.push_back(-1);
+            for (std::size_t s = 0; s < domains; ++s) {
+                for (int k = 0; s != d && k < 2; ++k) {
+                    expected.push_back(static_cast<int>(2 * s) + k);
+                }
+            }
+        }
+        EXPECT_EQ(log[d], expected)
+            << "domain " << d << " of " << domains << ", budget " << budget;
+    }
+}
+
+TEST(ShardedBarrierStress, AllToAllMailAtEqualTimesTakesOwnEventsFirstThenSourceOrder) {
+    for (const std::size_t budget : {4u, 3u, 2u, 1u}) {
+        expect_all_to_all_mail_order(4, budget);
+    }
+}
+
 /// (domains, thread budget) pairs of the teardown cases: a worker per
 /// domain, and two domains per thread.
 constexpr std::size_t kTeardownCases[][2] = {{2, 2}, {4, 4}, {4, 2}};
@@ -534,7 +705,7 @@ TEST(ShardedBarrierStress, KernelDestroyedWhileItsWorkersAreParked) {
                 kernel.domain(d).schedule(Duration::us(1), [&ran, d] { ++ran[d]; });
             }
             kernel.run_until(Time(Duration::us(10).count_ns()));
-            // Longer than any spin budget: the destructor finds every worker
+            // Longer than the spin: the destructor finds every worker
             // parked and must wake it to join it.
             std::this_thread::sleep_for(kStall);
         }
