@@ -112,7 +112,6 @@ void BM_FogScenario(benchmark::State& state) {
             vehicle::SensorType::Camera, "camera", 100.0, 0.5, 0.005});
 
         monitor::SensorQualityConfig mq;
-        mq.expected_period = cfg.control_period;
         mq.nominal_noise_sigma = 0.6;
         monitor::SensorQualityMonitor q_radar(simulator, "radar", mq);
         monitor::SensorQualityMonitor q_camera(simulator, "camera", mq);

@@ -1,9 +1,9 @@
 // LINT — cost of the sa::lint structural gate. The gate runs inside every
 // Mcc::integrate() (step 3, before the viewpoints), so its cost must stay
 // far below the ~30 µs a small integration takes in fig1_mcc_integration:
-// BM_LintMccIntegrate measures integrate() with the gate on vs. off (the
-// delta IS the gate), BM_LintSystem the bare rule pass, and BM_LintBuiltin
-// the skills-layer sweep over the whole builtin capability registry.
+// BM_LintMccIntegrate measures integrate() with the gate, BM_LintSystem the
+// bare rule pass, and BM_LintBuiltin the skills-layer sweep over the whole
+// builtin capability registry.
 
 #include <benchmark/benchmark.h>
 
@@ -92,27 +92,23 @@ void BM_LintSystem(benchmark::State& state) {
 }
 BENCHMARK(BM_LintSystem)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 
-/// Full Mcc::integrate() with the structural gate on (arg 1) vs. off
-/// (arg 0) — the row-pair delta is the end-to-end cost the gate adds to
-/// the fig1 integration path.
+/// Full Mcc::integrate(), structural gate included: the end-to-end cost of
+/// the fig1 integration path with its lint step. The argument only keeps
+/// the row's name.
 void BM_LintMccIntegrate(benchmark::State& state) {
-    const bool gate = state.range(0) != 0;
     ChangeRequest change;
     for (int i = 0; i < 4; ++i) {
         change.contracts.push_back(make_component(i));
     }
-    MccOptions options;
-    options.run_lint = gate;
     bool accepted = false;
     for (auto _ : state) {
-        Mcc mcc(make_platform(2), options);
+        Mcc mcc(make_platform(2));
         const auto report = mcc.integrate(change);
         accepted = report.accepted;
         benchmark::DoNotOptimize(report);
     }
-    state.counters["lint_gate"] = gate ? 1 : 0;
     state.counters["accepted"] = accepted ? 1 : 0;
 }
-BENCHMARK(BM_LintMccIntegrate)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LintMccIntegrate)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 } // namespace

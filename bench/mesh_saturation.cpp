@@ -8,8 +8,8 @@
 // the same workload (counters locked in by tests/test_mesh.cpp).
 //
 // BM_MeshRouteConvergence: simulated time until the head of an 8-stack
-// chain first resolves a next hop toward the tail, per next-hop policy —
-// the "how long until the mesh is routable" number, reported as sim_ms.
+// chain first resolves a next hop toward the tail — the "how long until
+// the mesh is routable" number, reported as sim_ms.
 //
 // Timing is manual (UseManualTime): assembly excluded, run() wall time only.
 
@@ -88,7 +88,6 @@ BENCHMARK(BM_MeshSaturation)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MeshRouteConvergence(benchmark::State& state) {
-    const auto policy = static_cast<mesh::NextHopPolicy>(state.range(0));
     constexpr int kVehicles = 8;
     double sim_ms = 0.0;
     for (auto _ : state) {
@@ -101,7 +100,6 @@ void BM_MeshRouteConvergence(benchmark::State& state) {
             mesh::MeshConfig config;
             config.beacon_ttl = kVehicles;
             config.beacon_phase = Duration::us(913 * i + 11);
-            config.policy = policy;
             stacks.push_back(std::make_unique<mesh::MeshStack>(
                 stack_name(i), medium, sim, config, 120.0 * i));
         }
@@ -121,10 +119,6 @@ void BM_MeshRouteConvergence(benchmark::State& state) {
     state.counters["sim_ms"] = sim_ms;
 }
 BENCHMARK(BM_MeshRouteConvergence)
-    ->ArgName("policy")
-    ->Arg(0)  // hop_count
-    ->Arg(1)  // rssi
-    ->Arg(2)  // prr
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

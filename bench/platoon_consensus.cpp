@@ -82,17 +82,13 @@ void BM_MeanAblation(benchmark::State& state) {
 BENCHMARK(BM_MeanAblation)->Arg(0)->Arg(1);
 
 /// Full platoon formation in fog (trust gating + double consensus), with
-/// the cooperation substrate (trust history, consensus configuration)
-/// declared on the scenario builder.
+/// the trust history declared on the scenario builder.
 void BM_PlatoonFormation(benchmark::State& state) {
     const int members = static_cast<int>(state.range(0));
     scenario::ScenarioBuilder builder(3);
     for (int i = 0; i < members; ++i) {
         builder.trust("v" + std::to_string(i), 10);
     }
-    PlatoonConfig cfg;
-    cfg.assumed_faults = 1;
-    builder.platoon_config(cfg);
     auto scenario = builder.build();
 
     std::vector<MemberCapability> candidates;

@@ -27,10 +27,8 @@ int main() {
     cfg.initial_gap_m = 55.0;
     cfg.ego_speed_mps = 26.0;
     cfg.lead_speed_mps = 22.0;
-    cfg.control_period = Duration::ms(50);
 
     monitor::SensorQualityConfig mq;
-    mq.expected_period = cfg.control_period;
     mq.nominal_noise_sigma = 0.6;
 
     // The §IV ACC graph with a fusion-aware perception stack.

@@ -1,14 +1,29 @@
-# Runs one example and compares its stdout with the committed expected
-# output. Fails on a non-zero exit or on any difference and prints the first
+# Runs one program and compares its output with a committed expected file.
+# Fails on a non-zero exit or on any difference and prints the first
 # differing line. stderr (the log lines) is not compared.
 #
-#   cmake -DEXAMPLE=<binary> -DEXPECTED=<file> -P check_output.cmake
+#   cmake -DEXAMPLE=<binary> -DEXPECTED=<file> [-DARGS=<a;b;...>]
+#         [-DOUTPUT=<file>] -P check_output.cmake
+#
+# ARGS are passed to the program. Without OUTPUT its stdout is compared;
+# with OUTPUT, the file the program writes there (removed first, so a stale
+# copy cannot pass).
 
 cmake_minimum_required(VERSION 3.25)
 
-execute_process(COMMAND ${EXAMPLE} OUTPUT_VARIABLE actual RESULT_VARIABLE status)
+if(DEFINED OUTPUT)
+  file(REMOVE ${OUTPUT})
+endif()
+execute_process(COMMAND ${EXAMPLE} ${ARGS} OUTPUT_VARIABLE actual
+  RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${EXAMPLE} exited with ${status}")
+endif()
+if(DEFINED OUTPUT)
+  if(NOT EXISTS ${OUTPUT})
+    message(FATAL_ERROR "${EXAMPLE} wrote no ${OUTPUT}")
+  endif()
+  file(READ ${OUTPUT} actual)
 endif()
 file(READ ${EXPECTED} expected)
 if(actual STREQUAL expected)
@@ -36,6 +51,6 @@ while(TRUE)
   endif()
   math(EXPR line "${line} + 1")
 endwhile()
-message(FATAL_ERROR "stdout differs from ${EXPECTED} at line ${line}\n"
+message(FATAL_ERROR "output differs from ${EXPECTED} at line ${line}\n"
   "  expected: ${expected_line}\n"
   "  actual:   ${actual_line}")

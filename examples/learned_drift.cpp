@@ -24,9 +24,10 @@
 
 using namespace sa;
 using sim::Duration;
+using Demo = scenario::presets::DriftDemoConfig;
 
 int main() {
-    const scenario::presets::DriftDemoConfig config; // seed 7, 40 s, drift ramp at 32 s
+    const Demo config; // seed 7, 40 s, drift ramp at 32 s
 
     scenario::ScenarioBuilder builder = scenario::presets::make_drift_demo(config);
     auto scenario = builder.build();
@@ -38,7 +39,7 @@ int main() {
     ego.monitors().anomalies().subscribe([&](const monitor::Anomaly& anomaly) {
         if (anomaly.kind == monitor::kinds::kLearnedAbnormality) {
             ++learned_alarms;
-            if (anomaly.at.ns() < config.drift_start.count_ns()) {
+            if (anomaly.at.ns() < Demo::kDriftStart.count_ns()) {
                 ++clean_phase_alarms;
             }
         } else if (anomaly.kind == monitor::kinds::kSensorDegraded ||
@@ -57,8 +58,8 @@ int main() {
         });
 
     std::printf("phase 1: clean following, learned monitor training (0-%.0f s)\n",
-                static_cast<double>(config.drift_start.count_ns()) / 1e9);
-    scenario->run(config.drift_start);
+                static_cast<double>(Demo::kDriftStart.count_ns()) / 1e9);
+    scenario->run(Demo::kDriftStart);
     const auto& monitor = ego.learned_monitor();
     std::printf("  gap %.1f m, states learned %zu, score %.2f bits, alarmed %s\n",
                 ego.driving().gap_m(), monitor.state_model().state_count(),
@@ -66,7 +67,7 @@ int main() {
 
     std::printf("phase 2: radar calibration walks %.1f m in %d steps (no "
                 "threshold crossed)\n",
-                config.drift_step_m * config.drift_steps, config.drift_steps);
+                config.drift_step_m * Demo::kDriftSteps, Demo::kDriftSteps);
     scenario->run(config.duration); // run() takes an absolute time
 
     const double radar_level = ego.abilities().level(skills::acc::kRadar);
@@ -96,9 +97,9 @@ int main() {
                     "to be invisible to them\n");
         ok = false;
     }
-    if (radar_level > config.degraded_radar_level + 1e-9) {
+    if (radar_level > Demo::kDegradedRadarLevel + 1e-9) {
         std::printf("FAIL: radar capability not capped (%.2f > %.2f)\n",
-                    radar_level, config.degraded_radar_level);
+                    radar_level, Demo::kDegradedRadarLevel);
         ok = false;
     }
     if (acc_level >= 1.0) {

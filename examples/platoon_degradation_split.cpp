@@ -36,9 +36,7 @@ int main() {
     cfg.initial_gap_m = 35.0;
     cfg.ego_speed_mps = 22.0;
     cfg.lead_speed_mps = 22.0;
-    cfg.control_period = Duration::ms(50);
     monitor::SensorQualityConfig quality;
-    quality.expected_period = cfg.control_period;
     quality.nominal_noise_sigma = 0.6;
 
     for (const char* name : kVehicles) {

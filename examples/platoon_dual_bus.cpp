@@ -97,10 +97,7 @@ int main() {
     for (const char* name : kVehicles) {
         declare_vehicle(builder, name);
     }
-    platoon::PlatoonConfig platoon_cfg;
-    platoon_cfg.assumed_faults = 1;
-    builder.platoon_config(platoon_cfg)
-        .trust("alpha", 14)
+    builder.trust("alpha", 14)
         .trust("beta", 14)
         .trust("gamma", 14)
         .v2v(/*loss_probability=*/0.0, Duration::ms(20))

@@ -4,11 +4,11 @@
 // be a viable option, which, however, raises the issue of trustworthiness."
 //
 // A camera-only vehicle is blinded by fog. It evaluates its own safe speed,
-// then tries to join a platoon of radar-equipped trucks. Trust history,
-// platoon candidates and the consensus configuration are declared on the
-// scenario builder; trust gating excludes a peer with a bad reputation; a
-// byzantine insider with a clean record equivocates during the speed
-// agreement and is absorbed by the trimmed-mean consensus.
+// then tries to join a platoon of radar-equipped trucks. Trust history and
+// platoon candidates are declared on the scenario builder; trust gating
+// excludes a peer with a bad reputation; a byzantine insider with a clean
+// record equivocates during the speed agreement and is absorbed by the
+// trimmed-mean consensus.
 //
 // Build & run:  ./build/examples/platoon_fog
 
@@ -36,10 +36,6 @@ int main() {
         vehicle::SensorConfig{vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002});
     const double radar_quality = radar.effective_range_m(fog) / 150.0;
 
-    PlatoonConfig cfg;
-    cfg.trust_threshold = 0.55;
-    cfg.assumed_faults = 1;
-
     scenario::ScenarioBuilder builder(99);
     builder
         // Reputation from past interactions (broadcasts matching observations).
@@ -48,7 +44,6 @@ int main() {
         .trust("insider", 12)  // clean record, but byzantine today
         .trust("shady_van", 0, 12) // known liar
         .trust("ego", 1)
-        .platoon_config(cfg)
         .platoon_candidate({"ego", cam_quality, 18.0, 14.0, false}) // safe *inside*
         .platoon_candidate({"truck_a", radar_quality,
                             safe_speed_for_quality(radar_quality), 10.0, false})

@@ -8,11 +8,19 @@
 
 namespace sa::core {
 
+namespace {
+
+/// Minimum adequacy for a proposal to be acceptable.
+constexpr double kMinAdequacy = 0.5;
+/// A second action on the same target within this cooldown is a conflict
+/// and is suppressed.
+constexpr sim::Duration kConflictCooldown = sim::Duration::ms(500);
+
+} // namespace
+
 CrossLayerCoordinator::CrossLayerCoordinator(sim::Simulator& simulator,
                                              CoordinatorConfig config)
-    : simulator_(simulator), config_(config) {
-    SA_REQUIRE(config_.max_escalations >= 0, "hop budget must be non-negative");
-}
+    : simulator_(simulator), config_(config) {}
 
 void CrossLayerCoordinator::register_layer(std::unique_ptr<Layer> layer) {
     SA_REQUIRE(layer != nullptr, "layer must not be null");
@@ -43,7 +51,7 @@ bool CrossLayerCoordinator::target_locked(const std::string& target) const {
     if (it == target_locks_.end()) {
         return false;
     }
-    return simulator_.now() - it->second < config_.conflict_cooldown;
+    return simulator_.now() - it->second < kConflictCooldown;
 }
 
 Decision CrossLayerCoordinator::handle(const monitor::Anomaly& anomaly) {
@@ -52,7 +60,7 @@ Decision CrossLayerCoordinator::handle(const monitor::Anomaly& anomaly) {
     problem.id = next_problem_id_++;
     problem.anomaly = anomaly;
     problem.entry = entry_layer(anomaly.domain);
-    Decision decision = resolve(std::move(problem), config_.max_follow_ups);
+    Decision decision = resolve(std::move(problem), kMaxFollowUps);
     if (decision.resolved) {
         ++resolved_;
     }
@@ -81,9 +89,7 @@ Decision CrossLayerCoordinator::resolve(Problem problem, int follow_up_budget) {
     // Walk the stack bottom-up starting at the entry layer. With cross-layer
     // coordination disabled (ablation), only the entry layer is consulted.
     const int start = static_cast<int>(problem.entry);
-    const int last = config_.cross_layer_enabled
-                         ? std::min(kLayerCount - 1, start + config_.max_escalations)
-                         : start;
+    const int last = config_.cross_layer_enabled ? kLayerCount - 1 : start;
     for (int li = start; li <= last; ++li) {
         auto it = layers_.find(static_cast<LayerId>(li));
         if (it == layers_.end()) {
@@ -96,7 +102,7 @@ Decision CrossLayerCoordinator::resolve(Problem problem, int follow_up_budget) {
         std::vector<Proposal> acceptable;
         for (auto& p : proposals) {
             decision.considered.push_back(ProposalSummary::of(p));
-            if (p.adequacy < config_.min_adequacy) {
+            if (p.adequacy < kMinAdequacy) {
                 continue;
             }
             if (target_locked(p.target)) {
@@ -131,7 +137,7 @@ Decision CrossLayerCoordinator::resolve(Problem problem, int follow_up_budget) {
         decision.resolved = false;
         decision.escalations = last - start;
         decision.rationale =
-            format("no adequate countermeasure within hop budget (%d layer(s) consulted)",
+            format("no adequate countermeasure in the %d layer(s) consulted",
                    last - start + 1);
         SA_LOG_WARN << "coordinator: problem " << problem.id << " ("
                     << problem.anomaly.kind << ") unresolved — " << decision.rationale;

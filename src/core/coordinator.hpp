@@ -3,10 +3,11 @@
 // enter at their origin layer; the coordinator collects countermeasure
 // proposals, picks the *lowest adequate layer with minimal scope* (contain
 // an IP service rather than kill the Ethernet), executes it, and processes
-// any follow-up consequences through the stack again. Escalation is bounded
-// by a hop budget so problems are never "forwarded ad infinitum", and
-// concurrently proposed actions on the same target are serialized to avoid
-// the "conflicting decisions [that] could lead to catastrophic effects".
+// any follow-up consequences through the stack again. Escalation stops at
+// the top layer and follow-ups are capped (kMaxFollowUps), so problems are
+// never "forwarded ad infinitum", and concurrently proposed actions on the
+// same target are serialized to avoid the "conflicting decisions [that]
+// could lead to catastrophic effects".
 
 #include <deque>
 #include <map>
@@ -20,15 +21,6 @@
 namespace sa::core {
 
 struct CoordinatorConfig {
-    /// Minimum adequacy for a proposal to be acceptable.
-    double min_adequacy = 0.5;
-    /// Hop budget: max escalations per problem (including follow-ups).
-    int max_escalations = kLayerCount;
-    /// Max follow-up problems processed per root anomaly.
-    int max_follow_ups = 4;
-    /// Cooldown during which a second action on the same target is treated
-    /// as a conflict and suppressed.
-    sim::Duration conflict_cooldown = sim::Duration::ms(500);
     /// Ablation switch: false = only the entry layer is consulted, no
     /// escalation (the "single-layer self-awareness" baseline of the paper's
     /// argument).
@@ -63,13 +55,10 @@ public:
     [[nodiscard]] std::uint64_t total_escalations() const noexcept { return escalations_; }
     [[nodiscard]] std::uint64_t conflicts_avoided() const noexcept { return conflicts_; }
 
-    [[nodiscard]] const CoordinatorConfig& config() const noexcept { return config_; }
-    void set_cross_layer_enabled(bool enabled) noexcept {
-        config_.cross_layer_enabled = enabled;
-    }
-
     /// Retained decision records; decisions() never grows beyond this.
     static constexpr std::size_t kDecisionHistory = 1024;
+    /// Follow-up problems processed per root anomaly.
+    static constexpr int kMaxFollowUps = 4;
 
 private:
     Decision resolve(Problem problem, int follow_up_budget);

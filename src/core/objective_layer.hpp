@@ -25,7 +25,6 @@ public:
     [[nodiscard]] double health() const override;
 
     [[nodiscard]] DrivingObjective objective() const noexcept { return objective_; }
-    void set_objective(DrivingObjective objective) noexcept { objective_ = objective; }
 
     /// Optional alternative objective changes, tried before safe stop.
     struct Alternative {

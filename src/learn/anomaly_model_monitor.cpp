@@ -101,11 +101,11 @@ void AnomalyModelMonitor::evaluate(sim::Time at) {
                      state_.state_count()),
               magnitude);
     } else if (alarmed_ &&
-               score_ <= config_.recover_ratio * config_.score_threshold) {
+               score_ <= LearnedMonitorConfig::kRecoverRatio * config_.score_threshold) {
         alarmed_ = false;
         raise(monitor::Severity::Info, name(), monitor::kinds::kLearnedRecovered,
               format("surprise %.2f bits back under %.2f", score_,
-                     config_.recover_ratio * config_.score_threshold),
+                     LearnedMonitorConfig::kRecoverRatio * config_.score_threshold),
               0.0);
     }
 }

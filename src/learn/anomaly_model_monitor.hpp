@@ -32,14 +32,12 @@ struct LearnedMonitorConfig {
     /// configuration error (lint rule LRN001).
     std::vector<std::string> metrics;
     bool auto_metrics = true;
-    /// Metric-pump period (the builder's periodic that feeds the tap).
-    sim::Duration period = sim::Duration::ms(50);
     /// Sim time before scoring starts; state statistics learn throughout.
     sim::Duration warmup = sim::Duration::ms(500);
     /// Surprise (bits) at which learned_abnormality is raised...
     double score_threshold = 8.0;
     /// ...and the fraction of it below which learned_recovered follows.
-    double recover_ratio = 0.5;
+    static constexpr double kRecoverRatio = 0.5;
     MetricModelConfig metric{};
     StateModelConfig state{};
     /// Clustering seed (copied into state.seed by the constructor).

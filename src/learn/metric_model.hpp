@@ -19,28 +19,29 @@ struct MetricModelConfig {
     /// Samples accumulated before the baseline freezes. Until then the
     /// drift z-score reads 0 (no baseline to deviate from).
     std::size_t warmup_samples = 64;
-    /// EWMA smoothing factor: higher follows the stream faster but is
-    /// noisier against the frozen baseline.
-    double ewma_alpha = 0.05;
-    /// Floor on the frozen sigma — a metric that was perfectly constant
-    /// during warm-up must not turn every later wiggle into infinity.
-    double min_sigma = 0.01;
 };
 
 class MetricModel {
 public:
+    /// EWMA smoothing factor: higher follows the stream faster but is
+    /// noisier against the frozen baseline.
+    static constexpr double kEwmaAlpha = 0.05;
+    /// Floor on the frozen sigma — a metric that was perfectly constant
+    /// during warm-up must not turn every later wiggle into infinity.
+    static constexpr double kMinSigma = 0.01;
+
     explicit MetricModel(MetricModelConfig config = {}) : config_(config) {}
 
     void update(double x) noexcept {
-        ewma_ = (count_ == 0) ? x : config_.ewma_alpha * x +
-                                        (1.0 - config_.ewma_alpha) * ewma_;
+        ewma_ = (count_ == 0) ? x : kEwmaAlpha * x +
+                                        (1.0 - kEwmaAlpha) * ewma_;
         last_ = x;
         ++count_;
         if (!frozen_) {
             welford_.add(x);
             if (welford_.count() >= config_.warmup_samples) {
                 mean_ = welford_.mean();
-                sigma_ = std::max(welford_.stddev(), config_.min_sigma);
+                sigma_ = std::max(welford_.stddev(), kMinSigma);
                 frozen_ = true;
             }
         }

@@ -56,8 +56,8 @@ OfflineResult run_offline(const Trace& trace, const LearnedMonitorConfig& config
             alarmed = true;
             result.events.push_back(
                 ScoredEvent{at_ns, obs.state, obs.score, true});
-        } else if (alarmed &&
-                   obs.score <= config.recover_ratio * config.score_threshold) {
+        } else if (alarmed && obs.score <= LearnedMonitorConfig::kRecoverRatio *
+                                               config.score_threshold) {
             alarmed = false;
             result.events.push_back(
                 ScoredEvent{at_ns, obs.state, obs.score, false});

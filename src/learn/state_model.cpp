@@ -10,6 +10,15 @@ namespace sa::learn {
 
 namespace {
 
+/// Bands clamp to [-kBandLimit, +kBandLimit].
+constexpr int kBandLimit = 4;
+/// Online clusters cap; at capacity the nearest leader absorbs.
+constexpr std::size_t kMaxStates = 64;
+/// L1 distance (band units) within which an observation joins a leader.
+constexpr double kClusterRadius = 1.0;
+/// Laplace smoothing pseudo-count for state and transition probabilities.
+constexpr double kLaplace = 1.0;
+
 double l1_distance(const std::vector<int>& a, const std::vector<int>& b) noexcept {
     double d = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -22,15 +31,12 @@ double l1_distance(const std::vector<int>& a, const std::vector<int>& b) noexcep
 
 StateModel::StateModel(StateModelConfig config) : config_(config) {
     SA_REQUIRE(config_.band_width > 0.0, "band_width must be positive");
-    SA_REQUIRE(config_.band_limit > 0, "band_limit must be positive");
-    SA_REQUIRE(config_.max_states > 0, "max_states must be positive");
-    SA_REQUIRE(config_.laplace > 0.0, "laplace pseudo-count must be positive");
 }
 
 int StateModel::band(double drift_z) const noexcept {
     const double raw = drift_z / config_.band_width;
     const int b = static_cast<int>(std::lround(raw));
-    return std::max(-config_.band_limit, std::min(config_.band_limit, b));
+    return std::max(-kBandLimit, std::min(kBandLimit, b));
 }
 
 std::size_t StateModel::find_or_create(const std::vector<int>& bands, bool& created) {
@@ -50,10 +56,10 @@ std::size_t StateModel::find_or_create(const std::vector<int>& bands, bool& crea
             best_key = states_[i].tie_key;
         }
     }
-    if (best_dist <= config_.cluster_radius) {
+    if (best_dist <= kClusterRadius) {
         return best;
     }
-    if (states_.size() < config_.max_states) {
+    if (states_.size() < kMaxStates) {
         State fresh;
         fresh.center = bands;
         fresh.tie_key =
@@ -80,8 +86,8 @@ StateModel::Observation StateModel::observe(const std::vector<int>& bands) {
     // is maximally (but finitely) surprising.
     const double k = static_cast<double>(states_.size());
     State& s = states_[out.state];
-    const double p_state = (static_cast<double>(s.visits) + config_.laplace) /
-                           (static_cast<double>(total_) + config_.laplace * k);
+    const double p_state = (static_cast<double>(s.visits) + kLaplace) /
+                           (static_cast<double>(total_) + kLaplace * k);
     double surprise = -std::log2(p_state);
     if (has_prev_) {
         State& from = states_[prev_];
@@ -89,8 +95,8 @@ StateModel::Observation StateModel::observe(const std::vector<int>& bands) {
             from.outgoing.resize(states_.size(), 0);
         }
         const double p_trans =
-            (static_cast<double>(from.outgoing[out.state]) + config_.laplace) /
-            (static_cast<double>(from.outgoing_total) + config_.laplace * k);
+            (static_cast<double>(from.outgoing[out.state]) + kLaplace) /
+            (static_cast<double>(from.outgoing_total) + kLaplace * k);
         surprise = std::max(surprise, -std::log2(p_trans));
         ++from.outgoing[out.state];
         ++from.outgoing_total;

@@ -16,14 +16,6 @@ namespace sa::learn {
 struct StateModelConfig {
     /// Drift z-score units per quantization band.
     double band_width = 1.0;
-    /// Bands clamp to [-band_limit, +band_limit].
-    int band_limit = 4;
-    /// Online clusters cap; at capacity the nearest leader absorbs.
-    std::size_t max_states = 64;
-    /// L1 distance (band units) within which an observation joins a leader.
-    double cluster_radius = 1.0;
-    /// Laplace smoothing pseudo-count for state and transition probabilities.
-    double laplace = 1.0;
     /// Tie-break key for equidistant leaders; same seed => same clustering.
     std::uint64_t seed = 1;
 };

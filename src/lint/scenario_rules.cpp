@@ -268,23 +268,18 @@ LintReport lint_scenario(const ScenarioShape& scenario) {
         lint_vehicle_into(vehicle, publishers, report);
     }
 
-    // SCN004 + domain assignment (mirrors ScenarioBuilder::build()'s
-    // round-robin over unpinned vehicles, in declaration order).
+    // SCN004: the vehicles' domains come assigned; only a pin can lie
+    // outside the declared domains.
     std::map<std::string, std::size_t> domain_of;
-    std::size_t round_robin = 0;
     for (const VehicleShape& vehicle : scenario.vehicles) {
-        if (vehicle.domain_pin.has_value()) {
-            if (*vehicle.domain_pin >= scenario.num_domains) {
-                report.add("SCN004", "vehicle " + vehicle.name,
-                           format("pinned to domain %zu but the scenario "
-                                  "declares %zu domain(s)",
-                                  *vehicle.domain_pin, scenario.num_domains));
-                continue;
-            }
-            domain_of[vehicle.name] = *vehicle.domain_pin;
-        } else {
-            domain_of[vehicle.name] = round_robin++ % scenario.num_domains;
+        if (vehicle.domain >= scenario.num_domains) {
+            report.add("SCN004", "vehicle " + vehicle.name,
+                       format("pinned to domain %zu but the scenario "
+                              "declares %zu domain(s)",
+                              vehicle.domain, scenario.num_domains));
+            continue;
         }
+        domain_of[vehicle.name] = vehicle.domain;
     }
 
     // SCN003: a cross-domain link's forward latency becomes the ingress

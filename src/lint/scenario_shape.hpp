@@ -52,7 +52,9 @@ struct MeshEndpointShape {
 
 struct VehicleShape {
     std::string name;
-    std::optional<std::size_t> domain_pin;
+    /// The ECU domain the vehicle runs on: its pin, else its round-robin
+    /// slot (ScenarioBuilder assigns both). Only a pin can be out of range.
+    std::size_t domain = 0;
     std::vector<std::string> ecus;
     std::vector<std::string> buses;
     std::vector<std::string> sensors;

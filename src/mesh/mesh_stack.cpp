@@ -5,37 +5,23 @@
 
 namespace sa::mesh {
 
-const char* to_string(NextHopPolicy policy) noexcept {
-    switch (policy) {
-    case NextHopPolicy::HopCount: return "hop_count";
-    case NextHopPolicy::Rssi: return "rssi";
-    case NextHopPolicy::Prr: return "prr";
-    }
-    return "?";
-}
+namespace {
 
-bool next_hop_policy_from_string(const std::string& text, NextHopPolicy& out) {
-    for (const NextHopPolicy policy :
-         {NextHopPolicy::HopCount, NextHopPolicy::Rssi, NextHopPolicy::Prr}) {
-        if (text == to_string(policy)) {
-            out = policy;
-            return true;
-        }
-    }
-    return false;
-}
+/// Self-announcement period.
+constexpr Duration kBeaconPeriod = Duration::ms(100);
+/// Neighbor/route entries older than this are dropped at the next beacon
+/// tick (EWMA aging horizon).
+constexpr Duration kNeighborTtl = Duration::ms(600);
+/// EWMA smoothing factors (weight of the newest sample).
+constexpr double kRssiAlpha = 0.3;
+constexpr double kPrrAlpha = 0.3;
+
+} // namespace
 
 MeshStack::MeshStack(std::string name, v2v::Medium& medium, sim::Simulator& home,
                      MeshConfig config, double position_m)
     : name_(std::move(name)), medium_(medium), home_(home), config_(config) {
     SA_REQUIRE(config_.beacon_ttl >= 1, "beacon TTL must be at least 1");
-    SA_REQUIRE(config_.beacon_period.count_ns() > 0,
-               "beacon period must be positive");
-    SA_REQUIRE(config_.neighbor_ttl.count_ns() > 0,
-               "neighbor TTL must be positive");
-    SA_REQUIRE(config_.rssi_alpha > 0.0 && config_.rssi_alpha <= 1.0 &&
-                   config_.prr_alpha > 0.0 && config_.prr_alpha <= 1.0,
-               "EWMA smoothing factors must be in (0, 1]");
     medium_.attach(
         name_, home_,
         [this](const v2v::Frame& frame, double rssi_dbm) {
@@ -43,7 +29,7 @@ MeshStack::MeshStack(std::string name, v2v::Medium& medium, sim::Simulator& home
         },
         position_m);
     beacon_id_ = home_.schedule_periodic(
-        config_.beacon_period, [this] { beacon_tick(); }, config_.beacon_phase);
+        kBeaconPeriod, [this] { beacon_tick(); }, config_.beacon_phase);
 }
 
 MeshStack::~MeshStack() {
@@ -62,7 +48,7 @@ void MeshStack::handle_frame(const v2v::Frame& frame, double rssi_dbm) {
     if (fresh) {
         neighbor.rssi_dbm = rssi_dbm;
     } else {
-        neighbor.rssi_dbm += config_.rssi_alpha * (rssi_dbm - neighbor.rssi_dbm);
+        neighbor.rssi_dbm += kRssiAlpha * (rssi_dbm - neighbor.rssi_dbm);
     }
     ++neighbor.frames_heard;
     neighbor.last_heard = now;
@@ -73,7 +59,7 @@ void MeshStack::handle_frame(const v2v::Frame& frame, double rssi_dbm) {
         if (neighbor.last_seq != 0 && frame.seq > neighbor.last_seq) {
             const double sample =
                 1.0 / static_cast<double>(frame.seq - neighbor.last_seq);
-            neighbor.prr += config_.prr_alpha * (sample - neighbor.prr);
+            neighbor.prr += kPrrAlpha * (sample - neighbor.prr);
         }
         if (frame.seq > neighbor.last_seq) {
             neighbor.last_seq = frame.seq;
@@ -150,13 +136,12 @@ void MeshStack::beacon_tick() {
     frame.seq = ++announce_seq_;
     frame.ttl = config_.beacon_ttl;
     frame.position_m = medium_.position(name_);
-    frame.speed_mps = config_.speed_mps;
     medium_.transmit(std::move(frame));
     ++announces_sent_;
 }
 
 void MeshStack::age_tables(Time now) {
-    const std::int64_t ttl = config_.neighbor_ttl.count_ns();
+    const std::int64_t ttl = kNeighborTtl.count_ns();
     for (auto it = neighbors_.begin(); it != neighbors_.end();) {
         if (now.ns() - it->second.last_heard.ns() > ttl) {
             it = neighbors_.erase(it);
@@ -196,9 +181,8 @@ bool MeshStack::send_cam(const std::string& destination) {
     frame.destination = destination;
     frame.next_hop = *hop;
     frame.seq = ++cam_seq_;
-    frame.ttl = cam_ttl();
+    frame.ttl = config_.beacon_ttl;
     frame.position_m = medium_.position(name_);
-    frame.speed_mps = config_.speed_mps;
     medium_.transmit(std::move(frame));
     ++cams_sent_;
     return true;
@@ -212,33 +196,17 @@ MeshStack::next_hop(const std::string& destination) const {
     }
     const std::string* best = nullptr;
     std::uint32_t best_hops = 0;
-    double best_metric = 0.0;
     for (const auto& [via, candidate] : routes->second) {
-        const auto neighbor = neighbors_.find(via);
-        if (neighbor == neighbors_.end()) {
+        if (!neighbors_.contains(via)) {
             continue; // first hop aged out; candidate dies at the next tick
         }
-        double metric = 0.0;
-        switch (config_.policy) {
-        case NextHopPolicy::HopCount:
-            metric = -static_cast<double>(candidate.hops);
-            break;
-        case NextHopPolicy::Rssi:
-            metric = neighbor->second.rssi_dbm;
-            break;
-        case NextHopPolicy::Prr:
-            metric = neighbor->second.prr;
-            break;
-        }
-        // Strictly-greater keeps the lexicographically smallest neighbor on
+        // Strictly-fewer keeps the lexicographically smallest neighbor on
         // ties (map iteration order), so the choice is deterministic.
-        if (best == nullptr || metric > best_metric) {
+        if (best == nullptr || candidate.hops < best_hops) {
             best = &via;
-            best_metric = metric;
             best_hops = candidate.hops;
         }
     }
-    (void)best_hops;
     if (best == nullptr) {
         return std::nullopt;
     }

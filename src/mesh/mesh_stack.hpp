@@ -6,8 +6,8 @@
 //  * Neighbor table with link-quality estimation (the Contiki tree-routing
 //    idiom): every frame heard from a transmitter refreshes an EWMA RSSI
 //    estimate; gaps in a neighbor's own announcement sequence numbers feed
-//    an EWMA packet-reception-ratio (PRR). Entries age out after
-//    neighbor_ttl of silence.
+//    an EWMA packet-reception-ratio (PRR). Entries age out after 600 ms of
+//    silence.
 //
 //  * TTL'd self-announcements with selective on-announcement (the serval-dna
 //    overlay idiom): each stack periodically announces itself; a stack
@@ -17,10 +17,9 @@
 //    hearing origin O via transmitter T records a candidate route O-via-T
 //    with the frame's hop count.
 //
-//  * Pluggable next-hop policies (hop-count / RSSI / PRR) choosing among the
-//    candidate routes for unicast CAM relay beyond radio range. Relays are
-//    addressed (Frame::next_hop), so a relayed CAM crosses the mesh as a
-//    chain of unicasts, not a flood.
+//  * Fewest-hops next-hop choice among the candidate routes for unicast CAM
+//    relay beyond radio range. Relays are addressed (Frame::next_hop), so a
+//    relayed CAM crosses the mesh as a chain of unicasts, not a flood.
 //
 // Determinism. All mutable state lives on the stack's home simulator: the
 // medium posts every delivery to the home domain, the announcement beacon is
@@ -43,37 +42,15 @@ namespace sa::mesh {
 using sim::Duration;
 using sim::Time;
 
-/// Next-hop selection among the candidate routes to a destination.
-enum class NextHopPolicy : std::uint8_t {
-    HopCount, ///< fewest hops to the origin (ties: lexicographic neighbor)
-    Rssi,     ///< strongest first-hop RSSI estimate
-    Prr,      ///< best first-hop packet-reception ratio
-};
-
-[[nodiscard]] const char* to_string(NextHopPolicy policy) noexcept;
-[[nodiscard]] bool next_hop_policy_from_string(const std::string& text,
-                                               NextHopPolicy& out);
-
 struct MeshConfig {
     /// Announcement TTL: how many transmissions a self-announcement may
     /// take, i.e. the hop radius of presence discovery. Must cover the
     /// mesh's hop diameter (lint rule MSH002 checks this statically).
+    /// Unicast CAM sends carry the same TTL.
     std::uint32_t beacon_ttl = 4;
-    /// Self-announcement period and first-firing phase. Stagger phases
-    /// across vehicles to keep announcement instants off shared timestamps.
-    Duration beacon_period = Duration::ms(100);
+    /// First firing of the 100 ms self-announcement. Stagger phases across
+    /// vehicles to keep announcement instants off shared timestamps.
     Duration beacon_phase = Duration::zero();
-    /// Neighbor/route entries older than this are dropped at the next
-    /// beacon tick (EWMA aging horizon).
-    Duration neighbor_ttl = Duration::ms(600);
-    /// TTL for unicast CAM sends (0 = reuse beacon_ttl).
-    std::uint32_t cam_ttl = 0;
-    NextHopPolicy policy = NextHopPolicy::HopCount;
-    /// EWMA smoothing factors (weight of the newest sample).
-    double rssi_alpha = 0.3;
-    double prr_alpha = 0.3;
-    /// Claimed speed carried in announcements and CAMs.
-    double speed_mps = 0.0;
 };
 
 /// One direct-link neighbor (keyed by transmitter name).
@@ -119,8 +96,9 @@ public:
     /// when no route to the destination is known yet.
     bool send_cam(const std::string& destination);
 
-    /// The chosen next hop toward `destination` under the configured
-    /// policy, or nullopt when no live candidate route exists.
+    /// The chosen next hop toward `destination` (fewest hops; ties go to
+    /// the smallest neighbor name), or nullopt when no live candidate route
+    /// exists.
     [[nodiscard]] std::optional<std::string>
     next_hop(const std::string& destination) const;
 
@@ -164,9 +142,6 @@ private:
     /// Periodic beacon tick: age the tables, then announce self.
     void beacon_tick();
     void age_tables(Time now);
-    [[nodiscard]] std::uint32_t cam_ttl() const noexcept {
-        return config_.cam_ttl != 0 ? config_.cam_ttl : config_.beacon_ttl;
-    }
 
     std::string name_;
     v2v::Medium& medium_;

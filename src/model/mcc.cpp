@@ -53,8 +53,7 @@ const ViewpointReport* IntegrationReport::viewpoint(const std::string& name) con
     return nullptr;
 }
 
-Mcc::Mcc(PlatformModel platform, MccOptions options)
-    : platform_(std::move(platform)), options_(options) {
+Mcc::Mcc(PlatformModel platform) : platform_(std::move(platform)) {
     SA_REQUIRE(!platform_.ecus.empty(), "MCC needs a platform with at least one ECU");
 }
 
@@ -124,24 +123,22 @@ IntegrationReport Mcc::run_steps(const ChangeRequest& change) {
     // priorities per ECU and unique CAN ids per bus; a structurally broken
     // candidate must be rejected *here*, with findings, not silently
     // mis-analyzed two steps later.
-    if (options_.run_lint) {
-        report.lint = lint::lint_system(candidate, platform_, &mapped.mapping);
+    report.lint = lint::lint_system(candidate, platform_, &mapped.mapping);
+    for (const auto& finding : report.lint.findings()) {
+        report.steps.push_back(IntegrationStep{
+            "lint:" + finding.rule,
+            finding.severity != lint::Severity::Error,
+            finding.subject + ": " + finding.message});
+    }
+    if (!report.lint.ok()) {
+        std::string reason = "structural lint failed:";
         for (const auto& finding : report.lint.findings()) {
-            report.steps.push_back(IntegrationStep{
-                "lint:" + finding.rule,
-                finding.severity != lint::Severity::Error,
-                finding.subject + ": " + finding.message});
-        }
-        if (!report.lint.ok()) {
-            std::string reason = "structural lint failed:";
-            for (const auto& finding : report.lint.findings()) {
-                if (finding.severity == lint::Severity::Error) {
-                    reason += " [" + finding.rule + "] " + finding.subject;
-                }
+            if (finding.severity == lint::Severity::Error) {
+                reason += " [" + finding.rule + "] " + finding.subject;
             }
-            report.rejection_reason = reason;
-            return report;
         }
+        report.rejection_reason = reason;
+        return report;
     }
 
     // Step 4: viewpoint acceptance tests.

@@ -82,16 +82,9 @@ struct IntegrationReport {
     [[nodiscard]] const ViewpointReport* viewpoint(const std::string& name) const;
 };
 
-struct MccOptions {
-    /// Run the sa::lint structural gate between mapping and the viewpoint
-    /// acceptance tests: any Error-severity finding rejects the change before
-    /// the expensive WCRT analyses see a model they silently mis-handle.
-    bool run_lint = true;
-};
-
 class Mcc {
 public:
-    explicit Mcc(PlatformModel platform, MccOptions options = {});
+    explicit Mcc(PlatformModel platform);
 
     /// Run the integration process for a change request.
     IntegrationReport integrate(const ChangeRequest& change);
@@ -144,7 +137,6 @@ private:
     void rebuild_committed_artifacts();
 
     PlatformModel platform_;
-    MccOptions options_;
     FunctionModel functions_;
     Mapping mapping_;
     DependencyGraph dependency_graph_;
@@ -168,7 +160,7 @@ struct InitialIntegration {
 
 /// The initial analysis of a declared configuration: `contract_text`
 /// parsed and integrated, as one Add change described by `description`,
-/// into a fresh `Mcc(platform)` with default options. Returns nullopt when
+/// into a fresh `Mcc(platform)`. Returns nullopt when
 /// the text declares no contract; throws util::ParseError (and stores
 /// nothing) when it does not parse. The first call with a given (platform,
 /// text) pair runs the analysis and memoises its result, accepted or

@@ -6,6 +6,13 @@
 
 namespace sa::monitor {
 
+namespace {
+
+/// Denied session opens before an "access_probe" anomaly is raised.
+constexpr std::uint32_t kDeniedOpenThreshold = 3;
+
+} // namespace
+
 RateMonitor::RateMonitor(sim::Simulator& simulator, rte::ServiceRegistry& services,
                          sim::Duration window)
     : Monitor(simulator, "rate:ids", Domain::Security), services_(services), window_(window) {
@@ -59,7 +66,7 @@ void RateMonitor::on_denied(const std::string& client, const std::string& servic
     note_check();
     auto& n = denied_counts_[{client, service}];
     ++n;
-    if (n == denied_threshold_) {
+    if (n == kDeniedOpenThreshold) {
         raise(Severity::Critical, client, kinds::kAccessProbe,
               sa::format("%u denied opens of %s", n, service.c_str()),
               static_cast<double>(n));

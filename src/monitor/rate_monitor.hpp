@@ -30,9 +30,6 @@ public:
     /// Default bound applied to unlisted pairs (0 = unlimited).
     void set_default_bound(double max_per_s) noexcept { default_bound_ = max_per_s; }
 
-    /// Denied session opens before an "access_probe" anomaly is raised.
-    void set_denied_open_threshold(std::uint32_t n) noexcept { denied_threshold_ = n; }
-
     void start();
     void stop();
 
@@ -54,7 +51,6 @@ private:
     std::map<Key, bool> alarmed_;
     std::map<Key, std::uint32_t> denied_counts_;
     double default_bound_ = 0.0;
-    std::uint32_t denied_threshold_ = 3;
     bool started_ = false;
     std::uint64_t periodic_id_ = 0;
     std::uint64_t msg_subscription_ = 0;

@@ -9,6 +9,17 @@
 
 namespace sa::monitor {
 
+namespace {
+
+constexpr double kDegradedThreshold = 0.7; ///< below => "sensor_degraded" anomaly
+constexpr double kFailedThreshold = 0.25;  ///< below => Critical "sensor_failed"
+constexpr std::size_t kWindow = 40;        ///< samples considered
+constexpr sim::Duration kEvaluationPeriod = sim::Duration::ms(100);
+/// Sample period of a healthy sensor (one per 50 ms control step).
+constexpr sim::Duration kExpectedPeriod = sim::Duration::ms(50);
+
+} // namespace
+
 SensorQualityMonitor::SensorQualityMonitor(sim::Simulator& simulator,
                                            std::string sensor_name,
                                            SensorQualityConfig config)
@@ -20,7 +31,7 @@ SensorQualityMonitor::~SensorQualityMonitor() { stop(); }
 
 void SensorQualityMonitor::sample(double value, bool valid) {
     samples_.push_back(Sample{simulator_.now(), value, valid});
-    while (samples_.size() > config_.window) {
+    while (samples_.size() > kWindow) {
         samples_.pop_front();
     }
 }
@@ -35,7 +46,7 @@ void SensorQualityMonitor::start() {
     // window at t=0 would alarm on a sensor that has not had a chance to
     // produce anything yet.
     periodic_id_ = simulator_.schedule_periodic(
-        config_.evaluation_period, [this] { evaluate(); }, config_.evaluation_period);
+        kEvaluationPeriod, [this] { evaluate(); }, kEvaluationPeriod);
 }
 
 void SensorQualityMonitor::stop() {
@@ -52,8 +63,7 @@ void SensorQualityMonitor::evaluate() {
 
     // Availability: samples seen in the evaluation window vs. expected count.
     const sim::Time now = simulator_.now();
-    const sim::Time window_start =
-        now - sim::Duration(config_.evaluation_period.count_ns());
+    const sim::Time window_start = now - kEvaluationPeriod;
     std::size_t recent = 0;
     for (const auto& s : samples_) {
         // Closed lower bound: a sample exactly at the window edge counts,
@@ -64,7 +74,7 @@ void SensorQualityMonitor::evaluate() {
         }
     }
     const double expected = std::max(
-        1.0, config_.evaluation_period.to_seconds() / config_.expected_period.to_seconds());
+        1.0, kEvaluationPeriod.to_seconds() / kExpectedPeriod.to_seconds());
     availability_ = std::min(1.0, static_cast<double>(recent) / expected);
 
     // Validity: driver-flagged valid fraction over the retained window.
@@ -100,20 +110,20 @@ void SensorQualityMonitor::evaluate() {
     quality_ = availability_ * validity_ * (0.5 + 0.5 * stability_);
     quality_updated_.emit(quality_);
 
-    if (!failed_alarmed_ && quality_ < config_.failed_threshold) {
+    if (!failed_alarmed_ && quality_ < kFailedThreshold) {
         failed_alarmed_ = true;
         degraded_alarmed_ = true;
         raise(Severity::Critical, sensor_, kinds::kSensorFailed,
               sa::format("quality %.2f (avail %.2f, valid %.2f, stab %.2f)", quality_,
                          availability_, validity_, stability_),
               1.0 - quality_);
-    } else if (!degraded_alarmed_ && quality_ < config_.degraded_threshold) {
+    } else if (!degraded_alarmed_ && quality_ < kDegradedThreshold) {
         degraded_alarmed_ = true;
         raise(Severity::Warning, sensor_, kinds::kSensorDegraded,
               sa::format("quality %.2f (avail %.2f, valid %.2f, stab %.2f)", quality_,
                          availability_, validity_, stability_),
               1.0 - quality_);
-    } else if (degraded_alarmed_ && quality_ >= config_.degraded_threshold) {
+    } else if (degraded_alarmed_ && quality_ >= kDegradedThreshold) {
         degraded_alarmed_ = false;
         failed_alarmed_ = false;
         raise(Severity::Info, sensor_, kinds::kSensorRecovered,

@@ -17,12 +17,7 @@
 namespace sa::monitor {
 
 struct SensorQualityConfig {
-    sim::Duration expected_period = sim::Duration::ms(50);
     double nominal_noise_sigma = 0.1;  ///< expected measurement noise
-    double degraded_threshold = 0.7;   ///< below => "sensor_degraded" anomaly
-    double failed_threshold = 0.25;    ///< below => Critical "sensor_failed"
-    std::size_t window = 40;           ///< samples considered
-    sim::Duration evaluation_period = sim::Duration::ms(100);
 };
 
 class SensorQualityMonitor : public Monitor {

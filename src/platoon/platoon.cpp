@@ -7,6 +7,21 @@
 
 namespace sa::platoon {
 
+namespace {
+
+/// Reputation a candidate needs to be admitted.
+constexpr double kTrustThreshold = 0.55;
+/// Byzantine members the agreement tolerates (clamped to what the admitted
+/// population supports).
+constexpr int kAssumedFaults = 1;
+/// The agreement rounds stop once the honest spread is below this.
+constexpr double kConsensusEpsilon = 0.1;
+/// The agreed speed is safe when it exceeds the slowest member's safe speed
+/// by no more than this.
+constexpr double kSafetyToleranceMps = 0.5;
+
+} // namespace
+
 double safe_speed_for_quality(double quality, double nominal_mps) {
     quality = std::clamp(quality, 0.0, 1.0);
     return std::max(2.0, nominal_mps * (0.25 + 0.75 * quality));
@@ -19,7 +34,7 @@ PlatoonAgreement PlatoonCoordinator::form(const std::vector<MemberCapability>& c
     // Trust gating: only admit members we trust.
     std::vector<const MemberCapability*> admitted;
     for (const auto& c : candidates) {
-        if (trust_.trusted(c.id, config_.trust_threshold)) {
+        if (trust_.trusted(c.id, kTrustThreshold)) {
             admitted.push_back(&c);
             agreement.members.push_back(c.id);
         }
@@ -75,8 +90,8 @@ PlatoonAgreement PlatoonCoordinator::form(const std::vector<MemberCapability>& c
     // tolerate byzantine members at all — the consensus then fails safe
     // (no convergence => no platoon) rather than agreeing on a poisoned value.
     const int max_f = (static_cast<int>(admitted.size()) - 1) / 3;
-    cc.assumed_faults = std::min(config_.assumed_faults, max_f);
-    cc.epsilon = config_.consensus_epsilon;
+    cc.assumed_faults = std::min(kAssumedFaults, max_f);
+    cc.epsilon = kConsensusEpsilon;
     ApproximateAgreement protocol(cc);
 
     agreement.speed_consensus = protocol.run(honest_speeds, byz_speed);
@@ -97,7 +112,7 @@ PlatoonAgreement PlatoonCoordinator::form(const std::vector<MemberCapability>& c
     const double hi_gap = *std::max_element(honest_gaps.begin(), honest_gaps.end());
     agreement.min_gap_m = std::max(agreement.gap_consensus.agreed_value, hi_gap);
     agreement.speed_safe =
-        agreement.common_speed_mps <= lo_speed + config_.safety_tolerance_mps;
+        agreement.common_speed_mps <= lo_speed + kSafetyToleranceMps;
     return agreement;
 }
 
@@ -161,7 +176,7 @@ void Platoon::record(ManeuverRecord r) {
 
 bool Platoon::adopt(std::vector<MemberCapability> members, RandomEngine& rng,
                     PlatoonAgreement& out) {
-    PlatoonCoordinator coordinator(trust_, config_);
+    PlatoonCoordinator coordinator(trust_);
     out = coordinator.form(members, rng);
     if (!out.formed) {
         return false;
@@ -204,7 +219,7 @@ const PlatoonAgreement& Platoon::join(const MemberCapability& candidate,
     r.subject = candidate.id;
     r.reason = std::move(reason);
     if (!formed() || contains(candidate.id) ||
-        !trust_.trusted(candidate.id, config_.trust_threshold)) {
+        !trust_.trusted(candidate.id, kTrustThreshold)) {
         r.succeeded = false;
         if (!formed()) {
             r.reason = "platoon not formed";
@@ -330,28 +345,6 @@ std::vector<MemberCapability> Platoon::split(const std::string& at, RandomEngine
         record(std::move(d));
     }
     return tail;
-}
-
-const PlatoonAgreement& Platoon::update_member(const MemberCapability& capability,
-                                               RandomEngine& rng) {
-    const auto it = std::find_if(
-        members_.begin(), members_.end(),
-        [&](const MemberCapability& m) { return m.id == capability.id; });
-    SA_REQUIRE(it != members_.end(),
-               "update_member: '" + capability.id + "' is not a member");
-    *it = capability;
-    PlatoonAgreement attempt;
-    if (!adopt(members_, rng, attempt)) {
-        members_.clear();
-        agreement_ = attempt;
-        ManeuverRecord d;
-        d.kind = ManeuverKind::Dissolve;
-        d.subject = capability.id;
-        d.reason = "re-agreement failed after capability update: " +
-                   attempt.rejected_reason;
-        record(std::move(d));
-    }
-    return agreement_;
 }
 
 } // namespace sa::platoon

@@ -49,17 +49,9 @@ struct PlatoonAgreement {
     bool speed_safe = true;
 };
 
-struct PlatoonConfig {
-    double trust_threshold = 0.55;
-    int assumed_faults = 1;
-    double consensus_epsilon = 0.1;
-    double safety_tolerance_mps = 0.5;
-};
-
 class PlatoonCoordinator {
 public:
-    PlatoonCoordinator(TrustManager& trust, PlatoonConfig config = {})
-        : trust_(trust), config_(config) {}
+    explicit PlatoonCoordinator(TrustManager& trust) : trust_(trust) {}
 
     /// Form a platoon from candidates: untrusted members are rejected, then
     /// the admitted members agree on common speed and gap. Byzantine members
@@ -70,7 +62,6 @@ public:
 
 private:
     TrustManager& trust_;
-    PlatoonConfig config_;
 };
 
 // --- maneuvers ---------------------------------------------------------------------
@@ -100,9 +91,8 @@ struct ManeuverRecord {
 /// Thresholds driving automatic maneuvers from ability-graph levels (the
 /// scenario layer's maneuver engine evaluates these at script barriers).
 struct ManeuverPolicy {
-    /// Root skill watched on every member (and candidate) vehicle.
-    std::string follow_skill = "platoon_follow";
-    /// A member whose follow skill drops below this leaves the platoon.
+    /// A member whose platoon_follow skill drops below this leaves the
+    /// platoon.
     double leave_below = 0.5;
     /// A *mid-platoon* member below this forces a split at its position
     /// (the vehicles behind cannot safely follow through it).
@@ -121,8 +111,7 @@ struct ManeuverPolicy {
 /// PlatoonCoordinator over the shared TrustManager.
 class Platoon {
 public:
-    Platoon(std::string id, TrustManager& trust, PlatoonConfig config = {})
-        : id_(std::move(id)), trust_(trust), config_(config) {}
+    Platoon(std::string id, TrustManager& trust) : id_(std::move(id)), trust_(trust) {}
 
     [[nodiscard]] const std::string& platoon_id() const noexcept { return id_; }
     [[nodiscard]] bool formed() const noexcept { return agreement_.formed; }
@@ -160,11 +149,6 @@ public:
     std::vector<MemberCapability> split(const std::string& at, RandomEngine& rng,
                                         std::string reason = {});
 
-    /// Refresh a member's capability (degraded sensors => lower safe speed)
-    /// and re-run the agreement so the common speed respects it.
-    const PlatoonAgreement& update_member(const MemberCapability& capability,
-                                          RandomEngine& rng);
-
     [[nodiscard]] const std::vector<ManeuverRecord>& history() const noexcept {
         return history_;
     }
@@ -180,7 +164,6 @@ private:
 
     std::string id_;
     TrustManager& trust_;
-    PlatoonConfig config_;
     PlatoonAgreement agreement_;
     std::vector<MemberCapability> members_;
     std::vector<ManeuverRecord> history_;

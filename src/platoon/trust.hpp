@@ -5,13 +5,14 @@
 // Beta-reputation: trust = (positive + 1) / (interactions + 2), i.e. a
 // Laplace-smoothed success ratio starting at 0.5 for strangers.
 //
-// Trust is earned over the V2V mesh (§V: cooperating vehicles "share
+// Trust can be earned over the V2V mesh (§V: cooperating vehicles "share
 // information", but "the communication to or the platform of another vehicle
-// might not be fully trustworthy"). CAM frames arrive over the v2v::Medium /
-// mesh::MeshStack transport (src/mesh/); a PlausibilityChecker compares a
+// might not be fully trustworthy"): a PlausibilityChecker compares a
 // neighbour's claims against the receiver's own sensor observations and
-// feeds the outcome into the TrustManager — this is how the reputation that
-// gates platoon formation is earned in the first place.
+// feeds the outcome into the TrustManager. No scenario wires it today: the
+// reputation that gates platoon formation is seeded by
+// ScenarioBuilder::trust() in every preset and example, and the checker
+// runs only in tests (ROADMAP direction 4).
 
 #include <cstdint>
 #include <map>

@@ -7,14 +7,19 @@
 
 namespace sa::rte {
 
+namespace {
+
+constexpr double kRthCPerW = 6.0; ///< junction-to-ambient thermal resistance
+constexpr double kPIdleW = 1.5;
+constexpr double kPDynW = 8.0;    ///< at 100% utilization, speed 1.0
+constexpr sim::Duration kUpdatePeriod = sim::Duration::ms(100);
+
+} // namespace
+
 ThermalModel::ThermalModel(sim::Simulator& simulator, FixedPriorityScheduler& scheduler,
                            ThermalConfig config)
-    : simulator_(simulator),
-      scheduler_(scheduler),
-      config_(config),
-      temp_c_(config.initial_c) {
+    : simulator_(simulator), scheduler_(scheduler), config_(config) {
     SA_REQUIRE(config_.tau_s > 0.0, "thermal time constant must be positive");
-    SA_REQUIRE(config_.update_period.count_ns() > 0, "update period must be positive");
 }
 
 void ThermalModel::start() {
@@ -23,7 +28,7 @@ void ThermalModel::start() {
     }
     last_update_ = simulator_.now();
     last_busy_ns_ = scheduler_.busy_ns();
-    periodic_id_ = simulator_.schedule_periodic(config_.update_period, [this] { update(); });
+    periodic_id_ = simulator_.schedule_periodic(kUpdatePeriod, [this] { update(); });
 }
 
 void ThermalModel::stop() {
@@ -49,8 +54,8 @@ void ThermalModel::update() {
     last_update_ = now;
 
     const double speed = scheduler_.speed_factor();
-    const double power = config_.p_idle_w + config_.p_dyn_w * util * speed * speed;
-    const double steady = config_.ambient_c + config_.r_th_c_per_w * power;
+    const double power = kPIdleW + kPDynW * util * speed * speed;
+    const double steady = config_.ambient_c + kRthCPerW * power;
     // Exponential relaxation towards the steady-state temperature.
     const double alpha = 1.0 - std::exp(-dt / config_.tau_s);
     temp_c_ += (steady - temp_c_) * alpha;

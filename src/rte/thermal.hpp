@@ -21,11 +21,6 @@ class FixedPriorityScheduler;
 struct ThermalConfig {
     double ambient_c = 25.0;
     double tau_s = 20.0;           ///< thermal time constant
-    double r_th_c_per_w = 6.0;     ///< junction-to-ambient thermal resistance
-    double p_idle_w = 1.5;
-    double p_dyn_w = 8.0;          ///< at 100% utilization, speed 1.0
-    double initial_c = 25.0;
-    sim::Duration update_period = sim::Duration::ms(100);
 };
 
 class ThermalModel {
@@ -51,7 +46,7 @@ private:
     sim::Simulator& simulator_;
     FixedPriorityScheduler& scheduler_;
     ThermalConfig config_;
-    double temp_c_;
+    double temp_c_ = 25.0; ///< the die starts at 25 °C
     std::int64_t last_busy_ns_ = 0;
     sim::Time last_update_ = sim::Time::zero();
     std::uint64_t periodic_id_ = 0;

@@ -84,9 +84,8 @@ learn::LearnedMonitorConfig drift_demo_model(const DriftDemoConfig& config) {
 }
 
 void declare_drift_demo(ScenarioBuilder& builder, const DriftDemoConfig& config) {
-    SA_REQUIRE(config.drift_start.count_ns() >= config.warmup.count_ns(),
+    SA_REQUIRE(DriftDemoConfig::kDriftStart.count_ns() >= config.warmup.count_ns(),
                "drift must start after the learned monitor's warm-up");
-    SA_REQUIRE(config.drift_steps > 0, "drift needs at least one step");
 
     builder.domains(config.domains);
     builder.duration_hint(config.duration);
@@ -99,8 +98,9 @@ void declare_drift_demo(ScenarioBuilder& builder, const DriftDemoConfig& config)
     vehicle::ScenarioConfig driving;
     driving.ego_speed_mps = 22.0;
     driving.lead_speed_mps = 22.0;
-    driving.initial_gap_m = driving.acc.min_gap_m +
-                            driving.acc.time_gap_s * driving.ego_speed_mps;
+    driving.initial_gap_m =
+        vehicle::AccController::kMinGapM +
+        vehicle::AccController::kInitialTimeGapS * driving.ego_speed_mps;
     ego.driving(driving);
 
     vehicle::SensorConfig radar;
@@ -137,7 +137,7 @@ void declare_drift_demo(ScenarioBuilder& builder, const DriftDemoConfig& config)
     rule.anomaly_kind = monitor::kinds::kLearnedAbnormality;
     rule.capability = skills::acc::kRadar;
     rule.quality = skills::QualityKind::Accuracy;
-    rule.degraded_value = config.degraded_radar_level;
+    rule.degraded_value = DriftDemoConfig::kDegradedRadarLevel;
     policy.on_anomaly(rule);
     ego.degradation_policy(std::move(policy));
 
@@ -147,9 +147,9 @@ void declare_drift_demo(ScenarioBuilder& builder, const DriftDemoConfig& config)
     // adds drift_step_m of bias. No threshold is ever crossed — the quality
     // monitor sees unchanged availability/validity/noise — but the joint
     // metric state slides into unvisited territory.
-    for (int step = 0; step < config.drift_steps; ++step) {
-        const sim::Duration when =
-            config.drift_start + config.drift_step_period * step;
+    for (int step = 0; step < DriftDemoConfig::kDriftSteps; ++step) {
+        const sim::Duration when = DriftDemoConfig::kDriftStart +
+                                   DriftDemoConfig::kDriftStepPeriod * step;
         const double bias = config.drift_step_m * (step + 1);
         builder.at(when, [bias](Scenario& scenario) {
             scenario.vehicle("ego").driving().set_sensor_bias(0, bias);

@@ -64,9 +64,9 @@ struct DriftDemoConfig {
     /// an ordinary state as "new" and alarms on nothing.
     sim::Duration warmup = sim::Duration::sec(30);
     /// First bias step; the ramp must start after the warm-up.
-    sim::Duration drift_start = sim::Duration::sec(32);
-    sim::Duration drift_step_period = sim::Duration::ms(400);
-    int drift_steps = 12;
+    static constexpr sim::Duration kDriftStart = sim::Duration::sec(32);
+    static constexpr sim::Duration kDriftStepPeriod = sim::Duration::ms(400);
+    static constexpr int kDriftSteps = 12;
     double drift_step_m = 0.5; ///< radar bias added per step
     /// Surprise (bits) that raises the alarm. Sits between the rarest
     /// normal corner state (~7 bits: a ~1%-frequency excursion) and a
@@ -80,7 +80,7 @@ struct DriftDemoConfig {
     /// calibration actually walks.
     double band_width = 3.0;
     /// Radar capability level imposed by the learned_abnormality rule.
-    double degraded_radar_level = 0.3;
+    static constexpr double kDegradedRadarLevel = 0.3;
 };
 
 /// The exact learned-monitor configuration the drift scenario installs —

@@ -1,5 +1,6 @@
 #include "scenario/scenario.hpp"
 
+#include "skills/capability_registry.hpp"
 #include "util/assert.hpp"
 
 namespace sa::scenario {
@@ -57,7 +58,7 @@ platoon::PlatoonAgreement Scenario::form_platoon() { return form_platoon(candida
 platoon::PlatoonAgreement
 Scenario::form_platoon(const std::vector<platoon::MemberCapability>& candidates) {
     SA_REQUIRE(!candidates.empty(), "form_platoon() needs candidates");
-    platoon::PlatoonCoordinator coordinator(trust_, platoon_config_);
+    platoon::PlatoonCoordinator coordinator(trust_);
     return coordinator.form(candidates, rng_);
 }
 
@@ -108,7 +109,7 @@ void Scenario::run_maneuver_check() {
     if (!platoon_->formed()) {
         return; // not formed yet: keep polling for a scripted formation
     }
-    const std::string& follow = maneuver_policy_.follow_skill;
+    const std::string follow = skills::caps::kPlatoonFollow;
     auto follow_level = [&](const std::string& name, double& level) {
         if (!has_vehicle(name)) {
             return false;

@@ -302,7 +302,6 @@ private:
     sim::ShardedKernel kernel_;
     RandomEngine rng_;
     platoon::TrustManager trust_;
-    platoon::PlatoonConfig platoon_config_;
     std::vector<platoon::MemberCapability> candidates_;
     std::unique_ptr<platoon::Platoon> platoon_;
     platoon::ManeuverPolicy maneuver_policy_;

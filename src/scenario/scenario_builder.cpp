@@ -56,18 +56,12 @@ ScenarioBuilder& ScenarioBuilder::trust(const std::string& peer, int positive,
     return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::platoon_config(platoon::PlatoonConfig config) {
-    platoon_config_ = config;
-    return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::platoon_candidate(platoon::MemberCapability candidate) {
     candidates_.push_back(std::move(candidate));
     return *this;
 }
 
 ScenarioBuilder& ScenarioBuilder::platoon_maneuvers(platoon::ManeuverPolicy policy) {
-    SA_REQUIRE(!policy.follow_skill.empty(), "maneuver policy needs a follow skill");
     SA_REQUIRE(policy.check_period.count_ns() > 0,
                "maneuver check period must be positive");
     SA_REQUIRE(policy.leave_below >= policy.split_below,
@@ -110,6 +104,8 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
         std::optional<std::string> error; ///< the TXT001 message
     };
     std::vector<ParsedText> parsed;
+    const std::vector<std::size_t> domains = vehicle_domains();
+    auto domain = domains.begin();
     for (const auto& builder : builders_) {
         ParsedText& text = parsed.emplace_back();
         try {
@@ -119,6 +115,7 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
         }
         lint::VehicleShape vehicle;
         builder.describe(vehicle, text.contracts);
+        vehicle.domain = *domain++;
         shape.vehicles.push_back(std::move(vehicle));
     }
     for (const auto& spec : bridges_) {
@@ -158,20 +155,25 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     return report;
 }
 
-std::unique_ptr<Scenario> ScenarioBuilder::build() {
-    auto scenario = std::unique_ptr<Scenario>(new Scenario(seed_, num_domains_));
+std::vector<std::size_t> ScenarioBuilder::vehicle_domains() const {
+    std::vector<std::size_t> domains;
     std::size_t round_robin = 0;
     for (const auto& builder : builders_) {
+        // Pinned vehicles take no round-robin slot, so "round-robin in
+        // declaration order unless pinned" means exactly that.
+        const std::optional<std::size_t> pin = builder.assigned_domain();
+        domains.push_back(pin.has_value() ? *pin : round_robin++ % num_domains_);
+    }
+    return domains;
+}
+
+std::unique_ptr<Scenario> ScenarioBuilder::build() {
+    auto scenario = std::unique_ptr<Scenario>(new Scenario(seed_, num_domains_));
+    const std::vector<std::size_t> domains = vehicle_domains();
+    auto next_domain = domains.begin();
+    for (const auto& builder : builders_) {
         const std::string& name = builder.name();
-        // Pinned vehicles must not consume round-robin slots: only unpinned
-        // ones advance the counter, so "round-robin in declaration order
-        // unless pinned" means exactly that.
-        std::size_t domain;
-        if (builder.assigned_domain().has_value()) {
-            domain = *builder.assigned_domain();
-        } else {
-            domain = round_robin++ % num_domains_;
-        }
+        const std::size_t domain = *next_domain++;
         SA_REQUIRE(domain < num_domains_,
                    "vehicle '" + name + "' pinned to domain out of range");
         scenario->vehicles_.emplace(name,
@@ -225,12 +227,11 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
                 endpoint->position_m);
         }
     }
-    scenario->platoon_config_ = platoon_config_;
     scenario->candidates_ = candidates_;
     if (maneuver_policy_.has_value()) {
         scenario->maneuver_policy_ = *maneuver_policy_;
-        scenario->platoon_ = std::make_unique<platoon::Platoon>(
-            "platoon", scenario->trust_, platoon_config_);
+        scenario->platoon_ =
+            std::make_unique<platoon::Platoon>("platoon", scenario->trust_);
         scenario->schedule_maneuver_check(
             sim::Time(maneuver_policy_->check_period.count_ns()));
         scenario->check_armed_ = true;

@@ -64,7 +64,6 @@ public:
                          sim::Duration latency = sim::Duration::ms(20));
     /// Seed the shared TrustManager with interaction history for a peer.
     ScenarioBuilder& trust(const std::string& peer, int positive, int negative = 0);
-    ScenarioBuilder& platoon_config(platoon::PlatoonConfig config);
     ScenarioBuilder& platoon_candidate(platoon::MemberCapability candidate);
     /// Manage a platoon over the declared candidates with automatic
     /// join/leave/split maneuvers driven by the members' skill-graph levels:
@@ -97,6 +96,11 @@ public:
     [[nodiscard]] std::unique_ptr<Scenario> build();
 
 private:
+    /// The domain each declared vehicle runs on, in declaration order: its
+    /// pin, else the next slot of a round-robin over the unpinned vehicles.
+    /// build() places the vehicles by it; lint() hands it to SCN003/SCN004.
+    [[nodiscard]] std::vector<std::size_t> vehicle_domains() const;
+
     struct TrustSeed {
         std::string peer;
         int positive;
@@ -114,7 +118,6 @@ private:
     bool v2v_enabled_ = false;
     v2v::MediumConfig v2v_config_{};
     std::vector<TrustSeed> trust_seeds_;
-    platoon::PlatoonConfig platoon_config_{};
     std::vector<platoon::MemberCapability> candidates_;
     std::optional<platoon::ManeuverPolicy> maneuver_policy_;
     std::vector<Script> scripts_;

@@ -15,6 +15,9 @@ namespace sa::scenario {
 
 namespace {
 
+/// Period of the metric pump that feeds a learned monitor's tap.
+constexpr sim::Duration kLearnedPumpPeriod = sim::Duration::ms(50);
+
 template <class... Ts>
 struct overloaded : Ts... {
     using Ts::operator()...;
@@ -283,7 +286,6 @@ model::ChangeRequest VehicleBuilder::change_request() const {
 void VehicleBuilder::describe(lint::VehicleShape& shape,
                               const std::vector<model::Contract>& contracts) const {
     shape.name = name_;
-    shape.domain_pin = domain_;
     for (const auto& spec : ecus_) {
         shape.ecus.push_back(spec.model.name);
     }
@@ -660,7 +662,7 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         }
         Vehicle* vp = &v;
         v.learned_pump_id_ = simulator.schedule_periodic(
-            v.learned_->config().period, [vp, feeds] {
+            kLearnedPumpPeriod, [vp, feeds] {
                 const sim::Time now = vp->simulator_.now();
                 for (const auto& feed : *feeds) {
                     if (const std::optional<double> value = feed.read(*vp)) {

@@ -126,7 +126,7 @@ public:
     /// tracked metrics resolve from the declarations — drive.gap and
     /// drive.speed when driving() is declared, sensor.<name> per declared
     /// sensor, skill.<root> when a skill graph is declared — and build()
-    /// schedules a metric pump at config.period feeding them into the
+    /// schedules a 50 ms metric pump feeding them into the
     /// monitor manager. Explicitly configured metrics are pumped when they
     /// match one of those feeds and otherwise expected from external
     /// producers (thermal signals, ad-hoc ingest() calls).

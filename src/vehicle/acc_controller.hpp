@@ -8,17 +8,6 @@
 
 namespace sa::vehicle {
 
-struct AccConfig {
-    double set_speed_mps = 30.0;
-    double time_gap_s = 1.8;
-    double min_gap_m = 5.0;
-    double kp_gap = 0.12;    ///< gap error -> accel demand
-    double kd_gap = 0.35;    ///< closing-speed damping
-    double kp_speed = 0.35;  ///< speed error -> accel demand
-    double max_accel = 2.0;  ///< m/s^2 demand clamp
-    double max_decel = 6.0;  ///< m/s^2 demand clamp
-};
-
 struct AccCommand {
     double throttle = 0.0; ///< [0, 1]
     double brake = 0.0;    ///< [0, 1]
@@ -27,7 +16,10 @@ struct AccCommand {
 
 class AccController {
 public:
-    explicit AccController(AccConfig config = {}) : config_(config) {}
+    /// Standstill gap and initial time gap of the spacing policy: the
+    /// desired gap is kMinGapM + time_gap * ego speed.
+    static constexpr double kMinGapM = 5.0;
+    static constexpr double kInitialTimeGapS = 1.8;
 
     /// One control step. `measured_gap_m`/`closing_speed_mps` come from the
     /// perception chain (nullopt when no valid target): without a target the
@@ -43,13 +35,12 @@ public:
         return speed_limit_;
     }
     /// Widen the time gap (degraded sensing => more margin).
-    void set_time_gap(double seconds) { config_.time_gap_s = seconds; }
+    void set_time_gap(double seconds) { time_gap_s_ = seconds; }
 
-    [[nodiscard]] const AccConfig& config() const noexcept { return config_; }
     [[nodiscard]] double effective_set_speed() const noexcept;
 
 private:
-    AccConfig config_;
+    double time_gap_s_ = kInitialTimeGapS;
     std::optional<double> speed_limit_;
 };
 

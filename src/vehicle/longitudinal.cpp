@@ -4,6 +4,17 @@
 
 namespace sa::vehicle {
 
+namespace {
+
+constexpr double kMassKg = 1600.0;
+constexpr double kDrag = 0.40;           ///< 0.5 * rho * cd * A  [kg/m]
+constexpr double kRollingCoeff = 0.012;  ///< rolling resistance coefficient
+constexpr double kMaxEngineForceN = 4500.0;
+constexpr double kMaxBrakeForceN = 12000.0; ///< full system (front + rear)
+constexpr double kGravity = 9.81;
+
+} // namespace
+
 void LongitudinalModel::step(double dt_s, double throttle, double brake,
                              double brake_effectiveness) {
     SA_REQUIRE(dt_s > 0.0, "time step must be positive");
@@ -11,13 +22,12 @@ void LongitudinalModel::step(double dt_s, double throttle, double brake,
     brake = std::clamp(brake, 0.0, 1.0);
     brake_effectiveness = std::clamp(brake_effectiveness, 0.0, 1.0);
 
-    const double f_engine = throttle * params_.max_engine_force_n;
-    const double f_brake = brake * params_.max_brake_force_n * brake_effectiveness;
-    const double f_drag = params_.drag * speed_ * speed_;
-    const double f_roll =
-        speed_ > 0.0 ? params_.rolling_coeff * params_.mass_kg * params_.gravity : 0.0;
+    const double f_engine = throttle * kMaxEngineForceN;
+    const double f_brake = brake * kMaxBrakeForceN * brake_effectiveness;
+    const double f_drag = kDrag * speed_ * speed_;
+    const double f_roll = speed_ > 0.0 ? kRollingCoeff * kMassKg * kGravity : 0.0;
 
-    const double accel = (f_engine - f_brake - f_drag - f_roll) / params_.mass_kg;
+    const double accel = (f_engine - f_brake - f_drag - f_roll) / kMassKg;
     speed_ = std::max(0.0, speed_ + accel * dt_s);
     position_ += speed_ * dt_s;
 }
@@ -25,8 +35,7 @@ void LongitudinalModel::step(double dt_s, double throttle, double brake,
 double LongitudinalModel::stopping_distance(double speed,
                                             double brake_effectiveness) const {
     brake_effectiveness = std::clamp(brake_effectiveness, 0.01, 1.0);
-    const double decel =
-        params_.max_brake_force_n * brake_effectiveness / params_.mass_kg;
+    const double decel = kMaxBrakeForceN * brake_effectiveness / kMassKg;
     return speed * speed / (2.0 * decel);
 }
 

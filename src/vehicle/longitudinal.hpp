@@ -7,19 +7,8 @@
 
 namespace sa::vehicle {
 
-struct VehicleParams {
-    double mass_kg = 1600.0;
-    double drag = 0.40;              ///< 0.5 * rho * cd * A  [kg/m]
-    double rolling_coeff = 0.012;    ///< rolling resistance coefficient
-    double max_engine_force_n = 4500.0;
-    double max_brake_force_n = 12000.0; ///< full system (front + rear)
-    double gravity = 9.81;
-};
-
 class LongitudinalModel {
 public:
-    explicit LongitudinalModel(VehicleParams params = {}) : params_(params) {}
-
     /// Advance by dt seconds with normalized commands in [0, 1].
     /// `brake_effectiveness` scales available brake force (degraded rear
     /// braking reduces it; see BrakeByWire).
@@ -30,14 +19,11 @@ public:
     void set_speed(double mps) noexcept { speed_ = std::max(0.0, mps); }
     void set_position(double m) noexcept { position_ = m; }
 
-    [[nodiscard]] const VehicleParams& params() const noexcept { return params_; }
-
     /// Idealized stopping distance from `speed` with the given effectiveness
     /// (constant deceleration, no reaction time).
     [[nodiscard]] double stopping_distance(double speed, double brake_effectiveness) const;
 
 private:
-    VehicleParams params_;
     double speed_ = 0.0;
     double position_ = 0.0;
 };

@@ -6,11 +6,15 @@
 
 namespace sa::vehicle {
 
+namespace {
+
+/// Period of the sense-fuse-control loop.
+constexpr sim::Duration kControlPeriod = sim::Duration::ms(50);
+
+} // namespace
+
 VehicleSim::VehicleSim(sim::Simulator& simulator, ScenarioConfig config)
     : simulator_(simulator),
-      config_(config),
-      ego_(config.vehicle),
-      acc_(config.acc),
       lead_position_(config.initial_gap_m),
       lead_speed_(config.lead_speed_mps) {
     ego_.set_speed(config.ego_speed_mps);
@@ -47,7 +51,7 @@ void VehicleSim::start() {
         return;
     }
     periodic_id_ =
-        simulator_.schedule_periodic(config_.control_period, [this] { control_step(); });
+        simulator_.schedule_periodic(kControlPeriod, [this] { control_step(); });
 }
 
 void VehicleSim::stop() {
@@ -65,7 +69,7 @@ std::optional<double> VehicleSim::sense_and_fuse() {
     int n = 0;
     for (std::size_t i = 0; i < sensors_.size(); ++i) {
         RangeMeasurement m =
-            sensors_[i].measure(true_gap, config_.weather, simulator_.rng());
+            sensors_[i].measure(true_gap, weather_, simulator_.rng());
         // Calibration drift: the bias rides on every valid return, upstream
         // of both the quality monitor and the fusion.
         m.range_m += sensor_bias_[i];
@@ -91,7 +95,7 @@ std::optional<double> VehicleSim::sense_and_fuse() {
 }
 
 void VehicleSim::control_step() {
-    const double dt = config_.control_period.to_seconds();
+    const double dt = kControlPeriod.to_seconds();
     ++steps_;
 
     // Lead vehicle update.

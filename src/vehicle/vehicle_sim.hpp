@@ -24,10 +24,6 @@ struct ScenarioConfig {
     double initial_gap_m = 60.0;
     double ego_speed_mps = 25.0;
     double lead_speed_mps = 22.0;
-    sim::Duration control_period = sim::Duration::ms(50);
-    WeatherCondition weather = WeatherCondition::clear();
-    AccConfig acc{};
-    VehicleParams vehicle{};
 };
 
 /// Lead-vehicle speed profile: time -> speed (m/s). Default: constant.
@@ -57,10 +53,9 @@ public:
     [[nodiscard]] std::optional<double> last_measurement(std::size_t sensor_index) const;
 
     void set_lead_profile(LeadProfile profile) { lead_profile_ = std::move(profile); }
-    void set_weather(const WeatherCondition& weather) { config_.weather = weather; }
-    [[nodiscard]] const WeatherCondition& weather() const noexcept {
-        return config_.weather;
-    }
+    /// Weather the sensors see; clear until set.
+    void set_weather(const WeatherCondition& weather) { weather_ = weather; }
+    [[nodiscard]] const WeatherCondition& weather() const noexcept { return weather_; }
 
     void start();
     void stop();
@@ -92,7 +87,7 @@ private:
     std::optional<double> sense_and_fuse();
 
     sim::Simulator& simulator_;
-    ScenarioConfig config_;
+    WeatherCondition weather_ = WeatherCondition::clear();
     LongitudinalModel ego_;
     AccController acc_;
     BrakeByWire brakes_;

@@ -59,8 +59,7 @@ TEST(MetricModel, FreezesBaselineAfterWarmup) {
 TEST(MetricModel, MinSigmaFloorsConstantWarmup) {
     MetricModelConfig cfg;
     cfg.warmup_samples = 8;
-    cfg.min_sigma = 0.01;
-    MetricModel model(cfg);
+    MetricModel model(cfg); // sigma floor 0.01
     for (int i = 0; i < 8; ++i) {
         model.update(5.0);
     }
@@ -77,8 +76,7 @@ TEST(MetricModel, MinSigmaFloorsConstantWarmup) {
 TEST(MetricModel, EwmaTracksTheStreamSlowly) {
     MetricModelConfig cfg;
     cfg.warmup_samples = 4;
-    cfg.ewma_alpha = 0.05;
-    MetricModel model(cfg);
+    MetricModel model(cfg); // EWMA alpha 0.05
     for (int i = 0; i < 4; ++i) {
         model.update(1.0);
     }
@@ -96,8 +94,7 @@ TEST(MetricModel, EwmaTracksTheStreamSlowly) {
 TEST(StateModel, BandQuantizerRoundsAndClamps) {
     StateModelConfig cfg;
     cfg.band_width = 1.0;
-    cfg.band_limit = 4;
-    StateModel model(cfg);
+    StateModel model(cfg); // bands clamp to [-4, 4]
     EXPECT_EQ(model.band(0.0), 0);
     EXPECT_EQ(model.band(0.4), 0);
     EXPECT_EQ(model.band(0.6), 1);
@@ -144,9 +141,7 @@ TEST(StateModel, NovelStatesScoreHighRevisitsScoreLow) {
 }
 
 TEST(StateModel, ClusterRadiusAbsorbsNearbyVectors) {
-    StateModelConfig cfg;
-    cfg.cluster_radius = 1.0;
-    StateModel model(cfg);
+    StateModel model; // cluster radius 1.0 (L1)
     (void)model.observe({0, 0});
     const auto near = model.observe({1, 0}); // L1 distance 1: absorbed
     EXPECT_FALSE(near.new_state);
@@ -353,7 +348,7 @@ DriftRun run_drift_demo(const DriftDemoConfig& config) {
             run.learned_events.push_back(
                 {a.at.ns(), 0, 0.0,
                  a.kind == monitor::kinds::kLearnedAbnormality});
-            if (a.at.ns() < config.drift_start.count_ns() &&
+            if (a.at.ns() < DriftDemoConfig::kDriftStart.count_ns() &&
                 a.kind == monitor::kinds::kLearnedAbnormality) {
                 ++run.learned_before_drift;
             }
@@ -383,8 +378,8 @@ TEST(DriftDemo, SlowDriftIsCaughtOnlyByTheLearnedMonitor) {
         std::count_if(run.learned_events.begin(), run.learned_events.end(),
                       [](const ScoredEvent& e) { return e.abnormal; }));
     ASSERT_GE(abnormal, 1u);
-    EXPECT_GE(run.learned_events.front().at_ns, config.drift_start.count_ns());
-    EXPECT_NEAR(run.radar_level, config.degraded_radar_level, 1e-9);
+    EXPECT_GE(run.learned_events.front().at_ns, DriftDemoConfig::kDriftStart.count_ns());
+    EXPECT_NEAR(run.radar_level, DriftDemoConfig::kDegradedRadarLevel, 1e-9);
     EXPECT_LT(run.acc_level, 1.0);
 }
 

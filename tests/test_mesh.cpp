@@ -1,7 +1,7 @@
 // Tests for the sa::mesh subsystem: the v2v::Medium radio substrate
 // (counter invariants, seeded loss reproducibility, range/fading physics)
 // and the mesh::MeshStack protocol endpoint (neighbor tables, TTL'd
-// announcements with selective on-announcement, policy-based multi-hop CAM
+// announcements with selective on-announcement, fewest-hops multi-hop CAM
 // relay) — plus the determinism suite: neighbor tables, chosen routes and
 // relay counters reproduce byte-identically at 1, 2 and 4 ECU domains.
 //
@@ -384,38 +384,24 @@ TEST(MeshStack, SilentNeighborsAgeOut) {
     EXPECT_FALSE(a.next_hop("b").has_value());
 }
 
-TEST(MeshStack, NextHopPolicyNamesRoundTrip) {
-    for (const mesh::NextHopPolicy policy :
-         {mesh::NextHopPolicy::HopCount, mesh::NextHopPolicy::Rssi,
-          mesh::NextHopPolicy::Prr}) {
-        mesh::NextHopPolicy parsed{};
-        ASSERT_TRUE(
-            mesh::next_hop_policy_from_string(mesh::to_string(policy), parsed));
-        EXPECT_EQ(parsed, policy);
-    }
-    mesh::NextHopPolicy parsed{};
-    EXPECT_FALSE(mesh::next_hop_policy_from_string("dijkstra", parsed));
-}
-
-TEST(MeshStack, RssiPolicyPrefersTheStrongerLink) {
+TEST(MeshStack, NextHopTiesGoToTheSmallestNeighborName) {
     // Diamond: a(0) reaches relays r1(40) and r2(130); the far node d(180)
-    // reaches both relays but not a. Under the RSSI policy a must route via
-    // the much closer (stronger) r1.
+    // reaches both relays but not a. Both routes take two hops, so a picks
+    // the relay whose name sorts first.
     sim::Simulator sim;
     v2v::Medium medium(sim, {.latency = Duration::ms(5), .range_m = 150.0});
-    mesh::MeshConfig a_config;
-    a_config.policy = mesh::NextHopPolicy::Rssi;
-    mesh::MeshStack a("a", medium, sim, a_config, 0.0);
-    mesh::MeshStack r1("r1", medium, sim,
-                       {.beacon_phase = Duration::us(913)}, 40.0);
+    mesh::MeshStack a("a", medium, sim, {}, 0.0);
     mesh::MeshStack r2("r2", medium, sim,
-                       {.beacon_phase = Duration::us(1826)}, 130.0);
+                       {.beacon_phase = Duration::us(1826)}, 40.0);
+    mesh::MeshStack r1("r1", medium, sim,
+                       {.beacon_phase = Duration::us(913)}, 130.0);
     mesh::MeshStack d("d", medium, sim,
                       {.beacon_phase = Duration::us(2739)}, 180.0);
     sim.run_until(Time(Duration::sec(1).count_ns()));
     const auto hop = a.next_hop("d");
     ASSERT_TRUE(hop.has_value());
     EXPECT_EQ(*hop, "r1");
+    EXPECT_EQ(a.routes().at("d").size(), 2u);
 }
 
 // --- determinism across domain counts -----------------------------------------------

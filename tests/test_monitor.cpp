@@ -246,8 +246,7 @@ TEST(RateIds, WithinBoundStaysQuiet) {
 TEST(RateIds, AccessProbeDetected) {
     IdsRig rig;
     rig.services.provide("victim", "secret", [](const rte::Message&) {});
-    RateMonitor ids(rig.sim, rig.services, Duration::ms(100));
-    ids.set_denied_open_threshold(3);
+    RateMonitor ids(rig.sim, rig.services, Duration::ms(100)); // probe at 3 denials
     std::vector<std::string> kinds;
     ids.anomaly().subscribe([&](const Anomaly& a) { kinds.push_back(a.kind); });
     for (int i = 0; i < 5; ++i) {
@@ -282,7 +281,6 @@ TEST(RateIds, RecoveryAfterStormEnds) {
 TEST(SensorQuality, NominalStreamScoresHigh) {
     sim::Simulator sim;
     SensorQualityConfig cfg;
-    cfg.expected_period = Duration::ms(50);
     cfg.nominal_noise_sigma = 0.3;
     SensorQualityMonitor mon(sim, "radar", cfg);
     mon.start();
@@ -297,7 +295,6 @@ TEST(SensorQuality, NominalStreamScoresHigh) {
 TEST(SensorQuality, DropoutsDegradeAvailability) {
     sim::Simulator sim;
     SensorQualityConfig cfg;
-    cfg.expected_period = Duration::ms(50);
     SensorQualityMonitor mon(sim, "camera", cfg);
     std::vector<std::string> kinds;
     mon.anomaly().subscribe([&](const Anomaly& a) { kinds.push_back(a.kind); });
@@ -317,7 +314,6 @@ TEST(SensorQuality, DropoutsDegradeAvailability) {
 TEST(SensorQuality, NoiseExplosionDegradesStability) {
     sim::Simulator sim;
     SensorQualityConfig cfg;
-    cfg.expected_period = Duration::ms(50);
     cfg.nominal_noise_sigma = 0.1;
     SensorQualityMonitor mon(sim, "lidar", cfg);
     mon.start();
@@ -332,7 +328,6 @@ TEST(SensorQuality, NoiseExplosionDegradesStability) {
 TEST(SensorQuality, InvalidFlagsDegradeValidity) {
     sim::Simulator sim;
     SensorQualityConfig cfg;
-    cfg.expected_period = Duration::ms(50);
     SensorQualityMonitor mon(sim, "radar", cfg);
     mon.start();
     RandomEngine rng(5);
@@ -347,7 +342,6 @@ TEST(SensorQuality, InvalidFlagsDegradeValidity) {
 TEST(SensorQuality, RecoverySignalled) {
     sim::Simulator sim;
     SensorQualityConfig cfg;
-    cfg.expected_period = Duration::ms(50);
     SensorQualityMonitor mon(sim, "radar", cfg);
     std::vector<std::string> kinds;
     mon.anomaly().subscribe([&](const Anomaly& a) { kinds.push_back(a.kind); });

@@ -229,9 +229,7 @@ TEST(Platoon, ByzantineInsiderCannotInflateSpeed) {
     for (const char* id : {"alice", "bob", "carol", "dave", "mallory"}) {
         rig.make_trusted(id);
     }
-    PlatoonConfig cfg;
-    cfg.assumed_faults = 1;
-    PlatoonCoordinator coordinator(rig.trust, cfg);
+    PlatoonCoordinator coordinator(rig.trust); // tolerates one byzantine member
     const std::vector<MemberCapability> members = {
         {"alice", 0.9, 26.0, 10.0, false},
         {"bob", 0.8, 25.0, 11.0, false},
@@ -269,9 +267,8 @@ TEST(Platoon, FogScenarioDegradedVehicleBenefits) {
         rig.make_trusted(id);
     }
     const double alone = safe_speed_for_quality(0.08); // blinded camera
-    PlatoonConfig cfg;
-    cfg.assumed_faults = 0;
-    PlatoonCoordinator coordinator(rig.trust, cfg);
+    // Three members tolerate no byzantine one: the agreement runs with f = 0.
+    PlatoonCoordinator coordinator(rig.trust);
     const std::vector<MemberCapability> members = {
         {"fogbound", 0.08, 18.0, 14.0, false}, // safe *inside* a platoon
         {"radar_a", 0.85, 24.0, 10.0, false},
@@ -394,21 +391,6 @@ TEST(PlatoonManeuvers, SplitAtLeaderDissolves) {
     const auto nothing = rig.platoon.split("v2", rig.rng);
     EXPECT_TRUE(nothing.empty());
     EXPECT_FALSE(rig.platoon.history().back().succeeded);
-}
-
-TEST(PlatoonManeuvers, UpdateMemberReRunsTheAgreement) {
-    ManeuverRig rig;
-    (void)rig.platoon.form({rig.member("lead", 26.0), rig.member("mid", 25.0)},
-                           rig.rng);
-    const double before = rig.platoon.agreement().common_speed_mps;
-    // mid's sensors degrade: its safe speed halves, the agreement follows.
-    (void)rig.platoon.update_member({"mid", 0.3, 12.0, 14.0, false}, rig.rng);
-    EXPECT_TRUE(rig.platoon.formed());
-    EXPECT_LE(rig.platoon.agreement().common_speed_mps, 12.0 + 0.5);
-    EXPECT_LT(rig.platoon.agreement().common_speed_mps, before);
-    EXPECT_THROW((void)rig.platoon.update_member({"ghost", 1.0, 20.0, 10.0, false},
-                                                 rig.rng),
-                 ContractViolation);
 }
 
 TEST(PlatoonManeuvers, ReentrantManeuverFromSignalSubscriberIsSafe) {

@@ -276,9 +276,7 @@ class CoordinatorFuzz : public ::testing::TestWithParam<int> {};
 TEST_P(CoordinatorFuzz, InvariantsHoldUnderRandomLoad) {
     sim::Simulator sim(static_cast<std::uint64_t>(GetParam()));
     RandomEngine rng(static_cast<std::uint64_t>(GetParam()) + 1000);
-    core::CoordinatorConfig cfg;
-    cfg.conflict_cooldown = Duration::ms(10);
-    core::CrossLayerCoordinator coord(sim, cfg);
+    core::CrossLayerCoordinator coord(sim);
     for (int li = 0; li < core::kLayerCount; ++li) {
         if (rng.chance(0.8)) {
             coord.register_layer(
@@ -295,14 +293,16 @@ TEST_P(CoordinatorFuzz, InvariantsHoldUnderRandomLoad) {
                                      : monitor::Severity::Critical;
         EXPECT_NO_THROW((void)coord.handle(a));
         ++sent;
-        // Advance time a little so cooldowns expire occasionally.
-        sim.run_until(Time(sim.now().ns() + Duration::ms(3).count_ns()));
+        // Advance time so the 500 ms conflict cooldowns expire occasionally
+        // (about every third anomaly).
+        sim.run_until(Time(sim.now().ns() + Duration::ms(150).count_ns()));
     }
     EXPECT_GE(coord.problems_handled(), sent); // follow-ups may add more
     EXPECT_EQ(coord.problems_handled(),
               coord.problems_resolved() + coord.problems_unresolved());
     EXPECT_LE(coord.problems_handled(),
-              sent * static_cast<std::uint64_t>(1 + cfg.max_follow_ups));
+              sent * static_cast<std::uint64_t>(
+                         1 + core::CrossLayerCoordinator::kMaxFollowUps));
     EXPECT_FALSE(coord.decisions().empty());
 }
 

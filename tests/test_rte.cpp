@@ -435,7 +435,6 @@ TEST(Thermal, HeatsUpUnderLoadAndCoolsDown) {
     FixedPriorityScheduler sched(sim, "ecu");
     ThermalConfig tc;
     tc.ambient_c = 25.0;
-    tc.initial_c = 25.0;
     tc.tau_s = 5.0;
     ThermalModel thermal(sim, sched, tc);
 

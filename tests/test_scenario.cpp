@@ -303,13 +303,9 @@ TEST(ScenarioBuilder, ScriptedEventsFireAtTheirTime) {
 
 TEST(ScenarioBuilder, TrustSeedsAndPlatoonFormation) {
     scenario::ScenarioBuilder builder(3);
-    platoon::PlatoonConfig cfg;
-    cfg.trust_threshold = 0.55;
-    cfg.assumed_faults = 1;
     builder.trust("good_a", 10)
         .trust("good_b", 10)
         .trust("liar", 0, 10)
-        .platoon_config(cfg)
         .platoon_candidate({"good_a", 0.9, 25.0, 10.0, false})
         .platoon_candidate({"good_b", 0.8, 22.0, 12.0, false})
         .platoon_candidate({"liar", 0.9, 50.0, 2.0, false});
@@ -371,7 +367,6 @@ TEST(ScenarioBuilder, V2vEndpointWithoutMediumRejected) {
 TEST(Scenario, WeatherAppliesToDrivingVehicles) {
     scenario::ScenarioBuilder builder(7);
     vehicle::ScenarioConfig cfg;
-    cfg.control_period = Duration::ms(50);
     builder.vehicle("ego").driving(cfg).sensor(
         {vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002});
     auto scenario = builder.build();
@@ -449,7 +444,6 @@ TEST(VehicleBuilder, SensorBoundToSkillNodeRejectedAtBuild) {
     auto declare = [](scenario::VehicleBuilder& builder, const char* node) {
         vehicle::ScenarioConfig cfg;
         monitor::SensorQualityConfig quality;
-        quality.expected_period = cfg.control_period;
         builder.driving(cfg)
             .sensor({vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002}, quality,
                     node)
@@ -476,9 +470,7 @@ TEST(VehicleBuilder, DegradationPolicyRoutesAlarmsIntoAbilities) {
     sim::Simulator simulator(3);
     scenario::VehicleBuilder builder("ego");
     vehicle::ScenarioConfig cfg;
-    cfg.control_period = Duration::ms(50);
     monitor::SensorQualityConfig quality;
-    quality.expected_period = cfg.control_period;
     builder.driving(cfg)
         .sensor({vehicle::SensorType::Radar, "radar", 150.0, 0.3, 0.002}, quality)
         .skill_graph("acc")
@@ -815,9 +807,6 @@ TEST(ScenarioBuilder, ManeuverPolicyValidated) {
     inverted.leave_below = 0.1;
     inverted.split_below = 0.5;
     EXPECT_THROW(builder.platoon_maneuvers(inverted), ContractViolation);
-    platoon::ManeuverPolicy no_skill;
-    no_skill.follow_skill = "";
-    EXPECT_THROW(builder.platoon_maneuvers(no_skill), ContractViolation);
 }
 
 // --- one initial analysis per declared configuration -------------------------------

@@ -237,8 +237,8 @@ TEST(VehicleSim, DenseFogBlindsCameraOnlyVehicle) {
     sim::Simulator sim(7);
     ScenarioConfig cfg;
     cfg.initial_gap_m = 60.0;
-    cfg.weather = WeatherCondition::dense_fog();
     VehicleSim scenario(sim, cfg);
+    scenario.set_weather(WeatherCondition::dense_fog());
     scenario.add_sensor(SensorConfig{SensorType::Camera, "camera", 100.0, 0.5, 0.005});
     scenario.start();
     sim.run_until(Time(Duration::sec(20).count_ns()));
@@ -254,8 +254,8 @@ TEST(VehicleSim, RadarKeepsTrackingInFog) {
     sim::Simulator sim(7);
     ScenarioConfig cfg;
     cfg.initial_gap_m = 60.0;
-    cfg.weather = WeatherCondition::dense_fog();
     VehicleSim scenario(sim, cfg);
+    scenario.set_weather(WeatherCondition::dense_fog());
     scenario.add_sensor(SensorConfig{SensorType::Radar, "radar", 150.0, 0.3, 0.002});
     scenario.start();
     sim.run_until(Time(Duration::sec(20).count_ns()));
@@ -267,12 +267,10 @@ TEST(VehicleSim, QualityMonitorSeesFogDegradation) {
     sim::Simulator sim(7);
     ScenarioConfig cfg;
     cfg.initial_gap_m = 45.0;
-    cfg.control_period = Duration::ms(50);
     VehicleSim scenario(sim, cfg);
     const auto cam =
         scenario.add_sensor(SensorConfig{SensorType::Camera, "camera", 100.0, 0.5, 0.005});
     monitor::SensorQualityConfig mq;
-    mq.expected_period = Duration::ms(50);
     mq.nominal_noise_sigma = 0.6;
     monitor::SensorQualityMonitor quality(sim, "camera", mq);
     scenario.attach_quality_monitor(cam, quality);
