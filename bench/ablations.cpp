@@ -78,7 +78,7 @@ void BM_AggregationStrategy(benchmark::State& state) {
     const auto strategy = static_cast<skills::Aggregation>(state.range(0));
     double root_after_loss = 0.0;
     for (auto _ : state) {
-        skills::SkillGraphSpec spec = skills::CapabilityRegistry::builtin().spec("acc");
+        skills::SkillGraphSpec spec = *skills::CapabilityRegistry::builtin().spec("acc");
         spec.aggregate(skills::acc::kPerceiveTrack, strategy);
         if (strategy == skills::Aggregation::WeightedMean) {
             spec.weight(skills::acc::kPerceiveTrack, skills::acc::kRadar, 3.0);

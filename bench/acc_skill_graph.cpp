@@ -81,7 +81,7 @@ BENCHMARK(BM_Propagate)->Args({3, 4})->Args({5, 8})->Args({8, 16})->Args({10, 32
 
 /// The paper's ACC graph: one full degradation + recovery cycle.
 void BM_AccGraphCycle(benchmark::State& state) {
-    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
+    AbilityGraph abilities(*CapabilityRegistry::builtin().spec("acc"));
     for (auto _ : state) {
         abilities.set_source_level(acc::kCamera, 0.1);
         abilities.propagate();
@@ -118,7 +118,7 @@ void BM_FogScenario(benchmark::State& state) {
         scenario.attach_quality_monitor(radar, q_radar);
         scenario.attach_quality_monitor(camera, q_camera);
 
-        SkillGraphSpec fused = CapabilityRegistry::builtin().spec("acc");
+        SkillGraphSpec fused = *CapabilityRegistry::builtin().spec("acc");
         fused.aggregate(acc::kPerceiveTrack, Aggregation::WeightedMean)
             .weight(acc::kPerceiveTrack, acc::kRadar, 3.0)
             .weight(acc::kPerceiveTrack, acc::kCamera, 1.0)

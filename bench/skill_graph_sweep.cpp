@@ -29,7 +29,7 @@ namespace {
 
 void BM_SpecPropagate(benchmark::State& state, const char* spec_name) {
     const auto& registry = CapabilityRegistry::builtin();
-    AbilityGraph abilities(registry.spec(spec_name));
+    AbilityGraph abilities(*registry.spec(spec_name));
     // Toggle the first source between two levels so every propagate does
     // real work (no memoized fixpoint).
     std::string source;
@@ -57,7 +57,7 @@ BENCHMARK_CAPTURE(BM_SpecPropagate, platoon_follow, "platoon_follow")
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SpecParseInstantiate(benchmark::State& state) {
-    const std::string text = CapabilityRegistry::builtin().spec("acc").str();
+    const std::string text = CapabilityRegistry::builtin().spec("acc")->str();
     for (auto _ : state) {
         const AbilityGraph abilities(SkillGraphSpec::parse(text));
         benchmark::DoNotOptimize(abilities.node_count());

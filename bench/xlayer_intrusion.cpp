@@ -106,7 +106,7 @@ Outcome run_scenario(bool cross_layer, bool with_redundancy) {
     ids.set_default_bound(400.0);
     ids.start();
 
-    skills::AbilityGraph abilities(skills::CapabilityRegistry::builtin().spec("acc"));
+    skills::AbilityGraph abilities(*skills::CapabilityRegistry::builtin().spec("acc"));
     skills::DegradationManager tactics;
     vehicle::BrakeByWire brakes;
     vehicle::AccController acc;

@@ -11,6 +11,7 @@
 // Build & run:  ./build/examples/acc_degradation
 
 #include <cstdio>
+#include <memory>
 
 #include "scenario/scenario_builder.hpp"
 
@@ -32,8 +33,9 @@ int main() {
     mq.nominal_noise_sigma = 0.6;
 
     // The §IV ACC graph with a fusion-aware perception stack.
-    skills::SkillGraphSpec acc_graph = skills::CapabilityRegistry::builtin().spec("acc");
-    acc_graph.aggregate(skills::acc::kPerceiveTrack, skills::Aggregation::WeightedMean)
+    auto acc_graph = std::make_shared<skills::SkillGraphSpec>(
+        *skills::CapabilityRegistry::builtin().spec("acc"));
+    acc_graph->aggregate(skills::acc::kPerceiveTrack, skills::Aggregation::WeightedMean)
         .weight(skills::acc::kPerceiveTrack, skills::acc::kRadar, 3.0)
         .weight(skills::acc::kPerceiveTrack, skills::acc::kCamera, 1.0)
         .weight(skills::acc::kPerceiveTrack, skills::acc::kLidar, 1.0);

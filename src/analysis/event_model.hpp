@@ -30,7 +30,6 @@ public:
 
     [[nodiscard]] Duration period() const noexcept { return period_; }
     [[nodiscard]] Duration jitter() const noexcept { return jitter_; }
-    [[nodiscard]] Duration d_min() const noexcept { return d_min_; }
 
     [[nodiscard]] std::int64_t eta_plus(Duration window) const;
     [[nodiscard]] std::int64_t eta_minus(Duration window) const;

@@ -232,9 +232,9 @@ void declare_cell_scenario(scenario::ScenarioBuilder& builder,
     SA_REQUIRE(cell.scenario_template == "platoon",
                "unknown campaign scenario template");
     const std::vector<std::string> names = cell_vehicle_names(cell.vehicles);
-    std::unique_ptr<skills::SkillGraphSpec> spec;
+    std::shared_ptr<const skills::SkillGraphSpec> spec;
     if (!cell.spec_file.empty()) {
-        spec = std::make_unique<skills::SkillGraphSpec>(
+        spec = std::make_shared<const skills::SkillGraphSpec>(
             load_spec_file(cell.spec_file));
     }
     builder.domains(cell.domains);
@@ -242,7 +242,7 @@ void declare_cell_scenario(scenario::ScenarioBuilder& builder,
     for (const std::string& name : names) {
         scenario::presets::declare_platoon_follow_vehicle(builder, name);
         if (spec) {
-            builder.vehicle(name).skill_graph(*spec);
+            builder.vehicle(name).skill_graph(spec);
         }
         if (cell.learned_warmup.count_ns() > 0) {
             learn::LearnedMonitorConfig learned;

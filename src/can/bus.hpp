@@ -86,10 +86,6 @@ public:
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] std::int64_t bitrate_bps() const noexcept { return config_.bitrate_bps; }
-    [[nodiscard]] Duration bit_time() const noexcept {
-        return Duration(1'000'000'000LL / config_.bitrate_bps);
-    }
-    [[nodiscard]] bool busy() const noexcept { return transmitting_; }
 
     void set_bitrate(std::int64_t bps);
     void set_bit_error_rate(double p);

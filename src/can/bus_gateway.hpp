@@ -48,7 +48,6 @@ public:
     void add_route(CanBus& from, CanBus& to, std::uint32_t id, std::uint32_t mask);
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] Duration forward_latency() const noexcept { return latency_; }
 
     /// Frames accepted by a route filter and scheduled for forwarding.
     [[nodiscard]] std::uint64_t frames_forwarded() const noexcept {

@@ -121,15 +121,13 @@ void CanController::tx_done(const CanFrame& frame, Time at) {
 }
 
 void CanController::rx_frame(const CanFrame& frame, Time at) {
-    // A controller does not receive its own transmission unless requested
-    // (self-reception is an opt-in feature on real controllers too).
-    if (!receive_own_) {
-        // Identify "own" frames conservatively: the frame we just completed.
-        // The bus calls tx_done before rx_frame, so our queue no longer holds
-        // it; track by comparing against the last completed frame instead.
-        if (last_tx_valid_ && frame == last_tx_frame_ && at == last_tx_time_) {
-            return;
-        }
+    // A controller does not receive its own transmission (self-reception is
+    // an opt-in feature on real controllers, and nothing here opts in).
+    // Identify "own" frames conservatively: the frame we just completed. The
+    // bus calls tx_done before rx_frame, so our queue no longer holds it;
+    // track by comparing against the last completed frame instead.
+    if (last_tx_valid_ && frame == last_tx_frame_ && at == last_tx_time_) {
+        return;
     }
     errors_.on_rx_success();
     for (const auto& f : filters_) {

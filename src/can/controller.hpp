@@ -85,18 +85,11 @@ public:
     [[nodiscard]] std::uint64_t tx_count() const noexcept { return tx_count_; }
     [[nodiscard]] std::uint64_t rx_count() const noexcept { return rx_count_; }
     [[nodiscard]] std::uint64_t tx_dropped() const noexcept { return tx_dropped_; }
-    [[nodiscard]] std::size_t tx_pending() const noexcept { return tx_queue_.size(); }
     [[nodiscard]] const RunningStats& tx_latency_us() const noexcept { return tx_latency_us_; }
-
-    /// Seen by the echo benches: loopback of own frames is suppressed.
-    void set_receive_own(bool receive_own) noexcept { receive_own_ = receive_own; }
 
     // --- fault confinement (ISO 11898) -------------------------------------
     [[nodiscard]] FaultConfinement fault_state() const noexcept {
         return errors_.state();
-    }
-    [[nodiscard]] const ErrorCounters& error_counters() const noexcept {
-        return errors_;
     }
     /// Application-initiated bus-off recovery: counters reset; queued frames
     /// were flushed when the node went bus-off.
@@ -115,7 +108,6 @@ private:
     std::size_t capacity_;
     std::vector<PendingTx> tx_queue_; ///< kept sorted by priority on insert
     std::vector<RxFilter> filters_;
-    bool receive_own_ = false;
     bool in_flight_ = false; ///< queue head is on the wire; nothing may pass it
 
     std::uint64_t tx_count_ = 0;

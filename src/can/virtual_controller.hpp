@@ -162,7 +162,6 @@ public:
     void rx_frame(const CanFrame& frame, Time at) override;
     [[nodiscard]] const std::string& node_name() const override { return name_; }
 
-    [[nodiscard]] const VirtLatencyModel& latency_model() const noexcept { return latency_; }
     [[nodiscard]] std::size_t active_vf_count() const noexcept;
 
     /// Select the cross-VF arbitration policy (PF-privileged: the hypervisor

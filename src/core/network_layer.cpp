@@ -32,7 +32,6 @@ std::vector<Proposal> NetworkLayer::propose(const Problem& problem) {
         p.adequacy = a.kind == kinds::kAccessProbe ? 0.85 : 0.35;
         p.execute = [this, component] {
             rte_.access().revoke_all(component);
-            ++revocations_;
         };
         out.push_back(std::move(p));
     }

@@ -20,12 +20,10 @@ public:
     [[nodiscard]] double health() const override;
 
     [[nodiscard]] std::uint64_t containments() const noexcept { return containments_; }
-    [[nodiscard]] std::uint64_t revocations() const noexcept { return revocations_; }
 
 private:
     rte::Rte& rte_;
     std::uint64_t containments_ = 0;
-    std::uint64_t revocations_ = 0;
 };
 
 } // namespace sa::core

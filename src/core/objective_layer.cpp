@@ -59,7 +59,6 @@ std::vector<Proposal> ObjectiveLayer::propose(const Problem& problem) {
         p.adequacy = 1.0;
         p.execute = [this] {
             objective_ = DrivingObjective::SafeStop;
-            ++safe_stops_;
             if (safe_stop_action_) {
                 safe_stop_action_();
             }

@@ -41,13 +41,10 @@ public:
         safe_stop_action_ = std::move(action);
     }
 
-    [[nodiscard]] std::uint64_t safe_stops() const noexcept { return safe_stops_; }
-
 private:
     DrivingObjective objective_ = DrivingObjective::Drive;
     std::vector<Alternative> alternatives_;
     std::function<void()> safe_stop_action_;
-    std::uint64_t safe_stops_ = 0;
 };
 
 } // namespace sa::core

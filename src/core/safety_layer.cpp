@@ -79,7 +79,6 @@ std::vector<Proposal> SafetyLayer::propose(const Problem& problem) {
                          : 0.75;
         p.execute = [this, component] {
             rte_.component(component).restart();
-            ++recoveries_;
         };
         out.push_back(std::move(p));
     }

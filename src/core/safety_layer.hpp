@@ -24,7 +24,6 @@ public:
     [[nodiscard]] std::uint64_t redundancy_activations() const noexcept {
         return redundancy_activations_;
     }
-    [[nodiscard]] std::uint64_t recoveries() const noexcept { return recoveries_; }
 
 private:
     /// Surviving redundancy partner of `component`, or empty.
@@ -33,7 +32,6 @@ private:
     rte::Rte& rte_;
     model::Mcc& mcc_;
     std::uint64_t redundancy_activations_ = 0;
-    std::uint64_t recoveries_ = 0;
 };
 
 } // namespace sa::core

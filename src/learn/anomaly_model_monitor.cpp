@@ -8,22 +8,13 @@
 
 namespace sa::learn {
 
-namespace {
-
-StateModelConfig seeded(StateModelConfig state, std::uint64_t seed) {
-    state.seed = seed;
-    return state;
-}
-
-} // namespace
-
 AnomalyModelMonitor::AnomalyModelMonitor(sim::Simulator& simulator,
                                          monitor::MonitorManager& manager,
                                          LearnedMonitorConfig config)
     : Monitor(simulator, "learned:model", monitor::Domain::Function),
       manager_(manager),
       config_(std::move(config)),
-      state_(seeded(config_.state, config_.seed)) {
+      state_(config_.state, config_.seed) {
     SA_REQUIRE(!config_.metrics.empty(),
                "learned monitor needs at least one tracked metric "
                "(lint rule LRN001)");

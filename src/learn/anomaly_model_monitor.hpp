@@ -40,7 +40,7 @@ struct LearnedMonitorConfig {
     static constexpr double kRecoverRatio = 0.5;
     MetricModelConfig metric{};
     StateModelConfig state{};
-    /// Clustering seed (copied into state.seed by the constructor).
+    /// Clustering seed: the state model's tie-break key.
     std::uint64_t seed = 1;
 };
 

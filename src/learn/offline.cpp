@@ -28,9 +28,7 @@ OfflineResult run_offline(const Trace& trace, const LearnedMonitorConfig& config
                "no tracked metrics: empty trace or auto_metrics disabled "
                "(lint rule LRN001)");
 
-    StateModelConfig state_config = config.state;
-    state_config.seed = config.seed;
-    StateModel state(state_config);
+    StateModel state(config.state, config.seed);
     std::vector<MetricModel> models(names.size(), MetricModel(config.metric));
     std::vector<bool> in_round(names.size(), false);
     std::vector<int> bands(names.size(), 0);

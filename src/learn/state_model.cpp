@@ -29,7 +29,8 @@ double l1_distance(const std::vector<int>& a, const std::vector<int>& b) noexcep
 
 } // namespace
 
-StateModel::StateModel(StateModelConfig config) : config_(config) {
+StateModel::StateModel(StateModelConfig config, std::uint64_t seed)
+    : config_(config), seed_(seed) {
     SA_REQUIRE(config_.band_width > 0.0, "band_width must be positive");
 }
 
@@ -63,7 +64,7 @@ std::size_t StateModel::find_or_create(const std::vector<int>& bands, bool& crea
         State fresh;
         fresh.center = bands;
         fresh.tie_key =
-            util::splitmix64(config_.seed ^ util::splitmix64(states_.size() + 1));
+            util::splitmix64(seed_ ^ util::splitmix64(states_.size() + 1));
         states_.push_back(std::move(fresh));
         created = true;
         return states_.size() - 1;

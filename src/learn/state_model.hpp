@@ -16,13 +16,13 @@ namespace sa::learn {
 struct StateModelConfig {
     /// Drift z-score units per quantization band.
     double band_width = 1.0;
-    /// Tie-break key for equidistant leaders; same seed => same clustering.
-    std::uint64_t seed = 1;
 };
 
 class StateModel {
 public:
-    explicit StateModel(StateModelConfig config = {});
+    /// `seed` is the tie-break key for equidistant leaders: the same seed
+    /// gives the same clustering.
+    explicit StateModel(StateModelConfig config = {}, std::uint64_t seed = 1);
 
     struct Observation {
         std::size_t state = 0;   ///< cluster the band vector joined
@@ -39,7 +39,6 @@ public:
     [[nodiscard]] int band(double drift_z) const noexcept;
 
     [[nodiscard]] std::size_t state_count() const noexcept { return states_.size(); }
-    [[nodiscard]] std::uint64_t observations() const noexcept { return total_; }
     /// Leader (band-vector center) of a state.
     [[nodiscard]] const std::vector<int>& state_center(std::size_t state) const;
     [[nodiscard]] std::uint64_t state_visits(std::size_t state) const;
@@ -57,6 +56,7 @@ private:
                                              bool& created);
 
     StateModelConfig config_;
+    std::uint64_t seed_;
     std::vector<State> states_;
     std::uint64_t total_ = 0;
     bool has_prev_ = false;

@@ -262,7 +262,7 @@ LintReport lint_registry(const skills::CapabilityRegistry& registry) {
     LintReport report;
     std::set<std::string> used;
     for (const std::string& name : registry.spec_names()) {
-        const auto& spec = registry.spec(name);
+        const skills::SkillGraphSpec& spec = *registry.spec(name);
         report.merge(lint_spec(spec, &registry));
         for (const auto& node : spec.nodes()) {
             used.insert(node.name);

@@ -85,7 +85,6 @@ public:
     MeshStack& operator=(const MeshStack&) = delete;
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] const MeshConfig& config() const noexcept { return config_; }
 
     /// Deliver CAM payloads to `handler` (home-domain execution). Set it
     /// before the run (or from a script barrier).

@@ -7,7 +7,6 @@ namespace sa::model {
 ViewpointReport LatencyViewpoint::check(const SystemModel& model) {
     ViewpointReport report;
     report.viewpoint = name();
-    last_chains_.clear();
 
     // Does any contract carry a latency requirement at all?
     bool any = false;
@@ -62,8 +61,8 @@ ViewpointReport LatencyViewpoint::check(const SystemModel& model) {
                 "max_e2e_latency declared but the component has no stages"});
             continue;
         }
-        auto result = chains.analyze(c.component + ".producer_chain", stages,
-                                     *c.max_e2e_latency, sampling);
+        const auto result = chains.analyze(c.component + ".producer_chain", stages,
+                                           *c.max_e2e_latency, sampling);
         if (!result.complete) {
             report.issues.push_back(ViewpointIssue{
                 IssueSeverity::Error, "latency.incomplete", c.component,
@@ -75,7 +74,6 @@ ViewpointReport LatencyViewpoint::check(const SystemModel& model) {
                        result.worst_case.str().c_str(),
                        result.requirement.str().c_str())});
         }
-        last_chains_.push_back(std::move(result));
     }
 
     return report;

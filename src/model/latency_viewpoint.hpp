@@ -20,15 +20,6 @@ public:
     LatencyViewpoint() : Viewpoint("latency") {}
 
     ViewpointReport check(const SystemModel& model) override;
-
-    /// Chain results of the last check() (for reports/telemetry).
-    [[nodiscard]] const std::vector<analysis::ChainLatencyResult>& last_chains()
-        const noexcept {
-        return last_chains_;
-    }
-
-private:
-    std::vector<analysis::ChainLatencyResult> last_chains_;
 };
 
 } // namespace sa::model

@@ -6,6 +6,9 @@
 
 #include "lint/model_rules.hpp"
 #include "model/contract_parser.hpp"
+#include "model/latency_viewpoint.hpp"
+#include "model/safety_viewpoint.hpp"
+#include "model/timing_viewpoint.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
@@ -53,8 +56,10 @@ const ViewpointReport* IntegrationReport::viewpoint(const std::string& name) con
     return nullptr;
 }
 
-Mcc::Mcc(PlatformModel platform) : platform_(std::move(platform)) {
-    SA_REQUIRE(!platform_.ecus.empty(), "MCC needs a platform with at least one ECU");
+Mcc::Mcc(PlatformModel platform)
+    : committed_(std::make_shared<const Committed>(Committed{.platform = std::move(platform)})) {
+    SA_REQUIRE(!committed_->platform.ecus.empty(),
+               "MCC needs a platform with at least one ECU");
 }
 
 IntegrationReport Mcc::integrate(const ChangeRequest& change) {
@@ -69,9 +74,10 @@ IntegrationReport Mcc::integrate(const ChangeRequest& change) {
 
 IntegrationReport Mcc::run_steps(const ChangeRequest& change) {
     IntegrationReport report;
+    const Committed& committed = *committed_;
 
     // Step 1: candidate function model (platform-independent refinement).
-    FunctionModel candidate = functions_;
+    FunctionModel candidate = committed.functions;
     switch (change.kind) {
     case ChangeRequest::Kind::Add:
     case ChangeRequest::Kind::Update:
@@ -99,7 +105,7 @@ IntegrationReport Mcc::run_steps(const ChangeRequest& change) {
 
     // Step 2: mapping (technical architecture). Existing placements are kept
     // so an accepted change does not disturb running components.
-    MappingResult mapped = mapper_.map(candidate, platform_, mapping_);
+    MappingResult mapped = Mapper{}.map(candidate, committed.platform, committed.mapping);
     {
         IntegrationStep step{"mapping", mapped.feasible, ""};
         if (!mapped.feasible) {
@@ -123,7 +129,7 @@ IntegrationReport Mcc::run_steps(const ChangeRequest& change) {
     // priorities per ECU and unique CAN ids per bus; a structurally broken
     // candidate must be rejected *here*, with findings, not silently
     // mis-analyzed two steps later.
-    report.lint = lint::lint_system(candidate, platform_, &mapped.mapping);
+    report.lint = lint::lint_system(candidate, committed.platform, &mapped.mapping);
     for (const auto& finding : report.lint.findings()) {
         report.steps.push_back(IntegrationStep{
             "lint:" + finding.rule,
@@ -142,10 +148,13 @@ IntegrationReport Mcc::run_steps(const ChangeRequest& change) {
     }
 
     // Step 4: viewpoint acceptance tests.
-    const SystemModel system{candidate, platform_, mapped.mapping};
+    const SystemModel system{candidate, committed.platform, mapped.mapping};
+    TimingViewpoint timing;
+    LatencyViewpoint latency;
+    SafetyViewpoint safety;
+    SecurityViewpoint security;
     bool all_passed = true;
-    for (Viewpoint* vp :
-         std::array<Viewpoint*, 4>{&timing_, &latency_, &safety_, &security_}) {
+    for (Viewpoint* vp : std::array<Viewpoint*, 4>{&timing, &latency, &safety, &security}) {
         ViewpointReport vr = vp->check(system);
         const bool passed = vr.passed();
         report.steps.push_back(IntegrationStep{
@@ -169,34 +178,33 @@ IntegrationReport Mcc::run_steps(const ChangeRequest& change) {
         return report;
     }
 
-    // Step 5: commit.
-    functions_ = std::move(candidate);
-    mapping_ = mapped.mapping;
-    rebuild_committed_artifacts();
+    // Step 5: commit a new configuration. Copies that shared the old one
+    // keep it. The security policy is the one step 4 derived for exactly
+    // this model.
+    auto next = std::make_shared<Committed>();
+    next->platform = committed.platform;
+    next->functions = std::move(candidate);
+    next->mapping = std::move(mapped.mapping);
+    next->dependency_graph =
+        build_dependency_graph(next->functions, next->platform, next->mapping);
+    next->fmea = FmeaEngine(next->dependency_graph, next->functions).analyze_all();
+    next->security_policy = security.policy();
     report.steps.push_back(IntegrationStep{
         "commit", true,
         format("dependency graph: %zu node(s), %zu edge(s)",
-               dependency_graph_.node_count(), dependency_graph_.edge_count())});
+               next->dependency_graph.node_count(), next->dependency_graph.edge_count())});
     report.accepted = true;
+    committed_ = std::move(next);
     return report;
 }
 
-void Mcc::rebuild_committed_artifacts() {
-    dependency_graph_ = build_dependency_graph(functions_, platform_, mapping_);
-    FmeaEngine engine(dependency_graph_, functions_);
-    fmea_ = engine.analyze_all();
-    // Re-derive policy against the committed model.
-    const SystemModel system{functions_, platform_, mapping_};
-    (void)security_.check(system);
-    security_policy_ = security_.policy();
-}
-
 rte::RteConfig Mcc::make_rte_config(const std::map<std::string, TaskBody>& bodies) const {
+    const Mapping& mapping = committed_->mapping;
     rte::RteConfig config;
-    for (const auto& c : functions_.contracts()) {
+    for (const auto& c : committed_->functions.contracts()) {
         rte::ComponentSpec spec;
         spec.name = c.component;
-        spec.ecu = mapping_.ecu_of(c.component);
+        spec.ecu = mapping.ecu_of(c.component);
         spec.safety_level = static_cast<int>(c.asil);
         for (const auto& p : c.provides) {
             spec.provides.push_back(p.name);
@@ -212,8 +220,8 @@ rte::RteConfig Mcc::make_rte_config(const std::map<std::string, TaskBody>& bodie
             task.wcet = t.wcet;
             task.bcet = t.bcet;
             task.deadline = t.deadline;
-            auto prio = mapping_.task_priority.find(qualified);
-            task.priority = prio != mapping_.task_priority.end() ? prio->second : 1000;
+            auto prio = mapping.task_priority.find(qualified);
+            task.priority = prio != mapping.task_priority.end() ? prio->second : 1000;
             auto body = bodies.find(qualified);
             if (body != bodies.end()) {
                 task.on_complete = body->second;
@@ -222,7 +230,7 @@ rte::RteConfig Mcc::make_rte_config(const std::map<std::string, TaskBody>& bodie
         }
         config.components.push_back(std::move(spec));
     }
-    config.grants = security_policy_.grants;
+    config.grants = committed_->security_policy.grants;
     return config;
 }
 
@@ -243,7 +251,7 @@ std::vector<std::string> Mcc::wcet_violations() const {
         if (dot == std::string::npos) {
             continue;
         }
-        const Contract* c = functions_.find(qualified.substr(0, dot));
+        const Contract* c = committed_->functions.find(qualified.substr(0, dot));
         if (c == nullptr) {
             continue;
         }
@@ -256,9 +264,10 @@ std::vector<std::string> Mcc::wcet_violations() const {
 }
 
 bool Mcc::revalidate_with_speed(const std::string& ecu, double speed_factor) const {
-    const EcuDescriptor* descriptor = platform_.find_ecu(ecu);
+    const Committed& committed = *committed_;
+    const EcuDescriptor* descriptor = committed.platform.find_ecu(ecu);
     SA_REQUIRE(descriptor != nullptr, "unknown ECU: " + ecu);
-    const SystemModel system{functions_, platform_, mapping_};
+    const SystemModel system{committed.functions, committed.platform, committed.mapping};
     const auto cpu = TimingViewpoint::cpu_model(system, *descriptor, speed_factor);
     if (cpu.tasks.empty()) {
         return true;
@@ -290,7 +299,7 @@ std::optional<InitialIntegration> integrate_declared(const PlatformModel& platfo
     }
     if (hit) {
         if (result.has_value()) {
-            log_outcome(description, result->report);
+            log_outcome(description, *result->report);
         }
         return result;
     }
@@ -299,8 +308,9 @@ std::optional<InitialIntegration> integrate_declared(const PlatformModel& platfo
     change.description = description;
     change.contracts = ContractParser{}.parse(contract_text);
     if (!change.contracts.empty()) {
-        result.emplace(InitialIntegration{Mcc(platform), {}});
-        result->report = result->mcc.integrate(change);
+        Mcc mcc(platform);
+        auto report = std::make_shared<const IntegrationReport>(mcc.integrate(change));
+        result.emplace(InitialIntegration{std::move(mcc), std::move(report)});
     }
     // Two threads that miss at once both analyse; the first to get here
     // stores its (equal) result.

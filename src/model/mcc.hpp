@@ -16,16 +16,19 @@
 // refines WCET assumptions, and re-validates the configuration under
 // changed platform conditions (DVFS levels in the thermal scenario).
 //
-// An Mcc is a value: it owns its four viewpoints as members, and a copy is
-// a fully independent MCC with the same committed model, observed WCETs and
-// integration counters. Integrating into, or feeding metrics to, one copy
-// never changes another.
+// An Mcc is a value. Its committed configuration (platform, contracts,
+// mapping, dependency graph, FMEA, security policy) is immutable, and a copy
+// shares it; observed WCETs and integration counters are the copy's own. An
+// accepted integrate() gives that copy a new configuration and leaves the
+// others on the shared one, so integrating into, or feeding metrics to, one
+// copy never changes another. Each integration runs its own four viewpoints.
 //
 // The initial analysis of a declared vehicle is memoised once per process
 // (integrate_declared()). Its verdict depends on the platform model and the
 // contracts, not on the vehicle that carries them, so every vehicle declared
-// with the same (platform model, contract text) pair gets a copy of one
-// analysis instead of a parse and an integration of its own:
+// with the same (platform model, contract text) pair shares one analysis
+// instead of a parse and an integration of its own: a copy of the analysed
+// Mcc (sharing its committed configuration) and the one read-only report:
 //   - key: the contract text byte for byte, plus every field of every ECU
 //     and bus descriptor in declaration order (PlatformModel::operator==);
 //   - bound: entries are never evicted. There is one per distinct
@@ -37,9 +40,11 @@
 //     not. A process that forks copies the memo, so it must fork while no
 //     other thread builds a vehicle (campaign/driver.hpp).
 // In-field changes (Mcc::integrate on a built vehicle's MCC) are never
-// memoised: each is analysed against that vehicle's committed model.
+// memoised: each is analysed against that vehicle's committed model, and
+// an accepted one gives that vehicle's MCC a configuration of its own.
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,10 +52,8 @@
 #include "lint/diagnostics.hpp"
 #include "model/dependency_graph.hpp"
 #include "model/fmea.hpp"
-#include "model/latency_viewpoint.hpp"
-#include "model/safety_viewpoint.hpp"
+#include "model/mapping.hpp"
 #include "model/security_viewpoint.hpp"
-#include "model/timing_viewpoint.hpp"
 #include "model/viewpoint.hpp"
 #include "rte/rte.hpp"
 
@@ -89,16 +92,16 @@ public:
     /// Run the integration process for a change request.
     IntegrationReport integrate(const ChangeRequest& change);
 
-    // --- committed state ----------------------------------------------------
-    [[nodiscard]] const FunctionModel& functions() const noexcept { return functions_; }
-    [[nodiscard]] const PlatformModel& platform() const noexcept { return platform_; }
-    [[nodiscard]] const Mapping& mapping() const noexcept { return mapping_; }
+    // --- committed state (valid until this Mcc commits a change) -----------
+    [[nodiscard]] const FunctionModel& functions() const noexcept { return committed_->functions; }
+    [[nodiscard]] const PlatformModel& platform() const noexcept { return committed_->platform; }
+    [[nodiscard]] const Mapping& mapping() const noexcept { return committed_->mapping; }
     [[nodiscard]] const DependencyGraph& dependency_graph() const noexcept {
-        return dependency_graph_;
+        return committed_->dependency_graph;
     }
-    [[nodiscard]] const FmeaReport& fmea() const noexcept { return fmea_; }
+    [[nodiscard]] const FmeaReport& fmea() const noexcept { return committed_->fmea; }
     [[nodiscard]] const DerivedPolicy& security_policy() const noexcept {
-        return security_policy_;
+        return committed_->security_policy;
     }
 
     /// Executable configuration for the committed model. `bodies` lets the
@@ -132,30 +135,31 @@ public:
     }
 
 private:
+    /// The committed configuration and the artifacts derived from it.
+    /// Immutable once committed; copies of an Mcc share it.
+    struct Committed {
+        PlatformModel platform;
+        FunctionModel functions{};
+        Mapping mapping{};
+        DependencyGraph dependency_graph{};
+        FmeaReport fmea{};
+        DerivedPolicy security_policy{};
+    };
+
     /// Steps 1-5 of integrate(); commits the candidate when it passes.
     IntegrationReport run_steps(const ChangeRequest& change);
-    void rebuild_committed_artifacts();
 
-    PlatformModel platform_;
-    FunctionModel functions_;
-    Mapping mapping_;
-    DependencyGraph dependency_graph_;
-    FmeaReport fmea_;
-    DerivedPolicy security_policy_;
-    Mapper mapper_;
-    TimingViewpoint timing_;
-    LatencyViewpoint latency_;
-    SafetyViewpoint safety_;
-    SecurityViewpoint security_;
+    std::shared_ptr<const Committed> committed_;
     std::map<std::string, sim::Duration> observed_wcet_;
     std::uint64_t attempts_ = 0;
     std::uint64_t accepted_ = 0;
 };
 
-/// An MCC after its first integration, and the report of that integration.
+/// An MCC after its first integration, and the report of that integration,
+/// which every vehicle declared the same way shares read-only.
 struct InitialIntegration {
     Mcc mcc;
-    IntegrationReport report;
+    std::shared_ptr<const IntegrationReport> report;
 };
 
 /// The initial analysis of a declared configuration: `contract_text`
@@ -164,7 +168,8 @@ struct InitialIntegration {
 /// the text declares no contract; throws util::ParseError (and stores
 /// nothing) when it does not parse. The first call with a given (platform,
 /// text) pair runs the analysis and memoises its result, accepted or
-/// rejected; every later call returns a copy of it (see the file comment).
+/// rejected; every later call returns a copy of it that shares the
+/// committed configuration and the report (see the file comment).
 /// Each call logs the MCC's accepted/rejected line under `description`.
 [[nodiscard]] std::optional<InitialIntegration>
 integrate_declared(const PlatformModel& platform, const std::string& contract_text,

@@ -57,7 +57,6 @@ analysis::CanBusModel TimingViewpoint::bus_model(const SystemModel& model,
 ViewpointReport TimingViewpoint::check(const SystemModel& model) {
     ViewpointReport report;
     report.viewpoint = name();
-    last_results_.clear();
 
     analysis::CpuWcrtAnalysis cpu_analysis;
     for (const auto& ecu : model.platform.ecus) {
@@ -71,7 +70,7 @@ ViewpointReport TimingViewpoint::check(const SystemModel& model) {
                 format("utilization %.2f exceeds cap %.2f", cpu.utilization(),
                        ecu.max_utilization)});
         }
-        auto result = cpu_analysis.analyze(cpu);
+        const auto result = cpu_analysis.analyze(cpu);
         for (const auto& e : result.entities) {
             if (!e.schedulable) {
                 report.issues.push_back(ViewpointIssue{
@@ -80,7 +79,6 @@ ViewpointReport TimingViewpoint::check(const SystemModel& model) {
                            e.deadline.str().c_str(), ecu.name.c_str())});
             }
         }
-        last_results_.push_back(std::move(result));
     }
 
     analysis::CanWcrtAnalysis can_analysis;
@@ -95,7 +93,7 @@ ViewpointReport TimingViewpoint::check(const SystemModel& model) {
                 IssueSeverity::Error, "timing.bus_overutilized", bus.name,
                 format("bus utilization %.2f exceeds cap %.2f", util, bus.max_utilization)});
         }
-        auto result = can_analysis.analyze(bus_mdl);
+        const auto result = can_analysis.analyze(bus_mdl);
         for (const auto& e : result.entities) {
             if (!e.schedulable) {
                 report.issues.push_back(ViewpointIssue{
@@ -104,7 +102,6 @@ ViewpointReport TimingViewpoint::check(const SystemModel& model) {
                            e.deadline.str().c_str(), bus.name.c_str())});
             }
         }
-        last_results_.push_back(std::move(result));
     }
 
     return report;

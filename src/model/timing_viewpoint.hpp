@@ -25,15 +25,6 @@ public:
 
     [[nodiscard]] static analysis::CanBusModel bus_model(const SystemModel& model,
                                                          const BusDescriptor& bus);
-
-    /// Results of the last check() call, for chain composition by the MCC.
-    [[nodiscard]] const std::vector<analysis::ResourceAnalysisResult>& last_results()
-        const noexcept {
-        return last_results_;
-    }
-
-private:
-    std::vector<analysis::ResourceAnalysisResult> last_results_;
 };
 
 } // namespace sa::model

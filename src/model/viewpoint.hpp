@@ -65,11 +65,10 @@ public:
     /// Run the viewpoint's acceptance analysis.
     [[nodiscard]] virtual ViewpointReport check(const SystemModel& model) = 0;
 
-protected:
-    // A concrete viewpoint copies with the Mcc that holds it; the base
-    // alone never does (no slicing).
-    Viewpoint(const Viewpoint&) = default;
-    Viewpoint& operator=(const Viewpoint&) = default;
+    // Each integration runs its own viewpoints (Mcc::integrate); nothing
+    // copies one.
+    Viewpoint(const Viewpoint&) = delete;
+    Viewpoint& operator=(const Viewpoint&) = delete;
 
 private:
     std::string name_;

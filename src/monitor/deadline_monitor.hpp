@@ -25,9 +25,6 @@ public:
     [[nodiscard]] double miss_ratio() const noexcept;
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
-    /// Raise a Critical "miss_ratio_high" anomaly when the ratio exceeds this.
-    void set_ratio_threshold(double ratio) noexcept { ratio_threshold_ = ratio; }
-
 private:
     void on_job(const rte::JobRecord& job);
 
@@ -38,7 +35,7 @@ private:
     std::size_t recent_head_ = 0;       ///< next write position in the ring
     std::size_t recent_missed_ = 0;     ///< running count of 1s in the ring
     std::uint64_t misses_ = 0;
-    double ratio_threshold_ = 0.1;
+    double ratio_threshold_ = 0.1; ///< miss ratio raising "miss_ratio_high"
     bool ratio_alarmed_ = false;
     std::uint64_t subscription_ = 0;
 };

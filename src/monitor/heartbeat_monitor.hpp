@@ -28,8 +28,6 @@ public:
     void stop();
 
     [[nodiscard]] bool alive() const noexcept { return alive_; }
-    [[nodiscard]] sim::Time last_beat() const noexcept { return last_beat_; }
-    [[nodiscard]] const std::string& watched() const noexcept { return watched_; }
 
 private:
     void check();

@@ -113,7 +113,6 @@ class Platoon {
 public:
     Platoon(std::string id, TrustManager& trust) : id_(std::move(id)), trust_(trust) {}
 
-    [[nodiscard]] const std::string& platoon_id() const noexcept { return id_; }
     [[nodiscard]] bool formed() const noexcept { return agreement_.formed; }
     [[nodiscard]] const PlatoonAgreement& agreement() const noexcept {
         return agreement_;

@@ -21,7 +21,6 @@ public:
     void revoke_all(const std::string& client);
 
     [[nodiscard]] bool allowed(const std::string& client, const std::string& service) const;
-    [[nodiscard]] std::size_t rule_count() const noexcept { return rules_.size(); }
 
     /// Emitted on every denied check: (client, service).
     sim::Signal<const std::string&, const std::string&>& denied() noexcept { return denied_; }

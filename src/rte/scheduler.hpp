@@ -99,7 +99,6 @@ public:
     [[nodiscard]] std::int64_t busy_ns() const noexcept { return busy_ns_; }
     [[nodiscard]] double utilization(Time horizon) const;
     [[nodiscard]] const std::string& ecu_name() const noexcept { return ecu_name_; }
-    [[nodiscard]] std::size_t ready_jobs() const noexcept { return ready_.size(); }
 
     /// Max pending jobs per task before overload shedding (drops).
     void set_queue_limit(std::size_t limit) noexcept { queue_limit_ = limit; }

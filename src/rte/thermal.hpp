@@ -38,8 +38,6 @@ public:
     /// Emitted after every update with the new die temperature.
     sim::Signal<double>& temperature_updated() noexcept { return updated_; }
 
-    [[nodiscard]] const ThermalConfig& config() const noexcept { return config_; }
-
 private:
     void update();
 

@@ -85,11 +85,12 @@ public:
     [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
 
     // --- model domain -------------------------------------------------------
-    [[nodiscard]] bool has_mcc() const noexcept { return mcc_ != nullptr; }
     [[nodiscard]] model::Mcc& mcc();
-    /// Report of the build-time integration of the declared contracts.
+    /// Report of the build-time integration of the declared contracts, shared
+    /// by the vehicles declared the same way (empty without contracts).
     [[nodiscard]] const model::IntegrationReport& integration_report() const noexcept {
-        return integration_report_;
+        static const model::IntegrationReport none;
+        return integration_report_ != nullptr ? *integration_report_ : none;
     }
     /// Run-time change management: integrate a contract-language update and,
     /// when accepted, deploy the new configuration to the running RTE.
@@ -125,7 +126,6 @@ public:
     [[nodiscard]] bool has_abilities() const noexcept { return abilities_ != nullptr; }
     [[nodiscard]] skills::AbilityGraph& abilities();
     [[nodiscard]] skills::DegradationManager& tactics() noexcept { return tactics_; }
-    void add_tactic(skills::Tactic tactic) { tactics_.register_tactic(std::move(tactic)); }
     /// Unified degradation flow (declared via
     /// VehicleBuilder::degradation_policy()): every monitor alarm is mapped
     /// onto capability-quality downgrades of the ability graph.
@@ -161,7 +161,7 @@ private:
 
     std::string name_;
     sim::Simulator& simulator_;
-    model::IntegrationReport integration_report_;
+    std::shared_ptr<const model::IntegrationReport> integration_report_;
     std::unique_ptr<model::Mcc> mcc_;
     std::unique_ptr<rte::Rte> rte_;
     std::unique_ptr<rte::FaultInjector> faults_;

@@ -12,13 +12,11 @@ namespace sa::scenario {
 ScenarioBuilder::ScenarioBuilder(std::uint64_t seed) : seed_(seed) {}
 
 VehicleBuilder& ScenarioBuilder::vehicle(const std::string& name) {
-    for (auto& builder : builders_) {
-        if (builder.name() == name) {
-            return builder;
-        }
+    const auto [it, declared] = builders_.try_emplace(name, name);
+    if (declared) {
+        declared_.emplace_back(it->second);
     }
-    builders_.emplace_back(name);
-    return builders_.back();
+    return it->second;
 }
 
 ScenarioBuilder& ScenarioBuilder::domains(std::size_t n) {
@@ -106,7 +104,7 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     std::vector<ParsedText> parsed;
     const std::vector<std::size_t> domains = vehicle_domains();
     auto domain = domains.begin();
-    for (const auto& builder : builders_) {
+    for (const VehicleBuilder& builder : declared_) {
         ParsedText& text = parsed.emplace_back();
         try {
             text.contracts = builder.change_request().contracts;
@@ -133,7 +131,7 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
 
     // Model- and skills-layer rules per vehicle.
     auto next_parsed = parsed.begin();
-    for (const auto& builder : builders_) {
+    for (const VehicleBuilder& builder : declared_) {
         ParsedText& text = *next_parsed++;
         if (text.error.has_value()) {
             report.add("TXT001", "vehicle " + builder.name() + " / contracts",
@@ -142,7 +140,7 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
             const model::FunctionModel functions{std::move(text.contracts)};
             report.merge(lint::lint_system(functions, builder.platform_model()));
         }
-        if (builder.skill_spec().has_value()) {
+        if (builder.skill_spec() != nullptr) {
             report.merge(lint::lint_spec(*builder.skill_spec(), &registry));
         }
         if (builder.declared_degradation_policy().has_value()) {
@@ -158,7 +156,7 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
 std::vector<std::size_t> ScenarioBuilder::vehicle_domains() const {
     std::vector<std::size_t> domains;
     std::size_t round_robin = 0;
-    for (const auto& builder : builders_) {
+    for (const VehicleBuilder& builder : declared_) {
         // Pinned vehicles take no round-robin slot, so "round-robin in
         // declaration order unless pinned" means exactly that.
         const std::optional<std::size_t> pin = builder.assigned_domain();
@@ -171,7 +169,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
     auto scenario = std::unique_ptr<Scenario>(new Scenario(seed_, num_domains_));
     const std::vector<std::size_t> domains = vehicle_domains();
     auto next_domain = domains.begin();
-    for (const auto& builder : builders_) {
+    for (const VehicleBuilder& builder : declared_) {
         const std::string& name = builder.name();
         const std::size_t domain = *next_domain++;
         SA_REQUIRE(domain < num_domains_,
@@ -206,7 +204,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
         scenario->v2v_ = std::make_unique<v2v::Medium>(scenario->simulator(),
                                                        v2v_config_);
     }
-    for (const auto& builder : builders_) {
+    for (const VehicleBuilder& builder : declared_) {
         const std::string& name = builder.name();
         const auto& endpoint = builder.v2v_endpoint();
         if (!endpoint.has_value()) {

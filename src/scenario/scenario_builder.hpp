@@ -5,7 +5,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,7 +113,8 @@ private:
 
     std::uint64_t seed_;
     std::size_t num_domains_ = 1;
-    std::list<VehicleBuilder> builders_; ///< declaration order; list: stable references
+    std::map<std::string, VehicleBuilder> builders_; ///< by name; nodes never move
+    std::vector<std::reference_wrapper<VehicleBuilder>> declared_; ///< declaration order
     std::vector<BridgeSpec> bridges_;
     bool v2v_enabled_ = false;
     v2v::MediumConfig v2v_config_{};

@@ -153,15 +153,17 @@ std::vector<std::string> VehicleBuilder::resolved_learned_metrics(
     for (const auto& spec : sensors_) {
         names.push_back("sensor." + spec.config.name);
     }
-    if (skill_spec_.has_value()) {
+    if (skill_spec_ != nullptr) {
         names.push_back("skill." + skill_spec_->root_skill());
     }
     return names;
 }
 
-VehicleBuilder& VehicleBuilder::skill_graph(skills::SkillGraphSpec spec) {
-    SA_REQUIRE(!spec.root_skill().empty(),
-               "skill_graph(spec): spec '" + spec.name() + "' declares no root");
+VehicleBuilder&
+VehicleBuilder::skill_graph(std::shared_ptr<const skills::SkillGraphSpec> spec) {
+    SA_REQUIRE(spec != nullptr, "skill_graph(spec): no spec");
+    SA_REQUIRE(!spec->root_skill().empty(),
+               "skill_graph(spec): spec '" + spec->name() + "' declares no root");
     skill_spec_ = std::move(spec);
     return *this;
 }
@@ -344,7 +346,7 @@ void VehicleBuilder::describe(lint::VehicleShape& shape,
             v2v_endpoint_->is_mesh, v2v_endpoint_->position_m,
             v2v_endpoint_->is_mesh ? v2v_endpoint_->config.beacon_ttl : 0};
     }
-    if (skill_spec_.has_value()) {
+    if (skill_spec_ != nullptr) {
         shape.has_skill_graph = true;
         for (const auto& node : skill_spec_->nodes()) {
             if (node.kind != skills::SkillNodeKind::Skill) {
@@ -438,12 +440,13 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
     //    analysis depends only on the platform model and the text, so
     //    model::integrate_declared() runs it once per process for each
     //    distinct pair and hands every later vehicle declared the same way
-    //    its own copy of the analysed MCC and report (the vehicle name only
-    //    labels the log line). A vehicle without contract text never
-    //    reaches that memo. A vehicle with nothing for the model domain to
-    //    do (no contracts and no model-consulting layer) skips the MCC
-    //    entirely — pure driving-loop or raw-task scenarios have no model
-    //    domain.
+    //    an MCC that shares the analysed configuration until its own
+    //    integrate() replaces it, plus the read-only report (the vehicle
+    //    name only labels the log line). A vehicle without contract text
+    //    never reaches that memo. A vehicle with nothing for the model
+    //    domain to do (no contracts and no model-consulting layer) skips the
+    //    MCC entirely — pure driving-loop or raw-task scenarios have no
+    //    model domain.
     const bool wants_model_layer =
         std::any_of(layers_.begin(), layers_.end(), [](core::LayerId id) {
             return id == core::LayerId::Platform || id == core::LayerId::Safety;
@@ -463,11 +466,11 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         v.mcc_ = std::make_unique<model::Mcc>(std::move(initial->mcc));
         v.integration_report_ = std::move(initial->report);
         if (policy_ == IntegrationPolicy::RequireAccepted) {
-            SA_REQUIRE(v.integration_report_.accepted,
+            SA_REQUIRE(v.integration_report_->accepted,
                        "vehicle '" + name_ + "': initial integration rejected: " +
-                           v.integration_report_.rejection_reason);
+                           v.integration_report_->rejection_reason);
         }
-        deploy = v.integration_report_.accepted;
+        deploy = v.integration_report_->accepted;
     } else if (!ecus_.empty() && wants_model_layer) {
         v.mcc_ = std::make_unique<model::Mcc>(platform_model());
     }
@@ -551,9 +554,9 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         SA_REQUIRE(sensors_.empty(), "sensor() requires driving() to be declared");
     }
 
-    // 5. Ability graph, instantiated from the spec; sensors bound to a data
-    //    source or sink feed their quality into it.
-    if (skill_spec_.has_value()) {
+    // 5. Ability graph, sharing the spec's compiled structure; sensors bound
+    //    to a data source or sink feed their quality into it.
+    if (skill_spec_ != nullptr) {
         v.abilities_ = std::make_unique<skills::AbilityGraph>(*skill_spec_);
         v.root_skill_ = skill_spec_->root_skill();
         for (const auto& spec : sensors_) {

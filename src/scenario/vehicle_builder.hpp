@@ -139,8 +139,9 @@ public:
     // --- skills / degradation ----------------------------------------------
     /// Instantiate `spec` (with its aggregation choices and dependency
     /// weights) at build time. The root skill comes from the spec, which
-    /// must declare one. A later call replaces an earlier one.
-    VehicleBuilder& skill_graph(skills::SkillGraphSpec spec);
+    /// must declare one. A later call replaces an earlier one. Vehicles
+    /// declared with one spec share it and its compiled graph.
+    VehicleBuilder& skill_graph(std::shared_ptr<const skills::SkillGraphSpec> spec);
     /// Instantiate a spec registered in `registry` by name (the builtin
     /// catalogue by default): `skill_graph("acc")` is the paper's §IV ACC
     /// graph, `skill_graph("platoon_follow")` the platoon maneuver.
@@ -220,8 +221,8 @@ public:
     /// text once and passes no contracts when it fails to parse (TXT001).
     void describe(lint::VehicleShape& shape,
                   const std::vector<model::Contract>& contracts) const;
-    /// The declarative skill-graph spec, when one was configured.
-    [[nodiscard]] const std::optional<skills::SkillGraphSpec>&
+    /// The declarative skill-graph spec; null when none was configured.
+    [[nodiscard]] const std::shared_ptr<const skills::SkillGraphSpec>&
     skill_spec() const noexcept {
         return skill_spec_;
     }
@@ -331,7 +332,7 @@ private:
     std::vector<CanTxSpec> can_tx_;
     std::vector<CanRxSpec> can_rx_;
     std::vector<MonitorDecl> monitor_decls_;
-    std::optional<skills::SkillGraphSpec> skill_spec_;
+    std::shared_ptr<const skills::SkillGraphSpec> skill_spec_;
     std::optional<skills::DegradationPolicy> degradation_policy_;
     std::vector<TacticSpec> tactics_;
     std::optional<sim::Duration> tactic_plan_period_;

@@ -31,7 +31,7 @@ AbilityLevel classify(double level) {
     return AbilityLevel::Unavailable;
 }
 
-AbilityGraph::AbilityGraph(const SkillGraphSpec& spec) {
+CompiledGraph::CompiledGraph(const SkillGraphSpec& spec) {
     // Ids follow name order, so Kahn's "smallest ready name" below is the
     // smallest ready id. The spec already rejects duplicate node names.
     std::vector<const SkillGraphSpec::NodeDecl*> decls;
@@ -41,18 +41,17 @@ AbilityGraph::AbilityGraph(const SkillGraphSpec& spec) {
     std::sort(decls.begin(), decls.end(),
               [](const auto* a, const auto* b) { return a->name < b->name; });
     for (const auto* decl : decls) {
-        ids_.emplace(decl->name, static_cast<NodeId>(nodes_.size()));
-        Node& node = nodes_.emplace_back();
+        ids.emplace(decl->name, static_cast<NodeId>(nodes.size()));
+        Node& node = nodes.emplace_back();
         node.name = decl->name;
         node.kind = decl->kind;
     }
 
-    std::vector<std::vector<NodeId>> parents(nodes_.size());
-    std::size_t max_children = 0;
+    std::vector<std::vector<NodeId>> parents(nodes.size());
     for (const auto& edge : spec.edges()) {
         const NodeId parent = id(edge.parent);
         const NodeId child = id(edge.child);
-        Node& node = nodes_[parent];
+        Node& node = nodes[parent];
         SA_REQUIRE(node.kind == SkillNodeKind::Skill,
                    "only skills can have dependencies: " + edge.parent);
         SA_REQUIRE(std::find(node.children.begin(), node.children.end(), child) ==
@@ -63,19 +62,18 @@ AbilityGraph::AbilityGraph(const SkillGraphSpec& spec) {
         parents[child].push_back(parent);
         max_children = std::max(max_children, node.children.size());
     }
-    edge_count_ = spec.edges().size();
-    inputs_.reserve(max_children);
+    edge_count = spec.edges().size();
 
     // The structural rules of [22]: paths end at sources/sinks, not at
     // skills; a main skill exists; the graph is acyclic.
     auto is_root = [&](NodeId i) {
-        return nodes_[i].kind == SkillNodeKind::Skill && parents[i].empty();
+        return nodes[i].kind == SkillNodeKind::Skill && parents[i].empty();
     };
     bool has_root = false;
-    for (NodeId i = 0; i < nodes_.size(); ++i) {
-        if (nodes_[i].kind == SkillNodeKind::Skill && nodes_[i].children.empty()) {
+    for (NodeId i = 0; i < nodes.size(); ++i) {
+        if (nodes[i].kind == SkillNodeKind::Skill && nodes[i].children.empty()) {
             throw SkillGraphError("skill has no dependencies (dangling path): " +
-                                  nodes_[i].name);
+                                  nodes[i].name);
         }
         has_root = has_root || is_root(i);
     }
@@ -83,10 +81,10 @@ AbilityGraph::AbilityGraph(const SkillGraphSpec& spec) {
         throw SkillGraphError("graph has no root (main) skill");
     }
     // Kahn's algorithm over the child -> parent direction: children first.
-    std::vector<std::size_t> pending(nodes_.size());
+    std::vector<std::size_t> pending(nodes.size());
     std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ready;
-    for (NodeId i = 0; i < nodes_.size(); ++i) {
-        pending[i] = nodes_[i].children.size();
+    for (NodeId i = 0; i < nodes.size(); ++i) {
+        pending[i] = nodes[i].children.size();
         if (pending[i] == 0) {
             ready.push(i);
         }
@@ -94,29 +92,30 @@ AbilityGraph::AbilityGraph(const SkillGraphSpec& spec) {
     while (!ready.empty()) {
         const NodeId next = ready.top();
         ready.pop();
-        topo_.push_back(next);
+        topo.push_back(next);
         for (const NodeId parent : parents[next]) {
             if (--pending[parent] == 0) {
                 ready.push(parent);
             }
         }
     }
-    if (topo_.size() != nodes_.size()) {
+    if (topo.size() != nodes.size()) {
         throw SkillGraphError("graph contains a cycle");
     }
 
     const std::string& root = spec.root_skill();
-    SA_REQUIRE(root.empty() || (has_node(root) && is_root(id(root))),
+    SA_REQUIRE(root.empty() || (ids.contains(root) && is_root(id(root))),
                "spec '" + spec.name() + "': declared root '" + root +
                    "' is not a root skill of the instantiated graph");
     for (const auto& agg : spec.aggregations()) {
-        SA_REQUIRE(has_node(agg.skill) && kind(agg.skill) == SkillNodeKind::Skill,
+        SA_REQUIRE(ids.contains(agg.skill) &&
+                       nodes[id(agg.skill)].kind == SkillNodeKind::Skill,
                    "aggregation applies to skills: " + agg.skill);
-        nodes_[id(agg.skill)].aggregation = agg.aggregation;
+        nodes[id(agg.skill)].aggregation = agg.aggregation;
     }
     for (const auto& w : spec.weights()) {
         SA_REQUIRE(w.weight > 0.0, "weights must be positive");
-        Node& node = nodes_[id(w.skill)];
+        Node& node = nodes[id(w.skill)];
         const auto it =
             std::find(node.children.begin(), node.children.end(), id(w.child));
         SA_REQUIRE(it != node.children.end(),
@@ -125,53 +124,60 @@ AbilityGraph::AbilityGraph(const SkillGraphSpec& spec) {
     }
 }
 
-AbilityGraph::NodeId AbilityGraph::id(const std::string& name) const {
-    const auto it = ids_.find(name);
-    SA_REQUIRE(it != ids_.end(), "unknown node: " + name);
+CompiledGraph::NodeId CompiledGraph::id(const std::string& name) const {
+    const auto it = ids.find(name);
+    SA_REQUIRE(it != ids.end(), "unknown node: " + name);
     return it->second;
 }
 
-bool AbilityGraph::has_node(const std::string& name) const { return ids_.contains(name); }
+AbilityGraph::AbilityGraph(const SkillGraphSpec& spec)
+    : graph_(spec.compiled()), nodes_(graph_->nodes.size()) {
+    inputs_.reserve(graph_->max_children);
+}
+
+bool AbilityGraph::has_node(const std::string& name) const {
+    return graph_->ids.contains(name);
+}
 
 SkillNodeKind AbilityGraph::kind(const std::string& name) const {
-    return nodes_[id(name)].kind;
+    return graph_->nodes[graph_->id(name)].kind;
 }
 
 std::vector<std::string> AbilityGraph::node_names() const {
     std::vector<std::string> out;
-    out.reserve(nodes_.size());
-    for (const Node& node : nodes_) {
+    out.reserve(graph_->nodes.size());
+    for (const auto& node : graph_->nodes) {
         out.push_back(node.name);
     }
     return out;
 }
 
 void AbilityGraph::set_source_level(const std::string& name, double level) {
-    Node& node = nodes_[id(name)];
-    SA_REQUIRE(node.kind != SkillNodeKind::Skill,
+    const NodeId node = graph_->id(name);
+    SA_REQUIRE(graph_->nodes[node].kind != SkillNodeKind::Skill,
                "set_source_level is for sources/sinks; use set_intrinsic_level for " + name);
     SA_REQUIRE(level >= 0.0 && level <= 1.0, "levels must be within [0,1]");
-    node.level = level;
+    nodes_[node].level = level;
 }
 
 void AbilityGraph::set_intrinsic_level(const std::string& skill, double level) {
-    Node& node = nodes_[id(skill)];
-    SA_REQUIRE(node.kind == SkillNodeKind::Skill,
+    const NodeId node = graph_->id(skill);
+    SA_REQUIRE(graph_->nodes[node].kind == SkillNodeKind::Skill,
                "set_intrinsic_level is for skills: " + skill);
     SA_REQUIRE(level >= 0.0 && level <= 1.0, "levels must be within [0,1]");
-    node.intrinsic = level;
+    nodes_[node].intrinsic = level;
 }
 
 double AbilityGraph::intrinsic_level(const std::string& skill) const {
-    const Node& node = nodes_[id(skill)];
-    SA_REQUIRE(node.kind == SkillNodeKind::Skill, "not a skill: " + skill);
-    return node.intrinsic;
+    const NodeId node = graph_->id(skill);
+    SA_REQUIRE(graph_->nodes[node].kind == SkillNodeKind::Skill, "not a skill: " + skill);
+    return nodes_[node].intrinsic;
 }
 
 std::size_t AbilityGraph::propagate() {
     std::size_t qualitative_changes = 0;
-    for (const NodeId i : topo_) {
-        Node& node = nodes_[i];
+    for (const NodeId i : graph_->topo) {
+        const CompiledGraph::Node& node = graph_->nodes[i];
         if (node.kind != SkillNodeKind::Skill) {
             continue; // sources/sinks are inputs
         }
@@ -180,21 +186,22 @@ std::size_t AbilityGraph::propagate() {
             inputs_.push_back(
                 WeightedLevel{nodes_[node.children[c]].level, node.weights[c]});
         }
+        NodeState& state = nodes_[i];
         const double next =
-            std::min(node.intrinsic, aggregate(node.aggregation, inputs_));
-        const AbilityLevel before = classify(node.level);
+            std::min(state.intrinsic, aggregate(node.aggregation, inputs_));
+        const AbilityLevel before = classify(state.level);
         const AbilityLevel after = classify(next);
         if (before != after) {
             ++qualitative_changes;
             level_changed_.emit(node.name, before, after);
         }
-        node.level = next;
+        state.level = next;
     }
     return qualitative_changes;
 }
 
 double AbilityGraph::level(const std::string& name) const {
-    return nodes_[id(name)].level;
+    return nodes_[graph_->id(name)].level;
 }
 
 AbilityLevel AbilityGraph::ability(const std::string& name) const {
@@ -203,7 +210,7 @@ AbilityLevel AbilityGraph::ability(const std::string& name) const {
 
 std::size_t AbilityGraph::below_nominal_count() const {
     std::size_t below = 0;
-    for (const Node& node : nodes_) {
+    for (const NodeState& node : nodes_) {
         below += classify(node.level) != AbilityLevel::Nominal ? 1 : 0;
     }
     return below;
@@ -213,8 +220,8 @@ void AbilityGraph::bind_source(const std::string& source,
                                monitor::SensorQualityMonitor& monitor) {
     SA_REQUIRE(kind(source) != SkillNodeKind::Skill,
                "bind_source feeds a data source or sink, not skill " + source);
-    monitor.quality_updated().subscribe([this, source](double quality) {
-        set_source_level(source, std::clamp(quality, 0.0, 1.0));
+    monitor.quality_updated().subscribe([this, node = graph_->id(source)](double quality) {
+        nodes_[node].level = std::clamp(quality, 0.0, 1.0);
         propagate();
     });
 }

@@ -11,12 +11,16 @@
 // intrinsic level (own performance, e.g. control quality) with an
 // aggregation of their dependencies. propagate() recomputes bottom-up.
 //
-// The constructor is the only way to instantiate a SkillGraphSpec. It
-// validates the spec and assigns every node a dense id once; after that only
-// levels change, and propagate() walks ids without name lookups.
+// The constructor is the only way to instantiate a SkillGraphSpec. The first
+// graph of a spec validates it and compiles its CompiledGraph: names, kinds,
+// dense ids, weighted edges, aggregations, topological order, name index.
+// That stays with the spec and every later graph of it shares it (each
+// identical vehicle of a campaign cell); a graph owns only levels, intrinsic
+// levels, source bindings and level_changed(). propagate() walks ids.
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,6 +45,28 @@ inline constexpr double kMarginalLevel = 0.15;
 
 AbilityLevel classify(double level);
 
+/// The part of an ability graph that never changes; one per spec.
+struct CompiledGraph {
+    using NodeId = std::uint32_t;
+    struct Node {
+        std::string name;
+        SkillNodeKind kind = SkillNodeKind::Skill;
+        Aggregation aggregation = Aggregation::Min;
+        std::vector<NodeId> children; ///< edge-declaration order
+        std::vector<double> weights;  ///< per child
+    };
+
+    /// Throws what AbilityGraph's constructor documents.
+    explicit CompiledGraph(const SkillGraphSpec& spec);
+    [[nodiscard]] NodeId id(const std::string& name) const;
+
+    std::vector<Node> nodes;  ///< indexed by id; ids follow name order
+    std::vector<NodeId> topo; ///< children first, smallest ready name first
+    std::map<std::string, NodeId> ids;
+    std::size_t edge_count = 0;
+    std::size_t max_children = 0;
+};
+
 class AbilityGraph {
 public:
     /// Instantiate `spec` with its aggregations and dependency weights.
@@ -48,7 +74,7 @@ public:
     /// or sink, a duplicate edge, a declared root that is not a root skill,
     /// an aggregation on a non-skill, or a weight on a missing edge; throws
     /// SkillGraphError on a skill without dependencies, no root skill, or a
-    /// cycle.
+    /// cycle. Threads may instantiate one spec at once (it compiles once).
     explicit AbilityGraph(const SkillGraphSpec& spec);
 
     // bind_source() hands `this` to a monitor callback, so the graph stays put.
@@ -60,7 +86,7 @@ public:
     /// Node names, sorted.
     [[nodiscard]] std::vector<std::string> node_names() const;
     [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-    [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
+    [[nodiscard]] std::size_t edge_count() const noexcept { return graph_->edge_count; }
 
     /// Set a source/sink level (monitor input). Does not propagate.
     void set_source_level(const std::string& name, double level);
@@ -92,23 +118,14 @@ public:
     void bind_source(const std::string& source, monitor::SensorQualityMonitor& monitor);
 
 private:
-    using NodeId = std::uint32_t;
-    struct Node {
-        std::string name;
-        SkillNodeKind kind = SkillNodeKind::Skill;
-        Aggregation aggregation = Aggregation::Min;
+    using NodeId = CompiledGraph::NodeId;
+    struct NodeState {
         double level = 1.0;     ///< current propagated level
         double intrinsic = 1.0; ///< skills only
-        std::vector<NodeId> children; ///< edge-declaration order
-        std::vector<double> weights;  ///< per child
     };
 
-    [[nodiscard]] NodeId id(const std::string& name) const;
-
-    std::vector<Node> nodes_; ///< indexed by id; ids follow name order
-    std::vector<NodeId> topo_; ///< children first, smallest ready name first
-    std::map<std::string, NodeId> ids_;
-    std::size_t edge_count_ = 0;
+    std::shared_ptr<const CompiledGraph> graph_; ///< shared with the spec
+    std::vector<NodeState> nodes_;      ///< indexed by the compiled ids
     std::vector<WeightedLevel> inputs_; ///< propagate() scratch, reused
     sim::Signal<const std::string&, AbilityLevel, AbilityLevel> level_changed_;
 };

@@ -93,13 +93,15 @@ CapabilityRegistry& CapabilityRegistry::register_spec(SkillGraphSpec spec) {
                        "' as a different kind than the catalogue declares");
     }
     // A registered spec must instantiate cleanly: catch structural errors at
-    // registration, not first use.
-    (void)AbilityGraph(spec);
-    specs_.emplace(spec.name(), std::move(spec));
+    // registration, not first use. The shared copy keeps the compiled graph.
+    auto shared = std::make_shared<const SkillGraphSpec>(std::move(spec));
+    (void)AbilityGraph(*shared);
+    specs_.emplace(shared->name(), std::move(shared));
     return *this;
 }
 
-const SkillGraphSpec& CapabilityRegistry::spec(const std::string& name) const {
+const std::shared_ptr<const SkillGraphSpec>&
+CapabilityRegistry::spec(const std::string& name) const {
     auto it = specs_.find(name);
     SA_REQUIRE(it != specs_.end(), "unknown skill-graph spec: " + name);
     return it->second;

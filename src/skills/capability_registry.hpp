@@ -16,9 +16,10 @@
 // spec (and "acc_aggregate_sensors", the paper's minimal narration with one
 // environment-sensor source) plus lane-keep, emergency-stop and
 // platoon-follow maneuvers, with default alarm bindings for the stock
-// monitors. AbilityGraph(registry.spec(name)) instantiates a spec.
+// monitors. AbilityGraph(*registry.spec(name)) instantiates a spec.
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,9 +92,11 @@ public:
     /// Register a named spec. Every node the spec declares must already be a
     /// registered capability of the same kind — a spec referencing an
     /// unknown capability is a catalogue bug and fails loudly here, as does
-    /// a spec AbilityGraph cannot instantiate.
+    /// a spec AbilityGraph cannot instantiate (which compiles its graph).
     CapabilityRegistry& register_spec(SkillGraphSpec spec);
-    [[nodiscard]] const SkillGraphSpec& spec(const std::string& name) const;
+    /// The registered spec: every vehicle that declares it shares this one.
+    [[nodiscard]] const std::shared_ptr<const SkillGraphSpec>&
+    spec(const std::string& name) const;
     /// Registered spec names, sorted.
     [[nodiscard]] std::vector<std::string> spec_names() const;
 
@@ -118,7 +121,7 @@ public:
 
 private:
     std::map<std::string, Capability> capabilities_;
-    std::map<std::string, SkillGraphSpec> specs_;
+    std::map<std::string, std::shared_ptr<const SkillGraphSpec>> specs_;
     std::vector<AlarmBinding> bindings_;
 };
 

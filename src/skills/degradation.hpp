@@ -53,7 +53,6 @@ public:
     [[nodiscard]] const std::vector<AppliedTactic>& history() const noexcept {
         return history_;
     }
-    [[nodiscard]] std::size_t tactic_count() const noexcept { return tactics_.size(); }
 
 private:
     struct Entry {

@@ -1,7 +1,9 @@
 #include "skills/skill_graph_spec.hpp"
 
 #include <charconv>
+#include <mutex>
 
+#include "skills/ability_graph.hpp"
 #include "util/assert.hpp"
 
 namespace sa::skills {
@@ -48,7 +50,7 @@ SkillGraphSpec& SkillGraphSpec::add_node(NodeDecl decl) {
                    decl.description.find('\n') == std::string::npos,
                "node description must not contain '\"' or newlines: " + decl.name);
     nodes_.push_back(std::move(decl));
-    return *this;
+    return changed();
 }
 
 SkillGraphSpec& SkillGraphSpec::skill(std::string name, std::string description) {
@@ -72,24 +74,38 @@ SkillGraphSpec& SkillGraphSpec::depends(const std::string& parent,
     for (const auto& child : children) {
         edges_.push_back(EdgeDecl{parent, child});
     }
-    return *this;
+    return changed();
 }
 
 SkillGraphSpec& SkillGraphSpec::aggregate(std::string skill, Aggregation aggregation) {
     aggregates_.push_back(AggregateDecl{std::move(skill), aggregation});
-    return *this;
+    return changed();
 }
 
 SkillGraphSpec& SkillGraphSpec::weight(std::string skill, std::string child,
                                        double weight) {
     SA_REQUIRE(weight > 0.0, "weights must be positive");
     weights_.push_back(WeightDecl{std::move(skill), std::move(child), weight});
-    return *this;
+    return changed();
 }
 
 SkillGraphSpec& SkillGraphSpec::root(std::string skill) {
     root_ = std::move(skill);
+    return changed();
+}
+
+SkillGraphSpec& SkillGraphSpec::changed() noexcept {
+    compiled_.graph.reset();
     return *this;
+}
+
+std::shared_ptr<const CompiledGraph> SkillGraphSpec::compiled() const {
+    static std::mutex mutex; // guards every spec's compiled_
+    const std::lock_guard lock(mutex);
+    if (compiled_.graph == nullptr) { // a spec that does not compile keeps nothing
+        compiled_.graph = std::make_shared<const CompiledGraph>(*this);
+    }
+    return compiled_.graph;
 }
 
 // --- introspection ----------------------------------------------------------------

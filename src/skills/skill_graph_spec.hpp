@@ -15,7 +15,9 @@
 //   - parsed from a compact text form (mirroring model/contract_parser), or
 //   - serialized back to that text form (str(); parse(str()) round-trips).
 // A spec only records declarations; AbilityGraph(spec) (ability_graph.hpp)
-// validates them and instantiates the runtime graph.
+// validates them and instantiates the runtime graph. Vehicles share one
+// std::shared_ptr<const SkillGraphSpec>, and with it the structure the first
+// graph instantiated from that spec compiled.
 //
 // Text grammar (tokens follow the shared lexical rules in util/lexer.hpp;
 // malformed text throws util::ParseError with its line):
@@ -30,6 +32,7 @@
 //     weight <skill> <child> <number>;          // digits with at most one '.'
 //   }
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,6 +43,9 @@
 namespace sa::skills {
 
 enum class SkillNodeKind { Skill, DataSource, DataSink };
+
+class AbilityGraph;
+struct CompiledGraph; // ability_graph.hpp
 
 const char* to_string(SkillNodeKind kind) noexcept;
 
@@ -119,7 +125,27 @@ public:
     [[nodiscard]] std::string str() const;
 
 private:
+    friend class AbilityGraph;
+
+    /// AbilityGraph's compiled form of these declarations, built once under
+    /// one lock for all specs (compiled()). A copy starts without it:
+    /// reading it could race a compilation.
+    struct Compiled {
+        std::shared_ptr<const CompiledGraph> graph;
+        Compiled() = default;
+        Compiled(const Compiled& /*other*/) noexcept {}
+        Compiled& operator=(const Compiled& other) noexcept {
+            if (this != &other) {
+                graph.reset();
+            }
+            return *this;
+        }
+    };
+
+    /// The compiled graph, compiling it on first use; throws as AbilityGraph.
+    [[nodiscard]] std::shared_ptr<const CompiledGraph> compiled() const;
     SkillGraphSpec& add_node(NodeDecl decl);
+    SkillGraphSpec& changed() noexcept; ///< drops the compiled graph
     [[nodiscard]] const NodeDecl* find_node(const std::string& name) const;
 
     std::string name_;
@@ -128,6 +154,7 @@ private:
     std::vector<EdgeDecl> edges_;
     std::vector<AggregateDecl> aggregates_;
     std::vector<WeightDecl> weights_;
+    mutable Compiled compiled_;
 };
 
 /// Parse the textual aggregation name ("min", "product", "weighted_mean").

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 #include "util/assert.hpp"
 
@@ -29,14 +28,6 @@ public:
 
     /// Pick a uniformly random index into a container of the given size (> 0).
     std::size_t index(std::size_t size);
-
-    /// Fisher-Yates shuffle.
-    template <typename T>
-    void shuffle(std::vector<T>& items) {
-        for (std::size_t i = items.size(); i > 1; --i) {
-            std::swap(items[i - 1], items[index(i)]);
-        }
-    }
 
     std::mt19937_64& raw() noexcept { return rng_; }
 

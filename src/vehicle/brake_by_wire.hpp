@@ -22,7 +22,6 @@ public:
     /// Engage powertrain braking as a compensation tactic.
     void set_drivetrain_assist(bool engaged) noexcept { drivetrain_ = engaged; }
 
-    [[nodiscard]] bool front_available() const noexcept { return front_; }
     [[nodiscard]] bool rear_available() const noexcept { return rear_; }
     [[nodiscard]] bool drivetrain_assist() const noexcept { return drivetrain_; }
 

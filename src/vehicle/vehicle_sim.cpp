@@ -126,7 +126,6 @@ void VehicleSim::control_step() {
     // Bookkeeping.
     const double gap = gap_m();
     gap_stats_.add(gap);
-    speed_stats_.add(ego_.speed_mps());
     if (gap <= 0.0) {
         collided_ = true;
     }

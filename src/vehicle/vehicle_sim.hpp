@@ -47,7 +47,6 @@ public:
     /// use case).
     void set_sensor_bias(std::size_t sensor_index, double bias_m);
 
-    [[nodiscard]] std::size_t sensor_count() const noexcept { return sensors_.size(); }
     /// Last valid (bias-included) measurement of a sensor stream; empty
     /// until the sensor returned its first valid sample.
     [[nodiscard]] std::optional<double> last_measurement(std::size_t sensor_index) const;
@@ -63,7 +62,6 @@ public:
     // --- state --------------------------------------------------------------
     [[nodiscard]] double gap_m() const noexcept;
     [[nodiscard]] double ego_speed() const noexcept { return ego_.speed_mps(); }
-    [[nodiscard]] double lead_speed() const noexcept { return lead_speed_; }
     [[nodiscard]] bool collided() const noexcept { return collided_; }
     [[nodiscard]] std::uint64_t control_steps() const noexcept { return steps_; }
     [[nodiscard]] std::uint64_t valid_fusions() const noexcept { return valid_fusions_; }
@@ -71,11 +69,9 @@ public:
 
     AccController& acc() noexcept { return acc_; }
     BrakeByWire& brakes() noexcept { return brakes_; }
-    LongitudinalModel& ego() noexcept { return ego_; }
 
     /// Gap statistics over the run (min is the safety-relevant figure).
     [[nodiscard]] const RunningStats& gap_stats() const noexcept { return gap_stats_; }
-    [[nodiscard]] const RunningStats& speed_stats() const noexcept { return speed_stats_; }
 
     /// Last fused measurement (for external monitors / ability feeds).
     [[nodiscard]] std::optional<double> last_fused_gap() const noexcept {
@@ -106,7 +102,6 @@ private:
     std::uint64_t blind_steps_ = 0;
     bool collided_ = false;
     RunningStats gap_stats_;
-    RunningStats speed_stats_;
 };
 
 } // namespace sa::vehicle

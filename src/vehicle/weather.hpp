@@ -12,8 +12,6 @@ struct WeatherCondition {
 
     [[nodiscard]] static WeatherCondition clear() { return {}; }
     [[nodiscard]] static WeatherCondition dense_fog() { return {0.9, 0.0, 8.0}; }
-    [[nodiscard]] static WeatherCondition heavy_rain() { return {0.1, 0.9, 12.0}; }
-    [[nodiscard]] static WeatherCondition alpine_winter() { return {0.5, 0.3, -10.0}; }
 };
 
 /// Meteorological visibility in metres for human reference (used by route

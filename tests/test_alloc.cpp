@@ -4,7 +4,8 @@
 // the binary (static-library pull-in IS the hook); the pins then assert that
 // a warmed simulation schedules/pops events, completes CAN round trips and
 // gateway forwards, ingests metrics, fans V2V frames out and propagates
-// ability levels without touching the heap.
+// ability levels without touching the heap. The assembly pins at the end
+// bound what building identical vehicles allocates.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "campaign/campaign_spec.hpp"
+#include "campaign/runner.hpp"
 #include "can/bus.hpp"
 #include "can/bus_gateway.hpp"
 #include "can/controller.hpp"
@@ -22,6 +25,8 @@
 #include "mesh/mesh_stack.hpp"
 #include "monitor/manager.hpp"
 #include "rte/scheduler.hpp"
+#include "scenario/presets.hpp"
+#include "scenario/scenario_builder.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "skills/ability_graph.hpp"
@@ -502,7 +507,7 @@ TEST(ZeroAllocPins, MonitorIngestSteadyState) {
 TEST(ZeroAllocPins, AbilityPropagateSteadyState) {
     // The §IV ACC graph: a camera update and propagate() walk dense ids and
     // reuse one scratch buffer, level changes and their signal included.
-    skills::AbilityGraph abilities(skills::CapabilityRegistry::builtin().spec("acc"));
+    skills::AbilityGraph abilities(*skills::CapabilityRegistry::builtin().spec("acc"));
     std::uint64_t changed = 0;
     abilities.level_changed().subscribe(
         [&changed](const std::string&, skills::AbilityLevel, skills::AbilityLevel) {
@@ -574,6 +579,65 @@ TEST(ZeroAllocPins, MeshChainRelaySteadyState) {
     EXPECT_EQ(arrived - arrived_before, 80u);
     EXPECT_EQ(stacks[1]->cams_relayed() - relayed_before, 80u);
     EXPECT_GT(stacks[2]->announces_relayed(), 0u);
+}
+
+// --- assembly pins ---------------------------------------------------------
+// Vehicles declared the same way share their skill-graph spec (with its
+// compiled graph) and the analysed MCC (with its report) instead of each
+// holding a copy. Before that sharing (GCC 12.2, libstdc++): the second
+// identical declare_platoon_follow_vehicle build() made 302 allocations, a
+// 3-vehicle campaign platoon cell's declare and build made 1,140 (257 + 883),
+// and instantiating the platoon_follow graph made 71. With it they make
+// 142, 465 (62 + 403) and 2. The pins hold the first two at half the old
+// counts and the third at the graph's own levels and scratch buffer.
+
+TEST(AssemblyAllocPins, SecondIdenticalPlatoonVehicleBuildIsHalved) {
+    scenario::ScenarioBuilder builder(13);
+    for (const char* name : {"warm", "first", "second"}) {
+        scenario::presets::declare_platoon_follow_vehicle(builder, name);
+    }
+    Simulator warm_simulator(1);
+    Simulator first_simulator(1);
+    Simulator second_simulator(1);
+    // One-time set-up (catalogue, memoised analysis) lands in the first two.
+    auto warm = builder.vehicle("warm").build(warm_simulator);
+    auto first = builder.vehicle("first").build(first_simulator);
+    std::uint64_t allocations = 0;
+    {
+        alloc_hook::CountScope scope;
+        auto second = builder.vehicle("second").build(second_simulator);
+        allocations = scope.allocations();
+    }
+    EXPECT_LE(allocations, 302u / 2) << "second identical platoon vehicle";
+}
+
+TEST(AssemblyAllocPins, PlatoonCellDeclareAndBuildIsHalved) {
+    const campaign::CellConfig cell; // the 3-vehicle dual-bus platoon template
+    const auto assemble = [&cell] {
+        scenario::ScenarioBuilder builder(cell.seed);
+        campaign::declare_cell_scenario(builder, cell);
+        return builder.build();
+    };
+    (void)assemble(); // one-time set-up
+    std::uint64_t allocations = 0;
+    {
+        alloc_hook::CountScope scope;
+        auto scenario = assemble();
+        allocations = scope.allocations();
+    }
+    EXPECT_LE(allocations, 1'140u / 2) << "3-vehicle platoon cell, declare + build";
+}
+
+TEST(AssemblyAllocPins, GraphsOfOneSpecShareItsCompiledStructure) {
+    const skills::SkillGraphSpec& spec =
+        *skills::CapabilityRegistry::builtin().spec("platoon_follow");
+    std::uint64_t allocations = 0;
+    {
+        alloc_hook::CountScope scope;
+        const skills::AbilityGraph abilities(spec);
+        allocations = scope.allocations();
+    }
+    EXPECT_LE(allocations, 2u) << "levels and the propagate() scratch only";
 }
 
 } // namespace

@@ -288,7 +288,7 @@ struct SystemFixture {
     sim::Simulator sim{11};
     rte::Rte rte{sim};
     model::Mcc mcc;
-    skills::AbilityGraph abilities{skills::CapabilityRegistry::builtin().spec("acc")};
+    skills::AbilityGraph abilities{*skills::CapabilityRegistry::builtin().spec("acc")};
     skills::DegradationManager tactics;
 
     SystemFixture() : mcc(make_platform()) {

@@ -155,10 +155,8 @@ TEST(StateModel, ClusteringIsSeedReproducible) {
     // For each of 12 seeds: two models fed the identical band stream must
     // produce identical state assignments, scores and leader sets.
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        StateModelConfig cfg;
-        cfg.seed = seed;
-        StateModel a(cfg);
-        StateModel b(cfg);
+        StateModel a({}, seed);
+        StateModel b({}, seed);
         std::mt19937 gen(42); // same stream for every seed
         std::uniform_int_distribution<int> band(-4, 4);
         for (int i = 0; i < 512; ++i) {

@@ -713,7 +713,7 @@ TEST(LintProperties, ScenarioPresetsAreLintClean) {
 TEST(LintProperties, SpecTextRoundTripStaysClean) {
     const auto& builtin = skills::CapabilityRegistry::builtin();
     for (const auto& name : builtin.spec_names()) {
-        const auto& spec = builtin.spec(name);
+        const auto& spec = *builtin.spec(name);
         const auto reparsed = skills::SkillGraphSpec::parse(spec.str());
         const auto report = lint_spec(reparsed, &builtin);
         EXPECT_EQ(report.error_count(), 0u) << name << ":\n" << report.str();

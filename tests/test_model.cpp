@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <string>
+#include <thread>
+
 #include "model/contract_parser.hpp"
 #include "model/dependency_graph.hpp"
 #include "model/fmea.hpp"
 #include "model/mcc.hpp"
+#include "model/safety_viewpoint.hpp"
+#include "model/timing_viewpoint.hpp"
 #include "util/assert.hpp"
 
 namespace {
@@ -695,16 +701,28 @@ TEST(Mcc, CopyIsAnIndependentValue) {
     EXPECT_EQ(copy.dependency_graph().node_count(), original.dependency_graph().node_count());
     EXPECT_EQ(copy.integrations_attempted(), 1u);
     EXPECT_EQ(copy.integrations_accepted(), 1u);
+    // The copy shares the committed configuration; a rejected change
+    // commits nothing, so it still does afterwards.
+    EXPECT_EQ(&copy.functions(), &original.functions());
+    ChangeRequest overload;
+    for (const char* hog : {"hog_a", "hog_b", "hog_c"}) {
+        overload.contracts.push_back(simple_contract(hog, 0.9));
+    }
+    EXPECT_FALSE(copy.integrate(overload).accepted);
+    EXPECT_EQ(&copy.functions(), &original.functions());
 
     ChangeRequest more;
     more.contracts.push_back(simple_contract("extra", 0.1));
     ASSERT_TRUE(copy.integrate(more).accepted);
     copy.ingest_observed_wcet("comp.main", Duration::us(1'500));
     EXPECT_EQ(copy.functions().size(), 2u);
-    EXPECT_EQ(copy.integrations_attempted(), 2u);
+    EXPECT_EQ(copy.integrations_attempted(), 3u);
     EXPECT_EQ(copy.wcet_violations().size(), 1u);
-    // The copy rebuilt its committed artifacts; the original kept its own.
+    // The copy committed a configuration of its own; the original kept the
+    // one they shared.
+    EXPECT_NE(&copy.functions(), &original.functions());
     EXPECT_GT(copy.dependency_graph().node_count(), original.dependency_graph().node_count());
+    EXPECT_EQ(copy.platform(), original.platform());
 
     EXPECT_EQ(original.functions().size(), 1u);
     EXPECT_EQ(original.integrations_attempted(), 1u);
@@ -719,13 +737,24 @@ TEST(IntegrateDeclared, EveryCallReadsAsItsOwnIntegration) {
     const std::string text = R"(
         component declared_once { asil B; task main { wcet 1ms; period 10ms; } }
     )";
+    std::optional<InitialIntegration> first;
     for (const char* description : {"first system", "second system"}) {
-        const auto analysed = integrate_declared(two_ecu_platform(), text, description);
+        auto analysed = integrate_declared(two_ecu_platform(), text, description);
         ASSERT_TRUE(analysed.has_value());
-        EXPECT_TRUE(analysed->report.accepted);
+        EXPECT_TRUE(analysed->report->accepted);
         EXPECT_EQ(analysed->mcc.functions().size(), 1u);
         EXPECT_EQ(analysed->mcc.integrations_attempted(), 1u);
         EXPECT_EQ(analysed->mcc.integrations_accepted(), 1u);
+        if (!first.has_value()) {
+            first = std::move(analysed);
+            continue;
+        }
+        // Every call shares one analysis: the report and the committed
+        // configuration are the first call's.
+        EXPECT_EQ(analysed->report, first->report);
+        EXPECT_EQ(&analysed->mcc.functions(), &first->mcc.functions());
+        EXPECT_EQ(&analysed->mcc.fmea(), &first->mcc.fmea());
+        EXPECT_EQ(&analysed->mcc.security_policy(), &first->mcc.security_policy());
     }
 }
 
@@ -738,8 +767,8 @@ TEST(IntegrateDeclared, RejectedAnalysisIsSharedLikeAnAcceptedOne) {
     for (int call = 0; call < 2; ++call) {
         const auto analysed = integrate_declared(two_ecu_platform(), text, "overload");
         ASSERT_TRUE(analysed.has_value());
-        EXPECT_FALSE(analysed->report.accepted);
-        EXPECT_FALSE(analysed->report.rejection_reason.empty());
+        EXPECT_FALSE(analysed->report->accepted);
+        EXPECT_FALSE(analysed->report->rejection_reason.empty());
         EXPECT_TRUE(analysed->mcc.functions().empty());
         EXPECT_EQ(analysed->mcc.integrations_attempted(), 1u);
         EXPECT_EQ(analysed->mcc.integrations_accepted(), 0u);
@@ -752,6 +781,38 @@ TEST(IntegrateDeclared, ParseErrorThrowsEveryTimeAndStoresNothing) {
         EXPECT_THROW((void)integrate_declared(two_ecu_platform(), text, "broken"),
                      util::ParseError);
     }
+}
+
+TEST(IntegrateDeclared, ConcurrentCopiesChangeIndependently) {
+    // Two threads take copies of one analysis at once and then change them
+    // in the field: each copy commits its own configuration, the memo's
+    // stays as analysed. The TSan job checks the shared state.
+    static int repetition = 0;
+    const std::string text = "component concurrent_copy" + std::to_string(repetition++) +
+                             " { asil B; task main { wcet 1ms; period 10ms; } }";
+    std::size_t sizes[2] = {};
+    std::latch start(2);
+    const auto change = [&](int index) {
+        start.arrive_and_wait();
+        auto analysed = integrate_declared(two_ecu_platform(), text, "concurrent");
+        ASSERT_TRUE(analysed.has_value());
+        ChangeRequest more;
+        more.contracts.push_back(simple_contract("extra" + std::to_string(index), 0.1));
+        ASSERT_TRUE(analysed->mcc.integrate(more).accepted);
+        analysed->mcc.ingest_observed_wcet("extra" + std::to_string(index) + ".main",
+                                           Duration::us(100));
+        sizes[index] = analysed->mcc.functions().size();
+    };
+    std::thread other(change, 1);
+    change(0);
+    other.join();
+    EXPECT_EQ(sizes[0], 2u);
+    EXPECT_EQ(sizes[1], 2u);
+    const auto later = integrate_declared(two_ecu_platform(), text, "later");
+    ASSERT_TRUE(later.has_value());
+    EXPECT_EQ(later->mcc.functions().size(), 1u);
+    EXPECT_EQ(later->mcc.integrations_attempted(), 1u);
+    EXPECT_EQ(later->mcc.observed_wcet("extra0.main"), Duration::zero());
 }
 
 TEST(IntegrateDeclared, TextWithoutContractsAnalysesNothing) {

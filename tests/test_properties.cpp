@@ -330,7 +330,7 @@ TEST_P(SpecDegradationMonotone, ReducingAnyCapabilityNeverImprovesASkill) {
     const auto& registry = skills::CapabilityRegistry::builtin();
     RandomEngine rng(static_cast<std::uint64_t>(GetParam()) * 131 + 7);
     for (const auto& spec_name : registry.spec_names()) {
-        skills::AbilityGraph abilities(registry.spec(spec_name));
+        skills::AbilityGraph abilities(*registry.spec(spec_name));
         const auto nodes = abilities.node_names();
 
         // Random baseline quality state (sources/sinks and intrinsics).

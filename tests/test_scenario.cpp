@@ -434,7 +434,8 @@ TEST(VehicleBuilder, SpecWithoutRootRejected) {
     skills::SkillGraphSpec spec("rootless");
     spec.skill("s").sink("out").depends("s", {"out"});
     scenario::VehicleBuilder builder("ego");
-    EXPECT_THROW(builder.skill_graph(spec), ContractViolation);
+    EXPECT_THROW(builder.skill_graph(std::make_shared<const skills::SkillGraphSpec>(spec)),
+                 ContractViolation);
 }
 
 TEST(VehicleBuilder, SensorBoundToSkillNodeRejectedAtBuild) {
@@ -1013,7 +1014,8 @@ TEST(SharedAnalysis, InFieldChangesStayWithTheirVehicle) {
     const auto declare = [](scenario::ScenarioBuilder& builder, const char* name) {
         builder.vehicle(name)
             .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
-            .contracts(kMiniContracts);
+            .contracts(kMiniContracts)
+            .skill_graph("acc");
     };
     scenario::ScenarioBuilder builder(7);
     declare(builder, "a");
@@ -1022,6 +1024,9 @@ TEST(SharedAnalysis, InFieldChangesStayWithTheirVehicle) {
     scenario::Vehicle& a = scenario->vehicle("a");
     scenario::Vehicle& b = scenario->vehicle("b");
     const std::string b_before = vehicle_analysis_text(b);
+    // Identical declarations share the analysed configuration and the report.
+    EXPECT_EQ(&a.mcc().functions(), &b.mcc().functions());
+    EXPECT_EQ(&a.integration_report(), &b.integration_report());
 
     const auto update = a.integrate("extra component", R"(
         component logger {
@@ -1042,6 +1047,27 @@ TEST(SharedAnalysis, InFieldChangesStayWithTheirVehicle) {
     EXPECT_EQ(b.mcc().integrations_accepted(), 1u);
     EXPECT_EQ(b.mcc().observed_wcet("ctrl.control"), Duration::zero());
     EXPECT_FALSE(b.rte().has_component("logger"));
+    EXPECT_EQ(vehicle_analysis_text(b), b_before);
+    // a's accepted change gave a a configuration of its own; the build-time
+    // report stays the one both vehicles share.
+    EXPECT_NE(&a.mcc().functions(), &b.mcc().functions());
+    EXPECT_EQ(&a.integration_report(), &b.integration_report());
+
+    // Ability levels: a source level set and propagated on a, and a quality
+    // monitor bound to a's graph, move a's levels only; b's graph shares the
+    // compiled structure, not the levels.
+    skills::AbilityGraph& a_skills = a.abilities();
+    a_skills.set_source_level(skills::acc::kRadar, 0.2);
+    a_skills.propagate();
+    monitor::SensorQualityMonitor camera(a.simulator(), "camera");
+    a_skills.bind_source(skills::acc::kCamera, camera);
+    camera.quality_updated().emit(0.4);
+    EXPECT_DOUBLE_EQ(a_skills.level(skills::acc::kRadar), 0.2);
+    EXPECT_DOUBLE_EQ(a_skills.level(skills::acc::kCamera), 0.4);
+    EXPECT_DOUBLE_EQ(a_skills.level(skills::acc::kAccDriving), 0.2);
+    for (const std::string& node : b.abilities().node_names()) {
+        EXPECT_DOUBLE_EQ(b.abilities().level(node), 1.0) << node;
+    }
     EXPECT_EQ(vehicle_analysis_text(b), b_before);
 
     // The memoised analysis itself is untouched: a vehicle built afterwards

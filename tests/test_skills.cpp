@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "skills/ability_graph.hpp"
@@ -354,7 +356,7 @@ std::vector<std::string> children(const SkillGraphSpec& spec, const std::string&
 }
 
 TEST(AccGraph, StructureMatchesPaper) {
-    const SkillGraphSpec& g = CapabilityRegistry::builtin().spec("acc");
+    const SkillGraphSpec& g = *CapabilityRegistry::builtin().spec("acc");
     EXPECT_NO_THROW((void)AbilityGraph(g));
     EXPECT_EQ(g.root_skill(), acc::kAccDriving);
 
@@ -383,13 +385,13 @@ TEST(AccGraph, StructureMatchesPaper) {
 }
 
 TEST(AccGraph, AggregateSensorVariant) {
-    const AbilityGraph g(CapabilityRegistry::builtin().spec("acc_aggregate_sensors"));
+    const AbilityGraph g(*CapabilityRegistry::builtin().spec("acc_aggregate_sensors"));
     EXPECT_TRUE(g.has_node("environment_sensors"));
     EXPECT_FALSE(g.has_node(acc::kRadar));
 }
 
 TEST(AccGraph, FogScenarioDegradesPerception) {
-    const SkillGraphSpec& spec = CapabilityRegistry::builtin().spec("acc");
+    const SkillGraphSpec& spec = *CapabilityRegistry::builtin().spec("acc");
     AbilityGraph ag(spec);
     // Dense fog: camera nearly blind, lidar poor, radar fine.
     ag.set_source_level(acc::kCamera, 0.1);
@@ -468,6 +470,50 @@ TEST(SkillGraphSpec, StrRoundTrips) {
     a.propagate();
     b.propagate();
     EXPECT_EQ(levels(a), levels(b));
+}
+
+TEST(SkillGraphSpec, ThreadsInstantiatingOneFreshSpecAgree) {
+    // A freshly parsed spec has no compiled graph yet, so both threads reach
+    // its first compilation at once; the TSan job checks the lock.
+    AbilityGraph reference(SkillGraphSpec::parse(kTinySpecText));
+    reference.set_source_level("radar", 0.4);
+    reference.propagate();
+    for (int round = 0; round < 8; ++round) {
+        const SkillGraphSpec spec = SkillGraphSpec::parse(kTinySpecText);
+        std::map<std::string, double> seen[2];
+        std::latch start(2);
+        const auto instantiate = [&](int index) {
+            start.arrive_and_wait();
+            AbilityGraph abilities(spec);
+            abilities.set_source_level("radar", 0.4);
+            abilities.propagate();
+            seen[index] = levels(abilities);
+        };
+        std::thread other(instantiate, 1);
+        instantiate(0);
+        other.join();
+        EXPECT_EQ(seen[0], levels(reference)) << "round " << round;
+        EXPECT_EQ(seen[1], levels(reference)) << "round " << round;
+    }
+}
+
+TEST(SkillGraphSpec, DeclarationAfterInstantiationRecompiles) {
+    // A graph keeps the structure it was compiled from; a later declaration
+    // on the spec reaches only graphs instantiated after it, and so does a
+    // copy of the changed spec.
+    SkillGraphSpec spec = tiny_spec();
+    AbilityGraph before(spec);
+    spec.aggregate("drive", Aggregation::WeightedMean).weight("drive", "perceive", 3.0);
+    AbilityGraph after(spec);
+    const SkillGraphSpec copy = spec;
+    AbilityGraph copied(copy);
+    for (AbilityGraph* abilities : {&before, &after, &copied}) {
+        abilities->set_source_level("radar", 0.0);
+        abilities->propagate();
+    }
+    EXPECT_DOUBLE_EQ(before.level("drive"), 0.0);  // min over perceive 0
+    EXPECT_DOUBLE_EQ(after.level("drive"), 0.25);  // (0 * 3 + 1 * 1) / 4
+    EXPECT_DOUBLE_EQ(copied.level("drive"), 0.25);
 }
 
 TEST(SkillGraphSpec, BuilderFormEqualsParsedForm) {
@@ -572,7 +618,7 @@ TEST(AbilityGraph, MatchesReferenceEvaluatorOnBuiltinSpecs) {
     const double grid[] = {0.0, 0.1, 0.15, 0.35, 0.5, 0.6, 0.85, 0.9, 1.0};
     RandomEngine rng(18);
     for (const auto& spec_name : registry.spec_names()) {
-        const SkillGraphSpec& spec = registry.spec(spec_name);
+        const SkillGraphSpec& spec = *registry.spec(spec_name);
         AbilityGraph abilities(spec);
         for (int trial = 0; trial < 64; ++trial) {
             std::map<std::string, double> inputs;
@@ -621,7 +667,7 @@ TEST(AbilityGraph, PropagationOrderIsPinned) {
     const auto& registry = CapabilityRegistry::builtin();
     ASSERT_EQ(registry.spec_names().size(), orders.size());
     for (const auto& [spec_name, order] : orders) {
-        AbilityGraph abilities(registry.spec(spec_name));
+        AbilityGraph abilities(*registry.spec(spec_name));
         std::vector<std::string> skills;
         for (const auto& node : split(order, ' ')) {
             if (abilities.kind(node) == SkillNodeKind::Skill) {
@@ -644,7 +690,7 @@ TEST(CapabilityRegistry, BuiltinCatalogueIsComplete) {
                                         "emergency_stop", "lane_keep",
                                         "platoon_follow"}));
     for (const auto& name : registry.spec_names()) {
-        const auto& spec = registry.spec(name);
+        const auto& spec = *registry.spec(name);
         const AbilityGraph g(spec);
         EXPECT_FALSE(spec.root_skill().empty()) << name;
         // Every spec node is a registered capability of the declared kind.
@@ -673,16 +719,16 @@ std::vector<std::string> roots(const SkillGraphSpec& spec) {
 
 TEST(CapabilityRegistry, NewManeuverGraphsHaveExpectedRoots) {
     const auto& registry = CapabilityRegistry::builtin();
-    EXPECT_EQ(roots(registry.spec("lane_keep")),
+    EXPECT_EQ(roots(*registry.spec("lane_keep")),
               (std::vector<std::string>{caps::kLaneKeeping}));
-    EXPECT_EQ(roots(registry.spec("emergency_stop")),
+    EXPECT_EQ(roots(*registry.spec("emergency_stop")),
               (std::vector<std::string>{caps::kEmergencyStop}));
-    EXPECT_EQ(roots(registry.spec("platoon_follow")),
+    EXPECT_EQ(roots(*registry.spec("platoon_follow")),
               (std::vector<std::string>{caps::kPlatoonFollow}));
 
     // platoon_follow: losing V2V degrades command reception hard but the
     // radar-dominant tracking fusion keeps partial follow ability.
-    AbilityGraph abilities(registry.spec("platoon_follow"));
+    AbilityGraph abilities(*registry.spec("platoon_follow"));
     abilities.set_source_level(caps::kV2vLink, 0.0);
     abilities.propagate();
     EXPECT_DOUBLE_EQ(abilities.level(caps::kReceivePlatoonCommands), 0.0);
@@ -736,7 +782,7 @@ monitor::Anomaly sensor_anomaly(const char* kind, const char* source) {
 }
 
 TEST(DegradationPolicy, MapsAlarmsOntoCapabilityDowngrades) {
-    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
+    AbilityGraph abilities(*CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     EXPECT_TRUE(policy.apply(sensor_anomaly("sensor_failed", acc::kCamera), abilities));
     abilities.propagate();
@@ -757,7 +803,7 @@ TEST(DegradationPolicy, MapsAlarmsOntoCapabilityDowngrades) {
 }
 
 TEST(DegradationPolicy, EffectiveLevelIsMinOverQualities) {
-    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
+    AbilityGraph abilities(*CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     // Degrade accuracy first, then availability harder.
     EXPECT_TRUE(policy.apply(sensor_anomaly("sensor_degraded", acc::kRadar), abilities));
@@ -787,7 +833,7 @@ TEST(DegradationPolicy, EffectiveLevelIsMinOverQualities) {
 }
 
 TEST(DegradationPolicy, ScenarioRulesExtendTheRegistry) {
-    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
+    AbilityGraph abilities(*CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     AlarmBinding rule;
     rule.anomaly_kind = "component_contained";
@@ -814,7 +860,7 @@ TEST(DegradationPolicy, SkillDowngradesStayIdempotentWithDegradedChildren) {
     // Idempotence must compare against what the policy wrote (the skill's
     // intrinsic cap), not the propagated level, which also reflects the
     // degraded children and never matches the imposed value.
-    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
+    AbilityGraph abilities(*CapabilityRegistry::builtin().spec("acc"));
     abilities.set_source_level(acc::kRadar, 0.0);
     abilities.set_source_level(acc::kCamera, 0.0);
     abilities.set_source_level(acc::kLidar, 0.0);
@@ -849,7 +895,7 @@ TEST(SkillGraphSpec, NonIdentifierNamesRejected) {
 }
 
 TEST(DegradationPolicy, SkillCapabilitiesDowngradeIntrinsically) {
-    AbilityGraph abilities(CapabilityRegistry::builtin().spec("acc"));
+    AbilityGraph abilities(*CapabilityRegistry::builtin().spec("acc"));
     DegradationPolicy policy;
     AlarmBinding rule;
     rule.anomaly_kind = "tracker_diverged";
@@ -869,7 +915,7 @@ TEST(DegradationPolicy, SkillCapabilitiesDowngradeIntrinsically) {
 
 TEST(DegradationPolicy, SkipsCapabilitiesOutsideTheGraph) {
     // lane_keep has no radar: a radar alarm must be a no-op, not an error.
-    AbilityGraph abilities(CapabilityRegistry::builtin().spec("lane_keep"));
+    AbilityGraph abilities(*CapabilityRegistry::builtin().spec("lane_keep"));
     DegradationPolicy policy;
     EXPECT_FALSE(policy.apply(sensor_anomaly("sensor_failed", acc::kRadar), abilities));
     EXPECT_TRUE(policy.apply(sensor_anomaly("sensor_failed", acc::kCamera), abilities));
@@ -880,7 +926,7 @@ TEST(DegradationPolicy, SkipsCapabilitiesOutsideTheGraph) {
 TEST(AccGraph, RearBrakeLossScenario) {
     // §V: rear braking compromised -> brake_system sink degraded -> decelerate
     // and everything above it degrade, but accelerate stays nominal.
-    AbilityGraph ag(CapabilityRegistry::builtin().spec("acc"));
+    AbilityGraph ag(*CapabilityRegistry::builtin().spec("acc"));
     ag.set_source_level(acc::kBrakeSystem, 0.35);
     ag.propagate();
     EXPECT_EQ(ag.ability(acc::kDecelerate), AbilityLevel::Marginal);
