@@ -87,15 +87,17 @@ void BM_IngestWithLearnedMonitor(benchmark::State& state) {
         manager.add<learn::AnomalyModelMonitor>(manager, config);
     }
     const std::vector<double> xs = noise_stream(4096, 37);
-    monitor::Metric metric;
+    std::vector<monitor::MetricId> ids;
+    for (const std::string& name : config.metrics) {
+        ids.push_back(manager.metric_id(name));
+    }
     std::size_t i = 0;
     for (auto _ : state) {
         // One full scoring round: all four tracked metrics ingested once.
-        for (const std::string& name : config.metrics) {
-            metric.name = name;
-            metric.value = xs[i++ & 4095];
-            metric.at = sim::Time(static_cast<std::int64_t>(i) * 12'500'000);
-            manager.ingest(metric);
+        for (const monitor::MetricId id : ids) {
+            const double value = xs[i++ & 4095];
+            manager.ingest(id, value,
+                           sim::Time(static_cast<std::int64_t>(i) * 12'500'000));
         }
     }
     state.counters["learned_monitors"] = attached ? 1 : 0;

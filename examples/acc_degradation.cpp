@@ -27,7 +27,6 @@ int main() {
     vehicle::ScenarioConfig cfg;
     cfg.initial_gap_m = 55.0;
     cfg.ego_speed_mps = 26.0;
-    cfg.lead_speed_mps = 22.0;
 
     monitor::SensorQualityConfig mq;
     mq.nominal_noise_sigma = 0.6;

@@ -35,7 +35,6 @@ int main() {
     vehicle::ScenarioConfig cfg;
     cfg.initial_gap_m = 35.0;
     cfg.ego_speed_mps = 22.0;
-    cfg.lead_speed_mps = 22.0;
     monitor::SensorQualityConfig quality;
     quality.nominal_noise_sigma = 0.6;
 

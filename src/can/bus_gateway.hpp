@@ -47,8 +47,6 @@ public:
     /// lazily per bus.
     void add_route(CanBus& from, CanBus& to, std::uint32_t id, std::uint32_t mask);
 
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
     /// Frames accepted by a route filter and scheduled for forwarding.
     [[nodiscard]] std::uint64_t frames_forwarded() const noexcept {
         return forwarded_.load(std::memory_order_relaxed);

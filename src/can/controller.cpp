@@ -61,10 +61,10 @@ bool CanController::send(const CanFrame& frame) {
     if (in_flight_ && begin != tx_queue_.end()) {
         ++begin;
     }
-    auto it = std::find_if(begin, tx_queue_.end(), [&](const PendingTx& p) {
-        return higher_priority(frame, p.frame);
+    auto it = std::find_if(begin, tx_queue_.end(), [&](const CanFrame& queued) {
+        return higher_priority(frame, queued);
     });
-    tx_queue_.insert(it, PendingTx{frame, bus_.simulator().now()});
+    tx_queue_.insert(it, frame);
     bus_.notify_tx_pending(*this);
     return true;
 }
@@ -79,11 +79,11 @@ std::optional<CanFrame> CanController::peek_tx() {
     if (errors_.state() == FaultConfinement::BusOff || tx_queue_.empty()) {
         return std::nullopt;
     }
-    return tx_queue_.front().frame;
+    return tx_queue_.front();
 }
 
 void CanController::tx_started(const CanFrame& frame) {
-    SA_ASSERT(!tx_queue_.empty() && tx_queue_.front().frame == frame,
+    SA_ASSERT(!tx_queue_.empty() && tx_queue_.front() == frame,
               "tx_started for a frame that is not at the queue head");
     in_flight_ = true;
 }
@@ -107,14 +107,12 @@ void CanController::recover_from_bus_off() {
 }
 
 void CanController::tx_done(const CanFrame& frame, Time at) {
-    SA_ASSERT(!tx_queue_.empty() && tx_queue_.front().frame == frame,
+    SA_ASSERT(!tx_queue_.empty() && tx_queue_.front() == frame,
               "tx_done for a frame that is not at the queue head");
     in_flight_ = false;
-    const PendingTx done = tx_queue_.front();
     tx_queue_.erase(tx_queue_.begin());
     ++tx_count_;
     errors_.on_tx_success();
-    tx_latency_us_.add((at - done.enqueued).to_us());
     last_tx_valid_ = true;
     last_tx_frame_ = frame;
     last_tx_time_ = at;

@@ -1,8 +1,8 @@
 #pragma once
 // A conventional ("native", non-virtualized) CAN controller: priority-sorted
-// transmit queue, acceptance filters with callbacks on receive, and
-// per-frame latency bookkeeping. This is the baseline the virtualized
-// controller (Fig. 2) is compared against in bench/fig2_can_latency.
+// transmit queue, acceptance filters with callbacks on receive, and frame
+// counters. This is the baseline the virtualized controller (Fig. 2) is
+// compared against in bench/fig2_can_latency.
 
 #include <cstdint>
 #include <functional>
@@ -12,7 +12,6 @@
 
 #include "can/bus.hpp"
 #include "sim/signal.hpp"
-#include "util/stats.hpp"
 
 namespace sa::can {
 
@@ -85,7 +84,6 @@ public:
     [[nodiscard]] std::uint64_t tx_count() const noexcept { return tx_count_; }
     [[nodiscard]] std::uint64_t rx_count() const noexcept { return rx_count_; }
     [[nodiscard]] std::uint64_t tx_dropped() const noexcept { return tx_dropped_; }
-    [[nodiscard]] const RunningStats& tx_latency_us() const noexcept { return tx_latency_us_; }
 
     // --- fault confinement (ISO 11898) -------------------------------------
     [[nodiscard]] FaultConfinement fault_state() const noexcept {
@@ -98,22 +96,16 @@ public:
     sim::Signal<>& bus_off() noexcept { return bus_off_signal_; }
 
 private:
-    struct PendingTx {
-        CanFrame frame;
-        Time enqueued;
-    };
-
     CanBus& bus_;
     std::string name_;
     std::size_t capacity_;
-    std::vector<PendingTx> tx_queue_; ///< kept sorted by priority on insert
+    std::vector<CanFrame> tx_queue_; ///< kept sorted by priority on insert
     std::vector<RxFilter> filters_;
     bool in_flight_ = false; ///< queue head is on the wire; nothing may pass it
 
     std::uint64_t tx_count_ = 0;
     std::uint64_t rx_count_ = 0;
     std::uint64_t tx_dropped_ = 0;
-    RunningStats tx_latency_us_; ///< no per-frame storage
 
     // Last completed own transmission, used to suppress self-reception.
     bool last_tx_valid_ = false;

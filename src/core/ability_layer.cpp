@@ -6,7 +6,7 @@ namespace sa::core {
 
 AbilityLayer::AbilityLayer(skills::AbilityGraph& abilities,
                            skills::DegradationManager& tactics, std::string root_skill)
-    : Layer(LayerId::Ability, "ability"),
+    : Layer(LayerId::Ability),
       abilities_(abilities),
       tactics_(tactics),
       root_skill_(std::move(root_skill)) {}

@@ -54,14 +54,13 @@ struct Proposal {
 
 class Layer {
 public:
-    Layer(LayerId id, std::string name) : id_(id), name_(std::move(name)) {}
+    explicit Layer(LayerId id) : id_(id) {}
     virtual ~Layer() = default;
 
     Layer(const Layer&) = delete;
     Layer& operator=(const Layer&) = delete;
 
     [[nodiscard]] LayerId id() const noexcept { return id_; }
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
     /// Countermeasure offers for the problem (empty if not responsible).
     [[nodiscard]] virtual std::vector<Proposal> propose(const Problem& problem) = 0;
@@ -71,7 +70,6 @@ public:
 
 private:
     LayerId id_;
-    std::string name_;
 };
 
 } // namespace sa::core

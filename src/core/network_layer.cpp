@@ -6,7 +6,7 @@ namespace sa::core {
 
 namespace kinds = sa::monitor::kinds;
 
-NetworkLayer::NetworkLayer(rte::Rte& rte) : Layer(LayerId::Network, "network"), rte_(rte) {}
+NetworkLayer::NetworkLayer(rte::Rte& rte) : Layer(LayerId::Network), rte_(rte) {}
 
 std::vector<Proposal> NetworkLayer::propose(const Problem& problem) {
     std::vector<Proposal> out;

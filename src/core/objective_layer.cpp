@@ -14,7 +14,7 @@ const char* to_string(DrivingObjective objective) noexcept {
     return "?";
 }
 
-ObjectiveLayer::ObjectiveLayer() : Layer(LayerId::Objective, "objective") {}
+ObjectiveLayer::ObjectiveLayer() : Layer(LayerId::Objective) {}
 
 void ObjectiveLayer::add_alternative(Alternative alternative) {
     SA_REQUIRE(static_cast<bool>(alternative.apply), "alternative needs an apply action");

@@ -19,7 +19,7 @@ constexpr double kRecoverTempC = 70.0;
 namespace kinds = sa::monitor::kinds;
 
 PlatformLayer::PlatformLayer(rte::Rte& rte, model::Mcc& mcc)
-    : Layer(LayerId::Platform, "platform"), rte_(rte), mcc_(mcc) {}
+    : Layer(LayerId::Platform), rte_(rte), mcc_(mcc) {}
 
 std::string PlatformLayer::ecu_from_source(const std::string& source) const {
     // Convention: thermal monitors name signals "temp.<ecu>".
@@ -89,10 +89,7 @@ std::vector<Proposal> PlatformLayer::propose(const Problem& problem) {
             p.scope = 0.1;
             p.cost = 0.15;
             p.adequacy = a.kind == kinds::kBudgetViolation ? 0.7 : 0.4;
-            p.execute = [this, component] {
-                rte_.component(component).restart();
-                ++restarts_;
-            };
+            p.execute = [this, component] { rte_.component(component).restart(); };
             out.push_back(std::move(p));
         }
     }

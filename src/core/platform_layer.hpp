@@ -22,7 +22,6 @@ public:
     [[nodiscard]] double health() const override;
 
     [[nodiscard]] std::uint64_t dvfs_actions() const noexcept { return dvfs_actions_; }
-    [[nodiscard]] std::uint64_t restarts() const noexcept { return restarts_; }
 
 private:
     /// "temp.<ecu>" anomaly sources name the ECU.
@@ -31,7 +30,6 @@ private:
     rte::Rte& rte_;
     model::Mcc& mcc_;
     std::uint64_t dvfs_actions_ = 0;
-    std::uint64_t restarts_ = 0;
 };
 
 } // namespace sa::core

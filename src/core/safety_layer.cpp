@@ -7,7 +7,7 @@ namespace sa::core {
 namespace kinds = sa::monitor::kinds;
 
 SafetyLayer::SafetyLayer(rte::Rte& rte, model::Mcc& mcc)
-    : Layer(LayerId::Safety, "safety"), rte_(rte), mcc_(mcc) {}
+    : Layer(LayerId::Safety), rte_(rte), mcc_(mcc) {}
 
 std::string SafetyLayer::find_partner(const std::string& component) const {
     const auto& functions = mcc_.functions();

@@ -34,9 +34,12 @@ void SelfModel::bind_abilities(const skills::AbilityGraph& abilities,
     root_skill_ = std::move(root_skill);
 }
 
-SelfSnapshot SelfModel::capture() {
-    SelfSnapshot snap;
-    snap.version = next_version_++;
+const SelfSnapshot& SelfModel::capture() {
+    // In place: layers are only ever added, so the health map keeps its
+    // nodes and the root-skill string its buffer from one capture to the
+    // next.
+    SelfSnapshot& snap = latest_;
+    ++snap.version;
     snap.at = simulator_.now();
     snap.overall = 1.0;
     for (int li = 0; li < kLayerCount; ++li) {
@@ -53,12 +56,8 @@ SelfSnapshot SelfModel::capture() {
         snap.root_skill = root_skill_;
         snap.root_ability = abilities_->level(root_skill_);
     }
-    if (history_.size() == kHistoryCapacity) {
-        history_.pop_front();
-    }
-    history_.push_back(snap);
-    published_.emit(history_.back());
-    return history_.back();
+    published_.emit(snap);
+    return snap;
 }
 
 void SelfModel::start(sim::Duration period) {
@@ -76,8 +75,8 @@ void SelfModel::stop() {
 }
 
 const SelfSnapshot& SelfModel::latest() const {
-    SA_REQUIRE(!history_.empty(), "no snapshot captured yet");
-    return history_.back();
+    SA_REQUIRE(has_snapshot(), "no snapshot captured yet");
+    return latest_;
 }
 
 } // namespace sa::core

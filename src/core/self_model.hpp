@@ -4,8 +4,12 @@
 // atomically in simulation time, so consumers (decision making, HMI,
 // telemetry) always see a coherent picture rather than a mix of stale and
 // fresh per-layer values.
+//
+// The model keeps one snapshot, the latest: capture() rewrites it in place
+// (after the first capture it allocates nothing when the layers' health()
+// does not) and publishes it through snapshot_taken(). A consumer that
+// wants a history collects the published snapshots itself.
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -46,17 +50,17 @@ public:
     /// outlive this model.
     void bind_abilities(const skills::AbilityGraph& abilities, std::string root_skill);
 
-    /// Take a consistent snapshot now.
-    SelfSnapshot capture();
+    /// Take a consistent snapshot now: it replaces the latest one, is
+    /// published, and is returned.
+    const SelfSnapshot& capture();
 
-    /// Capture periodically; snapshots are retained (bounded) and published.
+    /// Capture periodically.
     void start(sim::Duration period);
     void stop();
 
+    [[nodiscard]] bool has_snapshot() const noexcept { return latest_.version != 0; }
+    /// The latest snapshot. Requires has_snapshot().
     [[nodiscard]] const SelfSnapshot& latest() const;
-    [[nodiscard]] const std::deque<SelfSnapshot>& history() const noexcept {
-        return history_;
-    }
 
     sim::Signal<const SelfSnapshot&>& snapshot_taken() noexcept { return published_; }
 
@@ -65,11 +69,9 @@ private:
     CrossLayerCoordinator& coordinator_;
     const skills::AbilityGraph* abilities_ = nullptr;
     std::string root_skill_;
-    std::deque<SelfSnapshot> history_;
-    std::uint64_t next_version_ = 1;
+    SelfSnapshot latest_; ///< version 0 until the first capture
     std::uint64_t periodic_id_ = 0;
     sim::Signal<const SelfSnapshot&> published_;
-    static constexpr std::size_t kHistoryCapacity = 1024;
 };
 
 } // namespace sa::core

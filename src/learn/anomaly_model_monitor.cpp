@@ -22,8 +22,21 @@ AnomalyModelMonitor::AnomalyModelMonitor(sim::Simulator& simulator,
     models_.assign(config_.metrics.size(), MetricModel(config_.metric));
     in_round_.assign(config_.metrics.size(), false);
     bands_.assign(config_.metrics.size(), 0);
+    // Map the tracked names to their ids once; the first of repeated names
+    // wins.
+    for (std::size_t i = 0; i < config_.metrics.size(); ++i) {
+        const monitor::MetricId id = manager_.metric_id(config_.metrics[i]);
+        if (id >= index_by_id_.size()) {
+            index_by_id_.resize(id + 1, kUntracked);
+        }
+        if (index_by_id_[id] == kUntracked) {
+            index_by_id_[id] = i;
+        }
+    }
     tap_id_ = manager_.metric_ingested().subscribe(
-        [this](const monitor::Metric& metric) { on_metric(metric); });
+        [this](monitor::MetricId id, double value, sim::Time at) {
+            on_metric(id, value, at);
+        });
 }
 
 AnomalyModelMonitor::~AnomalyModelMonitor() {
@@ -44,25 +57,23 @@ const MetricModel* AnomalyModelMonitor::metric_model(std::string_view name) cons
     return nullptr;
 }
 
-void AnomalyModelMonitor::on_metric(const monitor::Metric& metric) {
-    const auto it = std::find(config_.metrics.begin(), config_.metrics.end(),
-                              metric.name);
-    if (it == config_.metrics.end()) {
+void AnomalyModelMonitor::on_metric(monitor::MetricId id, double value, sim::Time at) {
+    if (id >= index_by_id_.size() || index_by_id_[id] == kUntracked) {
         return;
     }
-    const auto index = static_cast<std::size_t>(it - config_.metrics.begin());
+    const std::size_t index = index_by_id_[id];
     if (!first_sample_.has_value()) {
-        first_sample_ = metric.at;
+        first_sample_ = at;
     }
     // A repeated metric means the ingest stream entered its next round:
     // score the completed joint observation first. Purely stream-driven, so
     // any ingest interleaving (pump order, extra producers) stays
     // deterministic.
     if (in_round_[index]) {
-        evaluate(metric.at);
+        evaluate(at);
         std::fill(in_round_.begin(), in_round_.end(), false);
     }
-    models_[index].update(metric.value);
+    models_[index].update(value);
     in_round_[index] = true;
 }
 

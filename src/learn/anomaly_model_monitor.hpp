@@ -65,11 +65,14 @@ public:
     [[nodiscard]] const MetricModel* metric_model(std::string_view name) const;
 
 private:
-    void on_metric(const monitor::Metric& metric);
+    void on_metric(monitor::MetricId id, double value, sim::Time at);
     void evaluate(sim::Time at);
 
     monitor::MonitorManager& manager_;
     LearnedMonitorConfig config_;
+    static constexpr std::size_t kUntracked = static_cast<std::size_t>(-1);
+    /// Tracked-metric index per interned metric id; kUntracked for the rest.
+    std::vector<std::size_t> index_by_id_;
     std::vector<MetricModel> models_;
     std::vector<bool> in_round_;  ///< updated since the last evaluation
     std::vector<int> bands_;      ///< scratch, reused every evaluation

@@ -151,14 +151,13 @@ TraceRecorder::TraceRecorder(monitor::MonitorManager& manager,
                              std::vector<std::string> filter)
     : manager_(manager), filter_(std::move(filter)) {
     tap_id_ = manager_.metric_ingested().subscribe(
-        [this](const monitor::Metric& metric) {
+        [this](monitor::MetricId id, double value, sim::Time at) {
+            const std::string& name = manager_.metric_name(id);
             if (!filter_.empty() &&
-                std::find(filter_.begin(), filter_.end(), metric.name) ==
-                    filter_.end()) {
+                std::find(filter_.begin(), filter_.end(), name) == filter_.end()) {
                 return;
             }
-            trace_.samples.push_back(
-                TraceSample{metric.at.ns(), metric.name, metric.value});
+            trace_.samples.push_back(TraceSample{at.ns(), name, value});
         });
 }
 

@@ -66,7 +66,6 @@ public:
     TraceRecorder& operator=(const TraceRecorder&) = delete;
 
     [[nodiscard]] Trace& trace() noexcept { return trace_; }
-    [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
     [[nodiscard]] std::size_t sample_count() const noexcept {
         return trace_.samples.size();
     }

@@ -148,8 +148,6 @@ public:
     /// Log-distance path-loss RSSI estimate: -40 dBm at 1 m, exponent 2.2.
     [[nodiscard]] static double rssi_at(double distance_m) noexcept;
 
-    [[nodiscard]] const MediumConfig& config() const noexcept { return config_; }
-    [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
 
     [[nodiscard]] std::uint64_t transmissions() const noexcept {
         return transmissions_.load(std::memory_order_relaxed);

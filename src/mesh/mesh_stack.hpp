@@ -84,7 +84,6 @@ public:
     MeshStack(const MeshStack&) = delete;
     MeshStack& operator=(const MeshStack&) = delete;
 
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
     /// Deliver CAM payloads to `handler` (home-domain execution). Set it
     /// before the run (or from a script barrier).

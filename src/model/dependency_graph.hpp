@@ -64,7 +64,6 @@ public:
     [[nodiscard]] bool has_node(const DepNodeId& node) const;
     [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
     [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
-    [[nodiscard]] const std::vector<DepEdge>& edges() const noexcept { return edges_; }
     [[nodiscard]] std::vector<DepNodeId> nodes() const;
 
     /// Outgoing neighbours, optionally filtered by edge kind.

@@ -29,7 +29,6 @@ public:
     void set_budget(rte::TaskId task, sim::Duration budget);
 
     void set_mode(BudgetMode mode) noexcept { mode_ = mode; }
-    [[nodiscard]] BudgetMode mode() const noexcept { return mode_; }
 
     void set_enforcement_action(EnforcementAction action) { action_ = std::move(action); }
 

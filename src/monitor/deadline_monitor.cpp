@@ -49,14 +49,16 @@ void DeadlineMonitor::on_job(const rte::JobRecord& job) {
               sa::format("response %s", job.response.str().c_str()),
               1.0);
     }
+    // Miss ratio raising "miss_ratio_high"; half of it clears the alarm.
+    constexpr double kRatioThreshold = 0.1;
     const double ratio = miss_ratio();
-    if (!ratio_alarmed_ && recent_size_ >= window_ / 2 && ratio > ratio_threshold_) {
+    if (!ratio_alarmed_ && recent_size_ >= window_ / 2 && ratio > kRatioThreshold) {
         ratio_alarmed_ = true;
         raise(Severity::Critical, scheduler_.ecu_name(), kinds::kMissRatioHigh,
               sa::format("miss ratio %.2f over last %zu jobs", ratio, recent_size_),
-              ratio / ratio_threshold_);
+              ratio / kRatioThreshold);
     }
-    if (ratio_alarmed_ && ratio <= ratio_threshold_ / 2) {
+    if (ratio_alarmed_ && ratio <= kRatioThreshold / 2) {
         ratio_alarmed_ = false;
         raise(Severity::Info, scheduler_.ecu_name(), kinds::kMissRatioRecovered,
               sa::format("miss ratio %.2f", ratio), 0.0);

@@ -35,7 +35,6 @@ private:
     std::size_t recent_head_ = 0;       ///< next write position in the ring
     std::size_t recent_missed_ = 0;     ///< running count of 1s in the ring
     std::uint64_t misses_ = 0;
-    double ratio_threshold_ = 0.1; ///< miss ratio raising "miss_ratio_high"
     bool ratio_alarmed_ = false;
     std::uint64_t subscription_ = 0;
 };

@@ -1,12 +1,15 @@
 #pragma once
 // MonitorManager: the application/platform monitor block of Fig. 1. It owns
 // monitors, funnels their anomalies into one stream (consumed by the
-// cross-layer coordinator), keeps a metric store that the model domain reads
-// for optimization ("extract run-time metrics that can be fed back into the
-// model domain"), and accounts for the monitoring overhead itself by running
-// its checks as real RTE tasks when asked to (MON-OVH experiment).
+// cross-layer coordinator), hands every ingested metric sample to the
+// subscribers of its metric_ingested() tap (learned monitors, trace
+// recorders), and accounts for the monitoring overhead itself by running its
+// checks as real RTE tasks when asked to (MON-OVH experiment).
+//
+// What it keeps: the monitors, the interned metric names and the anomaly
+// count. It keeps no anomaly history and no metric values; a consumer that
+// needs either subscribes to anomalies() or metric_ingested().
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,16 +18,14 @@
 
 #include "monitor/monitor.hpp"
 #include "rte/ecu.hpp"
-#include "util/stats.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::monitor {
 
 /// Dense handle for an interned metric name. Producers that emit the same
 /// metric repeatedly (periodic pumps, substrate taps) intern the name once
-/// via MonitorManager::metric_id() and ingest by id afterwards: steady-state
-/// ingestion is then two vector writes — no hashing, no string compare, no
-/// allocation.
+/// via MonitorManager::metric_id() and ingest by id afterwards: no hashing,
+/// no string compare, no allocation.
 using MetricId = std::uint32_t;
 
 class MonitorManager {
@@ -51,31 +52,24 @@ public:
     /// Intern a metric name, registering it on first sight. The returned id
     /// stays valid for the manager's lifetime.
     MetricId metric_id(std::string_view name);
-
-    /// Metric ingestion (monitors and substrates push; the MCC reads).
-    /// The id-based overload is the hot path: stats/last-value updates are
-    /// direct vector writes and the tap notification reuses a scratch
-    /// Metric, so steady-state ingestion never allocates.
-    void ingest(MetricId id, double value, sim::Time at);
-    /// Name-based convenience path: interns (heterogeneous string_view
-    /// lookup, copying the name only on first sight) and forwards.
-    void ingest(const Metric& metric);
-
-    /// Observer tap on the ingest stream: fired once per ingest(), after the
-    /// stats/last-value stores are updated, in subscription order. Consumers
-    /// (TraceRecorder, learned monitors) subscribe here instead of polling
-    /// metric_last_.
-    sim::Signal<const Metric&>& metric_ingested() noexcept { return metric_ingested_; }
-
-    [[nodiscard]] double last_value(std::string_view name) const;
-    [[nodiscard]] const RunningStats* stats(std::string_view name) const;
+    /// The name `id` was interned under.
+    [[nodiscard]] const std::string& metric_name(MetricId id) const;
     /// Registered metric names, sorted.
     [[nodiscard]] std::vector<std::string> metric_names() const;
 
-    /// Retained anomaly history (bounded).
-    [[nodiscard]] const std::deque<Anomaly>& history() const noexcept { return history_; }
+    /// Ingest one sample of an interned metric (monitors and substrates
+    /// push): no hashing, no string work, no allocation.
+    void ingest(MetricId id, double value, sim::Time at);
+
+    /// Observer tap on the ingest stream: fired once per ingest() with the
+    /// metric's id, value and time, in subscription order. A subscriber may
+    /// ingest further metrics from inside the tap: the nested sample reaches
+    /// every subscriber before the outer one moves on to its next.
+    sim::Signal<MetricId, double, sim::Time>& metric_ingested() noexcept {
+        return metric_ingested_;
+    }
+
     [[nodiscard]] std::uint64_t total_anomalies() const noexcept { return total_; }
-    [[nodiscard]] std::size_t count_kind(const std::string& kind) const;
 
     /// Model the monitoring cost: run a periodic no-op task with the given
     /// WCET on the ECU, so monitors interfere measurably (but little) with
@@ -100,25 +94,14 @@ private:
     // monitors during destruction: a monitor's destructor may unsubscribe
     // its tap (AnomalyModelMonitor does).
     sim::Signal<const Anomaly&> anomalies_;
-    sim::Signal<const Metric&> metric_ingested_;
+    sim::Signal<MetricId, double, sim::Time> metric_ingested_;
     std::vector<std::unique_ptr<Monitor>> monitors_;
-    // Interned metric store: the map owns the names (unordered_map nodes are
+    // Interned names: the map owns them (unordered_map nodes are
     // address-stable, so metric_names_by_id_ points at its keys) and maps
-    // them to dense ids; stats and last values are flat vectors indexed by
-    // id — the by-name maps of the old design became two cache-line reads.
+    // them to dense ids.
     MetricMap<MetricId> metric_ids_;
     std::vector<const std::string*> metric_names_by_id_;
-    std::vector<RunningStats> metric_stats_;
-    std::vector<double> metric_last_;
-    // Scratch Metrics for the tap notification of id-based ingest, one per
-    // re-entrancy depth (a tap subscriber may ingest metrics of its own). A
-    // deque, NOT a vector: growing it for a nested ingest must not move the
-    // scratch Metric the outer emit already handed to its subscribers.
-    std::deque<Metric> emit_scratch_;
-    std::size_t emit_depth_ = 0;
-    std::deque<Anomaly> history_;
     std::uint64_t total_ = 0;
-    static constexpr std::size_t kHistoryCapacity = 4096;
 };
 
 } // namespace sa::monitor

@@ -1,7 +1,7 @@
 #pragma once
-// Metrics and anomaly records shared by all monitors. Metrics flow from the
-// execution domain back into the model domain (Fig. 1 "metrics" arrow);
-// anomalies feed the cross-layer coordinator (§V).
+// Anomaly records shared by all monitors; anomalies feed the cross-layer
+// coordinator (§V). Metric samples travel as (MetricId, value, time) through
+// MonitorManager::ingest().
 
 #include <string>
 
@@ -24,14 +24,6 @@ inline constexpr Domain kAllDomains[] = {Domain::Platform, Domain::Network,
 const char* to_string(Domain domain) noexcept;
 
 enum class Severity { Info = 0, Warning = 1, Critical = 2 };
-
-/// A time-stamped scalar observation ("execution times, access patterns, or
-/// sensor values", §II-B).
-struct Metric {
-    std::string name;
-    double value = 0.0;
-    sim::Time at;
-};
 
 /// A detected deviation from nominal behaviour.
 struct Anomaly {

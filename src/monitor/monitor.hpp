@@ -22,7 +22,6 @@ public:
     Monitor& operator=(const Monitor&) = delete;
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] Domain domain() const noexcept { return domain_; }
 
     /// Emitted whenever this monitor detects a deviation.
     sim::Signal<const Anomaly&>& anomaly() noexcept { return anomaly_; }

@@ -18,7 +18,6 @@ void RangeMonitor::set_bounds(const std::string& signal, double lo, double hi,
 
 bool RangeMonitor::sample(const std::string& signal, double value) {
     note_check();
-    last_[signal] = value;
     auto it = bounds_.find(signal);
     if (it == bounds_.end()) {
         return true;
@@ -40,11 +39,6 @@ bool RangeMonitor::sample(const std::string& signal, double value) {
               sa::format("%.3f back within [%.3f, %.3f]", value, b.lo, b.hi), 0.0);
     }
     return ok;
-}
-
-double RangeMonitor::last(const std::string& signal) const {
-    auto it = last_.find(signal);
-    return it == last_.end() ? 0.0 : it->second;
 }
 
 } // namespace sa::monitor

@@ -22,7 +22,6 @@ public:
     /// Feed a sample; returns true if within bounds (or unconfigured).
     bool sample(const std::string& signal, double value);
 
-    [[nodiscard]] double last(const std::string& signal) const;
     [[nodiscard]] std::uint64_t violations() const noexcept { return violations_; }
 
 private:
@@ -33,7 +32,6 @@ private:
         bool in_violation = false;
     };
     std::map<std::string, Bounds> bounds_;
-    std::map<std::string, double> last_;
     std::uint64_t violations_ = 0;
 };
 

@@ -52,12 +52,6 @@ void RateMonitor::stop() {
     periodic_id_ = 0;
 }
 
-double RateMonitor::observed_rate(const std::string& client,
-                                  const std::string& service) const {
-    auto it = last_rates_.find({client, service});
-    return it == last_rates_.end() ? 0.0 : it->second;
-}
-
 void RateMonitor::on_message(const rte::Message& msg) {
     ++window_counts_[{msg.sender, msg.service}];
 }
@@ -78,7 +72,6 @@ void RateMonitor::evaluate_window() {
     const double window_s = window_.to_seconds();
     for (auto& [key, count] : window_counts_) {
         const double rate = static_cast<double>(count) / window_s;
-        last_rates_[key] = rate;
         count = 0;
 
         double bound = default_bound_;

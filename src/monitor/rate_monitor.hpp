@@ -33,9 +33,6 @@ public:
     void start();
     void stop();
 
-    [[nodiscard]] double observed_rate(const std::string& client,
-                                       const std::string& service) const;
-
 private:
     using Key = std::pair<std::string, std::string>;
 
@@ -47,7 +44,6 @@ private:
     sim::Duration window_;
     std::map<Key, double> bounds_;
     std::map<Key, std::uint64_t> window_counts_;
-    std::map<Key, double> last_rates_;
     std::map<Key, bool> alarmed_;
     std::map<Key, std::uint32_t> denied_counts_;
     double default_bound_ = 0.0;

@@ -37,7 +37,6 @@ public:
     [[nodiscard]] double availability() const noexcept { return availability_; }
     [[nodiscard]] double validity() const noexcept { return validity_; }
     [[nodiscard]] double stability() const noexcept { return stability_; }
-    [[nodiscard]] const std::string& sensor() const noexcept { return sensor_; }
 
     /// Emitted after each evaluation with the new quality score.
     sim::Signal<double>& quality_updated() noexcept { return quality_updated_; }

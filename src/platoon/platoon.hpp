@@ -117,10 +117,6 @@ public:
     [[nodiscard]] const PlatoonAgreement& agreement() const noexcept {
         return agreement_;
     }
-    /// Members in convoy order, leader first. Non-empty only while formed.
-    [[nodiscard]] const std::vector<MemberCapability>& members() const noexcept {
-        return members_;
-    }
     [[nodiscard]] std::vector<std::string> member_names() const;
     [[nodiscard]] bool contains(const std::string& name) const;
     /// Leader = front member. Requires formed().

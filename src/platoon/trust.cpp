@@ -38,7 +38,6 @@ std::vector<std::string> TrustManager::known_peers() const {
 bool PlausibilityChecker::check(const v2v::Frame& frame,
                                 double measured_position_m,
                                 double measured_speed_mps) {
-    ++checks_;
     const bool position_ok =
         std::abs(frame.position_m - measured_position_m) <= position_tolerance_m_;
     const bool speed_ok =

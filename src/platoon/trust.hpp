@@ -65,14 +65,12 @@ public:
     bool check(const v2v::Frame& frame, double measured_position_m,
                double measured_speed_mps);
 
-    [[nodiscard]] std::uint64_t checks() const noexcept { return checks_; }
     [[nodiscard]] std::uint64_t implausible() const noexcept { return implausible_; }
 
 private:
     TrustManager& trust_;
     double position_tolerance_m_;
     double speed_tolerance_mps_;
-    std::uint64_t checks_ = 0;
     std::uint64_t implausible_ = 0;
 };
 

@@ -36,7 +36,6 @@ public:
                                 can::CanFrame frame,
                                 std::function<void(can::CanFrame&)> payload = nullptr);
 
-    [[nodiscard]] can::CanController& controller() noexcept { return controller_; }
     [[nodiscard]] std::uint64_t activations() const noexcept { return activations_; }
     [[nodiscard]] std::uint64_t transmissions() const noexcept { return transmissions_; }
 

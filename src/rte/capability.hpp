@@ -25,7 +25,6 @@ public:
     /// Emitted on every denied check: (client, service).
     sim::Signal<const std::string&, const std::string&>& denied() noexcept { return denied_; }
 
-    void clear() noexcept { rules_.clear(); }
 
 private:
     std::set<std::pair<std::string, std::string>> rules_;

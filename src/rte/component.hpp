@@ -32,8 +32,6 @@ public:
     Component(const Component&) = delete;
     Component& operator=(const Component&) = delete;
 
-    [[nodiscard]] const std::string& name() const noexcept { return spec_.name; }
-    [[nodiscard]] const ComponentSpec& spec() const noexcept { return spec_; }
     [[nodiscard]] ComponentState state() const noexcept { return state_; }
     [[nodiscard]] Ecu& ecu() noexcept { return ecu_; }
 

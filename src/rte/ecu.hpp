@@ -28,9 +28,6 @@ public:
 
     [[nodiscard]] const std::string& name() const noexcept { return config_.name; }
     FixedPriorityScheduler& scheduler() noexcept { return scheduler_; }
-    [[nodiscard]] const FixedPriorityScheduler& scheduler() const noexcept {
-        return scheduler_;
-    }
     ThermalModel& thermal() noexcept { return thermal_; }
 
     /// Select DVFS level (0 = fastest). Clamped to the available range.

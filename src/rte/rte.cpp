@@ -5,8 +5,8 @@
 
 namespace sa::rte {
 
-Rte::Rte(sim::Simulator& simulator, Duration ipc_latency)
-    : simulator_(simulator), services_(simulator, access_, ipc_latency) {}
+Rte::Rte(sim::Simulator& simulator)
+    : simulator_(simulator), services_(simulator, access_) {}
 
 Ecu& Rte::add_ecu(EcuConfig config) {
     SA_REQUIRE(!config.name.empty(), "ECU needs a name");

@@ -26,7 +26,7 @@ struct RteConfig {
 
 class Rte {
 public:
-    explicit Rte(sim::Simulator& simulator, Duration ipc_latency = Duration::us(5));
+    explicit Rte(sim::Simulator& simulator);
 
     Rte(const Rte&) = delete;
     Rte& operator=(const Rte&) = delete;
@@ -55,7 +55,6 @@ public:
     // --- subsystems ---------------------------------------------------------
     ServiceRegistry& services() noexcept { return services_; }
     AccessControl& access() noexcept { return access_; }
-    sim::Simulator& simulator() noexcept { return simulator_; }
 
     /// Start all ECUs (schedulers + thermal models).
     void start();

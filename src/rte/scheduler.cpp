@@ -125,7 +125,9 @@ void FixedPriorityScheduler::release_job(TaskId id) {
     Task& task = it->second;
     const std::size_t backlog = static_cast<std::size_t>(
         std::count_if(ready_.begin(), ready_.end(), [&](const Job& j) { return j.task == id; }));
-    if (backlog >= queue_limit_) {
+    // Max pending jobs per task before overload shedding (drops).
+    constexpr std::size_t kQueueLimit = 16;
+    if (backlog >= kQueueLimit) {
         ++dropped_;
         return;
     }
@@ -145,7 +147,6 @@ void FixedPriorityScheduler::release_job(TaskId id) {
     job.total_ns = exec.count_ns();
     job.seq = next_job_seq_++;
     ready_.push_back(job);
-    job_released_.emit(id, simulator_.now());
     dispatch();
 }
 
@@ -247,9 +248,6 @@ void FixedPriorityScheduler::complete_running() {
         task_it->second.config.on_complete(simulator_.now());
     }
     job_completed_.emit(record);
-    if (record.deadline_missed) {
-        deadline_missed_.emit(record);
-    }
     dispatch();
 }
 

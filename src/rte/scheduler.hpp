@@ -73,7 +73,6 @@ public:
 
     void start();
     void stop();
-    [[nodiscard]] bool running() const noexcept { return started_; }
 
     /// Release one job of a (typically sporadic) task now.
     void release(TaskId id);
@@ -87,10 +86,9 @@ public:
     void set_speed_factor(double factor);
     [[nodiscard]] double speed_factor() const noexcept { return speed_; }
 
-    // Signals for monitors.
+    /// Fired once per completed job, for monitors; JobRecord carries the
+    /// release time and whether the deadline was missed.
     sim::Signal<const JobRecord&>& job_completed() noexcept { return job_completed_; }
-    sim::Signal<const JobRecord&>& deadline_missed() noexcept { return deadline_missed_; }
-    sim::Signal<TaskId, Time>& job_released() noexcept { return job_released_; }
 
     // Statistics.
     [[nodiscard]] std::uint64_t completed_jobs() const noexcept { return completed_; }
@@ -99,9 +97,6 @@ public:
     [[nodiscard]] std::int64_t busy_ns() const noexcept { return busy_ns_; }
     [[nodiscard]] double utilization(Time horizon) const;
     [[nodiscard]] const std::string& ecu_name() const noexcept { return ecu_name_; }
-
-    /// Max pending jobs per task before overload shedding (drops).
-    void set_queue_limit(std::size_t limit) noexcept { queue_limit_ = limit; }
 
 private:
     struct Task {
@@ -136,7 +131,6 @@ private:
     bool started_ = false;
     TaskId next_task_id_ = 1;
     std::uint64_t next_job_seq_ = 1;
-    std::size_t queue_limit_ = 16;
 
     std::uint64_t completed_ = 0;
     std::uint64_t missed_ = 0;
@@ -145,8 +139,6 @@ private:
     JobRecord record_scratch_; ///< reused per completion (see complete_running)
 
     sim::Signal<const JobRecord&> job_completed_;
-    sim::Signal<const JobRecord&> deadline_missed_;
-    sim::Signal<TaskId, Time> job_released_;
 };
 
 } // namespace sa::rte

@@ -4,11 +4,8 @@
 
 namespace sa::rte {
 
-ServiceRegistry::ServiceRegistry(sim::Simulator& simulator, AccessControl& access,
-                                 Duration ipc_latency)
-    : simulator_(simulator), access_(access), ipc_latency_(ipc_latency) {
-    SA_REQUIRE(ipc_latency_.count_ns() >= 0, "IPC latency must be non-negative");
-}
+ServiceRegistry::ServiceRegistry(sim::Simulator& simulator, AccessControl& access)
+    : simulator_(simulator), access_(access) {}
 
 void ServiceRegistry::provide(const std::string& provider, const std::string& service,
                               ServiceHandler handler) {
@@ -62,7 +59,7 @@ bool ServiceRegistry::call(SessionId session, std::vector<double> values, std::s
     // Deliver asynchronously; the handler may have been withdrawn meanwhile,
     // so re-check at delivery time (containment takes effect immediately).
     const std::string service_name = it->second.service;
-    simulator_.schedule(ipc_latency_, [this, msg = std::move(msg), service_name] {
+    simulator_.schedule(kIpcLatency, [this, msg = std::move(msg), service_name] {
         auto entry = services_.find(service_name);
         if (entry != services_.end() && entry->second.active) {
             entry->second.handler(msg);

@@ -32,8 +32,7 @@ using ServiceHandler = std::function<void(const Message&)>;
 
 class ServiceRegistry {
 public:
-    explicit ServiceRegistry(sim::Simulator& simulator, AccessControl& access,
-                             Duration ipc_latency = Duration::us(5));
+    ServiceRegistry(sim::Simulator& simulator, AccessControl& access);
 
     /// A component announces a service (micro-server endpoint).
     void provide(const std::string& provider, const std::string& service,
@@ -47,8 +46,8 @@ public:
     [[nodiscard]] std::optional<SessionId> open(const std::string& client,
                                                 const std::string& service);
 
-    /// Send a message through an open session. Delivery is asynchronous with
-    /// the configured IPC latency. Returns false for unknown sessions.
+    /// Send a message through an open session. Delivery is asynchronous,
+    /// kIpcLatency later. Returns false for unknown sessions.
     bool call(SessionId session, std::vector<double> values, std::string text = {});
 
     [[nodiscard]] bool has_service(const std::string& service) const;
@@ -62,6 +61,9 @@ public:
     [[nodiscard]] std::uint64_t denied_opens() const noexcept { return denied_opens_; }
 
 private:
+    /// Delay from call() to the provider's handler.
+    static constexpr Duration kIpcLatency = Duration::us(5);
+
     struct ServiceEntry {
         std::string provider;
         ServiceHandler handler;
@@ -74,7 +76,6 @@ private:
 
     sim::Simulator& simulator_;
     AccessControl& access_;
-    Duration ipc_latency_;
     std::map<std::string, ServiceEntry> services_;
     std::map<SessionId, SessionEntry> sessions_;
     SessionId next_session_ = 1;

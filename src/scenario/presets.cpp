@@ -97,7 +97,6 @@ void declare_drift_demo(ScenarioBuilder& builder, const DriftDemoConfig& config)
     // regulated regime rather than an approach transient.
     vehicle::ScenarioConfig driving;
     driving.ego_speed_mps = 22.0;
-    driving.lead_speed_mps = 22.0;
     driving.initial_gap_m =
         vehicle::AccController::kMinGapM +
         vehicle::AccController::kInitialTimeGapS * driving.ego_speed_mps;

@@ -81,7 +81,6 @@ public:
     Vehicle(const Vehicle&) = delete;
     Vehicle& operator=(const Vehicle&) = delete;
 
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
 
     // --- model domain -------------------------------------------------------

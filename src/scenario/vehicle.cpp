@@ -146,7 +146,7 @@ VehicleReport Vehicle::report() const {
     report.anomalies = monitors_->total_anomalies();
     report.problems_handled = coordinator_->problems_handled();
     report.problems_resolved = coordinator_->problems_resolved();
-    if (self_ != nullptr && !self_->history().empty()) {
+    if (self_ != nullptr && self_->has_snapshot()) {
         report.self = self_->latest();
     }
     return report;

@@ -87,9 +87,6 @@ public:
     DomainKernel(const DomainKernel&) = delete;
     DomainKernel& operator=(const DomainKernel&) = delete;
 
-    [[nodiscard]] Simulator& simulator() noexcept { return simulator_; }
-    [[nodiscard]] const Simulator& simulator() const noexcept { return simulator_; }
-    [[nodiscard]] std::size_t index() const noexcept { return index_; }
     /// Minimum latency of any cross-domain event this domain may emit.
     [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
 

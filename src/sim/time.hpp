@@ -18,8 +18,6 @@ public:
     constexpr explicit Time(std::int64_t ns) : ns_(ns) {}
 
     [[nodiscard]] constexpr std::int64_t ns() const noexcept { return ns_; }
-    [[nodiscard]] constexpr double us() const noexcept { return static_cast<double>(ns_) / 1e3; }
-    [[nodiscard]] constexpr double ms() const noexcept { return static_cast<double>(ns_) / 1e6; }
     [[nodiscard]] constexpr double s() const noexcept { return static_cast<double>(ns_) / 1e9; }
 
     static constexpr Time zero() noexcept { return Time(0); }
@@ -76,8 +74,6 @@ constexpr Duration operator-(Duration a, Duration b) noexcept {
 constexpr Duration operator*(Duration d, std::int64_t k) noexcept {
     return Duration(d.count_ns() * k);
 }
-constexpr Duration operator*(std::int64_t k, Duration d) noexcept { return d * k; }
-constexpr Duration operator-(Duration d) noexcept { return Duration(-d.count_ns()); }
 
 namespace literals {
 constexpr Duration operator""_ns(unsigned long long v) { return Duration::ns(static_cast<std::int64_t>(v)); }

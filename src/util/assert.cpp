@@ -28,7 +28,6 @@ std::string stable_message(const char* kind, const char* expr, const std::string
 ContractViolation::ContractViolation(const char* kind, const char* expr, const char* file,
                                      int line, const std::string& msg)
     : std::logic_error(format_message(kind, expr, file, line, msg)),
-      file_(file),
       line_(line),
       message_(stable_message(kind, expr, msg)) {}
 

@@ -17,7 +17,6 @@ public:
     ContractViolation(const char* kind, const char* expr, const char* file, int line,
                       const std::string& msg);
 
-    [[nodiscard]] const char* file() const noexcept { return file_; }
     [[nodiscard]] int line() const noexcept { return line_; }
     /// The violation without the file:line suffix of what() — a stable form
     /// for reports and reproducer corpora that must not churn when code
@@ -25,7 +24,6 @@ public:
     [[nodiscard]] const std::string& message() const noexcept { return message_; }
 
 private:
-    const char* file_;
     int line_;
     std::string message_;
 };

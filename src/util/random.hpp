@@ -29,8 +29,6 @@ public:
     /// Pick a uniformly random index into a container of the given size (> 0).
     std::size_t index(std::size_t size);
 
-    std::mt19937_64& raw() noexcept { return rng_; }
-
 private:
     std::mt19937_64 rng_;
 };

@@ -37,10 +37,8 @@ private:
 class SampleSet {
 public:
     void add(double x);
-    void clear() noexcept { samples_.clear(); sorted_ = true; }
 
     [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-    [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
     [[nodiscard]] double mean() const;
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
@@ -48,8 +46,6 @@ public:
     /// Exact percentile by nearest-rank; p in [0, 100].
     [[nodiscard]] double percentile(double p) const;
     [[nodiscard]] double median() const { return percentile(50.0); }
-
-    [[nodiscard]] const std::vector<double>& samples() const noexcept { return samples_; }
 
 private:
     mutable std::vector<double> samples_;

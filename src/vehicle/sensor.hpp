@@ -57,8 +57,6 @@ public:
     /// Effective dropout probability under the given weather.
     [[nodiscard]] double effective_dropout(const WeatherCondition& weather) const;
 
-    [[nodiscard]] const SensorConfig& config() const noexcept { return config_; }
-
 private:
     SensorConfig config_;
 };

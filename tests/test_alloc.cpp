@@ -22,6 +22,8 @@
 #include "can/bus_gateway.hpp"
 #include "can/controller.hpp"
 #include "can/virtual_controller.hpp"
+#include "core/coordinator.hpp"
+#include "core/self_model.hpp"
 #include "mesh/mesh_stack.hpp"
 #include "monitor/manager.hpp"
 #include "rte/scheduler.hpp"
@@ -487,10 +489,17 @@ TEST(ZeroAllocPins, MonitorIngestSteadyState) {
     monitor::MonitorManager manager(simulator);
     const monitor::MetricId gap = manager.metric_id("drive.gap");
     const monitor::MetricId speed = manager.metric_id("drive.speed");
-    double tap_sum = 0.0;
+    std::uint64_t gap_samples = 0;
+    double last_speed = 0.0;
     manager.metric_ingested().subscribe(
-        [&tap_sum](const monitor::Metric& m) { tap_sum += m.value; });
-    manager.ingest(gap, 1.0, Time(1)); // warm the emit scratch
+        [&gap_samples, &last_speed, gap](monitor::MetricId id, double value, Time) {
+            if (id == gap) {
+                ++gap_samples;
+            } else {
+                last_speed = value;
+            }
+        });
+    manager.ingest(gap, 1.0, Time(1));
     manager.ingest(speed, 2.0, Time(1));
     alloc_hook::CountScope scope;
     for (int i = 0; i < 1'000; ++i) {
@@ -498,10 +507,47 @@ TEST(ZeroAllocPins, MonitorIngestSteadyState) {
         manager.ingest(speed, 25.0, Time(i));
     }
     EXPECT_EQ(scope.allocations(), 0u) << "interned metric ingest allocated";
-    EXPECT_GT(tap_sum, 0.0);
-    EXPECT_DOUBLE_EQ(manager.last_value("drive.speed"), 25.0);
-    ASSERT_NE(manager.stats("drive.gap"), nullptr);
-    EXPECT_EQ(manager.stats("drive.gap")->count(), 1'001u);
+    EXPECT_EQ(gap_samples, 1'001u);
+    EXPECT_DOUBLE_EQ(last_speed, 25.0);
+}
+
+class ConstantHealthLayer : public core::Layer {
+public:
+    ConstantHealthLayer(core::LayerId id, double health)
+        : Layer(id), health_(health) {}
+    std::vector<core::Proposal> propose(const core::Problem&) override { return {}; }
+    double health() const override { return health_; }
+
+private:
+    double health_;
+};
+
+TEST(ZeroAllocPins, SelfModelCaptureSteadyState) {
+    // After the first capture, capture() rewrites the one snapshot in place
+    // and returns it by reference, so it allocates nothing.
+    Simulator simulator;
+    core::CrossLayerCoordinator coordinator(simulator);
+    coordinator.register_layer(
+        std::make_unique<ConstantHealthLayer>(core::LayerId::Platform, 0.75));
+    coordinator.register_layer(
+        std::make_unique<ConstantHealthLayer>(core::LayerId::Ability, 0.5));
+    skills::AbilityGraph abilities(*skills::CapabilityRegistry::builtin().spec("acc"));
+    core::SelfModel self(simulator, coordinator);
+    self.bind_abilities(abilities, skills::acc::kAccDriving);
+    std::uint64_t published = 0;
+    self.snapshot_taken().subscribe(
+        [&published](const core::SelfSnapshot&) { ++published; });
+    (void)self.capture(); // fills the health map and the root-skill name
+    double overall = 0.0;
+    alloc_hook::CountScope scope;
+    for (int i = 0; i < 100; ++i) {
+        overall += self.capture().overall;
+    }
+    EXPECT_EQ(scope.allocations(), 0u) << "self-model capture allocated";
+    EXPECT_EQ(published, 101u);
+    EXPECT_EQ(self.latest().version, 101u);
+    EXPECT_EQ(self.latest().layer_health.size(), 2u);
+    EXPECT_EQ(overall, 50.0); // the minimum over the layers, 100 times
 }
 
 TEST(ZeroAllocPins, AbilityPropagateSteadyState) {

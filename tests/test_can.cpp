@@ -486,15 +486,6 @@ TEST(CanController, NoSelfReceptionByDefault) {
     EXPECT_EQ(self_rx, 0);
 }
 
-TEST(CanController, TxLatencyRecorded) {
-    EchoRig rig;
-    CanController a(rig.bus, "a");
-    a.send(CanFrame::make(0x10, {1, 2, 3, 4, 5, 6, 7, 8}));
-    rig.sim.run_until(Time(Duration::ms(10).count_ns()));
-    ASSERT_EQ(a.tx_latency_us().count(), 1u);
-    EXPECT_GT(a.tx_latency_us().min(), 200.0); // at least one frame time
-}
-
 // --- Virtualized controller (Fig. 2) -----------------------------------------------
 
 TEST(VirtualCan, PfTokenSingleOwner) {

@@ -78,7 +78,7 @@ TEST(EntryLayer, EveryDomainHasAnEntryLayer) {
 class ScriptedLayer : public Layer {
 public:
     ScriptedLayer(LayerId id, std::vector<Proposal> proposals)
-        : Layer(id, std::string("scripted_") + to_string(id)),
+        : Layer(id),
           proposals_(std::move(proposals)) {}
 
     std::vector<Proposal> propose(const Problem&) override {
@@ -519,11 +519,14 @@ TEST(SelfModel, SnapshotsAggregateLayerHealth) {
     coord.register_layer(
         std::make_unique<ScriptedLayer>(LayerId::Objective, std::vector<Proposal>{}));
     SelfModel self(sim, coord);
-    const auto snap = self.capture();
+    EXPECT_FALSE(self.has_snapshot());
+    EXPECT_THROW((void)self.latest(), ContractViolation);
+    const auto& snap = self.capture();
+    EXPECT_TRUE(self.has_snapshot());
+    EXPECT_EQ(&snap, &self.latest());
     EXPECT_EQ(snap.version, 1u);
     EXPECT_DOUBLE_EQ(snap.overall, 1.0);
     EXPECT_EQ(snap.layer_health.size(), 2u);
-    EXPECT_EQ(self.latest().version, 1u);
 }
 
 TEST(SelfModel, PeriodicCaptureAndSignal) {
@@ -532,23 +535,23 @@ TEST(SelfModel, PeriodicCaptureAndSignal) {
     coord.register_layer(
         std::make_unique<ScriptedLayer>(LayerId::Platform, std::vector<Proposal>{}));
     SelfModel self(sim, coord);
-    int published = 0;
-    self.snapshot_taken().subscribe([&](const SelfSnapshot&) { ++published; });
+    std::vector<std::uint64_t> versions;
+    self.snapshot_taken().subscribe(
+        [&](const SelfSnapshot& s) { versions.push_back(s.version); });
     self.start(Duration::ms(100));
     sim.run_until(Time(Duration::sec(1).count_ns()));
-    EXPECT_GE(published, 9);
-    EXPECT_GE(self.history().size(), 9u);
-    // Versions are strictly increasing.
-    std::uint64_t last = 0;
-    for (const auto& s : self.history()) {
-        EXPECT_GT(s.version, last);
-        last = s.version;
+    ASSERT_GE(versions.size(), 9u);
+    // One version per capture, counting up from 1; latest() is the last
+    // snapshot published.
+    for (std::size_t i = 0; i < versions.size(); ++i) {
+        EXPECT_EQ(versions[i], i + 1);
     }
+    EXPECT_EQ(self.latest().version, versions.back());
 }
 
 class UnhealthyLayer : public Layer {
 public:
-    UnhealthyLayer() : Layer(LayerId::Ability, "sick") {}
+    UnhealthyLayer() : Layer(LayerId::Ability) {}
     std::vector<Proposal> propose(const Problem&) override { return {}; }
     double health() const override { return 0.3; }
 };

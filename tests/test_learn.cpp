@@ -234,8 +234,8 @@ TEST(TraceRecorder, RecordsIngestStreamThroughTheTap) {
     monitor::MonitorManager mgr(sim);
     TraceRecorder all(mgr);
     TraceRecorder filtered(mgr, {"drive.gap"});
-    mgr.ingest(monitor::Metric{"drive.gap", 48.0, Time::zero()});
-    mgr.ingest(monitor::Metric{"sensor.radar", 0.5, Time::zero()});
+    mgr.ingest(mgr.metric_id("drive.gap"), 48.0, Time::zero());
+    mgr.ingest(mgr.metric_id("sensor.radar"), 0.5, Time::zero());
     ASSERT_EQ(all.sample_count(), 2u);
     EXPECT_EQ(all.trace().samples[1].name, "sensor.radar");
     ASSERT_EQ(filtered.sample_count(), 1u);
@@ -262,9 +262,11 @@ TEST(AnomalyModelMonitor, RaisesAndRecoversOnJointStateShift) {
 
     // Two constant metrics every 10ms: one home state, unsurprising.
     double x_level = 1.0;
+    const monitor::MetricId x = mgr.metric_id("x");
+    const monitor::MetricId y = mgr.metric_id("y");
     sim.schedule_periodic(Duration::ms(10), [&] {
-        mgr.ingest(monitor::Metric{"x", x_level, sim.now()});
-        mgr.ingest(monitor::Metric{"y", 2.0, sim.now()});
+        mgr.ingest(x, x_level, sim.now());
+        mgr.ingest(y, 2.0, sim.now());
     });
     sim.run_until(Time(Duration::sec(2).count_ns()));
     EXPECT_TRUE(monitor.warmed_up());
@@ -304,9 +306,10 @@ TEST(AnomalyModelMonitor, QuietDuringWarmup) {
     std::size_t anomalies = 0;
     mgr.anomalies().subscribe([&](const monitor::Anomaly&) { ++anomalies; });
     double level = 0.0;
+    const monitor::MetricId x = mgr.metric_id("x");
     sim.schedule_periodic(Duration::ms(10), [&] {
         level += 1.0; // wild non-stationarity, but still training
-        mgr.ingest(monitor::Metric{"x", level, sim.now()});
+        mgr.ingest(x, level, sim.now());
     });
     sim.run_until(Time(Duration::sec(5).count_ns()));
     EXPECT_FALSE(monitor.warmed_up());

@@ -233,7 +233,7 @@ TEST(FmeaProperty, AddingRedundancyNeverHurts) {
 class ChaoticLayer : public core::Layer {
 public:
     ChaoticLayer(core::LayerId id, RandomEngine& rng)
-        : Layer(id, "chaotic"), rng_(rng) {}
+        : Layer(id), rng_(rng) {}
 
     std::vector<core::Proposal> propose(const core::Problem&) override {
         std::vector<core::Proposal> out;
@@ -430,11 +430,12 @@ TEST_P(ChainSimVsAnalysis, ObservedChainWithinBound) {
     consumer_gw.transmit_on_completion(consumer_ecu, cons_id,
                                        can::CanFrame::make(0x200, {9}));
 
-    // Observe: producer job release -> response frame on the wire.
+    // Observe: producer job release -> response frame on the wire. The
+    // release is recorded when the job completes, before its frame is sent.
     std::vector<Time> releases;
-    producer_ecu.job_released().subscribe([&](rte::TaskId id, Time at) {
-        if (id == prod_id) {
-            releases.push_back(at);
+    producer_ecu.job_completed().subscribe([&](const rte::JobRecord& job) {
+        if (job.task == prod_id) {
+            releases.push_back(job.release);
         }
     });
     Duration worst_observed = Duration::zero();

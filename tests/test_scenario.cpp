@@ -64,7 +64,7 @@ TEST(VehicleBuilder, ComposesIntegratesAndRuns) {
     simulator.run_until(Time(Duration::sec(1).count_ns()));
     EXPECT_GT(vehicle->rte().total_completed_jobs(), 0u);
     EXPECT_EQ(vehicle->rte().total_deadline_misses(), 0u);
-    EXPECT_GT(vehicle->self_model().history().size(), 1u);
+    EXPECT_GT(vehicle->self_model().latest().version, 1u);
     const auto report = vehicle->report();
     EXPECT_EQ(report.jobs_completed, vehicle->rte().total_completed_jobs());
     EXPECT_TRUE(report.self.has_value());

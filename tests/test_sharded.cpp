@@ -1105,17 +1105,30 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, const ManeuverCase&
             abilities.propagate();
         });
     auto scenario = builder.build();
+    // Every self-model snapshot, as it is published: one string per vehicle,
+    // each written only by its vehicle's domain.
+    std::vector<std::string> snapshots(std::size(kPlatoonVehicles));
+    for (std::size_t i = 0; i < snapshots.size(); ++i) {
+        scenario->vehicle(kPlatoonVehicles[i])
+            .self_model()
+            .snapshot_taken()
+            .subscribe([&out = snapshots[i]](const core::SelfSnapshot& snapshot) {
+                out += "\n" + snapshot.str();
+            });
+    }
     scenario->run(Duration::sec(2), num_domains);
 
     RunFingerprint fp;
-    for (const char* name : kPlatoonVehicles) {
-        auto& v = scenario->vehicle(name);
+    for (std::size_t i = 0; i < snapshots.size(); ++i) {
+        auto& v = scenario->vehicle(kPlatoonVehicles[i]);
         std::string s = v.report().str();
         s += "| follow=" +
              std::to_string(v.abilities().level(skills::caps::kPlatoonFollow));
-        for (const auto& snapshot : v.self_model().history()) {
-            s += "\n" + snapshot.str();
-        }
+        EXPECT_EQ(static_cast<std::uint64_t>(
+                      std::count(snapshots[i].begin(), snapshots[i].end(), '\n')),
+                  v.self_model().latest().version)
+            << "a snapshot escaped the fingerprint";
+        s += snapshots[i];
         s += "\n" + trace_fingerprint(v.rte().can_bus("can_sense").trace());
         s += trace_fingerprint(v.rte().can_bus("can_act").trace());
         fp.vehicles.push_back(std::move(s));

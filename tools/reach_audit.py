@@ -10,13 +10,30 @@ perfbench_driver. The script builds them under build-reach/, both trees at
 path from main() can call it:
 
   build-reach/root       the root project, tools and examples on, tests and
-                         benches off (libsa.a is taken from here);
-  build-reach/perfbench  perfbench/ as it is, target perfbench_driver.
+                         benches off;
+  build-reach/perfbench  perfbench/ as it is, target perfbench_driver, and
+                         -fkeep-inline-functions on top: it emits every
+                         inline function, so an inline member that nothing
+                         calls has a symbol in this tree's libsa.a too.
 
-It then lists every strong text symbol (nm type T or t) of libsa.a whose
-name appears in none of the binaries, with its size, and checks libsa's own
-unreached functions against tools/libsa_unreached.txt. Tests and benches are
-not entry points: code only they reach needs a line like any other.
+It then lists every libsa function whose name appears in none of the
+binaries, with its size, and checks libsa's own unreached functions against
+tools/libsa_unreached.txt. The functions are
+
+  - the strong text symbols (nm type T or t) of the root tree's libsa.a.
+    They come from the tree without the flag, which would also emit local
+    copies of inline functions with internal linkage (mostly std:: helpers
+    instantiated over lambda types) that no program calls at run time;
+  - the weak symbols (W or w) in sa:: of the perfbench tree's libsa.a:
+    inline members and template instantiations. Weak constructors,
+    destructors and assignment operators are skipped, since the compiler
+    mostly generates those itself.
+
+Inline functions with internal linkage (members of a class in an anonymous
+namespace) are in neither set. One summary line gives the unreached share
+of the strong functions and one that of the weak sa:: ones. Tests and
+benches are not entry points: code only they reach needs a line like any
+other.
 
 Each line of the list is
 
@@ -35,11 +52,15 @@ Blank lines and lines starting with '#' are ignored.
 
 Exit status 1 when an unreached function in sa:: (lambda bodies and std::
 instantiations aside) matches no line, when a line matches no unreached
-function, or when a line is malformed; 0 otherwise. So the list stays exact:
-a change that strands a function adds a line with its reason, and a change
-that reaches or deletes one removes its line.
+function, when a line is malformed, or when the perfbench tree's libsa.a
+holds no weak sa:: function that the root tree's lacks (a compiler that
+ignored -fkeep-inline-functions would hide every uncalled inline member);
+0 otherwise. So the list stays exact: a change that strands a function adds
+a line with its reason, and a change that reaches or deletes one removes
+its line.
 """
 
+import collections
 import os
 import re
 import subprocess
@@ -50,6 +71,7 @@ BUILD = os.path.join(ROOT, "build-reach")
 LIST = os.path.join(ROOT, "tools", "libsa_unreached.txt")
 
 CXX_FLAGS = "-O0 -fno-inline -ffunction-sections -fdata-sections"
+INLINE_FLAGS = CXX_FLAGS + " -fkeep-inline-functions"
 LINK_FLAGS = "-Wl,--gc-sections"
 
 CATEGORIES = ("paper", "grammar", "benchmark", "harness")
@@ -101,6 +123,73 @@ def own_function(demangled):
     if not name.startswith("sa::"):
         return None
     return name[len("sa::"):]
+
+
+def without_template_args(name):
+    """The name with every <...> argument list removed."""
+    out, depth = [], 0
+    for c in name:
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def special_member(name):
+    """Whether an own_function() name is a constructor, destructor or
+    assignment operator."""
+    if name.endswith("::operator="):
+        return True
+    if "operator" in name:
+        return False  # its symbol may hold a '<' of its own
+    parts = without_template_args(name).split("::")
+    return len(parts) > 1 and (parts[-1].startswith("~")
+                               or parts[-1] == parts[-2])
+
+
+Symbol = collections.namedtuple("Symbol", "mangled demangled size weak")
+
+
+def symbols(nm_lines, types):
+    """{mangled name: size} of the `nm -S --defined-only` lines' symbols
+    whose type letter is one of types."""
+    found = {}
+    for line in nm_lines:
+        fields = line.split()
+        if len(fields) == 4 and fields[2] in types:
+            found[fields[3]] = int(fields[1], 16)
+    return found
+
+
+def library_functions(plain_nm, inline_nm, demangler):
+    """(functions, errors) for the nm lines of libsa.a built without and
+    with -fkeep-inline-functions.
+
+    The functions are the plain archive's strong text symbols and the
+    inline archive's weak ones that are libsa's own (own_function) and not
+    special members (special_member). demangler maps a list of mangled
+    names to their demangled forms. errors is non-empty when the inline
+    archive adds no such weak function to the plain one's."""
+    strong = symbols(plain_nm, "Tt")
+    weak = symbols(inline_nm, "Ww")
+    plain_weak = symbols(plain_nm, "Ww")
+    names = sorted(set(strong) | set(weak))
+    functions = []
+    for mangled, demangled in zip(names, demangler(names)):
+        if mangled in strong:
+            functions.append(Symbol(mangled, demangled, strong[mangled], False))
+            continue
+        own = own_function(demangled)
+        if own is not None and not special_member(own):
+            functions.append(Symbol(mangled, demangled, weak[mangled], True))
+    errors = []
+    if not any(s.weak and s.mangled not in plain_weak for s in functions):
+        errors.append("-fkeep-inline-functions added no weak sa:: function"
+                      " to libsa.a, so no uncalled inline member was seen")
+    return functions, errors
 
 
 def parse_list(lines):
@@ -158,20 +247,21 @@ def run(cmd):
 
 
 def build():
+    """(plain libsa.a, inline libsa.a, shipped binaries)."""
     jobs = str(os.cpu_count() or 1)
     common = [
         "-DCMAKE_BUILD_TYPE=ReachAudit",  # no per-type flags: only these
-        f"-DCMAKE_CXX_FLAGS={CXX_FLAGS}",
         f"-DCMAKE_EXE_LINKER_FLAGS={LINK_FLAGS}",
     ]
     root = os.path.join(BUILD, "root")
     run(["cmake", "-S", ROOT, "-B", root, *common,
+         f"-DCMAKE_CXX_FLAGS={CXX_FLAGS}",
          "-DSA_BUILD_TOOLS=ON", "-DSA_BUILD_EXAMPLES=ON",
          "-DSA_BUILD_TESTS=OFF", "-DSA_BUILD_BENCH=OFF"])
     run(["cmake", "--build", root, "-j", jobs])
     perfbench = os.path.join(BUILD, "perfbench")
     run(["cmake", "-S", os.path.join(ROOT, "perfbench"), "-B", perfbench,
-         *common])
+         *common, f"-DCMAKE_CXX_FLAGS={INLINE_FLAGS}"])
     run(["cmake", "--build", perfbench, "-j", jobs,
          "--target", "perfbench_driver"])
     binaries = [os.path.join(perfbench, "perfbench_driver")]
@@ -183,7 +273,8 @@ def build():
                 with open(path, "rb") as f:
                     if f.read(4) == b"\x7fELF":
                         binaries.append(path)
-    return os.path.join(root, "libsa.a"), binaries
+    return (os.path.join(root, "libsa.a"),
+            os.path.join(perfbench, "sa", "libsa.a"), binaries)
 
 
 def nm(path, extra=()):
@@ -192,42 +283,48 @@ def nm(path, extra=()):
     return out.splitlines()
 
 
-def library_functions(archive):
-    """{mangled name: size} of the archive's T/t symbols."""
-    functions = {}
-    for line in nm(archive, ["-S"]):
-        fields = line.split()
-        if len(fields) == 4 and fields[2] in "Tt":
-            functions[fields[3]] = int(fields[1], 16)
-    return functions
-
-
 def demangle(names):
     out = subprocess.run(["c++filt"], input="\n".join(names) + "\n",
                          check=True, capture_output=True, text=True).stdout
     return out.splitlines()
 
 
+def summary(functions, unreached, what):
+    """'<n> of <m> <what>, <x> KB of <y> KB' for the unreached functions."""
+    total = sum(s.size for s in functions) / 1000
+    lost = sum(s.size for s in unreached) / 1000
+    return (f"{len(unreached)} of {len(functions)} {what}, {lost:.1f} KB of"
+            f" {total:.1f} KB")
+
+
+def check(functions, present, lines):
+    """(unreached functions, errors) for the audited functions, the symbol
+    names the binaries hold and the list's lines."""
+    unreached = [s for s in functions if s.mangled not in present]
+    return unreached, audit([s.demangled for s in unreached], lines)
+
+
 def main():
     if len(sys.argv) > 1:
         sys.exit(__doc__)
-    archive, binaries = build()
-    functions = library_functions(archive)
+    plain, inline, binaries = build()
+    functions, errors = library_functions(nm(plain, ["-S"]),
+                                          nm(inline, ["-S"]), demangle)
     present = set()
     for binary in binaries:
         present.update(line.split()[-1] for line in nm(binary) if line)
-    unreached = sorted(n for n in functions if n not in present)
-    demangled = demangle(unreached)
-    rows = sorted(zip(demangled, unreached), key=lambda r: r[0])
-    for name, mangled in rows:
-        print(f"{functions[mangled]:7d}  {name}")
-    total = sum(functions.values())
-    lost = sum(functions[n] for n in unreached)
-    print(f"\n{len(binaries)} binaries; unreached: {len(unreached)} of"
-          f" {len(functions)} T/t functions, {lost / 1000:.1f} KB of"
-          f" {total / 1000:.1f} KB")
     with open(LIST, encoding="utf-8") as f:
-        errors = audit(demangled, f.read().splitlines())
+        unreached, list_errors = check(functions, present,
+                                       f.read().splitlines())
+    errors += list_errors
+    for s in sorted(unreached, key=lambda s: s.demangled):
+        print(f"{s.size:7d}  {'W' if s.weak else 'T'}  {s.demangled}")
+    strong = summary([s for s in functions if not s.weak],
+                     [s for s in unreached if not s.weak], "T/t functions")
+    weak = summary([s for s in functions if s.weak],
+                   [s for s in unreached if s.weak], "weak sa:: functions")
+    print(f"\n{len(binaries)} binaries; unreached: {strong}")
+    print(f"inline members and templates: unreached: {weak}")
     for error in errors:
         print(f"{os.path.relpath(LIST, ROOT)}: {error}", file=sys.stderr)
     if errors:

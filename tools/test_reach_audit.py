@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tests for the matching logic of tools/reach_audit.py.
 
-They run as a plain ctest (label `tools`) on fabricated demangled symbol
-names; nothing is built. The audit itself, which builds the shipped
-programs twice, runs as its own CI job.
+They run as a plain ctest (label `tools`) on fabricated nm lines and
+demangled symbol names; nothing is built. The audit itself, which builds
+the shipped programs twice, runs as its own CI job.
 """
 
 import os
@@ -96,6 +96,105 @@ class AuditTest(unittest.TestCase):
     def test_line_without_reason_fails(self):
         errors = reach_audit.audit(["sa::a()"], ["a  harness:"])
         self.assertTrue(any("line 1" in e for e in errors))
+
+
+def nm_line(kind, mangled, size=0x20):
+    """One `nm -S --defined-only` line."""
+    return f"0000000000000000 {size:016x} {kind} {mangled}"
+
+
+class LibraryFunctionsTest(unittest.TestCase):
+    """library_functions() and check() on fabricated archives: a plain one
+    and one built with -fkeep-inline-functions."""
+
+    DEMANGLED = {
+        "_ZN2sa1x4Plan3runEv": "sa::x::Plan::run()",
+        "_ZNK2sa1x4Plan4sizeEv": "sa::x::Plan::size() const",
+        "_ZNK2sa1x4Plan5emptyEv": "sa::x::Plan::empty() const",
+        "_ZN2sa1x4PlanC2Ev": "sa::x::Plan::Plan()",
+        "_ZN2sa1x4PlanD2Ev": "sa::x::Plan::~Plan()",
+        "_ZN2sa1x4PlanaSERKS1_": "sa::x::Plan::operator=(sa::x::Plan const&)",
+        "_ZN2sa4util3VecIiLm8EEC2Ev": "sa::util::Vec<int, 8ul>::Vec()",
+        "_ZNKSt6vectorIiSaIiEE4sizeEv":
+            "std::vector<int, std::allocator<int> >::size() const",
+    }
+
+    def demangler(self, names):
+        return [self.DEMANGLED[n] for n in names]
+
+    def functions(self, plain, inline):
+        functions, errors = reach_audit.library_functions(
+            plain, inline, self.demangler)
+        return {f.demangled: f.weak for f in functions}, errors
+
+    def test_weak_symbol_counts_like_a_strong_one(self):
+        plain = [nm_line("T", "_ZN2sa1x4Plan3runEv")]
+        inline = plain + [nm_line("W", "_ZNK2sa1x4Plan4sizeEv"),
+                          nm_line("W", "_ZNKSt6vectorIiSaIiEE4sizeEv")]
+        functions, errors = reach_audit.library_functions(
+            plain, inline, self.demangler)
+        self.assertEqual(errors, [])
+        # The std:: instantiation is not libsa's own.
+        self.assertEqual({f.demangled: f.weak for f in functions},
+                         {"sa::x::Plan::run()": False,
+                          "sa::x::Plan::size() const": True})
+        unreached, errors = reach_audit.check(functions, set(), [
+            "x::Plan::run  harness: test_x"])
+        self.assertEqual(len(unreached), 2)
+        self.assertEqual(len(errors), 1)
+        self.assertIn("unlisted: sa::x::Plan::size", errors[0])
+        _, errors = reach_audit.check(functions, set(), [
+            "x::Plan::run  harness: test_x",
+            "x::Plan::size  harness: test_x"])
+        self.assertEqual(errors, [])
+
+    def test_weak_special_members_are_skipped(self):
+        inline = [nm_line("W", "_ZNK2sa1x4Plan5emptyEv"),
+                  nm_line("W", "_ZN2sa1x4PlanC2Ev"),
+                  nm_line("W", "_ZN2sa1x4PlanD2Ev"),
+                  nm_line("W", "_ZN2sa1x4PlanaSERKS1_"),
+                  nm_line("W", "_ZN2sa4util3VecIiLm8EEC2Ev")]
+        functions, errors = self.functions([], inline)
+        self.assertEqual(errors, [])
+        self.assertEqual(functions, {"sa::x::Plan::empty() const": True})
+        # A strong constructor still counts.
+        functions, _ = self.functions([nm_line("T", "_ZN2sa1x4PlanC2Ev")],
+                                      inline)
+        self.assertEqual(functions["sa::x::Plan::Plan()"], False)
+
+    def test_listed_inline_member_that_a_program_reaches_is_stale(self):
+        inline = [nm_line("W", "_ZNK2sa1x4Plan4sizeEv")]
+        functions, _ = reach_audit.library_functions([], inline,
+                                                     self.demangler)
+        unreached, errors = reach_audit.check(
+            functions, {"_ZNK2sa1x4Plan4sizeEv"},
+            ["x::Plan::size  harness: test_x"])
+        self.assertEqual(unreached, [])
+        self.assertEqual(len(errors), 1)
+        self.assertIn("line 1: stale: 'x::Plan::size'", errors[0])
+
+    def test_no_inline_member_added_fails(self):
+        # A compiler that ignored -fkeep-inline-functions: both archives
+        # hold the same weak symbols, or none at all.
+        weak = [nm_line("W", "_ZNK2sa1x4Plan4sizeEv")]
+        plain = [nm_line("T", "_ZN2sa1x4Plan3runEv")] + weak
+        for inline in (plain, [], [nm_line("W", "_ZN2sa1x4PlanC2Ev")]):
+            _, errors = self.functions(plain, inline)
+            self.assertEqual(len(errors), 1)
+            self.assertIn("-fkeep-inline-functions", errors[0])
+
+    def test_special_member_names(self):
+        special = reach_audit.special_member
+        self.assertTrue(special("x::Plan::Plan"))
+        self.assertTrue(special("x::Plan::~Plan"))
+        self.assertTrue(special("x::Plan::operator="))
+        self.assertTrue(special("util::Vec<x::Plan, 8ul>::Vec"))
+        self.assertTrue(special("util::Vec<x::Plan, 8ul>::Iterator<true>::Iterator"))
+        self.assertFalse(special("x::Plan::size"))
+        self.assertFalse(special("x::Plan::operator<"))
+        self.assertFalse(special("x::Plan::operator=="))
+        self.assertFalse(special("util::Vec<x::Plan, 8ul>::Iterator<true>::operator*"))
+        self.assertFalse(special("make_plan"))
 
 
 if __name__ == "__main__":
