@@ -3,6 +3,7 @@
 #include <limits>
 #include <set>
 
+#include "util/assert.hpp"
 #include "util/string_util.hpp"
 
 namespace sa::campaign {
@@ -341,6 +342,19 @@ std::uint64_t CampaignSpec::cell_count() const noexcept {
     count *= domains_.size();
     count *= vehicles_.size();
     return count;
+}
+
+CellConfig CampaignSpec::first_cell() const {
+    SA_REQUIRE(cell_count() > 0, "an empty matrix has no first cell");
+    CellConfig cell = cell_;
+    cell.vehicles = vehicles_.front();
+    cell.weather = weathers_.front();
+    cell.fault = faults_.front();
+    cell.policy = policies_.front();
+    cell.topology = topologies_.front();
+    cell.domains = domains_.front();
+    cell.seed = seeds_.lo;
+    return cell;
 }
 
 std::vector<CellConfig> CampaignSpec::expand() const {

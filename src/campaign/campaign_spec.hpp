@@ -203,6 +203,9 @@ public:
     /// policy → topology → domains → vehicles → seed (seed innermost), so
     /// cell indices are stable across runs and machines.
     [[nodiscard]] std::vector<CellConfig> expand() const;
+    /// expand().front() without expanding the matrix: every axis at its
+    /// first value and the first seed. REQUIREs cell_count() > 0.
+    [[nodiscard]] CellConfig first_cell() const;
 
     /// Serialize to the campaign grammar; parse(str()) round-trips.
     [[nodiscard]] std::string str() const;

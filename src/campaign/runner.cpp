@@ -1,13 +1,13 @@
 #include "campaign/runner.hpp"
 
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <sstream>
 #include <utility>
 
-#include "can/trace.hpp"
 #include "learn/anomaly_model_monitor.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/scenario.hpp"
@@ -120,35 +120,63 @@ skills::SkillGraphSpec load_spec_file(const std::string& path) {
     }
 }
 
-/// Pair the k-th object-frame TX on the sense bus with the k-th on the act
-/// bus — the store-and-forward gateway preserves order for a single frame
-/// id, so the pairing measures the cross-gateway forwarding latency.
-void collect_latency(const can::CanTrace& sense, const can::CanTrace& act,
-                     SampleSet& samples) {
-    const auto object_tx = [](const can::CanTraceRecord& record) {
-        return record.kind == can::CanTraceKind::Tx && !record.frame.extended &&
-               record.frame.id == scenario::presets::kDualBusObjectFrameId;
-    };
-    std::vector<sim::Time> sent;
-    for (std::size_t i = 0; i < sense.size(); ++i) {
-        if (object_tx(sense[i])) {
-            sent.push_back(sense[i].at);
-        }
+/// The gateway latency of one vehicle, measured while its cell runs: the
+/// k-th object frame its sense bus completes pairs with the k-th its act bus
+/// completes. The store-and-forward gateway keeps one frame id in order, so
+/// each pair is one frame crossing the gateway, and the count is exact at
+/// any cell length.
+class GatewayLatencyProbe {
+public:
+    GatewayLatencyProbe() = default;
+    GatewayLatencyProbe(const GatewayLatencyProbe&) = delete;
+    GatewayLatencyProbe& operator=(const GatewayLatencyProbe&) = delete;
+
+    /// Subscribe to the vehicle's can_sense and can_act buses. The buses
+    /// hold the probe's address, so it must outlive the vehicle's run.
+    void attach(scenario::Vehicle& vehicle) {
+        vehicle.rte().can_bus("can_sense").frame_completed().subscribe(
+            [this](const can::CanFrame& frame, sim::Time at) {
+                on_frame(false, frame, at);
+            });
+        vehicle.rte().can_bus("can_act").frame_completed().subscribe(
+            [this](const can::CanFrame& frame, sim::Time at) {
+                on_frame(true, frame, at);
+            });
     }
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < act.size() && k < sent.size(); ++i) {
-        if (object_tx(act[i])) {
-            samples.add(static_cast<double>(act[i].at.ns() - sent[k].ns()));
-            ++k;
-        }
+
+    /// Act-bus time minus sense-bus time of every pair, in pairing order.
+    [[nodiscard]] const std::vector<double>& samples() const noexcept {
+        return samples_;
     }
-}
+
+private:
+    void on_frame(bool act, const can::CanFrame& frame, sim::Time at) {
+        if (frame.extended || frame.id != scenario::presets::kDualBusObjectFrameId) {
+            return;
+        }
+        if (!waiting_.empty() && act != act_ahead_) {
+            const sim::Time earlier = waiting_.front();
+            waiting_.pop_front();
+            samples_.push_back(static_cast<double>(act ? at.ns() - earlier.ns()
+                                                       : earlier.ns() - at.ns()));
+            return;
+        }
+        if (waiting_.empty()) {
+            act_ahead_ = act;
+        }
+        waiting_.push_back(at);
+    }
+
+    std::deque<sim::Time> waiting_; ///< unpaired times of the bus ahead
+    bool act_ahead_ = false;
+    std::vector<double> samples_;
+};
 
 void fill_verdict(CellVerdict& verdict, scenario::Scenario& scenario,
-                  const std::vector<std::string>& names) {
+                  const std::vector<std::string>& names,
+                  const std::vector<GatewayLatencyProbe>& probes) {
     const scenario::ScenarioReport report = scenario.report();
     verdict.at_ns = report.at.ns();
-    SampleSet latency;
     for (const std::string& name : names) {
         const scenario::VehicleReport& slice = report.vehicle(name);
         auto& vehicle = scenario.vehicle(name);
@@ -168,8 +196,6 @@ void fill_verdict(CellVerdict& verdict, scenario::Scenario& scenario,
             row.gw_dropped = vehicle.bus_gateway("gw").frames_dropped();
         }
         verdict.vehicles.push_back(std::move(row));
-        collect_latency(vehicle.rte().can_bus("can_sense").trace(),
-                        vehicle.rte().can_bus("can_act").trace(), latency);
     }
     if (scenario.has_platoon()) {
         verdict.platoon_formed = scenario.platoon().formed();
@@ -179,6 +205,12 @@ void fill_verdict(CellVerdict& verdict, scenario::Scenario& scenario,
         }
         for (const auto& record : scenario.platoon().history()) {
             verdict.maneuvers.push_back(record.str());
+        }
+    }
+    SampleSet latency;
+    for (const GatewayLatencyProbe& probe : probes) {
+        for (const double sample : probe.samples()) {
+            latency.add(sample);
         }
     }
     if (latency.count() > 0) {
@@ -335,9 +367,14 @@ CellVerdict run_cell(const CellConfig& cell) {
     scenario::ScenarioBuilder builder(cell.seed);
     declare_cell_scenario(builder, cell);
     const std::vector<std::string> names = cell_vehicle_names(cell.vehicles);
+    // Declared before the scenario, so they outlive the buses they subscribe to.
+    std::vector<GatewayLatencyProbe> probes(names.size());
     std::unique_ptr<scenario::Scenario> scenario;
     try {
         scenario = builder.build();
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            probes[i].attach(scenario->vehicle(names[i]));
+        }
         scenario->run(cell.duration, cell.domains);
     } catch (const ContractViolation& violation) {
         verdict.status = "violation";
@@ -347,7 +384,7 @@ CellVerdict run_cell(const CellConfig& cell) {
         verdict.reason = error.what();
     }
     if (scenario) {
-        fill_verdict(verdict, *scenario, names);
+        fill_verdict(verdict, *scenario, names, probes);
     }
     return verdict;
 }

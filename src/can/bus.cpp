@@ -158,6 +158,7 @@ void CanBus::finish_transmission() {
     } else {
         ++frames_tx_;
         trace_.record({simulator_.now(), frame, node, CanTraceKind::Tx});
+        frame_completed_.emit(frame, simulator_.now());
         // Completion order: the transmitter is told first (it frees its
         // mailbox), then every controller attached at completion time sees
         // the frame. Deliver from a snapshot so an RX callback that

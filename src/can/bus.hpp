@@ -10,8 +10,11 @@
 // idle window therefore costs one full poll pass plus k cheap cache
 // refreshes of the winners — not k full re-scans of every controller.
 //
-// Every frame leaves two typed records in the bus's CanTrace (can/trace.hpp);
-// their text is formatted only when a reader asks for it.
+// Every completed frame fires frame_completed(), the bus's one observation
+// point for code that needs every frame (the campaign runner pairs gateway
+// latency from it). Every frame also leaves two typed records in the bus's
+// CanTrace (can/trace.hpp), a bounded debugging window of the last frames
+// that only tests read; their text is formatted only when a reader asks.
 
 #include <cstdint>
 #include <functional>
@@ -21,6 +24,7 @@
 
 #include "can/frame.hpp"
 #include "can/trace.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace sa::can {
@@ -68,7 +72,9 @@ public:
 struct CanBusConfig {
     std::int64_t bitrate_bps = 500'000;
     double bit_error_rate = 0.0; ///< per-frame probability of corruption
-    std::size_t trace_capacity = 65536;
+    /// Records the trace ring keeps: two per frame, so the default holds
+    /// the last 512 frames (32 KB).
+    std::size_t trace_capacity = 1024;
 };
 
 class CanBus {
@@ -100,6 +106,16 @@ public:
     [[nodiscard]] std::uint64_t controller_polls() const noexcept { return polls_; }
     [[nodiscard]] double busy_fraction(Time horizon) const;
 
+    /// Fired once per frame that completes without an error, with the
+    /// completion time, before the transmitter and the receivers see it.
+    /// Costs one empty-list check while nobody subscribes.
+    sim::Signal<const CanFrame&, Time>& frame_completed() noexcept {
+        return frame_completed_;
+    }
+
+    /// The last trace_capacity records (CanTrace). A window for debugging
+    /// and tests; code that needs every frame subscribes to
+    /// frame_completed().
     [[nodiscard]] const CanTrace& trace() const noexcept { return trace_; }
     sim::Simulator& simulator() noexcept { return simulator_; }
 
@@ -138,6 +154,7 @@ private:
     // because transmissions never nest — the next finish is a future event.
     std::vector<CanControllerBase*> rx_scratch_;
     std::uint64_t detach_epoch_ = 0; ///< bumped on detach; guards snapshots
+    sim::Signal<const CanFrame&, Time> frame_completed_;
     CanTrace trace_;
 };
 

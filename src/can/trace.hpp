@@ -10,7 +10,11 @@
 //
 // The ring grows by doubling (from 16 records) to its capacity once, then
 // overwrites its oldest record in place, so a saturated trace records
-// without touching the heap.
+// without touching the heap. It holds the last capacity records (the last
+// 512 frames at CanBusConfig's default), so it is a debugging window, not a
+// history: only tests read it (the sharded-parity fingerprints check that
+// nothing was evicted). Code that needs every frame subscribes to
+// CanBus::frame_completed() instead.
 
 #include <cstdint>
 #include <string>

@@ -66,20 +66,20 @@ std::vector<Proposal> NetworkLayer::propose(const Problem& problem) {
 
 double NetworkLayer::health() const {
     // Health: fraction of components not compromised/contained.
-    auto& rte = const_cast<rte::Rte&>(rte_);
-    const auto names = rte.component_names();
-    if (names.empty()) {
-        return 1.0;
-    }
+    std::size_t total = 0;
     std::size_t bad = 0;
-    for (const auto& name : names) {
-        const auto state = rte.component(name).state();
+    rte_.for_each_component([&total, &bad](const rte::Component& component) {
+        ++total;
+        const auto state = component.state();
         if (state == rte::ComponentState::Compromised ||
             state == rte::ComponentState::Contained) {
             ++bad;
         }
+    });
+    if (total == 0) {
+        return 1.0;
     }
-    return 1.0 - static_cast<double>(bad) / static_cast<double>(names.size());
+    return 1.0 - static_cast<double>(bad) / static_cast<double>(total);
 }
 
 } // namespace sa::core

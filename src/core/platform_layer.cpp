@@ -100,9 +100,7 @@ std::vector<Proposal> PlatformLayer::propose(const Problem& problem) {
 double PlatformLayer::health() const {
     // Health from thermal headroom and deadline performance across ECUs.
     double worst = 1.0;
-    for (const auto& name : rte_.ecu_names()) {
-        // Safe: ecu() is non-const but rte_ is a non-const ref.
-        auto& ecu = const_cast<rte::Rte&>(rte_).ecu(name);
+    rte_.for_each_ecu([&worst](rte::Ecu& ecu) {
         const double temp = ecu.thermal().temperature_c();
         const double thermal_health =
             std::clamp(1.0 - (temp - kRecoverTempC) /
@@ -115,7 +113,7 @@ double PlatformLayer::health() const {
                 : 1.0 - std::min(1.0, 10.0 * static_cast<double>(sched.missed_deadlines()) /
                                           static_cast<double>(sched.completed_jobs()));
         worst = std::min({worst, thermal_health, miss_health});
-    }
+    });
     return worst;
 }
 

@@ -46,14 +46,11 @@ void check_spec_file(const campaign::CampaignSpec& spec, LintReport& report) {
     report.merge(spec_report);
 }
 
-/// CMP005: declare ONE representative cell and lint its full topology.
+/// CMP005: declare ONE representative cell, the matrix's first, and lint
+/// its full topology.
 void check_representative_cell(const campaign::CampaignSpec& spec,
                                LintReport& report) {
-    const std::vector<campaign::CellConfig> cells = spec.expand();
-    if (cells.empty()) {
-        return;
-    }
-    const campaign::CellConfig& cell = cells.front();
+    const campaign::CellConfig cell = spec.first_cell();
     scenario::ScenarioBuilder builder(cell.seed);
     try {
         campaign::declare_cell_scenario(builder, cell);

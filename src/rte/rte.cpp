@@ -25,15 +25,6 @@ Ecu& Rte::ecu(const std::string& name) {
 
 bool Rte::has_ecu(const std::string& name) const { return ecus_.contains(name); }
 
-std::vector<std::string> Rte::ecu_names() const {
-    std::vector<std::string> names;
-    names.reserve(ecus_.size());
-    for (const auto& [name, _] : ecus_) {
-        names.push_back(name);
-    }
-    return names;
-}
-
 can::CanBus& Rte::add_can_bus(const std::string& name, can::CanBusConfig config) {
     SA_REQUIRE(!buses_.contains(name), "duplicate bus name: " + name);
     auto bus = std::make_unique<can::CanBus>(simulator_, name, config);

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "can/bus.hpp"
@@ -35,7 +36,14 @@ public:
     Ecu& add_ecu(EcuConfig config);
     [[nodiscard]] Ecu& ecu(const std::string& name);
     [[nodiscard]] bool has_ecu(const std::string& name) const;
-    [[nodiscard]] std::vector<std::string> ecu_names() const;
+    /// Call `visit(Ecu&)` for every ECU in name order, copying no name (the
+    /// platform layer's health() runs on every self-model capture).
+    template <typename Visit>
+    void for_each_ecu(Visit&& visit) {
+        for (auto& entry : ecus_) {
+            visit(*entry.second);
+        }
+    }
 
     can::CanBus& add_can_bus(const std::string& name, can::CanBusConfig config = {});
     [[nodiscard]] can::CanBus& can_bus(const std::string& name);
@@ -51,6 +59,14 @@ public:
     [[nodiscard]] Component& component(const std::string& name);
     [[nodiscard]] bool has_component(const std::string& name) const;
     [[nodiscard]] std::vector<std::string> component_names() const;
+    /// Call `visit(const Component&)` for every component in name order,
+    /// copying no name (the network layer's health()).
+    template <typename Visit>
+    void for_each_component(Visit&& visit) const {
+        for (const auto& entry : components_) {
+            visit(std::as_const(*entry.second));
+        }
+    }
 
     // --- subsystems ---------------------------------------------------------
     ServiceRegistry& services() noexcept { return services_; }

@@ -1,5 +1,8 @@
 #include "scenario/scenario_builder.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "lint/model_rules.hpp"
 #include "lint/scenario_rules.hpp"
 #include "lint/skills_rules.hpp"
@@ -94,25 +97,35 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     shape.v2v_latency_ns = v2v_config_.latency.count_ns();
     shape.v2v_range_m = v2v_config_.range_m;
     shape.duration_hint_ns = duration_hint_.count_ns();
-    // Each vehicle's contract text is parsed once: the shape takes its
+    // Each distinct contract text is parsed once: the shape takes its
     // components, the model rules below its contracts. A parse error
-    // leaves both empty and becomes one TXT001 finding.
+    // leaves both empty and becomes one TXT001 finding per vehicle.
     struct ParsedText {
-        std::vector<model::Contract> contracts;
+        const std::string* text;
+        model::FunctionModel functions;
         std::optional<std::string> error; ///< the TXT001 message
     };
-    std::vector<ParsedText> parsed;
+    std::vector<ParsedText> texts;
+    std::vector<std::size_t> text_of; ///< per vehicle, an index into texts
     const std::vector<std::size_t> domains = vehicle_domains();
     auto domain = domains.begin();
     for (const VehicleBuilder& builder : declared_) {
-        ParsedText& text = parsed.emplace_back();
-        try {
-            text.contracts = builder.change_request().contracts;
-        } catch (const util::ParseError& error) {
-            text.error = format("line %d: %s", error.line(), error.what());
+        const auto seen =
+            std::find_if(texts.begin(), texts.end(), [&](const ParsedText& text) {
+                return *text.text == builder.contract_text();
+            });
+        text_of.push_back(static_cast<std::size_t>(seen - texts.begin()));
+        if (seen == texts.end()) {
+            ParsedText& text = texts.emplace_back();
+            text.text = &builder.contract_text();
+            try {
+                text.functions = model::FunctionModel{builder.change_request().contracts};
+            } catch (const util::ParseError& error) {
+                text.error = format("line %d: %s", error.line(), error.what());
+            }
         }
         lint::VehicleShape vehicle;
-        builder.describe(vehicle, text.contracts);
+        builder.describe(vehicle, texts[text_of.back()].functions.contracts());
         vehicle.domain = *domain++;
         shape.vehicles.push_back(std::move(vehicle));
     }
@@ -129,19 +142,36 @@ ScenarioBuilder::lint(const skills::CapabilityRegistry& registry) const {
     }
     report.merge(lint::lint_scenario(shape));
 
-    // Model- and skills-layer rules per vehicle.
-    auto next_parsed = parsed.begin();
+    // Model- and skills-layer rules per vehicle. Their findings name no
+    // vehicle, so vehicles declared the same way share one run: lint_system
+    // per distinct contract text and platform model, lint_spec per spec.
+    const auto once = [](auto& runs, const auto& key,
+                         const auto& run) -> const lint::LintReport& {
+        for (const auto& [seen, findings] : runs) {
+            if (seen == key) {
+                return findings;
+            }
+        }
+        return runs.emplace_back(key, run()).second;
+    };
+    std::vector<std::pair<std::pair<std::size_t, model::PlatformModel>, lint::LintReport>>
+        systems;
+    std::vector<std::pair<const skills::SkillGraphSpec*, lint::LintReport>> specs;
+    auto next_text = text_of.begin();
     for (const VehicleBuilder& builder : declared_) {
-        ParsedText& text = *next_parsed++;
+        const std::size_t text_index = *next_text++;
+        const ParsedText& text = texts[text_index];
         if (text.error.has_value()) {
             report.add("TXT001", "vehicle " + builder.name() + " / contracts",
                        *text.error);
-        } else if (!text.contracts.empty()) {
-            const model::FunctionModel functions{std::move(text.contracts)};
-            report.merge(lint::lint_system(functions, builder.platform_model()));
+        } else if (!text.functions.contracts().empty()) {
+            const auto key = std::make_pair(text_index, builder.platform_model());
+            report.merge(once(systems, key, [&] {
+                return lint::lint_system(text.functions, key.second);
+            }));
         }
-        if (builder.skill_spec() != nullptr) {
-            report.merge(lint::lint_spec(*builder.skill_spec(), &registry));
+        if (const skills::SkillGraphSpec* spec = builder.skill_spec().get()) {
+            report.merge(once(specs, spec, [&] { return lint::lint_spec(*spec, &registry); }));
         }
         if (builder.declared_degradation_policy().has_value()) {
             const auto& policy = *builder.declared_degradation_policy();

@@ -213,6 +213,10 @@ public:
     [[nodiscard]] model::PlatformModel platform_model() const;
     /// The declared contracts as the initial change request.
     [[nodiscard]] model::ChangeRequest change_request() const;
+    /// The declared contract text, as change_request() parses it.
+    [[nodiscard]] const std::string& contract_text() const noexcept {
+        return contract_text_;
+    }
 
     // --- lint surface -------------------------------------------------------
     /// Fill `shape` with this vehicle's declared topology for the

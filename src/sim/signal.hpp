@@ -41,6 +41,9 @@ public:
     }
 
     void emit(Args... args) const {
+        if (slots_.empty()) {
+            return;
+        }
         // Counts nested emissions; the count drops even when a slot throws.
         struct Depth {
             const Signal& signal;

@@ -403,11 +403,11 @@ TEST(ZeroAllocPins, GatewayForwardSteadyState) {
 }
 
 TEST(ZeroAllocPins, CanTraceFillingAllocatesOnlyToGrow) {
-    // A default-capacity trace (65,536 records) that never fills: once one
-    // frame has warmed the queues, only the ring's doublings (to 16,384
-    // records) may allocate, never a record.
+    // A 65,536-record trace that never fills: once one frame has warmed the
+    // queues, only the ring's doublings (to 16,384 records) may allocate,
+    // never a record.
     Simulator simulator;
-    can::CanBus bus(simulator, "filling");
+    can::CanBus bus(simulator, "filling", can::CanBusConfig{500'000, 0.0, 65'536});
     can::CanController sender(bus, "sender");
     can::CanController sink(bus, "sink");
     std::uint64_t received = 0;
@@ -548,6 +548,25 @@ TEST(ZeroAllocPins, SelfModelCaptureSteadyState) {
     EXPECT_EQ(self.latest().version, 101u);
     EXPECT_EQ(self.latest().layer_health.size(), 2u);
     EXPECT_EQ(overall, 50.0); // the minimum over the layers, 100 times
+}
+
+TEST(ZeroAllocPins, VehicleSelfModelCaptureSteadyState) {
+    // A full platoon_follow vehicle: its platform and network layers walk
+    // the RTE's ECUs and components in place, so a warm capture allocates
+    // nothing.
+    scenario::ScenarioBuilder builder(3);
+    scenario::presets::declare_platoon_follow_vehicle(builder, "ego");
+    auto scenario = builder.build();
+    scenario->run(Duration::sec(2));
+    core::SelfModel& self = scenario->vehicle("ego").self_model();
+    const std::uint64_t version = self.latest().version;
+    alloc_hook::CountScope scope;
+    for (int i = 0; i < 100; ++i) {
+        (void)self.capture();
+    }
+    EXPECT_EQ(scope.allocations(), 0u) << "vehicle self-model capture allocated";
+    EXPECT_EQ(self.latest().version, version + 100);
+    EXPECT_EQ(self.latest().layer_health.size(), 5u);
 }
 
 TEST(ZeroAllocPins, AbilityPropagateSteadyState) {

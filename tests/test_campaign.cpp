@@ -4,6 +4,8 @@
 // 2, byte-identical verdicts), corpus-entry round-trips and replay checks,
 // the in-process driver with shrink-to-minimal reproducers, and forked
 // workers: crash isolation, reuse across cells, and no leftover processes.
+// The smoke campaign's per-cell verdicts are pinned against
+// fixtures/expected/smoke_verdicts.txt.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,8 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -201,6 +205,27 @@ TEST(CampaignSpec, ExpandOrderIsStableWithSeedInnermost) {
             return cell.weather == Weather::Clear;
         }));
     EXPECT_EQ(clear_cells, cells.size() / 2);
+}
+
+TEST(CampaignSpec, FirstCellIsTheExpansionsFirst) {
+    // Every axis with two values, the second of each differing from the
+    // default, so a first_cell() that read any axis's default would differ.
+    auto spec = CampaignSpec::parse(R"(
+        campaign firsts {
+          template platoon;
+          vehicles 5 3;
+          duration 250ms;
+          weather rain clear;
+          fault storm none;
+          policy eager steady;
+          topology mesh dual_bus;
+          domains 2 1;
+          seeds 4..5;
+        }
+    )");
+    EXPECT_EQ(spec.first_cell(), spec.expand().front());
+    spec.seeds(2, 1);
+    EXPECT_THROW((void)spec.first_cell(), ContractViolation);
 }
 
 TEST(CellConfig, StrParseRoundTrips) {
@@ -474,6 +499,46 @@ TEST(CampaignRunner, MisuseFaultYieldsViolationWithPartialReport) {
     EXPECT_GT(verdict.at_ns, 0);
     ASSERT_EQ(verdict.vehicles.size(), 2u);
     EXPECT_GT(verdict.vehicles[0].jobs, 0u);
+}
+
+TEST(CampaignRunner, GatewayLatencyCountsEveryFrameOfALongCell) {
+    // Each vehicle's two buses complete 1,500 object frames apiece in 30 s,
+    // 3,000 trace records for those alone: more than a default CAN trace
+    // ring (1,024 records) keeps, so the count must not come from the ring.
+    CellConfig cell;
+    cell.vehicles = 2;
+    cell.duration = Duration::sec(30);
+    const LatencySummary latency = run_cell(cell).latency;
+    EXPECT_EQ(latency.count, 3000u);
+    EXPECT_EQ(latency.p50_ns, 386'000);
+    EXPECT_EQ(latency.p99_ns, 386'000);
+    EXPECT_EQ(latency.max_ns, 386'000);
+}
+
+TEST(CampaignRunner, SmokeCellVerdictsMatchTheGolden) {
+    // Every cell of the smoke campaign (none crashes), run in-process.
+    // The report golden pins only totals and the worst p99; this pins each
+    // cell's whole verdict.
+    const std::string fixtures = SA_FIXTURES_DIR;
+    std::ifstream campaign(fixtures + "/campaigns/smoke.campaign");
+    std::ifstream golden(fixtures + "/expected/smoke_verdicts.txt");
+    ASSERT_TRUE(campaign && golden);
+    std::ostringstream text;
+    text << campaign.rdbuf();
+    std::vector<std::string> expected;
+    for (std::string line; std::getline(golden, line);) {
+        if (!line.empty() && line.front() != '#') {
+            expected.push_back(line);
+        }
+    }
+    const std::vector<CellConfig> cells = CampaignSpec::parse(text.str()).expand();
+    ASSERT_EQ(cells.size(), expected.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        CellConfig cell = cells[i];
+        cell.spec_file = fixtures + "/campaigns/" + cell.spec_file;
+        const std::string fingerprint = fingerprint_hex(fnv1a64(run_cell(cell).json()));
+        EXPECT_EQ(fingerprint + " " + cells[i].id(), expected[i]) << "cell " << i;
+    }
 }
 
 // --- corpus ------------------------------------------------------------------------

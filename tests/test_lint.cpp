@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "learn/anomaly_model_monitor.hpp"
 #include "lint/diagnostics.hpp"
@@ -19,6 +22,7 @@
 #include "scenario/presets.hpp"
 #include "scenario/scenario_builder.hpp"
 #include "skills/capability_registry.hpp"
+#include "skills/skill_graph_spec.hpp"
 #include "util/assert.hpp"
 
 namespace {
@@ -578,6 +582,80 @@ TEST(LintBuilder, DomainAssignmentPredictsBuild) {
             EXPECT_NO_THROW((void)builder.build()) << peer;
         }
     }
+}
+
+TEST(LintBuilder, VehiclesDeclaredAlikeKeepTheirOwnFindings) {
+    // lint() runs the model rules once per distinct contract text and
+    // platform and the skills rules once per spec. Each vehicle must still
+    // get the findings, in the order, that a builder declaring it alone
+    // reports. "b" shares the text but lacks can0 (MDL005); "c" is "a"
+    // again; "d" has text that does not parse (TXT001 names the vehicle).
+    const char* dangling = R"(
+        component ctrl {
+          task act { wcet 200us; period 10ms; }
+          requires service brake_actuator;
+          message status { id 0x201; payload 8; period 10ms; bus can0; }
+        }
+    )";
+    const auto cyclic = std::make_shared<const skills::SkillGraphSpec>(
+        skills::SkillGraphSpec::parse(R"(
+            graph broken {
+              root a;
+              skill a;
+              skill b;
+              skill orphan;
+              a -> b;
+              b -> a;
+            }
+        )"));
+    struct Decl {
+        const char* name;
+        bool bus;
+        const char* text;
+    };
+    const Decl decls[] = {{"a", true, dangling},
+                          {"b", false, dangling},
+                          {"c", true, dangling},
+                          {"d", true, "component broken { bogus }"}};
+    const auto declare = [&](scenario::ScenarioBuilder& builder, const Decl& decl) {
+        auto& vehicle = builder.vehicle(decl.name)
+                            .ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"})
+                            .contracts(decl.text)
+                            .skill_graph(cyclic);
+        if (decl.bus) {
+            vehicle.can_bus({"can0"});
+        }
+    };
+    const auto vehicle_findings = [](const LintReport& report) {
+        std::vector<std::string> lines;
+        for (const Finding& finding : report.findings()) {
+            if (finding.layer != Layer::Scenario) {
+                lines.push_back(finding.str());
+            }
+        }
+        return lines;
+    };
+    scenario::ScenarioBuilder together;
+    std::vector<std::string> alone;
+    for (const Decl& decl : decls) {
+        declare(together, decl);
+        scenario::ScenarioBuilder single;
+        declare(single, decl);
+        for (std::string& line : vehicle_findings(single.lint())) {
+            alone.push_back(std::move(line));
+        }
+    }
+    const std::vector<std::string> shared = vehicle_findings(together.lint());
+    EXPECT_EQ(shared, alone);
+    const auto count = [&shared](const char* rule) {
+        return std::count_if(shared.begin(), shared.end(), [rule](const std::string& line) {
+            return line.find(rule) != std::string::npos;
+        });
+    };
+    EXPECT_EQ(count("MDL001"), 3);
+    EXPECT_EQ(count("MDL005"), 1);
+    EXPECT_EQ(count("SKL001"), 4);
+    EXPECT_EQ(count("TXT001"), 1);
 }
 
 // --- TXT001 + builder integration --------------------------------------------------

@@ -975,6 +975,9 @@ struct RunFingerprint {
 };
 
 std::string trace_fingerprint(const can::CanTrace& trace) {
+    // The ring keeps only its last records; a fingerprint that lost some
+    // would compare less than the whole run.
+    EXPECT_EQ(trace.size(), trace.total_recorded()) << "the CAN trace ring wrapped";
     std::string out;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         out += std::to_string(trace[i].at.ns()) + " " + std::string(trace[i].tag()) + " " +
