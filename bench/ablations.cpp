@@ -34,8 +34,8 @@ void BM_VfArbitration(benchmark::State& state) {
     double flood_mean_us = 0.0;
     for (auto _ : state) {
         sim::Simulator simulator;
-        can::CanBus bus(simulator, "bus", can::CanBusConfig{500'000, 0.0, 4096});
-        can::VirtualCanController vc(bus, "vc");
+        can::CanBus bus(simulator);
+        can::VirtualCanController vc(bus);
         auto token = vc.take_pf_token();
         // Seven flooding VMs keep low-priority backlogs pending; one VM sends
         // a sparse high-priority stream. Round-robin must cycle through the

@@ -23,9 +23,9 @@ namespace {
 /// One native round trip; returns simulated completion time (us).
 double native_round_trip_us() {
     sim::Simulator simulator;
-    CanBus bus(simulator, "native", CanBusConfig{500'000, 0.0, 256});
-    CanController a(bus, "a");
-    CanController b(bus, "b");
+    CanBus bus(simulator);
+    CanController a(bus);
+    CanController b(bus);
     Time done;
     b.add_rx_filter(0x100, 0x7FF,
                     [&](const CanFrame&, Time) { b.send(CanFrame::make(0x200, {1})); });
@@ -38,9 +38,9 @@ double native_round_trip_us() {
 /// One virtualized round trip with `vfs` active VFs per endpoint.
 double virtualized_round_trip_us(int vfs) {
     sim::Simulator simulator;
-    CanBus bus(simulator, "virt", CanBusConfig{500'000, 0.0, 256});
-    VirtualCanController a(bus, "va");
-    VirtualCanController b(bus, "vb");
+    CanBus bus(simulator);
+    VirtualCanController a(bus);
+    VirtualCanController b(bus);
     auto ta = a.take_pf_token();
     auto tb = b.take_pf_token();
     for (int i = 0; i < vfs; ++i) {
@@ -89,9 +89,9 @@ void BM_SaturatedThroughput(benchmark::State& state) {
     std::uint64_t frames = 0;
     for (auto _ : state) {
         sim::Simulator simulator;
-        CanBus bus(simulator, "bus", CanBusConfig{500'000, 0.0, 256});
+        CanBus bus(simulator);
         if (virtualized) {
-            VirtualCanController tx(bus, "tx");
+            VirtualCanController tx(bus);
             auto token = tx.take_pf_token();
             auto& vf = tx.pf_create_vf(token, 64);
             std::uint32_t next = 0;
@@ -101,7 +101,7 @@ void BM_SaturatedThroughput(benchmark::State& state) {
             simulator.run_until(Time(Duration::sec(1).count_ns()));
             frames = bus.frames_transmitted();
         } else {
-            CanController tx(bus, "tx", 64);
+            CanController tx(bus, 64);
             std::uint32_t next = 0;
             simulator.schedule_periodic(Duration::us(200), [&] {
                 tx.send(CanFrame::make(0x100 + (next++ % 64), {1, 2, 3, 4, 5, 6, 7, 8}));

@@ -72,7 +72,7 @@ void BM_FleetSweep(benchmark::State& state) {
     std::uint64_t deliveries = 0;
     for (auto _ : state) {
         scenario::ScenarioBuilder builder(2026);
-        builder.domains(domains).v2v(0.0, Duration::ms(20));
+        builder.domains(domains).v2v({});
         for (int i = 0; i < vehicles; ++i) {
             declare_light_vehicle(builder, vehicle_name(i));
         }

@@ -81,7 +81,7 @@ void declare_fanout_vehicle(scenario::ScenarioBuilder& builder,
 std::unique_ptr<scenario::Scenario> build_fanout(int vehicles, int buses,
                                                  std::size_t domains) {
     scenario::ScenarioBuilder builder(2027);
-    builder.domains(domains).v2v(0.0, Duration::ms(20));
+    builder.domains(domains).v2v({});
     for (int i = 0; i < vehicles; ++i) {
         declare_fanout_vehicle(builder, vehicle_name(i), buses);
     }

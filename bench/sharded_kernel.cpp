@@ -51,7 +51,7 @@ void BM_ShardedDualBusPlatoon(benchmark::State& state) {
     std::uint64_t cross = 0;
     for (auto _ : state) {
         scenario::ScenarioBuilder builder(2026);
-        builder.domains(domains).v2v(0.0, Duration::ms(20));
+        builder.domains(domains).v2v({});
         for (const char* name : kVehicles) {
             declare_vehicle(builder, name);
         }

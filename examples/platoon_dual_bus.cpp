@@ -100,7 +100,7 @@ int main() {
     builder.trust("alpha", 14)
         .trust("beta", 14)
         .trust("gamma", 14)
-        .v2v(/*loss_probability=*/0.0, Duration::ms(20))
+        .v2v({}) // no base loss, 20 ms latency
         // t = 1 s: beta's perception component is compromised and storms the
         // brake service; beta's own IDS + network layer must contain it.
         .at(Duration::sec(1), [](scenario::Scenario& s) {

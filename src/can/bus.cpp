@@ -25,14 +25,9 @@ bool frame_wins(const CanFrame& a, const CanFrame& b) noexcept {
 }
 } // namespace
 
-CanBus::CanBus(sim::Simulator& simulator, std::string name, CanBusConfig config)
-    : simulator_(simulator),
-      name_(std::move(name)),
-      config_(config),
-      trace_(config.trace_capacity) {
-    SA_REQUIRE(config_.bitrate_bps > 0, "bitrate must be positive");
-    SA_REQUIRE(config_.bit_error_rate >= 0.0 && config_.bit_error_rate <= 1.0,
-               "bit_error_rate must be a probability");
+CanBus::CanBus(sim::Simulator& simulator, std::int64_t bitrate_bps)
+    : simulator_(simulator), bitrate_bps_(bitrate_bps) {
+    SA_REQUIRE(bitrate_bps_ > 0, "bitrate must be positive");
 }
 
 void CanBus::attach(CanControllerBase& controller) {
@@ -40,8 +35,7 @@ void CanBus::attach(CanControllerBase& controller) {
                             [&](const ArbEntry& e) { return e.controller == &controller; }) ==
                    arb_.end(),
                "controller already attached");
-    arb_.push_back(
-        ArbEntry{&controller, trace_.intern_node(controller.node_name()), std::nullopt, true});
+    arb_.push_back(ArbEntry{&controller, std::nullopt, true});
 }
 
 void CanBus::detach(CanControllerBase& controller) {
@@ -62,12 +56,12 @@ bool CanBus::is_attached(const CanControllerBase* controller) const noexcept {
 
 void CanBus::set_bitrate(std::int64_t bps) {
     SA_REQUIRE(bps > 0, "bitrate must be positive");
-    config_.bitrate_bps = bps;
+    bitrate_bps_ = bps;
 }
 
 void CanBus::set_bit_error_rate(double p) {
     SA_REQUIRE(p >= 0.0 && p <= 1.0, "bit_error_rate must be a probability");
-    config_.bit_error_rate = p;
+    bit_error_rate_ = p;
 }
 
 void CanBus::mark_stale(CanControllerBase* controller) noexcept {
@@ -113,18 +107,14 @@ void CanBus::try_start_transmission() {
     ++arb_rounds_;
     transmitting_ = true;
     tx_controller_ = winner->controller;
-    tx_node_ = winner->node;
     tx_frame_ = *winner->head;
     tx_controller_->tx_started(tx_frame_);
 
     const std::int64_t bits = frame_exact_bits(tx_frame_) + kInterframeSpaceBits;
-    const Duration tx_time = Duration(bits * 1'000'000'000LL / config_.bitrate_bps);
+    const Duration tx_time = Duration(bits * 1'000'000'000LL / bitrate_bps_);
     busy_ns_ += tx_time.count_ns();
 
-    tx_corrupted_ =
-        config_.bit_error_rate > 0.0 && simulator_.rng().chance(config_.bit_error_rate);
-
-    trace_.record({simulator_.now(), tx_frame_, tx_node_, CanTraceKind::Arb});
+    tx_corrupted_ = bit_error_rate_ > 0.0 && simulator_.rng().chance(bit_error_rate_);
 
     simulator_.schedule(tx_time, [this] { finish_transmission(); });
 }
@@ -137,7 +127,6 @@ void CanBus::finish_transmission() {
     // synchronously, re-entering try_start_transmission and overwriting
     // tx_frame_/tx_corrupted_ while this frame is still being delivered.
     const CanFrame frame = tx_frame_;
-    const std::uint32_t node = tx_node_;
     const bool corrupted = tx_corrupted_;
     // The transmitter may have been destroyed (detaching itself) while its
     // frame was on the wire; only touch it if it is still attached.
@@ -151,13 +140,11 @@ void CanBus::finish_transmission() {
         // Error frame: all nodes discard; the transmitter retries via the
         // next arbitration round.
         ++frames_err_;
-        trace_.record({simulator_.now(), frame, node, CanTraceKind::Err});
         if (winner_attached) {
             winner->tx_aborted(frame);
         }
     } else {
         ++frames_tx_;
-        trace_.record({simulator_.now(), frame, node, CanTraceKind::Tx});
         frame_completed_.emit(frame, simulator_.now());
         // Completion order: the transmitter is told first (it frees its
         // mailbox), then every controller attached at completion time sees

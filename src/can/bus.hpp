@@ -11,19 +11,16 @@
 // refreshes of the winners — not k full re-scans of every controller.
 //
 // Every completed frame fires frame_completed(), the bus's one observation
-// point for code that needs every frame (the campaign runner pairs gateway
-// latency from it). Every frame also leaves two typed records in the bus's
-// CanTrace (can/trace.hpp), a bounded debugging window of the last frames
-// that only tests read; their text is formatted only when a reader asks.
+// point: the campaign runner pairs gateway latency from it, and tests
+// fingerprint a bus's traffic through it. The bus itself records nothing
+// per frame beyond its counters.
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "can/frame.hpp"
-#include "can/trace.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
@@ -65,21 +62,11 @@ public:
     /// A frame (from any controller, including this one) completed on the
     /// bus. Controllers apply their own acceptance filtering.
     virtual void rx_frame(const CanFrame& frame, Time at) = 0;
-
-    [[nodiscard]] virtual const std::string& node_name() const = 0;
-};
-
-struct CanBusConfig {
-    std::int64_t bitrate_bps = 500'000;
-    double bit_error_rate = 0.0; ///< per-frame probability of corruption
-    /// Records the trace ring keeps: two per frame, so the default holds
-    /// the last 512 frames (32 KB).
-    std::size_t trace_capacity = 1024;
 };
 
 class CanBus {
 public:
-    CanBus(sim::Simulator& simulator, std::string name, CanBusConfig config = {});
+    explicit CanBus(sim::Simulator& simulator, std::int64_t bitrate_bps = 500'000);
 
     void attach(CanControllerBase& controller);
     void detach(CanControllerBase& controller);
@@ -90,10 +77,10 @@ public:
     /// starts arbitration if the bus is idle. Idempotent.
     void notify_tx_pending(CanControllerBase& controller);
 
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] std::int64_t bitrate_bps() const noexcept { return config_.bitrate_bps; }
+    [[nodiscard]] std::int64_t bitrate_bps() const noexcept { return bitrate_bps_; }
 
     void set_bitrate(std::int64_t bps);
+    /// Per-frame probability of corruption (0 by default).
     void set_bit_error_rate(double p);
 
     // Statistics.
@@ -113,10 +100,6 @@ public:
         return frame_completed_;
     }
 
-    /// The last trace_capacity records (CanTrace). A window for debugging
-    /// and tests; code that needs every frame subscribes to
-    /// frame_completed().
-    [[nodiscard]] const CanTrace& trace() const noexcept { return trace_; }
     sim::Simulator& simulator() noexcept { return simulator_; }
 
 private:
@@ -124,7 +107,6 @@ private:
     /// would transmit next (refreshed only when stale).
     struct ArbEntry {
         CanControllerBase* controller;
-        std::uint32_t node; ///< the controller's name in the trace
         std::optional<CanFrame> head;
         bool stale = true;
     };
@@ -135,14 +117,13 @@ private:
     [[nodiscard]] bool is_attached(const CanControllerBase* controller) const noexcept;
 
     sim::Simulator& simulator_;
-    std::string name_;
-    CanBusConfig config_;
+    std::int64_t bitrate_bps_;
+    double bit_error_rate_ = 0.0;
     std::vector<ArbEntry> arb_;
     bool transmitting_ = false;
     // In-flight transmission state; kept in members (one frame is on the
     // wire at a time) so the completion event captures only `this`.
     CanControllerBase* tx_controller_ = nullptr;
-    std::uint32_t tx_node_ = 0;
     CanFrame tx_frame_{};
     bool tx_corrupted_ = false;
     std::uint64_t frames_tx_ = 0;
@@ -155,7 +136,6 @@ private:
     std::vector<CanControllerBase*> rx_scratch_;
     std::uint64_t detach_epoch_ = 0; ///< bumped on detach; guards snapshots
     sim::Signal<const CanFrame&, Time> frame_completed_;
-    CanTrace trace_;
 };
 
 } // namespace sa::can

@@ -43,8 +43,7 @@ private:
     Route* route_;
 };
 
-BusGateway::BusGateway(std::string name, Duration forward_latency)
-    : name_(std::move(name)), latency_(forward_latency) {
+BusGateway::BusGateway(Duration forward_latency) : latency_(forward_latency) {
     SA_REQUIRE(latency_.count_ns() >= 0, "forward latency must be non-negative");
 }
 
@@ -57,9 +56,7 @@ BusGateway::~BusGateway() {
 CanController& BusGateway::port(CanBus& bus) {
     auto it = ports_.find(&bus);
     if (it == ports_.end()) {
-        auto controller =
-            std::make_unique<CanController>(bus, name_ + "@" + bus.name());
-        it = ports_.emplace(&bus, std::move(controller)).first;
+        it = ports_.emplace(&bus, std::make_unique<CanController>(bus)).first;
     }
     return *it->second;
 }

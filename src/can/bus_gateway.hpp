@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "can/controller.hpp"
@@ -30,9 +29,7 @@ namespace sa::can {
 
 class BusGateway {
 public:
-    /// `name` prefixes the per-bus controller node names ("<name>@<bus>").
-    explicit BusGateway(std::string name,
-                        Duration forward_latency = Duration::us(20));
+    explicit BusGateway(Duration forward_latency = Duration::us(20));
     /// Pending (in-flight) forwards are dropped on destruction.
     ~BusGateway();
 
@@ -67,7 +64,6 @@ private:
 
     CanController& port(CanBus& bus);
 
-    std::string name_;
     Duration latency_;
     // Stable addresses: forwarding callbacks capture CanController pointers.
     std::map<const CanBus*, std::unique_ptr<CanController>> ports_;

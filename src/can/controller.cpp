@@ -40,8 +40,8 @@ void ErrorCounters::reset() noexcept {
     bus_off_ = false;
 }
 
-CanController::CanController(CanBus& bus, std::string name, std::size_t tx_queue_capacity)
-    : bus_(bus), name_(std::move(name)), capacity_(tx_queue_capacity) {
+CanController::CanController(CanBus& bus, std::size_t tx_queue_capacity)
+    : bus_(bus), capacity_(tx_queue_capacity) {
     SA_REQUIRE(capacity_ > 0, "TX queue capacity must be positive");
     bus_.attach(*this);
 }

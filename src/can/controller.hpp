@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "can/bus.hpp"
@@ -55,7 +54,7 @@ private:
 
 class CanController : public CanControllerBase {
 public:
-    CanController(CanBus& bus, std::string name, std::size_t tx_queue_capacity = 64);
+    explicit CanController(CanBus& bus, std::size_t tx_queue_capacity = 64);
     ~CanController() override;
 
     CanController(const CanController&) = delete;
@@ -78,7 +77,6 @@ public:
     void tx_aborted(const CanFrame& frame) override;
     void tx_done(const CanFrame& frame, Time at) override;
     void rx_frame(const CanFrame& frame, Time at) override;
-    [[nodiscard]] const std::string& node_name() const override { return name_; }
 
     // Statistics.
     [[nodiscard]] std::uint64_t tx_count() const noexcept { return tx_count_; }
@@ -97,7 +95,6 @@ public:
 
 private:
     CanBus& bus_;
-    std::string name_;
     std::size_t capacity_;
     std::vector<CanFrame> tx_queue_; ///< kept sorted by priority on insert
     std::vector<RxFilter> filters_;

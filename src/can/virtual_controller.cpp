@@ -51,9 +51,8 @@ void VirtualFunction::add_rx_filter(std::uint32_t id, std::uint32_t mask,
 // VirtualCanController
 // ---------------------------------------------------------------------------
 
-VirtualCanController::VirtualCanController(CanBus& bus, std::string name,
-                                           VirtLatencyModel latency)
-    : bus_(bus), name_(std::move(name)), latency_(latency) {
+VirtualCanController::VirtualCanController(CanBus& bus, VirtLatencyModel latency)
+    : bus_(bus), latency_(latency) {
     bus_.attach(*this);
 }
 

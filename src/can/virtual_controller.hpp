@@ -137,7 +137,7 @@ private:
 
 class VirtualCanController : public CanControllerBase {
 public:
-    VirtualCanController(CanBus& bus, std::string name, VirtLatencyModel latency = {});
+    explicit VirtualCanController(CanBus& bus, VirtLatencyModel latency = {});
     ~VirtualCanController() override;
 
     VirtualCanController(const VirtualCanController&) = delete;
@@ -160,7 +160,6 @@ public:
     std::optional<CanFrame> peek_tx() override;
     void tx_done(const CanFrame& frame, Time at) override;
     void rx_frame(const CanFrame& frame, Time at) override;
-    [[nodiscard]] const std::string& node_name() const override { return name_; }
 
     [[nodiscard]] std::size_t active_vf_count() const noexcept;
 
@@ -190,7 +189,6 @@ private:
     std::uint64_t next_tx_seq_ = 1;
 
     CanBus& bus_;
-    std::string name_;
     VirtLatencyModel latency_;
     bool pf_token_taken_ = false;
     // StableVector, not vector<unique_ptr>: references must stay stable

@@ -4,8 +4,7 @@
 
 namespace sa::rte {
 
-CanGateway::CanGateway(can::CanBus& bus, std::string name, std::size_t tx_queue)
-    : controller_(bus, std::move(name), tx_queue) {}
+CanGateway::CanGateway(can::CanBus& bus, std::size_t tx_queue) : controller_(bus, tx_queue) {}
 
 void CanGateway::activate_on_rx(FixedPriorityScheduler& scheduler, TaskId task,
                                 std::uint32_t id, std::uint32_t mask,

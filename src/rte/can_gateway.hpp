@@ -19,7 +19,7 @@ namespace sa::rte {
 class CanGateway {
 public:
     /// Creates a native CAN controller attached to `bus`.
-    CanGateway(can::CanBus& bus, std::string name, std::size_t tx_queue = 64);
+    explicit CanGateway(can::CanBus& bus, std::size_t tx_queue = 64);
 
     CanGateway(const CanGateway&) = delete;
     CanGateway& operator=(const CanGateway&) = delete;

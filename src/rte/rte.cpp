@@ -25,9 +25,9 @@ Ecu& Rte::ecu(const std::string& name) {
 
 bool Rte::has_ecu(const std::string& name) const { return ecus_.contains(name); }
 
-can::CanBus& Rte::add_can_bus(const std::string& name, can::CanBusConfig config) {
+can::CanBus& Rte::add_can_bus(const std::string& name, std::int64_t bitrate_bps) {
     SA_REQUIRE(!buses_.contains(name), "duplicate bus name: " + name);
-    auto bus = std::make_unique<can::CanBus>(simulator_, name, config);
+    auto bus = std::make_unique<can::CanBus>(simulator_, bitrate_bps);
     can::CanBus& ref = *bus;
     buses_[name] = std::move(bus);
     return ref;

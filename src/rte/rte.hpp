@@ -45,7 +45,7 @@ public:
         }
     }
 
-    can::CanBus& add_can_bus(const std::string& name, can::CanBusConfig config = {});
+    can::CanBus& add_can_bus(const std::string& name, std::int64_t bitrate_bps);
     [[nodiscard]] can::CanBus& can_bus(const std::string& name);
 
     // --- configuration deployment (called by the MCC) ----------------------

@@ -43,13 +43,6 @@ ScenarioBuilder& ScenarioBuilder::v2v(v2v::MediumConfig config) {
     return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::v2v(double loss_probability, sim::Duration latency) {
-    v2v::MediumConfig config;
-    config.loss_probability = loss_probability;
-    config.latency = latency;
-    return v2v(config);
-}
-
 ScenarioBuilder& ScenarioBuilder::trust(const std::string& peer, int positive,
                                         int negative) {
     SA_REQUIRE(positive >= 0 && negative >= 0, "trust counts must be non-negative");
@@ -211,8 +204,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
     for (const auto& spec : bridges_) {
         SA_REQUIRE(!scenario->bridges_.contains(spec.name),
                    "duplicate bridge: " + spec.name);
-        auto gateway =
-            std::make_unique<can::BusGateway>(spec.name, spec.forward_latency);
+        auto gateway = std::make_unique<can::BusGateway>(spec.forward_latency);
         for (const auto& route : spec.routes) {
             can::CanBus& from =
                 scenario->vehicle(route.from_vehicle).rte().can_bus(route.from_bus);

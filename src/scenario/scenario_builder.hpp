@@ -59,9 +59,6 @@ public:
     /// physics surface: base loss, latency, hard radio range and fading
     /// model. Vehicles join it via VehicleBuilder::v2v()/mesh().
     ScenarioBuilder& v2v(v2v::MediumConfig config);
-    /// Range-free shorthand (base loss + latency only).
-    ScenarioBuilder& v2v(double loss_probability,
-                         sim::Duration latency = sim::Duration::ms(20));
     /// Seed the shared TrustManager with interaction history for a peer.
     ScenarioBuilder& trust(const std::string& peer, int positive, int negative = 0);
     ScenarioBuilder& platoon_candidate(platoon::MemberCapability candidate);

@@ -47,10 +47,9 @@ VehicleBuilder& VehicleBuilder::ecu(model::EcuDescriptor descriptor,
     return *this;
 }
 
-VehicleBuilder& VehicleBuilder::can_bus(model::BusDescriptor descriptor,
-                                        can::CanBusConfig config) {
+VehicleBuilder& VehicleBuilder::can_bus(model::BusDescriptor descriptor) {
     SA_REQUIRE(!descriptor.name.empty(), "bus needs a name");
-    buses_.push_back(BusSpec{std::move(descriptor), config});
+    buses_.push_back(std::move(descriptor));
     return *this;
 }
 
@@ -269,10 +268,7 @@ model::PlatformModel VehicleBuilder::platform_model() const {
     for (const auto& spec : ecus_) {
         platform.ecus.push_back(spec.model);
     }
-    platform.buses.reserve(buses_.size());
-    for (const auto& spec : buses_) {
-        platform.buses.push_back(spec.model);
-    }
+    platform.buses = buses_;
     return platform;
 }
 
@@ -291,8 +287,8 @@ void VehicleBuilder::describe(lint::VehicleShape& shape,
     for (const auto& spec : ecus_) {
         shape.ecus.push_back(spec.model.name);
     }
-    for (const auto& spec : buses_) {
-        shape.buses.push_back(spec.model.name);
+    for (const auto& bus : buses_) {
+        shape.buses.push_back(bus.name);
     }
     for (const auto& spec : sensors_) {
         shape.sensors.push_back(spec.config.name);
@@ -480,16 +476,13 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
     for (const auto& spec : ecus_) {
         v.rte_->add_ecu(rte::EcuConfig{spec.model.name, spec.dvfs_levels, spec.thermal});
     }
-    for (const auto& spec : buses_) {
-        can::CanBusConfig config = spec.config;
-        config.bitrate_bps = spec.model.bitrate_bps;
-        v.rte_->add_can_bus(spec.model.name, config);
+    for (const auto& bus : buses_) {
+        v.rte_->add_can_bus(bus.name, bus.bitrate_bps);
     }
     for (const auto& spec : gateways_) {
         SA_REQUIRE(!v.bus_gateways_.contains(spec.name),
                    "duplicate gateway name: " + spec.name);
-        auto gateway = std::make_unique<can::BusGateway>(name_ + "." + spec.name,
-                                                         spec.forward_latency);
+        auto gateway = std::make_unique<can::BusGateway>(spec.forward_latency);
         for (const auto& route : spec.routes) {
             gateway->add_route(v.rte_->can_bus(route.from_bus),
                                v.rte_->can_bus(route.to_bus), route.id, route.mask);
@@ -508,9 +501,7 @@ std::unique_ptr<Vehicle> VehicleBuilder::build(sim::Simulator& simulator) const 
         auto it = v.can_endpoints_.find(key);
         if (it == v.can_endpoints_.end()) {
             it = v.can_endpoints_
-                     .emplace(key, std::make_unique<rte::CanGateway>(
-                                       v.rte_->can_bus(bus),
-                                       name_ + "." + ecu_name + "@" + bus))
+                     .emplace(key, std::make_unique<rte::CanGateway>(v.rte_->can_bus(bus)))
                      .first;
         }
         return *it->second;

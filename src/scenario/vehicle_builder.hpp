@@ -77,10 +77,8 @@ public:
     /// and thermal model.
     VehicleBuilder& ecu(model::EcuDescriptor descriptor, std::vector<double> dvfs_levels,
                         rte::ThermalConfig thermal = {});
-    /// CAN bus; the wire bitrate comes from the descriptor, the remaining
-    /// simulation knobs (error rate, trace depth) from `config`.
-    VehicleBuilder& can_bus(model::BusDescriptor descriptor,
-                            can::CanBusConfig config = {});
+    /// CAN bus, running at the descriptor's bitrate.
+    VehicleBuilder& can_bus(model::BusDescriptor descriptor);
     VehicleBuilder& can_gateway(GatewaySpec spec);
 
     // --- model domain -------------------------------------------------------
@@ -253,10 +251,6 @@ public:
     [[nodiscard]] std::unique_ptr<Vehicle> build(sim::Simulator& simulator) const;
 
 private:
-    struct BusSpec {
-        model::BusDescriptor model;
-        can::CanBusConfig config;
-    };
     struct RawTaskSpec {
         std::string ecu;
         rte::RtTaskConfig task;
@@ -328,7 +322,7 @@ private:
     std::string name_;
     std::optional<std::size_t> domain_;
     std::vector<EcuSpec> ecus_;
-    std::vector<BusSpec> buses_;
+    std::vector<model::BusDescriptor> buses_;
     std::vector<GatewaySpec> gateways_;
     std::string contract_text_;
     IntegrationPolicy policy_ = IntegrationPolicy::RequireAccepted;

@@ -13,7 +13,6 @@ namespace sa {
 class RunningStats {
 public:
     void add(double x) noexcept;
-    void merge(const RunningStats& other) noexcept;
 
     [[nodiscard]] std::size_t count() const noexcept { return n_; }
     [[nodiscard]] bool empty() const noexcept { return n_ == 0; }

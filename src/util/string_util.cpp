@@ -7,33 +7,6 @@
 
 namespace sa {
 
-std::vector<std::string> split(std::string_view text, char delim) {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t pos = text.find(delim, start);
-        if (pos == std::string_view::npos) {
-            out.emplace_back(text.substr(start));
-            break;
-        }
-        out.emplace_back(text.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return out;
-}
-
-std::string_view trim(std::string_view text) {
-    std::size_t b = 0;
-    std::size_t e = text.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) {
-        ++b;
-    }
-    while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) {
-        --e;
-    }
-    return text.substr(b, e - b);
-}
-
 bool starts_with(std::string_view text, std::string_view prefix) {
     return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }

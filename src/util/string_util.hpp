@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace sa {
 
@@ -22,12 +21,6 @@ struct StringHash {
         return std::hash<std::string_view>{}(text);
     }
 };
-
-/// Split on a delimiter; empty fields are kept ("a,,b" -> {"a","","b"}).
-std::vector<std::string> split(std::string_view text, char delim);
-
-/// Strip leading/trailing ASCII whitespace.
-std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
 

@@ -349,9 +349,9 @@ TEST(ZeroAllocPins, RunUntilAndPeriodicsSteadyState) {
 
 TEST(ZeroAllocPins, NativeCanRoundTripSteadyState) {
     Simulator simulator;
-    can::CanBus bus(simulator, "native", can::CanBusConfig{500'000, 0.0, 64});
-    can::CanController a(bus, "a");
-    can::CanController b(bus, "b");
+    can::CanBus bus(simulator);
+    can::CanController a(bus);
+    can::CanController b(bus);
     std::uint64_t echoes = 0;
     b.add_rx_filter(0x100, 0x7FF, [&](const can::CanFrame&, Time) {
         b.send(can::CanFrame::make(0x200, {1}));
@@ -361,8 +361,7 @@ TEST(ZeroAllocPins, NativeCanRoundTripSteadyState) {
         a.send(can::CanFrame::make(0x100, {1}));
         simulator.run_for(Duration::ms(1));
     };
-    // Warm: queues, bucket pool, and the trace ring past its wrap point so
-    // records recycle in place (64-record capacity, 4 records per trip).
+    // Warm: queues and bucket pool.
     for (int i = 0; i < 40; ++i) {
         round_trip();
     }
@@ -376,20 +375,19 @@ TEST(ZeroAllocPins, NativeCanRoundTripSteadyState) {
 
 TEST(ZeroAllocPins, GatewayForwardSteadyState) {
     Simulator simulator;
-    can::CanBus ingress(simulator, "ingress", can::CanBusConfig{500'000, 0.0, 64});
-    can::CanBus egress(simulator, "egress", can::CanBusConfig{500'000, 0.0, 64});
-    can::BusGateway gateway("gw");
+    can::CanBus ingress(simulator);
+    can::CanBus egress(simulator);
+    can::BusGateway gateway;
     gateway.add_route(ingress, egress, 0x100, 0x7FF);
-    can::CanController sender(ingress, "sender");
-    can::CanController sink(egress, "sink");
+    can::CanController sender(ingress);
+    can::CanController sink(egress);
     std::uint64_t received = 0;
     sink.add_rx_filter(0x100, 0x7FF, [&](const can::CanFrame&, Time) { ++received; });
     auto forward = [&] {
         sender.send(can::CanFrame::make(0x100, {1, 2, 3, 4}));
         simulator.run_for(Duration::ms(1));
     };
-    // Warm: queues, bucket pool, and both trace rings past their wrap point
-    // (64-record capacity, 2 records per bus per forward).
+    // Warm: queues and bucket pool.
     for (int i = 0; i < 50; ++i) {
         forward();
     }
@@ -402,14 +400,13 @@ TEST(ZeroAllocPins, GatewayForwardSteadyState) {
     EXPECT_EQ(received, 150u);
 }
 
-TEST(ZeroAllocPins, CanTraceFillingAllocatesOnlyToGrow) {
-    // A 65,536-record trace that never fills: once one frame has warmed the
-    // queues, only the ring's doublings (to 16,384 records) may allocate,
-    // never a record.
+TEST(ZeroAllocPins, CanBusCarriesFramesWithoutAllocating) {
+    // The bus keeps nothing per frame: once one frame has warmed the
+    // queues, 4,096 more frames between two controllers allocate nothing.
     Simulator simulator;
-    can::CanBus bus(simulator, "filling", can::CanBusConfig{500'000, 0.0, 65'536});
-    can::CanController sender(bus, "sender");
-    can::CanController sink(bus, "sink");
+    can::CanBus bus(simulator);
+    can::CanController sender(bus);
+    can::CanController sink(bus);
     std::uint64_t received = 0;
     sink.add_rx_filter(0, 0, [&](const can::CanFrame&, Time) { ++received; });
     auto send = [&] {
@@ -421,16 +418,16 @@ TEST(ZeroAllocPins, CanTraceFillingAllocatesOnlyToGrow) {
     for (int i = 0; i < 4096; ++i) {
         send();
     }
-    EXPECT_LE(scope.allocations(), 16u) << "CAN trace allocated per record while filling";
+    EXPECT_EQ(scope.allocations(), 0u) << "the CAN bus allocated while carrying frames";
     EXPECT_EQ(received, 4097u);
-    EXPECT_EQ(bus.trace().size(), 2u * 4097u);
+    EXPECT_EQ(bus.frames_transmitted(), 4097u);
 }
 
 TEST(ZeroAllocPins, VirtualizedCanRoundTripSteadyState) {
     Simulator simulator;
-    can::CanBus bus(simulator, "virt", can::CanBusConfig{500'000, 0.0, 64});
-    can::VirtualCanController a(bus, "va");
-    can::VirtualCanController b(bus, "vb");
+    can::CanBus bus(simulator);
+    can::VirtualCanController a(bus);
+    can::VirtualCanController b(bus);
     auto ta = a.take_pf_token();
     auto tb = b.take_pf_token();
     for (int i = 0; i < 8; ++i) {

@@ -1,7 +1,7 @@
 // Tests for the CAN substrate: exact frame encoding (CRC-15, bit stuffing)
-// against a bit-by-bit reference, the typed bus trace, bus arbitration,
-// native controllers, and the virtualized controller of Fig. 2 (PF/VF
-// split, isolation, priority preservation, calibrated latency, FPGA
+// against a bit-by-bit reference, the frame completion signal, bus
+// arbitration, native controllers, and the virtualized controller of Fig. 2
+// (PF/VF split, isolation, priority preservation, calibrated latency, FPGA
 // resource break-even).
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "can/controller.hpp"
 #include "can/frame.hpp"
 #include "can/resource_model.hpp"
-#include "can/trace.hpp"
 #include "can/virtual_controller.hpp"
 #include "util/assert.hpp"
 
@@ -221,53 +220,20 @@ TEST(CanFrame, ExactBitsMatchBitwiseReference) {
     }
 }
 
-// --- Bus trace -------------------------------------------------------------------
+// --- Frame completion signal -----------------------------------------------------
 
-TEST(CanTrace, RecordsAndFilters) {
-    CanTrace trace(100);
-    const std::uint32_t a = trace.intern_node("a");
-    EXPECT_EQ(trace.intern_node("b"), a + 1);
-    EXPECT_EQ(trace.intern_node("a"), a);
-    const auto frame_a = CanFrame::make(0x10, {1});
-    const auto frame_c = CanFrame::make(0x30, {0xab, 0xcd}, true);
-    trace.record({Time(1), frame_a, a, CanTraceKind::Tx});
-    trace.record({Time(2), CanFrame::make(0x20, {}), a, CanTraceKind::Err});
-    trace.record({Time(3), frame_c, a, CanTraceKind::Tx});
-    ASSERT_EQ(trace.size(), 3u);
-    std::vector<CanTraceRecord> tx;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (trace[i].kind == CanTraceKind::Tx) {
-            tx.push_back(trace[i]);
-        }
-    }
-    ASSERT_EQ(tx.size(), 2u);
-    EXPECT_EQ(tx[1].frame, frame_c);
-    EXPECT_EQ(tx[1].tag(), "can.tx");
-    EXPECT_EQ(trace.detail(tx[1]), "x30 [2] : ab cd");
-    EXPECT_EQ(trace[1].tag(), "can.err");
-}
-
-TEST(CanTrace, BoundedCapacityDropsOldest) {
-    CanTrace trace(2);
-    const auto frame = CanFrame::make(0x1, {});
-    trace.record({Time(1), frame, 0, CanTraceKind::Arb});
-    trace.record({Time(2), frame, 0, CanTraceKind::Tx});
-    trace.record({Time(3), frame, 0, CanTraceKind::Err});
-    EXPECT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace.total_recorded(), 3u);
-    EXPECT_EQ(trace[0].kind, CanTraceKind::Tx);
-    EXPECT_EQ(trace[0].at, Time(2));
-    EXPECT_EQ(trace[1].kind, CanTraceKind::Err);
-}
-
-TEST(CanTrace, FormatsTheBusRecordsOnRead) {
-    // Standard, extended, dlc-0 and corrupted frames on a bus that keeps 8
-    // records. The expected text is what the bus recorded as strings before
-    // its records were typed.
+TEST(CanBus, FrameCompletedFiresOncePerGoodFrame) {
+    // Standard, extended, dlc-0 and corrupted frames. Each good frame is
+    // reported once, at its completion time; the corrupted attempt (its
+    // error frame ends at 2,116,000 ns) is not, only its retry.
     sim::Simulator sim;
-    CanBus bus(sim, "can_sense", CanBusConfig{500'000, 0.0, 8});
-    CanController front(bus, "zone_front@can_sense");
-    CanController rear(bus, "zone_rear@can_sense");
+    CanBus bus(sim);
+    CanController front(bus);
+    CanController rear(bus);
+    std::string text;
+    bus.frame_completed().subscribe([&text](const CanFrame& frame, Time at) {
+        text += std::to_string(at.ns()) + " " + frame.str() + "\n";
+    });
     front.send(CanFrame::make(0x123, {1, 2, 3, 4}));
     sim.run_for(Duration::ms(1));
     front.send(CanFrame::make(0x7FF, {}));
@@ -278,37 +244,28 @@ TEST(CanTrace, FormatsTheBusRecordsOnRead) {
     bus.set_bit_error_rate(0.0);
     sim.run_for(Duration::ms(1));
 
-    const CanTrace& trace = bus.trace();
-    EXPECT_EQ(trace.total_recorded(), 10u);
-    std::string text;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        text += std::to_string(trace[i].at.ns()) + " " + std::string(trace[i].tag()) + " " +
-                trace.detail(trace[i]) + "\n";
-    }
+    EXPECT_EQ(bus.frames_corrupted(), 1u);
+    EXPECT_EQ(bus.frames_transmitted(), 4u);
     EXPECT_EQ(text,
-              "1000000 can.arb zone_front@can_sense wins with 7ff [0]\n"
-              "1100000 can.tx 7ff [0]\n"
-              "1100000 can.arb zone_rear@can_sense wins with x1abcdef0 [8] : de ad 0 ff 1 2 3 10\n"
-              "1380000 can.tx x1abcdef0 [8] : de ad 0 ff 1 2 3 10\n"
-              "2000000 can.arb zone_rear@can_sense wins with 5 [1] : ab\n"
-              "2116000 can.err 5 [1] : ab\n"
-              "2116000 can.arb zone_rear@can_sense wins with 5 [1] : ab\n"
-              "2232000 can.tx 5 [1] : ab\n");
+              "168000 123 [4] : 1 2 3 4\n"
+              "1100000 7ff [0]\n"
+              "1380000 x1abcdef0 [8] : de ad 0 ff 1 2 3 10\n"
+              "2232000 5 [1] : ab\n");
 }
 
 // --- Bus arbitration -------------------------------------------------------------
 
 struct EchoRig {
     sim::Simulator sim;
-    CanBus bus{sim, "bus0", CanBusConfig{500'000, 0.0, 1024}};
+    CanBus bus{sim};
 };
 
 TEST(CanBus, PriorityArbitration) {
     EchoRig rig;
-    CanController a(rig.bus, "a");
-    CanController b(rig.bus, "b");
+    CanController a(rig.bus);
+    CanController b(rig.bus);
     std::vector<std::uint32_t> order;
-    CanController sink(rig.bus, "sink");
+    CanController sink(rig.bus);
     sink.add_rx_filter(0, 0, [&](const CanFrame& f, Time) { order.push_back(f.id); });
 
     // The first send grabs the idle bus immediately (CAN is non-preemptive);
@@ -331,11 +288,11 @@ TEST(CanBus, BatchedArbitrationResolvesIdleWindowByPriority) {
     // CAN-priority order — and the cached arbitration must not re-poll every
     // controller for every frame.
     EchoRig rig;
-    CanController a(rig.bus, "a");
-    CanController b(rig.bus, "b");
-    CanController c(rig.bus, "c");
+    CanController a(rig.bus);
+    CanController b(rig.bus);
+    CanController c(rig.bus);
     std::vector<std::uint32_t> order;
-    CanController sink(rig.bus, "sink");
+    CanController sink(rig.bus);
     sink.add_rx_filter(0, 0, [&](const CanFrame& f, Time) { order.push_back(f.id); });
 
     a.send(CanFrame::make(0x700, {1})); // grabs the idle bus (non-preemptive)
@@ -367,17 +324,17 @@ TEST(CanBus, ArbitrationCacheRespectsLateHigherPriorityFrame) {
     // A higher-priority frame arriving mid-backlog must still overtake the
     // cached lower-priority heads at the next idle point.
     EchoRig rig;
-    CanController a(rig.bus, "a");
-    CanController b(rig.bus, "b");
+    CanController a(rig.bus);
+    CanController b(rig.bus);
     std::vector<std::uint32_t> order;
-    CanController sink(rig.bus, "sink");
+    CanController sink(rig.bus);
     sink.add_rx_filter(0, 0, [&](const CanFrame& f, Time) { order.push_back(f.id); });
 
     a.send(CanFrame::make(0x600, {1}));
     a.send(CanFrame::make(0x500, {2}));
     // Once the first completion is observed, b springs a dominant frame.
     bool injected = false;
-    CanController observer(rig.bus, "observer");
+    CanController observer(rig.bus);
     observer.add_rx_filter(0x600, 0x7FF, [&](const CanFrame&, Time) {
         if (!injected) {
             injected = true;
@@ -394,9 +351,9 @@ TEST(CanBus, ArbitrationCacheRespectsLateHigherPriorityFrame) {
 
 TEST(CanBus, TransmissionTimesAreExact) {
     EchoRig rig;
-    CanController a(rig.bus, "a");
+    CanController a(rig.bus);
     Time rx_at;
-    CanController sink(rig.bus, "sink");
+    CanController sink(rig.bus);
     sink.add_rx_filter(0, 0, [&](const CanFrame&, Time at) { rx_at = at; });
     const auto frame = CanFrame::make(0x123, {1, 2, 3, 4, 5, 6, 7, 8});
     a.send(frame);
@@ -407,10 +364,11 @@ TEST(CanBus, TransmissionTimesAreExact) {
 
 TEST(CanBus, ErrorInjectionRetransmits) {
     sim::Simulator sim;
-    CanBus bus(sim, "noisy", CanBusConfig{500'000, 0.5, 1024});
-    CanController a(bus, "a");
+    CanBus bus(sim);
+    bus.set_bit_error_rate(0.5);
+    CanController a(bus);
     int rx = 0;
-    CanController sink(bus, "sink");
+    CanController sink(bus);
     sink.add_rx_filter(0, 0, [&](const CanFrame&, Time) { ++rx; });
     a.send(CanFrame::make(0x10, {9}));
     sim.run_until(Time(Duration::ms(100).count_ns()));
@@ -421,7 +379,7 @@ TEST(CanBus, ErrorInjectionRetransmits) {
 
 TEST(CanBus, BusyFractionTracksLoad) {
     EchoRig rig;
-    CanController a(rig.bus, "a");
+    CanController a(rig.bus);
     for (int i = 0; i < 10; ++i) {
         a.send(CanFrame::make(0x100 + static_cast<std::uint32_t>(i), {1}));
     }
@@ -436,9 +394,9 @@ TEST(CanBus, TransmitterDestroyedMidFlightIsSafe) {
     // wire must not be touched at completion; the frame itself still
     // completes on the bus. Validated under ASan.
     EchoRig rig;
-    auto a = std::make_unique<CanController>(rig.bus, "a");
+    auto a = std::make_unique<CanController>(rig.bus);
     int rx = 0;
-    CanController sink(rig.bus, "sink");
+    CanController sink(rig.bus);
     sink.add_rx_filter(0, 0, [&](const CanFrame&, Time) { ++rx; });
     a->send(CanFrame::make(0x100, {1})); // ~250 us on the wire at 500 kbit/s
     rig.sim.schedule(Duration::us(10), [&] { a.reset(); });
@@ -451,7 +409,7 @@ TEST(CanBus, TransmitterDestroyedMidFlightIsSafe) {
 
 TEST(CanController, TxQueueCapacityDrops) {
     EchoRig rig;
-    CanController a(rig.bus, "a", 2);
+    CanController a(rig.bus, 2);
     EXPECT_TRUE(a.send(CanFrame::make(1, {})));
     EXPECT_TRUE(a.send(CanFrame::make(2, {})));
     // Queue holds 2; the first may already be on the wire, so fill up again.
@@ -463,8 +421,8 @@ TEST(CanController, TxQueueCapacityDrops) {
 
 TEST(CanController, RxFilterMasks) {
     EchoRig rig;
-    CanController a(rig.bus, "a");
-    CanController b(rig.bus, "b");
+    CanController a(rig.bus);
+    CanController b(rig.bus);
     int motor = 0;
     int all = 0;
     b.add_rx_filter(0x100, 0x700, [&](const CanFrame&, Time) { ++motor; });
@@ -478,7 +436,7 @@ TEST(CanController, RxFilterMasks) {
 
 TEST(CanController, NoSelfReceptionByDefault) {
     EchoRig rig;
-    CanController a(rig.bus, "a");
+    CanController a(rig.bus);
     int self_rx = 0;
     a.add_rx_filter(0, 0, [&](const CanFrame&, Time) { ++self_rx; });
     a.send(CanFrame::make(0x50, {1}));
@@ -490,7 +448,7 @@ TEST(CanController, NoSelfReceptionByDefault) {
 
 TEST(VirtualCan, PfTokenSingleOwner) {
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     EXPECT_THROW((void)vc.take_pf_token(), ContractViolation);
     (void)token;
@@ -498,7 +456,7 @@ TEST(VirtualCan, PfTokenSingleOwner) {
 
 TEST(VirtualCan, PfManagesVfs) {
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf0 = vc.pf_create_vf(token, 4);
     auto& vf1 = vc.pf_create_vf(token, 8);
@@ -513,7 +471,7 @@ TEST(VirtualCan, PfManagesVfs) {
 
 TEST(VirtualCan, DisabledVfCannotSend) {
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf = vc.pf_create_vf(token);
     vc.pf_enable_vf(token, 0, false);
@@ -523,7 +481,7 @@ TEST(VirtualCan, DisabledVfCannotSend) {
 
 TEST(VirtualCan, MailboxCapacityIsolatedPerVf) {
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf0 = vc.pf_create_vf(token, 1);
     auto& vf1 = vc.pf_create_vf(token, 4);
@@ -539,13 +497,13 @@ TEST(VirtualCan, CrossVfPriorityRespected) {
     // like the hardware arbiter of [8] ("transmitted with respect to their
     // bus priority").
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf0 = vc.pf_create_vf(token);
     auto& vf1 = vc.pf_create_vf(token);
 
     std::vector<std::uint32_t> order;
-    CanController sink(rig.bus, "sink");
+    CanController sink(rig.bus);
     sink.add_rx_filter(0, 0, [&](const CanFrame& f, Time) { order.push_back(f.id); });
 
     // vf0's 0x400 latches first and grabs the idle bus (non-preemptive);
@@ -564,7 +522,7 @@ TEST(VirtualCan, CrossVfPriorityRespected) {
 
 TEST(VirtualCan, RxFilteredTowardsVfs) {
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf0 = vc.pf_create_vf(token);
     auto& vf1 = vc.pf_create_vf(token);
@@ -573,7 +531,7 @@ TEST(VirtualCan, RxFilteredTowardsVfs) {
     vf0.add_rx_filter(0x100, 0x700, [&](const CanFrame&, Time) { ++rx0; });
     vf1.add_rx_filter(0x200, 0x700, [&](const CanFrame&, Time) { ++rx1; });
 
-    CanController peer(rig.bus, "peer");
+    CanController peer(rig.bus);
     peer.send(CanFrame::make(0x110, {}));
     peer.send(CanFrame::make(0x210, {}));
     peer.send(CanFrame::make(0x310, {}));
@@ -587,7 +545,7 @@ TEST(VirtualCan, RxFilteredTowardsVfs) {
 
 TEST(VirtualCan, SendingVfDoesNotSeeOwnFrame) {
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf0 = vc.pf_create_vf(token);
     auto& vf1 = vc.pf_create_vf(token);
@@ -607,7 +565,7 @@ TEST(VirtualCan, RxCallbackMayRegisterFiltersReentrantly) {
     // run from a stable copy (under ASan this test catches use-after-free
     // on reallocation).
     EchoRig rig;
-    VirtualCanController vc(rig.bus, "vcan");
+    VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf0 = vc.pf_create_vf(token);
     int rx = 0;
@@ -620,7 +578,7 @@ TEST(VirtualCan, RxCallbackMayRegisterFiltersReentrantly) {
             ++rx;
         }
     });
-    CanController peer(rig.bus, "peer");
+    CanController peer(rig.bus);
     peer.send(CanFrame::make(0x123, {1}));
     rig.sim.run_until(Time(Duration::ms(20).count_ns()));
     EXPECT_EQ(rx, 1);
@@ -632,9 +590,9 @@ TEST(VirtualCan, RoundTripOverheadMatchesPaperBand) {
     for (int vfs = 1; vfs <= 8; vfs += 7) {
         // Native reference.
         sim::Simulator nsim;
-        CanBus nbus(nsim, "native", CanBusConfig{500'000, 0.0, 1024});
-        CanController na(nbus, "a");
-        CanController nb(nbus, "b");
+        CanBus nbus(nsim);
+        CanController na(nbus);
+        CanController nb(nbus);
         Time n_done;
         nb.add_rx_filter(0x100, 0x7FF,
                          [&](const CanFrame&, Time) { nb.send(CanFrame::make(0x200, {1})); });
@@ -645,9 +603,9 @@ TEST(VirtualCan, RoundTripOverheadMatchesPaperBand) {
 
         // Virtualized pair with `vfs` active VFs on each side.
         sim::Simulator vsim;
-        CanBus vbus(vsim, "virt", CanBusConfig{500'000, 0.0, 1024});
-        VirtualCanController va(vbus, "va");
-        VirtualCanController vb(vbus, "vb");
+        CanBus vbus(vsim);
+        VirtualCanController va(vbus);
+        VirtualCanController vb(vbus);
         auto ta = va.take_pf_token();
         auto tb = vb.take_pf_token();
         for (int i = 0; i < vfs; ++i) {
@@ -747,8 +705,9 @@ TEST(FaultConfinement, RecSaturatesAndRecovers) {
 
 TEST(FaultConfinement, NoisyChannelDrivesTransmitterBusOff) {
     sim::Simulator sim(5);
-    CanBus bus(sim, "noisy", CanBusConfig{500'000, 0.9, 1024});
-    CanController chatterbox(bus, "chatterbox", 256);
+    CanBus bus(sim);
+    bus.set_bit_error_rate(0.9);
+    CanController chatterbox(bus, 256);
     int bus_off_events = 0;
     chatterbox.bus_off().subscribe([&] { ++bus_off_events; });
     sim.schedule_periodic(Duration::ms(1), [&] {
@@ -763,8 +722,9 @@ TEST(FaultConfinement, NoisyChannelDrivesTransmitterBusOff) {
 
 TEST(FaultConfinement, BusOffNodeFreesTheBusForOthers) {
     sim::Simulator sim(5);
-    CanBus bus(sim, "noisy", CanBusConfig{500'000, 0.9, 1024});
-    CanController victim_tx(bus, "victim", 256);
+    CanBus bus(sim);
+    bus.set_bit_error_rate(0.9);
+    CanController victim_tx(bus, 256);
     sim.schedule_periodic(Duration::ms(1),
                           [&] { victim_tx.send(CanFrame::make(0x200, {7})); });
     sim.run_until(Time(Duration::sec(2).count_ns()));
@@ -772,9 +732,9 @@ TEST(FaultConfinement, BusOffNodeFreesTheBusForOthers) {
 
     // Channel heals; a healthy node can now use the bus unimpeded.
     bus.set_bit_error_rate(0.0);
-    CanController healthy(bus, "healthy");
+    CanController healthy(bus);
     int rx = 0;
-    CanController sink(bus, "sink");
+    CanController sink(bus);
     sink.add_rx_filter(0x100, 0x7FF, [&](const CanFrame&, Time) { ++rx; });
     healthy.send(CanFrame::make(0x100, {1}));
     sim.run_until(Time(Duration::sec(3).count_ns()));
@@ -783,8 +743,9 @@ TEST(FaultConfinement, BusOffNodeFreesTheBusForOthers) {
 
 TEST(FaultConfinement, RecoveryRestoresTransmission) {
     sim::Simulator sim(5);
-    CanBus bus(sim, "noisy", CanBusConfig{500'000, 0.9, 1024});
-    CanController node(bus, "node", 256);
+    CanBus bus(sim);
+    bus.set_bit_error_rate(0.9);
+    CanController node(bus, 256);
     sim.schedule_periodic(Duration::ms(1),
                           [&] { node.send(CanFrame::make(0x123, {1})); });
     sim.run_until(Time(Duration::sec(2).count_ns()));

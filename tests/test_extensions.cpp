@@ -127,7 +127,7 @@ TEST(LatencyViewpoint, InteractionWithOtherTraffic) {
 
 struct VfRig {
     sim::Simulator sim;
-    can::CanBus bus{sim, "bus", can::CanBusConfig{500'000, 0.0, 4096}};
+    can::CanBus bus{sim};
 };
 
 TEST(VfArbitration, RoundRobinCausesPriorityInversion) {
@@ -138,13 +138,13 @@ TEST(VfArbitration, RoundRobinCausesPriorityInversion) {
     // lower-priority frames transmitted before the urgent one.
     auto run = [&](can::VfArbitration policy) {
         VfRig rig;
-        can::VirtualCanController vc(rig.bus, "vc");
+        can::VirtualCanController vc(rig.bus);
         auto token = vc.take_pf_token();
         auto& vf0 = vc.pf_create_vf(token, 64);
         auto& vf1 = vc.pf_create_vf(token, 8);
         vc.pf_set_arbitration(token, policy);
 
-        can::CanController sink(rig.bus, "sink");
+        can::CanController sink(rig.bus);
         std::vector<std::uint32_t> order;
         sink.add_rx_filter(0, 0, [&](const can::CanFrame& f, Time) {
             order.push_back(f.id);
@@ -181,13 +181,13 @@ TEST(VfArbitration, RoundRobinCausesPriorityInversion) {
 
 TEST(VfArbitration, RoundRobinAlternatesBetweenVfs) {
     VfRig rig;
-    can::VirtualCanController vc(rig.bus, "vc");
+    can::VirtualCanController vc(rig.bus);
     auto token = vc.take_pf_token();
     auto& vf0 = vc.pf_create_vf(token, 16);
     auto& vf1 = vc.pf_create_vf(token, 16);
     vc.pf_set_arbitration(token, can::VfArbitration::RoundRobin);
 
-    can::CanController sink(rig.bus, "sink");
+    can::CanController sink(rig.bus);
     std::vector<std::uint32_t> order;
     sink.add_rx_filter(0, 0,
                        [&](const can::CanFrame& f, Time) { order.push_back(f.id); });
@@ -211,7 +211,7 @@ TEST(VfArbitration, RoundRobinAlternatesBetweenVfs) {
 
 TEST(VfArbitration, PriorityIsDefault) {
     VfRig rig;
-    can::VirtualCanController vc(rig.bus, "vc");
+    can::VirtualCanController vc(rig.bus);
     EXPECT_EQ(vc.arbitration(), can::VfArbitration::Priority);
 }
 

@@ -69,12 +69,12 @@ TEST_P(CanSimVsAnalysis, ObservedLatencyWithinBound) {
 
     // Simulation: one controller per message (worst case: all compete).
     sim::Simulator simulator(static_cast<std::uint64_t>(GetParam()) * 7 + 1);
-    can::CanBus bus(simulator, "prop", can::CanBusConfig{500'000, 0.0, 4096});
+    can::CanBus bus(simulator);
     std::vector<std::unique_ptr<can::CanController>> controllers;
     std::map<std::uint32_t, Time> enqueue_time;
     std::map<std::uint32_t, Duration> worst_seen;
 
-    can::CanController sink(bus, "sink");
+    can::CanController sink(bus);
     sink.add_rx_filter(0, 0, [&](const can::CanFrame& f, Time at) {
         auto it = enqueue_time.find(f.id);
         if (it != enqueue_time.end()) {
@@ -84,8 +84,7 @@ TEST_P(CanSimVsAnalysis, ObservedLatencyWithinBound) {
     });
 
     for (const auto& s : setups) {
-        auto ctrl = std::make_unique<can::CanController>(
-            bus, "node" + std::to_string(s.id), 64);
+        auto ctrl = std::make_unique<can::CanController>(bus, 64);
         can::CanController* raw = ctrl.get();
         std::vector<std::uint8_t> payload(static_cast<std::size_t>(s.payload), 0xA5);
         simulator.schedule_periodic(
@@ -392,7 +391,7 @@ class ChainSimVsAnalysis : public ::testing::TestWithParam<int> {};
 TEST_P(ChainSimVsAnalysis, ObservedChainWithinBound) {
     const auto seed = static_cast<std::uint64_t>(GetParam());
     sim::Simulator simulator(seed);
-    can::CanBus bus(simulator, "chain", can::CanBusConfig{500'000, 0.0, 1024});
+    can::CanBus bus(simulator);
     rte::FixedPriorityScheduler producer_ecu(simulator, "producer");
     rte::FixedPriorityScheduler consumer_ecu(simulator, "consumer");
 
@@ -422,8 +421,8 @@ TEST_P(ChainSimVsAnalysis, ObservedChainWithinBound) {
     cons.deadline = Duration::ms(20);
     const auto cons_id = consumer_ecu.add_task(cons);
 
-    rte::CanGateway producer_gw(bus, "producer_gw");
-    rte::CanGateway consumer_gw(bus, "consumer_gw");
+    rte::CanGateway producer_gw(bus);
+    rte::CanGateway consumer_gw(bus);
     producer_gw.transmit_on_completion(producer_ecu, prod_id,
                                        can::CanFrame::make(0x100, {1, 2, 3, 4}));
     consumer_gw.activate_on_rx(consumer_ecu, cons_id, 0x100, 0x7FF);
@@ -440,7 +439,7 @@ TEST_P(ChainSimVsAnalysis, ObservedChainWithinBound) {
     });
     Duration worst_observed = Duration::zero();
     std::size_t responses = 0;
-    can::CanController observer(bus, "observer");
+    can::CanController observer(bus);
     observer.add_rx_filter(0x200, 0x7FF, [&](const can::CanFrame&, Time at) {
         if (responses < releases.size()) {
             worst_observed =

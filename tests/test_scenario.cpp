@@ -243,8 +243,8 @@ TEST(VehicleBuilder, VehicleOnExternalSimulatorCanDieFirst) {
 
 TEST(BusGateway, RouteRequiresDistinctBuses) {
     sim::Simulator simulator(1);
-    can::CanBus bus(simulator, "solo");
-    can::BusGateway gateway("gw");
+    can::CanBus bus(simulator);
+    can::BusGateway gateway;
     EXPECT_THROW(gateway.add_route(bus, bus, 0, 0), ContractViolation);
 }
 
@@ -323,7 +323,7 @@ TEST(ScenarioBuilder, V2vMediumDeliversBetweenVehicles) {
     scenario::ScenarioBuilder builder(6);
     builder.vehicle("a").ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"});
     builder.vehicle("b").ecu({"ecu0", 1.0, 0.75, model::Asil::D, "cabin", "main"});
-    builder.v2v(0.0, Duration::ms(10));
+    builder.v2v({.latency = Duration::ms(10)});
     auto scenario = builder.build();
 
     int received = 0;

@@ -3,7 +3,7 @@
 // contracts on the periodic registry, thread budgets and their placement of
 // domains on threads, cross-domain gateway routes and V2V — and the
 // determinism suite: the dual-bus platoon produces identical per-vehicle
-// counters and CAN event traces for num_domains in {1, 2, 4} and every
+// counters and CAN frame logs for num_domains in {1, 2, 4} and every
 // thread budget up to the domain count, and identical everything when
 // re-run with the same seed.
 //
@@ -808,15 +808,15 @@ TEST(ShardedKernel, VehicleDestroyedAtAScriptBarrierWhileTheKernelKeepsRunning) 
 
 TEST(ShardedGateway, RoutesFramesAcrossDomainsAndDeclaresLookahead) {
     sim::ShardedKernel kernel(2, 42);
-    can::CanBus sense(kernel.domain(0), "sense");
-    can::CanBus act(kernel.domain(1), "act");
-    can::BusGateway gateway("gw", Duration::us(50));
+    can::CanBus sense(kernel.domain(0));
+    can::CanBus act(kernel.domain(1));
+    can::BusGateway gateway(Duration::us(50));
     gateway.add_route(sense, act, 0x120, 0x7F0);
     EXPECT_EQ(kernel.domain_kernel(0).lookahead(), Duration::us(50));
     EXPECT_EQ(kernel.domain_kernel(1).lookahead(), sim::kUnboundedLookahead);
 
-    can::CanController producer(sense, "producer");
-    can::CanController sink(act, "sink");
+    can::CanController producer(sense);
+    can::CanController sink(act);
     std::uint64_t received = 0;
     Time received_at = Time::zero();
     sink.add_rx_filter(0x120, 0x7F0, [&](const can::CanFrame&, Time at) {
@@ -840,12 +840,12 @@ TEST(ShardedGateway, ForwardsInFlightAcrossDomainsSurviveGatewayDestruction) {
     // while the egress worker drops the previous window's. The gateway is
     // then destroyed with forwards in flight: those forwards are dropped.
     sim::ShardedKernel kernel(2, 42);
-    can::CanBus sense(kernel.domain(0), "sense");
-    can::CanBus act(kernel.domain(1), "act");
-    auto gateway = std::make_unique<can::BusGateway>("gw", Duration::us(500));
+    can::CanBus sense(kernel.domain(0));
+    can::CanBus act(kernel.domain(1));
+    auto gateway = std::make_unique<can::BusGateway>(Duration::us(500));
     gateway->add_route(sense, act, 0x120, 0x7F0);
-    can::CanController producer(sense, "producer");
-    can::CanController sink(act, "sink");
+    can::CanController producer(sense);
+    can::CanController sink(act);
     std::uint64_t received = 0;
     sink.add_rx_filter(0x120, 0x7F0, [&](const can::CanFrame&, Time) { ++received; });
     for (int i = 0; i < 64; ++i) {
@@ -867,18 +867,18 @@ TEST(ShardedGateway, ForwardsInFlightAcrossDomainsSurviveGatewayDestruction) {
 
 TEST(ShardedGateway, ZeroLatencyCrossDomainRouteIsRejected) {
     sim::ShardedKernel kernel(2, 42);
-    can::CanBus a(kernel.domain(0), "a");
-    can::CanBus b(kernel.domain(1), "b");
-    can::BusGateway gateway("gw", Duration::zero());
+    can::CanBus a(kernel.domain(0));
+    can::CanBus b(kernel.domain(1));
+    can::BusGateway gateway(Duration::zero());
     EXPECT_THROW(gateway.add_route(a, b, 0, 0), sa::ContractViolation);
 }
 
 TEST(ShardedGateway, RouteAcrossDistinctKernelsIsRejected) {
     sim::ShardedKernel kernel_a(2, 1);
     sim::ShardedKernel kernel_b(2, 2);
-    can::CanBus a(kernel_a.domain(0), "a");
-    can::CanBus b(kernel_b.domain(0), "b");
-    can::BusGateway gateway("gw", Duration::us(50));
+    can::CanBus a(kernel_a.domain(0));
+    can::CanBus b(kernel_b.domain(0));
+    can::BusGateway gateway(Duration::us(50));
     EXPECT_THROW(gateway.add_route(a, b, 0, 0), sa::ContractViolation);
 }
 
@@ -969,19 +969,46 @@ void declare_platoon_vehicle(scenario::ScenarioBuilder& builder,
 
 /// Everything a run can observably produce, flattened into strings.
 struct RunFingerprint {
-    std::vector<std::string> vehicles; ///< per-vehicle counters + CAN traces
+    std::vector<std::string> vehicles; ///< per-vehicle counters + CAN frames
     std::string v2v;
     bool operator==(const RunFingerprint&) const = default;
 };
 
-std::string trace_fingerprint(const can::CanTrace& trace) {
-    // The ring keeps only its last records; a fingerprint that lost some
-    // would compare less than the whole run.
-    EXPECT_EQ(trace.size(), trace.total_recorded()) << "the CAN trace ring wrapped";
+/// One bus's completed frames, one "<ns> <CanFrame::str()>" line each.
+struct FrameLog {
+    const can::CanBus* bus;
+    std::string text;
+};
+
+/// Log every frame the platoon vehicles' can_sense and can_act buses
+/// complete, two logs per vehicle in that order. Attached after build() and
+/// before run(), like the snapshot fingerprints; each log is written only
+/// by its vehicle's domain.
+std::vector<FrameLog> log_frames(scenario::Scenario& scenario) {
+    std::vector<FrameLog> logs;
+    logs.reserve(2 * std::size(kPlatoonVehicles)); // the subscribers keep addresses
+    for (const char* name : kPlatoonVehicles) {
+        for (const char* bus_name : {"can_sense", "can_act"}) {
+            can::CanBus& bus = scenario.vehicle(name).rte().can_bus(bus_name);
+            FrameLog& log = logs.emplace_back(FrameLog{&bus, {}});
+            bus.frame_completed().subscribe(
+                [&text = log.text](const can::CanFrame& frame, Time at) {
+                    text += std::to_string(at.ns()) + " " + frame.str() + "\n";
+                });
+        }
+    }
+    return logs;
+}
+
+/// The frame logs of vehicle `index`; fails the test if a frame escaped them.
+std::string frame_fingerprint(const std::vector<FrameLog>& logs, std::size_t index) {
     std::string out;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        out += std::to_string(trace[i].at.ns()) + " " + std::string(trace[i].tag()) + " " +
-               trace.detail(trace[i]) + "\n";
+    for (std::size_t i = 2 * index; i < 2 * index + 2; ++i) {
+        const std::string& text = logs[i].text;
+        EXPECT_EQ(static_cast<std::uint64_t>(std::count(text.begin(), text.end(), '\n')),
+                  logs[i].bus->frames_transmitted())
+            << "a frame escaped the fingerprint";
+        out += text;
     }
     return out;
 }
@@ -995,7 +1022,7 @@ RunFingerprint run_platoon(std::size_t num_domains, std::uint64_t seed) {
     builder.trust("alpha", 14)
         .trust("beta", 14)
         .trust("gamma", 14)
-        .v2v(0.0, Duration::ms(20))
+        .v2v({})
         .at(Duration::sec(1), [](scenario::Scenario& s) {
             auto& beta = s.vehicle("beta");
             beta.rte().access().grant("perception", "brake_cmd");
@@ -1003,6 +1030,7 @@ RunFingerprint run_platoon(std::size_t num_domains, std::uint64_t seed) {
                                                         Duration::ms(2));
         });
     auto scenario = builder.build();
+    const std::vector<FrameLog> frames = log_frames(*scenario);
     for (const char* name : kPlatoonVehicles) {
         scenario->v2v().attach(name, scenario->vehicle(name).simulator(),
                                [](const v2v::Frame&, double) {});
@@ -1020,8 +1048,8 @@ RunFingerprint run_platoon(std::size_t num_domains, std::uint64_t seed) {
     scenario->run(Duration::sec(2), num_domains);
 
     RunFingerprint fp;
-    for (const char* name : kPlatoonVehicles) {
-        auto& v = scenario->vehicle(name);
+    for (std::size_t i = 0; i < std::size(kPlatoonVehicles); ++i) {
+        auto& v = scenario->vehicle(kPlatoonVehicles[i]);
         std::string s = v.report().str();
         s += "| gw fwd=" + std::to_string(v.bus_gateway("gw").frames_forwarded());
         s += " drop=" + std::to_string(v.bus_gateway("gw").frames_dropped());
@@ -1029,8 +1057,7 @@ RunFingerprint run_platoon(std::size_t num_domains, std::uint64_t seed) {
              std::to_string(v.can_endpoint("zone_rear", "can_act").activations());
         s += " perception=" +
              std::string(rte::to_string(v.rte().component("perception").state()));
-        s += "\n" + trace_fingerprint(v.rte().can_bus("can_sense").trace());
-        s += trace_fingerprint(v.rte().can_bus("can_act").trace());
+        s += "\n" + frame_fingerprint(frames, i);
         fp.vehicles.push_back(std::move(s));
     }
     fp.v2v = std::to_string(scenario->v2v().transmissions()) + "/" +
@@ -1085,7 +1112,7 @@ const ManeuverCase kManeuverCases[] = {
 /// The platoon-maneuver workload: three dual-bus platoon_follow vehicles
 /// under the maneuver engine. A script degrades beta's radar+V2V
 /// capabilities; its follow skill collapses and the engine splits the
-/// platoon at beta — counters, CAN traces, self-model snapshots, platoon
+/// platoon at beta — counters, CAN frames, self-model snapshots, platoon
 /// membership and the maneuver history must reproduce bit-for-bit across
 /// domain counts.
 RunFingerprint run_maneuver_platoon(std::size_t num_domains, const ManeuverCase& run) {
@@ -1108,6 +1135,7 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, const ManeuverCase&
             abilities.propagate();
         });
     auto scenario = builder.build();
+    const std::vector<FrameLog> frames = log_frames(*scenario);
     // Every self-model snapshot, as it is published: one string per vehicle,
     // each written only by its vehicle's domain.
     std::vector<std::string> snapshots(std::size(kPlatoonVehicles));
@@ -1132,8 +1160,7 @@ RunFingerprint run_maneuver_platoon(std::size_t num_domains, const ManeuverCase&
                   v.self_model().latest().version)
             << "a snapshot escaped the fingerprint";
         s += snapshots[i];
-        s += "\n" + trace_fingerprint(v.rte().can_bus("can_sense").trace());
-        s += trace_fingerprint(v.rte().can_bus("can_act").trace());
+        s += "\n" + frame_fingerprint(frames, i);
         fp.vehicles.push_back(std::move(s));
     }
     std::string platoon_state = "members:";

@@ -18,7 +18,6 @@
 #include "skills/skill_graph_spec.hpp"
 #include "util/assert.hpp"
 #include "util/random.hpp"
-#include "util/string_util.hpp"
 
 namespace {
 
@@ -644,39 +643,42 @@ TEST(AbilityGraph, PropagationOrderIsPinned) {
     // Kahn's algorithm, children first, the smallest ready name first. Skills
     // report level changes in this order; sources and sinks never change in
     // propagate(), so only the skills' places are observable.
-    const std::map<std::string, std::string> orders{
+    const std::map<std::string, std::vector<std::string>> orders{
         {"acc",
-         "brake_system camera hmi estimate_driver_intent lidar powertrain accelerate "
-         "decelerate keep_vehicle_controllable radar perceive_track_dynamic_objects "
-         "select_target_object control_distance control_speed acc_driving"},
+         {"brake_system", "camera", "hmi", "estimate_driver_intent", "lidar",
+          "powertrain", "accelerate", "decelerate", "keep_vehicle_controllable", "radar",
+          "perceive_track_dynamic_objects", "select_target_object", "control_distance",
+          "control_speed", "acc_driving"}},
         {"acc_aggregate_sensors",
-         "brake_system environment_sensors hmi estimate_driver_intent "
-         "perceive_track_dynamic_objects powertrain accelerate decelerate "
-         "keep_vehicle_controllable select_target_object control_distance "
-         "control_speed acc_driving"},
+         {"brake_system", "environment_sensors", "hmi", "estimate_driver_intent",
+          "perceive_track_dynamic_objects", "powertrain", "accelerate", "decelerate",
+          "keep_vehicle_controllable", "select_target_object", "control_distance",
+          "control_speed", "acc_driving"}},
         {"emergency_stop",
-         "brake_system camera full_braking hazard_lights radar detect_obstacle "
-         "warn_traffic emergency_stop"},
+         {"brake_system", "camera", "full_braking", "hazard_lights", "radar",
+          "detect_obstacle", "warn_traffic", "emergency_stop"}},
         {"lane_keep",
-         "camera detect_lane_markings hmi estimate_driver_intent imu steering "
-         "wheel_odometry estimate_vehicle_state lateral_control lane_keeping"},
+         {"camera", "detect_lane_markings", "hmi", "estimate_driver_intent", "imu",
+          "steering", "wheel_odometry", "estimate_vehicle_state", "lateral_control",
+          "lane_keeping"}},
         {"platoon_follow",
-         "brake_system powertrain accelerate decelerate radar v2v_link "
-         "receive_platoon_commands track_lead_vehicle control_gap platoon_follow"},
+         {"brake_system", "powertrain", "accelerate", "decelerate", "radar", "v2v_link",
+          "receive_platoon_commands", "track_lead_vehicle", "control_gap",
+          "platoon_follow"}},
     };
     const auto& registry = CapabilityRegistry::builtin();
     ASSERT_EQ(registry.spec_names().size(), orders.size());
     for (const auto& [spec_name, order] : orders) {
         AbilityGraph abilities(*registry.spec(spec_name));
         std::vector<std::string> skills;
-        for (const auto& node : split(order, ' ')) {
+        for (const auto& node : order) {
             if (abilities.kind(node) == SkillNodeKind::Skill) {
                 skills.push_back(node);
             } else {
                 abilities.set_source_level(node, 0.0); // every skill changes
             }
         }
-        EXPECT_EQ(split(order, ' ').size(), abilities.node_count()) << spec_name;
+        EXPECT_EQ(order.size(), abilities.node_count()) << spec_name;
         EXPECT_EQ(change_order(abilities), skills) << spec_name;
     }
 }

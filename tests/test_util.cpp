@@ -66,33 +66,6 @@ TEST(RunningStats, VarianceMatchesDefinition) {
     EXPECT_NEAR(s.variance(), 1.25, 1e-12);
 }
 
-TEST(RunningStats, MergeEqualsCombinedStream) {
-    RunningStats a;
-    RunningStats b;
-    RunningStats all;
-    for (int i = 0; i < 50; ++i) {
-        const double x = 0.37 * i - 3.0;
-        (i % 2 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-    RunningStats a;
-    a.add(1.0);
-    a.add(3.0);
-    RunningStats empty;
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
 // --- SampleSet ---------------------------------------------------------------
 
 TEST(SampleSet, PercentilesNearestRank) {
@@ -175,27 +148,6 @@ TEST(RandomEngine, IndexRequiresNonEmpty) {
 }
 
 // --- string_util ----------------------------------------------------------------
-
-TEST(StringUtil, SplitKeepsEmptyFields) {
-    const auto parts = split("a,,b", ',');
-    ASSERT_EQ(parts.size(), 3u);
-    EXPECT_EQ(parts[0], "a");
-    EXPECT_EQ(parts[1], "");
-    EXPECT_EQ(parts[2], "b");
-}
-
-TEST(StringUtil, SplitSingleField) {
-    const auto parts = split("abc", ',');
-    ASSERT_EQ(parts.size(), 1u);
-    EXPECT_EQ(parts[0], "abc");
-}
-
-TEST(StringUtil, Trim) {
-    EXPECT_EQ(trim("  hi \t\n"), "hi");
-    EXPECT_EQ(trim(""), "");
-    EXPECT_EQ(trim("   "), "");
-    EXPECT_EQ(trim("x"), "x");
-}
 
 TEST(StringUtil, StartsEndsWith) {
     EXPECT_TRUE(starts_with("temp.ecu1", "temp."));
